@@ -321,12 +321,19 @@ impl Scenario {
     /// purely from the scenario seed and the user index, all through
     /// [`Scenario::spec_for_user`].
     pub fn system_for_user(&self, user: u64) -> McSystem {
-        let app = for_category(self.app);
         let mut host = HostComputer::new(
             Database::new(),
             simnet::rng::sub_seed(self.seed, "fleet.host", user),
         );
-        app.install(&mut host);
+        for_category(self.app).install(&mut host);
+        self.system_on(user, host)
+    }
+
+    /// The one build path behind every user's system: the scenario's
+    /// stack for `user` around `host`. Isolated worlds pass their
+    /// installed host; the shared engine passes an empty one, because
+    /// every transaction runs against the island's host instead.
+    pub(crate) fn system_on(&self, user: u64, host: HostComputer) -> McSystem {
         let mut system = self.spec_for_user(user).build(host);
         if !self.faults.is_empty() {
             system.set_fault_plan(self.faults.clone());
@@ -488,7 +495,7 @@ impl ShardScratch {
     }
 
     /// Attaches this scratch's memos to a freshly built system.
-    fn attach(&self, system: &mut McSystem) {
+    pub(crate) fn attach(&self, system: &mut McSystem) {
         system.attach_shard_memos(self.transcode.clone(), self.render.clone());
     }
 

@@ -23,11 +23,16 @@
 //! Each user still owns a per-user [`McSystem`] (their station, battery,
 //! RNG streams — seeded by user index exactly as the legacy engine
 //! does), but the *shared* pieces are swapped in around every
-//! transaction: the island's one [`HostComputer`] replaces the user's
-//! private host, and the gateway's one shared
-//! [`ContentCache`](middleware::ContentCache) replaces the user's
-//! private cache. A deterministic event queue keyed by
-//! `(ready time, global user index)` decides who transacts next.
+//! transaction: the island's one [`HostComputer`] takes the place of an
+//! empty host the user's system is built around (no application is
+//! installed in it, since no transaction ever runs against it), and the
+//! gateway's one shared [`ContentCache`](middleware::ContentCache)
+//! replaces the user's private cache. A deterministic event queue keyed
+//! by `(ready time, global user index)` decides who transacts next.
+//!
+//! An island's gateways, cells and users come in closed form from the
+//! topology's modulo wiring ([`Topology::island`]), so building every
+//! island costs time linear in the population, not in users × islands.
 //!
 //! The analytic transaction then executes atomically at its start time,
 //! and contention is charged *post hoc*: the transaction's per-phase
@@ -275,14 +280,12 @@ fn run_island(
     recorder: RecorderKind,
     telemetry_bin_ns: Option<u64>,
 ) -> IslandOutcome {
-    let users: Vec<u64> = (0..scenario.users)
-        .filter(|&u| topology.island_of_user(u, scenario.users) == island)
-        .collect();
+    let members = topology.island(island, scenario.users);
     let mut stats = ContentionStats {
         islands: 1,
         ..ContentionStats::default()
     };
-    if users.is_empty() {
+    if members.users.is_empty() {
         return IslandOutcome {
             counters: WorkloadCounters::default(),
             traces: Vec::new(),
@@ -294,41 +297,20 @@ fn run_island(
 
     let app = for_category(scenario.app);
 
-    // The island's shared host: same seed derivation as the legacy
-    // engine gives user `island`'s private host, so a one-host,
-    // one-user world is bit-identical to legacy user 0.
-    let mut shared_host = HostComputer::new(
-        Database::new(),
-        sub_seed(scenario.seed, "fleet.host", island),
-    );
-    app.install(&mut shared_host);
-    if scenario.cache.enabled && scenario.cache.host_ttl > simnet::SimDuration::ZERO {
-        shared_host.web.configure_page_cache(
-            scenario.cache.host_ttl.as_nanos(),
-            scenario.cache.byte_budget,
-        );
-    } else {
-        shared_host.web.disable_page_cache();
-    }
-    shared_host
-        .web
-        .db_mut()
-        .set_query_cache(scenario.cache.enabled);
-    // Seed rows installed above are already durable; only live-traffic
-    // commits batch under a priced policy.
-    shared_host.web.db_mut().set_durability(scenario.durability);
+    // The island's shared host: built exactly as the legacy engine
+    // builds user `island`'s private host (same seed, application, cache
+    // and durability policy), so a one-host, one-user world is
+    // bit-identical to legacy user 0.
+    let mut shared_host = scenario.system_for_user(island).host;
 
     // The island's shared infrastructure, indexed locally. Local order
     // follows global index order, so resource identity is canonical.
-    let gateways: Vec<u64> = (0..topology.gateway_count())
-        .filter(|&g| topology.host_of_gateway(g) == island)
-        .collect();
-    let cells: Vec<u64> = (0..topology.cell_count())
-        .filter(|&c| gateways.contains(&topology.gateway_of_cell(c)))
-        .collect();
-    let mut cell_air: Vec<CellAirtime> = cells.iter().map(|_| CellAirtime::new()).collect();
-    let mut gateway_cpu: Vec<FcfsServer> = gateways.iter().map(|_| FcfsServer::new()).collect();
-    let mut gateway_caches: Vec<Option<ContentCache>> = gateways
+    let mut cell_air: Vec<CellAirtime> =
+        members.cells.iter().map(|_| CellAirtime::new()).collect();
+    let mut gateway_cpu: Vec<FcfsServer> =
+        members.gateways.iter().map(|_| FcfsServer::new()).collect();
+    let mut gateway_caches: Vec<Option<ContentCache>> = members
+        .gateways
         .iter()
         .map(|_| {
             (scenario.cache.enabled && scenario.cache.gateway_ttl > simnet::SimDuration::ZERO)
@@ -348,20 +330,23 @@ fn run_island(
         IslandTelemetry::new(
             bin_ns,
             island,
-            &cells,
-            &gateways,
+            &members.cells,
+            &members.gateways,
             !scenario.durability.is_zero_cost(),
         )
     });
 
     // Per-user state: the private system (station, battery, RNG streams
-    // — exactly the legacy per-user build) plus the queued actions. The
+    // — exactly the legacy per-user build, around an empty host the
+    // island's host always stands in for) plus the queued actions. The
     // island owns one scratch; memo hits replay byte-identically.
     let scratch = crate::fleet::ShardScratch::new();
-    let mut states: Vec<UserState> = users
+    let mut states: Vec<UserState> = members
+        .users
         .iter()
-        .map(|&user| {
-            let mut system = scenario.system_for_user_in(user, &scratch);
+        .map(|&(user, cell)| {
+            let mut system = scenario.system_on(user, HostComputer::new(Database::new(), 0));
+            scratch.attach(&mut system);
             if traced {
                 system.set_recorder(match recorder {
                     RecorderKind::Ring => Recorder::ring_for_user(user),
@@ -378,15 +363,10 @@ fn run_island(
                     actions.push_back(Action::Txn(Box::new(step)));
                 }
             }
-            let cell = topology.cell_of_user(user, scenario.users);
-            let gateway = topology.gateway_of_cell(cell);
             UserState {
                 user,
-                cell: cells.iter().position(|&c| c == cell).expect("own cell"),
-                gateway: gateways
-                    .iter()
-                    .position(|&g| g == gateway)
-                    .expect("own gateway"),
+                cell,
+                gateway: members.cell_gateway[cell],
                 system,
                 actions,
                 retry_rng: (!scenario.retry.is_none())
@@ -502,7 +482,8 @@ fn cache_counters(cache: &Option<ContentCache>) -> (u64, u64) {
 }
 
 /// Executes one step with the island's shared host and shared gateway
-/// cache swapped in around the user's private system.
+/// cache swapped in around the user's private system (whose own host is
+/// the empty placeholder it was built with).
 fn execute_shared(
     state: &mut UserState,
     step: &Step,

@@ -1119,10 +1119,8 @@ impl CommerceSystem for McSystem {
                 "wireless.air_bytes",
                 up.bytes_on_medium + down.bytes_on_medium,
             );
+            // A failure was already counted by `fail_txn` above.
             obs::metrics::observe("txn.latency_ns", secs_to_ns(breakdown.total_secs()));
-            if !success {
-                obs::metrics::incr("station.txn_failures");
-            }
         }
 
         TransactionReport {

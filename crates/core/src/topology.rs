@@ -29,6 +29,22 @@ pub enum Placement {
     Blocked,
 }
 
+/// The members of one island, each list in ascending global index
+/// order (so local indices are canonical), computed in closed form from
+/// the modulo wiring and the placement by [`Topology::island`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Island {
+    /// Global indices of the island's gateways.
+    pub gateways: Vec<u64>,
+    /// Global indices of the cells those gateways serve.
+    pub cells: Vec<u64>,
+    /// Per cell (by local index), the local index of its gateway.
+    pub cell_gateway: Vec<usize>,
+    /// `(global user index, local cell index)` of every user placed in
+    /// the island's cells.
+    pub users: Vec<(u64, usize)>,
+}
+
 /// The infrastructure shape a fleet runs on.
 ///
 /// Built fluently and passed to
@@ -165,6 +181,65 @@ impl Topology {
     pub fn island_of_user(&self, user: u64, users: u64) -> u64 {
         self.host_of_gateway(self.gateway_of_cell(self.cell_of_user(user, users)))
     }
+
+    /// The members of island `island` when `users` users are placed.
+    ///
+    /// Gateway *g* serves host `g mod hosts`, so the island's gateways
+    /// are `island, island + hosts, …`; cell *c* uplinks through
+    /// `c mod gateways`, so its cells are those gateways' offsets in
+    /// every run of `gateways` cells; its users follow from inverting
+    /// the placement. The cost is linear in the island's own members
+    /// (plus one step per run of cells or users), never a scan of the
+    /// whole world — an island above the gateway count is simply empty.
+    pub fn island(&self, island: u64, users: u64) -> Island {
+        let mut members = Island {
+            gateways: (island..self.gateways)
+                .step_by(self.hosts as usize)
+                .collect(),
+            cells: Vec::new(),
+            cell_gateway: Vec::new(),
+            users: Vec::new(),
+        };
+        if members.gateways.is_empty() {
+            return members;
+        }
+        for base in (0..self.cells).step_by(self.gateways as usize) {
+            for (local, &g) in members.gateways.iter().enumerate() {
+                if base + g >= self.cells {
+                    break;
+                }
+                members.cells.push(base + g);
+                members.cell_gateway.push(local);
+            }
+        }
+        match self.placement {
+            Placement::RoundRobin => {
+                for base in (0..users).step_by(self.cells as usize) {
+                    for (local, &c) in members.cells.iter().enumerate() {
+                        if base + c >= users {
+                            break;
+                        }
+                        members.users.push((base + c, local));
+                    }
+                }
+            }
+            Placement::Blocked => {
+                // Cell c holds [c·block, (c+1)·block); the last cell also
+                // takes any remainder, mirroring `cell_of_user`'s clamp.
+                let block = users.div_ceil(self.cells).max(1);
+                for (local, &c) in members.cells.iter().enumerate() {
+                    let lo = (c * block).min(users);
+                    let hi = if c + 1 == self.cells {
+                        users
+                    } else {
+                        ((c + 1) * block).min(users)
+                    };
+                    members.users.extend((lo..hi).map(|u| (u, local)));
+                }
+            }
+        }
+        members
+    }
 }
 
 #[cfg(test)]
@@ -206,6 +281,66 @@ mod tests {
         assert_eq!(t.island_of_user(1, 8), 1); // cell 1 → gw 1 → host 1
         assert_eq!(t.island_of_user(2, 8), 0); // cell 2 → gw 0 → host 0
         assert_eq!(t.island_of_user(3, 8), 1);
+    }
+
+    /// The membership the island engine used to derive by filtering
+    /// every gateway, cell and user through the wiring functions.
+    fn island_by_scan(t: &Topology, island: u64, users: u64) -> Island {
+        let gateways: Vec<u64> = (0..t.gateway_count())
+            .filter(|&g| t.host_of_gateway(g) == island)
+            .collect();
+        let cells: Vec<u64> = (0..t.cell_count())
+            .filter(|&c| gateways.contains(&t.gateway_of_cell(c)))
+            .collect();
+        let cell_gateway = cells
+            .iter()
+            .map(|&c| gateways.iter().position(|&g| g == t.gateway_of_cell(c)).unwrap())
+            .collect();
+        let users = (0..users)
+            .filter(|&u| t.island_of_user(u, users) == island)
+            .map(|u| {
+                let cell = t.cell_of_user(u, users);
+                (u, cells.iter().position(|&c| c == cell).unwrap())
+            })
+            .collect();
+        Island {
+            gateways,
+            cells,
+            cell_gateway,
+            users,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+        // Small ranges so users < cells, hosts > gateways (empty islands)
+        // and Blocked remainders all come up often.
+        #[test]
+        fn closed_form_membership_equals_the_filter_scan(
+            cells in 1u64..24,
+            gateways in 1u64..10,
+            hosts in 1u64..10,
+            users in 0u64..80,
+            blocked in 0u8..2,
+        ) {
+            let t = Topology::shared()
+                .cells(cells)
+                .gateways(gateways)
+                .hosts(hosts)
+                .placement(if blocked == 1 { Placement::Blocked } else { Placement::RoundRobin });
+            let mut seen = vec![0u32; users as usize];
+            for island in 0..hosts {
+                let members = t.island(island, users);
+                proptest::prop_assert_eq!(&members, &island_by_scan(&t, island, users));
+                for &(u, _) in &members.users {
+                    seen[u as usize] += 1;
+                }
+            }
+            proptest::prop_assert!(
+                seen.iter().all(|&n| n == 1),
+                "every user in exactly one island"
+            );
+        }
     }
 
     #[test]

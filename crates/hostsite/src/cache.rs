@@ -33,6 +33,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hasher as _;
 
+use simnet::FixedState;
+
 use crate::http::{HttpRequest, HttpResponse};
 use crate::intern::{probe_hasher, HashWriter, KeyInterner, PrefixMatcher};
 
@@ -50,7 +52,7 @@ pub struct PageCache {
     ttl_ns: u64,
     byte_budget: usize,
     interner: KeyInterner<String>,
-    entries: HashMap<u64, Entry>,
+    entries: HashMap<u64, Entry, FixedState>,
     bytes: usize,
     /// Logical LRU clock: bumped on every touch, so the eviction victim
     /// (minimum tick) is unique and deterministic.
@@ -67,7 +69,7 @@ impl PageCache {
             ttl_ns,
             byte_budget,
             interner: KeyInterner::new(),
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             bytes: 0,
             tick: 0,
             hits: 0,

@@ -6,6 +6,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash as _, Hasher as _};
 use std::sync::Arc;
 
+use simnet::FixedState;
+
 use crate::intern::{probe_hasher, KeyInterner};
 
 use super::fts::{query_terms, FtsIndex};
@@ -67,8 +69,8 @@ struct CachedResult {
 #[derive(Debug, Default)]
 struct QueryCache {
     ids: KeyInterner<QueryShape>,
-    results: HashMap<u64, CachedResult>,
-    by_table: HashMap<String, Vec<u64>>,
+    results: HashMap<u64, CachedResult, FixedState>,
+    by_table: HashMap<String, Vec<u64>, FixedState>,
 }
 
 impl QueryCache {
@@ -138,7 +140,7 @@ struct SearchEntry {
 /// the `select_eq` cache.
 #[derive(Debug, Default)]
 struct SearchMemo {
-    entries: HashMap<(String, String), SearchEntry>,
+    entries: HashMap<(String, String), SearchEntry, FixedState>,
     tick: u64,
 }
 

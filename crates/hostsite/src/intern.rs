@@ -26,6 +26,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hasher;
 
+use simnet::FixedState;
+
 /// Interns canonical cache keys of type `K`, handing out dense `u64` ids.
 ///
 /// The interner never forgets a key: ids are stable for the lifetime of
@@ -38,7 +40,7 @@ use std::hash::Hasher;
 #[derive(Debug)]
 pub struct KeyInterner<K> {
     /// hash of the canonical key → ids of keys with that hash.
-    buckets: HashMap<u64, Vec<u64>>,
+    buckets: HashMap<u64, Vec<u64>, FixedState>,
     /// id → canonical key, densely indexed.
     keys: Vec<K>,
 }
@@ -53,7 +55,7 @@ impl<K> KeyInterner<K> {
     /// An empty interner.
     pub fn new() -> Self {
         KeyInterner {
-            buckets: HashMap::new(),
+            buckets: HashMap::default(),
             keys: Vec::new(),
         }
     }

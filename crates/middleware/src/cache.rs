@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::hash::{Hash as _, Hasher as _};
 
 use hostsite::intern::{probe_hasher, KeyInterner};
-use simnet::SimDuration;
+use simnet::{FixedState, SimDuration};
 
 use crate::{Exchange, MobileRequest};
 
@@ -96,7 +96,7 @@ pub struct ContentCache {
     ttl_ns: u64,
     byte_budget: usize,
     interner: KeyInterner<ContentKey>,
-    entries: HashMap<u64, Entry>,
+    entries: HashMap<u64, Entry, FixedState>,
     bytes: usize,
     tick: u64,
     hits: u64,
@@ -111,7 +111,7 @@ impl ContentCache {
             ttl_ns,
             byte_budget,
             interner: KeyInterner::new(),
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             bytes: 0,
             tick: 0,
             hits: 0,

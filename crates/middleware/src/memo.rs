@@ -20,21 +20,18 @@
 //! cross-thread digest gate of the F9 experiment is unaffected by
 //! population, shard layout, or hit order.
 //!
-//! # Bounded residency
+//! # Cost of a hit
 //!
-//! Distinct bodies stop being inserted once [`TranscodeMemo::capacity`]
-//! entries are held (workloads with per-user receipts would otherwise
-//! grow O(users)); the hot handful of shared pages is inserted first
-//! and stays for the shard's lifetime.
+//! The memo is a [`simnet::BodyMemo`]: a repeated body that arrives as
+//! the same refcounted slice (a gateway- or page-cache hit) is found by
+//! address and length, without hashing its bytes, and distinct bodies
+//! stop being inserted at [`DEFAULT_MEMO_CAPACITY`].
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
-
-/// Default bound on distinct translation inputs held per shard.
-pub const DEFAULT_MEMO_CAPACITY: usize = 512;
+pub use simnet::memo::DEFAULT_MEMO_CAPACITY;
 
 /// The translation a gateway applied — part of the memo key, since the
 /// same HTML translates differently per target encoding.
@@ -65,87 +62,9 @@ pub struct TranscodedDeck {
     pub deck: Option<std::sync::Arc<markup::Element>>,
 }
 
-/// A bounded memo of pure translation results for one fleet shard.
-#[derive(Debug)]
-pub struct TranscodeMemo {
-    entries: HashMap<(TranscodeMode, Bytes), TranscodedDeck>,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl Default for TranscodeMemo {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TranscodeMemo {
-    /// A memo bounded at [`DEFAULT_MEMO_CAPACITY`] distinct inputs.
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_MEMO_CAPACITY)
-    }
-
-    /// A memo bounded at `capacity` distinct inputs.
-    pub fn with_capacity(capacity: usize) -> Self {
-        TranscodeMemo {
-            entries: HashMap::new(),
-            capacity,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// The bound on distinct inputs held.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Looks up the translation of `body` under `mode`. The returned
-    /// deck shares the stored allocation (a refcount bump).
-    pub fn get(&mut self, mode: TranscodeMode, body: &Bytes) -> Option<TranscodedDeck> {
-        // The tuple key needs an owned `Bytes`, which is only an Arc
-        // clone — the body bytes themselves are never copied.
-        match self.entries.get(&(mode, body.clone())) {
-            Some(deck) => {
-                self.hits += 1;
-                Some(deck.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Stores a translation result. A no-op once the capacity bound is
-    /// reached, so per-user unique bodies cannot grow the memo O(users).
-    pub fn insert(&mut self, mode: TranscodeMode, body: Bytes, deck: TranscodedDeck) {
-        if self.entries.len() < self.capacity {
-            self.entries.insert((mode, body), deck);
-        }
-    }
-
-    /// Distinct inputs currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the memo holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Lookups answered from the memo.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that had to translate.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-}
+/// A bounded memo of pure translation results for one fleet shard,
+/// keyed by `(mode, body bytes)`.
+pub type TranscodeMemo = simnet::BodyMemo<TranscodeMode, TranscodedDeck>;
 
 /// The handle a fleet shard passes to every gateway it builds: one memo,
 /// shared by refcount within the shard's thread, never across threads.
@@ -159,6 +78,8 @@ pub fn shared_memo() -> SharedTranscodeMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn body(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
@@ -205,5 +126,70 @@ mod tests {
         // The first two inputs stay resident.
         assert!(memo.get(TranscodeMode::WmlBinary, &body("page 0")).is_some());
         assert!(memo.get(TranscodeMode::WmlBinary, &body("page 9")).is_none());
+    }
+
+    /// A stand-in pure translation: the body reversed, tagged by mode.
+    fn translate(mode: TranscodeMode, body: &[u8]) -> Vec<u8> {
+        let mut out = vec![mode as u8];
+        out.extend(body.iter().rev());
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        // The gateway's memo protocol (probe, translate on a miss, store)
+        // over equal-content bodies in distinct allocations, same-start
+        // shorter views, shifted views, and more distinct bodies than the
+        // memo holds: every result is the translation of the probed
+        // bytes, and hits and misses are those of a content-only memo.
+        #[test]
+        fn identity_probes_match_a_content_only_memo(
+            capacity in 1usize..10,
+            contents in 1usize..20,
+            probes in proptest::collection::vec(
+                (0usize..3, 0usize..40, 0usize..3, 0usize..6), 1..150),
+        ) {
+            let modes = [TranscodeMode::WmlBinary, TranscodeMode::WmlText, TranscodeMode::Chtml];
+            let pool: Vec<Bytes> = (0..2 * contents)
+                .map(|i| body(&format!("<p>page {}</p>", i / 2)))
+                .collect();
+            let mut memo = TranscodeMemo::with_capacity(capacity);
+            let mut reference: HashSet<(TranscodeMode, Vec<u8>)> = HashSet::new();
+            let (mut hits, mut misses) = (0u64, 0u64);
+            for (mode, pick, view, cut) in probes {
+                let mode = modes[mode];
+                let whole = &pool[pick % pool.len()];
+                let probe = match view {
+                    0 => whole.clone(),
+                    1 => whole.slice(..whole.len() - cut),
+                    _ => whole.slice(cut..),
+                };
+                let key = (mode, probe.to_vec());
+                if reference.contains(&key) {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                }
+                let content = match memo.get(mode, &probe) {
+                    Some(deck) => deck.content,
+                    None => {
+                        let content = Bytes::from(translate(mode, &probe));
+                        let deck = TranscodedDeck {
+                            content: content.clone(),
+                            flagged: false,
+                            deck: None,
+                        };
+                        memo.insert(mode, probe.clone(), deck);
+                        if reference.len() < capacity {
+                            reference.insert(key);
+                        }
+                        content
+                    }
+                };
+                prop_assert_eq!(content.to_vec(), translate(mode, &probe));
+                prop_assert_eq!((memo.hits(), memo.misses()), (hits, misses));
+                prop_assert!(memo.aliases() <= memo.capacity());
+            }
+        }
     }
 }

@@ -37,6 +37,7 @@ pub mod baseline;
 pub mod contend;
 mod event;
 pub mod link;
+pub mod memo;
 pub mod rng;
 pub mod sim;
 pub mod stats;
@@ -48,5 +49,6 @@ pub use baseline::BaselineSimulator;
 pub use event::EventKey;
 pub use obs::metrics;
 pub use link::{Link, LinkParams, LossModel, Wire};
+pub use memo::{BodyMemo, FixedState};
 pub use sim::Simulator;
 pub use time::{SimDuration, SimTime};

@@ -107,9 +107,6 @@ impl RenderedView {
     }
 }
 
-/// Default bound on distinct payloads a [`RenderMemo`] holds.
-pub const RENDER_MEMO_CAPACITY: usize = 512;
-
 /// A bounded, shard-local memo of pure render results.
 ///
 /// [`Microbrowser::render`] is a pure function of `(content, kind)` and
@@ -119,41 +116,11 @@ pub const RENDER_MEMO_CAPACITY: usize = 512;
 /// validate and layout pass. Hits are byte-identical to fresh renders,
 /// so attaching a memo never changes a transaction; shards never share
 /// one across threads, keeping fixed-seed runs digest-identical at any
-/// thread count. Inserts stop at the capacity bound so per-user unique
-/// decks (receipts) cannot grow it O(users).
-#[derive(Debug, Default)]
-pub struct RenderMemo {
-    entries: std::collections::HashMap<(ContentKind, bytes::Bytes), Rc<RenderedView>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl RenderMemo {
-    /// A fresh, empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Distinct payloads held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the memo holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Renders answered from the memo.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Renders that ran the full pipeline.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-}
+/// thread count. A [`simnet::BodyMemo`]: a deck that arrives as the same
+/// refcounted slice is found without hashing its bytes, and inserts stop
+/// at the capacity bound so per-user unique decks (receipts) cannot grow
+/// it O(users).
+pub type RenderMemo = simnet::BodyMemo<ContentKind, Rc<RenderedView>>;
 
 /// A microbrowser bound to a device profile.
 #[derive(Debug)]
@@ -310,16 +277,11 @@ impl Microbrowser {
         prepared: Option<&Element>,
         memo: &mut RenderMemo,
     ) -> Result<Rc<RenderedView>, BrowserError> {
-        // The tuple key needs an owned `Bytes` — an Arc clone, no copy.
-        if let Some(view) = memo.entries.get(&(kind, content.clone())) {
-            memo.hits += 1;
-            return Ok(Rc::clone(view));
+        if let Some(view) = memo.get(kind, content) {
+            return Ok(view);
         }
-        memo.misses += 1;
         let view = Rc::new(RenderedView::of(self.render_prepared(content, kind, prepared)?));
-        if memo.entries.len() < RENDER_MEMO_CAPACITY {
-            memo.entries.insert((kind, content.clone()), Rc::clone(&view));
-        }
+        memo.insert(kind, content.clone(), Rc::clone(&view));
         Ok(view)
     }
 }
@@ -564,5 +526,55 @@ mod tests {
         let palm = Microbrowser::new(DeviceProfile::palm_i705());
         let rendered = palm.render(deck.as_bytes(), ContentKind::Wml).unwrap();
         assert!(rendered.screens(palm.device()) >= 2);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        // Render through the memo over equal-content decks in distinct
+        // allocations, same-start shorter views, shifted views (mostly
+        // malformed, so errors are in play) and more distinct decks than
+        // the memo holds: every result equals a fresh render, and hits
+        // and misses are those of a content-only memo.
+        #[test]
+        fn memoized_renders_match_a_content_only_memo(
+            capacity in 1usize..8,
+            contents in 1usize..16,
+            probes in proptest::collection::vec(
+                (0u8..2, 0usize..32, 0usize..3, 0usize..12), 1..120),
+        ) {
+            let browser = Microbrowser::new(DeviceProfile::ipaq_h3870());
+            let pool: Vec<bytes::Bytes> = (0..2 * contents)
+                .map(|i| {
+                    let page = html::page("Shop", vec![html::p(&format!("Item {}", i / 2)).into()]);
+                    bytes::Bytes::from(html_to_wml(&page, &WmlOptions::default()).to_markup())
+                })
+                .collect();
+            let mut memo = RenderMemo::with_capacity(capacity);
+            let mut reference = std::collections::HashSet::new();
+            let (mut hits, mut misses) = (0u64, 0u64);
+            for (html_kind, pick, view, cut) in probes {
+                let kind = if html_kind == 1 { ContentKind::Html } else { ContentKind::Wml };
+                let whole = &pool[pick % pool.len()];
+                let probe = match view {
+                    0 => whole.clone(),
+                    1 => whole.slice(..whole.len() - cut),
+                    _ => whole.slice(cut..),
+                };
+                let fresh = browser.render(&probe, kind);
+                let key = (kind, probe.to_vec());
+                if reference.contains(&key) {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                    if fresh.is_ok() && reference.len() < capacity {
+                        reference.insert(key);
+                    }
+                }
+                let got = browser.render_memoized(&probe, kind, None, &mut memo);
+                proptest::prop_assert_eq!(got.map(|v| v.page.clone()), fresh);
+                proptest::prop_assert_eq!((memo.hits(), memo.misses()), (hits, misses));
+                proptest::prop_assert!(memo.aliases() <= memo.capacity());
+            }
+        }
     }
 }

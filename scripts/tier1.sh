@@ -80,7 +80,12 @@
 #                      rate rises, and 10k distinct queries leave the
 #                      page-cache interner empty (flat memory);
 #   examples smoke   — the Scenario-driven examples run clean (their
-#                      internal asserts are the gate).
+#                      internal asserts are the gate);
+#   fleetbench       — the benchmark's self-tests pass, and a short
+#                      end-to-end pass of each workload reports
+#                      "correct": true: every digest (measured seed 0
+#                      and the canary) matches the recorded references,
+#                      so a library change that moves a digest fails.
 #
 # Run from anywhere; the script cds to the repo root.
 set -euo pipefail
@@ -322,4 +327,13 @@ echo "benchdiff gate: baselines match and the injected regression was flagged"
 cargo run -q --release --example quickstart > /dev/null
 cargo run -q --release --example secure_checkout > /dev/null
 cargo run -q --release --example roaming_payment > /dev/null
+cargo test --release --offline --manifest-path fleetbench/Cargo.toml
+for workload in storefront_isolated metro_browse_shared search_checkout_shared; do
+  last=$(cargo run --release --quiet --offline --manifest-path fleetbench/Cargo.toml -- \
+    --workload "$workload" --seed 0 --seconds 1 --trace 0 | tail -n 1)
+  case "$last" in
+    '{"correct": true,'*) echo "fleetbench gate: $workload digests match" ;;
+    *) echo "fleetbench gate: $workload is not correct: $last" >&2; exit 1 ;;
+  esac
+done
 echo "tier1: OK"

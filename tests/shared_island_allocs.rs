@@ -1,0 +1,72 @@
+//! Allocation bound of the shared engine's world build (DESIGN.md
+//! §2.15). A binary of its own: its counting global allocator sees every
+//! allocation in the process, so it holds exactly one test.
+//!
+//! A shared-world user needs a station, a battery and RNG streams, never
+//! a host of its own — the island's host serves every transaction. So
+//! building a whole island must cost a handful of allocations per user,
+//! not a provisioned host per user.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+use mcommerce::core::{Category, FleetRunner, Scenario, Topology};
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting `alloc`, `alloc_zeroed` and `realloc`.
+struct Counting;
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; counting touches only an atomic and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        // SAFETY: forwarded unchanged; the caller upholds the contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        // SAFETY: forwarded unchanged; the caller upholds the contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        // SAFETY: forwarded unchanged; the caller upholds the contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded unchanged; the caller upholds the contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+#[test]
+fn a_shared_island_builds_each_user_in_a_few_allocations() {
+    const USERS: u64 = 5_000;
+    for app in [Category::Entertainment, Category::Commerce] {
+        let runner = FleetRunner::new(
+            Scenario::new("island build")
+                .app(app)
+                .users(USERS)
+                .sessions_per_user(0),
+        )
+        .topology(Topology::shared())
+        .threads(1);
+        let before = ALLOCS.load(Relaxed);
+        let run = runner.run();
+        let allocs = ALLOCS.load(Relaxed) - before;
+        assert_eq!(run.report.summary.transactions(), 0);
+        assert!(
+            allocs <= 4 * USERS,
+            "{app}: {allocs} allocations for {USERS} users ({:.1} per user)",
+            allocs as f64 / USERS as f64
+        );
+    }
+}

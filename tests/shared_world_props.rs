@@ -196,3 +196,27 @@ fn disabled_recorder_matches_ring_summary_in_shared_worlds() {
     assert!(quiet.events.is_empty());
     assert!(quiet.metrics.counter("station.transactions") > 0);
 }
+
+#[test]
+fn the_registry_counts_each_failed_transaction_once() {
+    // 100 shoppers buying from one shared host sell out its scarcest
+    // item, so the host refuses the late purchases: failures that run
+    // the whole transaction path before they are counted.
+    let scenario = Scenario::new("sell-out")
+        .app(Category::Commerce)
+        .search_heavy(true)
+        .users(100)
+        .sessions_per_user(2)
+        .seed(1201);
+    let run = FleetRunner::new(scenario)
+        .topology(Topology::shared())
+        .threads(1)
+        .traced(true)
+        .recorder(RecorderKind::Disabled)
+        .run();
+    let counters = &run.report.summary.workload.counters;
+    let failed = counters.attempted - counters.succeeded;
+    assert!(failed > 0, "no purchase was refused: {:?}", counters.failures);
+    let trace = run.trace.expect("traced run carries a trace");
+    assert_eq!(trace.metrics.counter("station.txn_failures"), failed);
+}
