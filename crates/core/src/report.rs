@@ -7,6 +7,7 @@
 //! threads (see `fleet`).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use hostsite::http::Status;
 use simnet::SimDuration;
@@ -62,13 +63,16 @@ impl PhaseBreakdown {
 ///
 /// This replaced the removed `CommerceSystem::last_page_text` accessor —
 /// the outcome travels on the [`TransactionReport`] itself, so concurrent
-/// sessions cannot observe each other's pages.
+/// sessions cannot observe each other's pages. Text and title are shared
+/// with the render that produced them (a memoised render hands the same
+/// strings to every transaction that replays it), and `Arc` keeps the
+/// report `Send`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransactionOutcome {
     /// The rendered page body, lines joined with `\n`.
-    pub page_text: String,
+    pub page_text: Arc<str>,
     /// The rendered page title (empty when the markup had none).
-    pub title: String,
+    pub title: Arc<str>,
     /// HTTP status the host answered with.
     pub status: Status,
 }
@@ -126,7 +130,7 @@ impl TransactionReport {
 
     /// The rendered page text, when the transaction produced one.
     pub fn page_text(&self) -> Option<&str> {
-        self.outcome.as_ref().map(|o| o.page_text.as_str())
+        self.outcome.as_ref().map(|o| &*o.page_text)
     }
 
     /// Serialises the report as a JSON object.

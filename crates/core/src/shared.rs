@@ -28,7 +28,11 @@
 //! installed in it, since no transaction ever runs against it), and the
 //! gateway's one shared [`ContentCache`](middleware::ContentCache)
 //! replaces the user's private cache. A deterministic event queue keyed
-//! by `(ready time, global user index)` decides who transacts next.
+//! by `(ready time, island-local user index)` decides who transacts
+//! next; local indices follow global index order, so ties resolve as
+//! under global keys, and an event finds its user by direct indexing.
+//! A user holds only its current session's steps and generates the
+//! next session when those run out, as the isolated engine does.
 //!
 //! An island's gateways, cells and users come in closed form from the
 //! topology's modulo wiring ([`Topology::island`]), so building every
@@ -46,7 +50,7 @@
 //! `tests/shared_world_props.rs`).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::thread;
 
 use hostsite::db::Database;
@@ -58,7 +62,7 @@ use simnet::contend::{DetQueue, FcfsServer};
 use simnet::rng::{rng_for_indexed, sub_seed};
 use wireless::CellAirtime;
 
-use crate::apps::{for_category, Step};
+use crate::apps::{for_category, Application, Step};
 use crate::fleet::{RecorderKind, Scenario, UserTrace};
 use crate::report::{TransactionReport, WorkloadCounters};
 use crate::system::{CommerceSystem, McSystem};
@@ -210,21 +214,44 @@ impl IslandTelemetry {
     }
 }
 
-/// One user's pending work, drained by the island event loop.
+/// One user's pending work, drained by the island event loop. Only the
+/// current session is held; the next is generated when it runs out.
 struct UserState {
-    user: u64,
     cell: usize,
     gateway: usize,
     system: McSystem,
-    actions: VecDeque<Action>,
+    /// The seed every one of this user's sessions is generated from.
+    session_seed: u64,
+    /// The next session [`UserState::has_work`] generates.
+    next_session: u64,
+    /// Think time is due before the current session's first step.
+    think: bool,
+    /// The current session's steps not yet run.
+    steps: std::vec::IntoIter<Step>,
     retry_rng: Option<rand::rngs::StdRng>,
 }
 
-enum Action {
-    /// Think time between sessions, seconds.
-    Think(f64),
-    /// One application step.
-    Txn(Box<Step>),
+impl UserState {
+    /// Whether the user has an action left, generating the next session
+    /// as soon as the current one is spent. The pending actions are
+    /// always exactly what an eagerly built queue of every session
+    /// (think time, then steps) would still hold — sessions are a pure
+    /// function of `(session_seed, session)` — so every push decision
+    /// and every action matches it, an empty session included.
+    fn has_work(&mut self, scenario: &Scenario, app: &dyn Application) -> bool {
+        while !self.think && self.steps.len() == 0 {
+            if self.next_session == scenario.sessions_per_user {
+                return false;
+            }
+            let session = self.next_session;
+            self.next_session += 1;
+            self.think = session > 0 && scenario.think_secs > 0.0;
+            self.steps = scenario
+                .session_steps(app, self.session_seed, session)
+                .into_iter();
+        }
+        true
+    }
 }
 
 /// Runs every island of the shared world across `threads` OS threads,
@@ -338,7 +365,7 @@ fn run_island(
 
     // Per-user state: the private system (station, battery, RNG streams
     // — exactly the legacy per-user build, around an empty host the
-    // island's host always stands in for) plus the queued actions. The
+    // island's host always stands in for) plus the session cursor. The
     // island owns one scratch; memo hits replay byte-identically.
     let scratch = crate::fleet::ShardScratch::new();
     let mut states: Vec<UserState> = members
@@ -353,22 +380,14 @@ fn run_island(
                     RecorderKind::Disabled => Recorder::Disabled,
                 });
             }
-            let session_seed = sub_seed(scenario.seed, "fleet.session", user);
-            let mut actions = VecDeque::new();
-            for session in 0..scenario.sessions_per_user {
-                if session > 0 && scenario.think_secs > 0.0 {
-                    actions.push_back(Action::Think(scenario.think_secs));
-                }
-                for step in scenario.session_steps(app.as_ref(), session_seed, session) {
-                    actions.push_back(Action::Txn(Box::new(step)));
-                }
-            }
             UserState {
-                user,
                 cell,
                 gateway: members.cell_gateway[cell],
                 system,
-                actions,
+                session_seed: sub_seed(scenario.seed, "fleet.session", user),
+                next_session: 0,
+                think: false,
+                steps: Vec::new().into_iter(),
                 retry_rng: (!scenario.retry.is_none())
                     .then(|| rng_for_indexed(scenario.seed, "fleet.retry", user)),
             }
@@ -377,57 +396,57 @@ fn run_island(
 
     let metrics_guard = traced.then(obs::metrics::enable);
 
-    // The deterministic event loop: earliest ready time first, global
-    // user index breaking ties. Each user has at most one outstanding
-    // event, so keys are unique.
+    // The deterministic event loop: earliest ready time first, user
+    // index breaking ties. Events are keyed by the island-local index,
+    // which indexes `states` directly. `Island::users` ascends in global
+    // index (pinned against an ascending scan by the topology test
+    // `closed_form_membership_equals_the_filter_scan`), so local order is
+    // global order and ties pop exactly as under global keys. Each user
+    // has at most one outstanding event, so keys are unique.
     let mut queue = DetQueue::new();
-    for state in &states {
-        if !state.actions.is_empty() {
-            queue.push(state.system.sim_clock_ns(), state.user);
+    for (local, state) in states.iter_mut().enumerate() {
+        if state.has_work(scenario, app.as_ref()) {
+            queue.push(state.system.sim_clock_ns(), local as u64);
         }
     }
     let mut counters = WorkloadCounters::default();
-    while let Some((_, user)) = queue.pop() {
-        let idx = states
-            .binary_search_by_key(&user, |s| s.user)
-            .expect("scheduled user exists");
-        let state = &mut states[idx];
-        match state.actions.pop_front().expect("scheduled user has work") {
-            Action::Think(secs) => {
-                state.system.idle(secs);
+    while let Some((_, local)) = queue.pop() {
+        let state = &mut states[local as usize];
+        if state.think {
+            state.think = false;
+            state.system.idle(scenario.think_secs);
+        } else {
+            let step = state.steps.next().expect("scheduled user has work");
+            let t0_ns = state.system.sim_clock_ns();
+            let cache_before = telemetry
+                .as_ref()
+                .map(|_| cache_counters(&gateway_caches[state.gateway]));
+            let mut report = execute_shared(
+                state,
+                &step,
+                scenario,
+                &mut shared_host,
+                &mut gateway_caches,
+            );
+            if let (Some(tele), Some((hits0, lookups0))) = (&mut telemetry, cache_before) {
+                let (hits, lookups) = cache_counters(&gateway_caches[state.gateway]);
+                let id = tele.gw_cache[state.gateway];
+                tele.t.record_rate(id, t0_ns, hits - hits0, lookups - lookups0);
             }
-            Action::Txn(step) => {
-                let t0_ns = state.system.sim_clock_ns();
-                let cache_before = telemetry
-                    .as_ref()
-                    .map(|_| cache_counters(&gateway_caches[state.gateway]));
-                let mut report = execute_shared(
-                    state,
-                    &step,
-                    scenario,
-                    &mut shared_host,
-                    &mut gateway_caches,
-                );
-                if let (Some(tele), Some((hits0, lookups0))) = (&mut telemetry, cache_before) {
-                    let (hits, lookups) = cache_counters(&gateway_caches[state.gateway]);
-                    let id = tele.gw_cache[state.gateway];
-                    tele.t.record_rate(id, t0_ns, hits - hits0, lookups - lookups0);
-                }
-                check_expectation(&mut report, &step);
-                charge_contention(
-                    state,
-                    &mut report,
-                    &mut cell_air,
-                    &mut gateway_cpu,
-                    &mut host,
-                    &mut stats,
-                    telemetry.as_mut(),
-                );
-                counters.record(&report);
-            }
+            check_expectation(&mut report, &step);
+            charge_contention(
+                state,
+                &mut report,
+                &mut cell_air,
+                &mut gateway_cpu,
+                &mut host,
+                &mut stats,
+                telemetry.as_mut(),
+            );
+            counters.record(&report);
         }
-        if !state.actions.is_empty() {
-            queue.push(state.system.sim_clock_ns(), state.user);
+        if state.has_work(scenario, app.as_ref()) {
+            queue.push(state.system.sim_clock_ns(), local);
         }
     }
 
@@ -448,10 +467,11 @@ fn run_island(
     let traces = if traced {
         states
             .iter_mut()
-            .map(|state| {
+            .zip(&members.users)
+            .map(|(state, &(user, _))| {
                 let (events, dumps) = state.system.take_recorder().into_parts();
                 (
-                    state.user,
+                    user,
                     UserTrace {
                         events,
                         dumps,

@@ -21,6 +21,7 @@ use station::browser::ContentKind;
 use station::{Battery, DeviceProfile, EmbeddedStore, Microbrowser, RenderMemo, RenderedView};
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::netpath::{AirLink, WiredPath, WirelessConfig};
 use crate::report::{PhaseBreakdown, TransactionOutcome, TransactionReport};
@@ -369,7 +370,6 @@ pub struct McSystem {
     secure: bool,
     wtls_established: bool,
     rng: StdRng,
-    last_outcome: Option<TransactionOutcome>,
     /// Observability sink. `Recorder::Disabled` (the default) skips all
     /// recording; a ring recorder captures per-layer spans in simulated
     /// time and dumps failing transactions.
@@ -440,7 +440,6 @@ impl McSystem {
             secure: false,
             wtls_established: false,
             rng: rng_for(seed, "mcsystem.air"),
-            last_outcome: None,
             recorder: Recorder::Disabled,
             clock_ns: 0,
             txn_seq: 0,
@@ -1042,7 +1041,7 @@ impl CommerceSystem for McSystem {
                 .render_prepared(&ex.content, kind, ex.deck.as_deref())
                 .map(|page| Rc::new(RenderedView::of(page))),
         };
-        let render_failure = match &render {
+        let (outcome, render_failure) = match render {
             Ok(view) => {
                 breakdown.station_secs += view.page.cost.as_secs_f64();
                 self.recorder.span(
@@ -1053,17 +1052,14 @@ impl CommerceSystem for McSystem {
                     txn,
                 );
                 cursor += view.page.cost.as_nanos();
-                self.last_outcome = Some(TransactionOutcome {
-                    page_text: view.text.clone(),
-                    title: view.page.title.clone(),
+                let outcome = TransactionOutcome {
+                    page_text: Arc::clone(&view.text),
+                    title: Arc::clone(&view.title),
                     status: ex.status,
-                });
-                None
+                };
+                (Some(outcome), None)
             }
-            Err(e) => {
-                self.last_outcome = None;
-                Some(format!("render failed: {e}"))
-            }
+            Err(e) => (None, Some(format!("render failed: {e}"))),
         };
         self.station
             .browser
@@ -1132,7 +1128,7 @@ impl CommerceSystem for McSystem {
             energy_j: energy,
             success,
             failure,
-            outcome: self.last_outcome.clone(),
+            outcome,
             attempts: 1,
         }
     }
@@ -1283,7 +1279,6 @@ pub struct EcSystem {
     /// The host computer.
     pub host: HostComputer,
     wired: WiredPath,
-    last_outcome: Option<TransactionOutcome>,
 }
 
 impl std::fmt::Debug for EcSystem {
@@ -1295,11 +1290,7 @@ impl std::fmt::Debug for EcSystem {
 impl EcSystem {
     /// Assembles the EC baseline.
     pub fn new(host: HostComputer, wired: WiredPath) -> Self {
-        EcSystem {
-            host,
-            wired,
-            last_outcome: None,
-        }
+        EcSystem { host, wired }
     }
 
     /// Desktop client CPU model: parse+render HTML at workstation speed.
@@ -1337,16 +1328,18 @@ impl CommerceSystem for EcSystem {
         breakdown.wired_secs += self.wired.transfer(resp_bytes).as_secs_f64();
         breakdown.station_secs += Self::client_cost(resp.body.len()).as_secs_f64();
 
-        let parsed = markup::parse::parse(&resp.body);
-        let render_ok = parsed.is_ok();
-        self.last_outcome = parsed.ok().map(|doc| TransactionOutcome {
-            page_text: doc.text_content(),
-            title: doc
-                .find("title")
-                .map(|t| t.text_content())
-                .unwrap_or_default(),
-            status: resp.status,
-        });
+        let outcome = markup::parse::parse(&resp.body)
+            .ok()
+            .map(|doc| TransactionOutcome {
+                page_text: doc.text_content().into(),
+                title: doc
+                    .find("title")
+                    .map(|t| t.text_content())
+                    .unwrap_or_default()
+                    .into(),
+                status: resp.status,
+            });
+        let render_ok = outcome.is_some();
         let success = resp.status.is_success() && render_ok;
         TransactionReport {
             total: breakdown.total_secs(),
@@ -1363,7 +1356,7 @@ impl CommerceSystem for EcSystem {
             } else {
                 Some(format!("host returned {}", resp.status))
             },
-            outcome: self.last_outcome.clone(),
+            outcome,
             attempts: 1,
         }
     }

@@ -7,6 +7,9 @@ use crate::apps::{Application, Step};
 use crate::report::{TransactionReport, WorkloadSummary};
 use crate::system::{CommerceSystem, McSystem};
 
+/// Characters of the normalised page a failed expectation quotes.
+const FAILURE_PAGE_CHARS: usize = 60;
+
 /// Marks `report` failed when the step's expectation is missing from the
 /// rendered page. Narrow screens wrap words onto new lines, so the
 /// comparison is whitespace-normalised.
@@ -15,12 +18,64 @@ pub(crate) fn check_expectation(report: &mut TransactionReport, step: &Step) {
         return;
     }
     if let Some(expect) = &step.expect {
-        let page = normalise(report.page_text().unwrap_or_default());
-        if !page.contains(&normalise(expect)) {
+        let page = report.page_text().unwrap_or_default();
+        if !contains_normalised(page, expect) {
+            // `Debug` for `str` ignores precision, so cut the quote first.
+            let page = normalise(page);
+            let head = match page.char_indices().nth(FAILURE_PAGE_CHARS) {
+                Some((end, _)) => &page[..end],
+                None => &page,
+            };
             report.success = false;
-            report.failure = Some(format!("expected {expect:?} on page, got {:.60?}…", page));
+            report.failure = Some(format!("expected {expect:?} on page, got {head:?}…"));
         }
     }
+}
+
+/// `normalise(haystack).contains(&normalise(needle))`, without building
+/// either string. Normalised words hold no whitespace, so a needle of
+/// one word matches inside a single haystack word, and a longer needle
+/// matches where its first word ends a haystack word, each inner word
+/// equals the next haystack word, and its last word starts the one
+/// after.
+pub(crate) fn contains_normalised(haystack: &str, needle: &str) -> bool {
+    let mut rest = needle.split_whitespace();
+    let Some(first) = rest.next() else {
+        return true;
+    };
+    let mut words = haystack.split_whitespace();
+    if rest.clone().next().is_none() {
+        return words.any(|word| word.contains(first));
+    }
+    while let Some(word) = words.next() {
+        if word.ends_with(first) && continues(words.clone(), rest.clone()) {
+            return true;
+        }
+    }
+    false
+}
+
+/// Whether the non-empty needle words `rest` run on from the start of
+/// `words`: inner words equal, the last one a prefix.
+fn continues<'a>(
+    mut words: impl Iterator<Item = &'a str>,
+    mut rest: impl Iterator<Item = &'a str>,
+) -> bool {
+    let mut want = rest.next();
+    while let Some(needle) = want {
+        let Some(word) = words.next() else {
+            return false;
+        };
+        want = rest.next();
+        let matched = match want {
+            Some(_) => word == needle,
+            None => word.starts_with(needle),
+        };
+        if !matched {
+            return false;
+        }
+    }
+    true
 }
 
 /// Runs one session (a sequence of steps) through `system`, returning a
@@ -57,7 +112,8 @@ pub fn run_session_with_policy(
 }
 
 /// Collapses all whitespace runs (including line breaks from screen
-/// wrapping) into single spaces.
+/// wrapping) into single spaces. [`contains_normalised`] matches against
+/// this form without building it.
 fn normalise(text: &str) -> String {
     text.split_whitespace().collect::<Vec<_>>().join(" ")
 }
@@ -128,8 +184,7 @@ pub fn run_walking_workload(
             let mut report = system.execute(&step.req);
             if report.success {
                 if let Some(expect) = &step.expect {
-                    let page = normalise(report.page_text().unwrap_or_default());
-                    if !page.contains(&normalise(expect)) {
+                    if !contains_normalised(report.page_text().unwrap_or_default(), expect) {
                         report.success = false;
                         report.failure = Some(format!("expected {expect:?} missing"));
                     }
@@ -237,6 +292,82 @@ mod tests {
         let reports = run_session(&mut system, &steps);
         assert!(!reports[0].success);
         assert!(reports[0].failure.as_deref().unwrap().contains("expected"));
+    }
+
+    #[test]
+    fn a_failed_expectation_quotes_only_the_first_sixty_page_chars() {
+        // 43 six-char words, newline-separated: a 300-char page whose
+        // multi-byte letters put char 60 well before byte 60's end.
+        let page: Vec<String> = (0..43).map(|i| format!("wörd{i:02}")).collect();
+        let page = page.join("\n");
+        assert_eq!(page.chars().count(), 300);
+        let mut report = TransactionReport {
+            success: true,
+            failure: None,
+            outcome: Some(crate::report::TransactionOutcome {
+                page_text: page.as_str().into(),
+                title: "".into(),
+                status: hostsite::http::Status::Ok,
+            }),
+            ..TransactionReport::failed("")
+        };
+        let step = crate::apps::Step::expecting(middleware::MobileRequest::get("/"), "absent");
+        check_expectation(&mut report, &step);
+        let head: String = normalise(&page).chars().take(60).collect();
+        assert!(!report.success);
+        assert_eq!(
+            report.failure.as_deref(),
+            Some(format!("expected \"absent\" on page, got {head:?}…").as_str())
+        );
+    }
+
+    /// Draws from a few ASCII letters, one multi-byte letter and ASCII
+    /// and Unicode whitespace, so words collide and split often.
+    const ALPHABET: [char; 9] = ['a', 'b', 'c', 'é', ' ', '\n', '\t', '\u{a0}', '\u{2003}'];
+
+    fn text(max_chars: usize) -> impl proptest::strategy::Strategy<Value = String> {
+        proptest::strategy::Strategy::prop_map(
+            proptest::collection::vec(0..ALPHABET.len(), 0..max_chars),
+            |picks| picks.into_iter().map(|i| ALPHABET[i]).collect(),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+        // The word walk is exactly the allocating oracle, for random
+        // needles, windows of the haystack with their whitespace swapped
+        // (mostly matches, often multi-word), those windows less one
+        // char (near misses), an empty needle, a whitespace-only needle
+        // and a needle longer than the haystack.
+        #[test]
+        fn contains_normalised_equals_the_normalise_oracle(
+            haystack in text(24),
+            needle in text(8),
+            (start, len, space, cut) in
+                (0usize..24, 0usize..12, 4usize..ALPHABET.len(), 0usize..12),
+        ) {
+            let chars: Vec<char> = haystack.chars().collect();
+            let start = start.min(chars.len());
+            let window: String = chars[start..(start + len).min(chars.len())]
+                .iter()
+                .map(|&c| if c.is_whitespace() { ALPHABET[space] } else { c })
+                .collect();
+            let gapped: String = window
+                .chars()
+                .enumerate()
+                .filter(|&(i, _)| i != cut)
+                .map(|(_, c)| c)
+                .collect();
+            let blank: String = needle.chars().filter(|c| c.is_whitespace()).collect();
+            let longer = format!("{haystack} {needle}a");
+            for needle in [needle, window, gapped, String::new(), blank, longer] {
+                proptest::prop_assert_eq!(
+                    contains_normalised(&haystack, &needle),
+                    normalise(&haystack).contains(&normalise(&needle)),
+                    "haystack {haystack:?}, needle {needle:?}"
+                );
+            }
+        }
     }
 
     #[test]

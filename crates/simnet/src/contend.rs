@@ -13,9 +13,10 @@
 //!   an uncontended world (one user, or no overlap) adds *exactly* zero
 //!   time — the invariant the one-user-equivalence property relies on.
 //! * [`DetQueue`] — a min-heap of `(time_ns, id)` keys. Ties on time
-//!   break on the id (for the fleet engine: the global user index), so
-//!   the pop order is a pure function of the pushed set — never of heap
-//!   internals, insertion order, or thread scheduling.
+//!   break on the id (for the fleet engine: the user's island-local
+//!   index, which follows global index order), so the pop order is a
+//!   pure function of the pushed set — never of heap internals,
+//!   insertion order, or thread scheduling.
 //!
 //! Everything is integer nanoseconds; no wall clock, no randomness.
 
@@ -90,8 +91,8 @@ impl FcfsServer {
 ///
 /// Pops ascend by time, then by id — a total order, so two runs that
 /// push the same set of keys pop them identically regardless of push
-/// order. The fleet engine keys events by the owning user's global
-/// index, which is unique per outstanding event.
+/// order. The fleet engine keys events by the owning user's
+/// island-local index, which is unique per outstanding event.
 #[derive(Debug, Default)]
 pub struct DetQueue {
     heap: BinaryHeap<Reverse<(u64, u64)>>,

@@ -11,6 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use markup::dom::{Element, Node};
 use markup::{wbxml, wml};
@@ -88,22 +89,27 @@ impl RenderedPage {
     }
 }
 
-/// A rendered page plus its joined screen text — what the memoised
-/// render path hands out, so the per-transaction `lines.join` happens
-/// once per distinct payload instead of once per transaction.
+/// A rendered page plus its joined screen text and title — what the
+/// memoised render path hands out, so the per-transaction `lines.join`
+/// happens once per distinct payload instead of once per transaction.
+/// Text and title are shared strings: a transaction's outcome takes a
+/// reference to them rather than a copy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RenderedView {
     /// The rendered page.
     pub page: RenderedPage,
     /// `page.lines` joined with `\n`, computed once.
-    pub text: String,
+    pub text: Arc<str>,
+    /// `page.title` as a shared string.
+    pub title: Arc<str>,
 }
 
 impl RenderedView {
     /// Builds the view for a freshly rendered page.
     pub fn of(page: RenderedPage) -> Self {
-        let text = page.lines.join("\n");
-        RenderedView { page, text }
+        let text = page.lines.join("\n").into();
+        let title = page.title.as_str().into();
+        RenderedView { page, text, title }
     }
 }
 

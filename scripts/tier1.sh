@@ -82,10 +82,15 @@
 #   examples smoke   — the Scenario-driven examples run clean (their
 #                      internal asserts are the gate);
 #   fleetbench       — the benchmark's self-tests pass, and a short
-#                      end-to-end pass of each workload reports
+#                      end-to-end pass (--trace 0) and per-layer pass
+#                      (--trace 1) of each workload report
 #                      "correct": true: every digest (measured seed 0
 #                      and the canary) matches the recorded references,
-#                      so a library change that moves a digest fails.
+#                      so a library change that moves a digest fails;
+#                      the per-layer pass also requires every
+#                      deterministic per-layer count to repeat across
+#                      processes and, on storefront_isolated, the
+#                      public-call replay to reproduce the fleet digest.
 #
 # Run from anywhere; the script cds to the repo root.
 set -euo pipefail
@@ -329,11 +334,13 @@ cargo run -q --release --example secure_checkout > /dev/null
 cargo run -q --release --example roaming_payment > /dev/null
 cargo test --release --offline --manifest-path fleetbench/Cargo.toml
 for workload in storefront_isolated metro_browse_shared search_checkout_shared; do
-  last=$(cargo run --release --quiet --offline --manifest-path fleetbench/Cargo.toml -- \
-    --workload "$workload" --seed 0 --seconds 1 --trace 0 | tail -n 1)
-  case "$last" in
-    '{"correct": true,'*) echo "fleetbench gate: $workload digests match" ;;
-    *) echo "fleetbench gate: $workload is not correct: $last" >&2; exit 1 ;;
-  esac
+  for trace in 0 1; do
+    last=$(cargo run --release --quiet --offline --manifest-path fleetbench/Cargo.toml -- \
+      --workload "$workload" --seed 0 --seconds 1 --trace "$trace" | tail -n 1)
+    case "$last" in
+      '{"correct": true,'*) echo "fleetbench gate: $workload --trace $trace is correct" ;;
+      *) echo "fleetbench gate: $workload --trace $trace is not correct: $last" >&2; exit 1 ;;
+    esac
+  done
 done
 echo "tier1: OK"

@@ -194,7 +194,7 @@ fn session_state_survives_across_the_wap_gateway() {
         let report = system.execute(&MobileRequest::get("/counter"));
         assert!(report.success);
         let outcome = report.outcome.expect("successful render carries an outcome");
-        assert_eq!(outcome.title, "Counter");
+        assert_eq!(&*outcome.title, "Counter");
         assert!(
             outcome
                 .page_text

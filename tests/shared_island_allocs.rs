@@ -6,11 +6,17 @@
 //! a host of its own — the island's host serves every transaction. So
 //! building a whole island must cost a handful of allocations per user,
 //! not a provisioned host per user.
+//!
+//! Running it must stay cheap too: a user holds only its current
+//! session, and a transaction's outcome shares the render memo's text,
+//! so a cached browsing island makes a few allocations per transaction
+//! (generating the session's requests, mostly).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use mcommerce::core::{Category, FleetRunner, Scenario, Topology};
+use mcommerce::core::{CachePolicy, Category, FleetRunner, Scenario, Topology};
+use mcommerce::simnet::SimDuration;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -69,4 +75,27 @@ fn a_shared_island_builds_each_user_in_a_few_allocations() {
             allocs as f64 / USERS as f64
         );
     }
+
+    // The metro browsing island: four cached Entertainment sessions per
+    // user behind 5 gateways and 100 cells.
+    let runner = FleetRunner::new(
+        Scenario::new("metro island")
+            .app(Category::Entertainment)
+            .users(USERS)
+            .sessions_per_user(4)
+            .think_time(2.0)
+            .cache(CachePolicy::standard().ttl(SimDuration::from_secs(3_600))),
+    )
+    .topology(Topology::shared().gateways(5).cells(100))
+    .threads(1);
+    let before = ALLOCS.load(Relaxed);
+    let run = runner.run();
+    let allocs = ALLOCS.load(Relaxed) - before;
+    let txns = run.report.summary.transactions();
+    assert_eq!(txns, 8 * USERS);
+    assert!(
+        allocs <= 6 * txns,
+        "{allocs} allocations for {txns} transactions ({:.2} per transaction)",
+        allocs as f64 / txns as f64
+    );
 }
