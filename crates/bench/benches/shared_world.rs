@@ -5,9 +5,10 @@
 //! one gateway and one host, so this measures the island event loop
 //! itself — the `DetQueue` scheduling, the host/gateway swaps around
 //! each transaction, and the post-hoc FCFS contention charging — not
-//! the embarrassingly parallel isolated path F9 sweeps. The isolated
-//! engine at the same smallest population runs alongside as the
-//! baseline, making the contention machinery's cost visible directly.
+//! the one-user islands of the isolated topology F9 sweeps. The
+//! isolated topology at the same smallest population runs alongside as
+//! the baseline, making the contention machinery's cost visible
+//! directly.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -36,8 +37,8 @@ fn bench_shared_world(c: &mut Criterion) {
             })
         });
     }
-    // The isolated engine at the smallest population: the no-contention
-    // baseline the shared numbers are read against.
+    // The isolated topology at the smallest population: the
+    // no-contention baseline the shared numbers are read against.
     group.bench_function("isolated_64users", |b| {
         b.iter(|| {
             let run = FleetRunner::new(scenario(64)).threads(1).run();

@@ -14,8 +14,9 @@
 //!    the entry user A just filled. Per-user caches can never show
 //!    this — it is the signature of genuinely shared state.
 //! 3. **Identities.** A 1-user shared world is byte-identical to the
-//!    legacy per-user world, and every sweep point is byte-identical
-//!    across 1/2/4 threads.
+//!    user's private world (`Scenario::run_user_traced`, the per-user
+//!    reference), and every sweep point is byte-identical across 1/2/4
+//!    threads.
 //!
 //! `--f8` on the report binary writes `BENCH_contention.json`.
 
@@ -23,6 +24,7 @@ use std::fmt;
 
 use mcommerce_core::{
     CachePolicy, Category, ContentionStats, FleetRun, FleetRunner, Scenario, Topology,
+    WorkloadCounters,
 };
 use simnet::SimDuration;
 
@@ -103,7 +105,7 @@ pub struct ContentionNumbers {
     /// The shared-cache hit-rate curve, long-TTL gateway cache.
     pub cache_growth: Vec<CacheGrowthRow>,
     /// Whether the 1-user shared world came out byte-identical to the
-    /// legacy per-user world (summary *and* JSONL trace).
+    /// per-user reference world (counters *and* JSONL trace).
     pub one_user_identical: bool,
     /// Whether every sweep point was byte-identical at 1/2/4 threads.
     pub thread_identity: bool,
@@ -126,7 +128,7 @@ impl fmt::Display for ContentionNumbers {
         }
         writeln!(
             f,
-            "1-user shared world identical to legacy world: {}",
+            "1-user shared world identical to the per-user world: {}",
             self.one_user_identical
         )?;
         write!(
@@ -259,17 +261,18 @@ pub fn run(quick: bool) -> ContentionNumbers {
         })
         .collect();
 
-    // 1-user identity: the degenerate shared world against the legacy
-    // per-user engine, summaries and traces byte-for-byte.
+    // 1-user identity: the degenerate shared world against the user's
+    // private world, counters and traces byte-for-byte.
     let solo = sweep_scenario(1);
-    let legacy = FleetRunner::new(solo.clone()).traced(true).run();
+    let mut reference = WorkloadCounters::default();
+    let reference_trace = solo.run_user_traced(0, &mut reference);
     let degenerate = FleetRunner::new(solo)
         .topology(Topology::shared())
         .traced(true)
         .run();
-    let one_user_identical = legacy.report.summary == degenerate.report.summary
-        && legacy.trace.expect("traced").to_jsonl()
-            == degenerate.trace.expect("traced").to_jsonl();
+    let one_user_identical = degenerate.report.summary.workload.counters == reference
+        && degenerate.trace.expect("traced").to_jsonl()
+            == obs::export::to_jsonl(&reference_trace.events);
 
     ContentionNumbers {
         populations,

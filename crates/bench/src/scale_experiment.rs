@@ -5,17 +5,8 @@
 //! workshop populations. F9 is the scale experiment behind the "million
 //! users in seconds" claim: the full grid of populations {10 k, 100 k,
 //! 1 M} × threads {1, 4, 8}, each cell measured for wall-clock seconds,
-//! engine events per second, transactions per second, and peak resident
-//! set size — rendered as the `BENCH_scale.json` artefact.
-//!
-//! # What an "event" is
-//!
-//! The fleet engine is analytic — there is no inner discrete-event
-//! queue on the isolated path — so F9 counts the engine's discrete
-//! *actions*: one per user world built (and torn down), one per
-//! transaction executed, one per think-time idle. With the F9 scenario
-//! (one session, no think time) that is `users + transactions`,
-//! reported exactly.
+//! transactions per second, and peak resident set size — rendered as
+//! the `BENCH_scale.json` artefact.
 //!
 //! # Measurement discipline
 //!
@@ -54,10 +45,6 @@ pub struct ScaleCell {
     pub transactions: u64,
     /// Transactions per wall-clock second.
     pub tps: f64,
-    /// Discrete engine actions (user worlds + transactions + thinks).
-    pub events: u64,
-    /// Engine actions per wall-clock second.
-    pub events_per_sec: f64,
     /// Peak resident set size of the cell's process, bytes (0 when the
     /// platform exposes no `VmHWM`).
     pub peak_rss_bytes: u64,
@@ -69,14 +56,12 @@ impl ScaleCell {
     /// Renders the cell as a JSON object (one line, no trailing newline).
     pub fn to_json(&self) -> String {
         format!(
-            "{{ \"users\": {}, \"threads\": {}, \"wall_secs\": {:.6}, \"transactions\": {}, \"tps\": {:.1}, \"events\": {}, \"events_per_sec\": {:.1}, \"peak_rss_bytes\": {}, \"digest\": \"{}\" }}",
+            "{{ \"users\": {}, \"threads\": {}, \"wall_secs\": {:.6}, \"transactions\": {}, \"tps\": {:.1}, \"peak_rss_bytes\": {}, \"digest\": \"{}\" }}",
             self.users,
             self.threads,
             self.wall_secs,
             self.transactions,
             self.tps,
-            self.events,
-            self.events_per_sec,
             self.peak_rss_bytes,
             self.digest,
         )
@@ -113,18 +98,17 @@ impl fmt::Display for ScaleNumbers {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "{:>9} {:>7} {:>9} {:>12} {:>12} {:>12} {:>9}",
-            "users", "threads", "wall s", "txns/s", "events/s", "peak RSS", "digest"
+            "{:>9} {:>7} {:>9} {:>12} {:>12} {:>9}",
+            "users", "threads", "wall s", "txns/s", "peak RSS", "digest"
         )?;
         for c in &self.cells {
             writeln!(
                 f,
-                "{:>9} {:>7} {:>9.3} {:>12.0} {:>12.0} {:>9.1} MB  {}",
+                "{:>9} {:>7} {:>9.3} {:>12.0} {:>9.1} MB  {}",
                 c.users,
                 c.threads,
                 c.wall_secs,
                 c.tps,
-                c.events_per_sec,
                 c.peak_rss_bytes as f64 / (1024.0 * 1024.0),
                 &c.digest,
             )?;
@@ -184,8 +168,6 @@ pub fn run_cell(users: u64, threads: usize) -> ScaleCell {
     let wall_secs = started.elapsed().as_secs_f64();
     let report = run.report;
     let transactions = report.summary.transactions();
-    // Think actions: (sessions − 1) idles per user when think time is on.
-    let events = users + transactions;
     let digest = fnv1a(format!("{:?}", report.summary.workload.counters).as_bytes());
     ScaleCell {
         users,
@@ -193,8 +175,6 @@ pub fn run_cell(users: u64, threads: usize) -> ScaleCell {
         wall_secs,
         transactions,
         tps: transactions as f64 / wall_secs,
-        events,
-        events_per_sec: events as f64 / wall_secs,
         peak_rss_bytes: peak_rss_bytes(),
         digest: format!("{digest:016x}"),
     }
@@ -221,8 +201,6 @@ fn parse_cell(json: &str) -> Option<ScaleCell> {
         wall_secs: json_field(json, "wall_secs")?.parse().ok()?,
         transactions: json_field(json, "transactions")?.parse().ok()?,
         tps: json_field(json, "tps")?.parse().ok()?,
-        events: json_field(json, "events")?.parse().ok()?,
-        events_per_sec: json_field(json, "events_per_sec")?.parse().ok()?,
         peak_rss_bytes: json_field(json, "peak_rss_bytes")?.parse().ok()?,
         digest: json_field(json, "digest")?.to_owned(),
     })
@@ -292,8 +270,7 @@ mod tests {
         let a = run_cell(50, 2);
         assert_eq!(a.users, 50);
         assert_eq!(a.transactions, 100); // two-step Commerce session
-        assert_eq!(a.events, 150);
-        assert!(a.wall_secs > 0.0 && a.tps > 0.0 && a.events_per_sec > 0.0);
+        assert!(a.wall_secs > 0.0 && a.tps > 0.0);
         assert_eq!(a.digest.len(), 16);
         // The digest is a function of the merged counters alone.
         let b = run_cell(50, 5);
@@ -330,12 +307,16 @@ mod tests {
             "\"threads\"",
             "\"identical_across_threads\"",
             "\"cells\"",
+            "\"tps\"",
             "\"peak_rss_bytes\"",
             "\"digest\"",
-            "\"events_per_sec\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+        assert!(
+            !json.contains("events"),
+            "the fleet engine counts no events: {json}"
+        );
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -5,25 +5,32 @@
 //! workspace so far drove a single [`McSystem`] by hand. This module
 //! scales the model to fleets: a [`Scenario`] describes one population
 //! declaratively — device profile × middleware kind × wireless standard
-//! × application workload × user count × security — and [`run`] executes
-//! the N independent user sessions sharded across OS threads.
+//! × application workload × user count × security — and a
+//! [`FleetRunner`] executes it on a [`Topology`] across OS threads.
+//!
+//! There is one engine ([`crate::shared`]): users are grouped into
+//! islands around a host, and islands are sharded across threads. The
+//! default [`Topology::isolated`] gives every user an island of its own,
+//! a private world; a shared topology puts many users behind one cell,
+//! gateway and host.
 //!
 //! # Determinism under parallelism
 //!
 //! The merged result is **bit-for-bit identical regardless of thread
 //! count**, because of three rules:
 //!
-//! 1. *Per-user worlds.* Each simulated user gets a fresh
-//!    [`McSystem`] (own host, own battery, own RNG streams) whose seeds
-//!    derive from the scenario seed and the **user index** via
-//!    [`simnet::rng::sub_seed`] — never from the thread or shard that
-//!    happens to execute it.
-//! 2. *Integral accumulation.* Shards accumulate
+//! 1. *Index-derived worlds.* Each simulated user gets its own station,
+//!    battery and RNG streams, and each island its own host, all seeded
+//!    from the scenario seed and the **user or island index** via
+//!    [`simnet::rng::sub_seed`] — never from the thread that happens to
+//!    execute it.
+//! 2. *Integral accumulation.* Workers accumulate
 //!    [`WorkloadCounters`] — integer sums and histograms whose merge is
 //!    exactly associative and commutative.
-//! 3. *Canonical merge order.* Shard results are merged on the
-//!    coordinating thread in shard-index order, so even the derived
-//!    floating-point statistics are computed by one fixed expression.
+//! 3. *Canonical merge order.* Worker results are merged on the
+//!    coordinating thread in worker-index order and traces in global
+//!    user-index order, so even the derived floating-point statistics
+//!    are computed by one fixed expression.
 //!
 //! Threads here are plain `std::thread::scope` workers over disjoint
 //! data; there is no I/O to multiplex and no shared mutable state, so
@@ -33,24 +40,22 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::mpsc;
 use std::thread;
 use std::time::Instant;
 
-use hostsite::db::Database;
+use hostsite::db::{Database, DurabilityPolicy};
 use hostsite::HostComputer;
 use middleware::SharedTranscodeMemo;
-use obs::{Metrics, Recorder};
+use obs::Recorder;
 use station::{DeviceProfile, RenderMemo};
 use wireless::WlanStandard;
 
 use crate::apps::{for_category, Category};
-use crate::merge::{FleetMerger, TraceMerger};
+use crate::merge::FleetMerger;
 use crate::netpath::{WiredPath, WirelessConfig};
 use crate::report::{WorkloadCounters, WorkloadSummary};
 use crate::shared::{self, ContentionStats};
-use crate::system::{CachePolicy, McSystem, MiddlewareKind, SystemSpec};
-use hostsite::db::DurabilityPolicy;
+use crate::system::{provision_host, CachePolicy, McSystem, MiddlewareKind, SystemSpec};
 use crate::topology::Topology;
 use crate::workload::run_session;
 
@@ -58,8 +63,8 @@ use crate::workload::run_session;
 /// are, what they run, and over which technology stack.
 ///
 /// A `Scenario` is plain data (`Clone + Send + Sync`), so it can be
-/// shared immutably across shard threads; every piece of machinery (the
-/// host, the middleware, the RNGs) is constructed *inside* the shard
+/// shared immutably across worker threads; every piece of machinery (the
+/// host, the middleware, the RNGs) is constructed *inside* the worker
 /// from this description.
 ///
 /// ```
@@ -319,22 +324,34 @@ impl Scenario {
     /// Builds the fully provisioned system for one user: fresh host with
     /// the application installed, middleware, device, networks — seeded
     /// purely from the scenario seed and the user index, all through
-    /// [`Scenario::spec_for_user`].
+    /// [`Scenario::spec_for_user`]. The fleet engine never calls this;
+    /// it is the per-user reference the engine is tested against.
     pub fn system_for_user(&self, user: u64) -> McSystem {
+        self.system_on(user, self.host_for(user))
+    }
+
+    /// The provisioned host of world `index`: the application installed,
+    /// the cache and durability policies applied, seeded from the
+    /// scenario seed and `index`. It is user `index`'s private host in
+    /// [`Scenario::system_for_user`] and island `index`'s shared host in
+    /// the fleet engine, so on [`Topology::isolated`] the two coincide.
+    pub(crate) fn host_for(&self, index: u64) -> HostComputer {
         let mut host = HostComputer::new(
             Database::new(),
-            simnet::rng::sub_seed(self.seed, "fleet.host", user),
+            simnet::rng::sub_seed(self.seed, "fleet.host", index),
         );
         for_category(self.app).install(&mut host);
-        self.system_on(user, host)
+        provision_host(&mut host, self.cache, self.durability);
+        host
     }
 
     /// The one build path behind every user's system: the scenario's
-    /// stack for `user` around `host`. Isolated worlds pass their
-    /// installed host; the shared engine passes an empty one, because
-    /// every transaction runs against the island's host instead.
+    /// stack for `user` around `host`, which it leaves untouched.
+    /// [`Scenario::system_for_user`] passes a provisioned host; the fleet
+    /// engine passes an empty one, because every transaction runs
+    /// against the island's host instead.
     pub(crate) fn system_on(&self, user: u64, host: HostComputer) -> McSystem {
-        let mut system = self.spec_for_user(user).build(host);
+        let mut system = self.spec_for_user(user).assemble(host);
         if !self.faults.is_empty() {
             system.set_fault_plan(self.faults.clone());
         }
@@ -342,29 +359,12 @@ impl Scenario {
         system
     }
 
-    /// [`Scenario::system_for_user`] with a shard's scratch memos
-    /// attached: the gateway reuses translations and the browser reuses
-    /// renders across the users this shard executes. Hits replay
-    /// byte-identical results (see [`ShardScratch`]), so the system
-    /// behaves bit-for-bit like a scratch-free build — only faster.
-    pub fn system_for_user_in(&self, user: u64, scratch: &ShardScratch) -> McSystem {
-        let mut system = self.system_for_user(user);
-        scratch.attach(&mut system);
-        system
-    }
-
-    /// Runs one user's complete workload, folding every transaction
-    /// into `counters`. Depends only on `(scenario, user)`.
+    /// Runs one user's complete workload in a private world, folding
+    /// every transaction into `counters`. Depends only on
+    /// `(scenario, user)`, and matches what a fleet on
+    /// [`Topology::isolated`] counts for that user.
     pub fn run_user(&self, user: u64, counters: &mut WorkloadCounters) {
         let mut system = self.system_for_user(user);
-        self.run_user_on(&mut system, user, counters);
-    }
-
-    /// [`Scenario::run_user`] with a shard's scratch memos attached —
-    /// the fleet engines' inner loop. Identical counters to
-    /// [`Scenario::run_user`] (memo hits are byte-for-byte replays).
-    pub fn run_user_in(&self, user: u64, counters: &mut WorkloadCounters, scratch: &ShardScratch) {
-        let mut system = self.system_for_user_in(user, scratch);
         self.run_user_on(&mut system, user, counters);
     }
 
@@ -387,7 +387,7 @@ impl Scenario {
             }
         } else {
             // Jitter stream keyed by (seed, user), never by thread or
-            // shard — the determinism rule the module docs state.
+            // island — the determinism rule the module docs state.
             let mut retry_rng = simnet::rng::rng_for_indexed(self.seed, "fleet.retry", user);
             for session in 0..self.sessions_per_user {
                 if session > 0 && self.think_secs > 0.0 {
@@ -412,76 +412,34 @@ impl Scenario {
     /// way (pinned by a unit test below).
     pub fn run_user_traced(&self, user: u64, counters: &mut WorkloadCounters) -> UserTrace {
         let guard = obs::metrics::enable();
-        let mut trace = self.run_user_traced_with(user, counters, RecorderKind::Ring, None, None);
-        drop(guard);
-        trace.metrics = obs::metrics::take();
-        trace
-    }
-
-    /// [`Scenario::run_user_traced`] with an explicit recorder choice:
-    /// [`RecorderKind::Disabled`] keeps the metrics registry on but
-    /// skips the flight-recorder ring (no events, no dumps). A shard
-    /// passes its [`obs::RingScratch`] so the ring buffer is allocated
-    /// once per shard, not once per user.
-    ///
-    /// Metric *scoping* is the caller's job: this function neither
-    /// enables nor drains the thread's registry, so a fleet shard can
-    /// hold one [`obs::metrics::enable`] guard across all its users and
-    /// [`obs::metrics::take`] once per shard — `Metrics::merge` is
-    /// associative and commutative, so shard-level accumulation merges
-    /// to the same fleet totals as per-user draining (pinned by
-    /// `tests/trace_props.rs`). The returned [`UserTrace::metrics`] is
-    /// therefore empty here.
-    fn run_user_traced_with(
-        &self,
-        user: u64,
-        counters: &mut WorkloadCounters,
-        recorder: RecorderKind,
-        scratch: Option<&ShardScratch>,
-        mut ring: Option<&mut obs::RingScratch>,
-    ) -> UserTrace {
-        let mut system = match scratch {
-            Some(scratch) => self.system_for_user_in(user, scratch),
-            None => self.system_for_user(user),
-        };
-        system.set_recorder(match recorder {
-            RecorderKind::Ring => match ring.as_deref_mut() {
-                Some(ring) => {
-                    Recorder::ring_recycled(obs::recorder::DEFAULT_RING_CAPACITY, user, ring)
-                }
-                None => Recorder::ring_for_user(user),
-            },
-            RecorderKind::Disabled => Recorder::Disabled,
-        });
+        let mut system = self.system_for_user(user);
+        system.set_recorder(Recorder::ring_for_user(user));
         self.run_user_on(&mut system, user, counters);
-        let recorder = system.take_recorder();
-        let (events, dumps) = match ring {
-            Some(ring) => recorder.into_parts_recycling(ring),
-            None => recorder.into_parts(),
-        };
+        let (events, dumps) = system.take_recorder().into_parts();
+        drop(guard);
         UserTrace {
             events,
             dumps,
-            metrics: obs::Metrics::default(),
+            metrics: obs::metrics::take(),
         }
     }
 }
 
-/// Shard-lifetime scratch state: memo tables for the pure, body-keyed
+/// Worker-lifetime scratch state: memo tables for the pure, body-keyed
 /// stages of the transaction pipeline — the gateway's translation
 /// (HTML→WML→WBXML, HTML→cHTML) and the browser's render. One scratch
-/// lives per shard thread (or per island in the shared engine); the
-/// `Rc` handles are cloned into every system the shard builds and never
-/// cross threads.
+/// lives per fleet worker thread; the `Rc` handles are cloned into
+/// every system the worker builds and never cross threads.
 ///
 /// This is the arena discipline of the F9 work: allocations that are
 /// logically transaction-lifetime (parsed documents, encoded decks,
-/// rendered lines) get built once per *distinct input* per shard and
-/// replayed by refcount for the rest of the shard's users. Because the
-/// memoised stages are pure functions of their keys, a hit is
-/// byte-identical to a fresh computation — summaries, traces, and the
-/// cross-thread F9 digest are unchanged by scratch attachment, shard
-/// layout, or population (pinned by tests below).
+/// rendered lines) get built once per *distinct input* per worker and
+/// replayed by refcount for the rest of the worker's users and islands.
+/// Because the memoised stages are pure functions of their keys, a hit
+/// is byte-identical to a fresh computation — summaries, traces, and
+/// the cross-thread F9 digest are unchanged by scratch attachment,
+/// island layout, or population (pinned by `tests/fleet_props.rs`
+/// against the scratch-free [`Scenario::run_user`]).
 #[derive(Debug, Default)]
 pub struct ShardScratch {
     transcode: SharedTranscodeMemo,
@@ -489,7 +447,7 @@ pub struct ShardScratch {
 }
 
 impl ShardScratch {
-    /// A fresh, empty scratch for one shard thread or island.
+    /// A fresh, empty scratch for one worker thread.
     pub fn new() -> Self {
         Self::default()
     }
@@ -592,7 +550,8 @@ impl FleetSummary {
 /// machine-dependent) wall-clock measurements.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
-    /// OS threads the fleet was sharded across.
+    /// OS threads the fleet ran on: the requested count, clamped to ≥ 1
+    /// and to the `min(hosts, users)` islands the engine runs.
     pub threads: usize,
     /// Wall-clock seconds the run took.
     pub wall_secs: f64,
@@ -634,8 +593,8 @@ pub enum RecorderKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunConfig {
     /// Worker threads the fleet is sharded across (clamped to ≥ 1 and
-    /// to the available parallel units: users in an isolated world,
-    /// islands in a shared one).
+    /// to the islands `0..min(hosts, users)` the engine runs: one per
+    /// user in an isolated world).
     pub threads: usize,
     /// Whether to run with the metrics registry and per-user recorders
     /// enabled and merge a [`FleetTrace`].
@@ -644,7 +603,7 @@ pub struct RunConfig {
     pub recorder: RecorderKind,
     /// Fixed sim-time bin width for shared-resource time-series, or
     /// `None` (the default) for no telemetry. Only shared topologies
-    /// have shared resources to sample; the isolated engine ignores it.
+    /// have shared resources to sample; [`Topology::isolated`] ignores it.
     pub telemetry_bin_ns: Option<u64>,
 }
 
@@ -725,7 +684,7 @@ pub struct FleetRun {
 /// use mcommerce_core::{FleetRunner, Scenario, Topology};
 ///
 /// let scenario = Scenario::new("storefront").users(6).seed(9);
-/// // Legacy per-user worlds (the default topology):
+/// // A private world per user (the default topology):
 /// let isolated = FleetRunner::new(scenario.clone()).threads(2).run();
 /// // The same population contending for one cell, gateway and host:
 /// let shared = FleetRunner::new(scenario)
@@ -814,241 +773,35 @@ impl FleetRunner {
 
     /// Executes the fleet and returns everything it produced.
     ///
-    /// Isolated topologies run the legacy per-user engine; shared
-    /// topologies run the island engine in [`crate::shared`]. Either
-    /// way the summary — and the trace and time-series, when captured —
-    /// is byte-identical at any thread count.
+    /// Every topology runs the one island engine in [`crate::shared`]:
+    /// [`Topology::isolated`] is simply one island per user. The summary
+    /// — and the trace and time-series, when captured — is
+    /// byte-identical at any thread count.
     pub fn run(&self) -> FleetRun {
-        if self.topology.is_shared() {
-            self.run_shared()
-        } else if self.config.traced {
-            let (report, trace) = self.run_isolated_traced();
-            FleetRun {
-                report,
-                trace: Some(trace),
-                contention: None,
-                timeseries: None,
-            }
-        } else {
-            FleetRun {
-                report: self.run_isolated(),
-                trace: None,
-                contention: None,
-                timeseries: None,
-            }
-        }
-    }
-
-    /// The legacy per-user engine: users sharded across threads in
-    /// contiguous index ranges, per-shard counters **streamed** back to
-    /// the coordinator as each shard completes and folded in shard-index
-    /// order through [`FleetMerger`] — the merge overlaps the slowest
-    /// shard's tail instead of waiting for it.
-    fn run_isolated(&self) -> FleetReport {
         let scenario = &self.scenario;
         let started = Instant::now();
-        let shards = self.config.threads.clamp(1, scenario.users.max(1) as usize);
-        let chunk = scenario.users.div_ceil(shards as u64).max(1);
-
-        let mut merger = FleetMerger::new();
-        thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<(u64, WorkloadCounters)>();
-            for shard in 0..shards as u64 {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    let mut counters = WorkloadCounters::default();
-                    let scratch = ShardScratch::new();
-                    let lo = shard * chunk;
-                    let hi = (lo + chunk).min(scenario.users);
-                    for user in lo..hi {
-                        scenario.run_user_in(user, &mut counters, &scratch);
-                    }
-                    // The receiver outlives the scope, so a send only
-                    // fails after a coordinator panic — already fatal.
-                    let _ = tx.send((shard, counters));
-                });
-            }
-            drop(tx);
-            // Merge in arrival order while late shards still run; the
-            // merger's reorder buffer restores shard-index order. The
-            // channel closes when the last shard drops its sender.
-            for (shard, counters) in rx {
-                merger.push_counters(shard, counters);
-            }
-        });
-
-        FleetReport {
-            threads: shards,
-            wall_secs: started.elapsed().as_secs_f64(),
-            summary: FleetSummary {
-                scenario: scenario.label(),
-                users: scenario.users,
-                workload: merger.finish().summary(scenario.label()),
-            },
-        }
-    }
-
-    /// The legacy per-user engine with telemetry: identical sharding to
-    /// [`FleetRunner::run_isolated`], but each user's trace is sent to
-    /// the coordinator the moment that user finishes. [`TraceMerger`]
-    /// streams arrivals into the fleet trace in global user-index order
-    /// — the canonical merge discipline — so at no point does any shard
-    /// hold its whole population's telemetry, which at fleet scale was
-    /// the run's peak-memory high-water mark.
-    fn run_isolated_traced(&self) -> (FleetReport, FleetTrace) {
-        let scenario = &self.scenario;
-        let recorder = self.config.recorder;
-        let started = Instant::now();
-        let shards = self.config.threads.clamp(1, scenario.users.max(1) as usize);
-        let chunk = scenario.users.div_ceil(shards as u64).max(1);
-
-        enum ShardMsg {
-            /// One user finished; the box keeps the channel payload small.
-            User(u64, Box<UserTrace>),
-            /// A whole shard finished: its counters and its accumulated
-            /// metrics registry are ready to fold.
-            Done(u64, WorkloadCounters, Box<Metrics>),
-        }
-
-        let mut fleet_merger = FleetMerger::new();
-        let mut trace_merger = TraceMerger::for_users(scenario.users);
-        let mut shard_metrics: Vec<(u64, Metrics)> = Vec::new();
-        thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<ShardMsg>();
-            for shard in 0..shards as u64 {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    let mut counters = WorkloadCounters::default();
-                    let scratch = ShardScratch::new();
-                    let mut ring = obs::RingScratch::default();
-                    // One metrics scope for the whole shard: the
-                    // registry accumulates across users and drains
-                    // once, instead of paying a take-and-merge per
-                    // user. `Metrics::merge` is commutative, so the
-                    // fleet totals are unchanged.
-                    let guard = obs::metrics::enable();
-                    let lo = shard * chunk;
-                    let hi = (lo + chunk).min(scenario.users);
-                    for user in lo..hi {
-                        let trace = scenario.run_user_traced_with(
-                            user,
-                            &mut counters,
-                            recorder,
-                            Some(&scratch),
-                            Some(&mut ring),
-                        );
-                        let _ = tx.send(ShardMsg::User(user, Box::new(trace)));
-                    }
-                    drop(guard);
-                    let _ = tx.send(ShardMsg::Done(
-                        shard,
-                        counters,
-                        Box::new(obs::metrics::take()),
-                    ));
-                });
-            }
-            drop(tx);
-            for msg in rx {
-                match msg {
-                    ShardMsg::User(user, trace) => trace_merger.push(user, *trace),
-                    ShardMsg::Done(shard, counters, metrics) => {
-                        fleet_merger.push_counters(shard, counters);
-                        shard_metrics.push((shard, *metrics));
-                    }
-                }
-            }
-        });
-        let mut trace = trace_merger.finish();
-        // Shard-index order for determinism's sake; the merge is
-        // commutative anyway.
-        shard_metrics.sort_unstable_by_key(|&(shard, _)| shard);
-        for (_, metrics) in &shard_metrics {
-            trace.metrics.merge(metrics);
-        }
-
-        (
-            FleetReport {
-                threads: shards,
+        // An isolated world has no shared resources to report on.
+        let shared = self.topology.is_shared();
+        let islands = self.topology.host_count().min(scenario.users);
+        let config = RunConfig {
+            threads: self.config.threads.clamp(1, islands.max(1) as usize),
+            telemetry_bin_ns: self.config.telemetry_bin_ns.filter(|_| shared),
+            ..self.config
+        };
+        let totals = shared::run_islands(scenario, &self.topology, islands, config);
+        FleetRun {
+            report: FleetReport {
+                threads: config.threads,
                 wall_secs: started.elapsed().as_secs_f64(),
                 summary: FleetSummary {
                     scenario: scenario.label(),
                     users: scenario.users,
-                    workload: fleet_merger.finish().summary(scenario.label()),
+                    workload: totals.counters.summary(scenario.label()),
                 },
             },
-            trace,
-        )
-    }
-
-    /// The shared-world island engine (see [`crate::shared`]): islands
-    /// sharded across threads, outcomes merged in island-index order,
-    /// traces re-sorted into global user-index order.
-    fn run_shared(&self) -> FleetRun {
-        let scenario = &self.scenario;
-        let started = Instant::now();
-        let islands = self.topology.host_count();
-        let threads = self.config.threads.clamp(1, islands.max(1) as usize);
-
-        let outcomes = shared::run_islands(
-            scenario,
-            &self.topology,
-            threads,
-            self.config.traced,
-            self.config.recorder,
-            self.config.telemetry_bin_ns,
-        );
-
-        // Users land in island order; the canonical trace order is the
-        // global user index, same as the isolated engine. The merger's
-        // reorder buffer restores it without a collect-then-sort pass.
-        let mut counters = WorkloadCounters::default();
-        let mut stats = ContentionStats::default();
-        let mut island_metrics = obs::Metrics::default();
-        let mut trace_merger = self
-            .config
-            .traced
-            .then(|| TraceMerger::for_users(scenario.users));
-        let mut timeseries = self.config.telemetry_bin_ns.map(obs::Telemetry::new);
-        for outcome in outcomes {
-            counters.merge(&outcome.counters);
-            stats.merge(&outcome.stats);
-            if let Some(merger) = trace_merger.as_mut() {
-                for (user, trace) in outcome.traces {
-                    merger.push(user, trace);
-                }
-            }
-            if let Some(metrics) = outcome.metrics.as_ref() {
-                island_metrics.merge(metrics);
-            }
-            // Island series are disjoint (names embed global resource
-            // indices) and bins merge commutatively, so fold order is
-            // irrelevant — the export walks names canonically anyway.
-            if let (Some(merged), Some(island)) = (timeseries.as_mut(), outcome.telemetry) {
-                merged.merge(island);
-            }
-        }
-        // Metrics interleave inside an island, so they merge at island
-        // granularity (island-index order) on top of the streamed trace.
-        let trace = trace_merger.map(|merger| {
-            let mut trace = merger.finish();
-            trace.metrics.merge(&island_metrics);
-            trace
-        });
-
-        let report = FleetReport {
-            threads,
-            wall_secs: started.elapsed().as_secs_f64(),
-            summary: FleetSummary {
-                scenario: scenario.label(),
-                users: scenario.users,
-                workload: counters.summary(scenario.label()),
-            },
-        };
-        FleetRun {
-            report,
-            trace,
-            contention: Some(stats),
-            timeseries,
+            trace: totals.trace,
+            contention: shared.then_some(totals.stats),
+            timeseries: totals.telemetry,
         }
     }
 }

@@ -1,16 +1,16 @@
-//! Streaming canonical-order merge of shard results.
+//! Streaming canonical-order merge of worker results.
 //!
-//! Both fleet engines promise one merge discipline: counters fold in
-//! shard-index order, traces concatenate in global user-index order —
+//! The fleet engine promises one merge discipline: counters fold in
+//! worker-index order, traces concatenate in global user-index order —
 //! that is what makes the output byte-identical at any thread count.
-//! The original implementations bought that order by *collecting first*:
-//! every shard's full result was held in a `Vec` until the last shard
-//! finished, then folded (isolated) or sorted (shared). At F9
-//! populations that is the peak-memory high-water mark of the whole
-//! run, and the merge only starts after the slowest shard ends.
+//! Buying that order by *collecting first* — holding every island's
+//! full result until the last one finished, then folding and sorting —
+//! makes the collection the peak-memory high-water mark of the whole
+//! run at F9 populations, and starts the merge only after the slowest
+//! worker ends.
 //!
 //! The mergers here stream instead. Each accepts results in **arrival**
-//! order — whichever shard or user finishes first — and folds them in
+//! order — whichever worker or user finishes first — and folds them in
 //! **canonical** order through a reorder buffer: a result that arrives
 //! in its canonical slot is folded immediately (and releases any
 //! buffered successors); an early arrival waits in a `BTreeMap` keyed
@@ -23,8 +23,9 @@ use std::collections::BTreeMap;
 use crate::fleet::{FleetTrace, UserTrace};
 use crate::report::{WorkloadCounters, WorkloadSummary};
 
-/// Folds per-shard workload counters into the fleet total in strict
-/// shard-index order, accepting shards in any arrival order.
+/// Folds per-shard workload counters (one shard per fleet worker) into
+/// the fleet total in strict shard-index order, accepting shards in any
+/// arrival order.
 ///
 /// Counter merge is associative and commutative, so the fold order
 /// cannot change the sums — the reorder buffer is what makes *gaps
@@ -93,9 +94,8 @@ impl FleetMerger {
 /// Concatenates per-user traces into a [`FleetTrace`] in strict global
 /// user-index order, accepting users in any arrival order.
 ///
-/// Replaces the shared engine's collect-everything-then-`sort_by_key`
-/// and the isolated engine's per-shard `Vec<UserTrace>` accumulation: a
-/// user whose canonical slot is open streams straight into the output
+/// The fleet engine pushes each island's users as the island finishes:
+/// a user whose canonical slot is open streams straight into the output
 /// (events appended, dumps appended, metrics merged) and is freed;
 /// only users that finish ahead of a canonical predecessor wait in the
 /// reorder buffer.

@@ -1,10 +1,12 @@
-//! The shared-world contention engine.
+//! The fleet engine: islands of users on shared infrastructure.
 //!
-//! The legacy fleet engine gives every user a private world, so nothing
-//! ever queues. This module runs a [`Scenario`] on a shared
-//! [`Topology`]: stations in one cell contend for its airtime, one WAP
-//! gateway transcodes for everyone behind it, and one host computer
-//! (web server + database + caches) serves the whole population.
+//! This module runs a [`Scenario`] on a [`Topology`]: stations in one
+//! cell contend for its airtime, one WAP gateway transcodes for everyone
+//! behind it, and one host computer (web server + database + caches)
+//! serves the whole population. It is the only fleet engine. A private
+//! world per user is the degenerate case, [`Topology::isolated`]: a
+//! cell, a gateway and a host per user, so every island holds one user
+//! who never queues.
 //!
 //! # Islands
 //!
@@ -12,27 +14,39 @@
 //! one host, the gateways that reach it, their cells, and the users in
 //! those cells. Nothing crosses an island boundary, so islands are the
 //! unit of parallelism: each island is simulated sequentially and
-//! deterministically on one thread, islands are distributed over
-//! threads in contiguous index ranges, and island results are merged in
-//! island-index order. That is the whole cross-shard story — the
+//! deterministically on one thread, and islands `0..min(hosts, users)`
+//! (every later one is empty) are distributed over threads in
+//! contiguous index ranges. That is the whole cross-shard story — the
 //! deterministic "event exchange" degenerates to *no* exchange, by
 //! construction (DESIGN.md §2.15 and the ADR discuss the alternatives).
 //!
+//! # Workers
+//!
+//! Each worker thread owns what lives as long as it does: one
+//! [`ShardScratch`] of memos, one flight-recorder ring buffer, one
+//! metrics scope, and running totals of counters, contention stats and
+//! telemetry. It also owns the per-island buffers — membership, cell
+//! and gateway servers, gateway caches, user states, the event queue —
+//! which it clears and refills for each island, so a one-user island
+//! costs no more than the user's private world. An island's traces go to the
+//! coordinator as soon as the island finishes; worker totals are merged
+//! in worker-index order when the workers are done.
+//!
 //! # Inside an island
 //!
-//! Each user still owns a per-user [`McSystem`] (their station, battery,
-//! RNG streams — seeded by user index exactly as the legacy engine
-//! does), but the *shared* pieces are swapped in around every
-//! transaction: the island's one [`HostComputer`] takes the place of an
-//! empty host the user's system is built around (no application is
-//! installed in it, since no transaction ever runs against it), and the
-//! gateway's one shared [`ContentCache`](middleware::ContentCache)
-//! replaces the user's private cache. A deterministic event queue keyed
-//! by `(ready time, island-local user index)` decides who transacts
-//! next; local indices follow global index order, so ties resolve as
-//! under global keys, and an event finds its user by direct indexing.
-//! A user holds only its current session's steps and generates the
-//! next session when those run out, as the isolated engine does.
+//! Each user owns a per-user [`McSystem`] (their station, battery,
+//! RNG streams — seeded by user index), but the *shared* pieces are
+//! swapped in around every transaction: the island's one
+//! [`HostComputer`] takes the place of an empty host the user's system
+//! is built around (no application is installed in it, since no
+//! transaction ever runs against it), and the gateway's one shared
+//! [`ContentCache`](middleware::ContentCache) replaces the user's
+//! private cache. A deterministic event queue keyed by `(ready time,
+//! island-local user index)` decides who transacts next; local indices
+//! follow global index order, so ties resolve as under global keys, and
+//! an event finds its user by direct indexing. A user holds only its
+//! current session's steps and generates the next session when those
+//! run out.
 //!
 //! An island's gateways, cells and users come in closed form from the
 //! topology's modulo wiring ([`Topology::island`]), so building every
@@ -45,32 +59,36 @@
 //! gateway and the host. The waits those admissions return are folded
 //! into the transaction's latency and the user's clock. A zero-service
 //! stage never touches its server, so with one user — or no overlap —
-//! every wait is exactly zero and the shared world reproduces the
-//! legacy per-user world bit for bit (pinned by
-//! `tests/shared_world_props.rs`).
+//! every wait is exactly zero and an island reproduces the user's
+//! private world, [`Scenario::run_user`], bit for bit (pinned by
+//! `tests/fleet_props.rs` and `tests/merge_props.rs`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::mpsc;
 use std::thread;
 
 use hostsite::db::Database;
 use hostsite::HostComputer;
 use middleware::ContentCache;
+use obs::recorder::DEFAULT_RING_CAPACITY;
 use obs::timeseries::{SeriesId, SeriesKind, Telemetry};
-use obs::Recorder;
+use obs::{Recorder, RingScratch};
 use simnet::contend::{DetQueue, FcfsServer};
 use simnet::rng::{rng_for_indexed, sub_seed};
 use wireless::CellAirtime;
 
 use crate::apps::{for_category, Application, Step};
-use crate::fleet::{RecorderKind, Scenario, UserTrace};
+use crate::fleet::{FleetTrace, RecorderKind, RunConfig, Scenario, ShardScratch, UserTrace};
+use crate::merge::{FleetMerger, TraceMerger};
 use crate::report::{TransactionReport, WorkloadCounters};
 use crate::system::{CommerceSystem, McSystem};
-use crate::topology::Topology;
+use crate::topology::{Island, Topology};
 use crate::workload::check_expectation;
 
-/// Contention telemetry a shared-world run accumulates, merged across
-/// islands in island-index order (deterministic at any thread count).
+/// Contention telemetry a fleet run accumulates. Every field is an
+/// integer sum or maximum, so the merge across islands and workers is
+/// exact in any order (deterministic at any thread count).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ContentionStats {
     /// Transactions executed across the shared world.
@@ -89,7 +107,8 @@ pub struct ContentionStats {
     pub gateway_cache_hits: u64,
     /// Shared gateway-cache lookups that missed.
     pub gateway_cache_misses: u64,
-    /// Islands the world decomposed into.
+    /// Islands the engine ran: `0..min(hosts, users)`, empty ones
+    /// included.
     pub islands: u64,
     /// The latest user sim-clock at the end of the run, nanoseconds.
     pub horizon_ns: u64,
@@ -110,7 +129,7 @@ impl ContentionStats {
         self.gateway_cache_hits as f64 / total as f64
     }
 
-    /// Folds another island's stats into this one (island order!).
+    /// Folds another island's or worker's stats into this one.
     pub fn merge(&mut self, other: &ContentionStats) {
         self.transactions += other.transactions;
         self.contended_transactions += other.contended_transactions;
@@ -123,21 +142,6 @@ impl ContentionStats {
         self.islands += other.islands;
         self.horizon_ns = self.horizon_ns.max(other.horizon_ns);
     }
-}
-
-/// What one island's simulation produces.
-pub(crate) struct IslandOutcome {
-    pub counters: WorkloadCounters,
-    /// `(global user index, trace)` pairs, present iff tracing was on.
-    pub traces: Vec<(u64, UserTrace)>,
-    /// Island-level metrics (users interleave inside an island, so
-    /// metrics are per island, merged in island order).
-    pub metrics: Option<obs::Metrics>,
-    pub stats: ContentionStats,
-    /// Fixed-bin resource series, present iff telemetry was on. Series
-    /// names embed global resource indices, so island sets are disjoint
-    /// and merge into one canonical fleet-wide set.
-    pub telemetry: Option<Telemetry>,
 }
 
 /// The island's registered series handles plus the host queue-depth
@@ -254,133 +258,229 @@ impl UserState {
     }
 }
 
-/// Runs every island of the shared world across `threads` OS threads,
-/// returning island outcomes in island-index order.
+/// What a fleet run merges into: counters, contention stats, and — when
+/// captured — the trace and the time-series.
+pub(crate) struct FleetTotals {
+    pub counters: WorkloadCounters,
+    pub stats: ContentionStats,
+    pub trace: Option<FleetTrace>,
+    pub telemetry: Option<Telemetry>,
+}
+
+/// Runs islands `0..islands` across `config.threads` OS threads, each
+/// taking a contiguous range. Island traces stream to a [`TraceMerger`]
+/// as the islands finish; worker totals fold in worker-index order.
 pub(crate) fn run_islands(
     scenario: &Scenario,
     topology: &Topology,
-    threads: usize,
-    traced: bool,
-    recorder: RecorderKind,
-    telemetry_bin_ns: Option<u64>,
-) -> Vec<IslandOutcome> {
-    let islands = topology.host_count();
-    let workers = threads.clamp(1, islands.max(1) as usize);
-    let chunk = islands.div_ceil(workers as u64).max(1);
-
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers as u64)
+    islands: u64,
+    config: RunConfig,
+) -> FleetTotals {
+    let workers = config.threads as u64;
+    let chunk = islands.div_ceil(workers).max(1);
+    let mut traces = config
+        .traced
+        .then(|| TraceMerger::for_users(scenario.users));
+    let finished: Vec<WorkerTotals> = thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel::<Vec<(u64, UserTrace)>>();
+        let handles: Vec<_> = (0..workers)
             .map(|worker| {
-                let scenario = &*scenario;
-                let topology = &*topology;
+                let tx = tx.clone();
                 scope.spawn(move || {
+                    let mut worker_state = Worker::new(scenario, topology, config);
                     let lo = worker * chunk;
-                    let hi = (lo + chunk).min(islands);
-                    (lo..hi)
-                        .map(|island| {
-                            run_island(
-                                scenario,
-                                topology,
-                                island,
-                                traced,
-                                recorder,
-                                telemetry_bin_ns,
-                            )
-                        })
-                        .collect::<Vec<_>>()
+                    for island in lo..(lo + chunk).min(islands) {
+                        if let Some(island_traces) = worker_state.run_island(island) {
+                            // The receiver outlives the scope, so a send
+                            // only fails after a coordinator panic.
+                            let _ = tx.send(island_traces);
+                        }
+                    }
+                    worker_state.finish()
                 })
             })
             .collect();
+        drop(tx);
+        // Users arrive island by island; the merger's reorder buffer
+        // restores global user-index order. The channel closes when the
+        // last worker drops its sender.
+        for island_traces in rx {
+            let merger = traces.as_mut().expect("only traced runs send traces");
+            for (user, trace) in island_traces {
+                merger.push(user, trace);
+            }
+        }
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("island worker panicked"))
+            .map(|h| h.join().expect("island worker panicked"))
             .collect()
-    })
-}
-
-/// Simulates one island sequentially and deterministically.
-fn run_island(
-    scenario: &Scenario,
-    topology: &Topology,
-    island: u64,
-    traced: bool,
-    recorder: RecorderKind,
-    telemetry_bin_ns: Option<u64>,
-) -> IslandOutcome {
-    let members = topology.island(island, scenario.users);
-    let mut stats = ContentionStats {
-        islands: 1,
-        ..ContentionStats::default()
-    };
-    if members.users.is_empty() {
-        return IslandOutcome {
-            counters: WorkloadCounters::default(),
-            traces: Vec::new(),
-            metrics: traced.then(obs::Metrics::default),
-            stats,
-            telemetry: telemetry_bin_ns.map(Telemetry::new),
-        };
-    }
-
-    let app = for_category(scenario.app);
-
-    // The island's shared host: built exactly as the legacy engine
-    // builds user `island`'s private host (same seed, application, cache
-    // and durability policy), so a one-host, one-user world is
-    // bit-identical to legacy user 0.
-    let mut shared_host = scenario.system_for_user(island).host;
-
-    // The island's shared infrastructure, indexed locally. Local order
-    // follows global index order, so resource identity is canonical.
-    let mut cell_air: Vec<CellAirtime> =
-        members.cells.iter().map(|_| CellAirtime::new()).collect();
-    let mut gateway_cpu: Vec<FcfsServer> =
-        members.gateways.iter().map(|_| FcfsServer::new()).collect();
-    let mut gateway_caches: Vec<Option<ContentCache>> = members
-        .gateways
-        .iter()
-        .map(|_| {
-            (scenario.cache.enabled && scenario.cache.gateway_ttl > simnet::SimDuration::ZERO)
-                .then(|| {
-                    ContentCache::new(
-                        scenario.cache.gateway_ttl.as_nanos(),
-                        scenario.cache.byte_budget,
-                    )
-                })
-        })
-        .collect();
-    let mut host = HostLanes {
-        cpu: FcfsServer::new(),
-        wal: FcfsServer::new(),
-    };
-    let mut telemetry = telemetry_bin_ns.map(|bin_ns| {
-        IslandTelemetry::new(
-            bin_ns,
-            island,
-            &members.cells,
-            &members.gateways,
-            !scenario.durability.is_zero_cost(),
-        )
     });
 
-    // Per-user state: the private system (station, battery, RNG streams
-    // — exactly the legacy per-user build, around an empty host the
-    // island's host always stands in for) plus the session cursor. The
-    // island owns one scratch; memo hits replay byte-identically.
-    let scratch = crate::fleet::ShardScratch::new();
-    let mut states: Vec<UserState> = members
-        .users
-        .iter()
-        .map(|&(user, cell)| {
+    let mut counters = FleetMerger::new();
+    let mut stats = ContentionStats::default();
+    let mut metrics = obs::Metrics::default();
+    let mut telemetry = config.telemetry_bin_ns.map(Telemetry::new);
+    for (worker, totals) in finished.into_iter().enumerate() {
+        counters.push_counters(worker as u64, totals.counters);
+        stats.merge(&totals.stats);
+        if let Some(m) = &totals.metrics {
+            metrics.merge(m);
+        }
+        // Island series are disjoint (names embed global resource
+        // indices) and bins merge commutatively, so fold order is
+        // irrelevant — the export walks names canonically anyway.
+        if let (Some(merged), Some(t)) = (telemetry.as_mut(), totals.telemetry) {
+            merged.merge(t);
+        }
+    }
+    FleetTotals {
+        counters: counters.finish(),
+        stats,
+        trace: traces.map(|merger| {
+            let mut trace = merger.finish();
+            trace.metrics.merge(&metrics);
+            trace
+        }),
+        telemetry,
+    }
+}
+
+/// A worker's running totals, handed back when its islands are done.
+struct WorkerTotals {
+    counters: WorkloadCounters,
+    stats: ContentionStats,
+    /// The worker's metrics scope, drained once (iff traced).
+    metrics: Option<obs::Metrics>,
+    telemetry: Option<Telemetry>,
+}
+
+/// One worker thread's state across its range of islands: what lives
+/// as long as the worker, plus per-island buffers cleared and refilled
+/// for each island so that an island allocates only what is its own —
+/// its host, its users' systems and sessions.
+struct Worker<'a> {
+    scenario: &'a Scenario,
+    topology: &'a Topology,
+    config: RunConfig,
+    app: Box<dyn Application>,
+    scratch: ShardScratch,
+    /// The ring buffer behind each island's first recorder — every
+    /// user's, on the isolated topology. Users of a shared island
+    /// record side by side, so the others get rings of their own.
+    ring: RingScratch,
+    /// Held for the worker's lifetime when traced: one metrics scope.
+    metrics_guard: Option<obs::metrics::MetricsGuard>,
+    totals: WorkerTotals,
+    // Per-island buffers.
+    members: Island,
+    cell_air: Vec<CellAirtime>,
+    gateway_cpu: Vec<FcfsServer>,
+    gateway_caches: Vec<Option<ContentCache>>,
+    states: Vec<UserState>,
+    queue: DetQueue,
+}
+
+impl<'a> Worker<'a> {
+    fn new(scenario: &'a Scenario, topology: &'a Topology, config: RunConfig) -> Self {
+        Worker {
+            scenario,
+            topology,
+            config,
+            app: for_category(scenario.app),
+            scratch: ShardScratch::new(),
+            ring: RingScratch::default(),
+            metrics_guard: config.traced.then(obs::metrics::enable),
+            totals: WorkerTotals {
+                counters: WorkloadCounters::default(),
+                stats: ContentionStats::default(),
+                metrics: None,
+                telemetry: config.telemetry_bin_ns.map(Telemetry::new),
+            },
+            members: Island::default(),
+            cell_air: Vec::new(),
+            gateway_cpu: Vec::new(),
+            gateway_caches: Vec::new(),
+            states: Vec::new(),
+            queue: DetQueue::new(),
+        }
+    }
+
+    /// Closes the metrics scope and hands back the running totals.
+    fn finish(mut self) -> WorkerTotals {
+        if let Some(guard) = self.metrics_guard.take() {
+            drop(guard);
+            self.totals.metrics = Some(obs::metrics::take());
+        }
+        self.totals
+    }
+
+    /// Simulates one island sequentially and deterministically, folding
+    /// it into the worker's totals. Returns the island's
+    /// `(global user index, trace)` pairs in ascending user order when
+    /// tracing a non-empty island.
+    fn run_island(&mut self, island: u64) -> Option<Vec<(u64, UserTrace)>> {
+        let scenario = self.scenario;
+        let app = self.app.as_ref();
+        self.totals.stats.islands += 1;
+        self.topology
+            .fill_island(island, scenario.users, &mut self.members);
+        let members = &self.members;
+        if members.users.is_empty() {
+            return None;
+        }
+
+        // The island's shared host: exactly user `island`'s private host
+        // (same seed, application, cache and durability policy), so a
+        // one-user island is bit-identical to that user's private world.
+        let mut shared_host = scenario.host_for(island);
+
+        // The island's shared infrastructure, indexed locally. Local
+        // order follows global index order, so resource identity is
+        // canonical.
+        self.cell_air.clear();
+        self.cell_air
+            .resize_with(members.cells.len(), CellAirtime::new);
+        self.gateway_cpu.clear();
+        self.gateway_cpu
+            .resize_with(members.gateways.len(), FcfsServer::new);
+        let cache = scenario.cache;
+        let gateway_cached = cache.enabled && cache.gateway_ttl > simnet::SimDuration::ZERO;
+        self.gateway_caches.clear();
+        self.gateway_caches.resize_with(members.gateways.len(), || {
+            gateway_cached
+                .then(|| ContentCache::new(cache.gateway_ttl.as_nanos(), cache.byte_budget))
+        });
+        let mut host = HostLanes {
+            cpu: FcfsServer::new(),
+            wal: FcfsServer::new(),
+        };
+        let mut telemetry = self.config.telemetry_bin_ns.map(|bin_ns| {
+            IslandTelemetry::new(
+                bin_ns,
+                island,
+                &members.cells,
+                &members.gateways,
+                !scenario.durability.is_zero_cost(),
+            )
+        });
+
+        // Per-user state: the private system (station, battery, RNG
+        // streams, around an empty host the island's host always stands
+        // in for) plus the session cursor. Memo hits replay
+        // byte-identically, so the worker's scratch serves every island.
+        for (local, &(user, cell)) in members.users.iter().enumerate() {
             let mut system = scenario.system_on(user, HostComputer::new(Database::new(), 0));
-            scratch.attach(&mut system);
-            if traced {
-                system.set_recorder(match recorder {
+            self.scratch.attach(&mut system);
+            if self.config.traced {
+                system.set_recorder(match self.config.recorder {
+                    RecorderKind::Ring if local == 0 => {
+                        Recorder::ring_recycled(DEFAULT_RING_CAPACITY, user, &mut self.ring)
+                    }
                     RecorderKind::Ring => Recorder::ring_for_user(user),
                     RecorderKind::Disabled => Recorder::Disabled,
                 });
             }
-            UserState {
+            self.states.push(UserState {
                 cell,
                 gateway: members.cell_gateway[cell],
                 system,
@@ -390,106 +490,107 @@ fn run_island(
                 steps: Vec::new().into_iter(),
                 retry_rng: (!scenario.retry.is_none())
                     .then(|| rng_for_indexed(scenario.seed, "fleet.retry", user)),
+            });
+        }
+
+        // The deterministic event loop: earliest ready time first, user
+        // index breaking ties. Events are keyed by the island-local
+        // index, which indexes `states` directly. `Island::users`
+        // ascends in global index (pinned against an ascending scan by
+        // the topology test `closed_form_membership_equals_the_filter_scan`),
+        // so local order is global order and ties pop exactly as under
+        // global keys. Each user has at most one outstanding event, so
+        // keys are unique. The loop drains the queue, which is then
+        // ready for the next island.
+        let queue = &mut self.queue;
+        for (local, state) in self.states.iter_mut().enumerate() {
+            if state.has_work(scenario, app) {
+                queue.push(state.system.sim_clock_ns(), local as u64);
             }
-        })
-        .collect();
-
-    let metrics_guard = traced.then(obs::metrics::enable);
-
-    // The deterministic event loop: earliest ready time first, user
-    // index breaking ties. Events are keyed by the island-local index,
-    // which indexes `states` directly. `Island::users` ascends in global
-    // index (pinned against an ascending scan by the topology test
-    // `closed_form_membership_equals_the_filter_scan`), so local order is
-    // global order and ties pop exactly as under global keys. Each user
-    // has at most one outstanding event, so keys are unique.
-    let mut queue = DetQueue::new();
-    for (local, state) in states.iter_mut().enumerate() {
-        if state.has_work(scenario, app.as_ref()) {
-            queue.push(state.system.sim_clock_ns(), local as u64);
         }
-    }
-    let mut counters = WorkloadCounters::default();
-    while let Some((_, local)) = queue.pop() {
-        let state = &mut states[local as usize];
-        if state.think {
-            state.think = false;
-            state.system.idle(scenario.think_secs);
-        } else {
-            let step = state.steps.next().expect("scheduled user has work");
-            let t0_ns = state.system.sim_clock_ns();
-            let cache_before = telemetry
-                .as_ref()
-                .map(|_| cache_counters(&gateway_caches[state.gateway]));
-            let mut report = execute_shared(
-                state,
-                &step,
-                scenario,
-                &mut shared_host,
-                &mut gateway_caches,
-            );
-            if let (Some(tele), Some((hits0, lookups0))) = (&mut telemetry, cache_before) {
-                let (hits, lookups) = cache_counters(&gateway_caches[state.gateway]);
-                let id = tele.gw_cache[state.gateway];
-                tele.t.record_rate(id, t0_ns, hits - hits0, lookups - lookups0);
+        let stats = &mut self.totals.stats;
+        while let Some((_, local)) = queue.pop() {
+            let state = &mut self.states[local as usize];
+            if state.think {
+                state.think = false;
+                state.system.idle(scenario.think_secs);
+            } else {
+                let step = state.steps.next().expect("scheduled user has work");
+                let t0_ns = state.system.sim_clock_ns();
+                let cache_before = telemetry
+                    .as_ref()
+                    .map(|_| cache_counters(&self.gateway_caches[state.gateway]));
+                let mut report = execute_shared(
+                    state,
+                    &step,
+                    scenario,
+                    &mut shared_host,
+                    &mut self.gateway_caches,
+                );
+                if let (Some(tele), Some((hits0, lookups0))) = (&mut telemetry, cache_before) {
+                    let (hits, lookups) = cache_counters(&self.gateway_caches[state.gateway]);
+                    let id = tele.gw_cache[state.gateway];
+                    tele.t
+                        .record_rate(id, t0_ns, hits - hits0, lookups - lookups0);
+                }
+                check_expectation(&mut report, &step);
+                charge_contention(
+                    state,
+                    &mut report,
+                    &mut self.cell_air,
+                    &mut self.gateway_cpu,
+                    &mut host,
+                    stats,
+                    telemetry.as_mut(),
+                );
+                self.totals.counters.record(&report);
             }
-            check_expectation(&mut report, &step);
-            charge_contention(
-                state,
-                &mut report,
-                &mut cell_air,
-                &mut gateway_cpu,
-                &mut host,
-                &mut stats,
-                telemetry.as_mut(),
-            );
-            counters.record(&report);
+            if state.has_work(scenario, app) {
+                queue.push(state.system.sim_clock_ns(), local);
+            }
         }
-        if state.has_work(scenario, app.as_ref()) {
-            queue.push(state.system.sim_clock_ns(), local);
+
+        for cache in self.gateway_caches.iter().flatten() {
+            stats.gateway_cache_hits += cache.hits();
+            stats.gateway_cache_misses += cache.misses();
         }
-    }
+        for cell in &self.cell_air {
+            stats.cell_busy_ns += cell.busy_ns();
+        }
+        for state in &self.states {
+            stats.horizon_ns = stats.horizon_ns.max(state.system.sim_clock_ns());
+        }
+        if let (Some(merged), Some(tele)) = (self.totals.telemetry.as_mut(), telemetry) {
+            merged.merge(tele.t);
+        }
 
-    drop(metrics_guard);
-    let metrics = traced.then(obs::metrics::take);
-
-    for cache in gateway_caches.iter().flatten() {
-        stats.gateway_cache_hits += cache.hits();
-        stats.gateway_cache_misses += cache.misses();
-    }
-    for cell in &cell_air {
-        stats.cell_busy_ns += cell.busy_ns();
-    }
-    for state in &states {
-        stats.horizon_ns = stats.horizon_ns.max(state.system.sim_clock_ns());
-    }
-
-    let traces = if traced {
-        states
-            .iter_mut()
-            .zip(&members.users)
-            .map(|(state, &(user, _))| {
-                let (events, dumps) = state.system.take_recorder().into_parts();
-                (
-                    user,
-                    UserTrace {
-                        events,
-                        dumps,
-                        metrics: obs::Metrics::default(),
-                    },
-                )
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    IslandOutcome {
-        counters,
-        traces,
-        metrics,
-        stats,
-        telemetry: telemetry.map(|tele| tele.t),
+        let traces = self.config.traced.then(|| {
+            let ring = &mut self.ring;
+            self.states
+                .iter_mut()
+                .zip(&members.users)
+                .enumerate()
+                .map(|(local, (state, &(user, _)))| {
+                    let recorder = state.system.take_recorder();
+                    let (events, dumps) = if local == 0 {
+                        recorder.into_parts_recycling(ring)
+                    } else {
+                        recorder.into_parts()
+                    };
+                    (
+                        user,
+                        UserTrace {
+                            events,
+                            dumps,
+                            metrics: obs::Metrics::default(),
+                        },
+                    )
+                })
+                .collect()
+        });
+        // Between islands the buffer is empty but keeps its capacity.
+        self.states.clear();
+        traces
     }
 }
 
@@ -615,7 +716,7 @@ fn charge_contention(
         report.breakdown.host_secs += host_wait as f64 / 1e9;
         // The user's clock moves past the waits (idle battery draw,
         // like any other waiting) — an uncontended transaction skips
-        // this entirely, preserving bit-identity with the legacy world.
+        // this entirely, preserving bit-identity with a private world.
         state.system.idle(total_wait as f64 / 1e9);
     }
 }

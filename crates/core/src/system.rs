@@ -182,6 +182,18 @@ impl CachePolicy {
         self.gateway_ttl = ttl;
         self
     }
+
+    /// The host half of the policy: configures `host`'s page cache and
+    /// switches its database's query cache.
+    fn configure_host(&self, host: &mut HostComputer) {
+        if self.enabled && self.host_ttl > SimDuration::ZERO {
+            host.web
+                .configure_page_cache(self.host_ttl.as_nanos(), self.byte_budget);
+        } else {
+            host.web.disable_page_cache();
+        }
+        host.web.db_mut().set_query_cache(self.enabled);
+    }
 }
 
 /// A typed, declarative description of every knob an [`McSystem`] is
@@ -311,8 +323,16 @@ impl SystemSpec {
     }
 
     /// Assembles the live system around `host` (which should already
-    /// have its application programs installed).
-    pub fn build(&self, host: HostComputer) -> McSystem {
+    /// have its application programs installed), applying the spec's
+    /// cache and durability policies to the host first.
+    pub fn build(&self, mut host: HostComputer) -> McSystem {
+        provision_host(&mut host, self.cache, self.durability);
+        self.assemble(host)
+    }
+
+    /// The station, middleware and network half of [`SystemSpec::build`]:
+    /// assembles the system around `host` without touching it.
+    pub(crate) fn assemble(&self, host: HostComputer) -> McSystem {
         let mut system = McSystem::assemble(
             host,
             self.middleware.build(),
@@ -323,13 +343,25 @@ impl SystemSpec {
         );
         system.set_secure(self.secure);
         if self.cache.enabled {
-            system.set_cache_policy(self.cache);
+            system.set_gateway_cache_policy(self.cache);
         }
-        // Seed rows written before build() committed under the default
-        // policy and are already durable; only new commits batch.
-        system.host.web.db_mut().set_durability(self.durability);
         system
     }
+}
+
+/// The host half of [`SystemSpec::build`]: configures `host`'s page and
+/// query caches (only when `cache` is enabled) and its durability.
+pub(crate) fn provision_host(
+    host: &mut HostComputer,
+    cache: CachePolicy,
+    durability: DurabilityPolicy,
+) {
+    if cache.enabled {
+        cache.configure_host(host);
+    }
+    // Seed rows written before provisioning committed under the default
+    // policy and are already durable; only new commits batch.
+    host.web.db_mut().set_durability(durability);
 }
 
 /// The mobile station's aggregate state inside an [`McSystem`].
@@ -476,6 +508,12 @@ impl McSystem {
     /// gateway content cache and configures the host's page and query
     /// caches. Replacing the policy drops anything previously cached.
     pub fn set_cache_policy(&mut self, policy: CachePolicy) {
+        self.set_gateway_cache_policy(policy);
+        policy.configure_host(&mut self.host);
+    }
+
+    /// The gateway half of [`McSystem::set_cache_policy`].
+    fn set_gateway_cache_policy(&mut self, policy: CachePolicy) {
         self.cache = policy;
         self.gateway_cache = if policy.enabled && policy.gateway_ttl > SimDuration::ZERO {
             Some(ContentCache::new(
@@ -485,14 +523,6 @@ impl McSystem {
         } else {
             None
         };
-        if policy.enabled && policy.host_ttl > SimDuration::ZERO {
-            self.host
-                .web
-                .configure_page_cache(policy.host_ttl.as_nanos(), policy.byte_budget);
-        } else {
-            self.host.web.disable_page_cache();
-        }
-        self.host.web.db_mut().set_query_cache(policy.enabled);
     }
 
     /// The cache policy in force (disabled by default).

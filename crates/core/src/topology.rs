@@ -2,10 +2,10 @@
 //!
 //! The paper's architecture chains stations through a wireless cell, a
 //! WAP gateway and the wired WAN to a host computer. Under light load
-//! each user may as well own that whole chain — the legacy per-user
-//! world. Under *heavy traffic* (ROADMAP item 1) the chain is shared:
-//! many stations contend for one cell's airtime, one gateway transcodes
-//! for everyone behind it, one host serves the population.
+//! each user may as well own that whole chain. Under *heavy traffic*
+//! (ROADMAP item 1) the chain is shared: many stations contend for one
+//! cell's airtime, one gateway transcodes for everyone behind it, one
+//! host serves the population.
 //!
 //! A [`Topology`] describes that sharing declaratively: how many cells,
 //! gateways and hosts exist, and how users are placed into cells. The
@@ -15,8 +15,9 @@
 //! pure function of `(topology, user index, user count)`, never of
 //! threads. Islands are what the fleet engine parallelises over.
 //!
-//! [`Topology::isolated`] is the degenerate one-user-per-world topology:
-//! the legacy engine, bit for bit.
+//! [`Topology::isolated`] is the degenerate case: a cell, a gateway and
+//! a host per user, which the same wiring turns into one island per
+//! user.
 
 /// How users are assigned to cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -32,7 +33,7 @@ pub enum Placement {
 /// The members of one island, each list in ascending global index
 /// order (so local indices are canonical), computed in closed form from
 /// the modulo wiring and the placement by [`Topology::island`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Island {
     /// Global indices of the island's gateways.
     pub gateways: Vec<u64>,
@@ -60,10 +61,10 @@ pub struct Island {
 ///     .placement(Placement::RoundRobin);
 /// assert!(topo.is_shared());
 /// assert_eq!(topo.island_of_user(7, 8), 0, "one host ⇒ one island");
+/// assert_eq!(Topology::isolated().island_of_user(7, 8), 7, "an island per user");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
-    shared: bool,
     cells: u64,
     gateways: u64,
     hosts: u64,
@@ -77,16 +78,16 @@ impl Default for Topology {
 }
 
 impl Topology {
-    /// The legacy degenerate topology: every user owns a private world
-    /// (own host, own gateway, own cell). This is the default, and runs
-    /// the exact per-user engine.
+    /// Every user owns a private world: a cell, a gateway and a host of
+    /// its own. This is the default. Each count is `u64::MAX`, so the
+    /// modulo wiring maps user *u* to cell *u*, gateway *u* and host *u*:
+    /// one island per user, which never queues.
     #[must_use]
     pub fn isolated() -> Self {
         Topology {
-            shared: false,
-            cells: 1,
-            gateways: 1,
-            hosts: 1,
+            cells: u64::MAX,
+            gateways: u64::MAX,
+            hosts: u64::MAX,
             placement: Placement::RoundRobin,
         }
     }
@@ -96,8 +97,10 @@ impl Topology {
     #[must_use]
     pub fn shared() -> Self {
         Topology {
-            shared: true,
-            ..Topology::isolated()
+            cells: 1,
+            gateways: 1,
+            hosts: 1,
+            placement: Placement::RoundRobin,
         }
     }
 
@@ -129,9 +132,10 @@ impl Topology {
         self
     }
 
-    /// Whether this topology shares infrastructure between users.
+    /// Whether this topology shares infrastructure between users: false
+    /// only when every count is per-user, as in [`Topology::isolated`].
     pub fn is_shared(&self) -> bool {
-        self.shared
+        self.cells.min(self.gateways).min(self.hosts) != u64::MAX
     }
 
     /// Number of cells.
@@ -144,8 +148,9 @@ impl Topology {
         self.gateways
     }
 
-    /// Number of hosts — which is also the number of islands the engine
-    /// can execute in parallel.
+    /// Number of hosts, which is also the number of islands
+    /// (`u64::MAX`, one per user, on [`Topology::isolated`]). The engine
+    /// runs islands `0..min(hosts, users)`; every later one is empty.
     pub fn host_count(&self) -> u64 {
         self.hosts
     }
@@ -192,16 +197,23 @@ impl Topology {
     /// (plus one step per run of cells or users), never a scan of the
     /// whole world — an island above the gateway count is simply empty.
     pub fn island(&self, island: u64, users: u64) -> Island {
-        let mut members = Island {
-            gateways: (island..self.gateways)
-                .step_by(self.hosts as usize)
-                .collect(),
-            cells: Vec::new(),
-            cell_gateway: Vec::new(),
-            users: Vec::new(),
-        };
+        let mut members = Island::default();
+        self.fill_island(island, users, &mut members);
+        members
+    }
+
+    /// [`Topology::island`] into `members`, reusing its buffers: the
+    /// fleet engine refills one `Island` per worker thread.
+    pub(crate) fn fill_island(&self, island: u64, users: u64, members: &mut Island) {
+        members.gateways.clear();
+        members.cells.clear();
+        members.cell_gateway.clear();
+        members.users.clear();
+        members
+            .gateways
+            .extend((island..self.gateways).step_by(self.hosts as usize));
         if members.gateways.is_empty() {
-            return members;
+            return;
         }
         for base in (0..self.cells).step_by(self.gateways as usize) {
             for (local, &g) in members.gateways.iter().enumerate() {
@@ -238,7 +250,6 @@ impl Topology {
                 }
             }
         }
-        members
     }
 }
 
@@ -247,10 +258,46 @@ mod tests {
     use super::*;
 
     #[test]
-    fn the_default_is_the_isolated_legacy_world() {
+    fn the_default_is_the_isolated_world() {
         assert_eq!(Topology::default(), Topology::isolated());
         assert!(!Topology::isolated().is_shared());
         assert!(Topology::shared().is_shared());
+        // Any finite count shares something between some users.
+        assert!(Topology::isolated().cells(4).is_shared());
+        assert!(Topology::isolated().hosts(1_000).is_shared());
+    }
+
+    #[test]
+    fn the_isolated_topology_is_one_island_per_user() {
+        for placement in [Placement::RoundRobin, Placement::Blocked] {
+            let t = Topology::isolated().placement(placement);
+            assert!(!t.is_shared());
+            for users in [1u64, 2, 7, 1_000] {
+                for user in [0, users / 2, users - 1] {
+                    assert_eq!(t.island_of_user(user, users), user);
+                    assert_eq!(
+                        t.island(user, users),
+                        Island {
+                            gateways: vec![user],
+                            cells: vec![user],
+                            cell_gateway: vec![0],
+                            users: vec![(user, 0)],
+                        }
+                    );
+                }
+                assert!(t.island(users, users).users.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn refilling_an_island_matches_a_fresh_one() {
+        let t = Topology::shared().cells(6).gateways(3).hosts(2);
+        let mut reused = t.island(0, 40);
+        for island in [1, 0, 1] {
+            t.fill_island(island, 13, &mut reused);
+            assert_eq!(reused, t.island(island, 13));
+        }
     }
 
     #[test]

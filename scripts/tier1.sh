@@ -3,12 +3,15 @@
 #
 #   build (release)  — the crates compile with optimisations, as the
 #                      report binary and benches are actually run;
-#   test (root pkg)  — the `mcommerce` facade's unit + integration
-#                      tests, including the fleet determinism
-#                      properties in tests/fleet_props.rs, the trace
-#                      determinism properties in tests/trace_props.rs,
-#                      and the fault-injection properties in
-#                      tests/fault_props.rs;
+#   test (workspace) — every crate's unit, integration and doc tests:
+#                      the `mcommerce` facade's suites (the fleet
+#                      determinism properties in tests/fleet_props.rs,
+#                      the trace determinism properties in
+#                      tests/trace_props.rs, the fault-injection
+#                      properties in tests/fault_props.rs) and each
+#                      crate's own, such as the fleet engine's and the
+#                      topology's unit tests and the memo and
+#                      island-membership properties;
 #   clippy (-D warnings, whole workspace) — lints are errors;
 #   bench (compile)  — the Criterion benches build;
 #   report smoke     — the F4 engine experiment runs end to end and
@@ -35,7 +38,7 @@
 #                      latency is non-decreasing in population (the
 #                      knee), the shared gateway cache's hit rate
 #                      grows with population, the 1-user shared world
-#                      is byte-identical to the legacy per-user world,
+#                      is byte-identical to the per-user world,
 #                      and every sweep point is byte-identical at
 #                      1/2/4 threads;
 #   telemetry smoke  — the F10 fleet-telemetry experiment runs end to
@@ -97,7 +100,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::perf
 cargo bench --no-run
 cargo run --release -p bench --bin report -- --quick --f4
@@ -235,7 +238,7 @@ assert doc["identical_across_threads"] is True
 pops, threads, cells = doc["populations"], doc["threads"], doc["cells"]
 assert len(cells) == len(pops) * len(threads), "F9 grid incomplete"
 for key in ("users", "threads", "wall_secs", "transactions", "tps",
-            "events", "events_per_sec", "peak_rss_bytes", "digest"):
+            "peak_rss_bytes", "digest"):
     assert all(key in c for c in cells), f"F9 cell missing {key}"
 for pop in pops:
     digests = {c["digest"] for c in cells if c["users"] == pop}
@@ -247,9 +250,9 @@ for c in cells:
         assert c["peak_rss_bytes"] < 128 * 1024 * 1024, (
             f"peak RSS {c['peak_rss_bytes']} exceeds the 128 MB budget at 100k users"
         )
-best = max(c["events_per_sec"] for c in cells)
+best = max(c["tps"] for c in cells)
 print(f"scale gate: {len(cells)}-cell grid complete; digests identical at every "
-      f"population; 100k-user RSS under 128 MB; best {best:,.0f} events/s")
+      f"population; 100k-user RSS under 128 MB; best {best:,.0f} txns/s")
 PY
 cargo run --release -p bench --bin report -- --quick --f11
 python3 -m json.tool BENCH_db.json > /dev/null

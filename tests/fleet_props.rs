@@ -1,6 +1,8 @@
 //! Property tests for the fleet engine's determinism contract (DESIGN.md
 //! §2.10): for any scenario, the merged [`FleetSummary`] is bit-for-bit
-//! identical whether the users run on 1, 2, or 8 shards.
+//! identical whether the users run on 1, 2, or 8 shards — and on the
+//! isolated topology it equals the per-user reference,
+//! `Scenario::run_user`, summed over the users.
 //!
 //! This is the load-bearing invariant behind running experiments in
 //! parallel at all — if it held only for hand-picked configurations, no
@@ -8,7 +10,11 @@
 
 use proptest::prelude::*;
 
-use mcommerce::core::{Category, FleetReport, FleetRunner, MiddlewareKind, Scenario};
+use mcommerce::core::{
+    CachePolicy, Category, FleetReport, FleetRunner, MiddlewareKind, Scenario, WorkloadCounters,
+};
+use mcommerce::faults::{FaultPlan, RetryPolicy};
+use mcommerce::simnet::SimDuration;
 
 // The property bodies predate the FleetRunner API; this shim keeps them
 // readable while exercising the replacement entry point.
@@ -43,23 +49,63 @@ proptest! {
         // Sanity: the fleet actually did work.
         prop_assert!(one.transactions() >= users);
     }
+}
+
+/// A storm for `seed`, its windows spread over the users' first 40 s.
+fn storm(seed: u64) -> FaultPlan {
+    FaultPlan::storm(seed ^ 0x5eed, SimDuration::from_secs(40), 1.5)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
     fn single_user_fleet_matches_a_hand_built_system(
-        seed in any::<u64>(),
+        users in 1..7u64,
+        think in 0..3u8,
         secure in any::<bool>(),
+        seed in any::<u64>(),
     ) {
-        // The Scenario's one-user convenience `system()` and the fleet
-        // path must describe the same world: running user 0 by hand
-        // produces exactly the counters the 1-user fleet reports.
-        use mcommerce::core::WorkloadCounters;
-        let scenario = Scenario::new("solo").secure(secure).seed(seed);
-        let fleet_counters = run_on(&scenario, 1)
-            .summary
-            .workload
-            .counters;
-        let mut by_hand = WorkloadCounters::default();
-        scenario.run_user(0, &mut by_hand);
-        prop_assert_eq!(fleet_counters, by_hand);
+        // The isolated topology is one island per user, so the fleet
+        // must count exactly what each user's private world counts:
+        // `Scenario::run_user`, summed over the users, at any thread
+        // count — for every application and every engine feature.
+        for category in Category::ALL {
+            for variant in 0..6 {
+                let base = Scenario::new("solo")
+                    .app(category)
+                    .users(users)
+                    .sessions_per_user(2)
+                    .think_time(f64::from(think) * 2.0)
+                    .secure(secure)
+                    .seed(seed);
+                let scenario = match variant {
+                    0 => base,
+                    1 => base.cache(CachePolicy::standard()),
+                    2 => base.faults(storm(seed)),
+                    3 => base
+                        .faults(storm(seed))
+                        .retry(RetryPolicy::standard())
+                        .fallback_middleware(MiddlewareKind::WapTextual),
+                    4 => base.search_heavy(true),
+                    _ => base.search_heavy(true).cache(CachePolicy::standard()),
+                };
+                let mut by_hand = WorkloadCounters::default();
+                for user in 0..users {
+                    scenario.run_user(user, &mut by_hand);
+                }
+                for threads in [1, 2, 4, 8] {
+                    let fleet = run_on(&scenario, threads).summary.workload.counters;
+                    prop_assert_eq!(
+                        &fleet,
+                        &by_hand,
+                        "{} variant {}, {} threads",
+                        category,
+                        variant,
+                        threads
+                    );
+                }
+            }
+        }
     }
 }

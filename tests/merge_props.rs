@@ -1,13 +1,14 @@
 //! The streaming-merge contract.
 //!
-//! The fleet engines now fold shard counters and per-user traces
-//! *as they arrive* through [`FleetMerger`] / [`TraceMerger`] reorder
-//! buffers, instead of collecting everything and sorting. These
+//! The fleet engine folds worker counters and per-user traces *as they
+//! arrive* through [`FleetMerger`] / [`TraceMerger`] reorder buffers,
+//! instead of collecting everything and sorting. These
 //! properties pin what that refactor must preserve:
 //!
 //! 1. Engine level: summaries **and** traces are byte-identical at
 //!    1, 2, 4 and 8 threads (arrival order differs wildly; canonical
-//!    order must not).
+//!    order must not), and the trace equals the per-user reference
+//!    traces of `Scenario::run_user_traced` in user-index order.
 //! 2. Merger level: for *any* arrival order of shard chunks — proptest
 //!    drives randomised permutations and chunkings — the streamed
 //!    result is identical to the batch in-order merge.
@@ -44,6 +45,29 @@ fn traced(threads: usize) -> (mcommerce_core::FleetSummary, FleetTrace) {
 fn streaming_engines_are_identical_at_1_2_4_8_threads() {
     let (summary, trace) = traced(1);
     assert!(!trace.events.is_empty());
+    // The engine's trace is the per-user reference traces concatenated
+    // in user-index order: each user's island is its private world.
+    let mut reference = FleetTrace::default();
+    for (_, user) in per_user_traces() {
+        reference.events.extend(user.events);
+        reference.dumps.extend(user.dumps);
+        reference.metrics.merge(&user.metrics);
+    }
+    assert_eq!(
+        trace.to_jsonl(),
+        reference.to_jsonl(),
+        "events diverged from run_user_traced"
+    );
+    assert_eq!(
+        trace.dumps.len(),
+        reference.dumps.len(),
+        "dumps diverged from run_user_traced"
+    );
+    assert_eq!(
+        trace.metrics.to_json(),
+        reference.metrics.to_json(),
+        "metrics diverged from run_user_traced"
+    );
     for threads in [2, 4, 8] {
         let (s, t) = traced(threads);
         assert_eq!(summary, s, "summary diverged at {threads} threads");

@@ -11,6 +11,11 @@
 //! session, and a transaction's outcome shares the render memo's text,
 //! so a cached browsing island makes a few allocations per transaction
 //! (generating the session's requests, mostly).
+//!
+//! The isolated topology is one island per user, so there each user
+//! does pay for a provisioned host — but only that: the island host is
+//! built directly, never through a throwaway system, and the worker's
+//! per-island buffers are reused, not allocated per island.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -98,4 +103,28 @@ fn a_shared_island_builds_each_user_in_a_few_allocations() {
         "{allocs} allocations for {txns} transactions ({:.2} per transaction)",
         allocs as f64 / txns as f64
     );
+
+    // The isolated storefront: one Commerce island per user, built
+    // alone and then run for one two-step session.
+    const ISOLATED: u64 = 2_000;
+    for (sessions, per_user) in [(0, 101), (1, 195)] {
+        let runner = FleetRunner::new(
+            Scenario::new("isolated storefront")
+                .app(Category::Commerce)
+                .users(ISOLATED)
+                .sessions_per_user(sessions),
+        )
+        .topology(Topology::isolated())
+        .threads(1);
+        let before = ALLOCS.load(Relaxed);
+        let run = runner.run();
+        let allocs = ALLOCS.load(Relaxed) - before;
+        assert_eq!(run.report.summary.transactions(), 2 * sessions * ISOLATED);
+        assert!(
+            allocs <= per_user * ISOLATED,
+            "{sessions} session(s): {allocs} allocations for {ISOLATED} isolated users \
+             ({:.2} per user, budget {per_user})",
+            allocs as f64 / ISOLATED as f64
+        );
+    }
 }

@@ -1,11 +1,11 @@
 //! Property tests for the shared-world contention engine (DESIGN.md
 //! §2.15): thread-count invariance of summaries *and* traces, exact
-//! equivalence between a one-user shared world and the legacy per-user
-//! world, correlated faults behind a shared gateway, and the knee — p99
-//! latency rising with population on fixed infrastructure.
+//! equivalence between a one-user shared world and the per-user
+//! reference world, correlated faults behind a shared gateway, and the
+//! knee — p99 latency rising with population on fixed infrastructure.
 
 use mcommerce::core::{
-    Category, FleetRun, FleetRunner, Placement, RecorderKind, Scenario, Topology,
+    Category, FleetRun, FleetRunner, Placement, RecorderKind, Scenario, Topology, WorkloadCounters,
 };
 use mcommerce::faults::{FaultKind, FaultPlan};
 use mcommerce::simnet::SimDuration;
@@ -73,8 +73,9 @@ fn shared_world_traces_are_byte_identical_across_thread_counts() {
 #[test]
 fn one_user_shared_world_reproduces_the_legacy_world_exactly() {
     // One user on shared infrastructure never queues, so every wait is
-    // exactly zero and the engines must agree bit for bit — summaries
-    // and traces alike.
+    // exactly zero and the world must be the user's private one bit for
+    // bit: the isolated topology's, and the per-user reference's —
+    // summaries, counters and traces alike.
     for category in [Category::Commerce, Category::Entertainment] {
         let scenario = Scenario::new("degenerate")
             .app(category)
@@ -82,19 +83,31 @@ fn one_user_shared_world_reproduces_the_legacy_world_exactly() {
             .sessions_per_user(3)
             .think_time(1.5)
             .seed(47);
-        let legacy = FleetRunner::new(scenario.clone()).traced(true).run();
+        let isolated = FleetRunner::new(scenario.clone()).traced(true).run();
+        let mut reference = WorkloadCounters::default();
+        let reference_trace = scenario.run_user_traced(0, &mut reference);
         let shared = FleetRunner::new(scenario)
             .topology(Topology::shared())
             .traced(true)
             .run();
         assert_eq!(
-            legacy.report.summary, shared.report.summary,
-            "{category}: 1-user shared summary must equal legacy"
+            isolated.report.summary, shared.report.summary,
+            "{category}: 1-user shared summary must equal isolated"
         );
         assert_eq!(
-            legacy.trace.unwrap().to_jsonl(),
-            shared.trace.unwrap().to_jsonl(),
-            "{category}: 1-user shared trace must equal legacy"
+            shared.report.summary.workload.counters, reference,
+            "{category}: 1-user shared counters must equal run_user_traced"
+        );
+        let shared_trace = shared.trace.unwrap().to_jsonl();
+        assert_eq!(
+            isolated.trace.unwrap().to_jsonl(),
+            shared_trace,
+            "{category}: 1-user shared trace must equal isolated"
+        );
+        assert_eq!(
+            mcommerce::obs::export::to_jsonl(&reference_trace.events),
+            shared_trace,
+            "{category}: 1-user shared trace must equal run_user_traced"
         );
         let stats = shared.contention.expect("shared run reports contention");
         assert_eq!(stats.total_wait_ns(), 0, "one user never waits");
