@@ -20,7 +20,8 @@
 //!
 //! # The identity gate
 //!
-//! Each cell digests its merged [`WorkloadCounters`] (FNV-1a 64 over
+//! Each cell digests its merged
+//! [`WorkloadCounters`](mcommerce_core::WorkloadCounters) (FNV-1a 64 over
 //! the full debug rendering — every counter, histogram bucket and
 //! failure string). [`run`] asserts the digest is identical across
 //! thread counts at every population; `scripts/tier1.sh` checks the

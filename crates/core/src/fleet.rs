@@ -112,7 +112,7 @@ pub struct Scenario {
     /// default — and an empty plan draws no randomness, so a fleet
     /// carrying `FaultPlan::none()` is bit-identical to a plan-free one.
     pub faults: faults::FaultPlan,
-    /// Per-transaction retry policy. [`RetryPolicy::none`] (the
+    /// Per-transaction retry policy. [`faults::RetryPolicy::none`] (the
     /// default) keeps the exact pre-policy execution path.
     pub retry: faults::RetryPolicy,
     /// Fallback middleware for graceful degradation under gateway or
@@ -127,8 +127,9 @@ pub struct Scenario {
     /// Durability policy for every user's host database. The default
     /// (batch 1, free fsync) executes the exact pre-WAL-pricing path.
     pub durability: DurabilityPolicy,
-    /// Drive each user through [`Application::search_session`] instead
-    /// of the regular sessions: the browse → search → refine → purchase
+    /// Drive each user through
+    /// [`crate::apps::Application::search_session`] instead of the
+    /// regular sessions: the browse → search → refine → purchase
     /// workload whose query strings give every cache tier a
     /// high-cardinality key space. Off by default.
     pub search_heavy: bool,

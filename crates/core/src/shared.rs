@@ -40,7 +40,7 @@
 //! [`HostComputer`] takes the place of an empty host the user's system
 //! is built around (no application is installed in it, since no
 //! transaction ever runs against it), and the gateway's one shared
-//! [`ContentCache`](middleware::ContentCache) replaces the user's
+//! [`ContentCache`] replaces the user's
 //! private cache. A deterministic event queue keyed by `(ready time,
 //! island-local user index)` decides who transacts next; local indices
 //! follow global index order, so ties resolve as under global keys, and

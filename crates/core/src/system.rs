@@ -844,25 +844,11 @@ impl CommerceSystem for McSystem {
         let cache_candidate = self.gateway_cache.is_some()
             && ContentCache::cacheable_request(req)
             && !self.faults.transcode_degraded(t0);
-        // Lookups *probe* for an interned key id; keys are interned only
-        // when an exchange is actually stored, so never-stored shapes
-        // (one-shot search query URLs) don't grow the interner.
-        let cache_id = if cache_candidate {
-            let device = self.station.browser.device().name;
-            let kind = self.middleware.name();
-            let cache = self.gateway_cache.as_ref().expect("checked above");
-            let id = cache.probe(req, device, kind);
-            if id.is_none() {
-                let cache = self.gateway_cache.as_mut().expect("checked above");
-                cache.record_miss();
-            }
-            id
+        let cached = if cache_candidate {
+            let cache = self.gateway_cache.as_mut().expect("checked above");
+            cache.lookup(req, self.station.browser.device().name, self.middleware.name(), t0)
         } else {
             None
-        };
-        let cached = match (self.gateway_cache.as_mut(), cache_id) {
-            (Some(cache), Some(id)) => cache.lookup(id, t0),
-            _ => None,
         };
         let gateway_hit = cached.is_some();
         let mut ex: Exchange = match cached {
@@ -880,11 +866,7 @@ impl CommerceSystem for McSystem {
                         let device = self.station.browser.device().name;
                         let kind = self.middleware.name();
                         let cache = self.gateway_cache.as_mut().expect("candidate implies cache");
-                        let id = match cache_id {
-                            Some(id) => id,
-                            None => cache.intern(req, device, kind),
-                        };
-                        let evicted = cache.store(id, &ex, t0);
+                        let evicted = cache.store(req, device, kind, &ex, t0);
                         obs::metrics::add("middleware.cache.evictions", evicted as u64);
                     }
                 }

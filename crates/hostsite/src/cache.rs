@@ -2,93 +2,73 @@
 //!
 //! The paper's host computers "usually store and manage most of the
 //! content" — and a production web server in that role fronts its
-//! application programs with a page cache. This one is deterministic and
-//! sim-time native: entries are keyed by the canonical request (method,
-//! path, query, accept format, cookies), expire after a TTL
-//! measured in simulated nanoseconds, and are bounded by a byte budget
-//! with least-recently-used eviction driven by a logical tick counter —
-//! no wall clock anywhere, so fleet runs stay bit-identical at any
-//! thread count.
+//! application programs with a page cache. This one is a
+//! [`simnet::TtlLru`] keyed by the canonical request (method, path,
+//! query, accept format, cookies): entries expire after a TTL measured
+//! in simulated nanoseconds and are bounded by a byte budget over key
+//! plus body bytes, with least-recently-used eviction.
 //!
-//! Keys are interned: [`PageCache::intern`] hashes the borrowed request
-//! fields (no allocation) and hands out a dense `u64` id; the canonical
-//! rendered string is built once per distinct request shape and the
-//! entry map is keyed by the id. A lookup therefore hashes eight bytes,
-//! probes once (the expired path removes through the same probe instead
-//! of a `get` + `remove` double hash), and a hit clones a response whose
-//! body is a refcounted [`Body`] — a pointer bump, not a page copy.
+//! A lookup builds no key: it streams the canonical rendering of the
+//! borrowed request through a hasher, and checks candidates by matching
+//! the same rendering against each stored key. The rendered key string
+//! is built only when a response is stored, and is freed with its
+//! entry. A hit clones a response whose body is a refcounted [`Body`] —
+//! a pointer bump, not a page copy.
 //!
 //! Only successful `GET` responses that set no cookies are stored;
 //! `POST`s (which mutate the database and session state) always reach
 //! the application program. Requests carrying basic-auth credentials
 //! bypass the cache entirely — lookup *and* store — so every authed
 //! request is re-validated against its auth realm ([`WebServer`] never
-//! builds a key for them).
+//! consults the cache for them).
 //!
 //! [`Body`]: crate::http::Body
 //! [`WebServer`]: crate::server::WebServer
 
-use std::collections::hash_map::Entry as MapEntry;
-use std::collections::HashMap;
+use std::collections::hash_map::DefaultHasher;
 use std::fmt;
-use std::hash::Hasher as _;
+use std::hash::Hasher;
 
-use simnet::FixedState;
+use simnet::TtlLru;
 
 use crate::http::{HttpRequest, HttpResponse};
-use crate::intern::{probe_hasher, HashWriter, KeyInterner, PrefixMatcher};
 
-#[derive(Debug, Clone)]
-struct Entry {
-    resp: HttpResponse,
-    stored_ns: u64,
-    last_used: u64,
-    bytes: usize,
-}
-
-/// A TTL + LRU page cache over interned canonical-request keys.
+/// A TTL + LRU page cache over canonical-request keys.
 #[derive(Debug)]
 pub struct PageCache {
-    ttl_ns: u64,
-    byte_budget: usize,
-    interner: KeyInterner<String>,
-    entries: HashMap<u64, Entry, FixedState>,
-    bytes: usize,
-    /// Logical LRU clock: bumped on every touch, so the eviction victim
-    /// (minimum tick) is unique and deterministic.
-    tick: u64,
-    hits: u64,
-    misses: u64,
+    entries: TtlLru<String, HttpResponse>,
 }
 
 impl PageCache {
     /// Creates a cache holding entries for `ttl_ns` simulated nanoseconds
-    /// within a `byte_budget` of body bytes.
+    /// within a `byte_budget` of key plus body bytes.
     pub fn new(ttl_ns: u64, byte_budget: usize) -> Self {
         PageCache {
-            ttl_ns,
-            byte_budget,
-            interner: KeyInterner::new(),
-            entries: HashMap::default(),
-            bytes: 0,
-            tick: 0,
-            hits: 0,
-            misses: 0,
+            entries: TtlLru::new(ttl_ns, byte_budget),
         }
     }
 
     /// Renders the canonical key for `req` into any writer. Query
     /// parameters and cookies live in `BTreeMap`s, so the rendering is
-    /// order-stable. The same routine builds keys, hashes requests, and
-    /// equality-checks probes, so the three can never drift apart.
+    /// order-stable, and the path, names and values are escaped, so no
+    /// two requests render alike. The same routine builds keys, hashes
+    /// requests, and equality-checks lookups, so the three can never
+    /// drift apart.
     fn render_key(req: &HttpRequest, out: &mut impl fmt::Write) -> fmt::Result {
-        write!(out, "{:?} {}", req.method, req.path)?;
+        write!(out, "{:?} ", req.method)?;
+        write_escaped(out, &req.path)?;
         for (name, value) in &req.params {
-            write!(out, "&{name}={value}")?;
+            out.write_char('&')?;
+            write_escaped(out, name)?;
+            out.write_char('=')?;
+            write_escaped(out, value)?;
         }
         write!(out, "|{:?}", req.accept)?;
         for (name, value) in &req.cookies {
-            write!(out, ";{name}={value}")?;
+            out.write_char(';')?;
+            write_escaped(out, name)?;
+            out.write_char('=')?;
+            write_escaped(out, value)?;
         }
         Ok(())
     }
@@ -100,119 +80,36 @@ impl PageCache {
         key
     }
 
-    /// Interns the canonical key for `req`, returning its dense id.
-    ///
-    /// Alloc-free for request shapes seen before: the request fields are
-    /// hashed borrowed and compared against the stored canonical string
-    /// without rendering.
-    pub fn intern(&mut self, req: &HttpRequest) -> u64 {
-        let mut h = probe_hasher();
+    /// The hash of `req`'s canonical key, streamed without building it.
+    fn hash(req: &HttpRequest) -> u64 {
+        let mut h = DefaultHasher::new();
         Self::render_key(req, &mut HashWriter(&mut h)).expect("hashing cannot fail");
-        self.interner.intern_with(
-            h.finish(),
-            |k| {
-                let mut m = PrefixMatcher::new(k);
-                Self::render_key(req, &mut m).is_ok() && m.matched()
-            },
-            || Self::key(req),
-        )
+        h.finish()
     }
 
-    /// Looks up the interned id for `req` without interning: `None` when
-    /// this request shape has never been *stored*. The lookup path uses
-    /// this so one-shot shapes (distinct search query strings, pages the
-    /// store policy rejects) never grow the interner — the cache holds
-    /// flat memory under a high-cardinality key stream.
-    pub fn probe(&self, req: &HttpRequest) -> Option<u64> {
-        let mut h = probe_hasher();
-        Self::render_key(req, &mut HashWriter(&mut h)).expect("hashing cannot fail");
-        self.interner.probe_with(h.finish(), |k| {
-            let mut m = PrefixMatcher::new(k);
-            Self::render_key(req, &mut m).is_ok() && m.matched()
-        })
+    /// Returns the cached response when a fresh entry exists for `req`
+    /// at `now_ns`; an expired entry is dropped. Allocation-free.
+    pub fn lookup(&mut self, req: &HttpRequest, now_ns: u64) -> Option<HttpResponse> {
+        let renders_req = |key: &String| {
+            let mut m = PrefixMatcher { rest: key };
+            Self::render_key(req, &mut m).is_ok() && m.rest.is_empty()
+        };
+        self.entries
+            .get(Self::hash(req), renders_req, now_ns)
+            .cloned()
     }
 
-    /// Records a miss for a request whose key was never interned (the
-    /// probe-based lookup path found no id, so [`PageCache::lookup`]
-    /// never ran) — keeps the hit/miss accounting identical to a
-    /// lookup-through-intern flow.
-    pub fn record_miss(&mut self) {
-        self.misses += 1;
+    /// Stores a response for `req`, evicting least-recently-used entries
+    /// until the byte budget holds. Returns how many entries were
+    /// evicted. Responses larger than the whole budget are not stored.
+    pub fn store(&mut self, req: &HttpRequest, resp: &HttpResponse, now_ns: u64) -> usize {
+        let key = Self::key(req);
+        let bytes = key.len() + resp.body.len();
+        self.entries
+            .put(Self::hash(req), key, resp.clone(), bytes, now_ns)
     }
 
-    /// Interns a pre-rendered key string (equivalent to [`PageCache::intern`]
-    /// on the request it renders).
-    pub fn intern_str(&mut self, key: &str) -> u64 {
-        let mut h = probe_hasher();
-        h.write(key.as_bytes());
-        self.interner
-            .intern_with(h.finish(), |k| k == key, || key.to_owned())
-    }
-
-    /// Returns the cached response when a fresh entry exists for the
-    /// interned key `id` at `now_ns`. One probe serves hit, miss, and
-    /// expiry alike; an expired entry is dropped through the same probe.
-    pub fn lookup(&mut self, id: u64, now_ns: u64) -> Option<HttpResponse> {
-        match self.entries.entry(id) {
-            MapEntry::Occupied(mut occ) => {
-                if now_ns.saturating_sub(occ.get().stored_ns) < self.ttl_ns {
-                    self.hits += 1;
-                    self.tick += 1;
-                    occ.get_mut().last_used = self.tick;
-                    Some(occ.get().resp.clone())
-                } else {
-                    let old = occ.remove();
-                    self.bytes -= old.bytes;
-                    self.misses += 1;
-                    None
-                }
-            }
-            MapEntry::Vacant(_) => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Stores a response under the interned key `id`, evicting
-    /// least-recently-used entries until the byte budget holds. Returns
-    /// how many entries were evicted. Responses larger than the whole
-    /// budget are not stored.
-    pub fn store(&mut self, id: u64, resp: &HttpResponse, now_ns: u64) -> usize {
-        let bytes = self.interner.resolve(id).len() + resp.body.len();
-        if bytes > self.byte_budget {
-            return 0;
-        }
-        if let Some(old) = self.entries.remove(&id) {
-            self.bytes -= old.bytes;
-        }
-        self.tick += 1;
-        self.entries.insert(
-            id,
-            Entry {
-                resp: resp.clone(),
-                stored_ns: now_ns,
-                last_used: self.tick,
-                bytes,
-            },
-        );
-        self.bytes += bytes;
-        let mut evicted = 0;
-        while self.bytes > self.byte_budget {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(id, _)| *id)
-                .expect("over budget implies non-empty");
-            let old = self.entries.remove(&victim).expect("victim exists");
-            self.bytes -= old.bytes;
-            evicted += 1;
-        }
-        evicted
-    }
-
-    /// Number of live entries.
+    /// Number of live entries, each holding its key.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -224,100 +121,185 @@ impl PageCache {
 
     /// Body + key bytes currently held.
     pub fn bytes(&self) -> usize {
-        self.bytes
+        self.entries.weight()
     }
+}
 
-    /// Distinct canonical keys ever interned (live or evicted).
-    pub fn interned_keys(&self) -> usize {
-        self.interner.len()
+/// Writes `s`, percent-escaping the key's separators (`%`, `&`, `|`,
+/// `;`, `=`). A string holding none of them is written in one piece,
+/// unchanged, so such keys keep their rendering and their weight.
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    let mut rest = s;
+    while let Some(i) = rest.find(['%', '&', '|', ';', '=']) {
+        out.write_str(&rest[..i])?;
+        write!(out, "%{:02X}", rest.as_bytes()[i])?;
+        rest = &rest[i + 1..];
     }
+    out.write_str(rest)
+}
 
-    /// Fresh lookups answered from the cache since construction.
-    pub fn hits(&self) -> u64 {
-        self.hits
+/// A [`fmt::Write`] sink that feeds written text into a [`Hasher`], so
+/// a request's rendering is hashed without materialising it.
+struct HashWriter<'a, H: Hasher>(&'a mut H);
+
+impl<H: Hasher> fmt::Write for HashWriter<'_, H> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.write(s.as_bytes());
+        Ok(())
     }
+}
 
-    /// Lookups that found nothing fresh since construction.
-    pub fn misses(&self) -> u64 {
-        self.misses
+/// A [`fmt::Write`] sink that *matches* written text against a stored
+/// key instead of building one: each written chunk must be the next
+/// prefix of `rest`, and a full match leaves `rest` empty.
+struct PrefixMatcher<'a> {
+    rest: &'a str,
+}
+
+impl fmt::Write for PrefixMatcher<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        match self.rest.strip_prefix(s) {
+            Some(rest) => {
+                self.rest = rest;
+                Ok(())
+            }
+            // Divergence: surface as a fmt error so the render function
+            // aborts early instead of walking the whole request.
+            None => Err(fmt::Error),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Write as _;
 
     fn resp(body: &str) -> HttpResponse {
         HttpResponse::ok(body.to_owned())
     }
 
+    fn get(path: &str) -> HttpRequest {
+        HttpRequest::get(path)
+    }
+
     #[test]
     fn entries_expire_after_the_ttl() {
         let mut cache = PageCache::new(1_000, 10_000);
-        let k = cache.intern_str("k");
-        cache.store(k, &resp("<html><body>x</body></html>"), 0);
-        assert!(cache.lookup(k, 999).is_some());
-        assert!(cache.lookup(k, 1_000).is_none());
+        cache.store(&get("/k"), &resp("<html><body>x</body></html>"), 0);
+        assert!(cache.lookup(&get("/k"), 999).is_some());
+        assert!(cache.lookup(&get("/k"), 1_000).is_none());
         assert!(cache.is_empty(), "expired entry is dropped");
     }
 
     #[test]
     fn lru_eviction_respects_the_byte_budget() {
+        // Each entry weighs 26 bytes: an 11-byte key and a 15-byte body.
         let mut cache = PageCache::new(u64::MAX, 60);
-        let (a, b) = (cache.intern_str("a"), cache.intern_str("b"));
-        cache.store(a, &resp("<html>aaaaaaaaaa</html>"), 0);
-        cache.store(b, &resp("<html>bbbbbbbbbb</html>"), 0);
+        cache.store(&get("/a"), &resp("<html>aa</html>"), 0);
+        cache.store(&get("/b"), &resp("<html>bb</html>"), 0);
         // Touch "a" so "b" is the LRU victim.
-        assert!(cache.lookup(a, 1).is_some());
-        let c = cache.intern_str("c");
-        let evicted = cache.store(c, &resp("<html>cccccccccc</html>"), 2);
+        assert!(cache.lookup(&get("/a"), 1).is_some());
+        let evicted = cache.store(&get("/c"), &resp("<html>cc</html>"), 2);
         assert_eq!(evicted, 1);
-        assert!(cache.lookup(a, 3).is_some());
-        assert!(cache.lookup(b, 3).is_none());
-        assert!(cache.lookup(c, 3).is_some());
+        assert!(cache.lookup(&get("/a"), 3).is_some());
+        assert!(cache.lookup(&get("/b"), 3).is_none());
+        assert!(cache.lookup(&get("/c"), 3).is_some());
         assert!(cache.bytes() <= 60);
     }
 
     #[test]
     fn oversized_responses_are_not_stored() {
         let mut cache = PageCache::new(u64::MAX, 10);
-        let k = cache.intern_str("k");
-        let evicted = cache.store(k, &resp(&"x".repeat(100)), 0);
+        let evicted = cache.store(&get("/k"), &resp(&"x".repeat(100)), 0);
         assert_eq!(evicted, 0);
         assert!(cache.is_empty());
     }
 
     #[test]
     fn keys_are_canonical_over_request_fields() {
-        let a = PageCache::key(&HttpRequest::get("/shop?x=1&y=2"));
-        let b = PageCache::key(&HttpRequest::get("/shop?y=2&x=1"));
+        let a = PageCache::key(&get("/shop?x=1&y=2"));
+        let b = PageCache::key(&get("/shop?y=2&x=1"));
         assert_eq!(a, b, "query order does not change the key");
-        let c = PageCache::key(&HttpRequest::get("/shop?x=1&y=3"));
+        let c = PageCache::key(&get("/shop?x=1&y=3"));
         assert_ne!(a, c);
-        let d = PageCache::key(&HttpRequest::get("/shop?x=1&y=2").with_cookie("sid", "s1"));
+        let d = PageCache::key(&get("/shop?x=1&y=2").with_cookie("sid", "s1"));
         assert_ne!(a, d, "cookies partition the key space");
     }
 
     #[test]
-    fn interned_request_ids_match_rendered_key_ids() {
+    fn separators_inside_fields_cannot_alias_keys() {
+        // `/shop&a=1` is a path with no query; `/shop?a=1` has one
+        // parameter. Unescaped, both rendered `Get /shop&a=1|Html`.
+        let path = PageCache::key(&get("/shop&a=1"));
+        let query = PageCache::key(&get("/shop?a=1"));
+        assert_ne!(path, query);
+        assert_eq!(
+            query, "Get /shop&a=1|Html",
+            "separator-free keys render as before"
+        );
+        assert_eq!(path, "Get /shop%26a%3D1|Html");
+        // Cookie names and values escape too.
+        let split = PageCache::key(&get("/s").with_cookie("a", "1;b=2"));
+        let two = PageCache::key(&get("/s").with_cookie("a", "1").with_cookie("b", "2"));
+        assert_ne!(split, two);
+    }
+
+    #[test]
+    fn lookups_match_only_the_exact_rendering() {
         let mut cache = PageCache::new(u64::MAX, 10_000);
-        let req = HttpRequest::get("/shop?x=1&y=2").with_cookie("sid", "s1");
-        let by_req = cache.intern(&req);
-        let by_str = cache.intern_str(&PageCache::key(&req));
-        assert_eq!(by_req, by_str, "both intern paths agree on the id");
-        assert_eq!(cache.interned_keys(), 1, "no duplicate key was created");
-        let other = cache.intern(&HttpRequest::get("/shop?x=1&y=3"));
-        assert_ne!(by_req, other);
+        let req = get("/shop?x=1&y=2").with_cookie("sid", "s1");
+        cache.store(&req, &resp("<html>page</html>"), 0);
+        assert!(cache
+            .lookup(&get("/shop?y=2&x=1").with_cookie("sid", "s1"), 1)
+            .is_some());
+        assert!(cache.lookup(&get("/shop?x=1&y=2"), 1).is_none());
+        assert!(cache
+            .lookup(&get("/shop?x=1&y=2&z=3").with_cookie("sid", "s1"), 1)
+            .is_none());
+        assert_eq!(cache.len(), 1, "lookups hold no keys");
     }
 
     #[test]
     fn hits_share_the_body_allocation() {
         let mut cache = PageCache::new(u64::MAX, 10_000);
-        let k = cache.intern_str("k");
-        cache.store(k, &resp("<html><body>big page</body></html>"), 0);
-        let a = cache.lookup(k, 1).expect("hit");
-        let b = cache.lookup(k, 2).expect("hit");
+        cache.store(&get("/k"), &resp("<html><body>big page</body></html>"), 0);
+        let a = cache.lookup(&get("/k"), 1).expect("hit");
+        let b = cache.lookup(&get("/k"), 2).expect("hit");
         // Refcounted bodies: both hits read the same buffer.
-        assert_eq!(a.body.as_bytes_buf().as_ref().as_ptr(), b.body.as_bytes_buf().as_ref().as_ptr());
+        assert_eq!(
+            a.body.as_bytes_buf().as_ref().as_ptr(),
+            b.body.as_bytes_buf().as_ref().as_ptr()
+        );
+    }
+
+    #[test]
+    fn prefix_matcher_requires_exact_rendering() {
+        let mut m = PrefixMatcher { rest: "GET /shop" };
+        assert!(write!(m, "GET").is_ok());
+        assert!(write!(m, " /shop").is_ok());
+        assert!(m.rest.is_empty());
+
+        let mut m = PrefixMatcher { rest: "GET /shop" };
+        assert!(
+            write!(m, "GET /shopping").is_err(),
+            "overlong write diverges"
+        );
+
+        let mut m = PrefixMatcher { rest: "GET /shop" };
+        assert!(write!(m, "GET ").is_ok());
+        assert!(!m.rest.is_empty(), "unconsumed remainder is not a match");
+    }
+
+    #[test]
+    fn hashing_a_rendering_equals_hashing_the_key() {
+        let req = get("/shop&odd?x=1").with_cookie("sid", "a=b");
+        let mut whole = DefaultHasher::new();
+        whole.write(PageCache::key(&req).as_bytes());
+        assert_eq!(
+            PageCache::hash(&req),
+            whole.finish(),
+            "chunked writes hash like one"
+        );
     }
 }

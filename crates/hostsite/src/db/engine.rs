@@ -2,13 +2,12 @@
 //! the query cache, tied over the WAL / MVCC / index layers.
 
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash as _, Hasher as _};
+use std::hash::{BuildHasher as _, Hash as _, Hasher as _};
 use std::sync::Arc;
 
-use simnet::FixedState;
-
-use crate::intern::{probe_hasher, KeyInterner};
+use simnet::{FixedState, TtlLru};
 
 use super::fts::{query_terms, FtsIndex};
 use super::index::Table;
@@ -28,8 +27,8 @@ const SEARCH_POSTING_NS: u64 = 50_000;
 const SEARCH_MEMO_HIT_NS: u64 = 100_000;
 /// Maximum memoized search result sets. Query strings are a
 /// high-cardinality key space (they mostly never revisit), so unlike the
-/// `select_eq` cache the search memo must be capped: beyond the cap the
-/// least-recently-used entry is evicted, deterministically.
+/// `select_eq` cache the search memo must be capped: each entry weighs
+/// one, and beyond the cap the least-recently-used entry is evicted.
 const SEARCH_MEMO_CAP: usize = 64;
 
 /// Inverse operations for transaction rollback.
@@ -40,135 +39,33 @@ enum Undo {
     DropTable { name: String },
 }
 
-/// A distinct `select_eq` query shape, interned once.
-#[derive(Debug, Clone)]
+/// A memoized result set, shared row handles in result order.
+type ResultSet = Vec<Arc<Row>>;
+
+/// A distinct `select_eq` query shape: the query cache's key.
+#[derive(Debug, Clone, PartialEq)]
 struct QueryShape {
     table: String,
     column: String,
     key: OrdKey,
 }
 
-/// One memoized result set and the sim instant it was stored at.
-#[derive(Debug, Clone)]
-struct CachedResult {
-    rows: Vec<Arc<Row>>,
-    stored_ns: u64,
-}
-
-/// Memoized `select_eq` result sets over interned query ids.
-///
-/// The old layout keyed a nested map by `(column.to_owned(),
-/// value.ord_key())` — two allocations per lookup before a single hash
-/// probe could run. Queries are drawn from a small set of distinct
-/// shapes, so each shape is interned to a dense `u64` id (hashing the
-/// *borrowed* table/column/value, building the owned shape only on
-/// first sight) and results live in one flat id-keyed map.
-/// Invalidation stays table-scoped through `by_table`, the ids ever
-/// minted under each table; ids survive invalidation, so re-memoizing
-/// a shape after a write is alloc-free too.
-#[derive(Debug, Default)]
-struct QueryCache {
-    ids: KeyInterner<QueryShape>,
-    results: HashMap<u64, CachedResult, FixedState>,
-    by_table: HashMap<String, Vec<u64>, FixedState>,
-}
-
-impl QueryCache {
-    /// Interns the shape `(table, column, value)` and returns its id.
-    fn intern(&mut self, table: &str, column: &str, value: &Value) -> u64 {
-        let mut h = probe_hasher();
-        table.hash(&mut h);
-        column.hash(&mut h);
-        // Mirror `Value::ord_key`'s normalisation (Bool → Int, floats →
-        // monotone bits) so e.g. `Bool(true)` and `Int(1)` probes agree
-        // with `OrdKey::matches_value`.
-        match value {
-            Value::Int(i) => (0u8, i).hash(&mut h),
-            Value::Bool(b) => (0u8, i64::from(*b)).hash(&mut h),
-            Value::Text(t) => (1u8, t.as_str()).hash(&mut h),
-            Value::Float(f) => (2u8, float_key_bits(*f)).hash(&mut h),
-        }
-        let before = self.ids.len();
-        let id = self.ids.intern_with(
-            h.finish(),
-            |s| s.table == table && s.column == column && s.key.matches_value(value),
-            || QueryShape {
-                table: table.to_owned(),
-                column: column.to_owned(),
-                key: value.ord_key(),
-            },
-        );
-        if self.ids.len() > before {
-            self.by_table.entry(table.to_owned()).or_default().push(id);
-        }
-        id
+/// Hashes the query shape `(table, column, value)` borrowed, so a
+/// query-cache lookup builds no [`QueryShape`].
+fn query_hash(table: &str, column: &str, value: &Value) -> u64 {
+    let mut h = DefaultHasher::new();
+    table.hash(&mut h);
+    column.hash(&mut h);
+    // Mirror `Value::ord_key`'s normalisation (Bool → Int, floats →
+    // monotone bits) so e.g. `Bool(true)` and `Int(1)` probes agree
+    // with `OrdKey::matches_value`.
+    match value {
+        Value::Int(i) => (0u8, i).hash(&mut h),
+        Value::Bool(b) => (0u8, i64::from(*b)).hash(&mut h),
+        Value::Text(t) => (1u8, t.as_str()).hash(&mut h),
+        Value::Float(f) => (2u8, float_key_bits(*f)).hash(&mut h),
     }
-
-    /// Drops memoized results for every shape under `table`; returns
-    /// whether anything was actually cached.
-    fn invalidate_table(&mut self, table: &str) -> bool {
-        let mut any = false;
-        if let Some(ids) = self.by_table.get(table) {
-            for id in ids {
-                any |= self.results.remove(id).is_some();
-            }
-        }
-        any
-    }
-
-    /// Drops every memoized result (ids survive).
-    fn clear(&mut self) {
-        self.results.clear();
-    }
-}
-
-/// One memoized search result set.
-#[derive(Debug, Clone)]
-struct SearchEntry {
-    rows: Vec<Arc<Row>>,
-    stored_ns: u64,
-    /// Logical access tick for LRU eviction — deterministic, never
-    /// wall-clock.
-    last_used: u64,
-}
-
-/// Memoized [`Database::search`] result sets, keyed by `(table, query)`.
-///
-/// Capped at [`SEARCH_MEMO_CAP`] entries because distinct query strings
-/// form an unbounded key space; eviction is least-recently-used with the
-/// key as a deterministic tie-break. Invalidation is table-scoped, like
-/// the `select_eq` cache.
-#[derive(Debug, Default)]
-struct SearchMemo {
-    entries: HashMap<(String, String), SearchEntry, FixedState>,
-    tick: u64,
-}
-
-impl SearchMemo {
-    /// Drops memoized searches against `table`; returns whether anything
-    /// was dropped.
-    fn invalidate_table(&mut self, table: &str) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|(t, _), _| t != table);
-        self.entries.len() != before
-    }
-
-    /// Inserts under the cap, evicting the least-recently-used entry
-    /// (ties broken by key, so eviction is deterministic regardless of
-    /// `HashMap` iteration order).
-    fn insert(&mut self, key: (String, String), entry: SearchEntry) {
-        if self.entries.len() >= SEARCH_MEMO_CAP && !self.entries.contains_key(&key) {
-            if let Some(victim) = self
-                .entries
-                .iter()
-                .min_by(|a, b| (a.1.last_used, a.0).cmp(&(b.1.last_used, b.0)))
-                .map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&victim);
-            }
-        }
-        self.entries.insert(key, entry);
-    }
+    h.finish()
 }
 
 /// A pinned read snapshot (see [`Database::begin_snapshot`]).
@@ -201,7 +98,7 @@ impl Snapshot {
 /// assert_eq!(row[1], Value::Text("widget".into()));
 /// # Ok::<(), hostsite::db::DbError>(())
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Database {
     tables: HashMap<String, Table>,
     wal: Wal,
@@ -210,14 +107,14 @@ pub struct Database {
     tx_depth: u32,
     undo: Vec<Undo>,
     tx_journal: Vec<JournalEntry>,
-    /// Memoized `select_eq` result sets; interior mutability because the
-    /// read path takes `&self`. Off by default so uncached behaviour is
-    /// untouched.
-    query_cache: RefCell<QueryCache>,
-    /// Memoized full-text search result sets; capped (see
-    /// [`SearchMemo`]) and gated by the same enable/TTL knobs as the
-    /// query cache.
-    search_memo: RefCell<SearchMemo>,
+    /// Memoized `select_eq` result sets, unbounded; interior mutability
+    /// because the read path takes `&self`. Off by default so uncached
+    /// behaviour is untouched.
+    query_cache: RefCell<TtlLru<QueryShape, ResultSet>>,
+    /// Memoized full-text search result sets keyed by `(table, query)`,
+    /// capped at [`SEARCH_MEMO_CAP`] and gated by the same enable/TTL
+    /// knobs as the query cache.
+    search_memo: RefCell<TtlLru<(String, String), ResultSet>>,
     /// Simulated CPU accrued by [`Database::search`] since the last
     /// drain; interior mutability because the read path takes `&self`.
     search_cost_ns: Cell<u64>,
@@ -234,6 +131,29 @@ pub struct Database {
     /// `(row, index)` entries rebuilt by the last recovery (derived
     /// projections are rebuilt from base rows, never replayed).
     index_entries_rebuilt: u64,
+}
+
+impl Default for Database {
+    fn default() -> Self {
+        Database {
+            tables: HashMap::new(),
+            wal: Wal::default(),
+            memory_limit: None,
+            footprint: 0,
+            tx_depth: 0,
+            undo: Vec::new(),
+            tx_journal: Vec::new(),
+            query_cache: RefCell::new(TtlLru::new(u64::MAX, usize::MAX)),
+            search_memo: RefCell::new(TtlLru::new(u64::MAX, SEARCH_MEMO_CAP)),
+            search_cost_ns: Cell::new(0),
+            query_cache_enabled: false,
+            query_cache_ttl_ns: None,
+            now_ns: 0,
+            commit_version: 0,
+            pinned: BTreeMap::new(),
+            index_entries_rebuilt: 0,
+        }
+    }
 }
 
 impl Database {
@@ -311,8 +231,7 @@ impl Database {
     pub fn set_query_cache(&mut self, enabled: bool) {
         self.query_cache_enabled = enabled;
         if !enabled {
-            self.query_cache.borrow_mut().clear();
-            self.search_memo.borrow_mut().entries.clear();
+            self.flush_query_cache();
         }
     }
 
@@ -324,9 +243,13 @@ impl Database {
     /// Sets (or clears) the query-cache TTL. A cached result stored at
     /// `t` is fresh strictly before `t + ttl` and expired at exactly
     /// `t + ttl` — the same boundary rule as the page and content
-    /// caches. `None` (the default) disables expiry.
+    /// caches. `None` (the default) disables expiry: it is held as a TTL
+    /// of `u64::MAX` ns, which no simulated run outlives.
     pub fn set_query_cache_ttl(&mut self, ttl_ns: Option<u64>) {
         self.query_cache_ttl_ns = ttl_ns;
+        let ttl_ns = ttl_ns.unwrap_or(u64::MAX);
+        self.query_cache.get_mut().set_ttl(ttl_ns);
+        self.search_memo.get_mut().set_ttl(ttl_ns);
     }
 
     /// The query-cache TTL in force.
@@ -341,8 +264,8 @@ impl Database {
 
     /// Drops every cached query result and memoized search (all tables).
     pub fn flush_query_cache(&mut self) {
-        self.query_cache.borrow_mut().clear();
-        self.search_memo.borrow_mut().entries.clear();
+        self.query_cache.get_mut().clear();
+        self.search_memo.get_mut().clear();
     }
 
     /// Drops cached query results *and* memoized search results for one
@@ -354,17 +277,17 @@ impl Database {
         if !self.query_cache_enabled {
             return;
         }
-        let mut any = self.query_cache.borrow_mut().invalidate_table(table_name);
-        any |= self.search_memo.borrow_mut().invalidate_table(table_name);
-        if any {
+        let dropped = self
+            .query_cache
+            .borrow_mut()
+            .retain(|shape, _| shape.table != table_name)
+            + self
+                .search_memo
+                .borrow_mut()
+                .retain(|(table, _), _| table != table_name);
+        if dropped > 0 {
             obs::metrics::incr("host.db_cache.invalidations");
         }
-    }
-
-    /// True when a result stored at `stored_ns` is still fresh.
-    fn cache_entry_fresh(&self, stored_ns: u64) -> bool {
-        self.query_cache_ttl_ns
-            .is_none_or(|ttl| self.now_ns.saturating_sub(stored_ns) < ttl)
     }
 
     /// Rebuilds a database by replaying a journal — crash recovery under
@@ -925,21 +848,21 @@ impl Database {
                 table: table_name.to_owned(),
                 column: column.to_owned(),
             })?;
-        // The id is interned once per distinct query shape; when the
-        // cache is disabled no key is built at all.
-        let cache_id = if self.query_cache_enabled {
+        // A lookup hashes the shape borrowed; the owned shape is built
+        // only when a result is stored.
+        let cache_hash = self
+            .query_cache_enabled
+            .then(|| query_hash(table_name, column, value));
+        if let Some(hash) = cache_hash {
             let mut cache = self.query_cache.borrow_mut();
-            let id = cache.intern(table_name, column, value);
-            if let Some(entry) = cache.results.get(&id) {
-                if self.cache_entry_fresh(entry.stored_ns) {
-                    obs::metrics::incr("host.db_cache.hits");
-                    return Ok(entry.rows.clone());
-                }
+            let same_shape = |s: &QueryShape| {
+                s.table == table_name && s.column == column && s.key.matches_value(value)
+            };
+            if let Some(rows) = cache.get(hash, same_shape, self.now_ns) {
+                obs::metrics::incr("host.db_cache.hits");
+                return Ok(rows.clone());
             }
-            Some(id)
-        } else {
-            None
-        };
+        }
         let rows: Vec<Arc<Row>> = if let Some(index) = table.indexes.get(column) {
             index
                 .get(&value.ord_key())
@@ -954,15 +877,16 @@ impl Database {
                 .cloned()
                 .collect()
         };
-        if let Some(id) = cache_id {
+        if let Some(hash) = cache_hash {
             obs::metrics::incr("host.db_cache.misses");
-            self.query_cache.borrow_mut().results.insert(
-                id,
-                CachedResult {
-                    rows: rows.clone(),
-                    stored_ns: self.now_ns,
-                },
-            );
+            let shape = QueryShape {
+                table: table_name.to_owned(),
+                column: column.to_owned(),
+                key: value.ord_key(),
+            };
+            self.query_cache
+                .borrow_mut()
+                .put(hash, shape, rows.clone(), 1, self.now_ns);
         }
         Ok(rows)
     }
@@ -1053,39 +977,29 @@ impl Database {
                 "no full-text index on table {table_name:?}"
             )));
         };
-        if self.query_cache_enabled {
+        let memo_hash = self
+            .query_cache_enabled
+            .then(|| FixedState::default().hash_one((table_name, query)));
+        if let Some(hash) = memo_hash {
             let mut memo = self.search_memo.borrow_mut();
-            memo.tick += 1;
-            let tick = memo.tick;
-            if let Some(entry) = memo
-                .entries
-                .get_mut(&(table_name.to_owned(), query.to_owned()))
-            {
-                if self.cache_entry_fresh(entry.stored_ns) {
-                    entry.last_used = tick;
-                    obs::metrics::incr("host.db_cache.search_hits");
-                    self.search_cost_ns
-                        .set(self.search_cost_ns.get() + SEARCH_MEMO_HIT_NS);
-                    return Ok(entry.rows.clone());
-                }
+            let same_query = |(t, q): &(String, String)| t == table_name && q == query;
+            if let Some(rows) = memo.get(hash, same_query, self.now_ns) {
+                obs::metrics::incr("host.db_cache.search_hits");
+                self.search_cost_ns
+                    .set(self.search_cost_ns.get() + SEARCH_MEMO_HIT_NS);
+                return Ok(rows.clone());
             }
         }
         let (scores, visited) = fts.candidates(&query_terms(query));
         let rows = Self::rank(table, scores);
         self.search_cost_ns
             .set(self.search_cost_ns.get() + SEARCH_BASE_NS + SEARCH_POSTING_NS * visited);
-        if self.query_cache_enabled {
+        if let Some(hash) = memo_hash {
             obs::metrics::incr("host.db_cache.search_misses");
-            let mut memo = self.search_memo.borrow_mut();
-            let tick = memo.tick;
-            memo.insert(
-                (table_name.to_owned(), query.to_owned()),
-                SearchEntry {
-                    rows: rows.clone(),
-                    stored_ns: self.now_ns,
-                    last_used: tick,
-                },
-            );
+            let key = (table_name.to_owned(), query.to_owned());
+            self.search_memo
+                .borrow_mut()
+                .put(hash, key, rows.clone(), 1, self.now_ns);
         }
         Ok(rows)
     }

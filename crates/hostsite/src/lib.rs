@@ -14,8 +14,8 @@
 //! * [`http`] — HTTP-like request/response types with content negotiation
 //!   (the Accept side of serving HTML to desktops, WML/cHTML to phones).
 //! * [`server`] — the web server: routing, CGI-style [`server::AppProgram`]s,
-//!   DBM-style authentication realms, configurable error pages, access
-//!   logging and cookie-based sessions (the Apache feature set §7 name-checks).
+//!   DBM-style authentication realms, configurable error pages and
+//!   cookie-based sessions (the Apache feature set §7 name-checks).
 //! * [`host`] — the assembled host computer with a CPU cost model so the
 //!   end-to-end system can charge realistic processing latency.
 //! * [`cache`] — the deterministic sim-time page cache (TTL + LRU byte
@@ -25,12 +25,10 @@ pub mod cache;
 pub mod db;
 pub mod host;
 pub mod http;
-pub mod intern;
 pub mod server;
 
 pub use cache::PageCache;
 pub use db::{Database, DbError, Value};
 pub use host::HostComputer;
-pub use intern::KeyInterner;
 pub use http::{Body, ContentFormat, HttpRequest, HttpResponse, Method, Status};
 pub use server::{AppProgram, ServerCtx, WebServer};

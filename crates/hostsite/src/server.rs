@@ -6,7 +6,7 @@
 //! and support software" beside it, talking CGI. This server implements
 //! those pieces: a route table dispatching to [`AppProgram`]s (the CGI
 //! role), path-prefix auth realms backed by a user table, per-status
-//! error pages, cookie sessions and an access log.
+//! error pages and cookie sessions.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -54,19 +54,6 @@ pub struct ServerCtx<'a> {
     pub session_id: String,
 }
 
-/// One access-log record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AccessLogEntry {
-    /// Request method.
-    pub method: Method,
-    /// Request path.
-    pub path: String,
-    /// Response status code.
-    pub status: u16,
-    /// Response body bytes.
-    pub bytes: usize,
-}
-
 struct Route {
     method: Method,
     path: String,
@@ -94,7 +81,6 @@ pub struct WebServer {
     /// `(path prefix, realm name)` → user/password pairs.
     auth_realms: Vec<(String, HashMap<String, String>)>,
     sessions: RefCell<HashMap<String, BTreeMap<String, String>>>,
-    access_log: RefCell<Vec<AccessLogEntry>>,
     rng: RefCell<StdRng>,
     /// Page cache (disabled unless configured); freshness is judged
     /// against `now_ns`, the simulation clock pushed down by the system.
@@ -122,7 +108,6 @@ impl WebServer {
             error_pages: HashMap::new(),
             auth_realms: Vec::new(),
             sessions: RefCell::new(HashMap::new()),
-            access_log: RefCell::new(Vec::new()),
             rng: RefCell::new(simnet::rng::rng_for(seed, "webserver.sessions")),
             page_cache: None,
             now_ns: 0,
@@ -155,13 +140,6 @@ impl WebServer {
     /// no cache is configured).
     pub fn page_cache_len(&self) -> usize {
         self.page_cache.as_ref().map_or(0, PageCache::len)
-    }
-
-    /// Number of request keys the page cache has interned. Bounded by
-    /// the keys actually *stored*, not the keys merely looked up — the
-    /// memory-flatness invariant under high-cardinality query spaces.
-    pub fn page_cache_interned_keys(&self) -> usize {
-        self.page_cache.as_ref().map_or(0, PageCache::interned_keys)
     }
 
     /// Advances the server's view of simulated time; cache freshness is
@@ -268,18 +246,13 @@ impl WebServer {
             .push((prefix.to_owned(), users.into_iter().collect()));
     }
 
-    /// The access log so far.
-    pub fn access_log(&self) -> Vec<AccessLogEntry> {
-        self.access_log.borrow().clone()
-    }
-
     /// Number of live sessions.
     pub fn session_count(&self) -> usize {
         self.sessions.borrow().len()
     }
 
     /// Handles one request end to end: auth, routing, app dispatch,
-    /// session cookie management, error pages, logging.
+    /// session cookie management, error pages.
     pub fn handle(&mut self, req: HttpRequest) -> HttpResponse {
         self.handle_cached(req).0
     }
@@ -292,35 +265,15 @@ impl WebServer {
         // database and session state, and authed requests must reach
         // dispatch's auth-realm password check every time — a cached
         // protected page keyed by username alone would be served to a
-        // later request presenting the wrong password. The lookup
-        // *probes* for an interned id; keys are interned only at store
-        // time, so never-stored shapes (distinct search queries,
-        // cookie-minting responses) don't grow the interner.
-        let cache_candidate = self.page_cache.is_some()
-            && req.method == Method::Get
-            && req.auth.is_none();
-        let cache_id = if cache_candidate {
-            self.page_cache.as_ref().and_then(|cache| cache.probe(&req))
-        } else {
-            None
-        };
+        // later request presenting the wrong password.
+        let cache_candidate =
+            self.page_cache.is_some() && req.method == Method::Get && req.auth.is_none();
         if cache_candidate {
             let cache = self.page_cache.as_mut().expect("candidate implies cache");
-            match cache_id {
-                Some(id) => {
-                    if let Some(resp) = cache.lookup(id, self.now_ns) {
-                        obs::metrics::incr("host.page_cache.hits");
-                        obs::metrics::add("host.page_cache.bytes_saved", resp.body.len() as u64);
-                        self.access_log.borrow_mut().push(AccessLogEntry {
-                            method: req.method,
-                            path: req.path.clone(),
-                            status: resp.status.code(),
-                            bytes: resp.body.len(),
-                        });
-                        return (resp, true);
-                    }
-                }
-                None => cache.record_miss(),
+            if let Some(resp) = cache.lookup(&req, self.now_ns) {
+                obs::metrics::incr("host.page_cache.hits");
+                obs::metrics::add("host.page_cache.bytes_saved", resp.body.len() as u64);
+                return (resp, true);
             }
         }
         let mut resp = self.dispatch(&req);
@@ -340,21 +293,10 @@ impl WebServer {
             // bypass admission entirely.
             if resp.status.is_success() && resp.set_cookies.is_empty() && !resp.no_store {
                 let cache = self.page_cache.as_mut().expect("candidate implies cache");
-                let id = match cache_id {
-                    Some(id) => id,
-                    None => cache.intern(&req),
-                };
-                let now_ns = self.now_ns;
-                let evicted = cache.store(id, &resp, now_ns);
+                let evicted = cache.store(&req, &resp, self.now_ns);
                 obs::metrics::add("host.page_cache.evictions", evicted as u64);
             }
         }
-        self.access_log.borrow_mut().push(AccessLogEntry {
-            method: req.method,
-            path: req.path.clone(),
-            status: resp.status.code(),
-            bytes: resp.body.len(),
-        });
         (resp, false)
     }
 
@@ -442,6 +384,7 @@ impl WebServer {
 mod tests {
     use super::*;
     use crate::db::Value;
+    use crate::host::HostComputer;
 
     fn server() -> WebServer {
         let mut db = Database::new();
@@ -593,17 +536,24 @@ mod tests {
         assert!(resp.body.contains("about us"));
     }
 
+    /// `server()` behind a host computer, which counts requests.
+    fn host() -> HostComputer {
+        let mut host = HostComputer::new(Database::new(), 99);
+        host.web = server();
+        host
+    }
+
     #[test]
-    fn access_log_records_every_request() {
-        let mut s = server();
-        s.handle(HttpRequest::get("/stock?sku=1"));
-        s.handle(HttpRequest::get("/missing"));
-        let log = s.access_log();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].status, 200);
-        assert_eq!(log[0].path, "/stock");
-        assert_eq!(log[1].status, 404);
-        assert!(log[0].bytes > 0);
+    fn every_request_is_counted() {
+        let mut host = host();
+        let _guard = obs::metrics::enable();
+        let _ = obs::metrics::take();
+        let (ok, _) = host.process(HttpRequest::get("/stock?sku=1"));
+        let (missing, _) = host.process(HttpRequest::get("/missing"));
+        assert_eq!(ok.status, Status::Ok);
+        assert!(!ok.body.is_empty());
+        assert_eq!(missing.status, Status::NotFound);
+        assert_eq!(obs::metrics::take().counter("host.requests"), 2);
     }
 
     #[test]
@@ -690,12 +640,31 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_still_reach_the_access_log() {
+    fn cache_hits_are_still_counted_as_requests() {
+        let mut host = host();
+        host.web.configure_page_cache(u64::MAX / 2, 64 * 1024);
+        let _guard = obs::metrics::enable();
+        let _ = obs::metrics::take();
+        host.process(HttpRequest::get("/stock?sku=1"));
+        host.process(HttpRequest::get("/stock?sku=1"));
+        let metrics = obs::metrics::take();
+        assert_eq!(metrics.counter("host.requests"), 2);
+        assert_eq!(metrics.counter("host.page_cache.hits"), 1);
+    }
+
+    #[test]
+    fn a_path_aliasing_a_cached_query_is_not_served_from_the_cache() {
+        // Unescaped, `/stock&sku=1` (a path with no route) and
+        // `/stock?sku=1` rendered the same page-cache key, so the first
+        // was answered 200 with the second's cached page.
         let mut s = server();
         s.configure_page_cache(u64::MAX / 2, 64 * 1024);
-        s.handle(HttpRequest::get("/stock?sku=1"));
-        s.handle(HttpRequest::get("/stock?sku=1"));
-        assert_eq!(s.access_log().len(), 2);
+        let (page, hit) = s.handle_cached(HttpRequest::get("/stock?sku=1"));
+        assert_eq!((page.status, hit), (Status::Ok, false));
+        let (aliased, hit) = s.handle_cached(HttpRequest::get("/stock&sku=1"));
+        assert!(!hit, "a different request must not hit the cached page");
+        assert_eq!(aliased.status, Status::NotFound);
+        assert_eq!(s.page_cache_len(), 1);
     }
 
     /// Adds a search-shaped route: a credential-free GET whose response
@@ -710,12 +679,12 @@ mod tests {
     }
 
     #[test]
-    fn hundred_k_distinct_queries_hold_interner_memory_flat() {
-        // Regression test for the unbounded-interner bug: before the
-        // probe-at-lookup fix, every distinct cache-candidate request
-        // interned its key permanently, so a fleet issuing 100k distinct
-        // search queries grew the interner by 100k entries it would
-        // never revisit.
+    fn hundred_k_distinct_queries_hold_no_keys() {
+        // Regression test for the unbounded-interner bug: every distinct
+        // cache-candidate request used to keep its key forever, so a
+        // fleet issuing 100k distinct search queries held 100k keys it
+        // would never revisit. Lookups build no key, and a key lives
+        // only as long as its stored entry.
         let mut s = server();
         add_search_route(&mut s);
         s.configure_page_cache(u64::MAX / 2, 64 * 1024);
@@ -724,11 +693,6 @@ mod tests {
             assert!(!hit);
             assert!(resp.no_store);
         }
-        assert_eq!(
-            s.page_cache_interned_keys(),
-            0,
-            "never-stored request shapes must not intern keys"
-        );
         assert_eq!(s.page_cache_len(), 0, "no_store responses are never admitted");
     }
 
@@ -752,7 +716,6 @@ mod tests {
         }
         assert_eq!(browse_hits, rounds - 1, "every revisit after the first hits");
         assert_eq!(s.page_cache_len(), 1, "only the browse page is resident");
-        assert_eq!(s.page_cache_interned_keys(), 1);
     }
 }
 

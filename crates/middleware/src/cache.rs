@@ -8,16 +8,14 @@
 //! host CPU and a fixed small lookup cost, while the over-the-air legs
 //! still run (the station is no closer to the gateway than before).
 //!
-//! Like the host page cache it is deterministic and sim-time native:
-//! TTL in simulated nanoseconds, LRU eviction under a byte budget driven
-//! by a logical tick counter. And like the host page cache its keys are
-//! interned: [`ContentCache::intern`] hashes the borrowed request
-//! fields, hands out a dense `u64` id, and only builds an owned
-//! [`ContentKey`] (four cloned strings) the first time a shape is seen.
-//! Lookups hash eight bytes and probe the entry map once — the expired
-//! path removes through the same probe. A hit clones the stored
-//! [`Exchange`], whose payload is a refcounted `Bytes`, so re-serving a
-//! deck never copies it.
+//! Like the host page cache it is a [`simnet::TtlLru`]: TTL in
+//! simulated nanoseconds, LRU eviction under a byte budget over url plus
+//! payload bytes. A lookup hashes the borrowed request fields and
+//! compares them against stored keys, so it builds nothing; the owned
+//! key (four cloned strings) is built only when an exchange is stored,
+//! and is freed with its entry. A hit clones the stored [`Exchange`],
+//! whose payload is a refcounted `Bytes`, so re-serving a deck never
+//! copies it.
 //!
 //! Admission policy: only form-free GETs carrying **no credentials** are
 //! candidates, and only successful exchanges that set no cookies are
@@ -25,64 +23,40 @@
 //! gateway must not answer for the host's auth realms, so every authed
 //! request travels to the origin where the password is actually checked.
 //! Cookied GETs *are* cached, partitioned per cookie set (cookies are
-//! part of [`ContentKey`]): sessions never alias, but a session's own
-//! revisits hit.
+//! part of the key): sessions never alias, but a session's own revisits
+//! hit.
 
-use std::collections::hash_map::Entry as MapEntry;
-use std::collections::HashMap;
+use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash as _, Hasher as _};
 
-use hostsite::intern::{probe_hasher, KeyInterner};
-use simnet::{FixedState, SimDuration};
+use simnet::{SimDuration, TtlLru};
 
 use crate::{Exchange, MobileRequest};
 
 /// What a cached exchange is keyed by.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ContentKey {
+#[derive(Debug, Clone, PartialEq)]
+struct ContentKey {
     /// Request URL (path + query).
-    pub url: String,
+    url: String,
     /// Device class the adaptation targeted (e.g. the device name) —
     /// different screens get different decks.
-    pub device_class: String,
+    device_class: String,
     /// Middleware kind that produced the adaptation ("WAP", "i-mode").
-    pub middleware_kind: String,
+    middleware_kind: String,
     /// Cookies attached to the request; pages rendered for different
     /// cookie sets never alias.
-    pub cookies: Vec<(String, String)>,
+    cookies: Vec<(String, String)>,
 }
 
-impl ContentKey {
-    /// Builds the key for `req` as adapted by `middleware_kind` for
-    /// `device_class`.
-    pub fn for_request(req: &MobileRequest, device_class: &str, middleware_kind: &str) -> Self {
-        ContentKey {
-            url: req.url.clone(),
-            device_class: device_class.to_owned(),
-            middleware_kind: middleware_kind.to_owned(),
-            cookies: req.cookies.clone(),
-        }
-    }
-}
-
-/// Hashes the key fields borrowed — the probe-side twin of
-/// [`ContentKey`]'s derived `Hash`, fed identically on every call so
-/// interner probes for equal shapes always land in one bucket.
-fn hash_fields(url: &str, device_class: &str, middleware_kind: &str, cookies: &[(String, String)]) -> u64 {
-    let mut h = probe_hasher();
-    url.hash(&mut h);
+/// Hashes the key fields borrowed, the same way on every call, so a
+/// lookup never builds a [`ContentKey`].
+fn hash_fields(req: &MobileRequest, device_class: &str, middleware_kind: &str) -> u64 {
+    let mut h = DefaultHasher::new();
+    req.url.hash(&mut h);
     device_class.hash(&mut h);
     middleware_kind.hash(&mut h);
-    cookies.hash(&mut h);
+    req.cookies.hash(&mut h);
     h.finish()
-}
-
-#[derive(Debug, Clone)]
-struct Entry {
-    exchange: Exchange,
-    stored_ns: u64,
-    last_used: u64,
-    bytes: usize,
 }
 
 /// Simulated CPU cost of a cache lookup at the gateway — far below any
@@ -90,32 +64,18 @@ struct Entry {
 pub const LOOKUP_COST: SimDuration = SimDuration::from_micros(40);
 
 /// A TTL + LRU cache of adapted exchanges at the middleware gateway,
-/// keyed by interned [`ContentKey`] ids.
+/// keyed by (url, device class, middleware kind, cookies).
 #[derive(Debug)]
 pub struct ContentCache {
-    ttl_ns: u64,
-    byte_budget: usize,
-    interner: KeyInterner<ContentKey>,
-    entries: HashMap<u64, Entry, FixedState>,
-    bytes: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
+    entries: TtlLru<ContentKey, Exchange>,
 }
 
 impl ContentCache {
     /// Creates a cache with the given TTL (simulated nanoseconds) and
-    /// byte budget over cached payload bytes.
+    /// byte budget over url plus payload bytes.
     pub fn new(ttl_ns: u64, byte_budget: usize) -> Self {
         ContentCache {
-            ttl_ns,
-            byte_budget,
-            interner: KeyInterner::new(),
-            entries: HashMap::default(),
-            bytes: 0,
-            tick: 0,
-            hits: 0,
-            misses: 0,
+            entries: TtlLru::new(ttl_ns, byte_budget),
         }
     }
 
@@ -136,131 +96,59 @@ impl ContentCache {
         ex.status.is_success() && ex.set_cookies.is_empty() && !ex.no_store
     }
 
-    /// Interns the key for `req` as adapted by `middleware_kind` for
-    /// `device_class`, returning its dense id. Alloc-free for shapes
-    /// seen before: fields are hashed and compared borrowed, and the
-    /// owned [`ContentKey`] is only built on first sight.
-    pub fn intern(&mut self, req: &MobileRequest, device_class: &str, middleware_kind: &str) -> u64 {
-        let hash = hash_fields(&req.url, device_class, middleware_kind, &req.cookies);
-        self.interner.intern_with(
-            hash,
-            |k| {
-                k.url == req.url
-                    && k.device_class == device_class
-                    && k.middleware_kind == middleware_kind
-                    && k.cookies == req.cookies
-            },
-            || ContentKey::for_request(req, device_class, middleware_kind),
-        )
-    }
-
-    /// Looks up the interned id for `req` without interning: `None` when
-    /// this shape has never been *stored*. The gateway probes on lookup
-    /// and interns only at store time, so a high-cardinality key stream
-    /// (distinct search query URLs) holds the interner flat.
-    pub fn probe(&self, req: &MobileRequest, device_class: &str, middleware_kind: &str) -> Option<u64> {
-        let hash = hash_fields(&req.url, device_class, middleware_kind, &req.cookies);
-        self.interner.probe_with(hash, |k| {
+    /// Returns the re-served exchange when a fresh entry exists for
+    /// `req` as adapted by `middleware_kind` for `device_class` at
+    /// `now_ns`: same payload and air-side byte counts, but zero wired
+    /// bytes, zero host CPU, no extra round trips, and only
+    /// [`LOOKUP_COST`] of middleware CPU. Allocation-free but for the
+    /// clone a hit hands out.
+    pub fn lookup(
+        &mut self,
+        req: &MobileRequest,
+        device_class: &str,
+        middleware_kind: &str,
+        now_ns: u64,
+    ) -> Option<Exchange> {
+        let same_key = |k: &ContentKey| {
             k.url == req.url
                 && k.device_class == device_class
                 && k.middleware_kind == middleware_kind
                 && k.cookies == req.cookies
+        };
+        let hash = hash_fields(req, device_class, middleware_kind);
+        self.entries.get(hash, same_key, now_ns).map(|ex| Exchange {
+            wired_bytes: (0, 0),
+            host_cpu: SimDuration::ZERO,
+            middleware_cpu: LOOKUP_COST,
+            extra_round_trips: 0,
+            ..ex.clone()
         })
     }
 
-    /// Records a miss for a request whose key was never interned (the
-    /// probe found no id, so [`ContentCache::lookup`] never ran) — keeps
-    /// hit/miss accounting identical to a lookup-through-intern flow.
-    pub fn record_miss(&mut self) {
-        self.misses += 1;
-    }
-
-    /// Interns an already-built [`ContentKey`] (equivalent to
-    /// [`ContentCache::intern`] on the request it was built from).
-    pub fn intern_key(&mut self, key: &ContentKey) -> u64 {
-        let hash = hash_fields(&key.url, &key.device_class, &key.middleware_kind, &key.cookies);
-        self.interner
-            .intern_with(hash, |k| k == key, || key.clone())
-    }
-
-    /// Returns the re-served exchange when a fresh entry exists for the
-    /// interned key `id` at `now_ns`: same payload and air-side byte
-    /// counts, but zero wired bytes, zero host CPU, no extra round
-    /// trips, and only [`LOOKUP_COST`] of middleware CPU. One probe
-    /// serves hit, miss, and expiry alike.
-    pub fn lookup(&mut self, id: u64, now_ns: u64) -> Option<Exchange> {
-        match self.entries.entry(id) {
-            MapEntry::Occupied(mut occ) => {
-                if now_ns.saturating_sub(occ.get().stored_ns) < self.ttl_ns {
-                    self.hits += 1;
-                    self.tick += 1;
-                    occ.get_mut().last_used = self.tick;
-                    let mut ex = occ.get().exchange.clone();
-                    ex.wired_bytes = (0, 0);
-                    ex.host_cpu = SimDuration::ZERO;
-                    ex.middleware_cpu = LOOKUP_COST;
-                    ex.extra_round_trips = 0;
-                    Some(ex)
-                } else {
-                    let old = occ.remove();
-                    self.bytes -= old.bytes;
-                    self.misses += 1;
-                    None
-                }
-            }
-            MapEntry::Vacant(_) => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Stores an exchange under the interned key `id` (call
-    /// [`ContentCache::cacheable_request`] and
+    /// Stores `ex` for `req` as adapted by `middleware_kind` for
+    /// `device_class` (call [`ContentCache::cacheable_request`] and
     /// [`ContentCache::cacheable_exchange`] first), evicting LRU entries
     /// until the byte budget holds. Returns the number of evictions.
-    pub fn store(&mut self, id: u64, ex: &Exchange, now_ns: u64) -> usize {
-        let bytes = self.interner.resolve(id).url.len() + ex.content.len();
-        if bytes > self.byte_budget {
-            return 0;
-        }
-        if let Some(old) = self.entries.remove(&id) {
-            self.bytes -= old.bytes;
-        }
-        self.tick += 1;
-        self.entries.insert(
-            id,
-            Entry {
-                exchange: ex.clone(),
-                stored_ns: now_ns,
-                last_used: self.tick,
-                bytes,
-            },
-        );
-        self.bytes += bytes;
-        let mut evicted = 0;
-        while self.bytes > self.byte_budget {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(id, _)| *id)
-                .expect("over budget implies non-empty");
-            let old = self.entries.remove(&victim).expect("victim exists");
-            self.bytes -= old.bytes;
-            evicted += 1;
-        }
-        evicted
+    pub fn store(
+        &mut self,
+        req: &MobileRequest,
+        device_class: &str,
+        middleware_kind: &str,
+        ex: &Exchange,
+        now_ns: u64,
+    ) -> usize {
+        let key = ContentKey {
+            url: req.url.clone(),
+            device_class: device_class.to_owned(),
+            middleware_kind: middleware_kind.to_owned(),
+            cookies: req.cookies.clone(),
+        };
+        let bytes = req.url.len() + ex.content.len();
+        let hash = hash_fields(req, device_class, middleware_kind);
+        self.entries.put(hash, key, ex.clone(), bytes, now_ns)
     }
 
-    /// Drops every entry (e.g. when the gateway is reconfigured). Key
-    /// ids survive — re-admissions after a flush reuse them.
-    pub fn flush(&mut self) {
-        self.entries.clear();
-        self.bytes = 0;
-    }
-
-    /// Number of live entries.
+    /// Number of live entries, each holding its key.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -270,33 +158,19 @@ impl ContentCache {
         self.entries.is_empty()
     }
 
-    /// Payload + key bytes currently held.
+    /// Url + payload bytes currently held.
     pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Distinct keys ever interned (live or evicted).
-    pub fn interned_keys(&self) -> usize {
-        self.interner.len()
+        self.entries.weight()
     }
 
     /// Fresh lookups answered from the cache since construction.
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.entries.hits()
     }
 
     /// Lookups that found nothing fresh since construction.
     pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Hit rate over all lookups so far (0 when never consulted).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
+        self.entries.misses()
     }
 }
 
@@ -324,17 +198,18 @@ mod tests {
         }
     }
 
-    fn key(url: &str) -> ContentKey {
-        ContentKey::for_request(&MobileRequest::get(url), "iPAQ", "WAP")
+    fn get(url: &str) -> MobileRequest {
+        MobileRequest::get(url)
     }
 
     #[test]
     fn hits_zero_the_wired_side_and_keep_the_air_side() {
         let mut cache = ContentCache::new(1_000, 10_000);
         let ex = exchange("deck");
-        let id = cache.intern_key(&key("/shop"));
-        cache.store(id, &ex, 0);
-        let hit = cache.lookup(id, 500).expect("fresh hit");
+        cache.store(&get("/shop"), "iPAQ", "WAP", &ex, 0);
+        let hit = cache
+            .lookup(&get("/shop"), "iPAQ", "WAP", 500)
+            .expect("fresh hit");
         assert_eq!(hit.content, ex.content);
         assert_eq!(hit.downlink_bytes, ex.downlink_bytes);
         assert_eq!(hit.uplink_bytes, ex.uplink_bytes);
@@ -343,7 +218,7 @@ mod tests {
         assert_eq!(hit.middleware_cpu, LOOKUP_COST);
         assert_eq!(hit.extra_round_trips, 0);
         // Expired afterwards.
-        assert!(cache.lookup(id, 1_500).is_none());
+        assert!(cache.lookup(&get("/shop"), "iPAQ", "WAP", 1_500).is_none());
         assert!(cache.is_empty());
     }
 
@@ -352,11 +227,13 @@ mod tests {
         // Same boundary rule as the host page cache and the DB query
         // cache: fresh strictly before `stored + ttl`, expired at it.
         let mut cache = ContentCache::new(1_000, 10_000);
-        let id = cache.intern_key(&key("/shop"));
-        cache.store(id, &exchange("deck"), 0);
-        assert!(cache.lookup(id, 999).is_some(), "one tick early: fresh");
+        cache.store(&get("/shop"), "iPAQ", "WAP", &exchange("deck"), 0);
         assert!(
-            cache.lookup(id, 1_000).is_none(),
+            cache.lookup(&get("/shop"), "iPAQ", "WAP", 999).is_some(),
+            "one tick early: fresh"
+        );
+        assert!(
+            cache.lookup(&get("/shop"), "iPAQ", "WAP", 1_000).is_none(),
             "probed at exactly stored + ttl: expired"
         );
         assert!(cache.is_empty(), "expired entry is dropped");
@@ -365,29 +242,13 @@ mod tests {
     #[test]
     fn device_class_and_kind_partition_the_key_space() {
         let mut cache = ContentCache::new(u64::MAX / 2, 10_000);
-        let id = cache.intern_key(&key("/shop"));
-        cache.store(id, &exchange("wap deck"), 0);
-        let imode = cache.intern(&MobileRequest::get("/shop"), "iPAQ", "i-mode");
-        assert!(cache.lookup(imode, 1).is_none());
-        let other_device = cache.intern(&MobileRequest::get("/shop"), "P503i", "WAP");
-        assert!(cache.lookup(other_device, 1).is_none());
-        let cookied = cache.intern(
-            &MobileRequest::get("/shop").with_cookie("sid", "s"),
-            "iPAQ",
-            "WAP",
-        );
-        assert!(cache.lookup(cookied, 1).is_none());
-        assert_eq!(cache.interned_keys(), 4, "four distinct shapes");
-    }
-
-    #[test]
-    fn interned_request_ids_match_built_key_ids() {
-        let mut cache = ContentCache::new(u64::MAX / 2, 10_000);
-        let req = MobileRequest::get("/shop?x=1").with_cookie("sid", "s");
-        let by_req = cache.intern(&req, "iPAQ", "WAP");
-        let by_key = cache.intern_key(&ContentKey::for_request(&req, "iPAQ", "WAP"));
-        assert_eq!(by_req, by_key);
-        assert_eq!(cache.interned_keys(), 1);
+        cache.store(&get("/shop"), "iPAQ", "WAP", &exchange("wap deck"), 0);
+        assert!(cache.lookup(&get("/shop"), "iPAQ", "i-mode", 1).is_none());
+        assert!(cache.lookup(&get("/shop"), "P503i", "WAP", 1).is_none());
+        let cookied = get("/shop").with_cookie("sid", "s");
+        assert!(cache.lookup(&cookied, "iPAQ", "WAP", 1).is_none());
+        assert!(cache.lookup(&get("/shop"), "iPAQ", "WAP", 1).is_some());
+        assert_eq!(cache.len(), 1, "lookups hold no keys");
     }
 
     #[test]
@@ -417,39 +278,32 @@ mod tests {
     }
 
     #[test]
-    fn probing_unseen_keys_never_grows_the_interner() {
-        // Regression test for the unbounded-interner bug: lookups probe
-        // for an id and only stores intern, so a high-cardinality query
-        // stream leaves the interner exactly as large as the set of
-        // exchanges actually admitted.
+    fn lookups_of_unseen_keys_hold_nothing() {
+        // Regression test for the unbounded-interner bug: a
+        // high-cardinality query stream that is never stored leaves the
+        // cache holding no key at all.
         let mut cache = ContentCache::new(u64::MAX / 2, 10_000);
         for i in 0..100_000u64 {
-            let req = MobileRequest::get(&format!("/search?q=term{i}"));
-            assert!(cache.probe(&req, "iPAQ", "WAP").is_none());
-            cache.record_miss();
+            let req = get(&format!("/search?q=term{i}"));
+            assert!(cache.lookup(&req, "iPAQ", "WAP", 0).is_none());
         }
-        assert_eq!(cache.interned_keys(), 0, "probes intern nothing");
+        assert!(cache.is_empty(), "lookups hold no keys");
         assert_eq!(cache.misses(), 100_000);
-        // A stored exchange interns once and probes back to the same id.
-        let req = MobileRequest::get("/shop");
-        let id = cache.intern(&req, "iPAQ", "WAP");
-        cache.store(id, &exchange("deck"), 0);
-        assert_eq!(cache.probe(&req, "iPAQ", "WAP"), Some(id));
-        assert_eq!(cache.interned_keys(), 1);
+        cache.store(&get("/shop"), "iPAQ", "WAP", &exchange("deck"), 0);
+        assert!(cache.lookup(&get("/shop"), "iPAQ", "WAP", 1).is_some());
+        assert_eq!((cache.len(), cache.hits()), (1, 1));
     }
 
     #[test]
     fn lru_eviction_bounds_the_budget() {
         let mut cache = ContentCache::new(u64::MAX / 2, 24);
-        let (a, b) = (cache.intern_key(&key("/a")), cache.intern_key(&key("/b")));
-        cache.store(a, &exchange("0123456789"), 0);
-        cache.store(b, &exchange("0123456789"), 1);
-        assert!(cache.lookup(a, 2).is_some());
-        let c = cache.intern_key(&key("/c"));
-        let evicted = cache.store(c, &exchange("0123456789"), 3);
+        cache.store(&get("/a"), "iPAQ", "WAP", &exchange("0123456789"), 0);
+        cache.store(&get("/b"), "iPAQ", "WAP", &exchange("0123456789"), 1);
+        assert!(cache.lookup(&get("/a"), "iPAQ", "WAP", 2).is_some());
+        let evicted = cache.store(&get("/c"), "iPAQ", "WAP", &exchange("0123456789"), 3);
         assert_eq!(evicted, 1);
-        assert!(cache.lookup(b, 4).is_none());
-        assert!(cache.lookup(a, 4).is_some());
+        assert!(cache.lookup(&get("/b"), "iPAQ", "WAP", 4).is_none());
+        assert!(cache.lookup(&get("/a"), "iPAQ", "WAP", 4).is_some());
         assert!(cache.bytes() <= 24);
     }
 }

@@ -31,7 +31,7 @@ pub mod wap;
 use bytes::Bytes;
 use simnet::SimDuration;
 
-pub use cache::{ContentCache, ContentKey};
+pub use cache::ContentCache;
 pub use imode::IModeService;
 pub use memo::{SharedTranscodeMemo, TranscodeMemo};
 pub use wap::WapGateway;

@@ -34,6 +34,7 @@
 //! ```
 
 pub mod baseline;
+pub mod cache;
 pub mod contend;
 mod event;
 pub mod link;
@@ -46,6 +47,7 @@ pub mod trace;
 mod wheel;
 
 pub use baseline::BaselineSimulator;
+pub use cache::TtlLru;
 pub use event::EventKey;
 pub use obs::metrics;
 pub use link::{Link, LinkParams, LossModel, Wire};

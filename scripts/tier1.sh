@@ -13,6 +13,9 @@
 #                      topology's unit tests and the memo and
 #                      island-membership properties;
 #   clippy (-D warnings, whole workspace) — lints are errors;
+#   doc (-D warnings, whole workspace) — rustdoc builds with no broken
+#                      or redundant intra-doc links, so docs cannot
+#                      keep pointing at types that were deleted;
 #   bench (compile)  — the Criterion benches build;
 #   report smoke     — the F4 engine experiment runs end to end and
 #                      emits well-formed BENCH_engine.json;
@@ -81,7 +84,7 @@
 #                      at 1/2/4/8 threads, cold search cost is monotone
 #                      in catalog size, memo hits fall as the write
 #                      rate rises, and 10k distinct queries leave the
-#                      page-cache interner empty (flat memory);
+#                      page cache holding no keys (flat memory);
 #   examples smoke   — the Scenario-driven examples run clean (their
 #                      internal asserts are the gate);
 #   fleetbench       — the benchmark's self-tests pass, and a short
@@ -102,6 +105,7 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::perf
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo bench --no-run
 cargo run --release -p bench --bin report -- --quick --f4
 python3 -m json.tool BENCH_engine.json > /dev/null
@@ -300,7 +304,7 @@ assert legs["warm"]["search_ms"] < legs["cold"]["search_ms"], (
 assert legs["cold"]["memo_hits"] == 0 and legs["warm"]["memo_hits"] > 0
 assert doc["search_equals_scan"], "indexed search diverged from brute-force scan"
 assert doc["thread_identical"], "search fleet diverged across thread counts"
-assert doc["interner_flat"], "distinct queries grew the page-cache interner"
+assert doc["interner_flat"], "distinct queries left keys held in the page cache"
 sizes = doc["index_size"]
 for prev, cur in zip(sizes, sizes[1:]):
     assert cur["cold_search_ns"] > prev["cold_search_ns"], (
@@ -315,7 +319,7 @@ for prev, cur in zip(rates, rates[1:]):
     )
 print(f"search gate: warm p50 {legs['warm']['p50_ms']:.1f} ms < cold "
       f"{legs['cold']['p50_ms']:.1f} ms; index == scan; identical at 1/2/4/8 "
-      f"threads; interner flat under 10k distinct queries")
+      f"threads; no keys held after 10k distinct queries")
 PY
 cargo run --release -p bench --bin benchdiff -- bench/baselines .
 python3 - <<'PY'
