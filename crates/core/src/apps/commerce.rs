@@ -12,7 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::OnceLock;
 
-use hostsite::db::{DbError, Value};
+use hostsite::db::{Database, DbError, Value};
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
 use markup::html;
 use middleware::MobileRequest;
@@ -55,8 +55,7 @@ impl Application for PaymentsApp {
         Category::Commerce
     }
 
-    fn install(&self, host: &mut HostComputer) {
-        let db = host.web.db_mut();
+    fn seed(&self, db: &mut Database) {
         db.create_table(
             "products",
             &["sku", "name", "price_cents", "stock"],
@@ -72,10 +71,12 @@ impl Application for PaymentsApp {
         }
         // Full-text search over product names. Registration is engine
         // configuration (not journaled), so the pristine-page journal
-        // pinning above is unaffected; a DbCrash drops the postings and
-        // recovery re-registers and rebuilds them from the base rows.
+        // pinning in `mount` is unaffected; a DbCrash drops the postings
+        // and recovery re-registers and rebuilds them from the base rows.
         db.create_fts("products", "name").expect("fresh database");
+    }
 
+    fn mount(&self, host: &mut HostComputer) {
         let gateway = {
             let mut gw = PaymentGateway::new(self.client_mac, Mac::new(b"mc-payments-gateway-key"));
             // Every simulated shopper shares one demo account per run.
@@ -85,7 +86,7 @@ impl Application for PaymentsApp {
         let client_mac = self.client_mac;
 
         // The storefront page is a pure function of the products table.
-        // Every freshly installed world starts from the same constant
+        // Every world's database is seeded from the same constant
         // CATALOG, so the pristine-state page is process-constant: it is
         // rendered once and shared across all worlds (and threads). The
         // journal length pins "pristine" exactly — any database write in
@@ -301,7 +302,6 @@ impl Application for PaymentsApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hostsite::db::Database;
 
     fn host() -> HostComputer {
         let mut host = HostComputer::new(Database::new(), 1);

@@ -5,7 +5,7 @@
 //! (multi-card decks after WAP translation) so this workload exercises
 //! deck pagination on small devices.
 
-use hostsite::db::{DbError, Value};
+use hostsite::db::{Database, DbError, Value};
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
 use markup::html;
 use middleware::MobileRequest;
@@ -30,8 +30,7 @@ impl Application for EducationApp {
         Category::Education
     }
 
-    fn install(&self, host: &mut HostComputer) {
-        let db = host.web.db_mut();
+    fn seed(&self, db: &mut Database) {
         db.create_table("courses", &["id", "title", "answer"], &[])
             .expect("fresh database");
         db.create_table("scores", &["student", "points"], &[])
@@ -40,7 +39,9 @@ impl Application for EducationApp {
             db.insert("courses", vec![id.into(), title.into(), answer.into()])
                 .expect("seed courses");
         }
+    }
 
+    fn mount(&self, host: &mut HostComputer) {
         host.web.route_get(
             "/learn/lesson",
             |req: &HttpRequest, ctx: &mut ServerCtx<'_>| {
@@ -147,7 +148,6 @@ impl Application for EducationApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hostsite::db::Database;
 
     fn host() -> HostComputer {
         let mut host = HostComputer::new(Database::new(), 7);

@@ -6,7 +6,7 @@
 //! makes this the workload where the wireless standard's data rate, not
 //! its latency, dominates.
 
-use hostsite::db::Value;
+use hostsite::db::{Database, Value};
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
 use markup::html;
 use middleware::MobileRequest;
@@ -33,8 +33,7 @@ impl Application for EntertainmentApp {
         Category::Entertainment
     }
 
-    fn install(&self, host: &mut HostComputer) {
-        let db = host.web.db_mut();
+    fn seed(&self, db: &mut Database) {
         db.create_table(
             "media",
             &["id", "title", "kind", "kb", "downloads"],
@@ -48,7 +47,9 @@ impl Application for EntertainmentApp {
             )
             .expect("seed media");
         }
+    }
 
+    fn mount(&self, host: &mut HostComputer) {
         host.web
             .route_get("/media", |_req: &HttpRequest, ctx: &mut ServerCtx<'_>| {
                 let rows = ctx.db.select("media", |_| true).unwrap_or_default();
@@ -133,7 +134,6 @@ impl Application for EntertainmentApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hostsite::db::Database;
 
     fn host() -> HostComputer {
         let mut host = HostComputer::new(Database::new(), 6);

@@ -5,7 +5,7 @@
 //! tasks. Stock consumption and task state change in one transaction, so
 //! the resource ledger never drifts.
 
-use hostsite::db::{DbError, Value};
+use hostsite::db::{Database, DbError, Value};
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
 use markup::html;
 use middleware::MobileRequest;
@@ -40,8 +40,7 @@ impl Application for ErpApp {
         Category::Erp
     }
 
-    fn install(&self, host: &mut HostComputer) {
-        let db = host.web.db_mut();
+    fn seed(&self, db: &mut Database) {
         db.create_table("stock", &["part", "qty"], &[])
             .expect("fresh database");
         db.create_table(
@@ -67,7 +66,9 @@ impl Application for ErpApp {
             )
             .expect("seed tasks");
         }
+    }
 
+    fn mount(&self, host: &mut HostComputer) {
         // Task queue for a worker: open tasks, first five.
         host.web.route_get(
             "/erp/tasks",
@@ -188,7 +189,6 @@ impl Application for ErpApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hostsite::db::Database;
 
     fn host() -> HostComputer {
         let mut host = HostComputer::new(Database::new(), 8);

@@ -5,7 +5,7 @@
 //! authentication databases") — unauthenticated access is refused, which
 //! the session workflow exercises both ways.
 
-use hostsite::db::{DbError, Value};
+use hostsite::db::{Database, DbError, Value};
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
 use markup::html;
 use middleware::MobileRequest;
@@ -33,8 +33,7 @@ impl Application for HealthCareApp {
         Category::HealthCare
     }
 
-    fn install(&self, host: &mut HostComputer) {
-        let db = host.web.db_mut();
+    fn seed(&self, db: &mut Database) {
         db.create_table("patients", &["id", "name", "notes"], &[])
             .expect("fresh database");
         db.create_table(
@@ -47,7 +46,9 @@ impl Application for HealthCareApp {
             db.insert("patients", vec![id.into(), name.into(), notes.into()])
                 .expect("seed patients");
         }
+    }
 
+    fn mount(&self, host: &mut HostComputer) {
         // Everything under /ward requires clinician credentials.
         host.web.protect(
             "/ward",
@@ -145,7 +146,6 @@ impl Application for HealthCareApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hostsite::db::Database;
 
     fn host() -> HostComputer {
         let mut host = HostComputer::new(Database::new(), 5);

@@ -7,7 +7,7 @@
 //! them, and customers query live status — every write originates on a
 //! mobile station.
 
-use hostsite::db::DbError;
+use hostsite::db::{Database, DbError};
 #[cfg(test)]
 use hostsite::db::Value;
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
@@ -36,8 +36,7 @@ impl Application for InventoryApp {
         Category::Inventory
     }
 
-    fn install(&self, host: &mut HostComputer) {
-        let db = host.web.db_mut();
+    fn seed(&self, db: &mut Database) {
         db.create_table(
             "packages",
             &["id", "contents", "location", "status", "driver"],
@@ -57,7 +56,9 @@ impl Application for InventoryApp {
             )
             .expect("seed packages");
         }
+    }
 
+    fn mount(&self, host: &mut HostComputer) {
         // Driver scan: update a package's location (and maybe deliver it).
         host.web.route_post(
             "/track/scan",
@@ -201,7 +202,6 @@ impl Application for InventoryApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hostsite::db::Database;
 
     fn host() -> HostComputer {
         let mut host = HostComputer::new(Database::new(), 2);

@@ -12,10 +12,10 @@
 //! | Travel and ticketing | travel management | travel industry and ticket sales |
 //!
 //! Each category is a real [`Application`]: an installer that provisions
-//! the host computer (database schema, seed data, application-program
-//! routes) plus a deterministic generator of user *sessions* — sequences
-//! of requests with expected outcomes — that the workload runner drives
-//! through any [`crate::CommerceSystem`].
+//! the host computer (database schema and seed data, then
+//! application-program routes) plus a deterministic generator of user
+//! *sessions* — sequences of requests with expected outcomes — that the
+//! workload runner drives through any [`crate::CommerceSystem`].
 
 pub mod commerce;
 pub mod education;
@@ -26,6 +26,7 @@ pub mod inventory;
 pub mod traffic;
 pub mod travel;
 
+use hostsite::db::Database;
 use hostsite::HostComputer;
 use middleware::MobileRequest;
 
@@ -151,8 +152,22 @@ pub trait Application {
     /// Which Table 1 category this application realises.
     fn category(&self) -> Category;
 
-    /// Provisions the host computer: schema, seed data, routes.
-    fn install(&self, host: &mut HostComputer);
+    /// Seeds the database server: schema, seed rows and full-text
+    /// registrations. The result depends on nothing but the application,
+    /// so a fleet seeds it once and hands every host a clone.
+    fn seed(&self, db: &mut Database);
+
+    /// Mounts the application programs on a host whose database is
+    /// already seeded: routes, auth realms, and per-host state such as a
+    /// payment gateway.
+    fn mount(&self, host: &mut HostComputer);
+
+    /// Provisions the host computer: [`Application::seed`] its database,
+    /// then [`Application::mount`] the programs.
+    fn install(&self, host: &mut HostComputer) {
+        self.seed(host.web.db_mut());
+        self.mount(host);
+    }
 
     /// Generates the `index`-th user session deterministically under
     /// `seed`.

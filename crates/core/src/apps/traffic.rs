@@ -6,7 +6,7 @@
 //! directions, and traffic advisories" for the "transportation and auto
 //! industries".
 
-use hostsite::db::{DbError, Value};
+use hostsite::db::{Database, DbError, Value};
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
 use markup::html;
 use middleware::MobileRequest;
@@ -41,8 +41,7 @@ impl Application for TrafficApp {
         Category::Traffic
     }
 
-    fn install(&self, host: &mut HostComputer) {
-        let db = host.web.db_mut();
+    fn seed(&self, db: &mut Database) {
         db.create_table(
             "roads",
             &["id", "from_node", "to_node", "minutes", "congestion"],
@@ -62,7 +61,9 @@ impl Application for TrafficApp {
             )
             .expect("seed roads");
         }
+    }
 
+    fn mount(&self, host: &mut HostComputer) {
         // A probe vehicle reports congestion on a segment (0–9 scale).
         host.web.route_post(
             "/traffic/report",
@@ -214,7 +215,6 @@ fn shortest_path(edges: &[(String, String, i64, i64)], from: &str, to: &str) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hostsite::db::Database;
 
     fn host() -> HostComputer {
         let mut host = HostComputer::new(Database::new(), 3);

@@ -5,7 +5,7 @@
 //! decrement seats inside a database transaction, so overselling is
 //! impossible even under concurrent sessions.
 
-use hostsite::db::{DbError, Value};
+use hostsite::db::{Database, DbError, Value};
 use hostsite::{ContentFormat, HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
 use markup::html;
 use middleware::MobileRequest;
@@ -33,8 +33,7 @@ impl Application for TravelApp {
         Category::Travel
     }
 
-    fn install(&self, host: &mut HostComputer) {
-        let db = host.web.db_mut();
+    fn seed(&self, db: &mut Database) {
         db.create_table(
             "flights",
             &["id", "orig", "dest", "departs", "seats"],
@@ -50,7 +49,9 @@ impl Application for TravelApp {
             )
             .expect("seed flights");
         }
+    }
 
+    fn mount(&self, host: &mut HostComputer) {
         // Search by origin. This route practises §7's content negotiation:
         // clients that accept cHTML (i-mode handsets) get a natively
         // compact page, so the middleware can pass it through unfiltered.
@@ -244,7 +245,6 @@ impl Application for TravelApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hostsite::db::Database;
 
     fn host() -> HostComputer {
         let mut host = HostComputer::new(Database::new(), 4);

@@ -50,7 +50,7 @@ use obs::Recorder;
 use station::{DeviceProfile, RenderMemo};
 use wireless::WlanStandard;
 
-use crate::apps::{for_category, Category};
+use crate::apps::{for_category, Application, Category};
 use crate::merge::FleetMerger;
 use crate::netpath::{WiredPath, WirelessConfig};
 use crate::report::{WorkloadCounters, WorkloadSummary};
@@ -322,26 +322,29 @@ impl Scenario {
             .durability(self.durability)
     }
 
-    /// Builds the fully provisioned system for one user: fresh host with
-    /// the application installed, middleware, device, networks — seeded
-    /// purely from the scenario seed and the user index, all through
-    /// [`Scenario::spec_for_user`]. The fleet engine never calls this;
-    /// it is the per-user reference the engine is tested against.
+    /// Builds the fully provisioned system for one user: a freshly
+    /// seeded database in a host with the application mounted,
+    /// middleware, device, networks — seeded purely from the scenario
+    /// seed and the user index, all through [`Scenario::spec_for_user`].
+    /// The fleet engine never calls this; it is the per-user reference
+    /// the engine is tested against.
     pub fn system_for_user(&self, user: u64) -> McSystem {
-        self.system_on(user, self.host_for(user))
+        let app = for_category(self.app);
+        let db = seeded(app.as_ref());
+        self.system_on(user, self.host_for(app.as_ref(), user, db))
     }
 
-    /// The provisioned host of world `index`: the application installed,
-    /// the cache and durability policies applied, seeded from the
+    /// The provisioned host of world `index` around `db`, a database
+    /// `app` has seeded: the application mounted, the cache and
+    /// durability policies applied, the web server seeded from the
     /// scenario seed and `index`. It is user `index`'s private host in
     /// [`Scenario::system_for_user`] and island `index`'s shared host in
     /// the fleet engine, so on [`Topology::isolated`] the two coincide.
-    pub(crate) fn host_for(&self, index: u64) -> HostComputer {
-        let mut host = HostComputer::new(
-            Database::new(),
-            simnet::rng::sub_seed(self.seed, "fleet.host", index),
-        );
-        for_category(self.app).install(&mut host);
+    /// The engine passes a clone of its worker's seeded database, the
+    /// reference a fresh one.
+    pub(crate) fn host_for(&self, app: &dyn Application, index: u64, db: Database) -> HostComputer {
+        let mut host = HostComputer::new(db, simnet::rng::sub_seed(self.seed, "fleet.host", index));
+        app.mount(&mut host);
         provision_host(&mut host, self.cache, self.durability);
         host
     }
@@ -424,6 +427,14 @@ impl Scenario {
             metrics: obs::metrics::take(),
         }
     }
+}
+
+/// A fresh database seeded by `app`: the template each fleet worker
+/// clones for its island hosts, and the reference path's own database.
+pub(crate) fn seeded(app: &dyn Application) -> Database {
+    let mut db = Database::new();
+    app.seed(&mut db);
+    db
 }
 
 /// Worker-lifetime scratch state: memo tables for the pure, body-keyed

@@ -79,7 +79,9 @@ use simnet::rng::{rng_for_indexed, sub_seed};
 use wireless::CellAirtime;
 
 use crate::apps::{for_category, Application, Step};
-use crate::fleet::{FleetTrace, RecorderKind, RunConfig, Scenario, ShardScratch, UserTrace};
+use crate::fleet::{
+    seeded, FleetTrace, RecorderKind, RunConfig, Scenario, ShardScratch, UserTrace,
+};
 use crate::merge::{FleetMerger, TraceMerger};
 use crate::report::{TransactionReport, WorkloadCounters};
 use crate::system::{CommerceSystem, McSystem};
@@ -363,6 +365,11 @@ struct Worker<'a> {
     topology: &'a Topology,
     config: RunConfig,
     app: Box<dyn Application>,
+    /// The application's seeded database. Every island host starts from
+    /// a clone of it, which shares the template's row images, indexes
+    /// and postings until a write copies them. Each worker seeds its
+    /// own, so no clone or drop touches a refcount another thread uses.
+    template: Database,
     scratch: ShardScratch,
     /// The ring buffer behind each island's first recorder — every
     /// user's, on the isolated topology. Users of a shared island
@@ -382,11 +389,13 @@ struct Worker<'a> {
 
 impl<'a> Worker<'a> {
     fn new(scenario: &'a Scenario, topology: &'a Topology, config: RunConfig) -> Self {
+        let app = for_category(scenario.app);
         Worker {
             scenario,
             topology,
             config,
-            app: for_category(scenario.app),
+            template: seeded(app.as_ref()),
+            app,
             scratch: ShardScratch::new(),
             ring: RingScratch::default(),
             metrics_guard: config.traced.then(obs::metrics::enable),
@@ -432,7 +441,9 @@ impl<'a> Worker<'a> {
         // The island's shared host: exactly user `island`'s private host
         // (same seed, application, cache and durability policy), so a
         // one-user island is bit-identical to that user's private world.
-        let mut shared_host = scenario.host_for(island);
+        // Its database is a clone of the worker's seeded template, a
+        // value equal to a freshly seeded one.
+        let mut shared_host = scenario.host_for(app, island, self.template.clone());
 
         // The island's shared infrastructure, indexed locally. Local
         // order follows global index order, so resource identity is

@@ -32,11 +32,11 @@ const SEARCH_MEMO_HIT_NS: u64 = 100_000;
 const SEARCH_MEMO_CAP: usize = 64;
 
 /// Inverse operations for transaction rollback.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Undo {
-    RemoveRow { table: String, key: OrdKey },
-    RestoreRow { table: String, row: Arc<Row> },
-    DropTable { name: String },
+    RemoveRow { table: Arc<str>, key: OrdKey },
+    RestoreRow { table: Arc<str>, row: Arc<Row> },
+    DropTable { name: Arc<str> },
 }
 
 /// A memoized result set, shared row handles in result order.
@@ -88,6 +88,13 @@ impl Snapshot {
 
 /// The embedded database engine.
 ///
+/// A clone is an independent value: writes to either copy never show in
+/// the other. It is also cheap. Each table's row map is copied, but row
+/// images, schemas, secondary indexes, full-text postings and journal
+/// payloads are shared behind `Arc` until a write reaches them. A fleet
+/// seeds an application's database once and starts every host from a
+/// clone of it.
+///
 /// ```
 /// use hostsite::db::{Database, Value};
 ///
@@ -98,9 +105,9 @@ impl Snapshot {
 /// assert_eq!(row[1], Value::Text("widget".into()));
 /// # Ok::<(), hostsite::db::DbError>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Database {
-    tables: HashMap<String, Table>,
+    tables: HashMap<Arc<str>, Table>,
     wal: Wal,
     memory_limit: Option<usize>,
     footprint: usize,
@@ -321,10 +328,8 @@ impl Database {
         // Derived projections: rebuild every secondary index from the
         // recovered base rows.
         let mut rebuilt = 0u64;
-        let names: Vec<String> = db.tables.keys().cloned().collect();
-        for name in names {
-            let table = db.tables.get_mut(&name).expect("own table");
-            rebuilt += table.rebuild_indexes(&name)?;
+        for table in db.tables.values_mut() {
+            rebuilt += table.rebuild_indexes()?;
         }
         db.index_entries_rebuilt = rebuilt;
         db.wal.install_durable(journal.to_vec());
@@ -341,36 +346,7 @@ impl Database {
                 name,
                 columns,
                 indexes,
-            } => {
-                if self.tables.contains_key(name) {
-                    return Err(DbError::TableExists(name.clone()));
-                }
-                if columns.is_empty() {
-                    return Err(DbError::SchemaMismatch(
-                        "a table needs at least one column".into(),
-                    ));
-                }
-                for idx in indexes {
-                    if !columns.contains(idx) {
-                        return Err(DbError::NoSuchColumn {
-                            table: name.clone(),
-                            column: idx.clone(),
-                        });
-                    }
-                }
-                self.tables.insert(
-                    name.clone(),
-                    Table {
-                        columns: columns.clone(),
-                        rows: BTreeMap::new(),
-                        indexes: indexes
-                            .iter()
-                            .map(|s| (s.clone(), BTreeMap::new()))
-                            .collect(),
-                        fts: None,
-                    },
-                );
-            }
+            } => self.add_table(name, columns, indexes)?,
             JournalEntry::Insert { table, row } => {
                 {
                     let t = self.table(table)?;
@@ -383,7 +359,7 @@ impl Database {
                 let version = self.next_version();
                 let t = self.tables.get_mut(table).expect("checked above");
                 let chain = t.rows.entry(row[0].ord_key()).or_default();
-                chain.install(Arc::new(row.clone()), version);
+                chain.install(Arc::clone(row), version);
                 chain.prune(None);
             }
             JournalEntry::Update { table, row } => {
@@ -397,7 +373,7 @@ impl Database {
                 let version = self.next_version();
                 let t = self.tables.get_mut(table).expect("checked above");
                 let chain = t.rows.get_mut(&row[0].ord_key()).expect("live row exists");
-                chain.install(Arc::new(row.clone()), version);
+                chain.install(Arc::clone(row), version);
                 chain.prune(None);
             }
             JournalEntry::Delete { table, key } => {
@@ -435,50 +411,53 @@ impl Database {
         columns: &[&str],
         indexes: &[&str],
     ) -> Result<(), DbError> {
+        let name: Arc<str> = Arc::from(name);
+        let columns: Arc<[String]> = columns.iter().map(|s| (*s).to_owned()).collect();
+        let indexes: Arc<[String]> = indexes.iter().map(|s| (*s).to_owned()).collect();
+        self.add_table(&name, &columns, &indexes)?;
+        self.record(JournalEntry::CreateTable {
+            name: Arc::clone(&name),
+            columns,
+            indexes,
+        });
+        if self.tx_depth > 0 {
+            self.undo.push(Undo::DropTable { name });
+        }
+        Ok(())
+    }
+
+    /// Checks a new table's schema and adds the empty table: the shared
+    /// step of [`Database::create_table`] and recovery.
+    fn add_table(
+        &mut self,
+        name: &Arc<str>,
+        columns: &Arc<[String]>,
+        indexes: &[String],
+    ) -> Result<(), DbError> {
         if self.tables.contains_key(name) {
-            return Err(DbError::TableExists(name.to_owned()));
+            return Err(DbError::TableExists(name.to_string()));
         }
         if columns.is_empty() {
             return Err(DbError::SchemaMismatch(
                 "a table needs at least one column".into(),
             ));
         }
-        for idx in indexes {
-            if !columns.contains(idx) {
-                return Err(DbError::NoSuchColumn {
-                    table: name.to_owned(),
-                    column: (*idx).to_owned(),
-                });
-            }
-        }
-        self.tables.insert(
-            name.to_owned(),
-            Table {
-                columns: columns.iter().map(|s| (*s).to_owned()).collect(),
-                rows: BTreeMap::new(),
-                indexes: indexes
-                    .iter()
-                    .map(|s| ((*s).to_owned(), BTreeMap::new()))
-                    .collect(),
-                fts: None,
-            },
-        );
-        self.record(JournalEntry::CreateTable {
-            name: name.to_owned(),
-            columns: columns.iter().map(|s| (*s).to_owned()).collect(),
-            indexes: indexes.iter().map(|s| (*s).to_owned()).collect(),
-        });
-        if self.tx_depth > 0 {
-            self.undo.push(Undo::DropTable {
-                name: name.to_owned(),
+        if let Some(idx) = indexes.iter().find(|idx| !columns.contains(idx)) {
+            return Err(DbError::NoSuchColumn {
+                table: name.to_string(),
+                column: idx.clone(),
             });
         }
+        self.tables.insert(
+            Arc::clone(name),
+            Table::new(Arc::clone(name), Arc::clone(columns), indexes),
+        );
         Ok(())
     }
 
     /// Lists table names.
     pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.keys().cloned().collect();
+        let mut names: Vec<String> = self.tables.keys().map(|k| k.to_string()).collect();
         names.sort();
         names
     }
@@ -682,24 +661,24 @@ impl Database {
         let pin = self.oldest_pin();
         let key = row[0].ord_key();
         let table = self.tables.get_mut(table_name).expect("checked above");
-        if let Err(e) = table.index_insert(table_name, &row) {
+        if let Err(e) = table.index_insert(&row) {
             self.footprint = self.footprint.saturating_sub(bytes);
             return Err(e);
         }
+        // One image, shared by the version chain and the journal.
+        let row = Arc::new(row);
         let chain = table.rows.entry(key.clone()).or_default();
-        chain.install(Arc::new(row.clone()), version);
+        chain.install(Arc::clone(&row), version);
         chain.prune(pin);
+        let name = Arc::clone(&table.name);
         self.invalidate_table(table_name);
-        self.record(JournalEntry::Insert {
-            table: table_name.to_owned(),
-            row,
-        });
         if self.tx_depth > 0 {
             self.undo.push(Undo::RemoveRow {
-                table: table_name.to_owned(),
+                table: Arc::clone(&name),
                 key,
             });
         }
+        self.record(JournalEntry::Insert { table: name, row });
         Ok(())
     }
 
@@ -740,27 +719,24 @@ impl Database {
         let pin = self.oldest_pin();
         let key = row[0].ord_key();
         let table = self.tables.get_mut(table_name).expect("checked above");
-        let reindexed = table
-            .index_remove(table_name, &old)
-            .and_then(|()| table.index_insert(table_name, &row));
-        if let Err(e) = reindexed {
+        if let Err(e) = table.index_update(&old, &row) {
             self.footprint = self.footprint.saturating_sub(new_bytes) + old_bytes;
             return Err(e);
         }
+        // One image, shared by the version chain and the journal.
+        let row = Arc::new(row);
         let chain = table.rows.get_mut(&key).expect("live row exists");
-        chain.install(Arc::new(row.clone()), version);
+        chain.install(Arc::clone(&row), version);
         chain.prune(pin);
+        let name = Arc::clone(&table.name);
         self.invalidate_table(table_name);
-        self.record(JournalEntry::Update {
-            table: table_name.to_owned(),
-            row,
-        });
         if self.tx_depth > 0 {
             self.undo.push(Undo::RestoreRow {
-                table: table_name.to_owned(),
+                table: Arc::clone(&name),
                 row: old,
             });
         }
+        self.record(JournalEntry::Update { table: name, row });
         Ok(())
     }
 
@@ -778,7 +754,7 @@ impl Database {
         let version = self.next_version();
         let pin = self.oldest_pin();
         let table = self.tables.get_mut(table_name).expect("checked above");
-        if let Err(e) = table.index_remove(table_name, &old) {
+        if let Err(e) = table.index_remove(&old) {
             self.footprint += Self::row_footprint(&old);
             return Err(e);
         }
@@ -790,17 +766,18 @@ impl Database {
                 table.rows.remove(&ord);
             }
         }
+        let name = Arc::clone(&table.name);
         self.invalidate_table(table_name);
-        self.record(JournalEntry::Delete {
-            table: table_name.to_owned(),
-            key: key.clone(),
-        });
         if self.tx_depth > 0 {
             self.undo.push(Undo::RestoreRow {
-                table: table_name.to_owned(),
+                table: Arc::clone(&name),
                 row: old,
             });
         }
+        self.record(JournalEntry::Delete {
+            table: name,
+            key: key.clone(),
+        });
         Ok(())
     }
 
@@ -932,7 +909,7 @@ impl Database {
             }
         }
         let entries = fts.entry_count();
-        table.fts = Some(fts);
+        table.fts = Some(Arc::new(fts));
         Ok(entries)
     }
 
@@ -952,7 +929,7 @@ impl Database {
         let mut regs: Vec<(String, String)> = self
             .tables
             .iter()
-            .filter_map(|(name, t)| t.fts.as_ref().map(|f| (name.clone(), f.column.clone())))
+            .filter_map(|(name, t)| t.fts.as_ref().map(|f| (name.to_string(), f.column.clone())))
             .collect();
         regs.sort();
         regs
@@ -1085,13 +1062,13 @@ impl Database {
                 // Rolling back mutates tables again, so any query results
                 // cached *inside* the failed transaction are stale too —
                 // re-invalidate every touched table after the replay.
-                let touched: Vec<String> = undo
+                let touched: Vec<Arc<str>> = undo
                     .iter()
                     .map(|op| match op {
                         Undo::RemoveRow { table, .. } | Undo::RestoreRow { table, .. } => {
-                            table.clone()
+                            Arc::clone(table)
                         }
-                        Undo::DropTable { name } => name.clone(),
+                        Undo::DropTable { name } => Arc::clone(name),
                     })
                     .collect();
                 for op in undo.into_iter().rev() {
@@ -1106,7 +1083,7 @@ impl Database {
                                     // Undo of an insert into a table that
                                     // passed create-time validation:
                                     // schema drift is impossible here.
-                                    let _ = t.index_remove(&table, &row);
+                                    let _ = t.index_remove(&row);
                                     self.footprint =
                                         self.footprint.saturating_sub(Self::row_footprint(&row));
                                 }
@@ -1126,13 +1103,13 @@ impl Database {
                                 let current =
                                     t.rows.get_mut(&key).and_then(|c| c.remove_live(version));
                                 if let Some(current) = current {
-                                    let _ = t.index_remove(&table, &current);
+                                    let _ = t.index_remove(&current);
                                     self.footprint = self
                                         .footprint
                                         .saturating_sub(Self::row_footprint(&current));
                                 }
                                 self.footprint += Self::row_footprint(&row);
-                                let _ = t.index_insert(&table, &row);
+                                let _ = t.index_insert(&row);
                                 let chain = t.rows.entry(key).or_default();
                                 chain.install(row, version);
                                 chain.prune(pin);
@@ -1683,8 +1660,8 @@ mod tests {
         // panicked via expect() mid-recovery.
         let corrupt = vec![JournalEntry::CreateTable {
             name: "t".into(),
-            columns: vec!["k".into()],
-            indexes: vec!["ghost".into()],
+            columns: ["k".to_owned()].into(),
+            indexes: ["ghost".to_owned()].into(),
         }];
         assert_eq!(
             Database::recover(&corrupt).unwrap_err(),
@@ -1697,12 +1674,12 @@ mod tests {
         let corrupt = vec![
             JournalEntry::CreateTable {
                 name: "t".into(),
-                columns: vec!["k".into()],
-                indexes: vec![],
+                columns: ["k".to_owned()].into(),
+                indexes: [].into(),
             },
             JournalEntry::Update {
                 table: "t".into(),
-                row: vec![1.into()],
+                row: vec![1.into()].into(),
             },
         ];
         assert_eq!(Database::recover(&corrupt).unwrap_err(), DbError::NotFound);
@@ -1710,16 +1687,16 @@ mod tests {
         let corrupt = vec![
             JournalEntry::CreateTable {
                 name: "t".into(),
-                columns: vec!["k".into()],
-                indexes: vec![],
+                columns: ["k".to_owned()].into(),
+                indexes: [].into(),
             },
             JournalEntry::Insert {
                 table: "t".into(),
-                row: vec![1.into()],
+                row: vec![1.into()].into(),
             },
             JournalEntry::Insert {
                 table: "t".into(),
-                row: vec![1.into()],
+                row: vec![1.into()].into(),
             },
         ];
         assert!(matches!(

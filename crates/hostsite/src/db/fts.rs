@@ -70,7 +70,11 @@ impl FtsIndex {
         }
     }
 
-    fn column_index(&self, table_name: &str, columns: &[String]) -> Result<usize, DbError> {
+    pub(crate) fn column_index(
+        &self,
+        table_name: &str,
+        columns: &[String],
+    ) -> Result<usize, DbError> {
         columns
             .iter()
             .position(|c| *c == self.column)

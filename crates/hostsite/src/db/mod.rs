@@ -29,7 +29,12 @@
 //!   with transactions, the memory cap and the query cache.
 //!
 //! Rows are stored and returned as [`Arc<Row>`](std::sync::Arc), so reads
-//! hand out shared handles instead of deep copies. An optional query cache
+//! hand out shared handles instead of deep copies, and the journal holds
+//! the very image a write installed. A cloned [`Database`] shares row
+//! images, schemas, secondary indexes, postings and journal payloads
+//! with its original until a write copies the part it reaches: a cheap
+//! value copy, which is how a fleet gives every host the application's
+//! seeded database. An optional query cache
 //! (see [`Database::set_query_cache`]) memoizes [`Database::select_eq`]
 //! result sets per table and is invalidated transactionally: any `insert`,
 //! `update`, or `delete` against a table drops that table's cached

@@ -9,39 +9,46 @@
 //! simulated time per flush — so a crash loses the un-flushed tail, and
 //! recovery replays the durable prefix in fsync-equivalent units.
 
+use std::sync::Arc;
+
 use super::Row;
 use super::Value;
 
 /// One durable operation, as recorded in the write-ahead log.
+///
+/// Names, schemas and row images are shared handles: an entry holds the
+/// table's own name and column list, and the very row image the version
+/// chain installed, so journaling a write copies nothing and cloning a
+/// log is a refcount bump per entry.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalEntry {
     /// Table creation.
     CreateTable {
         /// Table name.
-        name: String,
+        name: Arc<str>,
         /// Column names; column 0 is the primary key.
-        columns: Vec<String>,
+        columns: Arc<[String]>,
         /// Secondary index columns.
-        indexes: Vec<String>,
+        indexes: Arc<[String]>,
     },
     /// Row insertion.
     Insert {
         /// Table name.
-        table: String,
+        table: Arc<str>,
         /// The inserted row.
-        row: Row,
+        row: Arc<Row>,
     },
     /// Row update (full-row image).
     Update {
         /// Table name.
-        table: String,
+        table: Arc<str>,
         /// The new row image.
-        row: Row,
+        row: Arc<Row>,
     },
     /// Row deletion by primary key.
     Delete {
         /// Table name.
-        table: String,
+        table: Arc<str>,
         /// Primary key of the removed row.
         key: Value,
     },
@@ -98,7 +105,7 @@ impl DurabilityPolicy {
 }
 
 /// The log itself: a durable prefix plus the un-fsynced pending tail.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Wal {
     durable: Vec<JournalEntry>,
     pending: Vec<JournalEntry>,

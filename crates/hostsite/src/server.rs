@@ -368,13 +368,17 @@ impl WebServer {
             }
         };
 
-        // Persist the session; set the cookie on first contact.
+        // Set the cookie on first contact, and persist the session only
+        // where a client can reach it again: it presented the id, or the
+        // handler wrote to the session and the cookie goes out. A fresh
+        // id is drawn for every request without a live session either
+        // way, so the session-id stream does not depend on handlers.
         let session_used = !session.is_empty();
-        self.sessions
-            .borrow_mut()
-            .insert(session_id.clone(), session);
         if is_new && session_used {
             resp = resp.with_cookie("sid", &session_id);
+        }
+        if !is_new || session_used {
+            self.sessions.borrow_mut().insert(session_id, session);
         }
         resp
     }
@@ -510,6 +514,17 @@ mod tests {
         let session = sessions.get(&sid).unwrap();
         assert_eq!(session.get("bought").map(String::as_str), Some("2"));
         assert_eq!(s.session_count(), 1);
+    }
+
+    #[test]
+    fn cookie_less_requests_leave_no_session_behind() {
+        let mut s = server();
+        for _ in 0..10_000 {
+            let resp = s.handle(HttpRequest::get("/stock?sku=1"));
+            assert_eq!(resp.status, Status::Ok);
+            assert!(resp.set_cookies.is_empty());
+        }
+        assert_eq!(s.session_count(), 0);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use crate::memo::FixedState;
 
 /// One cached value and its bookkeeping.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Slot<K, V> {
     key: K,
     value: V,
@@ -58,7 +58,7 @@ struct Slot<K, V> {
 /// assert_eq!(cache.get(hash, |k| k == "a", 1_000), None, "expired at stored + ttl");
 /// assert!(cache.is_empty(), "the expired entry went with its key");
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TtlLru<K, V> {
     ttl_ns: u64,
     budget: usize,

@@ -96,7 +96,13 @@
 #                      the per-layer pass also requires every
 #                      deterministic per-layer count to repeat across
 #                      processes and, on storefront_isolated, the
-#                      public-call replay to reproduce the fleet digest.
+#                      public-call replay to reproduce the fleet digest;
+#                      then the canary and seeds 0-3 of every workload
+#                      (15 full populations) are re-recorded with
+#                      --record-references and must equal the rows
+#                      recorded in fleetbench/src/workload.rs, so island
+#                      hosts cloned from a seeded template are checked
+#                      against freshly seeded ones on whole fleets.
 #
 # Run from anywhere; the script cds to the repo root.
 set -euo pipefail
@@ -350,4 +356,11 @@ for workload in storefront_isolated metro_browse_shared search_checkout_shared; 
     esac
   done
 done
+if ! diff <(grep -E '^    \("[a-z_]+", [0-3], ' fleetbench/src/workload.rs) \
+    <(cargo run --release --quiet --offline --manifest-path fleetbench/Cargo.toml -- \
+      --record-references 0 3); then
+  echo "fleetbench gate: re-recorded digests differ from fleetbench/src/workload.rs" >&2
+  exit 1
+fi
+echo "fleetbench gate: the canary and seeds 0-3 of every workload match the recorded digests"
 echo "tier1: OK"

@@ -75,8 +75,8 @@ fn replay_public(db: &mut Database, entry: &JournalEntry) {
             let idxs: Vec<&str> = indexes.iter().map(String::as_str).collect();
             db.create_table(name, &cols, &idxs).unwrap();
         }
-        JournalEntry::Insert { table, row } => db.insert(table, row.clone()).unwrap(),
-        JournalEntry::Update { table, row } => db.update(table, row.clone()).unwrap(),
+        JournalEntry::Insert { table, row } => db.insert(table, row.to_vec()).unwrap(),
+        JournalEntry::Update { table, row } => db.update(table, row.to_vec()).unwrap(),
         JournalEntry::Delete { table, key } => db.delete(table, key).unwrap(),
     }
 }
