@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 
 use hostsite::db::{Database, DbError, Value};
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
-use markup::html;
+use markup::html::PageWriter;
 use middleware::MobileRequest;
 use rand::RngExt;
 use security::{Mac, PaymentGateway, PaymentRequest};
@@ -49,6 +49,14 @@ const CATALOG: [(i64, &str, i64, i64); 4] = [
     (3, "spare stylus pack", 650, 200),
     (4, "travel charger", 1_450, 80),
 ];
+
+/// One catalogue row as a buy link: `name — price cents (stock left)`.
+fn product_link(page: &mut PageWriter, row: &[Value]) {
+    page.a(
+        format_args!("/shop/buy?sku={}", row[0]),
+        format_args!("{} — {} cents ({} left)", row[1], row[2], row[3]),
+    );
+}
 
 impl Application for PaymentsApp {
     fn category(&self) -> Category {
@@ -105,19 +113,12 @@ impl Application for PaymentsApp {
                     Ok(rows) => rows,
                     Err(_) => return HttpResponse::error(Status::ServerError, "db error"),
                 };
-                let items: Vec<markup::Node> = rows
-                    .iter()
-                    .map(|r| {
-                        html::a(
-                            &format!("/shop/buy?sku={}", r[0]),
-                            &format!("{} — {} cents ({} left)", r[1], r[2], r[3]),
-                        )
-                        .into()
-                    })
-                    .collect();
-                let mut body = vec![html::h1("Mobile Shop").into()];
-                body.extend(items);
-                let resp = HttpResponse::from_page(html::page("Shop", body));
+                let mut page = PageWriter::new("Shop");
+                page.h1("Mobile Shop");
+                for r in &rows {
+                    product_link(&mut page, r);
+                }
+                let resp = HttpResponse::ok(page.finish());
                 if ctx.db.journal().len() == seeded_journal {
                     let _ = PRISTINE_SHOP_PAGE.set(resp.clone());
                 }
@@ -139,22 +140,13 @@ impl Application for PaymentsApp {
                     Ok(rows) => rows,
                     Err(_) => return HttpResponse::error(Status::ServerError, "db error"),
                 };
-                let items: Vec<markup::Node> = rows
-                    .iter()
-                    .map(|r| {
-                        html::a(
-                            &format!("/shop/buy?sku={}", r[0]),
-                            &format!("{} — {} cents ({} left)", r[1], r[2], r[3]),
-                        )
-                        .into()
-                    })
-                    .collect();
-                let mut body = vec![
-                    html::h1("Search results").into(),
-                    html::p(&format!("{} match(es)", rows.len())).into(),
-                ];
-                body.extend(items);
-                HttpResponse::from_page(html::page("Search", body)).with_no_store()
+                let mut page = PageWriter::new("Search");
+                page.h1("Search results")
+                    .p(format_args!("{} match(es)", rows.len()));
+                for r in &rows {
+                    product_link(&mut page, r);
+                }
+                HttpResponse::ok(page.finish()).with_no_store()
             },
         );
 
@@ -180,20 +172,14 @@ impl Application for PaymentsApp {
                 let Value::Int(price) = product[2] else {
                     return HttpResponse::error(Status::ServerError, "bad product row");
                 };
-                let name = product[1].to_string();
 
                 let mut gw = gateway.borrow_mut();
                 let pay_req =
                     PaymentRequest::signed(&client_mac, order_id, price as u64, "shopper", nonce);
                 if let Err(e) = gw.authorize(&pay_req) {
-                    return HttpResponse::error(
-                        Status::BadRequest,
-                        html::page(
-                            "Refused",
-                            vec![html::p(&format!("payment refused: {e}")).into()],
-                        )
-                        .to_markup(),
-                    );
+                    let mut page = PageWriter::new("Refused");
+                    page.p(format_args!("payment refused: {e}"));
+                    return HttpResponse::error(Status::BadRequest, page.finish());
                 }
 
                 // Reserve the item under the hold.
@@ -216,24 +202,16 @@ impl Application for PaymentsApp {
                 let receipt = match gw.capture(order_id) {
                     Ok(r) => r,
                     Err(e) => {
-                        return HttpResponse::error(
-                            Status::ServerError,
-                            html::page(
-                                "Error",
-                                vec![html::p(&format!("capture failed: {e}")).into()],
-                            )
-                            .to_markup(),
-                        )
+                        let mut page = PageWriter::new("Error");
+                        page.p(format_args!("capture failed: {e}"));
+                        return HttpResponse::error(Status::ServerError, page.finish());
                     }
                 };
-                HttpResponse::from_page(html::page(
-                    "Receipt",
-                    vec![
-                        html::h1("Payment complete").into(),
-                        html::p(&format!("You bought: {name}")).into(),
-                        html::p(&format!("Receipt auth code {}", receipt.auth_code)).into(),
-                    ],
-                ))
+                let mut page = PageWriter::new("Receipt");
+                page.h1("Payment complete")
+                    .p(format_args!("You bought: {}", product[1]))
+                    .p(format_args!("Receipt auth code {}", receipt.auth_code));
+                HttpResponse::ok(page.finish())
             },
         );
     }

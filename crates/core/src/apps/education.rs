@@ -7,7 +7,7 @@
 
 use hostsite::db::{Database, DbError, Value};
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
-use markup::html;
+use markup::html::PageWriter;
 use middleware::MobileRequest;
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
@@ -51,21 +51,17 @@ impl Application for EducationApp {
                 let Ok(Some(course)) = ctx.db.get("courses", &id.into()) else {
                     return HttpResponse::error(Status::NotFound, "no such course");
                 };
-                let mut body: Vec<markup::Node> = vec![html::h1(&course[1].to_string()).into()];
+                let mut page = PageWriter::new("Lesson");
+                page.h1(&course[1]);
                 for section in 1..=6 {
-                    body.push(
-                        html::p(&format!(
-                            "Section {section}: the key concept here is explained at length, \
+                    page.p(format_args!(
+                        "Section {section}: the key concept here is explained at length, \
                          with worked examples a student can follow on a handheld screen \
                          between classes or on the bus."
-                        ))
-                        .into(),
-                    );
+                    ));
                 }
-                body.push(
-                    html::form(&format!("/learn/quiz?course={id}"), "answer", "Submit").into(),
-                );
-                HttpResponse::ok(html::page("Lesson", body).to_markup())
+                page.form(format_args!("/learn/quiz?course={id}"), "answer", "Submit");
+                HttpResponse::ok(page.finish())
             },
         );
 
@@ -97,26 +93,17 @@ impl Application for EducationApp {
                         Ok(points + 10)
                     });
                     match result {
-                        Ok(points) => HttpResponse::ok(
-                            html::page(
-                                "Quiz result",
-                                vec![html::p(&format!(
-                                    "correct! {student} now has {points} points"
-                                ))
-                                .into()],
-                            )
-                            .to_markup(),
-                        ),
+                        Ok(points) => {
+                            let mut page = PageWriter::new("Quiz result");
+                            page.p(format_args!("correct! {student} now has {points} points"));
+                            HttpResponse::ok(page.finish())
+                        }
                         Err(_) => HttpResponse::error(Status::ServerError, "db error"),
                     }
                 } else {
-                    HttpResponse::ok(
-                        html::page(
-                            "Quiz result",
-                            vec![html::p("not quite - review the lesson and retry").into()],
-                        )
-                        .to_markup(),
-                    )
+                    let mut page = PageWriter::new("Quiz result");
+                    page.p("not quite - review the lesson and retry");
+                    HttpResponse::ok(page.finish())
                 }
             },
         );

@@ -8,7 +8,7 @@
 
 use hostsite::db::{Database, Value};
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
-use markup::html;
+use markup::html::PageWriter;
 use middleware::MobileRequest;
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
@@ -53,17 +53,15 @@ impl Application for EntertainmentApp {
         host.web
             .route_get("/media", |_req: &HttpRequest, ctx: &mut ServerCtx<'_>| {
                 let rows = ctx.db.select("media", |_| true).unwrap_or_default();
-                let mut body: Vec<markup::Node> = vec![html::h1("Downloads").into()];
+                let mut page = PageWriter::new("Media store");
+                page.h1("Downloads");
                 for r in &rows {
-                    body.push(
-                        html::a(
-                            &format!("/media/download?id={}", r[0]),
-                            &format!("{} [{}] {} KB", r[1], r[2], r[3]),
-                        )
-                        .into(),
+                    page.a(
+                        format_args!("/media/download?id={}", r[0]),
+                        format_args!("{} [{}] {} KB", r[1], r[2], r[3]),
                     );
                 }
-                HttpResponse::ok(html::page("Media store", body).to_markup())
+                HttpResponse::ok(page.finish())
             });
 
         host.web.route_get(
@@ -87,17 +85,11 @@ impl Application for EntertainmentApp {
                 // The "payload": content bytes inline in the page (base64-ish
                 // filler sized to the item), so the network actually carries it.
                 let blob = "QUJDRA==".repeat((kb as usize * 1024) / 8);
-                HttpResponse::ok(
-                    html::page(
-                        "Download",
-                        vec![
-                            html::h1(&format!("Delivering {}", row[1])).into(),
-                            html::p(&format!("content follows ({kb} KB)")).into(),
-                            markup::Element::new("pre").with_text(blob).into(),
-                        ],
-                    )
-                    .to_markup(),
-                )
+                let mut page = PageWriter::new("Download");
+                page.h1(format_args!("Delivering {}", row[1]))
+                    .p(format_args!("content follows ({kb} KB)"))
+                    .pre(&blob);
+                HttpResponse::ok(page.finish())
             },
         );
 
@@ -109,11 +101,15 @@ impl Application for EntertainmentApp {
                     Value::Int(n) => -n,
                     _ => 0,
                 });
-                let top = rows
-                    .first()
-                    .map(|r| format!("most downloaded: {} ({} downloads)", r[1], r[4]))
-                    .unwrap_or_else(|| "no downloads yet".to_owned());
-                HttpResponse::ok(html::page("Charts", vec![html::p(&top).into()]).to_markup())
+                let mut page = PageWriter::new("Charts");
+                match rows.first() {
+                    Some(r) => page.p(format_args!(
+                        "most downloaded: {} ({} downloads)",
+                        r[1], r[4]
+                    )),
+                    None => page.p("no downloads yet"),
+                };
+                HttpResponse::ok(page.finish())
             },
         );
     }

@@ -7,7 +7,7 @@
 
 use hostsite::db::{Database, DbError, Value};
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
-use markup::html;
+use markup::html::PageWriter;
 use middleware::MobileRequest;
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
@@ -77,18 +77,15 @@ impl Application for ErpApp {
                     .db
                     .select_eq("tasks", "state", &"open".into())
                     .unwrap_or_default();
-                let mut body: Vec<markup::Node> =
-                    vec![html::h1(&format!("Open tasks: {}", open.len())).into()];
+                let mut page = PageWriter::new("Task queue");
+                page.h1(format_args!("Open tasks: {}", open.len()));
                 for t in open.iter().take(5) {
-                    body.push(
-                        html::a(
-                            &format!("/erp/complete?task={}", t[0]),
-                            &format!("task {} at {} needs {}", t[0], t[1], t[2]),
-                        )
-                        .into(),
+                    page.a(
+                        format_args!("/erp/complete?task={}", t[0]),
+                        format_args!("task {} at {} needs {}", t[0], t[1], t[2]),
                     );
                 }
-                HttpResponse::ok(html::page("Task queue", body).to_markup())
+                HttpResponse::ok(page.finish())
             },
         );
 
@@ -124,29 +121,23 @@ impl Application for ErpApp {
                     tx.update("tasks", row)?;
                     Ok(part)
                 });
-                match result {
-                    Ok(part) => HttpResponse::ok(
-                        html::page(
-                            "Task complete",
-                            vec![
-                                html::p(&format!("task {task} closed, one {part} consumed")).into()
-                            ],
-                        )
-                        .to_markup(),
-                    ),
+                let page = match result {
+                    Ok(part) => {
+                        let mut page = PageWriter::new("Task complete");
+                        page.p(format_args!("task {task} closed, one {part} consumed"));
+                        page
+                    }
                     // A colleague got there first (or parts ran out): a normal
                     // outcome for field crews, reported as a page, not an error.
-                    Err(_) => HttpResponse::ok(
-                        html::page(
-                            "Task unavailable",
-                            vec![html::p(&format!(
-                                "task {task} is already closed or out of parts"
-                            ))
-                            .into()],
-                        )
-                        .to_markup(),
-                    ),
-                }
+                    Err(_) => {
+                        let mut page = PageWriter::new("Task unavailable");
+                        page.p(format_args!(
+                            "task {task} is already closed or out of parts"
+                        ));
+                        page
+                    }
+                };
+                HttpResponse::ok(page.finish())
             },
         );
 
@@ -155,15 +146,10 @@ impl Application for ErpApp {
             "/erp/stock",
             |_req: &HttpRequest, ctx: &mut ServerCtx<'_>| {
                 let rows = ctx.db.select("stock", |_| true).unwrap_or_default();
-                let pairs: Vec<(String, String)> = rows
-                    .iter()
-                    .map(|r| (r[0].to_string(), r[1].to_string()))
-                    .collect();
-                let table = html::table(pairs.iter().map(|(a, b)| (a.as_str(), b.as_str())));
-                HttpResponse::ok(
-                    html::page("Stock", vec![html::h1("Stock levels").into(), table.into()])
-                        .to_markup(),
-                )
+                let mut page = PageWriter::new("Stock");
+                page.h1("Stock levels")
+                    .table(rows.iter().map(|r| (&r[0], &r[1])));
+                HttpResponse::ok(page.finish())
             },
         );
     }

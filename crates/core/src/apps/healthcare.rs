@@ -7,7 +7,7 @@
 
 use hostsite::db::{Database, DbError, Value};
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
-use markup::html;
+use markup::html::PageWriter;
 use middleware::MobileRequest;
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
@@ -68,18 +68,17 @@ impl Application for HealthCareApp {
                     .db
                     .select_eq("vitals", "patient", &id.into())
                     .unwrap_or_default();
-                let mut body: Vec<markup::Node> = vec![
-                    html::h1(&format!("Record: {}", patient[1])).into(),
-                    html::p(&patient[2].to_string()).into(),
-                ];
+                let mut page = PageWriter::new("Patient record");
+                page.h1(format_args!("Record: {}", patient[1]))
+                    .p(&patient[2]);
                 for v in vitals.iter().rev().take(3) {
                     let temp = match v[3] {
                         Value::Int(t) => t as f64 / 10.0,
                         _ => 0.0,
                     };
-                    body.push(html::p(&format!("vitals: pulse {} temp {:.1}", v[2], temp)).into());
+                    page.p(format_args!("vitals: pulse {} temp {:.1}", v[2], temp));
                 }
-                HttpResponse::ok(html::page("Patient record", body).to_markup())
+                HttpResponse::ok(page.finish())
             },
         );
 
@@ -104,13 +103,11 @@ impl Application for HealthCareApp {
                     )
                 });
                 match result {
-                    Ok(()) => HttpResponse::ok(
-                        html::page(
-                            "Vitals recorded",
-                            vec![html::p(&format!("vitals recorded for patient {patient}")).into()],
-                        )
-                        .to_markup(),
-                    ),
+                    Ok(()) => {
+                        let mut page = PageWriter::new("Vitals recorded");
+                        page.p(format_args!("vitals recorded for patient {patient}"));
+                        HttpResponse::ok(page.finish())
+                    }
                     Err(_) => HttpResponse::error(Status::NotFound, "no such patient"),
                 }
             },

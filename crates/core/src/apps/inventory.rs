@@ -11,7 +11,7 @@ use hostsite::db::{Database, DbError};
 #[cfg(test)]
 use hostsite::db::Value;
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
-use markup::html;
+use markup::html::PageWriter;
 use middleware::MobileRequest;
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
@@ -78,13 +78,11 @@ impl Application for InventoryApp {
                     tx.update("packages", row)
                 });
                 match result {
-                    Ok(()) => HttpResponse::ok(
-                        html::page(
-                            "Scanned",
-                            vec![html::p(&format!("package {id} scanned at {location}")).into()],
-                        )
-                        .to_markup(),
-                    ),
+                    Ok(()) => {
+                        let mut page = PageWriter::new("Scanned");
+                        page.p(format_args!("package {id} scanned at {location}"));
+                        HttpResponse::ok(page.finish())
+                    }
                     Err(_) => HttpResponse::error(Status::NotFound, "no such package"),
                 }
             },
@@ -105,13 +103,11 @@ impl Application for InventoryApp {
                     tx.update("packages", row)
                 });
                 match result {
-                    Ok(()) => HttpResponse::ok(
-                        html::page(
-                            "Dispatched",
-                            vec![html::p(&format!("package {id} assigned to {driver}")).into()],
-                        )
-                        .to_markup(),
-                    ),
+                    Ok(()) => {
+                        let mut page = PageWriter::new("Dispatched");
+                        page.p(format_args!("package {id} assigned to {driver}"));
+                        HttpResponse::ok(page.finish())
+                    }
                     Err(_) => HttpResponse::error(Status::NotFound, "no such package"),
                 }
             },
@@ -125,22 +121,16 @@ impl Application for InventoryApp {
                     return HttpResponse::error(Status::BadRequest, "bad package id");
                 };
                 match ctx.db.get("packages", &id.into()) {
-                    Ok(Some(row)) => HttpResponse::ok(
-                        html::page(
-                            "Tracking",
-                            vec![
-                                html::h1(&format!("Package {id}")).into(),
-                                html::table([
-                                    ("contents", &row[1].to_string()[..]),
-                                    ("location", &row[2].to_string()[..]),
-                                    ("status", &row[3].to_string()[..]),
-                                    ("driver", &row[4].to_string()[..]),
-                                ])
-                                .into(),
-                            ],
-                        )
-                        .to_markup(),
-                    ),
+                    Ok(Some(row)) => {
+                        let mut page = PageWriter::new("Tracking");
+                        page.h1(format_args!("Package {id}")).table([
+                            ("contents", &row[1]),
+                            ("location", &row[2]),
+                            ("status", &row[3]),
+                            ("driver", &row[4]),
+                        ]);
+                        HttpResponse::ok(page.finish())
+                    }
                     Ok(None) => HttpResponse::error(Status::NotFound, "no such package"),
                     Err(_) => HttpResponse::error(Status::ServerError, "db error"),
                 }
@@ -156,13 +146,9 @@ impl Application for InventoryApp {
                     .select_eq("packages", "status", &"in transit".into())
                     .map(|rows| rows.len())
                     .unwrap_or(0);
-                HttpResponse::ok(
-                    html::page(
-                        "Backlog",
-                        vec![html::p(&format!("{in_transit} packages in transit")).into()],
-                    )
-                    .to_markup(),
-                )
+                let mut page = PageWriter::new("Backlog");
+                page.p(format_args!("{in_transit} packages in transit"));
+                HttpResponse::ok(page.finish())
             },
         );
     }

@@ -8,7 +8,7 @@
 
 use hostsite::db::{Database, DbError, Value};
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
-use markup::html;
+use markup::html::PageWriter;
 use middleware::MobileRequest;
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
@@ -83,16 +83,11 @@ impl Application for TrafficApp {
                     tx.update("roads", row)
                 });
                 match result {
-                    Ok(()) => HttpResponse::ok(
-                        html::page(
-                            "Reported",
-                            vec![
-                                html::p(&format!("congestion {level} recorded on road {id}"))
-                                    .into(),
-                            ],
-                        )
-                        .to_markup(),
-                    ),
+                    Ok(()) => {
+                        let mut page = PageWriter::new("Reported");
+                        page.p(format_args!("congestion {level} recorded on road {id}"));
+                        HttpResponse::ok(page.finish())
+                    }
                     Err(_) => HttpResponse::error(Status::NotFound, "no such road"),
                 }
             },
@@ -125,17 +120,17 @@ impl Application for TrafficApp {
                     .collect();
                 match shortest_path(&edges, from, to) {
                     Some((total, hops)) => {
-                        let mut body: Vec<markup::Node> =
-                            vec![html::h1(&format!("Route {from} to {to}")).into()];
-                        body.push(html::p(&format!("estimated {total} minutes")).into());
+                        let mut page = PageWriter::new("Directions");
+                        page.h1(format_args!("Route {from} to {to}"))
+                            .p(format_args!("estimated {total} minutes"));
                         for (a, b, cost) in &hops {
-                            body.push(html::p(&format!("take {a} to {b} ({cost} min)")).into());
+                            page.p(format_args!("take {a} to {b} ({cost} min)"));
                         }
                         let worst = hops.iter().map(|(_, _, c)| *c).max().unwrap_or(0);
                         if worst >= 15 {
-                            body.push(html::p("advisory: expect delays on this route").into());
+                            page.p("advisory: expect delays on this route");
                         }
-                        HttpResponse::ok(html::page("Directions", body).to_markup())
+                        HttpResponse::ok(page.finish())
                     }
                     None => HttpResponse::error(Status::NotFound, "no route"),
                 }

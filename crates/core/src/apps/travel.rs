@@ -7,7 +7,7 @@
 
 use hostsite::db::{Database, DbError, Value};
 use hostsite::{ContentFormat, HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
-use markup::html;
+use markup::html::{self, PageWriter};
 use middleware::MobileRequest;
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
@@ -65,28 +65,29 @@ impl Application for TravelApp {
                     Ok(rows) => rows,
                     Err(_) => return HttpResponse::error(Status::ServerError, "db error"),
                 };
-                let mut body: Vec<markup::Node> =
-                    vec![html::h1(&format!("Flights from {orig}")).into()];
+                let mut page = PageWriter::new("Search");
+                page.h1(format_args!("Flights from {orig}"));
                 if flights.is_empty() {
-                    body.push(html::p("no flights found").into());
+                    page.p("no flights found");
                 }
                 for f in &flights {
-                    body.push(
-                        html::a(
-                            &format!("/travel/book?flight={}", f[0]),
-                            &format!("{} to {} departing {} ({} seats)", f[1], f[2], f[3], f[4]),
-                        )
-                        .into(),
+                    page.a(
+                        format_args!("/travel/book?flight={}", f[0]),
+                        format_args!("{} to {} departing {} ({} seats)", f[1], f[2], f[3], f[4]),
                     );
                 }
-                let page = html::page("Search", body);
+                let page = page.finish();
                 if req.accept == ContentFormat::Chtml {
                     // Author-side compaction: already valid cHTML, marked as
-                    // such so i-mode ships it without filtering.
-                    let compact = markup::transcode::html_to_chtml(&page);
+                    // such so i-mode ships it without filtering. The filter
+                    // works on a tree, so this one branch parses the page.
+                    let Ok(doc) = html::parse_html(&page) else {
+                        return HttpResponse::error(Status::ServerError, "unparseable page");
+                    };
+                    let compact = markup::transcode::html_to_chtml(&doc);
                     HttpResponse::ok(compact.to_markup()).with_format(ContentFormat::Chtml)
                 } else {
-                    HttpResponse::ok(page.to_markup())
+                    HttpResponse::ok(page)
                 }
             },
         );
@@ -131,18 +132,15 @@ impl Application for TravelApp {
                     Ok(ticket_id)
                 });
                 match ticket_id {
-                    Ok(id) => HttpResponse::ok(
-                        html::page(
-                            "Booked",
-                            vec![
-                                html::h1("Ticket issued").into(),
-                                html::p(&format!("ticket {id} on flight {flight} for {passenger}"))
-                                    .into(),
-                                html::a(&format!("/travel/ticket?id={id}"), "View ticket").into(),
-                            ],
-                        )
-                        .to_markup(),
-                    ),
+                    Ok(id) => {
+                        let mut page = PageWriter::new("Booked");
+                        page.h1("Ticket issued")
+                            .p(format_args!(
+                                "ticket {id} on flight {flight} for {passenger}"
+                            ))
+                            .a(format_args!("/travel/ticket?id={id}"), "View ticket");
+                        HttpResponse::ok(page.finish())
+                    }
                     Err(_) => HttpResponse::error(Status::BadRequest, "sold out or unknown flight"),
                 }
             },
@@ -173,16 +171,13 @@ impl Application for TravelApp {
                     Ok(flight)
                 });
                 match result {
-                    Ok(flight) => HttpResponse::ok(
-                        html::page(
-                            "Cancelled",
-                            vec![html::p(&format!(
-                                "ticket {id} cancelled, seat returned to flight {flight}"
-                            ))
-                            .into()],
-                        )
-                        .to_markup(),
-                    ),
+                    Ok(flight) => {
+                        let mut page = PageWriter::new("Cancelled");
+                        page.p(format_args!(
+                            "ticket {id} cancelled, seat returned to flight {flight}"
+                        ));
+                        HttpResponse::ok(page.finish())
+                    }
                     Err(_) => HttpResponse::error(Status::NotFound, "no such ticket"),
                 }
             },
@@ -196,17 +191,14 @@ impl Application for TravelApp {
                     return HttpResponse::error(Status::BadRequest, "bad ticket id");
                 };
                 match ctx.db.get("tickets", &id.into()) {
-                    Ok(Some(row)) => HttpResponse::ok(
-                        html::page(
-                            "Ticket",
-                            vec![html::p(&format!(
-                                "ticket {id}: flight {} passenger {}",
-                                row[1], row[2]
-                            ))
-                            .into()],
-                        )
-                        .to_markup(),
-                    ),
+                    Ok(Some(row)) => {
+                        let mut page = PageWriter::new("Ticket");
+                        page.p(format_args!(
+                            "ticket {id}: flight {} passenger {}",
+                            row[1], row[2]
+                        ));
+                        HttpResponse::ok(page.finish())
+                    }
                     Ok(None) => HttpResponse::error(Status::NotFound, "no such ticket"),
                     Err(_) => HttpResponse::error(Status::ServerError, "db error"),
                 }

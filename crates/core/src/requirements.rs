@@ -107,13 +107,12 @@ pub fn check_personalization() -> RequirementReport {
             if !name.is_empty() {
                 ctx.session.insert("name".into(), name.to_owned());
             }
-            let greeting = match ctx.session.get("name") {
-                Some(n) => format!("welcome back, {n}"),
-                None => "welcome, guest".to_owned(),
+            let mut page = markup::html::PageWriter::new("Home");
+            match ctx.session.get("name") {
+                Some(n) => page.p(format_args!("welcome back, {n}")),
+                None => page.p("welcome, guest"),
             };
-            hostsite::HttpResponse::ok(
-                markup::html::page("Home", vec![markup::html::p(&greeting).into()]).to_markup(),
-            )
+            hostsite::HttpResponse::ok(page.finish())
         },
     );
     let mut system = SystemSpec::new()

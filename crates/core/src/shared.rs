@@ -28,9 +28,10 @@
 //! telemetry. It also owns the per-island buffers — membership, cell
 //! and gateway servers, gateway caches, user states, the event queue —
 //! which it clears and refills for each island, so a one-user island
-//! costs no more than the user's private world. An island's traces go to the
-//! coordinator as soon as the island finishes; worker totals are merged
-//! in worker-index order when the workers are done.
+//! costs no more than the user's private world. Islands' traces go to
+//! the coordinator in batches of at least `TRACE_BATCH_USERS` users
+//! (or one island, if larger); worker totals are merged in worker-index
+//! order when the workers are done.
 //!
 //! # Inside an island
 //!
@@ -269,9 +270,16 @@ pub(crate) struct FleetTotals {
     pub telemetry: Option<Telemetry>,
 }
 
+/// User traces a worker collects before sending them to the merger. A
+/// send can wake the coordinating thread, and an isolated fleet has one
+/// user per island, so per-island sends would wake it once per user. A
+/// worker holds at most one island's traces or this many users'.
+const TRACE_BATCH_USERS: usize = 64;
+
 /// Runs islands `0..islands` across `config.threads` OS threads, each
 /// taking a contiguous range. Island traces stream to a [`TraceMerger`]
-/// as the islands finish; worker totals fold in worker-index order.
+/// in batches as the islands finish; worker totals fold in
+/// worker-index order.
 pub(crate) fn run_islands(
     scenario: &Scenario,
     topology: &Topology,
@@ -291,12 +299,19 @@ pub(crate) fn run_islands(
                 scope.spawn(move || {
                     let mut worker_state = Worker::new(scenario, topology, config);
                     let lo = worker * chunk;
+                    let mut batch = Vec::new();
                     for island in lo..(lo + chunk).min(islands) {
                         if let Some(island_traces) = worker_state.run_island(island) {
+                            batch.extend(island_traces);
                             // The receiver outlives the scope, so a send
                             // only fails after a coordinator panic.
-                            let _ = tx.send(island_traces);
+                            if batch.len() >= TRACE_BATCH_USERS {
+                                let _ = tx.send(std::mem::take(&mut batch));
+                            }
                         }
+                    }
+                    if !batch.is_empty() {
+                        let _ = tx.send(batch);
                     }
                     worker_state.finish()
                 })

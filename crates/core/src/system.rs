@@ -1496,16 +1496,9 @@ mod tests {
             "/greet",
             |req: &hostsite::HttpRequest, _ctx: &mut hostsite::ServerCtx<'_>| {
                 let known = req.cookies.contains_key("visited");
-                let body = html::page(
-                    "Greet",
-                    vec![html::p(if known {
-                        "welcome back"
-                    } else {
-                        "hello stranger"
-                    })
-                    .into()],
-                );
-                hostsite::HttpResponse::ok(body.to_markup()).with_cookie("visited", "1")
+                let mut page = html::PageWriter::new("Greet");
+                page.p(if known { "welcome back" } else { "hello stranger" });
+                hostsite::HttpResponse::ok(page.finish()).with_cookie("visited", "1")
             },
         );
         let mut sys = SystemSpec::new()

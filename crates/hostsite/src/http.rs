@@ -9,7 +9,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -302,11 +301,6 @@ pub struct HttpResponse {
     pub format: ContentFormat,
     /// Markup body (refcounted; cloning shares the buffer).
     pub body: Body,
-    /// The parsed form of `body`, when the producer built the page as a
-    /// tree (see [`HttpResponse::from_page`]). Invariant: when set,
-    /// `body` is exactly `page.to_markup()`, so consumers that would
-    /// parse the body may use the tree instead.
-    pub page: Option<Arc<markup::Element>>,
     /// Cookies to set on the client.
     pub set_cookies: BTreeMap<String, String>,
     /// Redirect target for 302 responses.
@@ -326,25 +320,10 @@ impl HttpResponse {
             status: Status::Ok,
             format: ContentFormat::Html,
             body: body.into(),
-            page: None,
             set_cookies: BTreeMap::new(),
             location: None,
             no_store: false,
         }
-    }
-
-    /// A 200 response built from a page tree: serialises once and, when
-    /// the (normalised) tree round-trips through the parser, carries it
-    /// in [`HttpResponse::page`] so downstream consumers — gateways,
-    /// filters — skip re-parsing the body. Falls back to a body-only
-    /// response for trees the serialiser cannot round-trip.
-    pub fn from_page(mut page: markup::Element) -> Self {
-        let round_trips = page.normalise_for_roundtrip();
-        let mut resp = Self::ok(page.to_markup());
-        if round_trips {
-            resp.page = Some(Arc::new(page));
-        }
-        resp
     }
 
     /// An error response with the given status and body.
@@ -459,27 +438,6 @@ mod tests {
         assert_eq!(Status::Unauthorized.code(), 401);
         assert_eq!(ContentFormat::Wml.mime(), "text/vnd.wap.wml");
         assert_eq!(Method::Post.to_string(), "POST");
-    }
-
-    #[test]
-    fn from_page_body_is_exactly_the_trees_markup() {
-        let tree = markup::Element::new("html").with_child(
-            markup::Element::new("body")
-                .with_child(markup::Element::new("p").with_text("pay  \n now")),
-        );
-        let resp = HttpResponse::from_page(tree);
-        let page = resp.page.as_deref().expect("round-trippable page attaches");
-        assert_eq!(resp.body.as_str(), page.to_markup());
-        // The invariant consumers rely on: parsing the body yields the tree.
-        assert_eq!(&markup::parse::parse(resp.body.as_str()).unwrap(), page);
-    }
-
-    #[test]
-    fn from_page_detaches_unparseable_trees() {
-        let resp =
-            HttpResponse::from_page(markup::Element::new("br").with_text("void with child"));
-        assert!(resp.page.is_none());
-        assert_eq!(resp.status, Status::Ok);
     }
 
     #[test]

@@ -50,8 +50,6 @@ pub struct ServerCtx<'a> {
     pub db: &'a mut Database,
     /// The request's session key-value store (created on demand).
     pub session: &'a mut BTreeMap<String, String>,
-    /// The session id backing `session`.
-    pub session_id: String,
 }
 
 struct Route {
@@ -277,12 +275,10 @@ impl WebServer {
             }
         }
         let mut resp = self.dispatch(&req);
-        // Error-page substitution. The handler's tree (if any) no longer
-        // describes the body, so drop it.
+        // Error-page substitution.
         if !resp.status.is_success() {
             if let Some(body) = self.error_pages.get(&resp.status.code()) {
                 resp.body = body.clone();
-                resp.page = None;
             }
         }
         if cache_candidate {
@@ -331,19 +327,18 @@ impl WebServer {
             }
         }
 
-        // Session: reuse the client's cookie or mint a fresh id.
-        let (session_id, is_new) = match req.cookies.get("sid") {
-            Some(sid) if self.sessions.borrow().contains_key(sid) => (sid.clone(), false),
-            _ => {
-                let id: u64 = self.rng.borrow_mut().random();
-                (format!("s{id:016x}"), true)
-            }
+        // Session: reuse the client's live session, or start an empty one
+        // under a freshly drawn id. The id is drawn for every request
+        // without a live session, so the id stream does not depend on
+        // handlers, but it is only formatted if the session is kept.
+        let live = req
+            .cookies
+            .get("sid")
+            .and_then(|sid| Some((sid, self.sessions.borrow_mut().remove(sid)?)));
+        let (live_id, mut session, fresh_id) = match live {
+            Some((sid, session)) => (Some(sid), session, 0),
+            None => (None, BTreeMap::new(), self.rng.borrow_mut().random::<u64>()),
         };
-        let mut session = self
-            .sessions
-            .borrow_mut()
-            .remove(&session_id)
-            .unwrap_or_default();
 
         // Routing.
         let route_idx = self
@@ -357,7 +352,6 @@ impl WebServer {
                 let mut ctx = ServerCtx {
                     db: &mut self.db,
                     session: &mut session,
-                    session_id: session_id.clone(),
                 };
                 let resp = route.app.handle(req, &mut ctx);
                 self.routes.push(route);
@@ -368,17 +362,19 @@ impl WebServer {
             }
         };
 
-        // Set the cookie on first contact, and persist the session only
-        // where a client can reach it again: it presented the id, or the
-        // handler wrote to the session and the cookie goes out. A fresh
-        // id is drawn for every request without a live session either
-        // way, so the session-id stream does not depend on handlers.
-        let session_used = !session.is_empty();
-        if is_new && session_used {
-            resp = resp.with_cookie("sid", &session_id);
-        }
-        if !is_new || session_used {
-            self.sessions.borrow_mut().insert(session_id, session);
+        // Persist the session only where a client can reach it again: it
+        // presented the id, or the handler wrote to the session and the
+        // cookie goes out on this first contact.
+        match live_id {
+            Some(sid) => {
+                self.sessions.borrow_mut().insert(sid.clone(), session);
+            }
+            None if !session.is_empty() => {
+                let sid = format!("s{fresh_id:016x}");
+                resp = resp.with_cookie("sid", &sid);
+                self.sessions.borrow_mut().insert(sid, session);
+            }
+            None => {}
         }
         resp
     }
@@ -525,6 +521,26 @@ mod tests {
             assert!(resp.set_cookies.is_empty());
         }
         assert_eq!(s.session_count(), 0);
+    }
+
+    #[test]
+    fn a_first_kept_session_is_named_by_its_requests_draw() {
+        // Every request without a live session draws an id, kept or not,
+        // so the session written on request N + 1 carries draw N + 1.
+        const N: usize = 7;
+        let mut s = server();
+        for _ in 0..N {
+            let resp = s.handle(HttpRequest::get("/stock?sku=1"));
+            assert!(resp.set_cookies.is_empty());
+        }
+        let resp = s.handle(HttpRequest::post("/buy", vec![("sku".into(), "1".into())]));
+        let mut rng = simnet::rng::rng_for(99, "webserver.sessions");
+        let draws: Vec<u64> = (0..=N).map(|_| rng.random()).collect();
+        assert_eq!(
+            resp.set_cookies.get("sid"),
+            Some(&format!("s{:016x}", draws[N]))
+        );
+        assert_eq!(s.session_count(), 1);
     }
 
     #[test]

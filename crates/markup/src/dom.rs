@@ -188,72 +188,6 @@ impl Element {
         self.descendants().count()
     }
 
-    /// Normalises the subtree so `parse(to_markup(self)) == self`,
-    /// letting producers hand consumers the tree *alongside* its
-    /// serialised form and spare them the re-parse.
-    ///
-    /// Applied per element: adjacent text children merge (serialisation
-    /// concatenates them into one run), whitespace runs collapse to
-    /// single spaces and whitespace-only runs are dropped (what the
-    /// parser does to text), and attribute names are lowercased and
-    /// deduplicated first-slot-wins-position / last-wins-value (what
-    /// repeated `set_attr` does).
-    ///
-    /// Returns `false` without finishing when the tree cannot round-trip
-    /// at all: a void element (`<br>`, `<img>`, …) with children, or a
-    /// tag/attribute name the parser's name grammar rejects.
-    pub fn normalise_for_roundtrip(&mut self) -> bool {
-        if !is_parse_name(&self.tag) {
-            return false;
-        }
-        if !self.children.is_empty() && crate::parse::VOID_ELEMENTS.contains(&self.tag.as_ref()) {
-            return false;
-        }
-        for (name, _) in &mut self.attrs {
-            if name.bytes().any(|b| b.is_ascii_uppercase()) {
-                name.to_mut().make_ascii_lowercase();
-            }
-            if !is_parse_name(name) {
-                return false;
-            }
-        }
-        // Lowercasing may have created duplicate names; fold them the way
-        // the parser's `set_attr` replay would.
-        let mut i = 1;
-        while i < self.attrs.len() {
-            if let Some(first) = self.attrs[..i].iter().position(|(k, _)| *k == self.attrs[i].0) {
-                let (_, value) = self.attrs.remove(i);
-                self.attrs[first].1 = value;
-            } else {
-                i += 1;
-            }
-        }
-        let mut merged: Vec<Node> = Vec::with_capacity(self.children.len());
-        for child in self.children.drain(..) {
-            match (merged.last_mut(), child) {
-                (Some(Node::Text(prev)), Node::Text(t)) => prev.push_str(&t),
-                (_, child) => merged.push(child),
-            }
-        }
-        for child in &mut merged {
-            match child {
-                Node::Text(t) => {
-                    if crate::parse::needs_ws_normalise(t) {
-                        *t = crate::parse::normalise_ws(t);
-                    }
-                }
-                Node::Element(e) => {
-                    if !e.normalise_for_roundtrip() {
-                        return false;
-                    }
-                }
-            }
-        }
-        merged.retain(|c| !matches!(c, Node::Text(t) if t.trim().is_empty()));
-        self.children = merged;
-        true
-    }
-
     /// Serialises to markup text with entity escaping.
     pub fn to_markup(&self) -> String {
         let mut out = String::with_capacity(self.markup_len());
@@ -336,14 +270,6 @@ impl<'a> Iterator for Descendants<'a> {
     }
 }
 
-/// Whether `name` matches the parser's tag/attribute name grammar.
-fn is_parse_name(name: &str) -> bool {
-    !name.is_empty()
-        && name
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b':'))
-}
-
 /// Escapes `&`, `<`, `>` and `"` for serialisation.
 pub fn escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
@@ -353,7 +279,7 @@ pub fn escape(text: &str) -> String {
 
 /// [`escape`] straight into an output buffer; clean text (the common
 /// case) is appended with a single memcpy, no intermediate allocation.
-fn push_escaped(out: &mut String, text: &str) {
+pub(crate) fn push_escaped(out: &mut String, text: &str) {
     if !text.bytes().any(|b| matches!(b, b'&' | b'<' | b'>' | b'"')) {
         out.push_str(text);
         return;
@@ -440,57 +366,5 @@ mod tests {
     #[test]
     fn empty_elements_self_close() {
         assert_eq!(Element::new("br").to_markup(), "<br/>");
-    }
-
-    #[test]
-    fn normalised_trees_round_trip_through_the_parser() {
-        let cases = [
-            sample(),
-            Element::new("p")
-                .with_text("a\n   b")
-                .with_text(" and ")
-                .with_child(Element::new("b").with_text("c"))
-                .with_text("   "),
-            Element::new("p")
-                .with_attr("Title", "5 < 6 & \"quoted\"")
-                .with_text("1 < 2 & 3 > 2"),
-            Element::new("div").with_child(Element::new("br")),
-        ];
-        for mut doc in cases {
-            assert!(doc.normalise_for_roundtrip());
-            let reparsed = crate::parse::parse(&doc.to_markup()).unwrap();
-            assert_eq!(doc, reparsed, "markup: {}", doc.to_markup());
-        }
-    }
-
-    #[test]
-    fn normalise_is_identity_on_clean_builder_trees() {
-        let mut doc = sample();
-        assert!(doc.normalise_for_roundtrip());
-        assert_eq!(doc, sample());
-    }
-
-    #[test]
-    fn normalise_refuses_unparseable_trees() {
-        let mut void_with_children = Element::new("br").with_text("x");
-        assert!(!void_with_children.normalise_for_roundtrip());
-        let mut bad_tag = Element::new("not a name");
-        assert!(!bad_tag.normalise_for_roundtrip());
-        let mut bad_attr = Element::new("p").with_attr("bad name", "v");
-        assert!(!bad_attr.normalise_for_roundtrip());
-    }
-
-    #[test]
-    fn normalise_folds_duplicate_attr_names_like_the_parser() {
-        let mut e = Element::new("a");
-        // Bypass set_attr's exact-case replacement by differing in case.
-        e.set_attr("Href", "/first");
-        e.set_attr("href", "/second");
-        assert_eq!(e.attrs().len(), 2);
-        assert!(e.normalise_for_roundtrip());
-        assert_eq!(e.attrs().len(), 1);
-        assert_eq!(e.attr("href"), Some("/second"));
-        let reparsed = crate::parse::parse(&e.to_markup()).unwrap();
-        assert_eq!(e, reparsed);
     }
 }

@@ -2,10 +2,14 @@
 //!
 //! §7: the web server "manages the Web pages stored on the Web site's
 //! database" and responds in HTML; the WAP gateway then translates to WML
-//! (§5.1). This module provides the HTML parse entry point plus page
-//! builders used by the `hostsite` application programs.
+//! (§5.1). This module provides the HTML parse entry point, the
+//! [`PageWriter`] the host's application programs render with, and tree
+//! builders for what needs a tree (gateway error cards, transcoder
+//! fixtures).
 
-use crate::dom::{Element, Node};
+use std::fmt::{self, Display};
+
+use crate::dom::{push_escaped, Element, Node};
 use crate::parse::{self, ParseMarkupError};
 
 /// Parses an HTML document (well-formed subset; see [`crate::parse`]).
@@ -35,6 +39,161 @@ pub fn page(title: &str, body_children: Vec<Node>) -> Element {
     Element::new("html")
         .with_child(Element::new("head").with_child(Element::new("title").with_text(title)))
         .with_child(body)
+}
+
+/// Initial body-buffer size: every Commerce page fits (the largest, a
+/// search listing the whole catalogue, is under 400 bytes), so the hot
+/// pages never regrow their buffer.
+const PAGE_CAPACITY: usize = 512;
+
+/// Writes a page straight into its body bytes: exactly the markup
+/// `page(title, nodes).to_markup()` produces for the same nodes, with no
+/// tree in between. Texts and hrefs are anything [`Display`], so a call
+/// site can pass `format_args!` and the page allocates only its buffer.
+///
+/// ```
+/// use markup::html::{self, PageWriter};
+/// let mut w = PageWriter::new("Cart");
+/// w.h1("Your cart").p(format_args!("{} items", 2));
+/// let tree = html::page("Cart", vec![html::h1("Your cart").into(), html::p("2 items").into()]);
+/// assert_eq!(w.finish(), tree.to_markup());
+/// ```
+#[derive(Debug)]
+pub struct PageWriter {
+    out: String,
+    /// Whether `<body` has been closed by a first child; a body without
+    /// children self-closes, as an empty element does.
+    body_open: bool,
+}
+
+impl PageWriter {
+    /// Starts a page: `<html><head><title>…</title></head><body`.
+    pub fn new(title: impl Display) -> Self {
+        let mut out = String::with_capacity(PAGE_CAPACITY);
+        out.push_str("<html><head><title>");
+        write_escaped(&mut out, title);
+        out.push_str("</title></head><body");
+        PageWriter {
+            out,
+            body_open: false,
+        }
+    }
+
+    /// The buffer, positioned for the next body child.
+    fn child(&mut self) -> &mut String {
+        if !self.body_open {
+            self.out.push('>');
+            self.body_open = true;
+        }
+        &mut self.out
+    }
+
+    fn text_element(&mut self, tag: &str, text: impl Display) -> &mut Self {
+        let out = self.child();
+        out.push('<');
+        out.push_str(tag);
+        out.push('>');
+        write_escaped(out, text);
+        out.push_str("</");
+        out.push_str(tag);
+        out.push('>');
+        self
+    }
+
+    /// A heading, as [`h1`].
+    pub fn h1(&mut self, text: impl Display) -> &mut Self {
+        self.text_element("h1", text)
+    }
+
+    /// A paragraph, as [`p`].
+    pub fn p(&mut self, text: impl Display) -> &mut Self {
+        self.text_element("p", text)
+    }
+
+    /// Preformatted text: `<pre>…</pre>`.
+    pub fn pre(&mut self, text: impl Display) -> &mut Self {
+        self.text_element("pre", text)
+    }
+
+    /// An anchor, as [`a`].
+    pub fn a(&mut self, href: impl Display, text: impl Display) -> &mut Self {
+        let out = self.child();
+        out.push_str("<a href=\"");
+        write_escaped(out, href);
+        out.push_str("\">");
+        write_escaped(out, text);
+        out.push_str("</a>");
+        self
+    }
+
+    /// A two-column table, as [`table`].
+    pub fn table<K: Display, V: Display>(
+        &mut self,
+        rows: impl IntoIterator<Item = (K, V)>,
+    ) -> &mut Self {
+        let out = self.child();
+        out.push_str("<table");
+        let mut empty = true;
+        for (k, v) in rows {
+            if empty {
+                out.push('>');
+                empty = false;
+            }
+            out.push_str("<tr><td>");
+            write_escaped(out, k);
+            out.push_str("</td><td>");
+            write_escaped(out, v);
+            out.push_str("</td></tr>");
+        }
+        out.push_str(if empty { "/>" } else { "</table>" });
+        self
+    }
+
+    /// A single-field form, as [`form`].
+    pub fn form(
+        &mut self,
+        action: impl Display,
+        field_name: impl Display,
+        submit_label: impl Display,
+    ) -> &mut Self {
+        let out = self.child();
+        out.push_str("<form action=\"");
+        write_escaped(out, action);
+        out.push_str("\" method=\"post\"><input type=\"text\" name=\"");
+        write_escaped(out, field_name);
+        out.push_str("\"/><input type=\"submit\" value=\"");
+        write_escaped(out, submit_label);
+        out.push_str("\"/></form>");
+        self
+    }
+
+    /// Closes the body and the document and returns the markup.
+    pub fn finish(mut self) -> String {
+        self.out.push_str(if self.body_open {
+            "</body></html>"
+        } else {
+            "/></html>"
+        });
+        self.out
+    }
+}
+
+/// A [`fmt::Write`] sink that escapes into a buffer. Escaping maps each
+/// character on its own, so escaping the pieces a formatter emits equals
+/// escaping their concatenation.
+struct Escaping<'a>(&'a mut String);
+
+impl fmt::Write for Escaping<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        push_escaped(self.0, s);
+        Ok(())
+    }
+}
+
+/// Formats `text` escaped into `out`, with no intermediate `String`.
+fn write_escaped(out: &mut String, text: impl Display) {
+    // Writing into a `String` cannot fail.
+    let _ = fmt::write(&mut Escaping(out), format_args!("{text}"));
 }
 
 /// A heading element.
@@ -94,6 +253,8 @@ pub fn form(action: &str, field_name: &str, submit_label: &str) -> Element {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     #[test]
     fn page_has_canonical_shape() {
@@ -132,5 +293,80 @@ mod tests {
         assert!(form("/a", "q", "Go")
             .to_markup()
             .contains(r#"type="submit""#));
+    }
+
+    #[test]
+    fn writer_self_closes_empty_bodies_and_tables() {
+        assert_eq!(
+            PageWriter::new("").finish(),
+            "<html><head><title></title></head><body/></html>"
+        );
+        let mut w = PageWriter::new("t");
+        w.table(std::iter::empty::<(&str, &str)>()).p("");
+        assert_eq!(
+            w.finish(),
+            "<html><head><title>t</title></head><body><table/><p></p></body></html>"
+        );
+    }
+
+    /// Texts the writer must serialise exactly as the tree does: empty,
+    /// whitespace-only, whitespace runs with tabs and newlines, the four
+    /// escaped characters, and non-ASCII.
+    fn text() -> impl Strategy<Value = String> {
+        prop_oneof![
+            Just(String::new()),
+            "[ \t\n]{1,4}",
+            "[a-c &<>\"\t\n]{0,12}",
+            "[a-zé€日 ]{0,10}",
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_writer_is_the_tree_serialiser(
+            title in text(),
+            ops in collection::vec(
+                (0u8..6, text(), text(), text(), collection::vec((text(), text()), 0..3)),
+                0..7,
+            ),
+        ) {
+            let mut w = PageWriter::new(&title);
+            let mut nodes: Vec<Node> = Vec::new();
+            for (kind, x, y, z, rows) in &ops {
+                match kind {
+                    0 => {
+                        w.h1(x);
+                        nodes.push(h1(x).into());
+                    }
+                    1 => {
+                        // Two pieces through one formatter: escaping per
+                        // piece must equal escaping the whole.
+                        w.p(format_args!("{x}{y}"));
+                        nodes.push(p(&format!("{x}{y}")).into());
+                    }
+                    2 => {
+                        w.a(x, y);
+                        nodes.push(a(x, y).into());
+                    }
+                    3 => {
+                        w.pre(x);
+                        nodes.push(Element::new("pre").with_text(x.as_str()).into());
+                    }
+                    4 => {
+                        w.table(rows.iter().map(|(k, v)| (k, v)));
+                        nodes.push(
+                            table(rows.iter().map(|(k, v)| (k.as_str(), v.as_str()))).into(),
+                        );
+                    }
+                    _ => {
+                        w.form(x, y, z);
+                        nodes.push(form(x, y, z).into());
+                    }
+                }
+            }
+            prop_assert_eq!(w.finish(), page(&title, nodes).to_markup());
+        }
     }
 }

@@ -286,7 +286,7 @@ pub fn unescape(text: &str) -> String {
 
 /// Whether [`normalise_ws`] would change `text`: any non-space
 /// whitespace, or a run of consecutive spaces.
-pub(crate) fn needs_ws_normalise(text: &str) -> bool {
+fn needs_ws_normalise(text: &str) -> bool {
     let mut last_ws = false;
     for c in text.chars() {
         if c.is_whitespace() {
@@ -302,7 +302,7 @@ pub(crate) fn needs_ws_normalise(text: &str) -> bool {
 }
 
 /// Collapses internal whitespace runs to single spaces (HTML semantics).
-pub(crate) fn normalise_ws(text: &str) -> String {
+fn normalise_ws(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     let mut last_ws = false;
     for c in text.chars() {

@@ -53,22 +53,11 @@ impl IModeService {
     }
 
     /// The pure HTML → cHTML filter: everything derived from the body
-    /// alone. Returns the air payload and whether the page needed
-    /// filtering (already-compact pages pass through unchanged).
-    ///
-    /// When the host attached the body's parsed tree
-    /// (`HttpResponse::page`), the parse is skipped — and a page that
-    /// validates as cHTML passes through as the body's own buffer (the
-    /// body is defined to be the tree's serialised form), with the tree
-    /// handed onward so the station browser can skip its parse too.
+    /// alone. Returns the air payload, whether the page needed filtering
+    /// (already-compact pages pass through unchanged), and the parsed
+    /// payload when it is the body's own tree, so the station browser
+    /// can skip its parse.
     fn filter(resp: &HttpResponse) -> (Bytes, bool, Option<Arc<markup::Element>>) {
-        if let Some(doc) = resp.page.as_ref() {
-            return if chtml::validate(doc).is_ok() {
-                (resp.body.as_bytes_buf(), false, Some(Arc::clone(doc)))
-            } else {
-                (Bytes::from(html_to_chtml(doc).to_markup()), true, None)
-            };
-        }
         match html::parse_html(resp.body.as_str()) {
             Ok(doc) => {
                 if chtml::validate(&doc).is_ok() {
@@ -113,13 +102,8 @@ impl Middleware for IModeService {
         // Serve cHTML: pass through if already compact, filter if not.
         // The filter is pure in the body, so a shard memo can replay it.
         let (content, middleware_cpu, deck) = if resp.format == ContentFormat::Chtml {
-            // Pass-through shares the response's refcounted buffer (and
-            // the host's page tree, when it attached one).
-            (
-                resp.body.as_bytes_buf(),
-                SimDuration::from_micros(20),
-                resp.page.clone(),
-            )
+            // Pass-through shares the response's refcounted buffer.
+            (resp.body.as_bytes_buf(), SimDuration::from_micros(20), None)
         } else {
             let (content, filtered, deck) = match &self.memo {
                 Some(memo) => {

@@ -83,27 +83,18 @@ impl WapGateway {
     }
 
     /// The pure HTML → WML → (WBXML | text) translation: everything the
-    /// gateway derives from the response body alone. When the host
-    /// attached the body's parsed tree (`HttpResponse::page`), the parse
-    /// step is skipped — the tree is defined to round-trip to the same
-    /// document. Returns the air payload, whether the source failed to
-    /// parse (error card), and — on the binary path, where WBXML
-    /// decoding is the exact inverse of encoding — the deck tree itself,
-    /// so the station browser can skip the decode.
-    fn translate(
-        &self,
-        html: &str,
-        page: Option<&markup::Element>,
-    ) -> (Bytes, bool, Option<Arc<markup::Element>>) {
-        let (deck, failed) = match page {
-            Some(doc) => (html_to_wml(doc, &self.wml_options), false),
-            None => match html::parse_html(html) {
-                Ok(doc) => (html_to_wml(&doc, &self.wml_options), false),
-                Err(_) => {
-                    let fallback = html::page("Error", vec![html::p("content unavailable").into()]);
-                    (html_to_wml(&fallback, &self.wml_options), true)
-                }
-            },
+    /// gateway derives from the response body alone. Returns the air
+    /// payload, whether the source failed to parse (error card), and — on
+    /// the binary path, where WBXML decoding is the exact inverse of
+    /// encoding — the deck tree itself, so the station browser can skip
+    /// the decode.
+    fn translate(&self, html: &str) -> (Bytes, bool, Option<Arc<markup::Element>>) {
+        let (deck, failed) = match html::parse_html(html) {
+            Ok(doc) => (html_to_wml(&doc, &self.wml_options), false),
+            Err(_) => {
+                let fallback = html::page("Error", vec![html::p("content unavailable").into()]);
+                (html_to_wml(&fallback, &self.wml_options), true)
+            }
         };
         if self.binary_encoding {
             let content = Bytes::from(wbxml::encode(&deck));
@@ -169,8 +160,7 @@ impl Middleware for WapGateway {
                 match memo.get(mode, &body_buf) {
                     Some(deck) => (deck.content, deck.flagged, deck.deck),
                     None => {
-                        let (content, failed, deck) =
-                            self.translate(resp.body.as_str(), resp.page.as_deref());
+                        let (content, failed, deck) = self.translate(resp.body.as_str());
                         memo.insert(
                             mode,
                             body_buf,
@@ -184,7 +174,7 @@ impl Middleware for WapGateway {
                     }
                 }
             }
-            None => self.translate(resp.body.as_str(), resp.page.as_deref()),
+            None => self.translate(resp.body.as_str()),
         };
         if failed {
             self.translation_failures.incr();

@@ -15,10 +15,18 @@
 //! thread-local flag load and a predictable branch — cheap enough to
 //! leave in packet-level hot paths (the F5 experiment in `bench`
 //! measures exactly this overhead and CI gates it at 3%).
+//!
+//! An enabled publication accumulates into a slot found by the name's
+//! *address and length*: integer compares, never the name's bytes. Every
+//! call site passes a string literal, so a name has one address per
+//! binary (or a few, when literals with equal text are not merged); the
+//! registry keeps one slot per address and [`take`] folds slots whose
+//! names have equal text into one by-name entry of [`Metrics`].
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::hist::Histogram;
 
@@ -101,7 +109,50 @@ impl fmt::Display for Metrics {
 
 thread_local! {
     static ENABLED: Cell<bool> = const { Cell::new(false) };
-    static REGISTRY: RefCell<Metrics> = RefCell::new(Metrics::default());
+    static SLOTS: RefCell<Slots> = const {
+        RefCell::new(Slots {
+            counters: HashMap::with_hasher(BuildHasherDefault::new()),
+            histograms: HashMap::with_hasher(BuildHasherDefault::new()),
+        })
+    };
+}
+
+/// A name's identity in the registry: its address and length.
+type NameKey = (usize, usize);
+
+fn key(name: &'static str) -> NameKey {
+    (name.as_ptr() as usize, name.len())
+}
+
+/// A slot table keyed by name address.
+type SlotMap<V> = HashMap<NameKey, (&'static str, V), BuildHasherDefault<AddrHasher>>;
+
+/// The thread's publications since the last [`take`], one slot per name
+/// address.
+struct Slots {
+    counters: SlotMap<u64>,
+    histograms: SlotMap<Histogram>,
+}
+
+/// Hashes a [`NameKey`] with one rotate, xor and multiply per word. The
+/// keys are the addresses of a few dozen literals, not outside input.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_usize(usize::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (self.0.rotate_left(5) ^ n as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Scoped enablement of the thread's registry; publication stops (and
@@ -137,7 +188,13 @@ pub fn add(name: &'static str, delta: u64) {
     if !ENABLED.with(|e| e.get()) {
         return;
     }
-    REGISTRY.with(|r| *r.borrow_mut().counters.entry(name).or_default() += delta);
+    SLOTS.with(|s| {
+        s.borrow_mut()
+            .counters
+            .entry(key(name))
+            .or_insert((name, 0))
+            .1 += delta;
+    });
 }
 
 /// Adds one to the named counter.
@@ -152,18 +209,43 @@ pub fn observe(name: &'static str, value: u64) {
     if !ENABLED.with(|e| e.get()) {
         return;
     }
-    REGISTRY.with(|r| r.borrow_mut().histograms.entry(name).or_default().record(value));
+    SLOTS.with(|s| {
+        s.borrow_mut()
+            .histograms
+            .entry(key(name))
+            .or_insert_with(|| (name, Histogram::default()))
+            .1
+            .record(value);
+    });
 }
 
 /// Drains the thread's registry, returning everything published since
 /// the last `take` and leaving it empty.
 pub fn take() -> Metrics {
-    REGISTRY.with(|r| std::mem::take(&mut *r.borrow_mut()))
+    SLOTS.with(|s| {
+        let mut slots = s.borrow_mut();
+        // Fold in name order, not in the order addresses hash to, so the
+        // maps are built alike in every process.
+        let mut counters: Vec<_> = slots.counters.drain().map(|(_, slot)| slot).collect();
+        counters.sort_unstable_by_key(|&(name, _)| name);
+        let mut histograms: Vec<_> = slots.histograms.drain().map(|(_, slot)| slot).collect();
+        histograms.sort_unstable_by_key(|&(name, _)| name);
+        let mut metrics = Metrics::default();
+        for (name, value) in counters {
+            *metrics.counters.entry(name).or_default() += value;
+        }
+        for (name, hist) in histograms {
+            metrics.histograms.entry(name).or_default().merge(&hist);
+        }
+        metrics
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     #[test]
     fn disabled_publication_is_dropped() {
@@ -235,5 +317,37 @@ mod tests {
         assert!(json.find("a.first").unwrap() < json.find("z.last").unwrap());
         assert_eq!(json, m.clone().to_json());
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn slots_fold_to_the_by_name_accumulation(
+            ops in collection::vec((0u8..2, 0usize..4, 0u64..1_000_000), 0..64),
+        ) {
+            // Two allocations of "p.shared" publish into separate slots,
+            // which `take` must fold into one entry.
+            let copy: &'static str = Box::leak(String::from("p.shared").into_boxed_str());
+            let names = ["p.shared", copy, "p.other", "p.third"];
+            prop_assert!(names[0].as_ptr() != names[1].as_ptr());
+            let _ = take();
+            let mut reference = Metrics::default();
+            {
+                let _guard = enable();
+                for &(kind, i, value) in &ops {
+                    let name = names[i];
+                    if kind == 0 {
+                        add(name, value);
+                        *reference.counters.entry(name).or_default() += value;
+                    } else {
+                        observe(name, value);
+                        reference.histograms.entry(name).or_default().record(value);
+                    }
+                }
+            }
+            prop_assert_eq!(take(), reference);
+            prop_assert!(take().is_empty());
+        }
     }
 }
