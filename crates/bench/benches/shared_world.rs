@@ -3,12 +3,12 @@
 //!
 //! Every user in a `Topology::shared()` world contends for one cell,
 //! one gateway and one host, so this measures the island event loop
-//! itself — the `DetQueue` scheduling, the host/gateway swaps around
-//! each transaction, and the post-hoc FCFS contention charging — not
-//! the one-user islands of the isolated topology F9 sweeps. The
-//! isolated topology at the same smallest population runs alongside as
-//! the baseline, making the contention machinery's cost visible
-//! directly.
+//! itself — the `DetQueue` scheduling, the island's host and gateway
+//! cache lent to each transaction, and the post-hoc FCFS contention
+//! charging — not the one-user islands of the isolated topology F9
+//! sweeps. The isolated topology at the same smallest population runs
+//! alongside as the baseline, making the contention machinery's cost
+//! visible directly.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -55,7 +55,7 @@ use crate::merge::FleetMerger;
 use crate::netpath::{WiredPath, WirelessConfig};
 use crate::report::{WorkloadCounters, WorkloadSummary};
 use crate::shared::{self, ContentionStats};
-use crate::system::{provision_host, CachePolicy, McSystem, MiddlewareKind, SystemSpec};
+use crate::system::{provision_host, CachePolicy, McSystem, MiddlewareKind, SystemSpec, UserSide};
 use crate::topology::Topology;
 use crate::workload::run_session;
 
@@ -118,11 +118,11 @@ pub struct Scenario {
     /// Fallback middleware for graceful degradation under gateway or
     /// transcoder faults.
     pub fallback: Option<MiddlewareKind>,
-    /// Cache policy applied to every user's system. Disabled by default
-    /// — and a disabled policy executes the exact pre-cache path, so a
-    /// cache-free fleet is bit-identical to one carrying
-    /// `CachePolicy::disabled()`. Caches are strictly per-user (each
-    /// user owns a full system), preserving thread-count invariance.
+    /// Cache policy applied to every host and gateway. Disabled by
+    /// default — and a disabled policy executes the exact pre-cache
+    /// path, so a cache-free fleet is bit-identical to one carrying
+    /// `CachePolicy::disabled()`. Caches never cross an island, which
+    /// preserves thread-count invariance.
     pub cache: CachePolicy,
     /// Durability policy for every user's host database. The default
     /// (batch 1, free fsync) executes the exact pre-WAL-pricing path.
@@ -349,18 +349,27 @@ impl Scenario {
         host
     }
 
-    /// The one build path behind every user's system: the scenario's
-    /// stack for `user` around `host`, which it leaves untouched.
-    /// [`Scenario::system_for_user`] passes a provisioned host; the fleet
-    /// engine passes an empty one, because every transaction runs
-    /// against the island's host instead.
+    /// User `user`'s whole system around `host`, which it leaves
+    /// untouched: the user half from [`Scenario::user_side`] and a
+    /// gateway cache of its own. [`Scenario::system_for_user`] passes a
+    /// provisioned host. The fleet engine builds no system: an island
+    /// user is only its user half, which runs every transaction against
+    /// the island's host and its gateway's shared cache.
     pub(crate) fn system_on(&self, user: u64, host: HostComputer) -> McSystem {
-        let mut system = self.spec_for_user(user).assemble(host);
+        McSystem::assemble(host, self.user_side(user))
+    }
+
+    /// The one build path behind every user: the scenario's stack for
+    /// `user` with its fault plan and fallback middleware installed.
+    /// [`Scenario::system_on`] and the fleet engine both build through
+    /// here, so they cannot differ.
+    pub(crate) fn user_side(&self, user: u64) -> UserSide {
+        let mut side = self.spec_for_user(user).user_side();
         if !self.faults.is_empty() {
-            system.set_fault_plan(self.faults.clone());
+            side.set_fault_plan(self.faults.clone());
         }
-        system.set_fallback_middleware(self.fallback);
-        system
+        side.set_fallback_middleware(self.fallback);
+        side
     }
 
     /// Runs one user's complete workload in a private world, folding
@@ -464,9 +473,9 @@ impl ShardScratch {
         Self::default()
     }
 
-    /// Attaches this scratch's memos to a freshly built system.
-    pub(crate) fn attach(&self, system: &mut McSystem) {
-        system.attach_shard_memos(self.transcode.clone(), self.render.clone());
+    /// Attaches this scratch's memos to a freshly built user.
+    pub(crate) fn attach(&self, user: &mut UserSide) {
+        user.attach_shard_memos(self.transcode.clone(), self.render.clone());
     }
 
     /// Translation lookups answered from the memo, across every system

@@ -63,6 +63,6 @@ pub use hostsite::db::DurabilityPolicy;
 pub use shared::ContentionStats;
 pub use system::{
     db_recovery_outage_ns, CachePolicy, CommerceSystem, EcSystem, McSystem, MiddlewareKind,
-    StationState, SystemSpec,
+    StationState, SystemSpec, UserSide,
 };
 pub use topology::{Placement, Topology};

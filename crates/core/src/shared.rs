@@ -35,19 +35,18 @@
 //!
 //! # Inside an island
 //!
-//! Each user owns a per-user [`McSystem`] (their station, battery,
-//! RNG streams — seeded by user index), but the *shared* pieces are
-//! swapped in around every transaction: the island's one
-//! [`HostComputer`] takes the place of an empty host the user's system
-//! is built around (no application is installed in it, since no
-//! transaction ever runs against it), and the gateway's one shared
-//! [`ContentCache`] replaces the user's
-//! private cache. A deterministic event queue keyed by `(ready time,
-//! island-local user index)` decides who transacts next; local indices
-//! follow global index order, so ties resolve as under global keys, and
-//! an event finds its user by direct indexing. A user holds only its
-//! current session's steps and generates the next session when those
-//! run out.
+//! Each user is only the per-user half of a system, a [`UserSide`]:
+//! their station, middleware, battery and RNG streams, seeded by user
+//! index. The island owns the site every transaction runs against —
+//! its one [`HostComputer`] and, per gateway, one shared
+//! [`ContentCache`] — and lends the host and the user's gateway's cache
+//! to each transaction by reference, exactly as an
+//! [`McSystem`](crate::McSystem) lends its own site to its user half.
+//! A deterministic event queue keyed by `(ready time, island-local
+//! user index)` decides who transacts next; local indices follow global
+//! index order, so ties resolve as under global keys, and an event
+//! finds its user by direct indexing. A user holds only its current
+//! session's steps and generates the next session when those run out.
 //!
 //! An island's gateways, cells and users come in closed form from the
 //! topology's modulo wiring ([`Topology::island`]), so building every
@@ -85,7 +84,7 @@ use crate::fleet::{
 };
 use crate::merge::{FleetMerger, TraceMerger};
 use crate::report::{TransactionReport, WorkloadCounters};
-use crate::system::{CommerceSystem, McSystem};
+use crate::system::{Site, UserSide};
 use crate::topology::{Island, Topology};
 use crate::workload::check_expectation;
 
@@ -226,7 +225,7 @@ impl IslandTelemetry {
 struct UserState {
     cell: usize,
     gateway: usize,
-    system: McSystem,
+    side: UserSide,
     /// The seed every one of this user's sessions is generated from.
     session_seed: u64,
     /// The next session [`UserState::has_work`] generates.
@@ -374,7 +373,7 @@ struct WorkerTotals {
 /// One worker thread's state across its range of islands: what lives
 /// as long as the worker, plus per-island buffers cleared and refilled
 /// for each island so that an island allocates only what is its own —
-/// its host, its users' systems and sessions.
+/// its host, its users and their sessions.
 struct Worker<'a> {
     scenario: &'a Scenario,
     topology: &'a Topology,
@@ -469,13 +468,9 @@ impl<'a> Worker<'a> {
         self.gateway_cpu.clear();
         self.gateway_cpu
             .resize_with(members.gateways.len(), FcfsServer::new);
-        let cache = scenario.cache;
-        let gateway_cached = cache.enabled && cache.gateway_ttl > simnet::SimDuration::ZERO;
         self.gateway_caches.clear();
-        self.gateway_caches.resize_with(members.gateways.len(), || {
-            gateway_cached
-                .then(|| ContentCache::new(cache.gateway_ttl.as_nanos(), cache.byte_budget))
-        });
+        self.gateway_caches
+            .resize_with(members.gateways.len(), || scenario.cache.gateway_cache());
         let mut host = HostLanes {
             cpu: FcfsServer::new(),
             wal: FcfsServer::new(),
@@ -490,15 +485,14 @@ impl<'a> Worker<'a> {
             )
         });
 
-        // Per-user state: the private system (station, battery, RNG
-        // streams, around an empty host the island's host always stands
-        // in for) plus the session cursor. Memo hits replay
+        // Per-user state: the user half of the user's system (station,
+        // battery, RNG streams) plus the session cursor. Memo hits replay
         // byte-identically, so the worker's scratch serves every island.
         for (local, &(user, cell)) in members.users.iter().enumerate() {
-            let mut system = scenario.system_on(user, HostComputer::new(Database::new(), 0));
-            self.scratch.attach(&mut system);
+            let mut side = scenario.user_side(user);
+            self.scratch.attach(&mut side);
             if self.config.traced {
-                system.set_recorder(match self.config.recorder {
+                side.set_recorder(match self.config.recorder {
                     RecorderKind::Ring if local == 0 => {
                         Recorder::ring_recycled(DEFAULT_RING_CAPACITY, user, &mut self.ring)
                     }
@@ -509,7 +503,7 @@ impl<'a> Worker<'a> {
             self.states.push(UserState {
                 cell,
                 gateway: members.cell_gateway[cell],
-                system,
+                side,
                 session_seed: sub_seed(scenario.seed, "fleet.session", user),
                 next_session: 0,
                 think: false,
@@ -526,23 +520,26 @@ impl<'a> Worker<'a> {
         // the topology test `closed_form_membership_equals_the_filter_scan`),
         // so local order is global order and ties pop exactly as under
         // global keys. Each user has at most one outstanding event, so
-        // keys are unique. The loop drains the queue, which is then
-        // ready for the next island.
+        // keys are unique, and a user's clock only moves forward: the
+        // earliest event is re-keyed in place while its user has work,
+        // which leaves the queue as a pop and a push would, and popped
+        // once the user has none. The loop drains the queue, which is
+        // then ready for the next island.
         let queue = &mut self.queue;
         for (local, state) in self.states.iter_mut().enumerate() {
             if state.has_work(scenario, app) {
-                queue.push(state.system.sim_clock_ns(), local as u64);
+                queue.push(state.side.sim_clock_ns(), local as u64);
             }
         }
         let stats = &mut self.totals.stats;
-        while let Some((_, local)) = queue.pop() {
+        while let Some((_, local)) = queue.peek() {
             let state = &mut self.states[local as usize];
             if state.think {
                 state.think = false;
-                state.system.idle(scenario.think_secs);
+                state.side.idle(scenario.think_secs);
             } else {
                 let step = state.steps.next().expect("scheduled user has work");
-                let t0_ns = state.system.sim_clock_ns();
+                let t0_ns = state.side.sim_clock_ns();
                 let cache_before = telemetry
                     .as_ref()
                     .map(|_| cache_counters(&self.gateway_caches[state.gateway]));
@@ -572,7 +569,9 @@ impl<'a> Worker<'a> {
                 self.totals.counters.record(&report);
             }
             if state.has_work(scenario, app) {
-                queue.push(state.system.sim_clock_ns(), local);
+                queue.rekey_earliest(state.side.sim_clock_ns());
+            } else {
+                queue.pop();
             }
         }
 
@@ -584,7 +583,7 @@ impl<'a> Worker<'a> {
             stats.cell_busy_ns += cell.busy_ns();
         }
         for state in &self.states {
-            stats.horizon_ns = stats.horizon_ns.max(state.system.sim_clock_ns());
+            stats.horizon_ns = stats.horizon_ns.max(state.side.sim_clock_ns());
         }
         if let (Some(merged), Some(tele)) = (self.totals.telemetry.as_mut(), telemetry) {
             merged.merge(tele.t);
@@ -597,7 +596,7 @@ impl<'a> Worker<'a> {
                 .zip(&members.users)
                 .enumerate()
                 .map(|(local, (state, &(user, _)))| {
-                    let recorder = state.system.take_recorder();
+                    let recorder = state.side.take_recorder();
                     let (events, dumps) = if local == 0 {
                         recorder.into_parts_recycling(ring)
                     } else {
@@ -628,9 +627,8 @@ fn cache_counters(cache: &Option<ContentCache>) -> (u64, u64) {
         .map_or((0, 0), |c| (c.hits(), c.hits() + c.misses()))
 }
 
-/// Executes one step with the island's shared host and shared gateway
-/// cache swapped in around the user's private system (whose own host is
-/// the empty placeholder it was built with).
+/// Executes one step against the island's site: its shared host and
+/// the shared cache of the user's gateway, lent to the transaction.
 fn execute_shared(
     state: &mut UserState,
     step: &Step,
@@ -638,19 +636,16 @@ fn execute_shared(
     shared_host: &mut HostComputer,
     gateway_caches: &mut [Option<ContentCache>],
 ) -> TransactionReport {
-    std::mem::swap(&mut state.system.host, shared_host);
-    state
-        .system
-        .swap_gateway_cache(&mut gateway_caches[state.gateway]);
-    let report = match &mut state.retry_rng {
-        None => state.system.execute(&step.req),
-        Some(rng) => state.system.execute_with_retry(&step.req, &scenario.retry, rng),
+    let mut site = Site {
+        host: shared_host,
+        gateway_cache: gateway_caches[state.gateway].as_mut(),
     };
-    state
-        .system
-        .swap_gateway_cache(&mut gateway_caches[state.gateway]);
-    std::mem::swap(&mut state.system.host, shared_host);
-    report
+    match &mut state.retry_rng {
+        None => state.side.execute(&mut site, &step.req),
+        Some(rng) => state
+            .side
+            .execute_with_retry(&mut site, &step.req, &scenario.retry, rng),
+    }
 }
 
 /// The shared host's two serial lanes. The WAL is its own resource:
@@ -676,7 +671,7 @@ fn charge_contention(
     mut telemetry: Option<&mut IslandTelemetry>,
 ) {
     stats.transactions += 1;
-    let end_ns = state.system.sim_clock_ns();
+    let end_ns = state.side.sim_clock_ns();
     let air_ns = to_ns(report.breakdown.wireless_secs);
     let up_ns = air_ns / 2;
     let down_ns = air_ns - up_ns;
@@ -686,7 +681,7 @@ fn charge_contention(
     // The WAL share of the host phase serializes on the group-commit
     // log, not the CPU — a transaction that paid for an fsync holds the
     // log while others queue behind it. Zero under the default policy.
-    let wal_ns = state.system.last_commit_ns().min(host_ns);
+    let wal_ns = state.side.last_commit_ns().min(host_ns);
     let cpu_ns = host_ns - wal_ns;
 
     // Walk the path from the transaction's start, carrying waits
@@ -743,7 +738,7 @@ fn charge_contention(
         // The user's clock moves past the waits (idle battery draw,
         // like any other waiting) — an uncontended transaction skips
         // this entirely, preserving bit-identity with a private world.
-        state.system.idle(total_wait as f64 / 1e9);
+        state.side.idle(total_wait as f64 / 1e9);
     }
 }
 

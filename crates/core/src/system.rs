@@ -194,6 +194,13 @@ impl CachePolicy {
         }
         host.web.db_mut().set_query_cache(self.enabled);
     }
+
+    /// The gateway half of the policy: a fresh, empty content cache, or
+    /// `None` when the policy keeps the gateway cache off.
+    pub(crate) fn gateway_cache(&self) -> Option<ContentCache> {
+        (self.enabled && self.gateway_ttl > SimDuration::ZERO)
+            .then(|| ContentCache::new(self.gateway_ttl.as_nanos(), self.byte_budget))
+    }
 }
 
 /// A typed, declarative description of every knob an [`McSystem`] is
@@ -327,25 +334,40 @@ impl SystemSpec {
     /// cache and durability policies to the host first.
     pub fn build(&self, mut host: HostComputer) -> McSystem {
         provision_host(&mut host, self.cache, self.durability);
-        self.assemble(host)
+        McSystem::assemble(host, self.user_side())
     }
 
-    /// The station, middleware and network half of [`SystemSpec::build`]:
-    /// assembles the system around `host` without touching it.
-    pub(crate) fn assemble(&self, host: HostComputer) -> McSystem {
-        let mut system = McSystem::assemble(
-            host,
-            self.middleware.build(),
-            self.device.clone(),
-            self.wireless,
-            self.wired,
-            self.seed,
-        );
-        system.set_secure(self.secure);
-        if self.cache.enabled {
-            system.set_gateway_cache_policy(self.cache);
+    /// The per-user half of [`SystemSpec::build`]: the station,
+    /// middleware and networks with security and the cache policy
+    /// applied — everything but the site.
+    pub(crate) fn user_side(&self) -> UserSide {
+        UserSide {
+            middleware: self.middleware.build(),
+            station: StationState::new(self.device.clone()),
+            wireless: self.wireless,
+            air: self.wireless.air_link(),
+            wired: self.wired,
+            session_up: false,
+            secure: self.secure,
+            wtls_established: false,
+            rng: rng_for(self.seed, "mcsystem.air"),
+            recorder: Recorder::Disabled,
+            clock_ns: 0,
+            txn_seq: 0,
+            faults: FaultPlan::none(),
+            fault_state: FaultState::default(),
+            middleware_degraded: false,
+            fallback_kind: None,
+            degraded_primary: None,
+            host_recovering_until_ns: 0,
+            last_commit_ns: 0,
+            cache: if self.cache.enabled {
+                self.cache
+            } else {
+                CachePolicy::disabled()
+            },
+            render_memo: None,
         }
-        system
     }
 }
 
@@ -387,10 +409,15 @@ impl StationState {
     }
 }
 
-/// The six-component mobile commerce system (Figure 2).
-pub struct McSystem {
-    /// Component (vi): the host computer.
-    pub host: HostComputer,
+/// The per-user half of the six-component system (Figure 2): the
+/// station, the middleware, the air link, and what a user carries from
+/// one transaction to the next — session and WTLS state, clock, RNG,
+/// fault cursor, recorder and memos. It owns the transaction code and
+/// runs each transaction against a site it borrows for that
+/// transaction: the host computer and the gateway content cache in
+/// front of it. An [`McSystem`] lends its own site; a fleet island
+/// lends its shared host and the user's gateway's shared cache.
+pub struct UserSide {
     /// Component (iii): the mobile middleware.
     pub middleware: Box<dyn Middleware>,
     /// Component (ii): the mobile station.
@@ -430,13 +457,47 @@ pub struct McSystem {
     /// the slice the shared-world engine serializes on the log, not the
     /// CPU. Zero under the default free-durability policy.
     last_commit_ns: u64,
-    /// The caching hierarchy's configuration (disabled by default).
+    /// The caching hierarchy's configuration (disabled by default). The
+    /// caches themselves live with the site.
     cache: CachePolicy,
-    /// The gateway content cache, present iff the policy enables it.
-    gateway_cache: Option<ContentCache>,
     /// Shard-local render memo (fleet engine only): replays pure
     /// browser renders of repeated payloads across this shard's users.
     render_memo: Option<Rc<RefCell<RenderMemo>>>,
+}
+
+/// The site one transaction runs against: the host computer and, when
+/// the cache policy enables one, the gateway content cache in front of
+/// it.
+pub(crate) struct Site<'a> {
+    pub(crate) host: &'a mut HostComputer,
+    pub(crate) gateway_cache: Option<&'a mut ContentCache>,
+}
+
+/// The six-component mobile commerce system (Figure 2): a [`UserSide`]
+/// running against a site of its own, a host computer and a gateway
+/// content cache. The system dereferences to its user half, so the
+/// station, the middleware and every per-user setting are reached
+/// directly on it.
+pub struct McSystem {
+    /// Component (vi): the host computer.
+    pub host: HostComputer,
+    /// The gateway content cache, present iff the policy enables it.
+    gateway_cache: Option<ContentCache>,
+    user: UserSide,
+}
+
+impl std::ops::Deref for McSystem {
+    type Target = UserSide;
+
+    fn deref(&self) -> &UserSide {
+        &self.user
+    }
+}
+
+impl std::ops::DerefMut for McSystem {
+    fn deref_mut(&mut self) -> &mut UserSide {
+        &mut self.user
+    }
 }
 
 impl std::fmt::Debug for McSystem {
@@ -451,43 +512,64 @@ impl std::fmt::Debug for McSystem {
 
 impl McSystem {
     /// The one true constructor, reached through [`SystemSpec::build`]
-    /// (the positional `McSystem::new` was removed in 0.3.0).
-    fn assemble(
-        host: HostComputer,
-        middleware: Box<dyn Middleware>,
-        device: DeviceProfile,
-        wireless: WirelessConfig,
-        wired: WiredPath,
-        seed: u64,
-    ) -> Self {
-        let air = wireless.air_link();
+    /// (the positional `McSystem::new` was removed in 0.3.0): `user`
+    /// around `host`, with a gateway cache iff its policy enables one.
+    pub(crate) fn assemble(host: HostComputer, user: UserSide) -> Self {
         McSystem {
             host,
-            middleware,
-            station: StationState::new(device),
-            wireless,
-            air,
-            wired,
-            session_up: false,
-            secure: false,
-            wtls_established: false,
-            rng: rng_for(seed, "mcsystem.air"),
-            recorder: Recorder::Disabled,
-            clock_ns: 0,
-            txn_seq: 0,
-            faults: FaultPlan::none(),
-            fault_state: FaultState::default(),
-            middleware_degraded: false,
-            fallback_kind: None,
-            degraded_primary: None,
-            host_recovering_until_ns: 0,
-            last_commit_ns: 0,
-            cache: CachePolicy::disabled(),
-            gateway_cache: None,
-            render_memo: None,
+            gateway_cache: user.cache.gateway_cache(),
+            user,
         }
     }
 
+    /// The user half and the system's own site, lent to it.
+    fn split(&mut self) -> (&mut UserSide, Site<'_>) {
+        let site = Site {
+            host: &mut self.host,
+            gateway_cache: self.gateway_cache.as_mut(),
+        };
+        (&mut self.user, site)
+    }
+
+    /// Applies a cache policy across the hierarchy: (re)builds the
+    /// gateway content cache and configures the host's page and query
+    /// caches. Replacing the policy drops anything previously cached.
+    pub fn set_cache_policy(&mut self, policy: CachePolicy) {
+        self.user.cache = policy;
+        self.gateway_cache = policy.gateway_cache();
+        policy.configure_host(&mut self.host);
+    }
+
+    /// Executes one transaction under a [`RetryPolicy`]: failed attempts
+    /// are triaged ([`classify`]) and — for transient faults — retried
+    /// after exponential, jittered backoff on the station's sim clock
+    /// (draining idle battery), or — for degraded-path faults — retried
+    /// immediately through the fallback middleware installed with
+    /// [`set_fallback_middleware`](UserSide::set_fallback_middleware).
+    ///
+    /// The final report absorbs every failed attempt's paid costs
+    /// (latency, breakdown, energy, air bytes, retransmissions) and
+    /// counts all attempts in [`TransactionReport::attempts`]. Backoff
+    /// time advances the clock and drains the battery but is user wait,
+    /// not transaction latency. The primary middleware is restored once
+    /// the transaction settles, so a later gateway window degrades (and
+    /// is counted) again.
+    ///
+    /// Jitter draws come only from `rng` — pass a stream derived from
+    /// the scenario seed and user index to keep fleets bit-identical at
+    /// any thread count.
+    pub fn execute_with_retry(
+        &mut self,
+        req: &MobileRequest,
+        policy: &RetryPolicy,
+        rng: &mut StdRng,
+    ) -> TransactionReport {
+        let (user, mut site) = self.split();
+        user.execute_with_retry(&mut site, req, policy, rng)
+    }
+}
+
+impl UserSide {
     /// Attaches the shard-local memos of a fleet shard: the middleware's
     /// transcode memo and the station's render memo. Both cache *pure*
     /// functions of the payload bytes, so an attached system executes
@@ -504,39 +586,9 @@ impl McSystem {
         self.render_memo = Some(render);
     }
 
-    /// Applies a cache policy across the hierarchy: (re)builds the
-    /// gateway content cache and configures the host's page and query
-    /// caches. Replacing the policy drops anything previously cached.
-    pub fn set_cache_policy(&mut self, policy: CachePolicy) {
-        self.set_gateway_cache_policy(policy);
-        policy.configure_host(&mut self.host);
-    }
-
-    /// The gateway half of [`McSystem::set_cache_policy`].
-    fn set_gateway_cache_policy(&mut self, policy: CachePolicy) {
-        self.cache = policy;
-        self.gateway_cache = if policy.enabled && policy.gateway_ttl > SimDuration::ZERO {
-            Some(ContentCache::new(
-                policy.gateway_ttl.as_nanos(),
-                policy.byte_budget,
-            ))
-        } else {
-            None
-        };
-    }
-
     /// The cache policy in force (disabled by default).
     pub fn cache_policy(&self) -> CachePolicy {
         self.cache
-    }
-
-    /// Swaps this system's gateway content cache with `slot`.
-    ///
-    /// The shared-world fleet engine parks each user's private cache and
-    /// swaps the *shared* per-gateway cache in around every transaction,
-    /// so one population behind one gateway shares one deck store.
-    pub(crate) fn swap_gateway_cache(&mut self, slot: &mut Option<ContentCache>) {
-        std::mem::swap(&mut self.gateway_cache, slot);
     }
 
     /// Installs an observability sink. The default is
@@ -628,9 +680,9 @@ impl McSystem {
     }
 
     /// Fires every one-shot fault due at `now_ns`: battery drains hit
-    /// the battery, database crashes restart the host and open a
-    /// recovery window proportional to the replayed journal.
-    fn apply_due_oneshots(&mut self, now_ns: u64) {
+    /// the battery, database crashes restart `host` — the site's — and
+    /// open a recovery window proportional to the replayed journal.
+    fn apply_due_oneshots(&mut self, host: &mut HostComputer, now_ns: u64) {
         if self.faults.is_empty() {
             return;
         }
@@ -648,8 +700,8 @@ impl McSystem {
                         .instant(now_ns, Layer::Station, "fault: battery drain", self.txn_seq);
                 }
                 FaultKind::DbCrash => {
-                    let policy = self.host.web.db().durability();
-                    let replayed = self.host.web.crash_and_recover_db().map_or(0, |n| n as u64);
+                    let policy = host.web.db().durability();
+                    let replayed = host.web.crash_and_recover_db().map_or(0, |n| n as u64);
                     let recovery = db_recovery_outage_ns(replayed, policy);
                     self.host_recovering_until_ns = self
                         .host_recovering_until_ns
@@ -690,13 +742,29 @@ impl CommerceSystem for McSystem {
     }
 
     fn execute(&mut self, req: &MobileRequest) -> TransactionReport {
+        let (user, mut site) = self.split();
+        user.execute(&mut site, req)
+    }
+
+    fn host_mut(&mut self) -> &mut HostComputer {
+        &mut self.host
+    }
+}
+
+impl UserSide {
+    /// Executes one request/response transaction against `site`.
+    pub(crate) fn execute(
+        &mut self,
+        site: &mut Site<'_>,
+        req: &MobileRequest,
+    ) -> TransactionReport {
         let t0 = self.clock_ns;
         // A gateway-cache hit never reaches the host, so the stale WAL
         // share from the previous transaction must not leak into it.
         self.last_commit_ns = 0;
         // One-shot faults due by now (battery drains, host crashes)
         // strike before the transaction leaves the station.
-        self.apply_due_oneshots(t0);
+        self.apply_due_oneshots(site.host, t0);
         let txn = self.txn_seq;
         self.txn_seq += 1;
         let mut cursor = t0;
@@ -839,13 +907,13 @@ impl CommerceSystem for McSystem {
         // transcoder fault bypasses lookup *and* store: a wedged encoder
         // must not serve — or capture — decks.
         if self.cache.enabled {
-            self.host.web.set_sim_now_ns(t0);
+            site.host.web.set_sim_now_ns(t0);
         }
-        let cache_candidate = self.gateway_cache.is_some()
+        let cache_candidate = site.gateway_cache.is_some()
             && ContentCache::cacheable_request(req)
             && !self.faults.transcode_degraded(t0);
         let cached = if cache_candidate {
-            let cache = self.gateway_cache.as_mut().expect("checked above");
+            let cache = site.gateway_cache.as_deref_mut().expect("checked above");
             cache.lookup(req, self.station.browser.device().name, self.middleware.name(), t0)
         } else {
             None
@@ -858,14 +926,17 @@ impl CommerceSystem for McSystem {
                 hit
             }
             None => {
-                let ex = self.middleware.exchange(&mut self.host, req);
-                self.last_commit_ns = self.host.take_commit_ns();
+                let ex = self.middleware.exchange(site.host, req);
+                self.last_commit_ns = site.host.take_commit_ns();
                 if cache_candidate {
                     obs::metrics::incr("middleware.cache.misses");
                     if ContentCache::cacheable_exchange(&ex) {
                         let device = self.station.browser.device().name;
                         let kind = self.middleware.name();
-                        let cache = self.gateway_cache.as_mut().expect("candidate implies cache");
+                        let cache = site
+                            .gateway_cache
+                            .as_deref_mut()
+                            .expect("candidate implies cache");
                         let evicted = cache.store(req, device, kind, &ex, t0);
                         obs::metrics::add("middleware.cache.evictions", evicted as u64);
                     }
@@ -1145,37 +1216,16 @@ impl CommerceSystem for McSystem {
         }
     }
 
-    fn host_mut(&mut self) -> &mut HostComputer {
-        &mut self.host
-    }
-}
-
-impl McSystem {
-    /// Executes one transaction under a [`RetryPolicy`]: failed attempts
-    /// are triaged ([`classify`]) and — for transient faults — retried
-    /// after exponential, jittered backoff on the station's sim clock
-    /// (draining idle battery), or — for degraded-path faults — retried
-    /// immediately through the fallback middleware installed with
-    /// [`set_fallback_middleware`](McSystem::set_fallback_middleware).
-    ///
-    /// The final report absorbs every failed attempt's paid costs
-    /// (latency, breakdown, energy, air bytes, retransmissions) and
-    /// counts all attempts in [`TransactionReport::attempts`]. Backoff
-    /// time advances the clock and drains the battery but is user wait,
-    /// not transaction latency. The primary middleware is restored once
-    /// the transaction settles, so a later gateway window degrades (and
-    /// is counted) again.
-    ///
-    /// Jitter draws come only from `rng` — pass a stream derived from
-    /// the scenario seed and user index to keep fleets bit-identical at
-    /// any thread count.
-    pub fn execute_with_retry(
+    /// [`McSystem::execute_with_retry`] against `site`: every attempt
+    /// runs against the same site.
+    pub(crate) fn execute_with_retry(
         &mut self,
+        site: &mut Site<'_>,
         req: &MobileRequest,
         policy: &RetryPolicy,
         rng: &mut StdRng,
     ) -> TransactionReport {
-        let mut report = self.execute(req);
+        let mut report = self.execute(site, req);
         if policy.is_none() {
             return report;
         }
@@ -1237,7 +1287,7 @@ impl McSystem {
             prior_retx += report.retransmissions;
             attempts += 1;
             obs::metrics::incr("policy.retries");
-            report = self.execute(req);
+            report = self.execute(site, req);
             commit_ns = commit_ns.saturating_add(self.last_commit_ns);
         }
         self.last_commit_ns = commit_ns;

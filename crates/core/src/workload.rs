@@ -34,19 +34,19 @@ pub(crate) fn check_expectation(report: &mut TransactionReport, step: &Step) {
 
 /// `normalise(haystack).contains(&normalise(needle))`, without building
 /// either string. Normalised words hold no whitespace, so a needle of
-/// one word matches inside a single haystack word, and a longer needle
-/// matches where its first word ends a haystack word, each inner word
-/// equals the next haystack word, and its last word starts the one
-/// after.
+/// one word matches inside a single haystack word — which is where any
+/// match of it in the raw haystack lies — and a longer needle matches
+/// where its first word ends a haystack word, each inner word equals
+/// the next haystack word, and its last word starts the one after.
 pub(crate) fn contains_normalised(haystack: &str, needle: &str) -> bool {
     let mut rest = needle.split_whitespace();
     let Some(first) = rest.next() else {
         return true;
     };
-    let mut words = haystack.split_whitespace();
     if rest.clone().next().is_none() {
-        return words.any(|word| word.contains(first));
+        return haystack.contains(first);
     }
+    let mut words = haystack.split_whitespace();
     while let Some(word) = words.next() {
         if word.ends_with(first) && continues(words.clone(), rest.clone()) {
             return true;

@@ -8,10 +8,17 @@
 #                      determinism properties in tests/fleet_props.rs,
 #                      the trace determinism properties in
 #                      tests/trace_props.rs, the fault-injection
-#                      properties in tests/fault_props.rs) and each
-#                      crate's own, such as the fleet engine's and the
-#                      topology's unit tests and the memo and
-#                      island-membership properties;
+#                      properties in tests/fault_props.rs, the
+#                      many-user faulted-island digest in
+#                      tests/shared_world_props.rs
+#                      (many_user_islands_under_faults_keep_their_recorded_digest)
+#                      and the island allocation and live-heap
+#                      ceilings in tests/shared_island_allocs.rs) and
+#                      each crate's own, such as the fleet engine's and
+#                      the topology's unit tests, the memo and
+#                      island-membership properties, and the event
+#                      queue's re-key property in simnet::contend
+#                      (rekeying_the_earliest_event_equals_pop_then_push);
 #   clippy (-D warnings, whole workspace) — lints are errors;
 #   doc (-D warnings, whole workspace) — rustdoc builds with no broken
 #                      or redundant intra-doc links, so docs cannot

@@ -12,6 +12,10 @@
 //! so a cached browsing island makes a few allocations per transaction
 //! (generating the session's requests, mostly).
 //!
+//! And small: an island user is only the user half of a system — no
+//! host, no gateway cache — so a browsing island's live heap peaks at
+//! under 2 KiB per user.
+//!
 //! The isolated topology is one island per user, so there each user
 //! does pay for a provisioned host — but only that: the island host is
 //! built directly, never through a throwaway system, and the worker's
@@ -37,34 +41,65 @@ use mcommerce::hostsite::db::DurabilityPolicy;
 use mcommerce::simnet::SimDuration;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Heap bytes currently allocated.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+/// The highest `LIVE` since the last reset.
+static PEAK: AtomicU64 = AtomicU64::new(0);
 
-/// The system allocator, counting `alloc`, `alloc_zeroed` and `realloc`.
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+fn shrank(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Relaxed);
+}
+
+/// The system allocator, counting `alloc`, `alloc_zeroed` and `realloc`
+/// calls and tracking live heap bytes and their peak.
 struct Counting;
 
 // SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; counting touches only an atomic and never allocates.
+// unchanged; counting touches only atomics and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
         // SAFETY: forwarded unchanged; the caller upholds the contract.
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
         // SAFETY: forwarded unchanged; the caller upholds the contract.
-        unsafe { System.alloc_zeroed(layout) }
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Relaxed);
         // SAFETY: forwarded unchanged; the caller upholds the contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        if !moved.is_null() {
+            if new_size >= layout.size() {
+                grew(new_size - layout.size());
+            } else {
+                shrank(layout.size() - new_size);
+            }
+        }
+        moved
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // SAFETY: forwarded unchanged; the caller upholds the contract.
-        unsafe { System.dealloc(ptr, layout) }
+        unsafe { System.dealloc(ptr, layout) };
+        shrank(layout.size());
     }
 }
 
@@ -95,7 +130,9 @@ fn a_shared_island_builds_each_user_in_a_few_allocations() {
     }
 
     // The metro browsing island: four cached Entertainment sessions per
-    // user behind 5 gateways and 100 cells.
+    // user behind 5 gateways and 100 cells. Users that each embedded a
+    // whole system around an unused host peaked at 3,302 live heap
+    // bytes per user; user halves alone, at 1,624.
     let runner = FleetRunner::new(
         Scenario::new("metro island")
             .app(Category::Entertainment)
@@ -107,14 +144,21 @@ fn a_shared_island_builds_each_user_in_a_few_allocations() {
     .topology(Topology::shared().gateways(5).cells(100))
     .threads(1);
     let before = ALLOCS.load(Relaxed);
+    let live_before = LIVE.load(Relaxed);
+    PEAK.store(live_before, Relaxed);
     let run = runner.run();
     let allocs = ALLOCS.load(Relaxed) - before;
+    let peak_per_user = (PEAK.load(Relaxed) - live_before) / USERS;
     let txns = run.report.summary.transactions();
     assert_eq!(txns, 8 * USERS);
     assert!(
         allocs <= 6 * txns,
         "{allocs} allocations for {txns} transactions ({:.2} per transaction)",
         allocs as f64 / txns as f64
+    );
+    assert!(
+        peak_per_user <= 2_048,
+        "the metro island's live heap peaked at {peak_per_user} bytes per user"
     );
 
     // The isolated storefront: one Commerce island per user, built

@@ -5,9 +5,11 @@
 //! knee — p99 latency rising with population on fixed infrastructure.
 
 use mcommerce::core::{
-    Category, FleetRun, FleetRunner, Placement, RecorderKind, Scenario, Topology, WorkloadCounters,
+    CachePolicy, Category, FleetRun, FleetRunner, MiddlewareKind, Placement, RecorderKind,
+    Scenario, Topology, WorkloadCounters,
 };
-use mcommerce::faults::{FaultKind, FaultPlan};
+use mcommerce::faults::{FaultKind, FaultPlan, RetryPolicy};
+use mcommerce::hostsite::db::DurabilityPolicy;
 use mcommerce::simnet::SimDuration;
 
 fn shared_run(scenario: &Scenario, topology: Topology, threads: usize) -> FleetRun {
@@ -141,6 +143,60 @@ fn shared_gateway_outage_strikes_the_whole_population_at_once() {
         "a shared outage is correlated: it fails the same steps for all \
          8 users, so failures come in population-sized multiples (got {failed})"
     );
+}
+
+/// FNV-1a 64 over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn many_user_islands_under_faults_keep_their_recorded_digest() {
+    // Four islands of eight search-heavy shoppers, each island behind
+    // its own host, in a fault storm. Its `DbCrash` one-shot crashes the
+    // island's host, so the journal replay refuses service, the retry
+    // policy backs off and re-drives the refused attempts, and gateway
+    // faults fall back to the textual middleware. Every cache tier and
+    // a priced WAL are on. The digest was recorded when each user's
+    // whole system had the island's host and gateway cache swapped into
+    // it around every transaction, so it pins which host a crash hits,
+    // and the retry and fallback paths, on many-user islands.
+    const DIGEST: u64 = 0x40be_49d3_2d86_2046;
+    let scenario = Scenario::new("faulted islands")
+        .app(Category::Commerce)
+        .search_heavy(true)
+        .users(32)
+        .sessions_per_user(3)
+        .think_time(4.0)
+        .seed(19)
+        .faults(FaultPlan::storm(5, SimDuration::from_secs(15), 1.5))
+        .retry(RetryPolicy::standard())
+        .fallback_middleware(MiddlewareKind::WapTextual)
+        .cache(CachePolicy::standard())
+        .durability(DurabilityPolicy::new(4, 250_000));
+    let topology = Topology::shared().cells(8).gateways(4).hosts(4);
+    for threads in [1usize, 2, 4, 8] {
+        let run = FleetRunner::new(scenario.clone())
+            .topology(topology)
+            .threads(threads)
+            .traced(true)
+            .run();
+        let counters = &run.report.summary.workload.counters;
+        let stats = run.contention.expect("shared runs report contention");
+        assert_eq!(stats.islands, 4);
+        // Every refused attempt dumps the flight recorder.
+        let dumps = run.trace.expect("traced run carries a trace").dumps;
+        let refused = dumps
+            .iter()
+            .filter(|d| d.reason.contains("host database recovering"))
+            .count();
+        assert!(refused > 0, "no attempt met a recovering host");
+        assert!(counters.retries > 0, "nothing was retried");
+        let digest = fnv1a(format!("{counters:?}{stats:?}").as_bytes());
+        assert_eq!(digest, DIGEST, "{threads} thread(s): digest {digest:#018x}");
+    }
 }
 
 #[test]
