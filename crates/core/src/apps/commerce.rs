@@ -15,7 +15,6 @@ use std::sync::OnceLock;
 use hostsite::db::{Database, DbError, Value};
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
 use markup::html::PageWriter;
-use middleware::MobileRequest;
 use rand::RngExt;
 use security::{Mac, PaymentGateway, PaymentRequest};
 use simnet::rng::rng_for_indexed;
@@ -216,23 +215,16 @@ impl Application for PaymentsApp {
         );
     }
 
-    fn session(&self, seed: u64, index: u64) -> Vec<Step> {
+    fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
         let mut rng = rng_for_indexed(seed, "payments.session", index);
         let sku = CATALOG[rng.random_range(0..CATALOG.len())].0;
         let nonce: u64 = (index << 20) | rng.random_range(0..1u64 << 20);
-        vec![
-            Step::expecting(MobileRequest::get("/shop"), "Mobile Shop"),
-            Step::expecting(
-                MobileRequest::post(
-                    "/shop/buy",
-                    vec![
-                        ("sku".into(), sku.to_string()),
-                        ("nonce".into(), nonce.to_string()),
-                    ],
-                ),
-                "Payment complete",
-            ),
-        ]
+        match step {
+            0 => out.get("/shop").expects("Mobile Shop"),
+            1 => buy(out, sku, nonce),
+            _ => return false,
+        };
+        true
     }
 
     /// The search-heavy shape: browse → search → repeat the search
@@ -241,7 +233,7 @@ impl Application for PaymentsApp {
     /// unique noise token in its queries, so the fleet's query strings
     /// form the high-cardinality key space the cache tiers must survive;
     /// the token matches no product (df = 0) and never changes results.
-    fn search_session(&self, seed: u64, index: u64) -> Vec<Step> {
+    fn write_search_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
         let mut rng = rng_for_indexed(seed, "payments.search_session", index);
         let (sku, name, _, _) = CATALOG[rng.random_range(0..CATALOG.len())];
         let nonce: u64 = (index << 20) | rng.random_range(0..1u64 << 20);
@@ -249,32 +241,30 @@ impl Application for PaymentsApp {
         let first = words.next().expect("product names have words");
         let last = words.next_back().expect("product names have two words");
         let noise: u32 = rng.random();
-        let q1 = format!("{last}+x{noise:08x}");
-        let q2 = format!("{first}+{last}+x{noise:08x}");
         // Browse, search, re-check the results, refine to a narrower
         // query and re-check twice more while deciding, then buy. The
         // re-checks are what a covering-TTL search memo serves; the
         // noise token keeps the query strings high-cardinality across
         // sessions and users.
-        vec![
-            Step::expecting(MobileRequest::get("/shop"), "Mobile Shop"),
-            Step::expecting(MobileRequest::get(&format!("/shop/search?q={q1}")), name),
-            Step::expecting(MobileRequest::get(&format!("/shop/search?q={q1}")), name),
-            Step::expecting(MobileRequest::get(&format!("/shop/search?q={q2}")), name),
-            Step::expecting(MobileRequest::get(&format!("/shop/search?q={q2}")), name),
-            Step::expecting(MobileRequest::get(&format!("/shop/search?q={q2}")), name),
-            Step::expecting(
-                MobileRequest::post(
-                    "/shop/buy",
-                    vec![
-                        ("sku".into(), sku.to_string()),
-                        ("nonce".into(), nonce.to_string()),
-                    ],
-                ),
-                "Payment complete",
-            ),
-        ]
+        match step {
+            0 => out.get("/shop").expects("Mobile Shop"),
+            1 | 2 => out
+                .get(format_args!("/shop/search?q={last}+x{noise:08x}"))
+                .expects(name),
+            3..=5 => out
+                .get(format_args!("/shop/search?q={first}+{last}+x{noise:08x}"))
+                .expects(name),
+            6 => buy(out, sku, nonce),
+            _ => return false,
+        };
+        true
     }
+}
+
+/// The checkout step: a POST buying `sku` under the one-time `nonce`.
+fn buy(out: &mut Step, sku: i64, nonce: u64) -> &mut Step {
+    out.post("/shop/buy", &[("sku", &sku), ("nonce", &nonce)])
+        .expects("Payment complete")
 }
 
 #[cfg(test)]

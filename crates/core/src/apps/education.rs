@@ -8,7 +8,6 @@
 use hostsite::db::{Database, DbError, Value};
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
 use markup::html::PageWriter;
-use middleware::MobileRequest;
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
 
@@ -109,26 +108,26 @@ impl Application for EducationApp {
         );
     }
 
-    fn session(&self, seed: u64, index: u64) -> Vec<Step> {
+    fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
         let mut rng = rng_for_indexed(seed, "education.session", index);
         let (course, _, answer) = COURSES[rng.random_range(0..COURSES.len())];
-        let student = format!("student-{}", index % 20);
-        vec![
-            Step::expecting(
-                MobileRequest::get(&format!("/learn/lesson?course={course}")),
-                "Section 1",
-            ),
-            Step::expecting(
-                MobileRequest::post(
-                    &format!("/learn/quiz?course={course}"),
-                    vec![
-                        ("student".into(), student),
-                        ("answer".into(), answer.into()),
+        let student = index % 20;
+        match step {
+            0 => out
+                .get(format_args!("/learn/lesson?course={course}"))
+                .expects("Section 1"),
+            1 => out
+                .post(
+                    format_args!("/learn/quiz?course={course}"),
+                    &[
+                        ("student", &format_args!("student-{student}")),
+                        ("answer", &answer),
                     ],
-                ),
-                "correct!",
-            ),
-        ]
+                )
+                .expects("correct!"),
+            _ => return false,
+        };
+        true
     }
 }
 

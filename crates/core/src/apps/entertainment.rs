@@ -9,7 +9,6 @@
 use hostsite::db::{Database, Value};
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
 use markup::html::PageWriter;
-use middleware::MobileRequest;
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
 
@@ -114,16 +113,17 @@ impl Application for EntertainmentApp {
         );
     }
 
-    fn session(&self, seed: u64, index: u64) -> Vec<Step> {
+    fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
         let mut rng = rng_for_indexed(seed, "entertainment.session", index);
         let (id, title, _, _) = ITEMS[rng.random_range(0..ITEMS.len())];
-        vec![
-            Step::expecting(MobileRequest::get("/media"), "Downloads"),
-            Step::expecting(
-                MobileRequest::get(&format!("/media/download?id={id}")),
-                format!("Delivering {title}"),
-            ),
-        ]
+        match step {
+            0 => out.get("/media").expects("Downloads"),
+            1 => out
+                .get(format_args!("/media/download?id={id}"))
+                .expects(format_args!("Delivering {title}")),
+            _ => return false,
+        };
+        true
     }
 }
 

@@ -8,7 +8,6 @@
 use hostsite::db::{Database, DbError, Value};
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
 use markup::html::PageWriter;
-use middleware::MobileRequest;
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
 
@@ -154,21 +153,23 @@ impl Application for ErpApp {
         );
     }
 
-    fn session(&self, seed: u64, index: u64) -> Vec<Step> {
+    fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
         let mut rng = rng_for_indexed(seed, "erp.session", index);
         let task = rng.random_range(0..TASKS.len() as i64);
-        let worker = format!("crew-{}", rng.random_range(1..6u32));
-        vec![
-            Step::expecting(MobileRequest::get("/erp/tasks"), "Open tasks"),
+        let worker = rng.random_range(1..6u32);
+        match step {
+            0 => out.get("/erp/tasks").expects("Open tasks"),
             // A random task may already be closed by an earlier session —
             // judge this step by transport only and check the ledger via
             // the stock dashboard instead.
-            Step::fire(MobileRequest::post(
+            1 => out.post(
                 "/erp/complete",
-                vec![("task".into(), task.to_string()), ("worker".into(), worker)],
-            )),
-            Step::expecting(MobileRequest::get("/erp/stock"), "Stock levels"),
-        ]
+                &[("task", &task), ("worker", &format_args!("crew-{worker}"))],
+            ),
+            2 => out.get("/erp/stock").expects("Stock levels"),
+            _ => return false,
+        };
+        true
     }
 }
 

@@ -8,7 +8,6 @@
 use hostsite::db::{Database, DbError, Value};
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
 use markup::html::PageWriter;
-use middleware::MobileRequest;
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
 
@@ -114,29 +113,29 @@ impl Application for HealthCareApp {
         );
     }
 
-    fn session(&self, seed: u64, index: u64) -> Vec<Step> {
+    fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
         let mut rng = rng_for_indexed(seed, "healthcare.session", index);
         let patient = PATIENTS[rng.random_range(0..PATIENTS.len())].0;
         let pulse = rng.random_range(55..110i64);
-        vec![
-            Step::expecting(
-                MobileRequest::post(
+        match step {
+            0 => out
+                .post(
                     "/ward/vitals",
-                    vec![
-                        ("patient".into(), patient.to_string()),
-                        ("pulse".into(), pulse.to_string()),
-                        ("temp_x10".into(), "368".into()),
+                    &[
+                        ("patient", &patient),
+                        ("pulse", &pulse),
+                        ("temp_x10", &"368"),
                     ],
                 )
-                .with_auth(CLINICIAN.0, CLINICIAN.1),
-                "vitals recorded",
-            ),
-            Step::expecting(
-                MobileRequest::get(&format!("/ward/patient?id={patient}"))
-                    .with_auth(CLINICIAN.0, CLINICIAN.1),
-                "Record:",
-            ),
-        ]
+                .auth(CLINICIAN.0, CLINICIAN.1)
+                .expects("vitals recorded"),
+            1 => out
+                .get(format_args!("/ward/patient?id={patient}"))
+                .auth(CLINICIAN.0, CLINICIAN.1)
+                .expects("Record:"),
+            _ => return false,
+        };
+        true
     }
 }
 

@@ -12,7 +12,6 @@ use hostsite::db::{Database, DbError};
 use hostsite::db::Value;
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
 use markup::html::PageWriter;
-use middleware::MobileRequest;
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
 
@@ -153,35 +152,28 @@ impl Application for InventoryApp {
         );
     }
 
-    fn session(&self, seed: u64, index: u64) -> Vec<Step> {
+    fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
         let mut rng = rng_for_indexed(seed, "inventory.session", index);
         let id = rng.random_range(0..200i64);
         let depot = DEPOTS[rng.random_range(0..DEPOTS.len())];
-        let driver = format!("driver-{}", rng.random_range(1..9u32));
-        vec![
-            Step::expecting(
-                MobileRequest::post(
+        let driver = rng.random_range(1..9u32);
+        match step {
+            0 => out
+                .post(
                     "/track/dispatch",
-                    vec![
-                        ("id".into(), id.to_string()),
-                        ("driver".into(), driver.clone()),
-                    ],
-                ),
-                format!("assigned to {driver}"),
-            ),
-            Step::expecting(
-                MobileRequest::post(
-                    "/track/scan",
-                    vec![
-                        ("id".into(), id.to_string()),
-                        ("location".into(), depot.into()),
-                    ],
-                ),
-                format!("scanned at {depot}"),
-            ),
-            Step::expecting(MobileRequest::get(&format!("/track/status?id={id}")), depot),
-            Step::expecting(MobileRequest::get("/track/backlog"), "in transit"),
-        ]
+                    &[("id", &id), ("driver", &format_args!("driver-{driver}"))],
+                )
+                .expects(format_args!("assigned to driver-{driver}")),
+            1 => out
+                .post("/track/scan", &[("id", &id), ("location", &depot)])
+                .expects(format_args!("scanned at {depot}")),
+            2 => out
+                .get(format_args!("/track/status?id={id}"))
+                .expects(depot),
+            3 => out.get("/track/backlog").expects("in transit"),
+            _ => return false,
+        };
+        true
     }
 }
 

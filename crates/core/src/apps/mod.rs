@@ -16,6 +16,15 @@
 //! application-program routes) plus a deterministic generator of user
 //! *sessions* — sequences of requests with expected outcomes — that the
 //! workload runner drives through any [`crate::CommerceSystem`].
+//!
+//! The unit an application generates is the step, not the session:
+//! [`Application::write_step`] writes one step of one session into a
+//! caller's [`Step`], re-deriving the session's random draws and then
+//! formatting just that step. A user's behaviour is a pure function of
+//! `(seed, session, step)`, so the fleet engine keeps only a cursor per
+//! user and writes each step into one scratch `Step` whose strings it
+//! reuses. [`Application::session`] collects the same writer for callers
+//! that want the whole session at once.
 
 pub mod commerce;
 pub mod education;
@@ -25,6 +34,8 @@ pub mod healthcare;
 pub mod inventory;
 pub mod traffic;
 pub mod travel;
+
+use std::fmt::{Display, Write as _};
 
 use hostsite::db::Database;
 use hostsite::HostComputer;
@@ -124,12 +135,35 @@ impl std::fmt::Display for Category {
 
 /// One step of a user session: the request to issue and, optionally, a
 /// substring that must appear on the rendered page if the step worked.
+///
+/// [`Step::get`] and [`Step::post`] rewrite a step in place, keeping
+/// the buffers of whatever they overwrite: a writer that fills one
+/// `Step` step after step allocates only when a string outgrows every
+/// earlier one.
 #[derive(Debug, Clone)]
 pub struct Step {
     /// The request.
     pub req: MobileRequest,
     /// Expected substring of the rendered page text.
     pub expect: Option<String>,
+    /// Buffers of the optional parts the current step leaves out.
+    spare: Spare,
+}
+
+/// Where a [`Step`] parks the buffers of the optional parts the current
+/// step leaves out, until a later step fills those parts again.
+#[derive(Debug, Clone, Default)]
+struct Spare {
+    form: Vec<(String, String)>,
+    auth: (String, String),
+    expect: String,
+}
+
+impl Default for Step {
+    /// A GET of the empty path, expecting nothing; allocates nothing.
+    fn default() -> Self {
+        Step::fire(MobileRequest::get(""))
+    }
 }
 
 impl Step {
@@ -138,16 +172,102 @@ impl Step {
         Step {
             req,
             expect: Some(expect.into()),
+            spare: Spare::default(),
         }
     }
 
     /// A step whose success is judged only by transport/status.
     pub fn fire(req: MobileRequest) -> Self {
-        Step { req, expect: None }
+        Step {
+            req,
+            expect: None,
+            spare: Spare::default(),
+        }
+    }
+
+    /// Rewrites this step as a GET of `url` with no cookies, no
+    /// credentials and no expectation.
+    pub fn get(&mut self, url: impl Display) -> &mut Self {
+        self.request(url);
+        park(&mut self.req.form, &mut self.spare.form);
+        self
+    }
+
+    /// Rewrites this step as a POST of the form `fields` to `url`, with
+    /// no cookies, no credentials and no expectation.
+    pub fn post(&mut self, url: impl Display, fields: &[(&str, &dyn Display)]) -> &mut Self {
+        self.request(url);
+        let form = fill(&mut self.req.form, &mut self.spare.form);
+        form.truncate(fields.len());
+        for (i, (name, value)) in fields.iter().enumerate() {
+            match form.get_mut(i) {
+                Some((k, v)) => {
+                    rewrite(k, name);
+                    rewrite(v, value);
+                }
+                None => form.push((name.to_string(), value.to_string())),
+            }
+        }
+        self
+    }
+
+    /// Adds basic credentials to the request.
+    pub fn auth(&mut self, user: &str, password: &str) -> &mut Self {
+        let (u, p) = fill(&mut self.req.auth, &mut self.spare.auth);
+        rewrite(u, user);
+        rewrite(p, password);
+        self
+    }
+
+    /// Sets the substring the rendered page must contain.
+    pub fn expects(&mut self, text: impl Display) -> &mut Self {
+        rewrite(fill(&mut self.expect, &mut self.spare.expect), text);
+        self
+    }
+
+    /// The part [`Step::get`] and [`Step::post`] share: the URL, and
+    /// no cookies, credentials or expectation.
+    fn request(&mut self, url: impl Display) {
+        rewrite(&mut self.req.url, url);
+        self.req.cookies.clear();
+        park(&mut self.req.auth, &mut self.spare.auth);
+        park(&mut self.expect, &mut self.spare.expect);
     }
 }
 
-/// A Table 1 application: host-side provisioning plus a session generator.
+/// Replaces `buf`'s contents with `text`, keeping its buffer.
+fn rewrite(buf: &mut String, text: impl Display) {
+    buf.clear();
+    write!(buf, "{text}").expect("writing to a String cannot fail");
+}
+
+/// Empties `slot`, parking what it held in `spare`.
+fn park<T>(slot: &mut Option<T>, spare: &mut T) {
+    if let Some(held) = slot.take() {
+        *spare = held;
+    }
+}
+
+/// `slot`'s value, taken back from `spare` when the slot is empty.
+fn fill<'a, T: Default>(slot: &'a mut Option<T>, spare: &mut T) -> &'a mut T {
+    slot.get_or_insert_with(|| std::mem::take(spare))
+}
+
+/// Collects the steps `write` writes for step indices 0, 1, … — each
+/// into a fresh [`Step`] — until it returns `false`.
+pub(crate) fn collect_steps(mut write: impl FnMut(usize, &mut Step) -> bool) -> Vec<Step> {
+    let mut steps = Vec::new();
+    loop {
+        let mut step = Step::default();
+        if !write(steps.len(), &mut step) {
+            return steps;
+        }
+        steps.push(step);
+    }
+}
+
+/// A Table 1 application: host-side provisioning plus a generator of
+/// session steps.
 pub trait Application {
     /// Which Table 1 category this application realises.
     fn category(&self) -> Category;
@@ -169,16 +289,31 @@ pub trait Application {
         self.mount(host);
     }
 
-    /// Generates the `index`-th user session deterministically under
-    /// `seed`.
-    fn session(&self, seed: u64, index: u64) -> Vec<Step>;
+    /// Writes step `step` of the `index`-th user session under `seed`
+    /// into `out`, reusing its buffers, and returns `true`; returns
+    /// `false`, leaving `out` as it was, when the session has no such
+    /// step. Each call re-derives the session's random draws in the
+    /// same order, so a step depends only on `(seed, index, step)`.
+    fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool;
 
-    /// The search-heavy variant of [`Application::session`] (browse →
+    /// The search-heavy variant of [`Application::write_step`] (browse →
     /// search → refine → purchase), used when a scenario sets
     /// `search_heavy`. Applications without a search workload fall back
     /// to their regular sessions.
+    fn write_search_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
+        self.write_step(seed, index, step, out)
+    }
+
+    /// The `index`-th user session under `seed`: every step
+    /// [`Application::write_step`] writes, in order.
+    fn session(&self, seed: u64, index: u64) -> Vec<Step> {
+        collect_steps(|step, out| self.write_step(seed, index, step, out))
+    }
+
+    /// The `index`-th search-heavy session under `seed`: every step
+    /// [`Application::write_search_step`] writes, in order.
     fn search_session(&self, seed: u64, index: u64) -> Vec<Step> {
-        self.session(seed, index)
+        collect_steps(|step, out| self.write_search_step(seed, index, step, out))
     }
 }
 

@@ -9,7 +9,6 @@
 use hostsite::db::{Database, DbError, Value};
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
 use markup::html::PageWriter;
-use middleware::MobileRequest;
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
 
@@ -138,28 +137,22 @@ impl Application for TrafficApp {
         );
     }
 
-    fn session(&self, seed: u64, index: u64) -> Vec<Step> {
+    fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
         let mut rng = rng_for_indexed(seed, "traffic.session", index);
         let road = rng.random_range(0..ROADS.len() as i64);
         let level = rng.random_range(0..10i64);
         // Pick a pair known to be connected: everything reaches "stadium".
         let from = NODES[rng.random_range(0..4usize)];
-        vec![
-            Step::expecting(
-                MobileRequest::post(
-                    "/traffic/report",
-                    vec![
-                        ("road".into(), road.to_string()),
-                        ("level".into(), level.to_string()),
-                    ],
-                ),
-                format!("congestion {level} recorded"),
-            ),
-            Step::expecting(
-                MobileRequest::get(&format!("/traffic/route?from={from}&to=stadium")),
-                "estimated",
-            ),
-        ]
+        match step {
+            0 => out
+                .post("/traffic/report", &[("road", &road), ("level", &level)])
+                .expects(format_args!("congestion {level} recorded")),
+            1 => out
+                .get(format_args!("/traffic/route?from={from}&to=stadium"))
+                .expects("estimated"),
+            _ => return false,
+        };
+        true
     }
 }
 

@@ -8,7 +8,6 @@
 use hostsite::db::{Database, DbError, Value};
 use hostsite::{ContentFormat, HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
 use markup::html::{self, PageWriter};
-use middleware::MobileRequest;
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
 
@@ -206,7 +205,7 @@ impl Application for TravelApp {
         );
     }
 
-    fn session(&self, seed: u64, index: u64) -> Vec<Step> {
+    fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
         let mut rng = rng_for_indexed(seed, "travel.session", index);
         let (_, orig, _, _, _) = FLIGHTS[rng.random_range(0..FLIGHTS.len())];
         let flight = FLIGHTS
@@ -214,23 +213,22 @@ impl Application for TravelApp {
             .find(|f| f.1 == orig)
             .expect("origin exists")
             .0;
-        let passenger = format!("rider-{index}");
-        vec![
-            Step::expecting(
-                MobileRequest::get(&format!("/travel/search?from={orig}")),
-                format!("Flights from {orig}"),
-            ),
-            Step::expecting(
-                MobileRequest::post(
+        match step {
+            0 => out
+                .get(format_args!("/travel/search?from={orig}"))
+                .expects(format_args!("Flights from {orig}")),
+            1 => out
+                .post(
                     "/travel/book",
-                    vec![
-                        ("flight".into(), flight.to_string()),
-                        ("passenger".into(), passenger.clone()),
+                    &[
+                        ("flight", &flight),
+                        ("passenger", &format_args!("rider-{index}")),
                     ],
-                ),
-                "Ticket issued",
-            ),
-        ]
+                )
+                .expects("Ticket issued"),
+            _ => return false,
+        };
+        true
     }
 }
 

@@ -50,7 +50,7 @@ use obs::Recorder;
 use station::{DeviceProfile, RenderMemo};
 use wireless::WlanStandard;
 
-use crate::apps::{for_category, Application, Category};
+use crate::apps::{collect_steps, for_category, Application, Category, Step};
 use crate::merge::FleetMerger;
 use crate::netpath::{WiredPath, WirelessConfig};
 use crate::report::{WorkloadCounters, WorkloadSummary};
@@ -127,9 +127,9 @@ pub struct Scenario {
     /// Durability policy for every user's host database. The default
     /// (batch 1, free fsync) executes the exact pre-WAL-pricing path.
     pub durability: DurabilityPolicy,
-    /// Drive each user through
-    /// [`crate::apps::Application::search_session`] instead of the
-    /// regular sessions: the browse → search → refine → purchase
+    /// Drive each user through the search-heavy sessions
+    /// ([`Application::write_search_step`]) instead of the regular
+    /// ones: the browse → search → refine → purchase
     /// workload whose query strings give every cache tier a
     /// high-cardinality key space. Off by default.
     pub search_heavy: bool,
@@ -227,21 +227,36 @@ impl Scenario {
         self
     }
 
-    /// The `session`-th session for this scenario: the search-heavy
-    /// variant when [`Scenario::search_heavy`] is set, the app's
-    /// regular sessions otherwise. Every runner (per-user fleet and
-    /// shared world) routes through here so the switch cannot drift.
-    pub(crate) fn session_steps(
+    /// Writes step `step` of this scenario's `session`-th session into
+    /// `out` — the search-heavy variant when [`Scenario::search_heavy`]
+    /// is set, the app's regular sessions otherwise — and returns
+    /// `false` past the session's last step. Every runner (the
+    /// reference path through [`Scenario::session_steps`] and the fleet
+    /// engine) routes through here, so the switch cannot drift.
+    pub(crate) fn write_step(
         &self,
-        app: &dyn crate::apps::Application,
+        app: &dyn Application,
         session_seed: u64,
         session: u64,
-    ) -> Vec<crate::apps::Step> {
+        step: usize,
+        out: &mut Step,
+    ) -> bool {
         if self.search_heavy {
-            app.search_session(session_seed, session)
+            app.write_search_step(session_seed, session, step, out)
         } else {
-            app.session(session_seed, session)
+            app.write_step(session_seed, session, step, out)
         }
+    }
+
+    /// The `session`-th session for this scenario: every step
+    /// [`Scenario::write_step`] writes, in order.
+    pub(crate) fn session_steps(
+        &self,
+        app: &dyn Application,
+        session_seed: u64,
+        session: u64,
+    ) -> Vec<Step> {
+        collect_steps(|step, out| self.write_step(app, session_seed, session, step, out))
     }
 
     /// Sets the root seed.

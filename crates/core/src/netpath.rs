@@ -122,6 +122,15 @@ impl AirLink {
         (1.0 - self.ber).powi(((bytes + self.frame_overhead) * 8) as i32)
     }
 
+    /// A frame of `bytes` payload: its delivery probability and one
+    /// attempt's airtime.
+    fn frame_price(&self, bytes: usize) -> (f64, SimDuration) {
+        (
+            self.frame_success_probability(bytes).clamp(0.0, 1.0),
+            SimDuration::transmission(bytes + self.frame_overhead, self.rate_bps),
+        )
+    }
+
     /// The fragment payload size the link uses: on clean channels the full
     /// MTU; on error-prone channels, fragments sized so each survives with
     /// probability ≥ 0.9 (802.11-style fragmentation-threshold adaptation,
@@ -149,14 +158,19 @@ impl AirLink {
             };
         }
         let fragment = self.fragment_payload();
+        // Every frame but the last carries a full fragment: price that
+        // once, and only a shorter last frame on its own.
+        let full = (bytes >= fragment).then(|| self.frame_price(fragment));
         let mut elapsed = self.access_delay;
         let mut on_medium = 0u64;
         let mut retransmissions = 0u32;
         let mut remaining = bytes;
         while remaining > 0 {
             let frame = remaining.min(fragment);
-            let p = self.frame_success_probability(frame).clamp(0.0, 1.0);
-            let airtime = SimDuration::transmission(frame + self.frame_overhead, self.rate_bps);
+            let (p, airtime) = match full {
+                Some(price) if frame == fragment => price,
+                _ => self.frame_price(frame),
+            };
             let mut attempts = 0u32;
             loop {
                 attempts += 1;
@@ -235,7 +249,87 @@ impl WiredPath {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use simnet::rng::rng_for;
+
+    /// [`AirLink::transfer`] pricing every frame on its own: the oracle
+    /// for pricing a full fragment once per transfer.
+    fn per_frame_transfer(link: &AirLink, bytes: usize, rng: &mut StdRng) -> HopTransfer {
+        if bytes == 0 {
+            return HopTransfer {
+                elapsed: link.access_delay,
+                bytes_on_medium: 0,
+                retransmissions: 0,
+                failed: false,
+            };
+        }
+        let fragment = link.fragment_payload();
+        let mut elapsed = link.access_delay;
+        let mut on_medium = 0u64;
+        let mut retransmissions = 0u32;
+        let mut remaining = bytes;
+        while remaining > 0 {
+            let frame = remaining.min(fragment);
+            let p = link.frame_success_probability(frame).clamp(0.0, 1.0);
+            let airtime = SimDuration::transmission(frame + link.frame_overhead, link.rate_bps);
+            let mut attempts = 0u32;
+            loop {
+                attempts += 1;
+                elapsed += airtime;
+                if attempts > 1 {
+                    elapsed += link.access_delay;
+                }
+                on_medium += (frame + link.frame_overhead) as u64;
+                if rng.random_bool(p) {
+                    break;
+                }
+                if attempts > ARQ_RETRY_LIMIT {
+                    return HopTransfer {
+                        elapsed,
+                        bytes_on_medium: on_medium,
+                        retransmissions: retransmissions + attempts - 1,
+                        failed: true,
+                    };
+                }
+            }
+            retransmissions += attempts - 1;
+            remaining -= frame;
+        }
+        HopTransfer {
+            elapsed,
+            bytes_on_medium: on_medium,
+            retransmissions,
+            failed: false,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn pricing_a_full_fragment_once_equals_pricing_every_frame(
+            bytes in 0usize..60_000,
+            ber in prop_oneof![Just(0.0), (-8.0f64..-3.0).prop_map(|e| 10f64.powf(e))],
+            rate_bps in 9_600u64..54_000_000,
+            frame_overhead in 0usize..64,
+            seed in any::<u64>(),
+        ) {
+            let mut link = WirelessConfig::Cellular {
+                standard: CellularStandard::Gprs,
+            }
+            .air_link()
+            .unwrap();
+            link.ber = ber;
+            link.rate_bps = rate_bps;
+            link.frame_overhead = frame_overhead;
+            let mut rng = rng_for(seed, "t");
+            let mut oracle_rng = rng_for(seed, "t");
+            prop_assert_eq!(
+                link.transfer(bytes, &mut rng),
+                per_frame_transfer(&link, bytes, &mut oracle_rng)
+            );
+            // Both consumed the same draws.
+            prop_assert_eq!(rng.random::<u64>(), oracle_rng.random::<u64>());
+        }
+    }
 
     #[test]
     fn clean_wlan_transfer_matches_arithmetic() {

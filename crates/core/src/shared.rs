@@ -45,8 +45,11 @@
 //! A deterministic event queue keyed by `(ready time, island-local
 //! user index)` decides who transacts next; local indices follow global
 //! index order, so ties resolve as under global keys, and an event
-//! finds its user by direct indexing. A user holds only its current
-//! session's steps and generates the next session when those run out.
+//! finds its user by direct indexing. A user holds no steps, only a
+//! cursor — its session, the next step and whether think time is due —
+//! and the worker writes each step into one scratch [`Step`] just
+//! before it runs ([`Application::write_step`]), so a steady-state step
+//! allocates nothing.
 //!
 //! An island's gateways, cells and users come in closed form from the
 //! topology's modulo wiring ([`Topology::island`]), so building every
@@ -220,44 +223,23 @@ impl IslandTelemetry {
     }
 }
 
-/// One user's pending work, drained by the island event loop. Only the
-/// current session is held; the next is generated when it runs out.
+/// One user in the island event loop: the user half of its system and
+/// a cursor into its workload. It holds no steps — a step is a pure
+/// function of `(session_seed, session, next_step)`, written into the
+/// worker's scratch [`Step`] when it is about to run.
 struct UserState {
     cell: usize,
     gateway: usize,
     side: UserSide,
     /// The seed every one of this user's sessions is generated from.
     session_seed: u64,
-    /// The next session [`UserState::has_work`] generates.
-    next_session: u64,
-    /// Think time is due before the current session's first step.
+    /// The session the user is in.
+    session: u64,
+    /// The step of `session` the user runs next.
+    next_step: usize,
+    /// Think time is due before `session`'s first step.
     think: bool,
-    /// The current session's steps not yet run.
-    steps: std::vec::IntoIter<Step>,
     retry_rng: Option<rand::rngs::StdRng>,
-}
-
-impl UserState {
-    /// Whether the user has an action left, generating the next session
-    /// as soon as the current one is spent. The pending actions are
-    /// always exactly what an eagerly built queue of every session
-    /// (think time, then steps) would still hold — sessions are a pure
-    /// function of `(session_seed, session)` — so every push decision
-    /// and every action matches it, an empty session included.
-    fn has_work(&mut self, scenario: &Scenario, app: &dyn Application) -> bool {
-        while !self.think && self.steps.len() == 0 {
-            if self.next_session == scenario.sessions_per_user {
-                return false;
-            }
-            let session = self.next_session;
-            self.next_session += 1;
-            self.think = session > 0 && scenario.think_secs > 0.0;
-            self.steps = scenario
-                .session_steps(app, self.session_seed, session)
-                .into_iter();
-        }
-        true
-    }
 }
 
 /// What a fleet run merges into: counters, contention stats, and — when
@@ -373,7 +355,7 @@ struct WorkerTotals {
 /// One worker thread's state across its range of islands: what lives
 /// as long as the worker, plus per-island buffers cleared and refilled
 /// for each island so that an island allocates only what is its own —
-/// its host, its users and their sessions.
+/// its host and its users.
 struct Worker<'a> {
     scenario: &'a Scenario,
     topology: &'a Topology,
@@ -399,6 +381,8 @@ struct Worker<'a> {
     gateway_caches: Vec<Option<ContentCache>>,
     states: Vec<UserState>,
     queue: DetQueue,
+    /// The step about to run, rewritten in place for every transaction.
+    step: Step,
 }
 
 impl<'a> Worker<'a> {
@@ -425,6 +409,7 @@ impl<'a> Worker<'a> {
             gateway_caches: Vec::new(),
             states: Vec::new(),
             queue: DetQueue::new(),
+            step: Step::default(),
         }
     }
 
@@ -505,9 +490,9 @@ impl<'a> Worker<'a> {
                 gateway: members.cell_gateway[cell],
                 side,
                 session_seed: sub_seed(scenario.seed, "fleet.session", user),
-                next_session: 0,
+                session: 0,
+                next_step: 0,
                 think: false,
-                steps: Vec::new().into_iter(),
                 retry_rng: (!scenario.retry.is_none())
                     .then(|| rng_for_indexed(scenario.seed, "fleet.retry", user)),
             });
@@ -521,31 +506,47 @@ impl<'a> Worker<'a> {
         // so local order is global order and ties pop exactly as under
         // global keys. Each user has at most one outstanding event, so
         // keys are unique, and a user's clock only moves forward: the
-        // earliest event is re-keyed in place while its user has work,
-        // which leaves the queue as a pop and a push would, and popped
-        // once the user has none. The loop drains the queue, which is
-        // then ready for the next island.
+        // earliest event is re-keyed in place after each action, which
+        // leaves the queue as a pop and a push would.
+        //
+        // A spent session is found lazily: an event whose step does not
+        // exist moves its user to the next session (owing think time
+        // first) or, with none left, pops it. It executes nothing and
+        // leaves the clock, so the event keeps its key and stays the
+        // earliest: every think and step runs at the same sim time and
+        // in the same queue order as with an eager end-of-session check.
+        // The loop drains the queue, which is then ready for the next
+        // island.
         let queue = &mut self.queue;
-        for (local, state) in self.states.iter_mut().enumerate() {
-            if state.has_work(scenario, app) {
+        // Every cursor starts on session 0, which the scenario runs only
+        // when it runs sessions at all.
+        if scenario.sessions_per_user > 0 {
+            for (local, state) in self.states.iter().enumerate() {
                 queue.push(state.side.sim_clock_ns(), local as u64);
             }
         }
         let stats = &mut self.totals.stats;
+        let step = &mut self.step;
         while let Some((_, local)) = queue.peek() {
             let state = &mut self.states[local as usize];
             if state.think {
                 state.think = false;
                 state.side.idle(scenario.think_secs);
-            } else {
-                let step = state.steps.next().expect("scheduled user has work");
+            } else if scenario.write_step(
+                app,
+                state.session_seed,
+                state.session,
+                state.next_step,
+                step,
+            ) {
+                state.next_step += 1;
                 let t0_ns = state.side.sim_clock_ns();
                 let cache_before = telemetry
                     .as_ref()
                     .map(|_| cache_counters(&self.gateway_caches[state.gateway]));
                 let mut report = execute_shared(
                     state,
-                    &step,
+                    step,
                     scenario,
                     &mut shared_host,
                     &mut self.gateway_caches,
@@ -556,7 +557,7 @@ impl<'a> Worker<'a> {
                     tele.t
                         .record_rate(id, t0_ns, hits - hits0, lookups - lookups0);
                 }
-                check_expectation(&mut report, &step);
+                check_expectation(&mut report, step);
                 charge_contention(
                     state,
                     &mut report,
@@ -567,12 +568,17 @@ impl<'a> Worker<'a> {
                     telemetry.as_mut(),
                 );
                 self.totals.counters.record(&report);
-            }
-            if state.has_work(scenario, app) {
-                queue.rekey_earliest(state.side.sim_clock_ns());
             } else {
-                queue.pop();
+                state.session += 1;
+                state.next_step = 0;
+                if state.session == scenario.sessions_per_user {
+                    queue.pop();
+                } else {
+                    state.think = scenario.think_secs > 0.0;
+                }
+                continue;
             }
+            queue.rekey_earliest(state.side.sim_clock_ns());
         }
 
         for cache in self.gateway_caches.iter().flatten() {

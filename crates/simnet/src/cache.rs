@@ -29,8 +29,33 @@
 //! count.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::memo::FixedState;
+/// The hasher of [`TtlLru`]'s hash-to-slot map. Its keys are already
+/// hashes the caller computed, so it hands them through instead of
+/// hashing them again. Like [`crate::FixedState`] it is the same in
+/// every process, and like it, it relies on the caller's keys being
+/// ones the simulator generates, never crafted outside input.
+#[derive(Debug, Clone, Copy, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    /// Only `u64` keys are hashed, through [`Hasher::write_u64`]; other
+    /// input is folded in byte by byte.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+}
 
 /// One cached value and its bookkeeping.
 #[derive(Debug, Clone)]
@@ -63,7 +88,7 @@ pub struct TtlLru<K, V> {
     ttl_ns: u64,
     budget: usize,
     /// Key hash → first slot of that hash's chain.
-    heads: HashMap<u64, usize, FixedState>,
+    heads: HashMap<u64, usize, BuildHasherDefault<PassThrough>>,
     /// Live entries, densely packed.
     slots: Vec<Slot<K, V>>,
     weight: usize,

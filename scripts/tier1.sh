@@ -11,14 +11,19 @@
 #                      properties in tests/fault_props.rs, the
 #                      many-user faulted-island digest in
 #                      tests/shared_world_props.rs
-#                      (many_user_islands_under_faults_keep_their_recorded_digest)
-#                      and the island allocation and live-heap
-#                      ceilings in tests/shared_island_allocs.rs) and
-#                      each crate's own, such as the fleet engine's and
+#                      (many_user_islands_under_faults_keep_their_recorded_digest),
+#                      the island allocation and live-heap ceilings in
+#                      tests/shared_island_allocs.rs, and the step
+#                      writers' in-place property and session-content
+#                      digest in tests/step_writers.rs) and each
+#                      crate's own, such as the fleet engine's and
 #                      the topology's unit tests, the memo and
-#                      island-membership properties, and the event
+#                      island-membership properties, the event
 #                      queue's re-key property in simnet::contend
-#                      (rekeying_the_earliest_event_equals_pop_then_push);
+#                      (rekeying_the_earliest_event_equals_pop_then_push)
+#                      and the air link's per-transfer pricing against
+#                      a per-frame oracle in core::netpath
+#                      (pricing_a_full_fragment_once_equals_pricing_every_frame);
 #   clippy (-D warnings, whole workspace) — lints are errors;
 #   doc (-D warnings, whole workspace) — rustdoc builds with no broken
 #                      or redundant intra-doc links, so docs cannot
