@@ -216,13 +216,16 @@ impl Application for PaymentsApp {
     }
 
     fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
+        if step >= 2 {
+            // Past the session's 2 steps: return before drawing anything.
+            return false;
+        }
         let mut rng = rng_for_indexed(seed, "payments.session", index);
         let sku = CATALOG[rng.random_range(0..CATALOG.len())].0;
         let nonce: u64 = (index << 20) | rng.random_range(0..1u64 << 20);
         match step {
             0 => out.get("/shop").expects("Mobile Shop"),
-            1 => buy(out, sku, nonce),
-            _ => return false,
+            _ => buy(out, sku, nonce),
         };
         true
     }
@@ -234,6 +237,10 @@ impl Application for PaymentsApp {
     /// form the high-cardinality key space the cache tiers must survive;
     /// the token matches no product (df = 0) and never changes results.
     fn write_search_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
+        if step >= 7 {
+            // Past the session's 7 steps: return before drawing anything.
+            return false;
+        }
         let mut rng = rng_for_indexed(seed, "payments.search_session", index);
         let (sku, name, _, _) = CATALOG[rng.random_range(0..CATALOG.len())];
         let nonce: u64 = (index << 20) | rng.random_range(0..1u64 << 20);
@@ -254,8 +261,7 @@ impl Application for PaymentsApp {
             3..=5 => out
                 .get(format_args!("/shop/search?q={first}+{last}+x{noise:08x}"))
                 .expects(name),
-            6 => buy(out, sku, nonce),
-            _ => return false,
+            _ => buy(out, sku, nonce),
         };
         true
     }

@@ -109,6 +109,10 @@ impl Application for EducationApp {
     }
 
     fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
+        if step >= 2 {
+            // Past the session's 2 steps: return before drawing anything.
+            return false;
+        }
         let mut rng = rng_for_indexed(seed, "education.session", index);
         let (course, _, answer) = COURSES[rng.random_range(0..COURSES.len())];
         let student = index % 20;
@@ -116,7 +120,7 @@ impl Application for EducationApp {
             0 => out
                 .get(format_args!("/learn/lesson?course={course}"))
                 .expects("Section 1"),
-            1 => out
+            _ => out
                 .post(
                     format_args!("/learn/quiz?course={course}"),
                     &[
@@ -125,7 +129,6 @@ impl Application for EducationApp {
                     ],
                 )
                 .expects("correct!"),
-            _ => return false,
         };
         true
     }

@@ -114,14 +114,17 @@ impl Application for EntertainmentApp {
     }
 
     fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
+        if step >= 2 {
+            // Past the session's 2 steps: return before drawing anything.
+            return false;
+        }
         let mut rng = rng_for_indexed(seed, "entertainment.session", index);
         let (id, title, _, _) = ITEMS[rng.random_range(0..ITEMS.len())];
         match step {
             0 => out.get("/media").expects("Downloads"),
-            1 => out
+            _ => out
                 .get(format_args!("/media/download?id={id}"))
                 .expects(format_args!("Delivering {title}")),
-            _ => return false,
         };
         true
     }

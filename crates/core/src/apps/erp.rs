@@ -154,6 +154,10 @@ impl Application for ErpApp {
     }
 
     fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
+        if step >= 3 {
+            // Past the session's 3 steps: return before drawing anything.
+            return false;
+        }
         let mut rng = rng_for_indexed(seed, "erp.session", index);
         let task = rng.random_range(0..TASKS.len() as i64);
         let worker = rng.random_range(1..6u32);
@@ -166,8 +170,7 @@ impl Application for ErpApp {
                 "/erp/complete",
                 &[("task", &task), ("worker", &format_args!("crew-{worker}"))],
             ),
-            2 => out.get("/erp/stock").expects("Stock levels"),
-            _ => return false,
+            _ => out.get("/erp/stock").expects("Stock levels"),
         };
         true
     }

@@ -114,6 +114,10 @@ impl Application for HealthCareApp {
     }
 
     fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
+        if step >= 2 {
+            // Past the session's 2 steps: return before drawing anything.
+            return false;
+        }
         let mut rng = rng_for_indexed(seed, "healthcare.session", index);
         let patient = PATIENTS[rng.random_range(0..PATIENTS.len())].0;
         let pulse = rng.random_range(55..110i64);
@@ -129,11 +133,10 @@ impl Application for HealthCareApp {
                 )
                 .auth(CLINICIAN.0, CLINICIAN.1)
                 .expects("vitals recorded"),
-            1 => out
+            _ => out
                 .get(format_args!("/ward/patient?id={patient}"))
                 .auth(CLINICIAN.0, CLINICIAN.1)
                 .expects("Record:"),
-            _ => return false,
         };
         true
     }

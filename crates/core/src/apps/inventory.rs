@@ -153,6 +153,10 @@ impl Application for InventoryApp {
     }
 
     fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
+        if step >= 4 {
+            // Past the session's 4 steps: return before drawing anything.
+            return false;
+        }
         let mut rng = rng_for_indexed(seed, "inventory.session", index);
         let id = rng.random_range(0..200i64);
         let depot = DEPOTS[rng.random_range(0..DEPOTS.len())];
@@ -170,8 +174,7 @@ impl Application for InventoryApp {
             2 => out
                 .get(format_args!("/track/status?id={id}"))
                 .expects(depot),
-            3 => out.get("/track/backlog").expects("in transit"),
-            _ => return false,
+            _ => out.get("/track/backlog").expects("in transit"),
         };
         true
     }

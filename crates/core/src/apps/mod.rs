@@ -293,7 +293,10 @@ pub trait Application {
     /// into `out`, reusing its buffers, and returns `true`; returns
     /// `false`, leaving `out` as it was, when the session has no such
     /// step. Each call re-derives the session's random draws in the
-    /// same order, so a step depends only on `(seed, index, step)`.
+    /// same order, so a step depends only on `(seed, index, step)`. The
+    /// fleet engine finds a spent session by asking for one step past
+    /// its end, so that call returns before deriving or drawing
+    /// anything.
     fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool;
 
     /// The search-heavy variant of [`Application::write_step`] (browse →

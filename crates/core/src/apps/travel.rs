@@ -206,6 +206,10 @@ impl Application for TravelApp {
     }
 
     fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
+        if step >= 2 {
+            // Past the session's 2 steps: return before drawing anything.
+            return false;
+        }
         let mut rng = rng_for_indexed(seed, "travel.session", index);
         let (_, orig, _, _, _) = FLIGHTS[rng.random_range(0..FLIGHTS.len())];
         let flight = FLIGHTS
@@ -217,7 +221,7 @@ impl Application for TravelApp {
             0 => out
                 .get(format_args!("/travel/search?from={orig}"))
                 .expects(format_args!("Flights from {orig}")),
-            1 => out
+            _ => out
                 .post(
                     "/travel/book",
                     &[
@@ -226,7 +230,6 @@ impl Application for TravelApp {
                     ],
                 )
                 .expects("Ticket issued"),
-            _ => return false,
         };
         true
     }

@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use hostsite::http::Status;
+use simnet::time::secs_to_ns as to_ns;
 use simnet::SimDuration;
 
 /// Latency attributed to each of the system's components — the
@@ -164,9 +165,8 @@ impl TransactionReport {
     }
 }
 
-fn to_ns(secs: f64) -> u64 {
-    (secs * 1e9).round().max(0.0) as u64
-}
+/// The keys of [`WorkloadCounters::component_ns`], in key order.
+const COMPONENTS: [&str; 5] = ["host", "middleware", "station", "wired", "wireless"];
 
 /// Purely integral accumulator for transaction statistics.
 ///
@@ -200,7 +200,8 @@ pub struct WorkloadCounters {
     /// counter over a traced run (both pinned by tests).
     pub retries: u64,
     /// Per-component latency sums over successes, nanoseconds, keyed
-    /// `station` / `wireless` / `middleware` / `wired` / `host`.
+    /// `station` / `wireless` / `middleware` / `wired` / `host`: empty
+    /// until the first success, then exactly those five keys.
     pub component_ns: BTreeMap<&'static str, u128>,
     /// Log-linear latency histogram (see [`obs::hist`]).
     pub latency_hist: obs::Histogram,
@@ -224,15 +225,23 @@ impl WorkloadCounters {
         self.air_bytes += (report.air_bytes_up + report.air_bytes_down) as u128;
         self.energy_nj += to_ns(report.energy_j) as u128;
         self.retransmissions += report.retransmissions as u64;
+        if self.component_ns.len() != COMPONENTS.len() {
+            for key in COMPONENTS {
+                self.component_ns.entry(key).or_default();
+            }
+        }
+        debug_assert!(self.component_ns.keys().copied().eq(COMPONENTS));
+        // In key order, as `values_mut` visits them.
         let b = &report.breakdown;
-        for (key, secs) in [
-            ("station", b.station_secs),
-            ("wireless", b.wireless_secs),
-            ("middleware", b.middleware_secs),
-            ("wired", b.wired_secs),
-            ("host", b.host_secs),
-        ] {
-            *self.component_ns.entry(key).or_default() += to_ns(secs) as u128;
+        let sums = [
+            b.host_secs,
+            b.middleware_secs,
+            b.station_secs,
+            b.wired_secs,
+            b.wireless_secs,
+        ];
+        for (sum, secs) in self.component_ns.values_mut().zip(sums) {
+            *sum += to_ns(secs) as u128;
         }
         self.latency_hist.record(ns);
     }

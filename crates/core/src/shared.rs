@@ -79,6 +79,7 @@ use obs::timeseries::{SeriesId, SeriesKind, Telemetry};
 use obs::{Recorder, RingScratch};
 use simnet::contend::{DetQueue, FcfsServer};
 use simnet::rng::{rng_for_indexed, sub_seed};
+use simnet::time::secs_to_ns;
 use wireless::CellAirtime;
 
 use crate::apps::{for_category, Application, Step};
@@ -89,7 +90,7 @@ use crate::merge::{FleetMerger, TraceMerger};
 use crate::report::{TransactionReport, WorkloadCounters};
 use crate::system::{Site, UserSide};
 use crate::topology::{Island, Topology};
-use crate::workload::check_expectation;
+use crate::workload::ExpectMemo;
 
 /// Contention telemetry a fleet run accumulates. Every field is an
 /// integer sum or maximum, so the merge across islands and workers is
@@ -367,6 +368,9 @@ struct Worker<'a> {
     /// own, so no clone or drop touches a refcount another thread uses.
     template: Database,
     scratch: ShardScratch,
+    /// Expectation verdicts for the pages `scratch`'s render memo hands
+    /// out.
+    expect: ExpectMemo,
     /// The ring buffer behind each island's first recorder — every
     /// user's, on the isolated topology. Users of a shared island
     /// record side by side, so the others get rings of their own.
@@ -395,6 +399,7 @@ impl<'a> Worker<'a> {
             template: seeded(app.as_ref()),
             app,
             scratch: ShardScratch::new(),
+            expect: ExpectMemo::default(),
             ring: RingScratch::default(),
             metrics_guard: config.traced.then(obs::metrics::enable),
             totals: WorkerTotals {
@@ -557,7 +562,7 @@ impl<'a> Worker<'a> {
                     tele.t
                         .record_rate(id, t0_ns, hits - hits0, lookups - lookups0);
                 }
-                check_expectation(&mut report, step);
+                self.expect.check(&mut report, step);
                 charge_contention(
                     state,
                     &mut report,
@@ -678,12 +683,12 @@ fn charge_contention(
 ) {
     stats.transactions += 1;
     let end_ns = state.side.sim_clock_ns();
-    let air_ns = to_ns(report.breakdown.wireless_secs);
+    let air_ns = secs_to_ns(report.breakdown.wireless_secs);
     let up_ns = air_ns / 2;
     let down_ns = air_ns - up_ns;
-    let gw_ns = to_ns(report.breakdown.middleware_secs);
-    let wired_ns = to_ns(report.breakdown.wired_secs);
-    let host_ns = to_ns(report.breakdown.host_secs);
+    let gw_ns = secs_to_ns(report.breakdown.middleware_secs);
+    let wired_ns = secs_to_ns(report.breakdown.wired_secs);
+    let host_ns = secs_to_ns(report.breakdown.host_secs);
     // The WAL share of the host phase serializes on the group-commit
     // log, not the CPU — a transaction that paid for an fsync holds the
     // log while others queue behind it. Zero under the default policy.
@@ -694,7 +699,7 @@ fn charge_contention(
     // forward so a delayed uplink delays the gateway arrival, and so on.
     // Telemetry records each granted busy interval as it is computed —
     // reads only, in the same deterministic event order as the charges.
-    let start_ns = end_ns.saturating_sub(to_ns(report.total));
+    let start_ns = end_ns.saturating_sub(secs_to_ns(report.total));
     let mut cursor = start_ns;
     let up = cell_air[state.cell].request(cursor, up_ns);
     if let Some(tele) = telemetry.as_deref_mut() {
@@ -746,9 +751,4 @@ fn charge_contention(
         // this entirely, preserving bit-identity with a private world.
         state.side.idle(total_wait as f64 / 1e9);
     }
-}
-
-/// Seconds → whole nanoseconds, matching the engine's quantisation.
-fn to_ns(secs: f64) -> u64 {
-    (secs * 1e9).max(0.0).round() as u64
 }

@@ -16,6 +16,7 @@ use hostsite::HostComputer;
 use obs::{Layer, Recorder};
 use rand::rngs::StdRng;
 use simnet::rng::rng_for;
+use simnet::time::secs_to_ns;
 use simnet::SimDuration;
 use station::browser::ContentKind;
 use station::{Battery, DeviceProfile, EmbeddedStore, Microbrowser, RenderMemo, RenderedView};
@@ -1326,12 +1327,6 @@ impl UserSide {
         self.recorder.dump_failure(txn, reason, layer);
         self.clock_ns = cursor;
     }
-}
-
-/// Converts a (non-negative) model duration in seconds to whole
-/// nanoseconds, the unit the recorder and metrics registry use.
-fn secs_to_ns(secs: f64) -> u64 {
-    (secs * 1e9).max(0.0).round() as u64
 }
 
 /// The four-component electronic commerce baseline (Figure 1): desktop

@@ -1,7 +1,11 @@
 //! Workload runner: drives application sessions through a commerce system.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use faults::RetryPolicy;
 use rand::rngs::StdRng;
+use simnet::FixedState;
 
 use crate::apps::{Application, Step};
 use crate::report::{TransactionReport, WorkloadSummary};
@@ -9,6 +13,14 @@ use crate::system::{CommerceSystem, McSystem};
 
 /// Characters of the normalised page a failed expectation quotes.
 const FAILURE_PAGE_CHARS: usize = 60;
+
+/// Pages an [`ExpectMemo`] enters. Per worker of a 2-thread fleetbench
+/// run, metro checks its expectations on 6 shared pages and storefront
+/// on 5, and the memo answers all but those first checks; search-checkout
+/// checks on about 270, and its first 64 answer two thirds of its
+/// checks. Each page entered costs an allocation: entering all of
+/// search-checkout's would add about 0.002 allocations per transaction.
+const MEMO_PAGES: usize = 64;
 
 /// Marks `report` failed when the step's expectation is missing from the
 /// rendered page. Narrow screens wrap words onto new lines, so the
@@ -18,17 +30,81 @@ pub(crate) fn check_expectation(report: &mut TransactionReport, step: &Step) {
         return;
     }
     if let Some(expect) = &step.expect {
-        let page = report.page_text().unwrap_or_default();
-        if !contains_normalised(page, expect) {
-            // `Debug` for `str` ignores precision, so cut the quote first.
-            let page = normalise(page);
-            let head = match page.char_indices().nth(FAILURE_PAGE_CHARS) {
-                Some((end, _)) => &page[..end],
-                None => &page,
-            };
-            report.success = false;
-            report.failure = Some(format!("expected {expect:?} on page, got {head:?}…"));
+        if !contains_normalised(report.page_text().unwrap_or_default(), expect) {
+            mark_unmet(report, expect);
         }
+    }
+}
+
+/// Marks `report` failed for an expectation its page does not meet.
+fn mark_unmet(report: &mut TransactionReport, expect: &str) {
+    // `Debug` for `str` ignores precision, so cut the quote first.
+    let page = normalise(report.page_text().unwrap_or_default());
+    let head = match page.char_indices().nth(FAILURE_PAGE_CHARS) {
+        Some((end, _)) => &page[..end],
+        None => &page,
+    };
+    report.success = false;
+    report.failure = Some(format!("expected {expect:?} on page, got {head:?}…"));
+}
+
+/// Memoised expectation verdicts for shared pages.
+///
+/// A verdict is a pure function of the rendered page text and the
+/// expectation, and a fleet worker's render memo hands the same shared
+/// page text to every transaction that renders the same deck. So a
+/// worker keeps, per shared page, the first expectation checked on it
+/// and that verdict, and a repeated check costs a probe by the page's
+/// address and a compare of the expectation — nothing that grows with
+/// the page. Every fleetbench workload checks one expectation per page;
+/// any other is computed each time. A memo entry holds its page, so the
+/// page's memory cannot be freed and reused while the entry keys it: an
+/// equal address is the same page.
+///
+/// A page is entered only while something else also holds it (the
+/// render memo does, for the worker's lifetime), so entering it costs
+/// no page memory, and a page rendered for one transaction is never
+/// entered. The first `MEMO_PAGES` such pages are entered.
+#[derive(Debug, Default)]
+pub(crate) struct ExpectMemo {
+    /// Page address → the page, its first expectation and the verdict.
+    pages: HashMap<usize, (Arc<str>, Box<str>, bool), FixedState>,
+}
+
+impl ExpectMemo {
+    /// [`check_expectation`], with verdicts memoised.
+    pub(crate) fn check(&mut self, report: &mut TransactionReport, step: &Step) {
+        if !report.success {
+            return;
+        }
+        let Some(expect) = &step.expect else {
+            return;
+        };
+        let met = match &report.outcome {
+            Some(outcome) => self.contains(&outcome.page_text, expect),
+            None => contains_normalised("", expect),
+        };
+        if !met {
+            mark_unmet(report, expect);
+        }
+    }
+
+    /// [`contains_normalised`]`(page, expect)`, memoised for shared pages.
+    fn contains(&mut self, page: &Arc<str>, expect: &str) -> bool {
+        let address = Arc::as_ptr(page).cast::<u8>() as usize;
+        if let Some((held, kept, verdict)) = self.pages.get(&address) {
+            debug_assert!(Arc::ptr_eq(held, page), "a held page keeps its address");
+            if **kept == *expect {
+                return *verdict;
+            }
+            return contains_normalised(page, expect);
+        }
+        let verdict = contains_normalised(page, expect);
+        if Arc::strong_count(page) > 1 && self.pages.len() < MEMO_PAGES {
+            let entry = (Arc::clone(page), expect.into(), verdict);
+            self.pages.insert(address, entry);
+        }
+        verdict
     }
 }
 
@@ -319,6 +395,40 @@ mod tests {
             report.failure.as_deref(),
             Some(format!("expected \"absent\" on page, got {head:?}…").as_str())
         );
+    }
+
+    #[test]
+    fn memoised_verdicts_equal_the_word_walk_and_enter_only_shared_pages() {
+        let page: Arc<str> = "Delivering  Summer\nHits now".into();
+        // What the render memo's view holds.
+        let render_memo = Arc::clone(&page);
+        let mut memo = ExpectMemo::default();
+        let expectations = [
+            "Delivering Summer",
+            "Summer Hits",
+            "Hits now",
+            "absent",
+            "Deliver",
+            "",
+        ];
+        for _ in 0..3 {
+            for expect in expectations {
+                assert_eq!(
+                    memo.contains(&page, expect),
+                    contains_normalised(&page, expect)
+                );
+            }
+        }
+        let one_off: Arc<str> = "Payment complete".into();
+        assert!(memo.contains(&one_off, "Payment complete"));
+        assert_eq!(
+            memo.pages.len(),
+            1,
+            "a page only its report holds is not entered"
+        );
+        let (_, kept, verdict) = &memo.pages[&(Arc::as_ptr(&page).cast::<u8>() as usize)];
+        assert_eq!((&**kept, *verdict), (expectations[0], true));
+        drop(render_memo);
     }
 
     /// Draws from a few ASCII letters, one multi-byte letter and ASCII

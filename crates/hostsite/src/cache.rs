@@ -25,11 +25,10 @@
 //! [`Body`]: crate::http::Body
 //! [`WebServer`]: crate::server::WebServer
 
-use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::Hasher;
 
-use simnet::TtlLru;
+use simnet::{FixedHasher, TtlLru};
 
 use crate::http::{HttpRequest, HttpResponse};
 
@@ -81,8 +80,11 @@ impl PageCache {
     }
 
     /// The hash of `req`'s canonical key, streamed without building it.
+    /// Store and lookup both hash this way. [`FixedHasher`] hashes
+    /// chunked writes like one write, so this also equals the hash of
+    /// [`PageCache::key`], which a test pins and no code relies on.
     fn hash(req: &HttpRequest) -> u64 {
-        let mut h = DefaultHasher::new();
+        let mut h = FixedHasher::default();
         Self::render_key(req, &mut HashWriter(&mut h)).expect("hashing cannot fail");
         h.finish()
     }
@@ -294,7 +296,7 @@ mod tests {
     #[test]
     fn hashing_a_rendering_equals_hashing_the_key() {
         let req = get("/shop&odd?x=1").with_cookie("sid", "a=b");
-        let mut whole = DefaultHasher::new();
+        let mut whole = FixedHasher::default();
         whole.write(PageCache::key(&req).as_bytes());
         assert_eq!(
             PageCache::hash(&req),

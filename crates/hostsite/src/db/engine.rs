@@ -2,12 +2,11 @@
 //! the query cache, tied over the WAL / MVCC / index layers.
 
 use std::cell::{Cell, RefCell};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasher as _, Hash as _, Hasher as _};
 use std::sync::Arc;
 
-use simnet::{FixedState, TtlLru};
+use simnet::{FixedHasher, FixedState, TtlLru};
 
 use super::fts::{query_terms, FtsIndex};
 use super::index::Table;
@@ -53,7 +52,7 @@ struct QueryShape {
 /// Hashes the query shape `(table, column, value)` borrowed, so a
 /// query-cache lookup builds no [`QueryShape`].
 fn query_hash(table: &str, column: &str, value: &Value) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = FixedHasher::default();
     table.hash(&mut h);
     column.hash(&mut h);
     // Mirror `Value::ord_key`'s normalisation (Bool → Int, floats →

@@ -26,10 +26,9 @@
 //! part of the key): sessions never alias, but a session's own revisits
 //! hit.
 
-use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash as _, Hasher as _};
 
-use simnet::{SimDuration, TtlLru};
+use simnet::{FixedHasher, SimDuration, TtlLru};
 
 use crate::{Exchange, MobileRequest};
 
@@ -51,7 +50,7 @@ struct ContentKey {
 /// Hashes the key fields borrowed, the same way on every call, so a
 /// lookup never builds a [`ContentKey`].
 fn hash_fields(req: &MobileRequest, device_class: &str, middleware_kind: &str) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = FixedHasher::default();
     req.url.hash(&mut h);
     device_class.hash(&mut h);
     middleware_kind.hash(&mut h);

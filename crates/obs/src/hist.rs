@@ -3,15 +3,22 @@
 //! Values (nanoseconds, nanojoules, bytes — any `u64`) are bucketed into
 //! 32 linear sub-buckets per power-of-two octave, so any recorded value
 //! is reproducible from its bucket's lower bound within 1/32 ≈ 3%.
-//! Buckets are integral counts in a `BTreeMap`, which makes
-//! [`Histogram::merge`] exactly associative and commutative — the
-//! property the fleet engine's thread-count-invariant summaries rest on.
+//! Buckets are integral counts, which makes [`Histogram::merge`]
+//! exactly associative and commutative — the property the fleet
+//! engine's thread-count-invariant summaries rest on.
+//!
+//! The counts live in a dense window over the occupied buckets, from
+//! the lowest to the highest, so recording a value is an index, not a
+//! map probe, and a histogram holds no slots below its smallest value.
+//! It prints and compares exactly as a `BTreeMap<u32, u64>` of bucket
+//! index → count would: the fleet digests hash the `Debug` rendering.
 //!
 //! This module was extracted from `mcommerce-core`'s report aggregation
 //! so the metrics registry and the workload counters share one bucketing
 //! scheme; core re-exports it as `mcommerce_core::hist`.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Number of linear sub-buckets per power-of-two octave. 32 sub-buckets
 /// bound the quantisation error of any recorded value by 1/32 ≈ 3%.
@@ -55,16 +62,20 @@ pub fn bucket_low(bucket: u32) -> u64 {
 /// let p50 = h.percentile(50.0);
 /// assert!(p50 <= 200 && p50 >= 193); // lower bucket bound, within 3%
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct Histogram {
-    buckets: BTreeMap<u32, u64>,
+    /// Bucket index of `counts[0]` (0 while empty).
+    first: u32,
+    /// Counts of buckets `first..first + counts.len()`; empty, or with
+    /// a non-zero first and last count.
+    counts: Vec<u64>,
     count: u64,
 }
 
 impl Histogram {
     /// Records one value.
     pub fn record(&mut self, value: u64) {
-        *self.buckets.entry(bucket(value)).or_default() += 1;
+        *self.slot(bucket(value)) += 1;
         self.count += 1;
     }
 
@@ -73,7 +84,7 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        *self.buckets.entry(bucket(value)).or_default() += n;
+        *self.slot(bucket(value)) += n;
         self.count += n;
     }
 
@@ -91,8 +102,13 @@ impl Histogram {
     /// grouping or ordering of merges over the same recordings yields
     /// bit-identical histograms.
     pub fn merge(&mut self, other: &Histogram) {
-        for (k, v) in &other.buckets {
-            *self.buckets.entry(*k).or_default() += v;
+        let Some(last) = other.last() else {
+            return;
+        };
+        self.cover(other.first, last);
+        let offset = (other.first - self.first) as usize;
+        for (mine, theirs) in self.counts[offset..].iter_mut().zip(&other.counts) {
+            *mine += theirs;
         }
         self.count += other.count;
     }
@@ -106,7 +122,7 @@ impl Histogram {
         }
         let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
-        for (&b, &c) in &self.buckets {
+        for (b, c) in self.occupied() {
             seen += c;
             if seen >= rank {
                 return bucket_low(b);
@@ -117,13 +133,81 @@ impl Histogram {
 
     /// Iterates `(bucket_lower_bound, count)` in ascending value order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets.iter().map(|(&b, &c)| (bucket_low(b), c))
+        self.occupied().map(|(b, c)| (bucket_low(b), c))
     }
 
-    /// The raw `bucket index → count` map, for code that needs to merge
-    /// by index without re-bucketing.
-    pub fn raw_buckets(&self) -> &BTreeMap<u32, u64> {
-        &self.buckets
+    /// The `bucket index → count` map of the occupied buckets, built on
+    /// demand, for code that needs to merge by index without
+    /// re-bucketing.
+    pub fn raw_buckets(&self) -> BTreeMap<u32, u64> {
+        self.occupied().collect()
+    }
+
+    /// `(bucket index, count)` of every occupied bucket, ascending.
+    fn occupied(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        (self.first..)
+            .zip(&self.counts)
+            .filter(|&(_, &c)| c > 0)
+            .map(|(b, &c)| (b, c))
+    }
+
+    /// The highest occupied bucket, `None` while empty.
+    fn last(&self) -> Option<u32> {
+        (!self.counts.is_empty()).then(|| self.first + self.counts.len() as u32 - 1)
+    }
+
+    /// The count slot of bucket `b`, widening the window to reach it.
+    fn slot(&mut self, b: u32) -> &mut u64 {
+        self.cover(b, b);
+        &mut self.counts[(b - self.first) as usize]
+    }
+
+    /// Widens the window with zero counts until it spans `lo..=hi`.
+    fn cover(&mut self, lo: u32, hi: u32) {
+        let Some(last) = self.last() else {
+            self.first = lo;
+            self.counts.resize((hi - lo) as usize + 1, 0);
+            return;
+        };
+        if lo < self.first {
+            let grow = (self.first - lo) as usize;
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.first = lo;
+        }
+        if hi > last {
+            self.counts.resize((hi - self.first) as usize + 1, 0);
+        }
+    }
+}
+
+/// Compares the occupied buckets and the count, exactly as the derived
+/// equality of a `BTreeMap` of bucket index → count and a count would.
+impl PartialEq for Histogram {
+    fn eq(&self, other: &Self) -> bool {
+        self.count == other.count && self.occupied().eq(other.occupied())
+    }
+}
+
+impl Eq for Histogram {}
+
+/// Renders exactly as the derived `Debug` of a struct holding a
+/// `buckets: BTreeMap<u32, u64>` of the occupied buckets and a `count`,
+/// in both `{:?}` and `{:#?}`.
+impl fmt::Debug for Histogram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        /// The occupied buckets, printed as a map.
+        struct Buckets<'a>(&'a Histogram);
+
+        impl fmt::Debug for Buckets<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.occupied()).finish()
+            }
+        }
+
+        f.debug_struct("Histogram")
+            .field("buckets", &Buckets(self))
+            .field("count", &self.count)
+            .finish()
     }
 }
 

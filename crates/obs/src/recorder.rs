@@ -218,11 +218,13 @@ impl Recorder {
     }
 
     /// Consumes the recorder, returning `(events oldest-first, dumps in
-    /// failure order)`. Both are empty for [`Recorder::Disabled`].
+    /// failure order)`. Both are empty for [`Recorder::Disabled`]. The
+    /// events are the ring's own buffer, put in order in place: nothing
+    /// is copied out.
     pub fn into_parts(self) -> (Vec<TraceEvent>, Vec<FlightDump>) {
         match self {
             Recorder::Disabled => (Vec::new(), Vec::new()),
-            Recorder::Ring(ring) => (ring.events.into_iter().collect(), ring.dumps),
+            Recorder::Ring(ring) => (Vec::from(ring.events), ring.dumps),
         }
     }
 
@@ -246,8 +248,9 @@ impl Recorder {
         })
     }
 
-    /// Consumes the recorder like [`Recorder::into_parts`], returning
-    /// the ring's grown buffer to `scratch` for the shard's next user.
+    /// Consumes the recorder like [`Recorder::into_parts`], but copies
+    /// the events out into a vector of their own size and returns the
+    /// ring's grown buffer to `scratch` for the shard's next user.
     pub fn into_parts_recycling(self, scratch: &mut RingScratch) -> (Vec<TraceEvent>, Vec<FlightDump>) {
         match self {
             Recorder::Disabled => (Vec::new(), Vec::new()),

@@ -74,3 +74,138 @@ proptest! {
         prop_assert_eq!(whole, left);
     }
 }
+
+/// The histogram as it was kept before its dense window: bucket index →
+/// count in a `BTreeMap`, with derived `Debug` and `PartialEq`. The fleet
+/// digests hash `Debug` renderings, so the window must print as this.
+mod reference {
+    use std::collections::BTreeMap;
+
+    use obs::hist::{bucket, bucket_low};
+
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct Histogram {
+        buckets: BTreeMap<u32, u64>,
+        count: u64,
+    }
+
+    impl Histogram {
+        pub fn record_n(&mut self, value: u64, n: u64) {
+            if n == 0 {
+                return;
+            }
+            *self.buckets.entry(bucket(value)).or_default() += n;
+            self.count += n;
+        }
+
+        pub fn merge(&mut self, other: &Histogram) {
+            for (k, v) in &other.buckets {
+                *self.buckets.entry(*k).or_default() += v;
+            }
+            self.count += other.count;
+        }
+
+        pub fn percentile(&self, p: f64) -> u64 {
+            if self.count == 0 {
+                return 0;
+            }
+            let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
+            let mut seen = 0u64;
+            for (&b, &c) in &self.buckets {
+                seen += c;
+                if seen >= rank {
+                    return bucket_low(b);
+                }
+            }
+            0
+        }
+
+        pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+            self.buckets.iter().map(|(&b, &c)| (bucket_low(b), c))
+        }
+
+        pub fn raw_buckets(&self) -> &BTreeMap<u32, u64> {
+            &self.buckets
+        }
+    }
+}
+
+/// Values spread over small counts, simulated latencies and all of
+/// `u64`, each recorded 0–3 times.
+fn recordings() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
+    proptest::collection::vec((0u64..3, any::<u64>(), 0u64..4), 0..120).prop_map(|draws| {
+        draws
+            .into_iter()
+            .map(|(kind, raw, n)| {
+                let value = match kind {
+                    0 => raw % 64,
+                    1 => 1_000_000 + raw % 5_000_000_000,
+                    _ => raw,
+                };
+                (value, n, raw)
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+    // Histograms built from the same recordings split into random groups
+    // and merged in a random order print (`{:?}` and `{:#?}`), compare,
+    // rank and iterate exactly as the `BTreeMap` histogram does — and
+    // unequal recordings stay unequal.
+    #[test]
+    fn window_histogram_equals_the_btreemap_histogram(
+        recorded in recordings(),
+        groups in 1usize..6,
+        p in 0.0f64..100.0,
+    ) {
+        let mut parts = vec![(Histogram::default(), reference::Histogram::default()); groups];
+        for &(value, n, raw) in &recorded {
+            let (h, r) = &mut parts[(raw % groups as u64) as usize];
+            if n == 1 {
+                h.record(value);
+            } else {
+                h.record_n(value, n);
+            }
+            r.record_n(value, n);
+        }
+        for (h, r) in &parts {
+            prop_assert_eq!(format!("{h:?}"), format!("{r:?}"));
+        }
+        let mut merged = Histogram::default();
+        let mut expected = reference::Histogram::default();
+        for (h, r) in parts.iter().rev() {
+            merged.merge(h);
+            expected.merge(r);
+        }
+        let mut in_order = Histogram::default();
+        for (h, _) in &parts {
+            in_order.merge(h);
+        }
+        prop_assert_eq!(format!("{merged:?}"), format!("{expected:?}"));
+        prop_assert_eq!(format!("{merged:#?}"), format!("{expected:#?}"));
+        prop_assert!(merged == in_order);
+        prop_assert_eq!(merged.count(), in_order.count());
+        for q in [p, 0.0, 50.0, 90.0, 99.0, 100.0] {
+            prop_assert_eq!(merged.percentile(q), expected.percentile(q));
+        }
+        prop_assert_eq!(merged.iter().collect::<Vec<_>>(), expected.iter().collect::<Vec<_>>());
+        prop_assert_eq!(&merged.raw_buckets(), expected.raw_buckets());
+        // One more recording, at either end or inside, breaks equality
+        // in both kinds of histogram alike.
+        let extra = recorded.first().map_or(7, |&(value, _, _)| value);
+        let mut more = merged.clone();
+        more.record(extra);
+        let mut more_expected = expected.clone();
+        more_expected.record_n(extra, 1);
+        prop_assert_eq!(more == merged, more_expected == expected);
+        prop_assert_eq!(format!("{more:?}"), format!("{more_expected:?}"));
+        // Any two of the parts compare as their references do.
+        for (a, ra) in &parts {
+            for (b, rb) in &parts {
+                prop_assert_eq!(a == b, ra == rb);
+            }
+        }
+    }
+}

@@ -121,8 +121,9 @@ impl DetQueue {
     }
 
     /// Moves the earliest event to `time_ns`, keeping its id: the queue
-    /// then holds what popping that event and pushing `(time_ns, id)`
-    /// would leave, at the cost of one sift instead of two.
+    /// then pops exactly what popping that event and pushing
+    /// `(time_ns, id)` would leave it to pop, for the cost of one sift
+    /// instead of two.
     ///
     /// # Panics
     ///
@@ -185,32 +186,41 @@ mod tests {
     }
 
     proptest::proptest! {
-        // Random schedules of pushes, pops and later-time re-keys of the
-        // earliest event pop exactly what a `BinaryHeap` that pops the
-        // re-keyed event and pushes it back pops, ties on time included.
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+        // Random schedules of pushes, pops and re-keys of the earliest
+        // event — mostly to a later time, as the fleet engine does, and
+        // sometimes to any time — pop exactly what a `BinaryHeap` that
+        // pops the re-keyed event and pushes it back pops, ties on time
+        // and repeated keys included. Pushes outnumber pops, so the
+        // heap grows several levels deep.
         #[test]
         fn rekeying_the_earliest_event_equals_pop_then_push(
-            ops in proptest::collection::vec((0u8..3, 0u64..40, 0u64..8), 1..200),
+            ops in proptest::collection::vec((0u8..8, 0u64..40, 0u64..8), 1..400),
         ) {
             let mut queue = DetQueue::new();
             let mut reference = BinaryHeap::new();
             for (op, time, id) in ops {
                 match op {
-                    0 => {
+                    0..=2 => {
                         queue.push(time, id);
                         reference.push(Reverse((time, id)));
                     }
-                    1 => proptest::prop_assert_eq!(queue.pop(), pop_key(&mut reference)),
+                    3 => proptest::prop_assert_eq!(queue.pop(), pop_key(&mut reference)),
                     _ => {
                         let earliest = pop_key(&mut reference);
                         proptest::prop_assert_eq!(queue.peek(), earliest);
                         if let Some((at, id)) = earliest {
-                            reference.push(Reverse((at + time, id)));
-                            queue.rekey_earliest(at + time);
+                            let to = if op == 7 { time } else { at + time };
+                            reference.push(Reverse((to, id)));
+                            queue.rekey_earliest(to);
                         }
                     }
                 }
                 proptest::prop_assert_eq!(queue.len(), reference.len());
+                proptest::prop_assert_eq!(
+                    queue.peek(),
+                    reference.peek().map(|&Reverse(key)| key)
+                );
             }
             let rest: Vec<_> = std::iter::from_fn(|| queue.pop()).collect();
             let expected: Vec<_> = std::iter::from_fn(|| pop_key(&mut reference)).collect();

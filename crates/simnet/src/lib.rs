@@ -37,6 +37,7 @@ pub mod baseline;
 pub mod cache;
 pub mod contend;
 mod event;
+pub mod hash;
 pub mod link;
 pub mod memo;
 pub mod rng;
@@ -51,6 +52,7 @@ pub use cache::TtlLru;
 pub use event::EventKey;
 pub use obs::metrics;
 pub use link::{Link, LinkParams, LossModel, Wire};
-pub use memo::{BodyMemo, FixedState};
+pub use hash::{FixedHasher, FixedState};
+pub use memo::BodyMemo;
 pub use sim::Simulator;
 pub use time::{SimDuration, SimTime};

@@ -32,17 +32,12 @@
 //! grow O(users)); the hot handful of shared pages is inserted first and
 //! stays for the memo's lifetime.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash};
+use std::hash::Hash;
 
 use bytes::Bytes;
 
-/// `HashMap` state with fixed keys: the same keys hash the same way in
-/// every process, so a table's growth and rehash pattern (and with it
-/// the allocation count of a run) repeats exactly. Only for maps whose
-/// keys the simulator generates itself, never for outside input.
-pub type FixedState = BuildHasherDefault<DefaultHasher>;
+use crate::FixedState;
 
 /// Default bound on distinct bodies a [`BodyMemo`] holds.
 pub const DEFAULT_MEMO_CAPACITY: usize = 512;

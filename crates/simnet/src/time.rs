@@ -3,10 +3,46 @@
 //! Simulated time is a monotonically increasing count of nanoseconds held in
 //! a [`SimTime`]; intervals between instants are [`SimDuration`]s. Both are
 //! thin `u64` newtypes — cheap to copy, totally ordered, and free of the
-//! wall-clock ambiguity of `std::time`.
+//! wall-clock ambiguity of `std::time`. Model code that still computes
+//! in `f64` seconds crosses into nanoseconds through one rounding rule,
+//! [`secs_to_ns`].
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
+
+/// Seconds → whole nanoseconds, rounding half away from zero: exactly
+/// `(secs * 1e9).max(0.0).round() as u64` for every `f64`, so NaN and
+/// anything non-positive give 0 and anything at or above 2^64 ns
+/// (+∞ included) gives `u64::MAX`.
+///
+/// `f64::round` is a libm call on the baseline x86-64 target, and this
+/// conversion runs several times per simulated transaction, so the
+/// rounding is done here with two conversions and a compare: below
+/// 2^52 the truncation `t` and the fraction `x − t` are both exact,
+/// and at or above it every `f64` is already a whole number.
+///
+/// ```
+/// use simnet::time::secs_to_ns;
+/// assert_eq!(secs_to_ns(1.5e-9), 2);
+/// assert_eq!(secs_to_ns(-3.0), 0);
+/// assert_eq!(secs_to_ns(f64::NAN), 0);
+/// assert_eq!(secs_to_ns(f64::INFINITY), u64::MAX);
+/// ```
+#[inline]
+pub fn secs_to_ns(secs: f64) -> u64 {
+    /// 2^52: from here up, the spacing of `f64`s is at least 1.
+    const WHOLE: f64 = 4_503_599_627_370_496.0;
+    let x = secs * 1e9;
+    if x >= WHOLE {
+        x as u64
+    } else if x > 0.0 {
+        let t = x as u64;
+        t + u64::from(x - t as f64 >= 0.5)
+    } else {
+        // Non-positive or NaN.
+        0
+    }
+}
 
 /// An instant on the simulation clock, measured in nanoseconds since the
 /// simulation started.
@@ -131,7 +167,7 @@ impl SimDuration {
             secs.is_finite() && secs >= 0.0,
             "duration seconds must be finite and non-negative, got {secs}"
         );
-        SimDuration((secs * 1e9).round() as u64)
+        SimDuration(secs_to_ns(secs))
     }
 
     /// Length in nanoseconds.
@@ -327,6 +363,69 @@ mod tests {
     fn from_secs_f64_rounds() {
         assert_eq!(SimDuration::from_secs_f64(0.0015).as_micros(), 1_500);
         assert_eq!(SimDuration::from_secs_f64(0.0).as_nanos(), 0);
+    }
+
+    /// The rounding rule `secs_to_ns` replaces.
+    fn libm_secs_to_ns(secs: f64) -> u64 {
+        (secs * 1e9).max(0.0).round() as u64
+    }
+
+    #[test]
+    fn secs_to_ns_equals_libm_rounding_at_the_edges() {
+        let mut edges = vec![
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            -1.0,
+            -0.5e-9,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+        ];
+        // Exact halves of a nanosecond, whole nanoseconds, and the
+        // neighbours of 2^52, 2^53 and 2^64 ns (the last saturates).
+        for ns in [0.5, 1.5, 2.5, 1e6 + 0.5, 2f64.powi(51) + 0.5] {
+            edges.push(ns / 1e9);
+        }
+        for exp in [52, 53, 63, 64] {
+            let ns = 2f64.powi(exp);
+            edges.extend([ns, ns.next_down(), ns.next_up()].map(|ns| ns / 1e9));
+        }
+        for x in [0.5f64, 0.49999999999999994, 1.0, 3.0] {
+            edges.extend([x, x.next_down(), x.next_up()].map(|ns| ns / 1e9));
+        }
+        for secs in edges {
+            for s in [secs, -secs, secs.next_up(), secs.next_down()] {
+                assert_eq!(secs_to_ns(s), libm_secs_to_ns(s), "secs = {s:e}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+        // Any bit pattern — every exponent, NaN payloads, subnormals,
+        // both signs — rounds exactly as the libm expression does; a
+        // second draw lands in the [0, 2^53) ns range where the
+        // fraction test does the work.
+        #[test]
+        fn secs_to_ns_equals_libm_rounding_for_any_bits(
+            bits in proptest::prelude::any::<u64>(),
+            ns in 0.0f64..9.007_199_254_740_992e15,
+            halves in 0u64..1 << 53,
+        ) {
+            for secs in [f64::from_bits(bits), ns / 1e9, (halves as f64 + 0.5) / 1e9] {
+                proptest::prop_assert_eq!(
+                    secs_to_ns(secs),
+                    libm_secs_to_ns(secs),
+                    "secs = {:e}",
+                    secs
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,19 @@
 #                      the topology's unit tests, the memo and
 #                      island-membership properties, the event
 #                      queue's re-key property in simnet::contend
-#                      (rekeying_the_earliest_event_equals_pop_then_push)
+#                      (rekeying_the_earliest_event_equals_pop_then_push),
+#                      the libm-free rounding against libm in
+#                      simnet::time (secs_to_ns_equals_libm_rounding_*),
+#                      the fixed hasher's streaming property and
+#                      pinned values in simnet::hash
+#                      (chunked_writes_hash_like_one_write,
+#                      recorded_values_pin_the_hash_across_processes),
+#                      the dense histogram against a BTreeMap one in
+#                      crates/obs/tests/hist_props.rs
+#                      (window_histogram_equals_the_btreemap_histogram),
+#                      the expectation memo against the word walk in
+#                      core::workload
+#                      (memoised_verdicts_equal_the_word_walk_and_enter_only_shared_pages)
 #                      and the air link's per-transfer pricing against
 #                      a per-frame oracle in core::netpath
 #                      (pricing_a_full_fragment_once_equals_pricing_every_frame);
