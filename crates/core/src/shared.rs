@@ -23,8 +23,9 @@
 //! # Workers
 //!
 //! Each worker thread owns what lives as long as it does: one
-//! [`ShardScratch`] of memos, one flight-recorder ring buffer, one
-//! metrics scope, and running totals of counters, contention stats and
+//! [`ShardScratch`] of memos, the last recycled flight-recorder ring's
+//! event count (each island's first ring is sized by it), one metrics
+//! scope, and running totals of counters, contention stats and
 //! telemetry. It also owns the per-island buffers — membership, cell
 //! and gateway servers, gateway caches, user states, the event queue —
 //! which it clears and refills for each island, so a one-user island
@@ -371,9 +372,10 @@ struct Worker<'a> {
     /// Expectation verdicts for the pages `scratch`'s render memo hands
     /// out.
     expect: ExpectMemo,
-    /// The ring buffer behind each island's first recorder — every
-    /// user's, on the isolated topology. Users of a shared island
-    /// record side by side, so the others get rings of their own.
+    /// The last recycled ring's event count, which sizes each island's
+    /// first recorder — every user's, on the isolated topology. Users of
+    /// a shared island record side by side, so the others get rings of
+    /// their own.
     ring: RingScratch,
     /// Held for the worker's lifetime when traced: one metrics scope.
     metrics_guard: Option<obs::metrics::MetricsGuard>,

@@ -1365,17 +1365,7 @@ impl CommerceSystem for EcSystem {
     fn execute(&mut self, req: &MobileRequest) -> TransactionReport {
         let mut breakdown = PhaseBreakdown::default();
 
-        let http_req = match &req.form {
-            None => hostsite::HttpRequest::get(&req.url),
-            Some(form) => hostsite::HttpRequest::post(&req.url, form.iter().cloned()),
-        };
-        let mut http_req = http_req;
-        for (k, v) in &req.cookies {
-            http_req = http_req.with_cookie(k, v);
-        }
-        if let Some((u, p)) = &req.auth {
-            http_req = http_req.with_auth(u, p);
-        }
+        let http_req = req.to_http(hostsite::ContentFormat::Html);
 
         let req_bytes = http_req.wire_size();
         breakdown.wired_secs += self.wired.transfer(req_bytes).as_secs_f64();
@@ -1540,7 +1530,7 @@ mod tests {
         host.web.route_get(
             "/greet",
             |req: &hostsite::HttpRequest, _ctx: &mut hostsite::ServerCtx<'_>| {
-                let known = req.cookies.contains_key("visited");
+                let known = req.cookie("visited").is_some();
                 let mut page = html::PageWriter::new("Greet");
                 page.p(if known { "welcome back" } else { "hello stranger" });
                 hostsite::HttpResponse::ok(page.finish()).with_cookie("visited", "1")

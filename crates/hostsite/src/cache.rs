@@ -48,22 +48,22 @@ impl PageCache {
     }
 
     /// Renders the canonical key for `req` into any writer. Query
-    /// parameters and cookies live in `BTreeMap`s, so the rendering is
-    /// order-stable, and the path, names and values are escaped, so no
-    /// two requests render alike. The same routine builds keys, hashes
-    /// requests, and equality-checks lookups, so the three can never
-    /// drift apart.
-    fn render_key(req: &HttpRequest, out: &mut impl fmt::Write) -> fmt::Result {
+    /// parameters and cookies render in name order, one per name with
+    /// its last value, so the rendering is order-stable, and the path,
+    /// names and values are escaped, so no two requests render alike.
+    /// The same routine builds keys, hashes requests, and
+    /// equality-checks lookups, so the three can never drift apart.
+    fn render_key(req: &HttpRequest<'_>, out: &mut impl fmt::Write) -> fmt::Result {
         write!(out, "{:?} ", req.method)?;
-        write_escaped(out, &req.path)?;
-        for (name, value) in &req.params {
+        write_escaped(out, req.path())?;
+        for (name, value) in req.params() {
             out.write_char('&')?;
             write_escaped(out, name)?;
             out.write_char('=')?;
             write_escaped(out, value)?;
         }
         write!(out, "|{:?}", req.accept)?;
-        for (name, value) in &req.cookies {
+        for (name, value) in req.cookies() {
             out.write_char(';')?;
             write_escaped(out, name)?;
             out.write_char('=')?;
@@ -73,7 +73,7 @@ impl PageCache {
     }
 
     /// The canonical cache key for a request, as an owned string.
-    pub fn key(req: &HttpRequest) -> String {
+    pub fn key(req: &HttpRequest<'_>) -> String {
         let mut key = String::new();
         Self::render_key(req, &mut key).expect("writing to a String cannot fail");
         key
@@ -83,7 +83,7 @@ impl PageCache {
     /// Store and lookup both hash this way. [`FixedHasher`] hashes
     /// chunked writes like one write, so this also equals the hash of
     /// [`PageCache::key`], which a test pins and no code relies on.
-    fn hash(req: &HttpRequest) -> u64 {
+    fn hash(req: &HttpRequest<'_>) -> u64 {
         let mut h = FixedHasher::default();
         Self::render_key(req, &mut HashWriter(&mut h)).expect("hashing cannot fail");
         h.finish()
@@ -91,7 +91,7 @@ impl PageCache {
 
     /// Returns the cached response when a fresh entry exists for `req`
     /// at `now_ns`; an expired entry is dropped. Allocation-free.
-    pub fn lookup(&mut self, req: &HttpRequest, now_ns: u64) -> Option<HttpResponse> {
+    pub fn lookup(&mut self, req: &HttpRequest<'_>, now_ns: u64) -> Option<HttpResponse> {
         let renders_req = |key: &String| {
             let mut m = PrefixMatcher { rest: key };
             Self::render_key(req, &mut m).is_ok() && m.rest.is_empty()
@@ -104,7 +104,7 @@ impl PageCache {
     /// Stores a response for `req`, evicting least-recently-used entries
     /// until the byte budget holds. Returns how many entries were
     /// evicted. Responses larger than the whole budget are not stored.
-    pub fn store(&mut self, req: &HttpRequest, resp: &HttpResponse, now_ns: u64) -> usize {
+    pub fn store(&mut self, req: &HttpRequest<'_>, resp: &HttpResponse, now_ns: u64) -> usize {
         let key = Self::key(req);
         let bytes = key.len() + resp.body.len();
         self.entries
@@ -175,13 +175,16 @@ impl fmt::Write for PrefixMatcher<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::{ContentFormat, Method};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use std::fmt::Write as _;
 
     fn resp(body: &str) -> HttpResponse {
         HttpResponse::ok(body.to_owned())
     }
 
-    fn get(path: &str) -> HttpRequest {
+    fn get(path: &str) -> HttpRequest<'static> {
         HttpRequest::get(path)
     }
 
@@ -291,6 +294,171 @@ mod tests {
         let mut m = PrefixMatcher { rest: "GET /shop" };
         assert!(write!(m, "GET ").is_ok());
         assert!(!m.rest.is_empty(), "unconsumed remainder is not a match");
+    }
+
+    /// A request as it was before it became a view: an owned path and
+    /// two `BTreeMap`s, built the way `HttpRequest::get`/`post` and the
+    /// builders built them.
+    struct OwnedModel {
+        method: Method,
+        path: String,
+        params: BTreeMap<String, String>,
+        cookies: BTreeMap<String, String>,
+        auth: bool,
+    }
+
+    impl OwnedModel {
+        fn new(
+            url: &str,
+            form: Option<&[(String, String)]>,
+            cookies: &[(String, String)],
+            auth: bool,
+        ) -> Self {
+            let (path, mut params) = match url.split_once('?') {
+                None => (url.to_owned(), BTreeMap::new()),
+                Some((path, query)) => {
+                    let mut params = BTreeMap::new();
+                    for pair in query.split('&').filter(|pair| !pair.is_empty()) {
+                        let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
+                        params.insert(k.to_owned(), v.to_owned());
+                    }
+                    (path.to_owned(), params)
+                }
+            };
+            params.extend(form.unwrap_or_default().iter().cloned());
+            OwnedModel {
+                method: if form.is_some() {
+                    Method::Post
+                } else {
+                    Method::Get
+                },
+                path,
+                params,
+                cookies: cookies.iter().cloned().collect(),
+                auth,
+            }
+        }
+
+        fn wire_size(&self) -> usize {
+            let mut n = 16 + self.path.len() + 64;
+            for (k, v) in &self.params {
+                n += k.len() + v.len() + 2;
+            }
+            for (k, v) in &self.cookies {
+                n += k.len() + v.len() + 10;
+            }
+            if self.auth {
+                n += 32;
+            }
+            n
+        }
+
+        fn key(&self) -> String {
+            let mut out = format!("{:?} ", self.method);
+            write_escaped(&mut out, &self.path).unwrap();
+            for (name, value) in &self.params {
+                out.push('&');
+                write_escaped(&mut out, name).unwrap();
+                out.push('=');
+                write_escaped(&mut out, value).unwrap();
+            }
+            write!(out, "|{:?}", ContentFormat::Wml).unwrap();
+            for (name, value) in &self.cookies {
+                out.push(';');
+                write_escaped(&mut out, name).unwrap();
+                out.push('=');
+                write_escaped(&mut out, value).unwrap();
+            }
+            out
+        }
+    }
+
+    /// Asserts that `req` reads exactly like `model`.
+    fn check(req: &HttpRequest<'_>, model: &OwnedModel) -> Result<(), TestCaseError> {
+        prop_assert_eq!(req.method, model.method);
+        prop_assert_eq!(req.path(), model.path.as_str());
+        let params: Vec<(&str, &str)> = model
+            .params
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
+        prop_assert_eq!(req.params().collect::<Vec<_>>(), params);
+        for name in model
+            .params
+            .keys()
+            .map(String::as_str)
+            .chain(["", "a", "zz"])
+        {
+            prop_assert_eq!(req.param(name), model.params.get(name).map(String::as_str));
+        }
+        let cookies: Vec<(&str, &str)> = model
+            .cookies
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
+        prop_assert_eq!(req.cookies().collect::<Vec<_>>(), cookies);
+        for name in model
+            .cookies
+            .keys()
+            .map(String::as_str)
+            .chain(["", "a", "zz"])
+        {
+            prop_assert_eq!(
+                req.cookie(name),
+                model.cookies.get(name).map(String::as_str)
+            );
+        }
+        prop_assert_eq!(req.wire_size(), model.wire_size());
+        prop_assert_eq!(PageCache::key(req), model.key());
+        Ok(())
+    }
+
+    /// Name/value pairs over a tiny alphabet, so names repeat and values
+    /// come out empty or holding the key's separators.
+    fn pairs(max: usize) -> impl Strategy<Value = Vec<(String, String)>> {
+        proptest::collection::vec(("[ab]{0,2}", "[xy=&;%]{0,2}"), 0..max)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The borrowed view and the owned builders both read like the
+        /// owned-`BTreeMap` request they replace: `param` (query first,
+        /// then form, the last value of a name wins), the parameters and
+        /// cookies in name order, `wire_size` and the page-cache key,
+        /// over duplicate names, empty values, bare names, empty pairs and
+        /// names in both the query and the form.
+        #[test]
+        fn borrowed_requests_read_like_the_owned_btreemap_model(
+            path in "[/ab%]{0,4}",
+            query in "(\\?[ab=&x?]{0,10})?",
+            form in (any::<bool>(), pairs(5)),
+            cookies in pairs(4),
+            auth in any::<bool>(),
+        ) {
+            let url = format!("{path}{query}");
+            let form = form.0.then_some(form.1);
+            let credentials = ("user".to_owned(), "secret".to_owned());
+            let model = OwnedModel::new(&url, form.as_deref(), &cookies, auth);
+
+            let borrowed =
+                HttpRequest::borrowed(&url, form.as_deref(), &cookies, auth.then_some(&credentials))
+                    .with_accept(ContentFormat::Wml);
+            check(&borrowed, &model)?;
+
+            let mut owned = match &form {
+                None => HttpRequest::get(&url),
+                Some(form) => HttpRequest::post(&url, form.iter().cloned()),
+            }
+            .with_accept(ContentFormat::Wml);
+            for (name, value) in &cookies {
+                owned = owned.with_cookie(name, value);
+            }
+            if auth {
+                owned = owned.with_auth("user", "secret");
+            }
+            check(&owned, &model)?;
+        }
     }
 
     #[test]

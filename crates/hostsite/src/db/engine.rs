@@ -12,7 +12,7 @@ use super::fts::{query_terms, FtsIndex};
 use super::index::Table;
 use super::mvcc::VersionChain;
 use super::wal::Wal;
-use super::{float_key_bits, DbError, DurabilityPolicy, JournalEntry, OrdKey, Row, Value};
+use super::{float_key_bits, AsKey, DbError, DurabilityPolicy, JournalEntry, OrdKey, Row, Value};
 
 /// Flat simulated cost of a cold full-text search: query parse, tf×idf
 /// scoring and rank materialization on era-appropriate host hardware.
@@ -350,43 +350,44 @@ impl Database {
                 {
                     let t = self.table(table)?;
                     Self::validate_row(t, table, row)?;
-                    if t.live(&row[0].ord_key()).is_some() {
+                    if t.live(&row[0]).is_some() {
                         return Err(DbError::DuplicateKey(row[0].to_string()));
                     }
                 }
                 self.footprint += Self::row_footprint(row);
                 let version = self.next_version();
                 let t = self.tables.get_mut(table).expect("checked above");
-                let chain = t.rows.entry(row[0].ord_key()).or_default();
-                chain.install(Arc::clone(row), version);
-                chain.prune(None);
+                t.rows
+                    .entry(row[0].ord_key())
+                    .or_default()
+                    .install(Arc::clone(row), version, None);
             }
             JournalEntry::Update { table, row } => {
                 let old = {
                     let t = self.table(table)?;
                     Self::validate_row(t, table, row)?;
-                    t.live(&row[0].ord_key()).cloned().ok_or(DbError::NotFound)?
+                    t.live(&row[0]).cloned().ok_or(DbError::NotFound)?
                 };
                 self.footprint = self.footprint.saturating_sub(Self::row_footprint(&old));
                 self.footprint += Self::row_footprint(row);
                 let version = self.next_version();
                 let t = self.tables.get_mut(table).expect("checked above");
-                let chain = t.rows.get_mut(&row[0].ord_key()).expect("live row exists");
-                chain.install(Arc::clone(row), version);
-                chain.prune(None);
+                t.rows
+                    .get_mut(&row[0].ord_key())
+                    .expect("live row exists")
+                    .install(Arc::clone(row), version, None);
             }
             JournalEntry::Delete { table, key } => {
                 let old = {
                     let t = self.table(table)?;
-                    t.live(&key.ord_key()).cloned().ok_or(DbError::NotFound)?
+                    t.live(key).cloned().ok_or(DbError::NotFound)?
                 };
                 self.footprint = self.footprint.saturating_sub(Self::row_footprint(&old));
                 let version = self.next_version();
                 let t = self.tables.get_mut(table).expect("checked above");
                 let ord = key.ord_key();
                 if let Some(chain) = t.rows.get_mut(&ord) {
-                    chain.remove_live(version);
-                    chain.prune(None);
+                    chain.remove_live(version, None);
                     if chain.is_empty() {
                         t.rows.remove(&ord);
                     }
@@ -584,7 +585,7 @@ impl Database {
         Ok(self
             .table(table_name)?
             .rows
-            .get(&key.ord_key())
+            .get(key as &dyn AsKey)
             .and_then(|chain| chain.visible_at(snapshot.version))
             .cloned())
     }
@@ -650,7 +651,7 @@ impl Database {
         {
             let table = self.table(table_name)?;
             Self::validate_row(table, table_name, &row)?;
-            if table.live(&row[0].ord_key()).is_some() {
+            if table.live(&row[0]).is_some() {
                 return Err(DbError::DuplicateKey(row[0].to_string()));
             }
         }
@@ -666,9 +667,11 @@ impl Database {
         }
         // One image, shared by the version chain and the journal.
         let row = Arc::new(row);
-        let chain = table.rows.entry(key.clone()).or_default();
-        chain.install(Arc::clone(&row), version);
-        chain.prune(pin);
+        table
+            .rows
+            .entry(key.clone())
+            .or_default()
+            .install(Arc::clone(&row), version, pin);
         let name = Arc::clone(&table.name);
         self.invalidate_table(table_name);
         if self.tx_depth > 0 {
@@ -689,7 +692,7 @@ impl Database {
     ///
     /// [`DbError::NoSuchTable`] when the table does not exist.
     pub fn get(&self, table_name: &str, key: &Value) -> Result<Option<Arc<Row>>, DbError> {
-        Ok(self.table(table_name)?.live(&key.ord_key()).cloned())
+        Ok(self.table(table_name)?.live(key).cloned())
     }
 
     /// Replaces the row whose primary key equals `row[0]`.
@@ -702,10 +705,7 @@ impl Database {
         let old = {
             let table = self.table(table_name)?;
             Self::validate_row(table, table_name, &row)?;
-            table
-                .live(&row[0].ord_key())
-                .cloned()
-                .ok_or(DbError::NotFound)?
+            table.live(&row[0]).cloned().ok_or(DbError::NotFound)?
         };
         let old_bytes = Self::row_footprint(&old);
         let new_bytes = Self::row_footprint(&row);
@@ -724,9 +724,11 @@ impl Database {
         }
         // One image, shared by the version chain and the journal.
         let row = Arc::new(row);
-        let chain = table.rows.get_mut(&key).expect("live row exists");
-        chain.install(Arc::clone(&row), version);
-        chain.prune(pin);
+        table
+            .rows
+            .get_mut(&key)
+            .expect("live row exists")
+            .install(Arc::clone(&row), version, pin);
         let name = Arc::clone(&table.name);
         self.invalidate_table(table_name);
         if self.tx_depth > 0 {
@@ -747,7 +749,7 @@ impl Database {
     pub fn delete(&mut self, table_name: &str, key: &Value) -> Result<(), DbError> {
         let old = {
             let table = self.table(table_name)?;
-            table.live(&key.ord_key()).cloned().ok_or(DbError::NotFound)?
+            table.live(key).cloned().ok_or(DbError::NotFound)?
         };
         self.footprint = self.footprint.saturating_sub(Self::row_footprint(&old));
         let version = self.next_version();
@@ -759,8 +761,7 @@ impl Database {
         }
         let ord = key.ord_key();
         if let Some(chain) = table.rows.get_mut(&ord) {
-            chain.remove_live(version);
-            chain.prune(pin);
+            chain.remove_live(version, pin);
             if chain.is_empty() {
                 table.rows.remove(&ord);
             }
@@ -841,7 +842,7 @@ impl Database {
         }
         let rows: Vec<Arc<Row>> = if let Some(index) = table.indexes.get(column) {
             index
-                .get(&value.ord_key())
+                .get(value as &dyn AsKey)
                 .map(|pks| pks.iter().filter_map(|pk| table.live(pk)).cloned().collect())
                 .unwrap_or_default()
         } else {
@@ -1051,8 +1052,8 @@ impl Database {
         self.tx_depth = 0;
         match result {
             Ok(v) => {
-                let entries = std::mem::take(&mut self.tx_journal);
-                self.wal.commit(entries);
+                // Drained, not taken: the buffer keeps its capacity.
+                self.wal.commit(self.tx_journal.drain(..));
                 self.undo.clear();
                 Ok(v)
             }
@@ -1076,8 +1077,10 @@ impl Database {
                             let version = self.next_version();
                             let pin = self.oldest_pin();
                             if let Some(t) = self.tables.get_mut(&table) {
-                                let removed =
-                                    t.rows.get_mut(&key).and_then(|c| c.remove_live(version));
+                                let removed = t
+                                    .rows
+                                    .get_mut(&key)
+                                    .and_then(|c| c.remove_live(version, pin));
                                 if let Some(row) = removed {
                                     // Undo of an insert into a table that
                                     // passed create-time validation:
@@ -1086,11 +1089,8 @@ impl Database {
                                     self.footprint =
                                         self.footprint.saturating_sub(Self::row_footprint(&row));
                                 }
-                                if let Some(chain) = t.rows.get_mut(&key) {
-                                    chain.prune(pin);
-                                    if chain.is_empty() {
-                                        t.rows.remove(&key);
-                                    }
+                                if t.rows.get(&key).is_some_and(VersionChain::is_empty) {
+                                    t.rows.remove(&key);
                                 }
                             }
                         }
@@ -1099,8 +1099,10 @@ impl Database {
                             let pin = self.oldest_pin();
                             if let Some(t) = self.tables.get_mut(&table) {
                                 let key = row[0].ord_key();
-                                let current =
-                                    t.rows.get_mut(&key).and_then(|c| c.remove_live(version));
+                                let current = t
+                                    .rows
+                                    .get_mut(&key)
+                                    .and_then(|c| c.remove_live(version, pin));
                                 if let Some(current) = current {
                                     let _ = t.index_remove(&current);
                                     self.footprint = self
@@ -1109,9 +1111,7 @@ impl Database {
                                 }
                                 self.footprint += Self::row_footprint(&row);
                                 let _ = t.index_insert(&row);
-                                let chain = t.rows.entry(key).or_default();
-                                chain.install(row, version);
-                                chain.prune(pin);
+                                t.rows.entry(key).or_default().install(row, version, pin);
                             }
                         }
                         Undo::DropTable { name } => {

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use super::fts::FtsIndex;
 use super::mvcc::VersionChain;
-use super::{DbError, OrdKey, Row};
+use super::{AsKey, DbError, OrdKey, Row};
 
 /// A secondary index: value key → primary keys, in insertion order.
 pub(crate) type Bucketed = BTreeMap<OrdKey, Vec<OrdKey>>;
@@ -61,8 +61,11 @@ impl Table {
         self.columns.iter().position(|c| c == name)
     }
 
-    /// The live image of `key`, if present.
-    pub(crate) fn live(&self, key: &OrdKey) -> Option<&Arc<Row>> {
+    /// The live image of `key` (an [`OrdKey`] or a [`Value`]), if
+    /// present.
+    ///
+    /// [`Value`]: super::Value
+    pub(crate) fn live(&self, key: &dyn AsKey) -> Option<&Arc<Row>> {
         self.rows.get(key).and_then(VersionChain::live)
     }
 
@@ -108,7 +111,6 @@ impl Table {
     /// unchanged. So an update of unindexed columns copies no shared
     /// index.
     pub(crate) fn index_update(&mut self, old: &Row, new: &Row) -> Result<(), DbError> {
-        let pk = new[0].ord_key();
         let Table {
             name,
             columns,
@@ -116,18 +118,20 @@ impl Table {
             fts,
             ..
         } = self;
+        // Probed by the borrowed values: the check builds no key.
         let settled = |col: &str, index: &Bucketed| -> Result<bool, DbError> {
             let ci = position(name, columns, col)?;
             Ok(old[ci] == new[ci]
                 && index
-                    .get(&new[ci].ord_key())
+                    .get(&new[ci] as &dyn AsKey)
                     .and_then(|pks| pks.last())
-                    .is_some_and(|last| *last == pk))
+                    .is_some_and(|last| last.key_ref() == new[0].key_ref()))
         };
         let all_settled = indexes
             .iter()
             .try_fold(true, |all, (col, index)| Ok(all && settled(col, index)?))?;
         if !all_settled {
+            let pk = new[0].ord_key();
             for (col, index) in Arc::make_mut(indexes).iter_mut() {
                 if !settled(col, index)? {
                     let ci = position(name, columns, col)?;
@@ -242,7 +246,7 @@ mod tests {
             t.rows
                 .entry(row[0].ord_key())
                 .or_default()
-                .install(Arc::new(row), 1);
+                .install(Arc::new(row), 1, None);
         }
         let incremental = Arc::clone(&t.indexes);
         let entries = t.rebuild_indexes().unwrap();

@@ -157,13 +157,71 @@ impl OrdKey {
     /// True when `value.ord_key()` would equal `self` — compared without
     /// building the key (no `Text` clone).
     pub(crate) fn matches_value(&self, value: &Value) -> bool {
-        match (self, value) {
-            (OrdKey::Int(a), Value::Int(b)) => a == b,
-            (OrdKey::Int(a), Value::Bool(b)) => *a == i64::from(*b),
-            (OrdKey::Text(a), Value::Text(b)) => a == b,
-            (OrdKey::Float(a), Value::Float(b)) => *a == float_key_bits(*b),
-            _ => false,
+        self.key_ref() == value.key_ref()
+    }
+}
+
+/// An [`OrdKey`] borrowed: the variants in the same order, so it orders
+/// exactly like the key it views.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum KeyRef<'a> {
+    Int(i64),
+    Text(&'a str),
+    Float(u64),
+}
+
+/// Anything that views as an [`OrdKey`]: a key, or a [`Value`] normalised
+/// as [`Value::ord_key`] does. An `OrdKey`-keyed map can be probed with
+/// `&dyn AsKey`, so a lookup by value clones no `Text`.
+pub(crate) trait AsKey {
+    /// The borrowed key.
+    fn key_ref(&self) -> KeyRef<'_>;
+}
+
+impl AsKey for OrdKey {
+    fn key_ref(&self) -> KeyRef<'_> {
+        match self {
+            OrdKey::Int(i) => KeyRef::Int(*i),
+            OrdKey::Text(t) => KeyRef::Text(t),
+            OrdKey::Float(bits) => KeyRef::Float(*bits),
         }
+    }
+}
+
+impl AsKey for Value {
+    fn key_ref(&self) -> KeyRef<'_> {
+        match self {
+            Value::Int(i) => KeyRef::Int(*i),
+            Value::Text(t) => KeyRef::Text(t),
+            Value::Bool(b) => KeyRef::Int(i64::from(*b)),
+            Value::Float(f) => KeyRef::Float(float_key_bits(*f)),
+        }
+    }
+}
+
+impl<'a> std::borrow::Borrow<dyn AsKey + 'a> for OrdKey {
+    fn borrow(&self) -> &(dyn AsKey + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn AsKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key_ref() == other.key_ref()
+    }
+}
+
+impl Eq for dyn AsKey + '_ {}
+
+impl PartialOrd for dyn AsKey + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn AsKey + '_ {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key_ref().cmp(&other.key_ref())
     }
 }
 

@@ -104,11 +104,14 @@ impl DurabilityPolicy {
     }
 }
 
-/// The log itself: a durable prefix plus the un-fsynced pending tail.
+/// The log itself: one vector of entries whose first `durable_len` are
+/// durable; the rest are the un-fsynced pending tail. A commit appends in
+/// place and an fsync only moves the boundary, so under a batch of one
+/// every commit lands straight in the durable prefix.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Wal {
-    durable: Vec<JournalEntry>,
-    pending: Vec<JournalEntry>,
+    entries: Vec<JournalEntry>,
+    durable_len: usize,
     pending_commits: u32,
     policy: DurabilityPolicy,
     fsyncs: u64,
@@ -132,9 +135,9 @@ impl Wal {
     /// together) and fsyncs when the group-commit window fills. An empty
     /// commit is a no-op.
     pub(crate) fn commit(&mut self, entries: impl IntoIterator<Item = JournalEntry>) {
-        let before = self.pending.len();
-        self.pending.extend(entries);
-        if self.pending.len() == before {
+        let before = self.entries.len();
+        self.entries.extend(entries);
+        if self.entries.len() == before {
             return;
         }
         self.pending_commits += 1;
@@ -144,34 +147,33 @@ impl Wal {
     }
 
     /// Forces an fsync of the pending tail (a no-op when nothing is
-    /// pending): the tail moves to the durable prefix and one fsync's
-    /// cost accrues.
+    /// pending): the tail joins the durable prefix and one fsync's cost
+    /// accrues.
     pub(crate) fn sync(&mut self) {
-        if self.pending.is_empty() {
-            self.pending_commits = 0;
+        self.pending_commits = 0;
+        if self.durable_len == self.entries.len() {
             return;
         }
-        self.durable.append(&mut self.pending);
-        self.pending_commits = 0;
+        self.durable_len = self.entries.len();
         self.fsyncs += 1;
         self.accrued_cost_ns = self.accrued_cost_ns.saturating_add(self.policy.fsync_ns);
     }
 
     /// The durable prefix — what survives a crash.
     pub(crate) fn durable(&self) -> &[JournalEntry] {
-        &self.durable
+        &self.entries[..self.durable_len]
     }
 
     /// Entries sitting in the un-fsynced tail (lost on a crash).
     pub(crate) fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.entries.len() - self.durable_len
     }
 
     /// Installs an already-durable log during recovery, with no fsync
     /// accounting: replay re-prices durability at the recovery site.
     pub(crate) fn install_durable(&mut self, entries: Vec<JournalEntry>) {
-        self.durable = entries;
-        self.pending.clear();
+        self.durable_len = entries.len();
+        self.entries = entries;
         self.pending_commits = 0;
     }
 

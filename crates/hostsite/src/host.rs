@@ -70,7 +70,7 @@ impl HostComputer {
     /// cost, not per-body generation. WAL fsyncs the request triggered
     /// are charged on top — durability is priced at the request that
     /// paid for it.
-    pub fn process(&mut self, req: HttpRequest) -> (HttpResponse, SimDuration) {
+    pub fn process(&mut self, req: HttpRequest<'_>) -> (HttpResponse, SimDuration) {
         let (resp, from_cache) = self.web.handle_cached(req);
         let mut cost = if from_cache {
             self.cpu.per_request

@@ -5,7 +5,19 @@
 //! mobile stations are sent as a URL through the network to the WAP
 //! Gateway", §5.1), i-mode phones issue them (nearly) directly, and
 //! desktop clients in the EC baseline issue them natively.
+//!
+//! A request is a view. [`HttpRequest<'a>`] borrows the URL, form fields,
+//! cookies and credentials of the station request it stands for, for as
+//! long as the host handles it, so issuing a request allocates nothing:
+//! it notes where the URL's path ends, and the parameters and the cookies
+//! are read out of the borrowed parts on demand, in the order and with
+//! the last-one-wins semantics of the `BTreeMap`s a request once held.
+//! Tests and examples build owned requests with [`HttpRequest::get`],
+//! [`HttpRequest::post`] and the builders; those hold copies and are
+//! `HttpRequest<'static>`. A response owns its parts; its body is a
+//! refcounted [`Body`].
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
@@ -95,49 +107,83 @@ impl fmt::Display for Status {
     }
 }
 
-/// An HTTP-like request.
+/// An HTTP-like request: a view over the URL, form, cookies and
+/// credentials it was built from.
+///
+/// A gateway issuing a station's request lends it the station's own
+/// parts ([`HttpRequest::borrowed`]), so building one copies nothing and
+/// the request lives no longer than they do. The owned constructors
+/// ([`HttpRequest::get`], [`HttpRequest::post`]) and the builders copy
+/// what they are given.
+///
+/// Parameters are the URL's query pairs followed by the form fields, and
+/// cookies are name/value pairs. Both read as a `BTreeMap` collected from
+/// them in that order would: one value per name, the last one given, in
+/// name order ([`HttpRequest::params`], [`HttpRequest::cookies`]).
 #[derive(Debug, Clone)]
-pub struct HttpRequest {
+pub struct HttpRequest<'a> {
     /// Request method.
     pub method: Method,
-    /// Path component, e.g. `/catalog`.
-    pub path: String,
-    /// Decoded query/form parameters.
-    pub params: BTreeMap<String, String>,
     /// Format the client wants (the Accept header, collapsed).
     pub accept: ContentFormat,
-    /// Cookies sent by the client.
-    pub cookies: BTreeMap<String, String>,
+    /// Path with an optional `?query`, e.g. `/catalog?page=2`.
+    url: Cow<'a, str>,
+    /// Where the path ends in `url`: its first `?`, or its length.
+    path_len: usize,
+    /// Form fields, in the order given.
+    form: Cow<'a, [(String, String)]>,
+    /// Cookies, in the order given.
+    cookies: Cow<'a, [(String, String)]>,
     /// `Authorization` credentials, as `(user, password)`.
-    pub auth: Option<(String, String)>,
+    auth: Option<Cow<'a, (String, String)>>,
 }
 
-impl HttpRequest {
-    /// Builds a GET request for `path` (query params may be embedded as
+impl HttpRequest<'static> {
+    /// Builds a GET request for `url` (query params may be embedded as
     /// `?k=v&k2=v2`).
-    pub fn get(path: &str) -> Self {
-        let (path, params) = split_query(path);
+    pub fn get(url: &str) -> Self {
         HttpRequest {
             method: Method::Get,
-            path,
-            params,
             accept: ContentFormat::Html,
-            cookies: BTreeMap::new(),
+            url: Cow::Owned(url.to_owned()),
+            path_len: path_len(url),
+            form: Cow::Borrowed(&[]),
+            cookies: Cow::Borrowed(&[]),
             auth: None,
         }
     }
 
     /// Builds a POST request with form parameters.
-    pub fn post(path: &str, form: impl IntoIterator<Item = (String, String)>) -> Self {
-        let (path, mut params) = split_query(path);
-        params.extend(form);
+    pub fn post(url: &str, form: impl IntoIterator<Item = (String, String)>) -> Self {
         HttpRequest {
             method: Method::Post,
-            path,
-            params,
+            form: Cow::Owned(form.into_iter().collect()),
+            ..Self::get(url)
+        }
+    }
+}
+
+impl<'a> HttpRequest<'a> {
+    /// A view over borrowed parts: a POST of `form` when there is one,
+    /// else a GET.
+    pub fn borrowed(
+        url: &'a str,
+        form: Option<&'a [(String, String)]>,
+        cookies: &'a [(String, String)],
+        auth: Option<&'a (String, String)>,
+    ) -> Self {
+        HttpRequest {
+            method: if form.is_some() {
+                Method::Post
+            } else {
+                Method::Get
+            },
             accept: ContentFormat::Html,
-            cookies: BTreeMap::new(),
-            auth: None,
+            url: Cow::Borrowed(url),
+            path_len: path_len(url),
+            form: Cow::Borrowed(form.unwrap_or_default()),
+            cookies: Cow::Borrowed(cookies),
+            auth: auth.map(Cow::Borrowed),
         }
     }
 
@@ -149,28 +195,82 @@ impl HttpRequest {
 
     /// Attaches a cookie (builder style).
     pub fn with_cookie(mut self, name: &str, value: &str) -> Self {
-        self.cookies.insert(name.to_owned(), value.to_owned());
+        self.cookies
+            .to_mut()
+            .push((name.to_owned(), value.to_owned()));
         self
     }
 
     /// Attaches basic credentials (builder style).
     pub fn with_auth(mut self, user: &str, password: &str) -> Self {
-        self.auth = Some((user.to_owned(), password.to_owned()));
+        self.auth = Some(Cow::Owned((user.to_owned(), password.to_owned())));
         self
     }
 
-    /// A parameter's value, if present.
-    pub fn param(&self, name: &str) -> Option<&str> {
-        self.params.get(name).map(String::as_str)
+    /// Path component, e.g. `/catalog`.
+    pub fn path(&self) -> &str {
+        &self.url[..self.path_len]
     }
 
-    /// Approximate bytes of this request on the wire.
+    /// The query's `name=value` pairs in order; a bare `name` has an
+    /// empty value and empty pairs are skipped.
+    fn query_pairs(&self) -> impl DoubleEndedIterator<Item = (&str, &str)> + Clone {
+        let query = self.url.get(self.path_len + 1..).unwrap_or("");
+        query
+            .split('&')
+            .filter(|pair| !pair.is_empty())
+            .map(|pair| pair.split_once('=').unwrap_or((pair, "")))
+    }
+
+    /// A parameter's value, if present: the last form field of that
+    /// name, else the query's last pair of that name.
+    pub fn param(&self, name: &str) -> Option<&str> {
+        match self.form.iter().rev().find(|(k, _)| k == name) {
+            Some((_, value)) => Some(value),
+            None => self
+                .query_pairs()
+                .rev()
+                .find(|&(k, _)| k == name)
+                .map(|(_, value)| value),
+        }
+    }
+
+    /// The parameters in name order, one per name with its last value.
+    pub fn params(&self) -> impl Iterator<Item = (&str, &str)> {
+        let form = self.form.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        last_by_name(self.query_pairs().chain(form))
+    }
+
+    /// A cookie's value, if present (the last one of that name).
+    pub fn cookie(&self, name: &str) -> Option<&str> {
+        self.cookies
+            .iter()
+            .rev()
+            .find(|(k, _)| k == name)
+            .map(|(_, value)| value.as_str())
+    }
+
+    /// The cookies in name order, one per name with its last value.
+    pub fn cookies(&self) -> impl Iterator<Item = (&str, &str)> {
+        last_by_name(self.cookies.iter().map(|(k, v)| (k.as_str(), v.as_str())))
+    }
+
+    /// `Authorization` credentials, as `(user, password)`.
+    pub fn auth(&self) -> Option<(&str, &str)> {
+        self.auth
+            .as_deref()
+            .map(|(user, password)| (user.as_str(), password.as_str()))
+    }
+
+    /// Approximate bytes of this request on the wire: one entry per
+    /// parameter and cookie name, as [`HttpRequest::params`] and
+    /// [`HttpRequest::cookies`] list them.
     pub fn wire_size(&self) -> usize {
-        let mut n = 16 + self.path.len() + 64; // request line + fixed headers
-        for (k, v) in &self.params {
+        let mut n = 16 + self.path().len() + 64; // request line + fixed headers
+        for (k, v) in self.params() {
             n += k.len() + v.len() + 2;
         }
-        for (k, v) in &self.cookies {
+        for (k, v) in self.cookies() {
             n += k.len() + v.len() + 10;
         }
         if self.auth.is_some() {
@@ -180,23 +280,43 @@ impl HttpRequest {
     }
 }
 
-fn split_query(path: &str) -> (String, BTreeMap<String, String>) {
-    match path.split_once('?') {
-        None => (path.to_owned(), BTreeMap::new()),
-        Some((p, q)) => {
-            let mut params = BTreeMap::new();
-            for pair in q.split('&') {
-                if pair.is_empty() {
-                    continue;
-                }
-                match pair.split_once('=') {
-                    Some((k, v)) => params.insert(k.to_owned(), v.to_owned()),
-                    None => params.insert(pair.to_owned(), String::new()),
-                };
-            }
-            (p.to_owned(), params)
+/// Where `url`'s path ends: at its first `?`, else at its end.
+fn path_len(url: &str) -> usize {
+    url.find('?').unwrap_or(url.len())
+}
+
+/// The entries a `BTreeMap` collected from `pairs` would iterate: in name
+/// order, one per name, holding the last value given. Builds nothing;
+/// each step rescans `pairs` for the least name after the last one it
+/// gave, once per name, which is quadratic in their number, and a
+/// request carries a handful.
+fn last_by_name<'s>(
+    pairs: impl Iterator<Item = (&'s str, &'s str)> + Clone,
+) -> impl Iterator<Item = (&'s str, &'s str)> {
+    let mut after: Option<&str> = None;
+    let mut more = true;
+    std::iter::from_fn(move || {
+        if !more {
+            return None;
         }
-    }
+        let mut next: Option<(&str, &str)> = None;
+        more = false; // whether a name after `next` remains
+        for (name, value) in pairs.clone() {
+            if after.is_some_and(|after| name <= after) {
+                continue;
+            }
+            match next {
+                Some((least, _)) if name > least => more = true,
+                Some((least, _)) => {
+                    more |= name < least;
+                    next = Some((name, value));
+                }
+                None => next = Some((name, value)),
+            }
+        }
+        after = next.map(|(name, _)| name);
+        next
+    })
 }
 
 /// A response body: UTF-8 markup behind a refcounted [`Bytes`] buffer.
@@ -382,7 +502,7 @@ mod tests {
     #[test]
     fn get_splits_query_params() {
         let req = HttpRequest::get("/catalog?category=toys&page=2");
-        assert_eq!(req.path, "/catalog");
+        assert_eq!(req.path(), "/catalog");
         assert_eq!(req.param("category"), Some("toys"));
         assert_eq!(req.param("page"), Some("2"));
         assert_eq!(req.param("missing"), None);
@@ -407,8 +527,8 @@ mod tests {
             .with_cookie("sid", "abc")
             .with_auth("u", "p");
         assert_eq!(req.accept, ContentFormat::Wml);
-        assert_eq!(req.cookies.get("sid").map(String::as_str), Some("abc"));
-        assert_eq!(req.auth.as_ref().unwrap().0, "u");
+        assert_eq!(req.cookie("sid"), Some("abc"));
+        assert_eq!(req.auth(), Some(("u", "p")));
     }
 
     #[test]

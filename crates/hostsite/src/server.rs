@@ -27,7 +27,7 @@ const INDEX_REBUILD_PER_ENTRY_NS: u64 = 2_000;
 /// response.
 pub trait AppProgram {
     /// Handles one request.
-    fn handle(&self, req: &HttpRequest, ctx: &mut ServerCtx<'_>) -> HttpResponse;
+    fn handle(&self, req: &HttpRequest<'_>, ctx: &mut ServerCtx<'_>) -> HttpResponse;
 
     /// A short name for logs and diagnostics.
     fn name(&self) -> &str {
@@ -37,9 +37,9 @@ pub trait AppProgram {
 
 impl<F> AppProgram for F
 where
-    F: Fn(&HttpRequest, &mut ServerCtx<'_>) -> HttpResponse,
+    F: Fn(&HttpRequest<'_>, &mut ServerCtx<'_>) -> HttpResponse,
 {
-    fn handle(&self, req: &HttpRequest, ctx: &mut ServerCtx<'_>) -> HttpResponse {
+    fn handle(&self, req: &HttpRequest<'_>, ctx: &mut ServerCtx<'_>) -> HttpResponse {
         self(req, ctx)
     }
 }
@@ -251,21 +251,21 @@ impl WebServer {
 
     /// Handles one request end to end: auth, routing, app dispatch,
     /// session cookie management, error pages.
-    pub fn handle(&mut self, req: HttpRequest) -> HttpResponse {
+    pub fn handle(&mut self, req: HttpRequest<'_>) -> HttpResponse {
         self.handle_cached(req).0
     }
 
     /// Like [`WebServer::handle`], additionally reporting whether the
     /// response came from the page cache (so the host can charge lookup
     /// cost instead of page-generation cost).
-    pub fn handle_cached(&mut self, req: HttpRequest) -> (HttpResponse, bool) {
+    pub fn handle_cached(&mut self, req: HttpRequest<'_>) -> (HttpResponse, bool) {
         // Only credential-free GETs are cache candidates. POSTs mutate
         // database and session state, and authed requests must reach
         // dispatch's auth-realm password check every time — a cached
         // protected page keyed by username alone would be served to a
         // later request presenting the wrong password.
         let cache_candidate =
-            self.page_cache.is_some() && req.method == Method::Get && req.auth.is_none();
+            self.page_cache.is_some() && req.method == Method::Get && req.auth().is_none();
         if cache_candidate {
             let cache = self.page_cache.as_mut().expect("candidate implies cache");
             if let Some(resp) = cache.lookup(&req, self.now_ns) {
@@ -296,21 +296,19 @@ impl WebServer {
         (resp, false)
     }
 
-    fn dispatch(&mut self, req: &HttpRequest) -> HttpResponse {
+    fn dispatch(&mut self, req: &HttpRequest<'_>) -> HttpResponse {
+        let path = req.path();
         // Authentication. Prefixes match on path-segment boundaries:
         // "/ward" protects "/ward" and "/ward/…", not "/wardrobe".
         for (prefix, users) in &self.auth_realms {
-            let in_realm = req.path == *prefix
-                || req
-                    .path
+            let in_realm = path == prefix
+                || path
                     .strip_prefix(prefix.as_str())
                     .is_some_and(|rest| rest.starts_with('/'));
             if in_realm {
                 let ok = req
-                    .auth
-                    .as_ref()
-                    .map(|(u, p)| users.get(u).map(String::as_str) == Some(p.as_str()))
-                    .unwrap_or(false);
+                    .auth()
+                    .is_some_and(|(u, p)| users.get(u).map(String::as_str) == Some(p));
                 if !ok {
                     return HttpResponse::error(
                         Status::Unauthorized,
@@ -322,7 +320,7 @@ impl WebServer {
 
         // Static resources.
         if req.method == Method::Get {
-            if let Some(body) = self.static_pages.get(&req.path) {
+            if let Some(body) = self.static_pages.get(path) {
                 return HttpResponse::ok(body.clone());
             }
         }
@@ -332,30 +330,27 @@ impl WebServer {
         // without a live session, so the id stream does not depend on
         // handlers, but it is only formatted if the session is kept.
         let live = req
-            .cookies
-            .get("sid")
+            .cookie("sid")
             .and_then(|sid| Some((sid, self.sessions.borrow_mut().remove(sid)?)));
         let (live_id, mut session, fresh_id) = match live {
             Some((sid, session)) => (Some(sid), session, 0),
             None => (None, BTreeMap::new(), self.rng.borrow_mut().random::<u64>()),
         };
 
-        // Routing.
-        let route_idx = self
+        // Routing: the first program registered for the method and path
+        // serves it. The route table and the database are disjoint
+        // fields, borrowed side by side.
+        let route = self
             .routes
             .iter()
-            .position(|r| r.method == req.method && r.path == req.path);
-        let mut resp = match route_idx {
-            Some(idx) => {
-                // Split borrows: the route's app and the db are disjoint.
-                let route = self.routes.swap_remove(idx);
+            .find(|r| r.method == req.method && r.path == path);
+        let mut resp = match route {
+            Some(route) => {
                 let mut ctx = ServerCtx {
                     db: &mut self.db,
                     session: &mut session,
                 };
-                let resp = route.app.handle(req, &mut ctx);
-                self.routes.push(route);
-                resp
+                route.app.handle(req, &mut ctx)
             }
             None => {
                 HttpResponse::error(Status::NotFound, "<html><body>404 not found</body></html>")
@@ -367,7 +362,7 @@ impl WebServer {
         // cookie goes out on this first contact.
         match live_id {
             Some(sid) => {
-                self.sessions.borrow_mut().insert(sid.clone(), session);
+                self.sessions.borrow_mut().insert(sid.to_owned(), session);
             }
             None if !session.is_empty() => {
                 let sid = format!("s{fresh_id:016x}");
@@ -585,6 +580,27 @@ mod tests {
         assert!(!ok.body.is_empty());
         assert_eq!(missing.status, Status::NotFound);
         assert_eq!(obs::metrics::take().counter("host.requests"), 2);
+    }
+
+    #[test]
+    fn the_first_registered_program_serves_every_request() {
+        // Serving a request used to move its route to the back of the
+        // table, so of two programs on one path the second request went
+        // to the other one.
+        let mut s = WebServer::new(Database::new(), 1);
+        s.route_get("/x", |_: &HttpRequest<'_>, _: &mut ServerCtx<'_>| {
+            HttpResponse::ok("first")
+        });
+        s.route_get("/x", |_: &HttpRequest<'_>, _: &mut ServerCtx<'_>| {
+            HttpResponse::ok("second")
+        });
+        for i in 0..3 {
+            assert_eq!(
+                s.handle(HttpRequest::get("/x")).body,
+                "first",
+                "request {i}"
+            );
+        }
     }
 
     #[test]

@@ -84,19 +84,17 @@ impl MobileRequest {
         self
     }
 
-    fn to_http(&self, accept: ContentFormat) -> HttpRequest {
-        let mut req = match &self.form {
-            None => HttpRequest::get(&self.url),
-            Some(form) => HttpRequest::post(&self.url, form.iter().cloned()),
-        };
-        req = req.with_accept(accept);
-        for (k, v) in &self.cookies {
-            req = req.with_cookie(k, v);
-        }
-        if let Some((u, p)) = &self.auth {
-            req = req.with_auth(u, p);
-        }
-        req
+    /// The host request issued for this one, asking for `accept`: a
+    /// view over this request's URL, form, cookies and credentials, so
+    /// issuing it copies nothing.
+    pub fn to_http(&self, accept: ContentFormat) -> HttpRequest<'_> {
+        HttpRequest::borrowed(
+            &self.url,
+            self.form.as_deref(),
+            &self.cookies,
+            self.auth.as_ref(),
+        )
+        .with_accept(accept)
     }
 }
 
@@ -184,7 +182,8 @@ mod tests {
         assert_eq!(post.cookies.len(), 1);
         let http = post.to_http(ContentFormat::Wml);
         assert_eq!(http.param("sku"), Some("2"));
-        assert_eq!(http.cookies.get("sid").map(String::as_str), Some("x"));
+        assert_eq!(http.cookie("sid"), Some("x"));
+        assert_eq!(http.auth(), Some(("u", "p")));
         assert_eq!(http.accept, ContentFormat::Wml);
     }
 }

@@ -228,19 +228,17 @@ impl Recorder {
         }
     }
 
-    /// A ring recorder for `user` built over `scratch`'s buffer, so a
-    /// fleet shard pays the ring allocation once instead of once per
-    /// user. Pair with [`Recorder::into_parts_recycling`].
+    /// A ring recorder for `user` whose buffer is sized for as many
+    /// events as the shard's previous recycled ring recorded (see
+    /// [`RingScratch`]). Pair with [`Recorder::into_parts_recycling`].
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn ring_recycled(capacity: usize, user: u64, scratch: &mut RingScratch) -> Self {
         assert!(capacity > 0, "ring capacity must be positive");
-        let mut events = std::mem::take(&mut scratch.events);
-        events.clear();
         Recorder::Ring(RingRecorder {
-            events,
+            events: VecDeque::with_capacity(scratch.events.clamp(1, capacity)),
             capacity,
             dropped: 0,
             dumps: Vec::new(),
@@ -248,30 +246,29 @@ impl Recorder {
         })
     }
 
-    /// Consumes the recorder like [`Recorder::into_parts`], but copies
-    /// the events out into a vector of their own size and returns the
-    /// ring's grown buffer to `scratch` for the shard's next user.
+    /// Consumes the recorder like [`Recorder::into_parts`], handing out
+    /// the ring's own buffer, and notes in `scratch` how many events it
+    /// recorded, to size the shard's next ring.
     pub fn into_parts_recycling(self, scratch: &mut RingScratch) -> (Vec<TraceEvent>, Vec<FlightDump>) {
-        match self {
-            Recorder::Disabled => (Vec::new(), Vec::new()),
-            Recorder::Ring(mut ring) => {
-                let events: Vec<TraceEvent> = ring.events.drain(..).collect();
-                scratch.events = ring.events;
-                (events, ring.dumps)
-            }
+        if let Recorder::Ring(ring) = &self {
+            scratch.events = ring.events.len();
         }
+        self.into_parts()
     }
 }
 
-/// Reusable backing storage for per-user ring recorders.
+/// What a fleet shard carries from one per-user ring recorder to the
+/// next: the number of events the last one recorded.
 ///
-/// A fleet shard traces thousands of users in sequence; rebuilding each
-/// user's [`Recorder`] from a shared scratch keeps one ring buffer
-/// alive for the whole shard instead of reallocating (and re-growing)
-/// it per user.
+/// A shard traces thousands of users in sequence, and users of one
+/// scenario record about as many events each. A ring sized by its
+/// predecessor rarely grows, and its buffer, handed out whole as the
+/// user's trace, holds about what it needs: the events are neither
+/// copied out of the ring nor kept in a buffer much larger than they
+/// are while the trace waits to be merged.
 #[derive(Debug, Default)]
 pub struct RingScratch {
-    events: VecDeque<TraceEvent>,
+    events: usize,
 }
 
 impl RingRecorder {
@@ -340,9 +337,8 @@ mod tests {
     }
 
     #[test]
-    fn recycled_rings_match_fresh_rings_and_reuse_the_buffer() {
+    fn recycled_rings_match_fresh_rings_and_are_sized_by_the_last() {
         let mut scratch = RingScratch::default();
-        let mut all = Vec::new();
         for user in 0..3u64 {
             let mut fresh = Recorder::ring_for_user(user);
             let mut recycled = Recorder::ring_recycled(DEFAULT_RING_CAPACITY, user, &mut scratch);
@@ -353,9 +349,17 @@ mod tests {
             let fresh_parts = fresh.into_parts();
             let recycled_parts = recycled.into_parts_recycling(&mut scratch);
             assert_eq!(fresh_parts, recycled_parts);
-            all.push(recycled_parts);
+            assert_eq!(recycled_parts.0.len(), 2);
+            if user > 0 {
+                // Capacities are lower bounds, so compare with a fresh
+                // ring's buffer rather than pin a number.
+                let (recycled, fresh) = (recycled_parts.0.capacity(), fresh_parts.0.capacity());
+                assert!(
+                    (2..fresh).contains(&recycled),
+                    "a ring sized by its 2-event predecessor holds {recycled}, a fresh one {fresh}"
+                );
+            }
         }
-        assert!(all.iter().all(|(events, _)| events.len() == 2));
-        assert!(scratch.events.capacity() >= 2, "buffer survives recycling");
+        assert_eq!(scratch.events, 2);
     }
 }

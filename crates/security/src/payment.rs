@@ -6,11 +6,44 @@
 //! verifiable offline, and every decision lands in an audit trail. The
 //! mobile payments application in `mcommerce-core` drives this gateway
 //! end to end over the simulated network.
+//!
+//! A MAC covers a message's canonical encoding, such as
+//! `order=7;amount=1999;account=alice;nonce=42`. The encoding is streamed
+//! straight into the MAC's hash state, numbers through a decimal writer,
+//! so signing and checking a message allocates nothing.
 
 use std::collections::{HashMap, HashSet};
 
-use crate::hash::DIGEST_BYTES;
+use crate::hash::{Digest, DIGEST_BYTES};
 use crate::mac::Mac;
+
+/// Where a canonical encoding is written: a MAC's hash state, or a byte
+/// buffer.
+trait Encode {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]) -> &mut Self;
+
+    /// Appends `n` in decimal, the bytes `format!("{n}")` makes.
+    fn decimal(&mut self, mut n: u64) -> &mut Self {
+        let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.put(&digits[start..])
+    }
+}
+
+impl Encode for Digest {
+    fn put(&mut self, bytes: &[u8]) -> &mut Self {
+        self.update(bytes)
+    }
+}
 
 /// A signed payment authorization request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,14 +61,29 @@ pub struct PaymentRequest {
 }
 
 impl PaymentRequest {
-    fn canonical(order_id: u64, amount_cents: u64, account: &str, nonce: u64) -> Vec<u8> {
-        format!("order={order_id};amount={amount_cents};account={account};nonce={nonce}")
-            .into_bytes()
+    /// Writes `order={order_id};amount={amount_cents};account={account};nonce={nonce}`.
+    fn canonical(
+        out: &mut impl Encode,
+        order_id: u64,
+        amount_cents: u64,
+        account: &str,
+        nonce: u64,
+    ) {
+        out.put(b"order=")
+            .decimal(order_id)
+            .put(b";amount=")
+            .decimal(amount_cents)
+            .put(b";account=")
+            .put(account.as_bytes())
+            .put(b";nonce=")
+            .decimal(nonce);
     }
 
     /// Builds and signs a request with the client's MAC key.
     pub fn signed(mac: &Mac, order_id: u64, amount_cents: u64, account: &str, nonce: u64) -> Self {
-        let tag = mac.compute(&Self::canonical(order_id, amount_cents, account, nonce));
+        let tag = mac.compute_streamed(|m| {
+            Self::canonical(m, order_id, amount_cents, account, nonce);
+        });
         PaymentRequest {
             order_id,
             amount_cents,
@@ -65,14 +113,20 @@ pub struct Receipt {
 }
 
 impl Receipt {
-    fn canonical(order_id: u64, amount_cents: u64, auth_code: u64) -> Vec<u8> {
-        format!("receipt:order={order_id};amount={amount_cents};auth={auth_code}").into_bytes()
+    /// Writes `receipt:order={order_id};amount={amount_cents};auth={auth_code}`.
+    fn canonical(out: &mut impl Encode, order_id: u64, amount_cents: u64, auth_code: u64) {
+        out.put(b"receipt:order=")
+            .decimal(order_id)
+            .put(b";amount=")
+            .decimal(amount_cents)
+            .put(b";auth=")
+            .decimal(auth_code);
     }
 
     /// Verifies the receipt against the gateway's MAC key.
     pub fn verify(&self, gateway_mac: &Mac) -> bool {
-        gateway_mac.verify(
-            &Self::canonical(self.order_id, self.amount_cents, self.auth_code),
+        gateway_mac.verify_streamed(
+            |m| Self::canonical(m, self.order_id, self.amount_cents, self.auth_code),
             &self.tag,
         )
     }
@@ -207,9 +261,10 @@ impl PaymentGateway {
     /// [`PaymentError`] describing the refusal; refused requests are
     /// audited but have no monetary effect.
     pub fn authorize(&mut self, req: &PaymentRequest) -> Result<(), PaymentError> {
-        let canonical =
-            PaymentRequest::canonical(req.order_id, req.amount_cents, &req.account, req.nonce);
-        if !self.client_mac.verify(&canonical, &req.tag) {
+        let signed = |m: &mut Digest| {
+            PaymentRequest::canonical(m, req.order_id, req.amount_cents, &req.account, req.nonce);
+        };
+        if !self.client_mac.verify_streamed(signed, &req.tag) {
             return Err(self.refuse(req.order_id, PaymentError::BadSignature));
         }
         if !self.seen_nonces.insert(req.nonce) {
@@ -270,7 +325,7 @@ impl PaymentGateway {
         self.next_auth_code += 1;
         let tag = self
             .gateway_mac
-            .compute(&Receipt::canonical(order_id, amount_cents, auth_code));
+            .compute_streamed(|m| Receipt::canonical(m, order_id, amount_cents, auth_code));
         self.audit.push(AuditEvent::Captured {
             order_id,
             auth_code,
@@ -287,6 +342,59 @@ impl PaymentGateway {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl Encode for Vec<u8> {
+        fn put(&mut self, bytes: &[u8]) -> &mut Self {
+            self.extend_from_slice(bytes);
+            self
+        }
+    }
+
+    /// A `u64` from anywhere in its range, its ends included.
+    fn any_u64() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0), Just(u64::MAX), 0u64..1_000, any::<u64>()]
+    }
+
+    proptest! {
+        #[test]
+        fn streamed_canonical_messages_equal_the_formatted_bytes(
+            order_id in any_u64(),
+            amount_cents in any_u64(),
+            nonce in any_u64(),
+            auth_code in any_u64(),
+            account in "[ -~é☃]{0,32}",
+        ) {
+            let mut request = Vec::new();
+            PaymentRequest::canonical(&mut request, order_id, amount_cents, &account, nonce);
+            prop_assert_eq!(
+                request,
+                format!("order={order_id};amount={amount_cents};account={account};nonce={nonce}")
+                    .into_bytes()
+            );
+            let mut receipt = Vec::new();
+            Receipt::canonical(&mut receipt, order_id, amount_cents, auth_code);
+            prop_assert_eq!(
+                receipt,
+                format!("receipt:order={order_id};amount={amount_cents};auth={auth_code}")
+                    .into_bytes()
+            );
+        }
+
+        #[test]
+        fn streamed_tags_equal_tags_over_the_formatted_bytes(
+            order_id in any_u64(),
+            amount_cents in any_u64(),
+            nonce in any_u64(),
+            account in "[ -~é☃]{0,32}",
+        ) {
+            let mac = Mac::new(b"client-shared-key");
+            let req = PaymentRequest::signed(&mac, order_id, amount_cents, &account, nonce);
+            let formatted =
+                format!("order={order_id};amount={amount_cents};account={account};nonce={nonce}");
+            prop_assert_eq!(req.tag, mac.compute(formatted.as_bytes()));
+        }
+    }
 
     fn gateway() -> (PaymentGateway, Mac) {
         let client_mac = Mac::new(b"client-shared-key");

@@ -33,9 +33,24 @@
 #                      the expectation memo against the word walk in
 #                      core::workload
 #                      (memoised_verdicts_equal_the_word_walk_and_enter_only_shared_pages)
-#                      and the air link's per-transfer pricing against
+#                      the air link's per-transfer pricing against
 #                      a per-frame oracle in core::netpath
-#                      (pricing_a_full_fragment_once_equals_pricing_every_frame);
+#                      (pricing_a_full_fragment_once_equals_pricing_every_frame),
+#                      the streamed digest, the precomputed-state MAC
+#                      and the streamed payment messages against their
+#                      concatenating oracles in security::{hash, mac,
+#                      payment} (every_two_way_split_of_every_length_to_200_equals_the_one_shot_hash,
+#                      any_split_streams_like_the_one_shot_hash,
+#                      precomputed_key_states_equal_the_concatenating_mac,
+#                      streamed_canonical_messages_equal_the_formatted_bytes),
+#                      the borrowed host request against an
+#                      owned-BTreeMap model in hostsite::cache
+#                      (borrowed_requests_read_like_the_owned_btreemap_model),
+#                      the inline version chain against a vector
+#                      model in hostsite::db::mvcc
+#                      (an_inline_chain_equals_the_vector_model) and
+#                      first-registered routing in hostsite::server
+#                      (the_first_registered_program_serves_every_request);
 #   clippy (-D warnings, whole workspace) — lints are errors;
 #   doc (-D warnings, whole workspace) — rustdoc builds with no broken
 #                      or redundant intra-doc links, so docs cannot

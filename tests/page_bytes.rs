@@ -68,7 +68,11 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 
 /// The host request a middleware issues for `step`, with the station's
 /// cookie jar attached.
-fn request(step: &Step, accept: ContentFormat, jar: &BTreeMap<String, String>) -> HttpRequest {
+fn request(
+    step: &Step,
+    accept: ContentFormat,
+    jar: &BTreeMap<String, String>,
+) -> HttpRequest<'static> {
     let req = &step.req;
     let mut http = match &req.form {
         None => HttpRequest::get(&req.url),
