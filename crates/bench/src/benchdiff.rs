@@ -8,9 +8,9 @@
 //!
 //! * **Gated** metrics are the deterministic outputs of the fixed-seed
 //!   simulations — sim-time latencies, counts, rates, digests,
-//!   identities. They must match the baseline within a tolerance
-//!   (default 1%, covering decimal formatting) on any machine, so a
-//!   drift is a real behaviour change and fails the diff.
+//!   identities. They must match the baseline within [`TOLERANCE`]
+//!   (1%, covering decimal formatting) on any machine, so a drift is a
+//!   real behaviour change and fails the diff.
 //! * **Informational** metrics are wall-clock measurements (wall
 //!   seconds, events/s, tps, overhead percentages, RSS, thread counts).
 //!   They vary across machines and runs, so they are reported in the
@@ -22,242 +22,40 @@
 //! recorded — and regressions in deterministic behaviour are caught —
 //! from this commit forward.
 //!
-//! The parser below is a deliberately tiny recursive-descent JSON
-//! reader: the artefacts are hand-emitted by the experiments, the
-//! workspace vendors no serde, and rejecting exotic JSON loudly is a
-//! feature in a gate.
+//! Documents are read with [`obs::json`], the workspace's one JSON
+//! parser.
 
-use std::collections::BTreeMap;
-use std::fmt;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// A parsed JSON scalar at a flattened path.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Scalar {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string value.
-    Str(String),
-}
+use obs::json::{self, Value};
 
-impl fmt::Display for Scalar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Scalar::Null => write!(f, "null"),
-            Scalar::Bool(b) => write!(f, "{b}"),
-            Scalar::Num(n) => write!(f, "{n}"),
-            Scalar::Str(s) => write!(f, "{s:?}"),
-        }
-    }
-}
+/// Relative tolerance for gated numeric metrics: 1%, which covers the
+/// artefacts' decimal formatting.
+pub const TOLERANCE: f64 = 0.01;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".into())
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        let got = self.peek()?;
-        if got != c {
-            return Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                c as char, self.pos, got as char
-            ));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(format!("malformed literal at byte {}", self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+/// Flattens a document into `path → leaf` (`"knee[2].p99_ms" → 2617.2457`;
+/// objects add `.key`, arrays `[i]`). Empty containers add nothing.
+pub fn flatten(doc: &Value) -> BTreeMap<String, Value> {
+    fn walk(path: String, value: &Value, out: &mut BTreeMap<String, Value>) {
+        match value {
+            Value::Object(members) => {
+                for (key, v) in members {
+                    walk(if path.is_empty() { key.clone() } else { format!("{path}.{key}") }, v, out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .bytes
-                        .get(self.pos)
-                        .copied()
-                        .ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("short \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("unknown escape \\{}", other as char)),
-                    }
+            }
+            Value::Array(items) => {
+                for (i, v) in items.iter().enumerate() {
+                    walk(format!("{path}[{i}]"), v, out);
                 }
-                Some(_) => {
-                    // Copy a run of plain bytes in one go.
-                    let start = self.pos;
-                    while !matches!(self.bytes.get(self.pos), None | Some(b'"' | b'\\')) {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|e| e.to_string())?,
-                    );
-                }
+            }
+            leaf => {
+                out.insert(path, leaf.clone());
             }
         }
     }
-
-    fn number(&mut self) -> Result<f64, String> {
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse::<f64>()
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
-
-    /// Parses one value, appending `(path, scalar)` pairs for every
-    /// scalar leaf under `path` (objects use `.key`, arrays `[i]`).
-    fn value(&mut self, path: &str, out: &mut BTreeMap<String, Scalar>) -> Result<(), String> {
-        match self.peek()? {
-            b'{' => {
-                self.pos += 1;
-                if self.peek()? == b'}' {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    let sub = if path.is_empty() {
-                        key
-                    } else {
-                        format!("{path}.{key}")
-                    };
-                    self.value(&sub, out)?;
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b'}' => {
-                            self.pos += 1;
-                            return Ok(());
-                        }
-                        other => return Err(format!("expected , or }} found {:?}", other as char)),
-                    }
-                }
-            }
-            b'[' => {
-                self.pos += 1;
-                if self.peek()? == b']' {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                let mut i = 0usize;
-                loop {
-                    self.value(&format!("{path}[{i}]"), out)?;
-                    i += 1;
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b']' => {
-                            self.pos += 1;
-                            return Ok(());
-                        }
-                        other => return Err(format!("expected , or ] found {:?}", other as char)),
-                    }
-                }
-            }
-            b'"' => {
-                let s = self.string()?;
-                out.insert(path.to_owned(), Scalar::Str(s));
-                Ok(())
-            }
-            b't' => {
-                self.literal("true")?;
-                out.insert(path.to_owned(), Scalar::Bool(true));
-                Ok(())
-            }
-            b'f' => {
-                self.literal("false")?;
-                out.insert(path.to_owned(), Scalar::Bool(false));
-                Ok(())
-            }
-            b'n' => {
-                self.literal("null")?;
-                out.insert(path.to_owned(), Scalar::Null);
-                Ok(())
-            }
-            _ => {
-                let n = self.number()?;
-                out.insert(path.to_owned(), Scalar::Num(n));
-                Ok(())
-            }
-        }
-    }
-}
-
-/// Parses a JSON document into a flat `path → scalar` map
-/// (`"knee[2].p99_ms" → Num(…)`).
-pub fn flatten(doc: &str) -> Result<BTreeMap<String, Scalar>, String> {
-    let mut parser = Parser {
-        bytes: doc.as_bytes(),
-        pos: 0,
-    };
     let mut out = BTreeMap::new();
-    parser.value("", &mut out)?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(format!("trailing bytes after document at {}", parser.pos));
-    }
-    Ok(out)
+    walk(String::new(), doc, &mut out);
+    out
 }
 
 /// Metric names that are wall-clock (or machine-shape) measurements:
@@ -309,9 +107,9 @@ pub struct Delta {
     /// Flattened metric path.
     pub metric: String,
     /// Baseline value, if the baseline has the metric.
-    pub baseline: Option<Scalar>,
+    pub baseline: Option<Value>,
     /// Current value, if the current run has the metric.
-    pub current: Option<Scalar>,
+    pub current: Option<Value>,
     /// Relative delta in percent, for numeric pairs.
     pub delta_pct: Option<f64>,
     /// The verdict.
@@ -353,7 +151,7 @@ impl Diff {
                 elided += 1;
                 continue;
             }
-            let fmt_val = |v: &Option<Scalar>| v.as_ref().map_or("—".into(), Scalar::to_string);
+            let fmt_val = |v: &Option<Value>| v.as_ref().map_or("—".into(), Value::to_string);
             let delta = row
                 .delta_pct
                 .map_or("—".into(), |d| format!("{d:+.2}%"));
@@ -373,85 +171,43 @@ impl Diff {
     }
 }
 
-/// Per-run tolerance knobs.
-#[derive(Debug, Clone)]
-pub struct Tolerances {
-    /// Default relative tolerance for gated numeric metrics.
-    pub default_rel: f64,
-    /// Overrides by final path segment (`("p99_ms", 0.05)` = 5%).
-    pub per_metric: Vec<(String, f64)>,
-}
-
-impl Default for Tolerances {
-    fn default() -> Self {
-        Tolerances {
-            default_rel: 0.01,
-            per_metric: Vec::new(),
-        }
-    }
-}
-
-impl Tolerances {
-    fn for_metric(&self, metric: &str) -> f64 {
-        let segment = last_segment(metric);
-        self.per_metric
-            .iter()
-            .find(|(name, _)| name == segment)
-            .map_or(self.default_rel, |&(_, tol)| tol)
-    }
-}
-
 /// The final path segment without any array index: the metric's name.
 fn last_segment(path: &str) -> &str {
     let tail = path.rsplit('.').next().unwrap_or(path);
     tail.split('[').next().unwrap_or(tail)
 }
 
-fn numbers_match(a: f64, b: f64, rel: f64) -> bool {
-    let scale = a.abs().max(b.abs());
-    (a - b).abs() <= rel * scale + 1e-9
+/// Whether two leaves agree: numbers within [`TOLERANCE`], anything
+/// else exactly.
+fn leaves_match(a: &Value, b: &Value) -> bool {
+    match (a.as_f64(), b.as_f64()) {
+        (Some(a), Some(b)) => (a - b).abs() <= TOLERANCE * a.abs().max(b.abs()) + 1e-9,
+        _ => a == b,
+    }
 }
 
 /// Compares a baseline artefact against a current one.
 pub fn diff(
     label: &str,
-    baseline: &BTreeMap<String, Scalar>,
-    current: &BTreeMap<String, Scalar>,
-    tol: &Tolerances,
+    baseline: &BTreeMap<String, Value>,
+    current: &BTreeMap<String, Value>,
 ) -> Diff {
     let mut rows = Vec::new();
-    let metrics: std::collections::BTreeSet<&String> =
-        baseline.keys().chain(current.keys()).collect();
+    let metrics: BTreeSet<&String> = baseline.keys().chain(current.keys()).collect();
     for metric in metrics {
         let base = baseline.get(metric).cloned();
         let cur = current.get(metric).cloned();
         let informational = INFORMATIONAL.contains(&last_segment(metric));
-        let delta_pct = match (&base, &cur) {
-            (Some(Scalar::Num(a)), Some(Scalar::Num(b))) if a.abs() > 1e-12 => {
-                Some((b - a) / a.abs() * 100.0)
-            }
+        let delta_pct = match (base.as_ref().and_then(Value::as_f64), cur.as_ref().and_then(Value::as_f64)) {
+            (Some(a), Some(b)) if a.abs() > 1e-12 => Some((b - a) / a.abs() * 100.0),
             _ => None,
         };
         let status = match (&base, &cur) {
             (Some(_), None) => Status::Fail, // metric vanished: schema regression
             (None, Some(_)) => Status::New,
-            (Some(a), Some(b)) => {
-                if informational {
-                    Status::Info
-                } else {
-                    let matches = match (a, b) {
-                        (Scalar::Num(a), Scalar::Num(b)) => {
-                            numbers_match(*a, *b, tol.for_metric(metric))
-                        }
-                        (a, b) => a == b,
-                    };
-                    if matches {
-                        Status::Ok
-                    } else {
-                        Status::Fail
-                    }
-                }
-            }
+            (Some(_), Some(_)) if informational => Status::Info,
+            (Some(a), Some(b)) if leaves_match(a, b) => Status::Ok,
+            (Some(_), Some(_)) => Status::Fail,
             (None, None) => unreachable!("metric came from one of the maps"),
         };
         rows.push(Delta {
@@ -469,16 +225,12 @@ pub fn diff(
 }
 
 /// Parses and compares two artefact documents.
-pub fn diff_docs(
-    label: &str,
-    baseline_doc: &str,
-    current_doc: &str,
-    tol: &Tolerances,
-) -> Result<Diff, String> {
-    let baseline =
-        flatten(baseline_doc).map_err(|e| format!("{label}: baseline parse error: {e}"))?;
-    let current = flatten(current_doc).map_err(|e| format!("{label}: current parse error: {e}"))?;
-    Ok(diff(label, &baseline, &current, tol))
+pub fn diff_docs(label: &str, baseline_doc: &str, current_doc: &str) -> Result<Diff, String> {
+    let baseline = json::parse(baseline_doc)
+        .map_err(|e| format!("{label}: baseline parse error: {e}"))?;
+    let current =
+        json::parse(current_doc).map_err(|e| format!("{label}: current parse error: {e}"))?;
+    Ok(diff(label, &flatten(&baseline), &flatten(&current)))
 }
 
 #[cfg(test)]
@@ -487,28 +239,31 @@ mod tests {
 
     #[test]
     fn flatten_walks_nesting_arrays_and_escapes() {
-        let flat = flatten(
+        let doc = json::parse(
             "{\"a\": {\"b\": [1, 2.5, {\"c\": true}]}, \"s\": \"x\\n\\\"y\\\"\", \"z\": null}",
         )
         .unwrap();
-        assert_eq!(flat["a.b[0]"], Scalar::Num(1.0));
-        assert_eq!(flat["a.b[1]"], Scalar::Num(2.5));
-        assert_eq!(flat["a.b[2].c"], Scalar::Bool(true));
-        assert_eq!(flat["s"], Scalar::Str("x\n\"y\"".into()));
-        assert_eq!(flat["z"], Scalar::Null);
+        let flat = flatten(&doc);
+        assert_eq!(flat["a.b[0]"], Value::Int(1));
+        assert_eq!(flat["a.b[1]"], Value::Float(2.5));
+        assert_eq!(flat["a.b[2].c"], Value::Bool(true));
+        assert_eq!(flat["s"], Value::Str("x\n\"y\"".into()));
+        assert_eq!(flat["z"], Value::Null);
     }
 
     #[test]
-    fn flatten_rejects_malformed_documents() {
-        assert!(flatten("{\"a\": }").is_err());
-        assert!(flatten("{\"a\": 1} trailing").is_err());
-        assert!(flatten("{\"a\": 1").is_err());
+    fn malformed_documents_are_errors() {
+        let ok = "{\"a\": 1}";
+        for bad in ["{\"a\": }", "{\"a\": 1} trailing", "{\"a\": 1"] {
+            assert!(diff_docs("t", bad, ok).is_err(), "{bad}");
+            assert!(diff_docs("t", ok, bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
     fn identical_documents_pass() {
         let doc = "{\"p99_ms\": 134.2, \"wall_secs\": 0.5, \"ok\": true}";
-        let d = diff_docs("t", doc, doc, &Tolerances::default()).unwrap();
+        let d = diff_docs("t", doc, doc).unwrap();
         assert!(d.passed());
     }
 
@@ -516,11 +271,11 @@ mod tests {
     fn wall_clock_drift_is_informational_but_sim_drift_fails() {
         let base = "{\"p99_ms\": 100.0, \"wall_secs\": 0.5}";
         let noisy = "{\"p99_ms\": 100.5, \"wall_secs\": 5.0}";
-        let d = diff_docs("t", base, noisy, &Tolerances::default()).unwrap();
+        let d = diff_docs("t", base, noisy).unwrap();
         assert!(d.passed(), "1% tolerance absorbs formatting drift: {d:?}");
 
         let regressed = "{\"p99_ms\": 150.0, \"wall_secs\": 0.5}";
-        let d = diff_docs("t", base, regressed, &Tolerances::default()).unwrap();
+        let d = diff_docs("t", base, regressed).unwrap();
         assert!(!d.passed());
         let failures: Vec<&str> = d.failures().map(|r| r.metric.as_str()).collect();
         assert_eq!(failures, ["p99_ms"]);
@@ -530,32 +285,20 @@ mod tests {
     fn booleans_strings_and_missing_metrics_gate_exactly() {
         let base = "{\"identity\": true, \"digest\": \"abc\", \"count\": 4}";
         let flipped = "{\"identity\": false, \"digest\": \"abc\", \"count\": 4}";
-        assert!(!diff_docs("t", base, flipped, &Tolerances::default()).unwrap().passed());
+        assert!(!diff_docs("t", base, flipped).unwrap().passed());
         let vanished = "{\"identity\": true, \"digest\": \"abc\"}";
-        assert!(!diff_docs("t", base, vanished, &Tolerances::default()).unwrap().passed());
+        assert!(!diff_docs("t", base, vanished).unwrap().passed());
         let grown = "{\"identity\": true, \"digest\": \"abc\", \"count\": 4, \"extra\": 1}";
-        let d = diff_docs("t", base, grown, &Tolerances::default()).unwrap();
+        let d = diff_docs("t", base, grown).unwrap();
         assert!(d.passed(), "new metrics are not regressions");
         assert!(d.rows.iter().any(|r| r.status == Status::New));
-    }
-
-    #[test]
-    fn per_metric_tolerance_overrides_the_default() {
-        let base = "{\"hit_rate\": 0.50}";
-        let cur = "{\"hit_rate\": 0.52}";
-        assert!(!diff_docs("t", base, cur, &Tolerances::default()).unwrap().passed());
-        let loose = Tolerances {
-            per_metric: vec![("hit_rate".into(), 0.10)],
-            ..Tolerances::default()
-        };
-        assert!(diff_docs("t", base, cur, &loose).unwrap().passed());
     }
 
     #[test]
     fn markdown_table_elides_unchanged_and_names_failures() {
         let base = "{\"a\": 1, \"b\": 2, \"wall_secs\": 1.0}";
         let cur = "{\"a\": 1, \"b\": 4, \"wall_secs\": 1.5}";
-        let d = diff_docs("t", base, cur, &Tolerances::default()).unwrap();
+        let d = diff_docs("t", base, cur).unwrap();
         let md = d.to_markdown(false);
         assert!(md.contains("| `b` | 2 | 4 | +100.00% | FAIL |"), "{md}");
         assert!(md.contains("| `wall_secs` |"), "{md}");
@@ -567,7 +310,7 @@ mod tests {
     fn real_artefact_shapes_round_trip() {
         // A miniature BENCH_contention.json in the real emitter's style.
         let doc = "{\n  \"experiment\": \"F8_contention\",\n  \"knee\": [\n    { \"users\": 1, \"p99_ms\": 134.2 },\n    { \"users\": 32, \"p99_ms\": 7800.0 }\n  ],\n  \"thread_identity\": true\n}\n";
-        let d = diff_docs("contention", doc, doc, &Tolerances::default()).unwrap();
+        let d = diff_docs("contention", doc, doc).unwrap();
         assert!(d.passed());
         assert!(d.rows.iter().any(|r| r.metric == "knee[1].p99_ms"));
     }

@@ -1,30 +1,25 @@
 //! Diffs `BENCH_*.json` artefact sets against committed baselines.
 //!
 //! ```text
-//! cargo run -p bench --bin benchdiff -- <baseline> <current> [--full] \
-//!     [--tol <rel>] [--tol-metric <name>=<rel>]...
+//! cargo run -p bench --bin benchdiff -- <baseline> <current> [--full]
 //! ```
 //!
 //! `<baseline>` and `<current>` are either two JSON files or two
 //! directories; directories are matched by the baseline's `*.json`
 //! file names (a baseline artefact missing from the current set fails).
 //! Prints a markdown delta table per artefact and exits 1 if any gated
-//! metric drifted beyond tolerance. Wall-clock metrics (wall seconds,
-//! throughput, RSS, overhead percentages) are reported but never gate —
-//! see [`bench::benchdiff`] for the policy.
-//!
-//! `--tol` sets the default relative tolerance (default `0.01` = 1%);
-//! `--tol-metric p99_ms=0.05` overrides one metric by its final path
-//! segment. `--full` prints unchanged rows too.
+//! metric drifted beyond the 1% tolerance. Wall-clock metrics (wall
+//! seconds, throughput, RSS, overhead percentages) are reported but never
+//! gate — see [`bench::benchdiff`] for the policy. `--full` prints
+//! unchanged rows too.
 
-use bench::benchdiff::{diff_docs, Diff, Tolerances};
+use bench::benchdiff::{diff_docs, Diff};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: benchdiff <baseline-file-or-dir> <current-file-or-dir> \
-         [--full] [--tol <rel>] [--tol-metric <name>=<rel>]..."
+        "usage: benchdiff <baseline-file-or-dir> <current-file-or-dir> [--full]"
     );
     std::process::exit(2);
 }
@@ -62,33 +57,21 @@ fn pairs(baseline: &Path, current: &Path) -> Result<Vec<(String, PathBuf, PathBu
     Ok(out)
 }
 
-fn compare(label: &str, base_path: &Path, cur_path: &Path, tol: &Tolerances) -> Result<Diff, String> {
+fn compare(label: &str, base_path: &Path, cur_path: &Path) -> Result<Diff, String> {
     let base = std::fs::read_to_string(base_path)
         .map_err(|e| format!("{label}: read {}: {e}", base_path.display()))?;
     let cur = std::fs::read_to_string(cur_path)
         .map_err(|e| format!("{label}: read {}: {e} (artefact missing?)", cur_path.display()))?;
-    diff_docs(label, &base, &cur, tol)
+    diff_docs(label, &base, &cur)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut full = false;
-    let mut tol = Tolerances::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    for arg in &args {
         match arg.as_str() {
             "--full" => full = true,
-            "--tol" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                tol.default_rel = v.parse().unwrap_or_else(|_| usage());
-            }
-            "--tol-metric" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                let (name, rel) = v.split_once('=').unwrap_or_else(|| usage());
-                tol.per_metric
-                    .push((name.to_owned(), rel.parse().unwrap_or_else(|_| usage())));
-            }
             _ if arg.starts_with("--") => usage(),
             _ => paths.push(arg.into()),
         }
@@ -107,7 +90,7 @@ fn main() -> ExitCode {
 
     let mut failed = 0usize;
     for (label, base_path, cur_path) in &pairs {
-        match compare(label, base_path, cur_path, &tol) {
+        match compare(label, base_path, cur_path) {
             Ok(diff) => {
                 println!("{}", diff.to_markdown(full));
                 if !diff.passed() {

@@ -5,30 +5,28 @@
 //! cargo run -p bench --bin report [--quick] [--f4] [--f5] [--f6] [--f7] [--f8] [--f9] [--f10] [--f11] [--f12] [--trace] [--dash]
 //! ```
 //!
-//! `--quick` shrinks every workload for smoke runs; `--f4` runs only the
-//! F4 event-engine experiment (and still writes `BENCH_engine.json`);
-//! `--f5` runs only the F5 observability-overhead experiment (writes
-//! `BENCH_obs.json`); `--f6` runs only the F6 fault-injection experiment
-//! (writes `BENCH_faults.json`); `--f7` runs only the F7 caching-hierarchy
-//! experiment (writes `BENCH_cache.json`); `--f8` runs only the F8
-//! shared-world contention experiment (writes `BENCH_contention.json`);
-//! `--f9` runs only the F9 fleet-scale experiment (writes
-//! `BENCH_scale.json` — populations × threads with peak-RSS curves; each
-//! cell re-executes this binary via the internal `--f9-cell` mode so its
-//! RSS high-water mark is measured in a fresh process).
-//! `--f10` runs only the F10 fleet-telemetry experiment (writes
-//! `BENCH_telemetry.json`); `--f11` runs only the F11 durable-storage
-//! experiment (writes `BENCH_db.json` — WAL group commit × fsync cost,
-//! recovery-outage pricing, and the zero-cost identity gate).
-//! `--trace` additionally exports the
-//! fixed-seed fleet trace as `TRACE_fleet.jsonl` and
-//! `TRACE_fleet.trace.json` — open the latter in `chrome://tracing` or
-//! <https://ui.perfetto.dev>. `--dash` (with `--f8`) appends the
-//! resource dashboard: per-resource peak utilisation, saturation-onset
-//! sim-times, the busiest-resource attribution of the p99 knee, and the
-//! telemetry artefacts `TELEMETRY_fleet.jsonl` +
+//! `--quick` shrinks every workload for smoke runs. `--fN` runs only the
+//! named experiments, in table order; each writes its `BENCH_*.json`
+//! artefact (the table in `main` names every flag, heading and file).
+//! F9's cells re-execute this binary via the internal `--f9-cell` mode,
+//! so each cell's peak RSS is measured in a fresh process. `--trace`
+//! (with F5) additionally exports the fixed-seed fleet trace as
+//! `TRACE_fleet.jsonl` and `TRACE_fleet.trace.json` — open the latter in
+//! `chrome://tracing` or <https://ui.perfetto.dev>. `--dash` (with F8)
+//! appends the resource dashboard: per-resource peak utilisation,
+//! saturation-onset sim-times, the busiest-resource attribution of the
+//! p99 knee, and the telemetry artefacts `TELEMETRY_fleet.jsonl` +
 //! `TRACE_fleet.counters.trace.json` (spans *and* Perfetto counter
 //! tracks).
+//!
+//! Every file the report writes is read back and parsed with
+//! `obs::json`. Each experiment then prints its gates
+//! ([`bench::gate::Numbers::gates`], and
+//! [`contention_experiment::dash_gates`] for `--dash`) with the measured
+//! value and the bound; the report exits non-zero if a file does not
+//! parse or a gate fails.
+
+use std::process::ExitCode;
 
 use bench::ablations;
 use bench::cache_experiment;
@@ -37,12 +35,14 @@ use bench::db_experiment;
 use bench::engine;
 use bench::experiments;
 use bench::faults_experiment;
+use bench::gate::{Gate, Numbers};
 use bench::obs_experiment;
 use bench::scale_experiment;
 use bench::search_experiment;
 use bench::tcpx;
 use bench::telemetry_experiment;
 use mcommerce_core::{fleet, CachePolicy, Category, FleetRunner, Scenario, Topology};
+use obs::json::{self, Value};
 use simnet::SimDuration;
 
 fn heading(title: &str) {
@@ -51,82 +51,72 @@ fn heading(title: &str) {
     println!("{}", "=".repeat(78));
 }
 
-/// Runs F4 and writes the `BENCH_engine.json` artefact next to the
-/// working directory.
-fn f4(quick: bool) {
-    heading("F4 — event engine: timer-wheel scheduler vs BinaryHeap reference");
-    let numbers = engine::run(quick);
-    println!("{numbers}");
-    let path = "BENCH_engine.json";
-    std::fs::write(path, numbers.to_json()).expect("write BENCH_engine.json");
-    println!("\n-> wrote {path}");
-}
+/// Runs a step of the report (`quick` or not), writes its files and
+/// returns its gates.
+type Step = fn(bool) -> Vec<Gate>;
 
-/// Runs F5, writes `BENCH_obs.json`, and (with `--trace`) exports the
-/// fixed-seed fleet trace.
-fn f5(quick: bool, trace: bool) {
-    heading("F5 — observability: flight-recorder overhead, on and off");
-    let numbers = obs_experiment::run(quick);
-    println!("{numbers}");
-    let path = "BENCH_obs.json";
-    std::fs::write(path, numbers.to_json()).expect("write BENCH_obs.json");
-    println!("\n-> wrote {path}");
-    if trace {
-        let scenario = obs_experiment::trace_scenario(quick);
-        let fleet_trace = FleetRunner::new(scenario)
-            .threads(fleet::default_threads())
-            .traced(true)
-            .run()
-            .trace
-            .expect("traced run carries a trace");
-        std::fs::write("TRACE_fleet.jsonl", fleet_trace.to_jsonl()).expect("write trace jsonl");
-        std::fs::write("TRACE_fleet.trace.json", fleet_trace.to_chrome_json())
-            .expect("write chrome trace");
-        println!(
-            "-> wrote TRACE_fleet.jsonl + TRACE_fleet.trace.json ({} events, {} dumps); \
-             open the .trace.json in chrome://tracing or https://ui.perfetto.dev",
-            fleet_trace.events.len(),
-            fleet_trace.dumps.len()
-        );
-        for dump in fleet_trace.dumps.iter().take(3) {
-            println!("{dump}");
+/// A `--fN` experiment: its flag, heading and step, and a view behind a
+/// second flag (F5's `--trace`, F8's `--dash`).
+type Experiment = (&'static str, &'static str, Step, Option<(&'static str, Step)>);
+
+/// Writes `text` to `path`, reads the file back and parses it with
+/// `obs::json`: one document, or one per line for `.jsonl`. Returns the
+/// gate that the file re-parsed into at least one document, and the
+/// documents when `keep` is set (a fleet trace is only validated: built,
+/// it would take ~1 KB per event).
+fn write_and_parse(path: &str, text: &str, keep: bool) -> (Gate, Vec<Value>) {
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("-> wrote {path}");
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    let docs: Vec<&str> = if path.ends_with(".jsonl") { text.lines().collect() } else { vec![&text] };
+    let mut kept = Vec::new();
+    let parsed = docs.iter().try_for_each(|doc| {
+        if keep { json::parse(doc).map(|v| kept.push(v)) } else { json::validate(doc) }
+    });
+    let count = match parsed {
+        Ok(()) => docs.len(),
+        Err(e) => {
+            eprintln!("report: {path} does not parse: {e}");
+            0
         }
+    };
+    (Gate::above(format!("{path}: documents re-parsed"), count, 0), kept)
+}
+
+/// Prints an experiment's numbers, writes its artefact to `path`, and
+/// returns the re-parse gates followed by the experiment's own.
+fn publish<N: Numbers>(path: &str, numbers: N) -> Vec<Gate> {
+    println!("{numbers}\n");
+    let (reparsed, docs) = write_and_parse(path, &format!("{}\n", numbers.to_json()), true);
+    let experiment = docs.first().and_then(|doc| doc["experiment"].as_str()).unwrap_or("(none)");
+    let mut gates = vec![reparsed, Gate::equals(format!("{path}: experiment"), experiment, N::EXPERIMENT)];
+    gates.extend(numbers.gates());
+    gates
+}
+
+/// The `--trace` view of F5: exports the fixed-seed fleet trace.
+fn f5_trace(quick: bool) -> Vec<Gate> {
+    let scenario = obs_experiment::trace_scenario(quick);
+    let fleet_trace = FleetRunner::new(scenario)
+        .threads(fleet::default_threads())
+        .traced(true)
+        .run()
+        .trace
+        .expect("traced run carries a trace");
+    let gates = vec![
+        write_and_parse("TRACE_fleet.jsonl", &fleet_trace.to_jsonl(), false).0,
+        write_and_parse("TRACE_fleet.trace.json", &fleet_trace.to_chrome_json(), false).0,
+    ];
+    println!(
+        "   {} events, {} dumps; open the .trace.json in chrome://tracing or \
+         https://ui.perfetto.dev",
+        fleet_trace.events.len(),
+        fleet_trace.dumps.len()
+    );
+    for dump in fleet_trace.dumps.iter().take(3) {
+        println!("{dump}");
     }
-}
-
-/// Runs F6 and writes the `BENCH_faults.json` artefact.
-fn f6(quick: bool) {
-    heading("F6 — fault injection: availability + tail latency under storms, MC vs EC");
-    let numbers = faults_experiment::run(quick);
-    println!("{numbers}");
-    let path = "BENCH_faults.json";
-    std::fs::write(path, numbers.to_json()).expect("write BENCH_faults.json");
-    println!("\n-> wrote {path}");
-}
-
-/// Runs F7 and writes the `BENCH_cache.json` artefact.
-fn f7(quick: bool) {
-    heading("F7 — caching hierarchy: cold vs warm latency, zero-TTL identity");
-    let numbers = cache_experiment::run(quick);
-    println!("{numbers}");
-    let path = "BENCH_cache.json";
-    std::fs::write(path, numbers.to_json()).expect("write BENCH_cache.json");
-    println!("\n-> wrote {path}");
-}
-
-/// Runs F8 and writes the `BENCH_contention.json` artefact. With
-/// `dash`, appends the telemetry dashboard for the largest knee
-/// population and exports the counter-track trace.
-fn f8(quick: bool, dash: bool) {
-    heading("F8 — shared-world contention: the knee + shared-cache growth");
-    let numbers = contention_experiment::run(quick);
-    println!("{numbers}");
-    let path = "BENCH_contention.json";
-    std::fs::write(path, numbers.to_json()).expect("write BENCH_contention.json");
-    println!("\n-> wrote {path}");
-    if dash {
-        f8_dash(quick);
-    }
+    gates
 }
 
 /// The `--f8 --dash` view: reruns the largest knee population with
@@ -134,7 +124,7 @@ fn f8(quick: bool, dash: bool) {
 /// attributes the p99 knee to the busiest shared resource, and writes
 /// the series + counter-track artefacts (the artefact run adds the
 /// long-TTL shared cache so the hit-rate track is live in Perfetto).
-fn f8_dash(quick: bool) {
+fn f8_dash(quick: bool) -> Vec<Gate> {
     let users: u64 = if quick { 32 } else { 96 };
     let scenario = Scenario::new("F8")
         .app(Category::Entertainment)
@@ -212,63 +202,28 @@ fn f8_dash(quick: bool) {
     .run();
     let artefact_series = artefact_run.timeseries.as_ref().expect("telemetry on");
     let trace = artefact_run.trace.as_ref().expect("traced run");
-    std::fs::write("TELEMETRY_fleet.jsonl", artefact_series.to_jsonl())
-        .expect("write telemetry jsonl");
-    std::fs::write(
+    let (rows_reparsed, rows) = write_and_parse("TELEMETRY_fleet.jsonl", &artefact_series.to_jsonl(), true);
+    let (trace_reparsed, counter_trace) = write_and_parse(
         "TRACE_fleet.counters.trace.json",
-        obs::export::to_chrome_trace_with(&trace.events, Some(artefact_series)),
-    )
-    .expect("write counter trace");
+        &obs::export::to_chrome_trace_with(&trace.events, Some(artefact_series)),
+        true,
+    );
     println!(
-        "-> wrote TELEMETRY_fleet.jsonl ({} points) + TRACE_fleet.counters.trace.json \
-         ({} span events, {} counter tracks); open the trace in https://ui.perfetto.dev",
-        artefact_series.to_jsonl().lines().count(),
+        "   {} points, {} span events, {} counter tracks; open the trace in \
+         https://ui.perfetto.dev",
+        rows.len(),
         trace.events.len(),
         artefact_series.names().count(),
     );
+    let mut gates = vec![rows_reparsed, trace_reparsed];
+    gates.extend(contention_experiment::dash_gates(
+        counter_trace.first().unwrap_or(&Value::Null),
+        &rows,
+    ));
+    gates
 }
 
-/// Runs F10 and writes the `BENCH_telemetry.json` artefact.
-fn f10(quick: bool) {
-    heading("F10 — fleet telemetry: cost when off, identity when on");
-    let numbers = telemetry_experiment::run(quick);
-    println!("{numbers}");
-    let path = "BENCH_telemetry.json";
-    std::fs::write(path, numbers.to_json()).expect("write BENCH_telemetry.json");
-    println!("\n-> wrote {path}");
-}
-
-/// Runs F11 and writes the `BENCH_db.json` artefact.
-fn f11(quick: bool) {
-    heading("F11 — durable storage: group commit × fsync cost, recovery pricing");
-    let numbers = db_experiment::run(quick);
-    println!("{numbers}");
-    let path = "BENCH_db.json";
-    std::fs::write(path, numbers.to_json()).expect("write BENCH_db.json");
-    println!("\n-> wrote {path}");
-}
-
-/// Runs F12 and writes the `BENCH_search.json` artefact.
-fn f12(quick: bool) {
-    heading("F12 — full-text search: cold vs memoized latency, index scaling");
-    let numbers = search_experiment::run(quick);
-    println!("{numbers}");
-    let path = "BENCH_search.json";
-    std::fs::write(path, numbers.to_json()).expect("write BENCH_search.json");
-    println!("\n-> wrote {path}");
-}
-
-/// Runs F9 and writes the `BENCH_scale.json` artefact.
-fn f9(quick: bool) {
-    heading("F9 — fleet scale: populations × threads, wall-clock / tps / peak RSS");
-    let numbers = scale_experiment::run(quick);
-    println!("{numbers}");
-    let path = "BENCH_scale.json";
-    std::fs::write(path, numbers.to_json()).expect("write BENCH_scale.json");
-    println!("\n-> wrote {path}");
-}
-
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     // Hidden subprocess mode: run exactly one F9 grid cell in this
     // process (fresh RSS high-water mark) and print it as one JSON line.
@@ -276,55 +231,71 @@ fn main() {
         let users: u64 = args[at + 1].parse().expect("--f9-cell <users> <threads>");
         let threads: usize = args[at + 2].parse().expect("--f9-cell <users> <threads>");
         println!("{}", scale_experiment::run_cell(users, threads).to_json());
-        return;
+        return ExitCode::SUCCESS;
     }
-    let quick = std::env::args().any(|a| a == "--quick");
-    let trace = std::env::args().any(|a| a == "--trace");
-    let dash = std::env::args().any(|a| a == "--dash");
-    let only_f4 = std::env::args().any(|a| a == "--f4");
-    let only_f5 = std::env::args().any(|a| a == "--f5");
-    let only_f6 = std::env::args().any(|a| a == "--f6");
-    let only_f7 = std::env::args().any(|a| a == "--f7");
-    let only_f8 = std::env::args().any(|a| a == "--f8");
-    let only_f9 = std::env::args().any(|a| a == "--f9");
-    let only_f10 = std::env::args().any(|a| a == "--f10");
-    let only_f11 = std::env::args().any(|a| a == "--f11");
-    let only_f12 = std::env::args().any(|a| a == "--f12");
-    if only_f4 || only_f5 || only_f6 || only_f7 || only_f8 || only_f9 || only_f10 || only_f11 || only_f12
-    {
-        if only_f4 {
-            f4(quick);
-        }
-        if only_f5 {
-            f5(quick, trace);
-        }
-        if only_f6 {
-            f6(quick);
-        }
-        if only_f7 {
-            f7(quick);
-        }
-        if only_f8 {
-            f8(quick, dash);
-        }
-        if only_f9 {
-            f9(quick);
-        }
-        if only_f10 {
-            f10(quick);
-        }
-        if only_f11 {
-            f11(quick);
-        }
-        if only_f12 {
-            f12(quick);
-        }
-        return;
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    let quick = flag("--quick");
+    let experiments: [Experiment; 9] = [
+        ("--f4", "F4 — event engine: timer-wheel scheduler vs BinaryHeap reference",
+            |quick| publish("BENCH_engine.json", engine::run(quick)), None),
+        ("--f5", "F5 — observability: flight-recorder overhead, on and off",
+            |quick| publish("BENCH_obs.json", obs_experiment::run(quick)), Some(("--trace", f5_trace))),
+        ("--f6", "F6 — fault injection: availability + tail latency under storms, MC vs EC",
+            |quick| publish("BENCH_faults.json", faults_experiment::run(quick)), None),
+        ("--f7", "F7 — caching hierarchy: cold vs warm latency, zero-TTL identity",
+            |quick| publish("BENCH_cache.json", cache_experiment::run(quick)), None),
+        ("--f8", "F8 — shared-world contention: the knee + shared-cache growth",
+            |quick| publish("BENCH_contention.json", contention_experiment::run(quick)), Some(("--dash", f8_dash))),
+        ("--f9", "F9 — fleet scale: populations × threads, wall-clock / tps / peak RSS",
+            |quick| publish("BENCH_scale.json", scale_experiment::run(quick)), None),
+        ("--f10", "F10 — fleet telemetry: cost when off, identity when on",
+            |quick| publish("BENCH_telemetry.json", telemetry_experiment::run(quick)), None),
+        ("--f11", "F11 — durable storage: group commit × fsync cost, recovery pricing",
+            |quick| publish("BENCH_db.json", db_experiment::run(quick)), None),
+        ("--f12", "F12 — full-text search: cold vs memoized latency, index scaling",
+            |quick| publish("BENCH_search.json", search_experiment::run(quick)), None),
+    ];
+    // No `--fN` flag: the whole report, experiments in paper order.
+    let all = !experiments.iter().any(|e| flag(e.0));
+    if all {
+        paper_tables(quick);
     }
-    let (txns, sessions, t4_bytes, x1_bytes) = if quick {
-        (40, 4, 50_000, 150_000)
+    let mut gates = Vec::new();
+    for &(name, title, step, view) in &experiments {
+        if !all && !flag(name) {
+            continue;
+        }
+        heading(title);
+        let mut checked = step(quick);
+        if let Some((_, view)) = view.filter(|&(view_flag, _)| flag(view_flag)) {
+            checked.extend(view(quick));
+        }
+        for gate in &checked {
+            println!("gate {gate}");
+        }
+        gates.extend(checked);
+    }
+    if all {
+        extensions(quick);
+    }
+    let failed: Vec<&Gate> = gates.iter().filter(|g| !g.passed).collect();
+    println!("\ngates: {} passed, {} failed", gates.len() - failed.len(), failed.len());
+    for gate in &failed {
+        eprintln!("report: gate {gate}");
+    }
+    if failed.is_empty() {
+        ExitCode::SUCCESS
     } else {
-        (300, 12, 200_000, 400_000)
+        ExitCode::FAILURE
+    }
+}
+
+/// Figures 1–2, Tables 1–5 and F3: the paper's own artefacts.
+fn paper_tables(quick: bool) {
+    let (txns, sessions, t4_bytes) = if quick {
+        (40, 4, 50_000)
+    } else {
+        (300, 12, 200_000)
     };
 
     heading("Figures 1 & 2 — EC (4 components) vs MC (6 components), same workload");
@@ -394,15 +365,11 @@ fn main() {
          count; txns/s varies only with the machine's real parallelism."
     );
 
-    f4(quick);
-    f5(quick, trace);
-    f6(quick);
-    f7(quick);
-    f8(quick, dash);
-    f9(quick);
-    f10(quick);
-    f11(quick);
-    f12(quick);
+}
+
+/// X1, X2 and the ablations: what the paper argues but does not measure.
+fn extensions(quick: bool) {
+    let (sessions, x1_bytes) = if quick { (4, 150_000) } else { (12, 400_000) };
 
     heading("X1 — §5.2: TCP variants over an error-prone wireless hop");
     for row in tcpx::full_sweep(x1_bytes) {

@@ -34,7 +34,11 @@ use hostsite::db::Database;
 use mcommerce_core::apps::healthcare::CLINICIAN;
 use mcommerce_core::{CachePolicy, Category, CommerceSystem, FleetRunner, Scenario, WorkloadCounters};
 use middleware::MobileRequest;
+use obs::json::Value::{self, Fixed};
+use obs::object;
 use simnet::SimDuration;
+
+use crate::gate::{Gate, Numbers};
 
 /// Fixed seed for every F7 population.
 const F7_SEED: u64 = 701;
@@ -127,29 +131,44 @@ impl fmt::Display for CacheNumbers {
     }
 }
 
-impl CacheNumbers {
-    /// Renders the result as the `BENCH_cache.json` document.
-    pub fn to_json(&self) -> String {
-        let sweep: Vec<String> = self
-            .sweep
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{ \"ttl_s\": {:.1}, \"think_s\": {:.1}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \"cold_p50_ms\": {:.4}, \"cold_p99_ms\": {:.4}, \"gateway_hits\": {} }}",
-                    r.ttl_s, r.think_s, r.p50_ms, r.p99_ms, r.cold_p50_ms, r.cold_p99_ms, r.gateway_hits
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"experiment\": \"F7_cache\",\n  \"users\": {},\n  \"gets_per_user\": {},\n  \"sweep\": [\n{}\n  ],\n  \"zero_ttl_identical\": {},\n  \"counters\": {{ \"page_hits\": {}, \"db_hits\": {} }},\n  \"db_get_ns\": {:.1}\n}}\n",
-            self.users,
-            self.gets_per_user,
-            sweep.join(",\n"),
-            self.zero_ttl_identical,
-            self.page_hits,
-            self.db_hits,
-            self.db_get_ns
+impl Numbers for CacheNumbers {
+    const EXPERIMENT: &'static str = "F7_cache";
+
+    fn to_json(&self) -> Value {
+        let sweep = self.sweep.iter().map(|r| {
+            object!("ttl_s": Fixed(r.ttl_s, 1), "think_s": Fixed(r.think_s, 1),
+                "p50_ms": Fixed(r.p50_ms, 4), "p99_ms": Fixed(r.p99_ms, 4),
+                "cold_p50_ms": Fixed(r.cold_p50_ms, 4), "cold_p99_ms": Fixed(r.cold_p99_ms, 4),
+                "gateway_hits": r.gateway_hits)
+        });
+        object!(
+            "experiment": Self::EXPERIMENT,
+            "users": self.users,
+            "gets_per_user": self.gets_per_user,
+            "sweep": sweep.collect::<Value>(),
+            "zero_ttl_identical": self.zero_ttl_identical,
+            "counters": object!("page_hits": self.page_hits, "db_hits": self.db_hits),
+            "db_get_ns": Fixed(self.db_get_ns, 1),
         )
+    }
+
+    /// Warm must beat cold wherever the TTL outlives the revisit
+    /// interval (TTL ≥ 30 s, revisits ≤ 1 s apart).
+    fn gates(&self) -> Vec<Gate> {
+        let mut gates = vec![
+            Gate::holds("zero-TTL fleet identical to cache-free fleet", self.zero_ttl_identical),
+            Gate::above("page-cache hits", self.page_hits, 0),
+            Gate::above("query-cache hits", self.db_hits, 0),
+        ];
+        for r in self.sweep.iter().filter(|r| r.ttl_s >= 30.0 && r.think_s <= 1.0) {
+            let cell = format!("ttl {} s, think {} s", r.ttl_s, r.think_s);
+            gates.extend([
+                Gate::below(format!("{cell}: warm p50 below cold (ms)"), r.p50_ms, r.cold_p50_ms),
+                Gate::below(format!("{cell}: warm p99 below cold (ms)"), r.p99_ms, r.cold_p99_ms),
+                Gate::above(format!("{cell}: gateway hits"), r.gateway_hits, 0),
+            ]);
+        }
+        gates
     }
 }
 
@@ -298,24 +317,24 @@ pub fn run(quick: bool) -> CacheNumbers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::json;
+    use crate::gate::failing;
 
     #[test]
     fn warm_revisits_beat_cold_whenever_the_ttl_outlives_the_interval() {
-        let numbers = run(true);
+        let mut numbers = run(true);
+        // The gates: warm beats cold where the TTL outlives the revisit
+        // interval, the zero-TTL identity holds, every layer hits.
+        assert!(failing(&numbers).is_empty(), "{:?}", numbers.gates());
         for row in &numbers.sweep {
             assert!(row.gateway_hits > 0 || row.ttl_s < row.think_s, "{row}");
-            if row.ttl_s >= 30.0 && row.think_s <= 1.0 {
-                assert!(row.p50_ms < row.cold_p50_ms, "{row}");
-                assert!(row.p99_ms < row.cold_p99_ms, "{row}");
-            }
         }
-        assert!(numbers.zero_ttl_identical);
-        assert!(numbers.page_hits > 0);
-        assert!(numbers.db_hits > 0);
         assert!(numbers.db_get_ns > 0.0);
-        let json = numbers.to_json();
-        assert!(json.contains("\"zero_ttl_identical\": true"), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let json = json::parse(&numbers.to_json().to_string()).expect("artefact parses");
+        assert_eq!(json["zero_ttl_identical"], Value::Bool(true), "{json}");
+
+        numbers.page_hits = 0;
+        assert_eq!(failing(&numbers), ["page-cache hits"]);
     }
 
     #[test]

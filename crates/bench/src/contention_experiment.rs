@@ -26,7 +26,11 @@ use mcommerce_core::{
     CachePolicy, Category, ContentionStats, FleetRun, FleetRunner, Scenario, Topology,
     WorkloadCounters,
 };
+use obs::json::Value::{self, Fixed};
+use obs::object;
 use simnet::SimDuration;
+
+use crate::gate::{Gate, Numbers};
 
 /// Fixed seed for every F8 population.
 const F8_SEED: u64 = 801;
@@ -139,39 +143,78 @@ impl fmt::Display for ContentionNumbers {
     }
 }
 
-impl ContentionNumbers {
-    /// Renders the artefact written to `BENCH_contention.json`.
-    pub fn to_json(&self) -> String {
-        let knee: Vec<String> = self
-            .knee
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{ \"users\": {}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \"contended_share\": {:.4}, \"mean_wait_ms\": {:.4}, \"cell_utilisation\": {:.4} }}",
-                    r.users, r.p50_ms, r.p99_ms, r.contended_share, r.mean_wait_ms, r.cell_utilisation
-                )
-            })
-            .collect();
-        let growth: Vec<String> = self
-            .cache_growth
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{ \"users\": {}, \"hit_rate\": {:.4}, \"hits\": {}, \"misses\": {} }}",
-                    r.users, r.hit_rate, r.hits, r.misses
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"experiment\": \"F8_contention\",\n  \"sessions_per_user\": {},\n  \"think_secs\": {:.1},\n  \"knee\": [\n{}\n  ],\n  \"cache_growth\": [\n{}\n  ],\n  \"one_user_identical\": {},\n  \"thread_identity\": {}\n}}\n",
-            SESSIONS_PER_USER,
-            THINK_SECS,
-            knee.join(",\n"),
-            growth.join(",\n"),
-            self.one_user_identical,
-            self.thread_identity
+impl Numbers for ContentionNumbers {
+    const EXPERIMENT: &'static str = "F8_contention";
+
+    fn to_json(&self) -> Value {
+        let knee = self.knee.iter().map(|r| {
+            object!("users": r.users, "p50_ms": Fixed(r.p50_ms, 4), "p99_ms": Fixed(r.p99_ms, 4),
+                "contended_share": Fixed(r.contended_share, 4), "mean_wait_ms": Fixed(r.mean_wait_ms, 4),
+                "cell_utilisation": Fixed(r.cell_utilisation, 4))
+        });
+        let growth = self.cache_growth.iter().map(|r| {
+            object!("users": r.users, "hit_rate": Fixed(r.hit_rate, 4), "hits": r.hits, "misses": r.misses)
+        });
+        object!(
+            "experiment": Self::EXPERIMENT,
+            "sessions_per_user": SESSIONS_PER_USER,
+            "think_secs": Fixed(THINK_SECS, 1),
+            "knee": knee.collect::<Value>(),
+            "cache_growth": growth.collect::<Value>(),
+            "one_user_identical": self.one_user_identical,
+            "thread_identity": self.thread_identity,
         )
     }
+
+    fn gates(&self) -> Vec<Gate> {
+        let hit_rate = |row: Option<&CacheGrowthRow>| row.map_or(0.0, |r| r.hit_rate);
+        let contended = self.knee.last().map_or(0.0, |r| r.contended_share);
+        let mut gates = vec![
+            Gate::above("largest population's contended share", contended, 0.0),
+            Gate::above(
+                "shared-cache hit rate at the largest population vs the smallest",
+                hit_rate(self.cache_growth.last()),
+                hit_rate(self.cache_growth.first()),
+            ),
+            Gate::holds("1-user shared world identical to the per-user world", self.one_user_identical),
+            Gate::holds("every sweep point identical at 1/2/4 threads", self.thread_identity),
+        ];
+        for w in self.knee.windows(2) {
+            let name = format!("knee p99 at {} users >= at {} users (ms)", w[1].users, w[0].users);
+            gates.push(Gate::at_least(name, w[1].p99_ms, w[0].p99_ms));
+        }
+        gates
+    }
+}
+
+/// The gates of `report --f8 --dash` over the files it wrote: the
+/// counter-track trace (`TRACE_fleet.counters.trace.json`) must carry a
+/// gateway-utilisation and a shared-cache hit-rate track, and every
+/// telemetry row (`TELEMETRY_fleet.jsonl`) the series schema.
+pub fn dash_gates(counter_trace: &Value, telemetry_rows: &[Value]) -> Vec<Gate> {
+    let names: Vec<&str> = counter_trace["traceEvents"]
+        .items()
+        .iter()
+        .filter(|e| e["ph"].as_str() == Some("C"))
+        .filter_map(|e| e["name"].as_str())
+        .collect();
+    let mut gates = vec![
+        Gate::holds(
+            "a gateway CPU-utilisation counter track",
+            names.iter().any(|n| n.contains("gateway") && n.contains("cpu_util")),
+        ),
+        Gate::holds(
+            "a shared-cache hit-rate counter track",
+            names.iter().any(|n| n.contains("cache_hit_rate")),
+        ),
+    ];
+    for key in ["series", "kind", "t_ns", "bin_ns", "sum", "weight", "max", "milli"] {
+        gates.push(Gate::holds(
+            format!("every telemetry row carries `{key}`"),
+            telemetry_rows.iter().all(|row| row.get(key).is_some()),
+        ));
+    }
+    gates
 }
 
 /// The F8 scenario for one population. Entertainment browses a small
@@ -286,43 +329,42 @@ pub fn run(quick: bool) -> ContentionNumbers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::json;
+    use crate::gate::failing;
 
     #[test]
     fn f8_quick_holds_its_gates() {
-        let numbers = run(true);
-        assert!(numbers.one_user_identical);
-        assert!(numbers.thread_identity);
-        // The knee: p99 non-decreasing in population, and the largest
-        // population actually contends.
-        for pair in numbers.knee.windows(2) {
-            assert!(
-                pair[1].p99_ms >= pair[0].p99_ms,
-                "p99 must not fall as population grows: {} then {}",
-                pair[0].p99_ms,
-                pair[1].p99_ms
-            );
-        }
-        assert!(numbers.knee.last().unwrap().contended_share > 0.0);
-        // Shared-cache growth: the largest population beats the 1-user
-        // hit rate strictly.
-        let first = numbers.cache_growth.first().unwrap();
-        let last = numbers.cache_growth.last().unwrap();
-        assert!(
-            last.hit_rate > first.hit_rate,
-            "shared cache must help more with more users: {} vs {}",
-            last.hit_rate,
-            first.hit_rate
-        );
+        let mut numbers = run(true);
+        // The gates: p99 non-decreasing in population (the knee), the
+        // largest population contends, the shared hit rate grows, and
+        // both identities hold.
+        assert!(failing(&numbers).is_empty(), "{:?}", numbers.gates());
+        let json = json::parse(&numbers.to_json().to_string()).expect("artefact parses");
+        assert_eq!(json["experiment"].as_str(), Some("F8_contention"));
+        assert_eq!(json["knee"].items().len(), numbers.knee.len());
+        assert_eq!(json["cache_growth"].items().len(), numbers.cache_growth.len());
+        assert_eq!(json["one_user_identical"], Value::Bool(true));
+        assert_eq!(json["thread_identity"], Value::Bool(true));
+
+        numbers.knee[2].p99_ms = numbers.knee[1].p99_ms - 1.0;
+        assert_eq!(failing(&numbers), ["knee p99 at 12 users >= at 4 users (ms)"]);
     }
 
     #[test]
-    fn f8_json_is_shaped_like_the_artefact() {
-        let numbers = run(true);
-        let json = numbers.to_json();
-        assert!(json.contains("\"experiment\": \"F8_contention\""));
-        assert!(json.contains("\"knee\""));
-        assert!(json.contains("\"cache_growth\""));
-        assert!(json.contains("\"one_user_identical\": true"));
-        assert!(json.contains("\"thread_identity\": true"));
+    fn dash_gates_need_both_counter_tracks_and_the_row_schema() {
+        let counters = |names: &[&str]| {
+            let events = names.iter().map(|&name| object!("name": name, "ph": "C"));
+            object!("traceEvents": events.collect::<Value>())
+        };
+        let fields = ["series", "kind", "t_ns", "bin_ns", "sum", "weight", "max", "milli"];
+        let row = |n: usize| Value::Object(fields[..n].iter().map(|&k| (k.into(), 0u64.into())).collect());
+        let failing = |trace: &Value, row: Value| -> Vec<String> {
+            dash_gates(trace, &[row]).into_iter().filter(|g| !g.passed).map(|g| g.name).collect()
+        };
+        let both = counters(&["gateway0000.cpu_util", "gateway0000.cache_hit_rate"]);
+        assert!(failing(&both, row(8)).is_empty());
+        let one = counters(&["gateway0000.cpu_util"]);
+        assert_eq!(failing(&one, row(8)), ["a shared-cache hit-rate counter track"]);
+        assert_eq!(failing(&both, row(7)), ["every telemetry row carries `milli`"]);
     }
 }

@@ -29,6 +29,7 @@
 //!
 //! Results are written as the `BENCH_db.json` artefact.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
 
@@ -36,6 +37,10 @@ use hostsite::db::Database;
 use mcommerce_core::{
     db_recovery_outage_ns, Category, DurabilityPolicy, FleetRunner, Scenario, WorkloadCounters,
 };
+use obs::json::Value::{self, Fixed};
+use obs::object;
+
+use crate::gate::{Gate, Numbers};
 
 /// Fixed seed for every F11 population.
 const F11_SEED: u64 = 1101;
@@ -152,45 +157,66 @@ impl fmt::Display for DbNumbers {
     }
 }
 
-impl DbNumbers {
-    /// Renders the result as the `BENCH_db.json` document.
-    pub fn to_json(&self) -> String {
-        let sweep: Vec<String> = self
-            .sweep
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{ \"commit_batch\": {}, \"fsync_us\": {:.1}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \"commit_ms\": {:.4} }}",
-                    r.commit_batch, r.fsync_us, r.p50_ms, r.p99_ms, r.commit_ms
-                )
-            })
-            .collect();
-        let recovery: Vec<String> = self
-            .recovery
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{ \"replayed\": {}, \"commit_batch\": {}, \"fsync_us\": {:.1}, \"outage_ms\": {:.4} }}",
-                    r.replayed, r.commit_batch, r.fsync_us, r.outage_ms
-                )
-            })
-            .collect();
-        let fsyncs: Vec<String> = self
-            .fsyncs_per_100_commits
-            .iter()
-            .map(|(batch, fsyncs)| format!("\"batch_{batch}\": {fsyncs}"))
-            .collect();
-        format!(
-            "{{\n  \"experiment\": \"F11_db\",\n  \"users\": {},\n  \"sessions_per_user\": {},\n  \"sweep\": [\n{}\n  ],\n  \"recovery\": [\n{}\n  ],\n  \"fsyncs_per_100_commits\": {{ {} }},\n  \"zero_cost_identical\": {},\n  \"index_entries_rebuilt\": {},\n  \"rebuild_wall_ns\": {:.1}\n}}\n",
-            self.users,
-            self.sessions_per_user,
-            sweep.join(",\n"),
-            recovery.join(",\n"),
-            fsyncs.join(", "),
-            self.zero_cost_identical,
-            self.index_entries_rebuilt,
-            self.rebuild_wall_ns
+impl Numbers for DbNumbers {
+    const EXPERIMENT: &'static str = "F11_db";
+
+    fn to_json(&self) -> Value {
+        let sweep = self.sweep.iter().map(|r| {
+            object!("commit_batch": r.commit_batch, "fsync_us": Fixed(r.fsync_us, 1),
+                "p50_ms": Fixed(r.p50_ms, 4), "p99_ms": Fixed(r.p99_ms, 4),
+                "commit_ms": Fixed(r.commit_ms, 4))
+        });
+        let recovery = self.recovery.iter().map(|r| {
+            object!("replayed": r.replayed, "commit_batch": r.commit_batch,
+                "fsync_us": Fixed(r.fsync_us, 1), "outage_ms": Fixed(r.outage_ms, 4))
+        });
+        let fsyncs = self.fsyncs_per_100_commits.iter();
+        let fsyncs = fsyncs.map(|&(batch, n)| (format!("batch_{batch}"), n.into()));
+        object!(
+            "experiment": Self::EXPERIMENT,
+            "users": self.users,
+            "sessions_per_user": self.sessions_per_user,
+            "sweep": sweep.collect::<Value>(),
+            "recovery": recovery.collect::<Value>(),
+            "fsyncs_per_100_commits": Value::Object(fsyncs.collect()),
+            "zero_cost_identical": self.zero_cost_identical,
+            "index_entries_rebuilt": self.index_entries_rebuilt,
+            "rebuild_wall_ns": Fixed(self.rebuild_wall_ns, 1),
         )
+    }
+
+    fn gates(&self) -> Vec<Gate> {
+        let identical = self.zero_cost_identical;
+        let mut gates = vec![
+            Gate::holds("zero-cost policy identical to policy-free fleet", identical),
+            Gate::above("index entries rebuilt on recovery", self.index_entries_rebuilt, 0),
+        ];
+        for r in self.sweep.iter().filter(|r| r.fsync_us == 0.0) {
+            let name = format!("batch {}, free fsync: WAL time (ms)", r.commit_batch);
+            gates.push(Gate::equals(name, r.commit_ms, 0.0));
+        }
+        // Outage must grow strictly with journal length under each
+        // (batch, fsync) policy.
+        let mut by_policy: BTreeMap<(u32, u64), Vec<&RecoveryRow>> = BTreeMap::new();
+        for r in &self.recovery {
+            by_policy.entry((r.commit_batch, r.fsync_us.to_bits())).or_default().push(r);
+        }
+        for rows in by_policy.values_mut() {
+            rows.sort_by_key(|r| r.replayed);
+            for w in rows.windows(2) {
+                let (policy, from, to) = (w[1], w[0].replayed, w[1].replayed);
+                let name = format!(
+                    "batch {} × fsync {} us: outage replaying {to} > {from} entries (ms)",
+                    policy.commit_batch, policy.fsync_us
+                );
+                gates.push(Gate::above(name, w[1].outage_ms, w[0].outage_ms));
+            }
+        }
+        for &(batch, fsyncs) in &self.fsyncs_per_100_commits {
+            let name = format!("batch {batch}: fsyncs per 100 commits");
+            gates.push(Gate::equals(name, fsyncs, 100u64.div_ceil(u64::from(batch))));
+        }
+        gates
     }
 }
 
@@ -325,10 +351,16 @@ pub fn run(quick: bool) -> DbNumbers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::json;
+    use crate::gate::failing;
 
     #[test]
     fn durability_costs_what_the_policy_says_and_nothing_when_free() {
-        let numbers = run(true);
+        let mut numbers = run(true);
+        // The gates: free fsyncs charge no WAL time, recovery outage is
+        // strictly monotone in journal length, fsyncs per 100 commits
+        // are `ceil(100 / batch)`, the zero-cost identity holds.
+        assert!(failing(&numbers).is_empty(), "{:?}", numbers.gates());
         let free: Vec<&DurabilityRow> = numbers
             .sweep
             .iter()
@@ -337,7 +369,6 @@ mod tests {
         // fsync 0 ns is free at every batch size: no WAL time, and the
         // latency profile is the same as every other free cell.
         for row in &free {
-            assert_eq!(row.commit_ms, 0.0, "{row}");
             assert_eq!(row.p50_ms, free[0].p50_ms, "{row}");
             assert_eq!(row.p99_ms, free[0].p99_ms, "{row}");
         }
@@ -368,22 +399,16 @@ mod tests {
             );
         }
         assert!(paid[0].commit_ms > 0.0, "batch 1 × 1 ms pays per commit");
-
-        // Recovery pricing is monotone in journal length.
-        for chunk in numbers.recovery.chunks(3) {
-            for pair in chunk.windows(2) {
-                assert!(pair[1].outage_ms > pair[0].outage_ms, "{}", pair[1]);
-            }
-        }
-        for (batch, fsyncs) in &numbers.fsyncs_per_100_commits {
-            assert_eq!(*fsyncs, 100u64.div_ceil(*batch as u64));
-        }
-        assert!(numbers.zero_cost_identical);
-        assert!(numbers.index_entries_rebuilt > 0);
         assert!(numbers.rebuild_wall_ns > 0.0);
-        let json = numbers.to_json();
-        assert!(json.contains("\"zero_cost_identical\": true"), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let json = json::parse(&numbers.to_json().to_string()).expect("artefact parses");
+        assert_eq!(json["zero_cost_identical"], Value::Bool(true), "{json}");
+        assert_eq!(json["fsyncs_per_100_commits"]["batch_4"].as_u64(), Some(25), "{json}");
+
+        numbers.recovery[2].outage_ms = numbers.recovery[1].outage_ms;
+        assert_eq!(
+            failing(&numbers),
+            ["batch 1 × fsync 0 us: outage replaying 256 > 64 entries (ms)"]
+        );
     }
 
     #[test]

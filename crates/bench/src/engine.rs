@@ -19,7 +19,11 @@ use std::fmt;
 use std::time::Instant;
 
 use mcommerce_core::{Category, FleetRunner, Scenario};
+use obs::json::Value::{self, Fixed};
+use obs::object;
 use simnet::{BaselineSimulator, SimDuration, Simulator};
+
+use crate::gate::{Gate, Numbers};
 
 /// One timed engine run of the timer-storm microbenchmark.
 #[derive(Debug, Clone)]
@@ -95,25 +99,32 @@ impl fmt::Display for EngineNumbers {
     }
 }
 
-impl EngineNumbers {
-    /// Renders the result as the `BENCH_engine.json` document.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"experiment\": \"F4_engine\",\n  \"timers\": {},\n  \"hops\": {},\n  \"events\": {},\n  \"wheel\": {{ \"wall_secs\": {:.6}, \"events_per_sec\": {:.1} }},\n  \"heap\": {{ \"wall_secs\": {:.6}, \"events_per_sec\": {:.1} }},\n  \"speedup\": {:.3},\n  \"fleet\": {{ \"users\": {}, \"threads\": {}, \"transactions\": {}, \"wall_secs\": {:.6}, \"tps\": {:.1} }}\n}}\n",
-            self.timers,
-            self.hops,
-            self.wheel.events,
-            self.wheel.wall_secs,
-            self.wheel.events_per_sec,
-            self.heap.wall_secs,
-            self.heap.events_per_sec,
-            self.speedup,
-            self.fleet.users,
-            self.fleet.threads,
-            self.fleet.transactions,
-            self.fleet.wall_secs,
-            self.fleet.tps
+impl Numbers for EngineNumbers {
+    const EXPERIMENT: &'static str = "F4_engine";
+
+    fn to_json(&self) -> Value {
+        let engine = |s: &ThroughputSample| {
+            object!("wall_secs": Fixed(s.wall_secs, 6), "events_per_sec": Fixed(s.events_per_sec, 1))
+        };
+        let fleet = &self.fleet;
+        object!(
+            "experiment": Self::EXPERIMENT,
+            "timers": self.timers,
+            "hops": self.hops,
+            "events": self.wheel.events,
+            "wheel": engine(&self.wheel),
+            "heap": engine(&self.heap),
+            "speedup": Fixed(self.speedup, 3),
+            "fleet": object!("users": fleet.users, "threads": fleet.threads,
+                "transactions": fleet.transactions, "wall_secs": Fixed(fleet.wall_secs, 6),
+                "tps": Fixed(fleet.tps, 1)),
         )
+    }
+
+    /// F4 only prices the engines: its artefact has no gate beyond
+    /// parsing.
+    fn gates(&self) -> Vec<Gate> {
+        Vec::new()
     }
 }
 
@@ -274,6 +285,7 @@ pub fn run(quick: bool) -> EngineNumbers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::json;
 
     #[test]
     fn both_engines_do_the_same_virtual_work() {
@@ -286,20 +298,15 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed_enough_to_round_trip_keys() {
+    fn json_carries_every_section() {
         let numbers = run(true);
-        let json = numbers.to_json();
-        for key in [
-            "\"experiment\"",
-            "\"wheel\"",
-            "\"heap\"",
-            "\"speedup\"",
-            "\"fleet\"",
-            "\"events_per_sec\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+        let json = json::parse(&numbers.to_json().to_string()).expect("artefact parses");
+        assert_eq!(json["experiment"].as_str(), Some("F4_engine"));
+        for section in ["wheel", "heap", "fleet"] {
+            assert!(json[section].get("wall_secs").is_some(), "{section} in {json}");
         }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert!(json["speedup"].as_f64().is_some(), "{json}");
+        assert!(json["heap"]["events_per_sec"].as_f64().is_some(), "{json}");
     }
 
     #[test]

@@ -43,6 +43,10 @@ use transport::{SocketAddr, State, Tcp};
 
 use hostsite::db::Database;
 use hostsite::HostComputer;
+use obs::json::Value::{self, Fixed};
+use obs::object;
+
+use crate::gate::{Gate, Numbers};
 
 const FIXED: Ip = Ip::new(10, 0, 0, 1);
 const BS: Ip = Ip::new(10, 0, 0, 254);
@@ -167,39 +171,42 @@ impl fmt::Display for FaultsNumbers {
     }
 }
 
-impl FaultsNumbers {
-    /// Renders the result as the `BENCH_faults.json` document.
-    pub fn to_json(&self) -> String {
-        let sweep: Vec<String> = self
-            .sweep
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{ \"intensity\": {:.2}, \"bare_availability\": {:.6}, \"bare_p99_s\": {:.6}, \"retry_availability\": {:.6}, \"retry_p99_s\": {:.6}, \"retries\": {} }}",
-                    r.intensity,
-                    r.bare_availability,
-                    r.bare_p99_s,
-                    r.retry_availability,
-                    r.retry_p99_s,
-                    r.retries
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"experiment\": \"F6_faults\",\n  \"users\": {},\n  \"sessions_per_user\": {},\n  \"storm_horizon_s\": {:.1},\n  \"sweep\": [\n{}\n  ],\n  \"ec\": {{ \"availability\": {:.6}, \"p99_s\": {:.6} }},\n  \"zero_fault_identical\": {},\n  \"trace\": {{ \"fault_events\": {}, \"fault_dumps\": {} }},\n  \"dead_peer\": {{ \"aborted\": {}, \"abort_secs\": {:.3}, \"sender_rtos\": {} }}\n}}\n",
-            self.users,
-            self.sessions_per_user,
-            STORM_HORIZON.as_secs_f64(),
-            sweep.join(",\n"),
-            self.ec_availability,
-            self.ec_p99_s,
-            self.zero_fault_identical,
-            self.fault_trace_events,
-            self.fault_dumps,
-            self.dead_peer.aborted,
-            self.dead_peer.abort_secs,
-            self.dead_peer.sender_rtos
+impl Numbers for FaultsNumbers {
+    const EXPERIMENT: &'static str = "F6_faults";
+
+    fn to_json(&self) -> Value {
+        let sweep = self.sweep.iter().map(|r| {
+            object!("intensity": Fixed(r.intensity, 2),
+                "bare_availability": Fixed(r.bare_availability, 6), "bare_p99_s": Fixed(r.bare_p99_s, 6),
+                "retry_availability": Fixed(r.retry_availability, 6),
+                "retry_p99_s": Fixed(r.retry_p99_s, 6), "retries": r.retries)
+        });
+        let peer = &self.dead_peer;
+        object!(
+            "experiment": Self::EXPERIMENT,
+            "users": self.users,
+            "sessions_per_user": self.sessions_per_user,
+            "storm_horizon_s": Fixed(STORM_HORIZON.as_secs_f64(), 1),
+            "sweep": sweep.collect::<Value>(),
+            "ec": object!("availability": Fixed(self.ec_availability, 6), "p99_s": Fixed(self.ec_p99_s, 6)),
+            "zero_fault_identical": self.zero_fault_identical,
+            "trace": object!("fault_events": self.fault_trace_events, "fault_dumps": self.fault_dumps),
+            "dead_peer": object!("aborted": peer.aborted, "abort_secs": Fixed(peer.abort_secs, 3),
+                "sender_rtos": peer.sender_rtos),
         )
+    }
+
+    fn gates(&self) -> Vec<Gate> {
+        let mut gates = vec![
+            Gate::holds("zero-fault fleet identical to plan-free fleet", self.zero_fault_identical),
+            Gate::holds("TCP sender aborts against a dead peer", self.dead_peer.aborted),
+            Gate::above("fault events in the flight recorder", self.fault_trace_events, 0),
+        ];
+        for r in self.sweep.iter().filter(|r| r.intensity > 0.0) {
+            let name = format!("intensity {}: retry availability beats bare", r.intensity);
+            gates.push(Gate::above(name, r.retry_availability, r.bare_availability));
+        }
+        gates
     }
 }
 
@@ -400,6 +407,8 @@ pub fn run(quick: bool) -> FaultsNumbers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::json;
+    use crate::gate::failing;
 
     #[test]
     fn dead_peer_aborts_promptly_with_a_reason() {
@@ -412,25 +421,18 @@ mod tests {
 
     #[test]
     fn quick_sweep_shows_retry_dominating_under_faults() {
-        let numbers = run(true);
-        for row in &numbers.sweep {
-            if row.intensity == 0.0 {
-                assert_eq!(row.bare_availability, 1.0, "no faults, no failures");
-                assert_eq!(row.retries, 0, "nothing to retry at intensity 0");
-            } else {
-                assert!(
-                    row.retry_availability > row.bare_availability,
-                    "intensity {}: {} !> {}",
-                    row.intensity,
-                    row.retry_availability,
-                    row.bare_availability
-                );
-            }
-        }
-        assert!(numbers.zero_fault_identical);
-        assert!(numbers.fault_trace_events > 0);
-        let json = numbers.to_json();
-        assert!(json.contains("\"zero_fault_identical\": true"), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let mut numbers = run(true);
+        // The gates: retry beats bare at every non-zero intensity, the
+        // zero-fault identity holds, faults reach the recorder.
+        assert!(failing(&numbers).is_empty(), "{:?}", numbers.gates());
+        let calm = &numbers.sweep[0];
+        assert_eq!(calm.intensity, 0.0);
+        assert_eq!(calm.bare_availability, 1.0, "no faults, no failures");
+        assert_eq!(calm.retries, 0, "nothing to retry at intensity 0");
+        let json = json::parse(&numbers.to_json().to_string()).expect("artefact parses");
+        assert_eq!(json["zero_fault_identical"], Value::Bool(true), "{json}");
+
+        numbers.sweep[1].retry_availability = numbers.sweep[1].bare_availability;
+        assert_eq!(failing(&numbers), ["intensity 0.5: retry availability beats bare"]);
     }
 }

@@ -27,6 +27,10 @@
 //! additionally exports the fixed-seed fleet trace as JSONL and Chrome
 //! `trace_event` JSON (load the latter in Perfetto); `--f8 --dash`
 //! prints the resource dashboard and exports Perfetto counter tracks.
+//! Each experiment's numbers implement [`gate::Numbers`]: `report`
+//! writes the artefact, re-parses it with `obs::json`, prints every
+//! [`gate::Gate`] with its measured value and bound, and exits non-zero
+//! when one fails.
 //! `cargo run -p bench --bin benchdiff` diffs `BENCH_*.json` artefact
 //! sets against the committed baselines in `bench/baselines/` — see
 //! [`benchdiff`] for the per-metric gating policy.
@@ -39,6 +43,7 @@ pub mod db_experiment;
 pub mod engine;
 pub mod experiments;
 pub mod faults_experiment;
+pub mod gate;
 pub mod obs_experiment;
 pub mod scale_experiment;
 pub mod search_experiment;

@@ -24,7 +24,11 @@ use std::time::Instant;
 use mcommerce_core::{fleet, Category, FleetRunner, Scenario};
 use simnet::{SimDuration, Simulator};
 
+use obs::json::Value::{self, Fixed};
+use obs::object;
+
 use crate::engine::{delay_ns, FleetTiming, ThroughputSample};
+use crate::gate::{Gate, Numbers};
 
 thread_local! {
     /// Workload checksum, kept identical to the F4 storm's discipline so
@@ -165,34 +169,49 @@ impl fmt::Display for ObsNumbers {
     }
 }
 
-impl ObsNumbers {
-    /// Renders the result as the `BENCH_obs.json` document.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"experiment\": \"F5_obs\",\n  \"timers\": {},\n  \"hops\": {},\n  \"events\": {},\n  \"storm\": {{\n    \"baseline\": {{ \"wall_secs\": {:.6}, \"events_per_sec\": {:.1} }},\n    \"disabled\": {{ \"wall_secs\": {:.6}, \"events_per_sec\": {:.1} }},\n    \"enabled\": {{ \"wall_secs\": {:.6}, \"events_per_sec\": {:.1} }},\n    \"overhead_disabled_pct\": {:.3},\n    \"overhead_disabled_floor_pct\": {:.3},\n    \"overhead_enabled_pct\": {:.3}\n  }},\n  \"fleet\": {{\n    \"users\": {},\n    \"threads\": {},\n    \"untraced\": {{ \"wall_secs\": {:.6}, \"tps\": {:.1} }},\n    \"traced\": {{ \"wall_secs\": {:.6}, \"tps\": {:.1} }},\n    \"overhead_pct\": {:.3},\n    \"overhead_floor_pct\": {:.3},\n    \"trace_events\": {},\n    \"trace_dumps\": {}\n  }}\n}}\n",
-            self.timers,
-            self.hops,
-            self.baseline.events,
-            self.baseline.wall_secs,
-            self.baseline.events_per_sec,
-            self.disabled.wall_secs,
-            self.disabled.events_per_sec,
-            self.enabled.wall_secs,
-            self.enabled.events_per_sec,
-            self.overhead_disabled_pct,
-            self.overhead_disabled_floor_pct,
-            self.overhead_enabled_pct,
-            self.fleet_untraced.users,
-            self.fleet_untraced.threads,
-            self.fleet_untraced.wall_secs,
-            self.fleet_untraced.tps,
-            self.fleet_traced.wall_secs,
-            self.fleet_traced.tps,
-            self.fleet_overhead_pct,
-            self.fleet_overhead_floor_pct,
-            self.trace_events,
-            self.trace_dumps
+impl Numbers for ObsNumbers {
+    const EXPERIMENT: &'static str = "F5_obs";
+
+    fn to_json(&self) -> Value {
+        let storm = |s: &ThroughputSample| {
+            object!("wall_secs": Fixed(s.wall_secs, 6), "events_per_sec": Fixed(s.events_per_sec, 1))
+        };
+        let fleet = |t: &FleetTiming| object!("wall_secs": Fixed(t.wall_secs, 6), "tps": Fixed(t.tps, 1));
+        object!(
+            "experiment": Self::EXPERIMENT,
+            "timers": self.timers,
+            "hops": self.hops,
+            "events": self.baseline.events,
+            "storm": object!(
+                "baseline": storm(&self.baseline),
+                "disabled": storm(&self.disabled),
+                "enabled": storm(&self.enabled),
+                "overhead_disabled_pct": Fixed(self.overhead_disabled_pct, 3),
+                "overhead_disabled_floor_pct": Fixed(self.overhead_disabled_floor_pct, 3),
+                "overhead_enabled_pct": Fixed(self.overhead_enabled_pct, 3),
+            ),
+            "fleet": object!(
+                "users": self.fleet_untraced.users,
+                "threads": self.fleet_untraced.threads,
+                "untraced": fleet(&self.fleet_untraced),
+                "traced": fleet(&self.fleet_traced),
+                "overhead_pct": Fixed(self.fleet_overhead_pct, 3),
+                "overhead_floor_pct": Fixed(self.fleet_overhead_floor_pct, 3),
+                "trace_events": self.trace_events,
+                "trace_dumps": self.trace_dumps,
+            ),
         )
+    }
+
+    /// The gates check the *floor* (minimum per-repetition ratio):
+    /// scheduler noise on a shared box only inflates ratios, while a
+    /// real regression lifts every pairing, floor included.
+    fn gates(&self) -> Vec<Gate> {
+        vec![
+            Gate::at_most("disabled-recorder overhead floor (%)", self.overhead_disabled_floor_pct, 3.0),
+            Gate::above("traced fleet trace events", self.trace_events, 0),
+            Gate::at_most("traced-fleet overhead floor (%)", self.fleet_overhead_floor_pct, 25.0),
+        ]
     }
 }
 
@@ -357,6 +376,8 @@ pub fn run(quick: bool) -> ObsNumbers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::json;
+    use crate::gate::failing;
 
     #[test]
     fn instrumented_storm_does_the_same_virtual_work() {
@@ -380,7 +401,7 @@ mod tests {
     }
 
     #[test]
-    fn json_carries_the_gate_fields() {
+    fn json_carries_the_gate_fields_and_the_gates_are_live() {
         // A miniature end-to-end run: tiny storm, tiny fleet.
         let numbers = ObsNumbers {
             timers: 64,
@@ -411,18 +432,27 @@ mod tests {
             trace_dumps: 0,
         };
         let _ = obs::metrics::take();
-        let json = numbers.to_json();
+        let json = json::parse(&numbers.to_json().to_string()).expect("artefact parses");
+        assert_eq!(json["experiment"].as_str(), Some("F5_obs"));
         for key in [
-            "\"experiment\"",
-            "\"overhead_disabled_pct\"",
-            "\"overhead_disabled_floor_pct\"",
-            "\"overhead_enabled_pct\"",
-            "\"overhead_floor_pct\"",
-            "\"trace_events\"",
-            "\"trace_dumps\"",
+            "overhead_disabled_pct",
+            "overhead_disabled_floor_pct",
+            "overhead_enabled_pct",
         ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+            assert!(json["storm"][key].as_f64().is_some(), "missing {key} in {json}");
         }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        for key in ["overhead_floor_pct", "trace_events", "trace_dumps"] {
+            assert!(json["fleet"][key].as_f64().is_some(), "missing {key} in {json}");
+        }
+
+        assert!(failing(&numbers).is_empty(), "{:?}", numbers.gates());
+        for (broken, gate) in [
+            (ObsNumbers { overhead_disabled_floor_pct: 3.01, ..numbers.clone() }, "disabled-recorder"),
+            (ObsNumbers { trace_events: 0, ..numbers.clone() }, "traced fleet trace events"),
+            (ObsNumbers { fleet_overhead_floor_pct: 25.5, ..numbers }, "traced-fleet overhead"),
+        ] {
+            let failing = failing(&broken);
+            assert!(failing.len() == 1 && failing[0].starts_with(gate), "{failing:?}");
+        }
     }
 }

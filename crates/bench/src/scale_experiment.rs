@@ -23,15 +23,20 @@
 //! Each cell digests its merged
 //! [`WorkloadCounters`](mcommerce_core::WorkloadCounters) (FNV-1a 64 over
 //! the full debug rendering — every counter, histogram bucket and
-//! failure string). [`run`] asserts the digest is identical across
-//! thread counts at every population; `scripts/tier1.sh` checks the
-//! same invariant on the emitted JSON.
+//! failure string). The artefact's `identical_across_threads` is
+//! computed from those digests, and [`ScaleNumbers`]'s gates check it,
+//! the digest count per population and the 100k-user RSS budget.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::process::Command;
 use std::time::Instant;
 
 use mcommerce_core::{Category, FleetRunner, Scenario};
+use obs::json::{self, Value, Value::Fixed};
+use obs::object;
+
+use crate::gate::{Gate, Numbers};
 
 /// One measured grid cell.
 #[derive(Debug, Clone)]
@@ -54,18 +59,26 @@ pub struct ScaleCell {
 }
 
 impl ScaleCell {
-    /// Renders the cell as a JSON object (one line, no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{ \"users\": {}, \"threads\": {}, \"wall_secs\": {:.6}, \"transactions\": {}, \"tps\": {:.1}, \"peak_rss_bytes\": {}, \"digest\": \"{}\" }}",
-            self.users,
-            self.threads,
-            self.wall_secs,
-            self.transactions,
-            self.tps,
-            self.peak_rss_bytes,
-            self.digest,
-        )
+    /// The cell as a JSON object: an element of the artefact's `cells`,
+    /// and the line the `--f9-cell` subprocess prints.
+    pub fn to_json(&self) -> Value {
+        object!("users": self.users, "threads": self.threads, "wall_secs": Fixed(self.wall_secs, 6),
+            "transactions": self.transactions, "tps": Fixed(self.tps, 1),
+            "peak_rss_bytes": self.peak_rss_bytes, "digest": self.digest.as_str())
+    }
+
+    /// Reads a cell back from [`ScaleCell::to_json`]'s object; `None`
+    /// when a field is missing or mistyped.
+    pub fn from_json(cell: &Value) -> Option<ScaleCell> {
+        Some(ScaleCell {
+            users: cell["users"].as_u64()?,
+            threads: usize::try_from(cell["threads"].as_u64()?).ok()?,
+            wall_secs: cell["wall_secs"].as_f64()?,
+            transactions: cell["transactions"].as_u64()?,
+            tps: cell["tps"].as_f64()?,
+            peak_rss_bytes: cell["peak_rss_bytes"].as_u64()?,
+            digest: cell["digest"].as_str()?.to_owned(),
+        })
     }
 }
 
@@ -80,18 +93,53 @@ pub struct ScaleNumbers {
     pub cells: Vec<ScaleCell>,
 }
 
+/// Peak-RSS budget of a 100k-user cell: the engine streams, so memory
+/// must not scale with the population.
+const RSS_BUDGET_BYTES: u64 = 128 * 1024 * 1024;
+
 impl ScaleNumbers {
-    /// Renders the grid as the `BENCH_scale.json` document.
-    pub fn to_json(&self) -> String {
-        let populations: Vec<String> = self.populations.iter().map(u64::to_string).collect();
-        let threads: Vec<String> = self.threads.iter().map(usize::to_string).collect();
-        let cells: Vec<String> = self.cells.iter().map(|c| format!("    {}", c.to_json())).collect();
-        format!(
-            "{{\n  \"experiment\": \"F9_scale\",\n  \"populations\": [{}],\n  \"threads\": [{}],\n  \"identical_across_threads\": true,\n  \"cells\": [\n{}\n  ]\n}}\n",
-            populations.join(", "),
-            threads.join(", "),
-            cells.join(",\n"),
+    /// The distinct merged-counter digests among `users`' cells.
+    fn digests(&self, users: u64) -> BTreeSet<&str> {
+        self.cells.iter().filter(|c| c.users == users).map(|c| c.digest.as_str()).collect()
+    }
+
+    /// Whether every population's cells share one digest, whatever
+    /// their thread count.
+    pub fn identical_across_threads(&self) -> bool {
+        self.populations.iter().all(|&pop| self.digests(pop).len() == 1)
+    }
+}
+
+impl Numbers for ScaleNumbers {
+    const EXPERIMENT: &'static str = "F9_scale";
+
+    fn to_json(&self) -> Value {
+        object!(
+            "experiment": Self::EXPERIMENT,
+            "populations": self.populations.iter().map(|&p| p.into()).collect::<Value>(),
+            "threads": self.threads.iter().map(|&t| t.into()).collect::<Value>(),
+            "identical_across_threads": self.identical_across_threads(),
+            "cells": self.cells.iter().map(ScaleCell::to_json).collect::<Value>(),
         )
+    }
+
+    fn gates(&self) -> Vec<Gate> {
+        let cells = self.to_json()["cells"].items().iter().all(|c| ScaleCell::from_json(c).is_some());
+        let grid = self.populations.len() * self.threads.len();
+        let mut gates = vec![
+            Gate::holds("identical_across_threads", self.identical_across_threads()),
+            Gate::equals("grid cells", self.cells.len(), grid),
+            Gate::holds("every artefact cell reads back with all seven fields", cells),
+        ];
+        for &pop in &self.populations {
+            let name = format!("{pop} users: distinct merged-counter digests across threads");
+            gates.push(Gate::equals(name, self.digests(pop).len(), 1));
+        }
+        for c in self.cells.iter().filter(|c| c.users == 100_000 && c.peak_rss_bytes > 0) {
+            let name = format!("peak RSS at 100k users, {} threads (bytes)", c.threads);
+            gates.push(Gate::below(name, c.peak_rss_bytes, RSS_BUDGET_BYTES));
+        }
+        gates
     }
 }
 
@@ -181,32 +229,6 @@ pub fn run_cell(users: u64, threads: usize) -> ScaleCell {
     }
 }
 
-/// Extracts `"key": <value>` from a one-object JSON line (the cell
-/// subprocess's output — flat, machine-generated, so plain string
-/// scanning is exact).
-fn json_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find([',', '}'])
-        .unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-/// Parses a subprocess cell line back into a [`ScaleCell`].
-fn parse_cell(json: &str) -> Option<ScaleCell> {
-    Some(ScaleCell {
-        users: json_field(json, "users")?.parse().ok()?,
-        threads: json_field(json, "threads")?.parse().ok()?,
-        wall_secs: json_field(json, "wall_secs")?.parse().ok()?,
-        transactions: json_field(json, "transactions")?.parse().ok()?,
-        tps: json_field(json, "tps")?.parse().ok()?,
-        peak_rss_bytes: json_field(json, "peak_rss_bytes")?.parse().ok()?,
-        digest: json_field(json, "digest")?.to_owned(),
-    })
-}
-
 /// Runs one cell in a fresh subprocess of the current binary (hidden
 /// `--f9-cell` mode), so its peak RSS is its own. Falls back to an
 /// in-process run when re-execution is unavailable.
@@ -220,7 +242,8 @@ fn run_cell_isolated(users: u64, threads: usize) -> ScaleCell {
     if let Some(out) = child {
         if out.status.success() {
             let stdout = String::from_utf8_lossy(&out.stdout);
-            if let Some(cell) = stdout.lines().rev().find_map(parse_cell) {
+            let cell = |line: &str| ScaleCell::from_json(&json::parse(line).ok()?);
+            if let Some(cell) = stdout.lines().rev().find_map(cell) {
                 return cell;
             }
         }
@@ -229,7 +252,7 @@ fn run_cell_isolated(users: u64, threads: usize) -> ScaleCell {
 }
 
 /// Runs the full F9 grid. `quick` drops the million-user column for
-/// smoke runs; both modes assert the cross-thread identity gate.
+/// smoke runs.
 pub fn run(quick: bool) -> ScaleNumbers {
     let populations: Vec<u64> = if quick {
         vec![10_000, 100_000]
@@ -239,20 +262,8 @@ pub fn run(quick: bool) -> ScaleNumbers {
     let threads = vec![1usize, 4, 8];
     let mut cells = Vec::new();
     for &users in &populations {
-        let mut reference: Option<&str> = None;
-        let lo = cells.len();
         for &t in &threads {
             cells.push(run_cell_isolated(users, t));
-        }
-        for cell in &cells[lo..] {
-            match reference {
-                None => reference = Some(&cell.digest),
-                Some(reference) => assert_eq!(
-                    reference, cell.digest,
-                    "{} users: merged counters must be byte-identical at every thread count",
-                    users
-                ),
-            }
         }
     }
     ScaleNumbers {
@@ -265,6 +276,7 @@ pub fn run(quick: bool) -> ScaleNumbers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::failing;
 
     #[test]
     fn one_cell_measures_and_digests() {
@@ -283,7 +295,8 @@ mod tests {
     #[test]
     fn cell_json_round_trips() {
         let cell = run_cell(10, 1);
-        let parsed = parse_cell(&cell.to_json()).expect("parses");
+        let line = json::parse(&cell.to_json().to_string()).expect("the cell line parses");
+        let parsed = ScaleCell::from_json(&line).expect("parses");
         assert_eq!(parsed.users, cell.users);
         assert_eq!(parsed.threads, cell.threads);
         assert_eq!(parsed.transactions, cell.transactions);
@@ -294,30 +307,44 @@ mod tests {
     }
 
     #[test]
-    fn grid_json_has_the_schema_tier1_checks() {
-        let numbers = ScaleNumbers {
-            populations: vec![10, 20],
+    fn grid_json_has_the_schema_and_the_gates_are_live() {
+        let cell = run_cell(10, 1);
+        let mut numbers = ScaleNumbers {
+            populations: vec![10],
             threads: vec![1, 2],
-            cells: vec![run_cell(10, 1)],
+            cells: vec![cell.clone(), ScaleCell { threads: 2, ..cell }],
         };
-        let json = numbers.to_json();
-        for key in [
-            "\"experiment\"",
-            "\"F9_scale\"",
-            "\"populations\"",
-            "\"threads\"",
-            "\"identical_across_threads\"",
-            "\"cells\"",
-            "\"tps\"",
-            "\"peak_rss_bytes\"",
-            "\"digest\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+        let json = json::parse(&numbers.to_json().to_string()).expect("artefact parses");
+        assert_eq!(json["experiment"].as_str(), Some("F9_scale"));
+        assert_eq!(json["populations"].items().len(), 1);
+        assert_eq!(json["threads"].items().len(), 2);
+        assert_eq!(json["identical_across_threads"], Value::Bool(true));
+        for key in ["tps", "peak_rss_bytes", "digest"] {
+            assert!(json["cells"][0].get(key).is_some(), "missing {key} in {json}");
         }
+        let Value::Object(top) = &json else { panic!("{json}") };
+        let Value::Object(first) = &json["cells"][0] else { panic!("{json}") };
         assert!(
-            !json.contains("events"),
+            top.iter().chain(first).all(|(key, _)| !key.contains("events")),
             "the fleet engine counts no events: {json}"
         );
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+
+        assert!(failing(&numbers).is_empty(), "{:?}", numbers.gates());
+        numbers.cells[1].digest = "0".repeat(16);
+        assert_eq!(
+            failing(&numbers),
+            ["identical_across_threads", "10 users: distinct merged-counter digests across threads"]
+        );
+        let json = json::parse(&numbers.to_json().to_string()).expect("artefact parses");
+        assert_eq!(json["identical_across_threads"], Value::Bool(false));
+        numbers.cells[1].digest = numbers.cells[0].digest.clone();
+        numbers.populations = vec![100_000];
+        for cell in &mut numbers.cells {
+            cell.users = 100_000;
+        }
+        numbers.cells[1].peak_rss_bytes = RSS_BUDGET_BYTES;
+        assert_eq!(failing(&numbers), ["peak RSS at 100k users, 2 threads (bytes)"]);
+        numbers.cells.pop();
+        assert_eq!(failing(&numbers), ["grid cells"]);
     }
 }

@@ -35,6 +35,10 @@ use std::fmt;
 use hostsite::db::Database;
 use hostsite::{HttpRequest, HttpResponse, WebServer};
 use mcommerce_core::{CachePolicy, Category, CommerceSystem, FleetRunner, Scenario, WorkloadCounters};
+use obs::json::Value::{self, Fixed};
+use obs::object;
+
+use crate::gate::{Gate, Numbers};
 
 /// Fixed seed for every F12 population.
 const F12_SEED: u64 = 1201;
@@ -157,50 +161,63 @@ impl fmt::Display for SearchNumbers {
     }
 }
 
-impl SearchNumbers {
-    /// Renders the result as the `BENCH_search.json` document.
-    pub fn to_json(&self) -> String {
-        let latency: Vec<String> = self
-            .latency
-            .iter()
-            .map(|l| {
-                format!(
-                    "    {{ \"leg\": \"{}\", \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \"search_ms\": {:.4}, \"memo_hits\": {} }}",
-                    l.leg, l.p50_ms, l.p99_ms, l.search_ms, l.memo_hits
-                )
-            })
-            .collect();
-        let index_size: Vec<String> = self
-            .index_size
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{ \"rows\": {}, \"cold_search_ns\": {} }}",
-                    r.rows, r.cold_search_ns
-                )
-            })
-            .collect();
-        let write_rate: Vec<String> = self
-            .write_rate
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{ \"writes_per_100_queries\": {}, \"memo_hits\": {}, \"memo_misses\": {} }}",
-                    r.writes_per_100_queries, r.memo_hits, r.memo_misses
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"experiment\": \"F12_search\",\n  \"users\": {},\n  \"sessions_per_user\": {},\n  \"latency\": [\n{}\n  ],\n  \"index_size\": [\n{}\n  ],\n  \"write_rate\": [\n{}\n  ],\n  \"search_equals_scan\": {},\n  \"thread_identical\": {},\n  \"interner_flat\": {}\n}}\n",
-            self.users,
-            self.sessions_per_user,
-            latency.join(",\n"),
-            index_size.join(",\n"),
-            write_rate.join(",\n"),
-            self.search_equals_scan,
-            self.thread_identical,
-            self.interner_flat
+impl Numbers for SearchNumbers {
+    const EXPERIMENT: &'static str = "F12_search";
+
+    fn to_json(&self) -> Value {
+        let latency = self.latency.iter().map(|l| {
+            object!("leg": l.leg, "p50_ms": Fixed(l.p50_ms, 4), "p99_ms": Fixed(l.p99_ms, 4),
+                "search_ms": Fixed(l.search_ms, 4), "memo_hits": l.memo_hits)
+        });
+        let index_size = self.index_size.iter();
+        let index_size = index_size.map(|r| object!("rows": r.rows, "cold_search_ns": r.cold_search_ns));
+        let write_rate = self.write_rate.iter().map(|r| {
+            object!("writes_per_100_queries": r.writes_per_100_queries, "memo_hits": r.memo_hits,
+                "memo_misses": r.memo_misses)
+        });
+        object!(
+            "experiment": Self::EXPERIMENT,
+            "users": self.users,
+            "sessions_per_user": self.sessions_per_user,
+            "latency": latency.collect::<Value>(),
+            "index_size": index_size.collect::<Value>(),
+            "write_rate": write_rate.collect::<Value>(),
+            "search_equals_scan": self.search_equals_scan,
+            "thread_identical": self.thread_identical,
+            "interner_flat": self.interner_flat,
         )
+    }
+
+    fn gates(&self) -> Vec<Gate> {
+        let mut gates = vec![
+            Gate::holds("indexed search equals the brute-force scan", self.search_equals_scan),
+            Gate::holds("search fleet identical at 1/2/4/8 threads", self.thread_identical),
+            Gate::holds("no keys held after 10k distinct queries", self.interner_flat),
+        ];
+        let leg = |name: &str| self.latency.iter().find(|l| l.leg == name);
+        match (leg("cold"), leg("warm")) {
+            (Some(cold), Some(warm)) => gates.extend([
+                Gate::below("warm search p50 below cold (ms)", warm.p50_ms, cold.p50_ms),
+                Gate::below("warm search CPU below cold (ms)", warm.search_ms, cold.search_ms),
+                Gate::equals("cold leg memo hits", cold.memo_hits, 0),
+                Gate::above("warm leg memo hits", warm.memo_hits, 0),
+            ]),
+            _ => gates.push(Gate::holds("cold and warm legs measured", false)),
+        }
+        for w in self.index_size.windows(2) {
+            let name = format!("cold search cost at {} rows > at {} rows (ns)", w[1].rows, w[0].rows);
+            gates.push(Gate::above(name, w[1].cold_search_ns, w[0].cold_search_ns));
+        }
+        for r in &self.write_rate {
+            let name = format!("{} writes: memo hits + misses", r.writes_per_100_queries);
+            gates.push(Gate::equals(name, r.memo_hits + r.memo_misses, 100));
+        }
+        for w in self.write_rate.windows(2) {
+            let (from, to) = (w[0].writes_per_100_queries, w[1].writes_per_100_queries);
+            let name = format!("memo hits at {to} writes < at {from} writes");
+            gates.push(Gate::below(name, w[1].memo_hits, w[0].memo_hits));
+        }
+        gates
     }
 }
 
@@ -422,52 +439,23 @@ pub fn run(quick: bool) -> SearchNumbers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::json;
+    use crate::gate::failing;
 
     #[test]
     fn search_pays_cold_and_saves_warm() {
-        let numbers = run(true);
-        let cold = &numbers.latency[0];
-        let warm = &numbers.latency[1];
-        assert!(
-            warm.p50_ms < cold.p50_ms,
-            "memoized repeat queries must pull p50 down: {warm} vs {cold}"
-        );
-        assert!(
-            warm.search_ms < cold.search_ms,
-            "memo hits cost less simulated CPU: {warm} vs {cold}"
-        );
-        assert_eq!(cold.memo_hits, 0, "caches off ⇒ no memo");
-        assert!(warm.memo_hits > 0, "each session repeats its query");
+        let mut numbers = run(true);
+        // The gates: warm search beats cold in p50 and simulated CPU,
+        // only the warm leg hits the memo, cost is strictly monotone in
+        // catalog size, memo hits fall as writes rise (100 queries per
+        // leg), and the three identities hold.
+        assert!(failing(&numbers).is_empty(), "{:?}", numbers.gates());
+        let json = json::parse(&numbers.to_json().to_string()).expect("artefact parses");
+        assert_eq!(json["search_equals_scan"], Value::Bool(true), "{json}");
 
-        // Cost is strictly monotone in catalog size.
-        for pair in numbers.index_size.windows(2) {
-            assert!(
-                pair[1].cold_search_ns > pair[0].cold_search_ns,
-                "{} rows vs {} rows",
-                pair[1].rows,
-                pair[0].rows
-            );
-        }
-        // Memo hits fall as the write rate rises; every leg ran 100
-        // queries.
-        for row in &numbers.write_rate {
-            assert_eq!(row.memo_hits + row.memo_misses, 100, "{row:?}");
-        }
-        for pair in numbers.write_rate.windows(2) {
-            assert!(
-                pair[1].memo_hits < pair[0].memo_hits,
-                "{:?} vs {:?}",
-                pair[1],
-                pair[0]
-            );
-        }
-
-        assert!(numbers.search_equals_scan);
-        assert!(numbers.thread_identical);
-        assert!(numbers.interner_flat);
-        let json = numbers.to_json();
-        assert!(json.contains("\"search_equals_scan\": true"), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        numbers.write_rate[2].memo_hits = numbers.write_rate[1].memo_hits;
+        numbers.write_rate[2].memo_misses = 100 - numbers.write_rate[2].memo_hits;
+        assert_eq!(failing(&numbers), ["memo hits at 50 writes < at 10 writes"]);
     }
 
     #[test]

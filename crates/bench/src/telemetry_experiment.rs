@@ -28,8 +28,12 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use mcommerce_core::{CachePolicy, Category, FleetRun, FleetRunner, Scenario, Topology};
+use obs::json::Value::{self, Fixed};
+use obs::object;
 use obs::timeseries::{SeriesKind, Telemetry};
 use simnet::SimDuration;
+
+use crate::gate::{Gate, Numbers};
 
 /// Fixed seed for every F10 run.
 const F10_SEED: u64 = 1001;
@@ -188,43 +192,63 @@ impl fmt::Display for TelemetryNumbers {
     }
 }
 
-impl TelemetryNumbers {
-    /// Renders the artefact written to `BENCH_telemetry.json`. Wall
-    /// seconds and overhead percentages live under leaf names the
+impl Numbers for TelemetryNumbers {
+    const EXPERIMENT: &'static str = "F10_telemetry";
+
+    /// Wall seconds and overhead percentages live under leaf names the
     /// `benchdiff` policy treats as informational; everything else is
     /// deterministic and gated.
-    pub fn to_json(&self) -> String {
-        let peaks: Vec<String> = self
-            .peaks
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{ \"series\": \"{}\", \"kind\": \"{}\", \"peak_milli\": {}, \"onset_ns\": {} }}",
-                    r.series,
-                    r.kind,
-                    r.peak_milli,
-                    r.onset_ns.map_or("null".into(), |ns| ns.to_string()),
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"experiment\": \"F10_telemetry\",\n  \"micro\": {{\n    \"iterations\": {},\n    \"baseline\": {{ \"wall_secs\": {:.6} }},\n    \"disabled\": {{ \"wall_secs\": {:.6}, \"overhead_disabled_pct\": {:.4}, \"overhead_disabled_floor_pct\": {:.4} }}\n  }},\n  \"fleet\": {{\n    \"users\": {},\n    \"off\": {{ \"wall_secs\": {:.6} }},\n    \"on\": {{ \"wall_secs\": {:.6}, \"overhead_enabled_pct\": {:.4} }},\n    \"series\": {},\n    \"points\": {}\n  }},\n  \"thread_identity\": {},\n  \"run_identity\": {},\n  \"export_stable\": {},\n  \"peaks\": [\n{}\n  ]\n}}\n",
-            self.micro.iterations,
-            self.micro.baseline_wall_secs,
-            self.micro.disabled_wall_secs,
-            self.micro.overhead_disabled_pct,
-            self.micro.overhead_disabled_floor_pct,
-            self.fleet.users,
-            self.fleet.off_wall_secs,
-            self.fleet.on_wall_secs,
-            self.fleet.overhead_enabled_pct,
-            self.fleet.series,
-            self.fleet.points,
-            self.thread_identity,
-            self.run_identity,
-            self.export_stable,
-            peaks.join(",\n"),
+    fn to_json(&self) -> Value {
+        let (micro, fleet) = (&self.micro, &self.fleet);
+        let peaks = self.peaks.iter().map(|r| {
+            object!("series": r.series.as_str(), "kind": r.kind.as_str(),
+                "peak_milli": r.peak_milli, "onset_ns": r.onset_ns)
+        });
+        object!(
+            "experiment": Self::EXPERIMENT,
+            "micro": object!(
+                "iterations": micro.iterations,
+                "baseline": object!("wall_secs": Fixed(micro.baseline_wall_secs, 6)),
+                "disabled": object!("wall_secs": Fixed(micro.disabled_wall_secs, 6),
+                    "overhead_disabled_pct": Fixed(micro.overhead_disabled_pct, 4),
+                    "overhead_disabled_floor_pct": Fixed(micro.overhead_disabled_floor_pct, 4)),
+            ),
+            "fleet": object!(
+                "users": fleet.users,
+                "off": object!("wall_secs": Fixed(fleet.off_wall_secs, 6)),
+                "on": object!("wall_secs": Fixed(fleet.on_wall_secs, 6),
+                    "overhead_enabled_pct": Fixed(fleet.overhead_enabled_pct, 4)),
+                "series": fleet.series,
+                "points": fleet.points,
+            ),
+            "thread_identity": self.thread_identity,
+            "run_identity": self.run_identity,
+            "export_stable": self.export_stable,
+            "peaks": peaks.collect::<Value>(),
         )
+    }
+
+    fn gates(&self) -> Vec<Gate> {
+        let floor = self.micro.overhead_disabled_floor_pct;
+        let names: Vec<&str> = self.peaks.iter().map(|p| p.series.as_str()).collect();
+        let mut gates = vec![
+            Gate::at_most("disabled-telemetry overhead floor (%)", floor, 3.0),
+            Gate::holds("series exports identical at 1/2/4/8 threads", self.thread_identity),
+            Gate::holds("telemetry leaves summary and trace unchanged", self.run_identity),
+            Gate::holds("exports identical between identical runs", self.export_stable),
+            Gate::at_least("registered series", names.len(), 5),
+            Gate::holds("series in canonical order", names.is_sorted()),
+        ];
+        for want in [
+            "cell0000.airtime_util",
+            "gateway0000.cpu_util",
+            "gateway0000.cache_hit_rate",
+            "host0000.cpu_util",
+            "host0000.queue_depth",
+        ] {
+            gates.push(Gate::holds(format!("series {want} registered"), names.contains(&want)));
+        }
+        gates
     }
 }
 
@@ -437,40 +461,32 @@ pub fn run(quick: bool) -> TelemetryNumbers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::json;
+    use crate::gate::failing;
 
     #[test]
     fn f10_quick_holds_its_gates() {
-        let numbers = run(true);
-        assert!(numbers.thread_identity, "series must not depend on threads");
-        assert!(numbers.run_identity, "telemetry must not perturb the run");
-        assert!(numbers.export_stable);
+        let mut numbers = run(true);
         assert!(numbers.fleet.series > 0 && numbers.fleet.points > 0);
-        // Every shared resource shows up.
-        let names: Vec<&str> = numbers.peaks.iter().map(|r| r.series.as_str()).collect();
-        assert!(names.contains(&"cell0000.airtime_util"), "{names:?}");
-        assert!(names.contains(&"gateway0000.cpu_util"), "{names:?}");
-        assert!(names.contains(&"gateway0000.cache_hit_rate"), "{names:?}");
-        assert!(names.contains(&"host0000.cpu_util"), "{names:?}");
-        assert!(names.contains(&"host0000.queue_depth"), "{names:?}");
-    }
+        // The overhead floor is wall-clock: pin it, then every gate
+        // (identities, the five resource series, canonical order) holds.
+        numbers.micro.overhead_disabled_floor_pct = 0.0;
+        assert!(failing(&numbers).is_empty(), "{:?}", numbers.gates());
 
-    #[test]
-    fn f10_json_is_shaped_like_the_artefact() {
-        let numbers = run(true);
-        let json = numbers.to_json();
-        assert!(json.contains("\"experiment\": \"F10_telemetry\""));
-        assert!(json.contains("\"overhead_disabled_pct\""));
-        assert!(json.contains("\"thread_identity\": true"));
-        assert!(json.contains("\"peaks\""));
-        // The artefact parses with the benchdiff reader and diffs clean
-        // against itself.
-        let diff = crate::benchdiff::diff_docs(
-            "telemetry",
-            &json,
-            &json,
-            &crate::benchdiff::Tolerances::default(),
-        )
-        .expect("artefact parses");
+        let text = numbers.to_json().to_string();
+        let json = json::parse(&text).expect("artefact parses");
+        assert_eq!(json["experiment"].as_str(), Some("F10_telemetry"));
+        assert!(json["micro"]["disabled"]["overhead_disabled_pct"].as_f64().is_some());
+        assert_eq!(json["thread_identity"], Value::Bool(true));
+        assert_eq!(json["peaks"].items().len(), numbers.peaks.len());
+        // The artefact diffs clean against itself.
+        let diff = crate::benchdiff::diff_docs("telemetry", &text, &text).expect("artefact parses");
         assert!(diff.passed());
+
+        numbers.micro.overhead_disabled_floor_pct = 3.5;
+        assert_eq!(failing(&numbers), ["disabled-telemetry overhead floor (%)"]);
+        numbers.micro.overhead_disabled_floor_pct = 0.0;
+        numbers.peaks.swap(0, 1);
+        assert_eq!(failing(&numbers), ["series in canonical order"]);
     }
 }

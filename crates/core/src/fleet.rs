@@ -51,7 +51,6 @@ use station::{DeviceProfile, RenderMemo};
 use wireless::WlanStandard;
 
 use crate::apps::{collect_steps, for_category, Application, Category, Step};
-use crate::merge::FleetMerger;
 use crate::netpath::{WiredPath, WirelessConfig};
 use crate::report::{WorkloadCounters, WorkloadSummary};
 use crate::shared::{self, ContentionStats};
@@ -562,20 +561,6 @@ pub struct FleetSummary {
 }
 
 impl FleetSummary {
-    /// Merges per-shard workload summaries (in shard-index order) into
-    /// the fleet total.
-    pub fn merge(scenario: &Scenario, shards: &[WorkloadSummary]) -> FleetSummary {
-        let mut merger = FleetMerger::new();
-        for (shard, summary) in shards.iter().enumerate() {
-            merger.push(shard as u64, summary);
-        }
-        FleetSummary {
-            scenario: scenario.label(),
-            users: scenario.users,
-            workload: merger.finish().summary(scenario.label()),
-        }
-    }
-
     /// Transactions attempted across the fleet.
     pub fn transactions(&self) -> u64 {
         self.workload.attempted as u64
@@ -627,69 +612,20 @@ pub enum RecorderKind {
 /// Execution mechanics for one fleet run: how many OS threads, whether
 /// telemetry is captured, and through which recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunConfig {
+pub(crate) struct RunConfig {
     /// Worker threads the fleet is sharded across (clamped to ≥ 1 and
     /// to the islands `0..min(hosts, users)` the engine runs: one per
     /// user in an isolated world).
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Whether to run with the metrics registry and per-user recorders
     /// enabled and merge a [`FleetTrace`].
-    pub traced: bool,
+    pub(crate) traced: bool,
     /// The recorder installed per user when `traced` is set.
-    pub recorder: RecorderKind,
-    /// Fixed sim-time bin width for shared-resource time-series, or
-    /// `None` (the default) for no telemetry. Only shared topologies
-    /// have shared resources to sample; [`Topology::isolated`] ignores it.
-    pub telemetry_bin_ns: Option<u64>,
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        RunConfig {
-            threads: default_threads(),
-            traced: false,
-            recorder: RecorderKind::Ring,
-            telemetry_bin_ns: None,
-        }
-    }
-}
-
-impl RunConfig {
-    /// Sets the worker thread count.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Enables or disables telemetry capture.
-    #[must_use]
-    pub fn traced(mut self, traced: bool) -> Self {
-        self.traced = traced;
-        self
-    }
-
-    /// Selects the per-user recorder used when tracing.
-    #[must_use]
-    pub fn recorder(mut self, recorder: RecorderKind) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Enables shared-resource time-series at the default bin width
-    /// ([`obs::timeseries::DEFAULT_BIN_NS`]), or disables them.
-    #[must_use]
-    pub fn telemetry(mut self, enabled: bool) -> Self {
-        self.telemetry_bin_ns = enabled.then_some(obs::timeseries::DEFAULT_BIN_NS);
-        self
-    }
-
-    /// Enables shared-resource time-series with an explicit bin width.
-    #[must_use]
-    pub fn telemetry_bin_ns(mut self, bin_ns: u64) -> Self {
-        self.telemetry_bin_ns = Some(bin_ns);
-        self
-    }
+    pub(crate) recorder: RecorderKind,
+    /// Whether to sample shared-resource time-series, in bins of
+    /// [`obs::timeseries::DEFAULT_BIN_NS`]. Only shared topologies have
+    /// shared resources to sample; [`Topology::isolated`] ignores it.
+    pub(crate) telemetry: bool,
 }
 
 /// Everything one fleet execution produced.
@@ -712,7 +648,8 @@ pub struct FleetRun {
 
 /// The single entry point for executing fleets: a [`Scenario`] (who the
 /// users are and what they run), a [`Topology`] (what infrastructure
-/// they share), and a [`RunConfig`] (how the simulation executes).
+/// they share), and how the simulation executes (threads, tracing,
+/// telemetry).
 ///
 /// Replaces the `fleet::run` / `run_on` / `run_traced_on` trio:
 ///
@@ -742,13 +679,18 @@ pub struct FleetRunner {
 }
 
 impl FleetRunner {
-    /// A runner over `scenario` with the default isolated topology and
-    /// default [`RunConfig`].
+    /// A runner over `scenario` with the default isolated topology, one
+    /// worker per available core, no tracing and no telemetry.
     pub fn new(scenario: Scenario) -> Self {
         FleetRunner {
             scenario,
             topology: Topology::isolated(),
-            config: RunConfig::default(),
+            config: RunConfig {
+                threads: default_threads(),
+                traced: false,
+                recorder: RecorderKind::Ring,
+                telemetry: false,
+            },
         }
     }
 
@@ -780,25 +722,11 @@ impl FleetRunner {
         self
     }
 
-    /// Enables shared-resource time-series at the default bin width.
-    /// See [`RunConfig::telemetry`].
+    /// Enables or disables shared-resource time-series (bins of
+    /// [`obs::timeseries::DEFAULT_BIN_NS`]).
     #[must_use]
     pub fn telemetry(mut self, enabled: bool) -> Self {
-        self.config = self.config.telemetry(enabled);
-        self
-    }
-
-    /// Enables shared-resource time-series with an explicit bin width.
-    #[must_use]
-    pub fn telemetry_bin_ns(mut self, bin_ns: u64) -> Self {
-        self.config = self.config.telemetry_bin_ns(bin_ns);
-        self
-    }
-
-    /// Replaces the whole [`RunConfig`] at once.
-    #[must_use]
-    pub fn config(mut self, config: RunConfig) -> Self {
-        self.config = config;
+        self.config.telemetry = enabled;
         self
     }
 
@@ -821,7 +749,7 @@ impl FleetRunner {
         let islands = self.topology.host_count().min(scenario.users);
         let config = RunConfig {
             threads: self.config.threads.clamp(1, islands.max(1) as usize),
-            telemetry_bin_ns: self.config.telemetry_bin_ns.filter(|_| shared),
+            telemetry: self.config.telemetry && shared,
             ..self.config
         };
         let totals = shared::run_islands(scenario, &self.topology, islands, config);

@@ -51,10 +51,10 @@ pub use faults::{
     classify, FailureClass, FaultEvent, FaultKind, FaultPlan, FaultState, FaultWindow, RetryPolicy,
 };
 pub use fleet::{
-    FleetReport, FleetRun, FleetRunner, FleetSummary, FleetTrace, RecorderKind, RunConfig,
-    Scenario, ShardScratch, UserTrace,
+    FleetReport, FleetRun, FleetRunner, FleetSummary, FleetTrace, RecorderKind, Scenario,
+    ShardScratch, UserTrace,
 };
-pub use merge::{FleetMerger, TraceMerger};
+pub use merge::TraceMerger;
 pub use netpath::{AirLink, WiredPath, WirelessConfig};
 pub use report::{
     PhaseBreakdown, TransactionOutcome, TransactionReport, WorkloadCounters, WorkloadSummary,

@@ -1,95 +1,26 @@
-//! Streaming canonical-order merge of worker results.
+//! Streaming canonical-order merge of per-user traces.
 //!
-//! The fleet engine promises one merge discipline: counters fold in
-//! worker-index order, traces concatenate in global user-index order —
-//! that is what makes the output byte-identical at any thread count.
+//! The fleet engine concatenates traces in global user-index order —
+//! that is what makes a trace byte-identical at any thread count.
 //! Buying that order by *collecting first* — holding every island's
-//! full result until the last one finished, then folding and sorting —
-//! makes the collection the peak-memory high-water mark of the whole
-//! run at F9 populations, and starts the merge only after the slowest
-//! worker ends.
+//! traces until the last one finished, then sorting — makes the
+//! collection the peak-memory high-water mark of a traced run, and
+//! starts the merge only after the slowest worker ends.
 //!
-//! The mergers here stream instead. Each accepts results in **arrival**
-//! order — whichever worker or user finishes first — and folds them in
-//! **canonical** order through a reorder buffer: a result that arrives
-//! in its canonical slot is folded immediately (and releases any
+//! [`TraceMerger`] streams instead. It accepts traces in **arrival**
+//! order — whichever island finishes first — and appends them in
+//! **canonical** order through a reorder buffer: a trace that arrives
+//! in its canonical slot is appended immediately (and releases any
 //! buffered successors); an early arrival waits in a `BTreeMap` keyed
-//! by its index. The output is therefore bit-identical to the
+//! by its user. The output is therefore bit-identical to the
 //! collect-then-sort implementation for every arrival interleaving — a
-//! property `tests/merge_props.rs` pins with randomised chunkings.
+//! property `tests/merge_props.rs` pins with randomised permutations.
+//! (Worker counters need no such buffer: the engine joins every worker
+//! before it folds their totals, in worker order.)
 
 use std::collections::BTreeMap;
 
 use crate::fleet::{FleetTrace, UserTrace};
-use crate::report::{WorkloadCounters, WorkloadSummary};
-
-/// Folds per-shard workload counters (one shard per fleet worker) into
-/// the fleet total in strict shard-index order, accepting shards in any
-/// arrival order.
-///
-/// Counter merge is associative and commutative, so the fold order
-/// cannot change the sums — the reorder buffer is what makes *gaps
-/// observable*: [`FleetMerger::finish`] panics if a shard index never
-/// arrived, instead of silently under-counting the fleet.
-#[derive(Debug, Default)]
-pub struct FleetMerger {
-    next: u64,
-    pending: BTreeMap<u64, WorkloadCounters>,
-    counters: WorkloadCounters,
-}
-
-impl FleetMerger {
-    /// An empty merger expecting shard 0 first (in canonical order).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Admits shard `shard`'s summary, in any arrival order.
-    ///
-    /// # Panics
-    ///
-    /// If `shard` already arrived.
-    pub fn push(&mut self, shard: u64, summary: &WorkloadSummary) {
-        self.push_counters(shard, summary.counters.clone());
-    }
-
-    /// [`FleetMerger::push`] for bare counters.
-    pub fn push_counters(&mut self, shard: u64, counters: WorkloadCounters) {
-        assert!(
-            shard >= self.next && !self.pending.contains_key(&shard),
-            "shard {shard} merged twice"
-        );
-        if shard != self.next {
-            self.pending.insert(shard, counters);
-            return;
-        }
-        self.counters.merge(&counters);
-        self.next += 1;
-        while let Some(buffered) = self.pending.remove(&self.next) {
-            self.counters.merge(&buffered);
-            self.next += 1;
-        }
-    }
-
-    /// Shards folded into the total so far (excludes the reorder buffer).
-    pub fn flushed(&self) -> u64 {
-        self.next
-    }
-
-    /// Completes the fold and returns the fleet-wide counters.
-    ///
-    /// # Panics
-    ///
-    /// If any shard index below the highest admitted one never arrived.
-    pub fn finish(self) -> WorkloadCounters {
-        assert!(
-            self.pending.is_empty(),
-            "shards missing below index {}: merge would under-count",
-            self.pending.keys().next_back().unwrap_or(&0),
-        );
-        self.counters
-    }
-}
 
 /// Concatenates per-user traces into a [`FleetTrace`] in strict global
 /// user-index order, accepting users in any arrival order.
@@ -187,52 +118,6 @@ impl TraceMerger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::TransactionReport;
-
-    fn counters_with(marker: u64) -> WorkloadCounters {
-        let mut c = WorkloadCounters::default();
-        c.record(&TransactionReport::failed(format!("marker {marker}")));
-        c
-    }
-
-    #[test]
-    fn fleet_merger_is_arrival_order_independent() {
-        let shards: Vec<WorkloadCounters> = (0..5).map(counters_with).collect();
-        let mut in_order = FleetMerger::new();
-        for (i, c) in shards.iter().enumerate() {
-            in_order.push_counters(i as u64, c.clone());
-        }
-        let mut scrambled = FleetMerger::new();
-        for &i in &[3usize, 0, 4, 1, 2] {
-            scrambled.push_counters(i as u64, shards[i].clone());
-        }
-        assert_eq!(in_order.finish(), scrambled.finish());
-    }
-
-    #[test]
-    fn fleet_merger_reports_flush_progress() {
-        let mut merger = FleetMerger::new();
-        merger.push_counters(1, counters_with(2));
-        assert_eq!(merger.flushed(), 0, "shard 1 must wait for shard 0");
-        merger.push_counters(0, counters_with(1));
-        assert_eq!(merger.flushed(), 2, "shard 0 releases buffered shard 1");
-    }
-
-    #[test]
-    #[should_panic(expected = "merged twice")]
-    fn fleet_merger_rejects_duplicate_shards() {
-        let mut merger = FleetMerger::new();
-        merger.push_counters(0, WorkloadCounters::default());
-        merger.push_counters(0, WorkloadCounters::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "shards missing")]
-    fn fleet_merger_refuses_to_finish_with_gaps() {
-        let mut merger = FleetMerger::new();
-        merger.push_counters(1, WorkloadCounters::default());
-        merger.finish();
-    }
 
     fn trace_with_marker(user: u64) -> UserTrace {
         let mut metrics = obs::Metrics::default();

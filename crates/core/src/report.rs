@@ -10,6 +10,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use hostsite::http::Status;
+use obs::json::Value;
+use obs::object;
 use simnet::time::secs_to_ns as to_ns;
 use simnet::SimDuration;
 
@@ -134,34 +136,27 @@ impl TransactionReport {
         self.outcome.as_ref().map(|o| &*o.page_text)
     }
 
-    /// Serialises the report as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        json_f64(&mut out, "total", self.total);
-        json_f64(&mut out, "station_secs", self.breakdown.station_secs);
-        json_f64(&mut out, "wireless_secs", self.breakdown.wireless_secs);
-        json_f64(&mut out, "middleware_secs", self.breakdown.middleware_secs);
-        json_f64(&mut out, "wired_secs", self.breakdown.wired_secs);
-        json_f64(&mut out, "host_secs", self.breakdown.host_secs);
-        json_raw(&mut out, "air_bytes_up", &self.air_bytes_up.to_string());
-        json_raw(&mut out, "air_bytes_down", &self.air_bytes_down.to_string());
-        json_raw(&mut out, "retransmissions", &self.retransmissions.to_string());
-        json_f64(&mut out, "energy_j", self.energy_j);
-        json_raw(&mut out, "attempts", &self.attempts.to_string());
-        json_raw(&mut out, "success", if self.success { "true" } else { "false" });
-        match &self.failure {
-            Some(f) => json_str(&mut out, "failure", f),
-            None => json_raw(&mut out, "failure", "null"),
-        }
-        match &self.outcome {
-            Some(o) => {
-                json_str(&mut out, "title", &o.title);
-                json_raw(&mut out, "status", &o.status.code().to_string());
-            }
-            None => json_raw(&mut out, "status", "null"),
-        }
-        out.push('}');
-        out
+    /// The report as a JSON object.
+    /// `title` and `status` are `null` when there is no outcome.
+    pub fn to_json(&self) -> Value {
+        let outcome = self.outcome.as_ref();
+        object!(
+            "total": self.total,
+            "station_secs": self.breakdown.station_secs,
+            "wireless_secs": self.breakdown.wireless_secs,
+            "middleware_secs": self.breakdown.middleware_secs,
+            "wired_secs": self.breakdown.wired_secs,
+            "host_secs": self.breakdown.host_secs,
+            "air_bytes_up": self.air_bytes_up,
+            "air_bytes_down": self.air_bytes_down,
+            "retransmissions": self.retransmissions,
+            "energy_j": self.energy_j,
+            "attempts": self.attempts,
+            "success": self.success,
+            "failure": self.failure.as_deref(),
+            "title": outcome.map(|o| &*o.title),
+            "status": outcome.map(|o| u32::from(o.status.code())),
+        )
     }
 }
 
@@ -364,84 +359,26 @@ impl WorkloadSummary {
         }
     }
 
-    /// Serialises the summary as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        json_str(&mut out, "label", &self.label);
-        json_raw(&mut out, "attempted", &self.attempted.to_string());
-        json_raw(&mut out, "succeeded", &self.succeeded.to_string());
-        json_f64(&mut out, "latency_mean", self.latency_mean);
-        json_f64(&mut out, "latency_p90", self.latency_p90);
-        json_f64(&mut out, "air_bytes_mean", self.air_bytes_mean);
-        json_f64(&mut out, "energy_mean_j", self.energy_mean_j);
-        let shares: Vec<String> = self
-            .component_shares
-            .iter()
-            .map(|(k, v)| format!("{}:{}", json_string_value(k), json_f64_value(*v)))
-            .collect();
-        json_raw(
-            &mut out,
-            "component_shares",
-            &format!("{{{}}}", shares.join(",")),
-        );
-        out.push('}');
-        out
+    /// The summary as a JSON object.
+    pub fn to_json(&self) -> Value {
+        let shares = self.component_shares.iter().map(|(k, &v)| (k.clone(), v.into()));
+        object!(
+            "label": self.label.as_str(),
+            "attempted": self.attempted,
+            "succeeded": self.succeeded,
+            "latency_mean": self.latency_mean,
+            "latency_p90": self.latency_p90,
+            "air_bytes_mean": self.air_bytes_mean,
+            "energy_mean_j": self.energy_mean_j,
+            "component_shares": Value::Object(shares.collect()),
+        )
     }
-}
-
-fn json_string_value(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_f64_value(v: f64) -> String {
-    if v.is_finite() {
-        // `{:?}` prints the shortest representation that round-trips.
-        format!("{v:?}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-fn json_entry(out: &mut String, key: &str) {
-    if !out.ends_with('{') {
-        out.push(',');
-    }
-    out.push_str(&json_string_value(key));
-    out.push(':');
-}
-
-fn json_raw(out: &mut String, key: &str, value: &str) {
-    json_entry(out, key);
-    out.push_str(value);
-}
-
-fn json_str(out: &mut String, key: &str, value: &str) {
-    json_entry(out, key);
-    out.push_str(&json_string_value(value));
-}
-
-fn json_f64(out: &mut String, key: &str, value: f64) {
-    json_entry(out, key);
-    out.push_str(&json_f64_value(value));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::json;
 
     fn report(total: f64, host: f64, wireless: f64) -> TransactionReport {
         TransactionReport {
@@ -581,10 +518,11 @@ mod tests {
     #[test]
     fn reports_serialise_to_json() {
         let r = report(1.0, 0.5, 0.5);
-        let json = r.to_json();
-        assert!(json.contains("\"success\":true"), "{json}");
-        assert!(json.contains("\"status\":200"), "{json}");
+        let json = json::parse(&r.to_json().to_string()).unwrap();
+        assert_eq!(json["success"], Value::Bool(true), "{json}");
+        assert_eq!(json["status"].as_u64(), Some(200), "{json}");
         let s = WorkloadSummary::aggregate("x", &[r]);
-        assert!(s.to_json().contains("\"label\":\"x\""));
+        let json = json::parse(&s.to_json().to_string()).unwrap();
+        assert_eq!(json["label"].as_str(), Some("x"));
     }
 }

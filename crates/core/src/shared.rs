@@ -87,7 +87,7 @@ use crate::apps::{for_category, Application, Step};
 use crate::fleet::{
     seeded, FleetTrace, RecorderKind, RunConfig, Scenario, ShardScratch, UserTrace,
 };
-use crate::merge::{FleetMerger, TraceMerger};
+use crate::merge::TraceMerger;
 use crate::report::{TransactionReport, WorkloadCounters};
 use crate::system::{Site, UserSide};
 use crate::topology::{Island, Topology};
@@ -178,8 +178,8 @@ struct IslandTelemetry {
 }
 
 impl IslandTelemetry {
-    fn new(bin_ns: u64, island: u64, cells: &[u64], gateways: &[u64], priced_wal: bool) -> Self {
-        let mut t = Telemetry::new(bin_ns);
+    fn new(island: u64, cells: &[u64], gateways: &[u64], priced_wal: bool) -> Self {
+        let mut t = Telemetry::default();
         let cell_util = cells
             .iter()
             .map(|&c| t.register(&format!("cell{c:04}.airtime_util"), SeriesKind::Utilization))
@@ -316,12 +316,12 @@ pub(crate) fn run_islands(
             .collect()
     });
 
-    let mut counters = FleetMerger::new();
+    let mut counters = WorkloadCounters::default();
     let mut stats = ContentionStats::default();
     let mut metrics = obs::Metrics::default();
-    let mut telemetry = config.telemetry_bin_ns.map(Telemetry::new);
-    for (worker, totals) in finished.into_iter().enumerate() {
-        counters.push_counters(worker as u64, totals.counters);
+    let mut telemetry = config.telemetry.then(Telemetry::default);
+    for totals in finished {
+        counters.merge(&totals.counters);
         stats.merge(&totals.stats);
         if let Some(m) = &totals.metrics {
             metrics.merge(m);
@@ -334,7 +334,7 @@ pub(crate) fn run_islands(
         }
     }
     FleetTotals {
-        counters: counters.finish(),
+        counters,
         stats,
         trace: traces.map(|merger| {
             let mut trace = merger.finish();
@@ -408,7 +408,7 @@ impl<'a> Worker<'a> {
                 counters: WorkloadCounters::default(),
                 stats: ContentionStats::default(),
                 metrics: None,
-                telemetry: config.telemetry_bin_ns.map(Telemetry::new),
+                telemetry: config.telemetry.then(Telemetry::default),
             },
             members: Island::default(),
             cell_air: Vec::new(),
@@ -467,9 +467,8 @@ impl<'a> Worker<'a> {
             cpu: FcfsServer::new(),
             wal: FcfsServer::new(),
         };
-        let mut telemetry = self.config.telemetry_bin_ns.map(|bin_ns| {
+        let mut telemetry = self.config.telemetry.then(|| {
             IslandTelemetry::new(
-                bin_ns,
                 island,
                 &members.cells,
                 &members.gateways,

@@ -11,24 +11,9 @@
 //! `pid` is the simulated user and `tid` the paper layer, so the UI
 //! renders one process per user with six layer swim-lanes.
 
+use crate::json::quoted;
 use crate::span::{EventKind, TraceEvent};
 use crate::timeseries::Telemetry;
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Nanoseconds rendered as fractional microseconds (`"1234.567"`),
 /// the unit Chrome trace timestamps use. Integer-only formatting keeps
@@ -42,13 +27,13 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
     let mut out = String::new();
     for e in events {
         out.push_str(&format!(
-            "{{\"at_ns\":{},\"dur_ns\":{},\"user\":{},\"txn\":{},\"layer\":\"{}\",\"name\":\"{}\",\"kind\":\"{}\"}}\n",
+            "{{\"at_ns\":{},\"dur_ns\":{},\"user\":{},\"txn\":{},\"layer\":\"{}\",\"name\":{},\"kind\":\"{}\"}}\n",
             e.at_ns,
             e.dur_ns,
             e.user,
             e.txn,
             e.layer.name(),
-            escape(&e.name),
+            quoted(&e.name),
             match e.kind {
                 EventKind::Span => "span",
                 EventKind::Instant => "instant",
@@ -75,8 +60,8 @@ pub fn to_chrome_trace_with(events: &[TraceEvent], telemetry: Option<&Telemetry>
         }
         match e.kind {
             EventKind::Span => out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{\"txn\":{}}}}}",
-                escape(&e.name),
+                "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{\"txn\":{}}}}}",
+                quoted(&e.name),
                 e.layer.name(),
                 micros(e.at_ns),
                 micros(e.dur_ns),
@@ -85,8 +70,8 @@ pub fn to_chrome_trace_with(events: &[TraceEvent], telemetry: Option<&Telemetry>
                 e.txn,
             )),
             EventKind::Instant => out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{},\"tid\":{},\"args\":{{\"txn\":{}}}}}",
-                escape(&e.name),
+                "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{},\"tid\":{},\"args\":{{\"txn\":{}}}}}",
+                quoted(&e.name),
                 e.layer.name(),
                 micros(e.at_ns),
                 e.user,
@@ -110,6 +95,7 @@ pub fn to_chrome_trace_with(events: &[TraceEvent], telemetry: Option<&Telemetry>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{self, Value};
     use crate::span::Layer;
 
     fn events() -> Vec<TraceEvent> {
@@ -138,22 +124,23 @@ mod tests {
     #[test]
     fn jsonl_has_one_line_per_event() {
         let jsonl = to_jsonl(&events());
-        assert_eq!(jsonl.lines().count(), 2);
-        assert!(jsonl.contains("\"layer\":\"wireless\""));
-        assert!(jsonl.contains("\"kind\":\"instant\""));
-        assert!(jsonl.contains("served \\\"x\\\""), "{jsonl}");
+        let lines: Vec<Value> = jsonl.lines().map(|l| json::parse(l).unwrap()).collect();
+        assert_eq!(lines.len(), 2);
+        assert_eq!(lines[0]["layer"].as_str(), Some("wireless"));
+        assert_eq!(lines[1]["kind"].as_str(), Some("instant"));
+        assert_eq!(lines[1]["name"].as_str(), Some("served \"x\""), "{jsonl}");
     }
 
     #[test]
     fn chrome_trace_is_balanced_json_with_micro_timestamps() {
         let json = to_chrome_trace(&events());
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"ts\":1234.567"), "{json}");
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ph\":\"i\""));
-        assert!(json.contains("\"pid\":3"));
-        assert!(json.contains(&format!("\"tid\":{}", Layer::Wireless.tid())));
+        let doc = json::parse(&json).unwrap();
+        let span = &doc["traceEvents"][0];
+        assert_eq!(span["ts"], Value::Float(1234.567), "{json}");
+        assert_eq!(span["ph"].as_str(), Some("X"));
+        assert_eq!(doc["traceEvents"][1]["ph"].as_str(), Some("i"));
+        assert_eq!(span["pid"].as_u64(), Some(3));
+        assert_eq!(span["tid"].as_u64(), Some(u64::from(Layer::Wireless.tid())));
     }
 
     #[test]
@@ -163,12 +150,14 @@ mod tests {
         let id = tel.register("gateway0000.cpu_util", SeriesKind::Utilization);
         tel.record_busy(id, 0, 250_000);
         let json = to_chrome_trace_with(&events(), Some(&tel));
-        assert!(json.contains("\"ph\":\"C\""), "{json}");
-        assert!(json.contains("\"name\":\"gateway0000.cpu_util\""), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let doc = json::parse(&json).unwrap();
+        let counter = &doc["traceEvents"][2];
+        assert_eq!(counter["ph"].as_str(), Some("C"), "{json}");
+        assert_eq!(counter["name"].as_str(), Some("gateway0000.cpu_util"), "{json}");
         // Counters also append cleanly to an empty span list.
         let bare = to_chrome_trace_with(&[], Some(&tel));
-        assert!(bare.contains("\"ph\":\"C\"") && !bare.contains("[,"), "{bare}");
+        let bare = json::parse(&bare).unwrap();
+        assert_eq!(bare["traceEvents"][0]["ph"].as_str(), Some("C"), "{bare}");
     }
 
     #[test]

@@ -28,6 +28,8 @@
 //! * [`export`] — JSONL and Chrome `trace_event` exporters
 //!   (`chrome://tracing` / Perfetto), including `"ph":"C"` counter
 //!   tracks derived from telemetry series.
+//! * [`json`] — the workspace's one JSON value type, writer, string
+//!   escaper and parser: every artefact is written and read through it.
 //!
 //! ## Determinism
 //!
@@ -39,6 +41,7 @@
 
 pub mod export;
 pub mod hist;
+pub mod json;
 pub mod metrics;
 pub mod recorder;
 pub mod span;

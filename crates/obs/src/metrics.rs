@@ -29,6 +29,7 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::hist::Histogram;
+use crate::json::Value;
 
 /// An ordered, mergeable snapshot of published metrics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -60,31 +61,23 @@ impl Metrics {
         self.counters.is_empty() && self.histograms.is_empty()
     }
 
-    /// Serialises the registry as a JSON object with sorted keys —
-    /// deterministic for identical contents.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{k}\":{v}"));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{k}\":{{\"count\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                h.count(),
-                h.percentile(50.0),
-                h.percentile(90.0),
-                h.percentile(99.0)
-            ));
-        }
-        out.push_str("}}");
-        out
+    /// The registry as a JSON object with sorted keys — deterministic
+    /// for identical contents.
+    pub fn to_json(&self) -> Value {
+        let counters = self.counters.iter().map(|(&k, &v)| (k.to_owned(), v.into()));
+        let histograms = self.histograms.iter().map(|(&k, h)| {
+            let summary = crate::object!(
+                "count": h.count(),
+                "p50": h.percentile(50.0),
+                "p90": h.percentile(90.0),
+                "p99": h.percentile(99.0),
+            );
+            (k.to_owned(), summary)
+        });
+        crate::object!(
+            "counters": Value::Object(counters.collect()),
+            "histograms": Value::Object(histograms.collect()),
+        )
     }
 }
 
@@ -244,6 +237,7 @@ pub fn take() -> Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
     use proptest::collection;
     use proptest::prelude::*;
 
@@ -313,10 +307,12 @@ mod tests {
         m.counters.insert("z.last", 1);
         m.counters.insert("a.first", 2);
         m.histograms.entry("h").or_default().record(100);
-        let json = m.to_json();
+        let json = m.to_json().to_string();
         assert!(json.find("a.first").unwrap() < json.find("z.last").unwrap());
-        assert_eq!(json, m.clone().to_json());
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json, m.clone().to_json().to_string());
+        let doc = json::parse(&json).unwrap();
+        assert_eq!(doc["counters"]["a.first"].as_u64(), Some(2));
+        assert_eq!(doc["histograms"]["h"]["count"].as_u64(), Some(1));
     }
 
     proptest! {

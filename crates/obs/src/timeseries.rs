@@ -39,6 +39,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::quoted;
+
 /// Default series bin width: 100 ms of simulated time.
 pub const DEFAULT_BIN_NS: u64 = 100_000_000;
 
@@ -322,8 +324,8 @@ impl Telemetry {
             let series = &self.series[slot];
             for (&bin, acc) in &series.bins {
                 out.push_str(&format!(
-                    "{{\"series\":\"{}\",\"kind\":\"{}\",\"t_ns\":{},\"bin_ns\":{},\"sum\":{},\"weight\":{},\"max\":{},\"milli\":{}}}\n",
-                    name,
+                    "{{\"series\":{},\"kind\":\"{}\",\"t_ns\":{},\"bin_ns\":{},\"sum\":{},\"weight\":{},\"max\":{},\"milli\":{}}}\n",
+                    quoted(name),
                     series.kind.name(),
                     bin * self.bin_ns,
                     self.bin_ns,
@@ -349,8 +351,8 @@ impl Telemetry {
                 let t_ns = bin * self.bin_ns;
                 let milli = self.milli(series.kind, acc);
                 out.push(format!(
-                    "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{}.{:03},\"pid\":0,\"tid\":0,\"args\":{{\"value\":{}.{:03}}}}}",
-                    name,
+                    "{{\"name\":{},\"ph\":\"C\",\"ts\":{}.{:03},\"pid\":0,\"tid\":0,\"args\":{{\"value\":{}.{:03}}}}}",
+                    quoted(name),
                     t_ns / 1_000,
                     t_ns % 1_000,
                     milli / 1000,
@@ -452,8 +454,9 @@ mod tests {
         );
         let counters = tel.chrome_counter_events();
         assert_eq!(counters.len(), 1);
-        assert!(counters[0].contains("\"ph\":\"C\""), "{}", counters[0]);
-        assert!(counters[0].contains("\"value\":0.500"), "{}", counters[0]);
+        let counter = crate::json::parse(&counters[0]).unwrap();
+        assert_eq!(counter["ph"].as_str(), Some("C"), "{}", counters[0]);
+        assert_eq!(counter["args"]["value"], crate::json::Value::Float(0.5), "{}", counters[0]);
     }
 
     #[test]

@@ -1,19 +1,18 @@
 //! The streaming-merge contract.
 //!
-//! The fleet engine folds worker counters and per-user traces *as they
-//! arrive* through [`FleetMerger`] / [`TraceMerger`] reorder buffers,
-//! instead of collecting everything and sorting. These
-//! properties pin what that refactor must preserve:
+//! The fleet engine streams per-user traces *as they arrive* through the
+//! [`TraceMerger`] reorder buffer, instead of collecting everything and
+//! sorting. These properties pin what that must preserve:
 //!
 //! 1. Engine level: summaries **and** traces are byte-identical at
 //!    1, 2, 4 and 8 threads (arrival order differs wildly; canonical
 //!    order must not), and the trace equals the per-user reference
 //!    traces of `Scenario::run_user_traced` in user-index order.
-//! 2. Merger level: for *any* arrival order of shard chunks — proptest
-//!    drives randomised permutations and chunkings — the streamed
-//!    result is identical to the batch in-order merge.
+//! 2. Merger level: for *any* arrival order of user traces — proptest
+//!    drives randomised permutations — the streamed result is identical
+//!    to the batch in-order concatenation.
 
-use mcommerce_core::{Category, FleetMerger, FleetRunner, Scenario, TraceMerger};
+use mcommerce_core::{Category, FleetRunner, Scenario, TraceMerger};
 use mcommerce_core::fleet::FleetTrace;
 use mcommerce_core::report::WorkloadCounters;
 use proptest::prelude::*;
@@ -84,18 +83,6 @@ fn streaming_engines_are_identical_at_1_2_4_8_threads() {
     }
 }
 
-/// Per-user counters of the fixed scenario, one entry per user.
-fn per_user_counters() -> Vec<WorkloadCounters> {
-    let scenario = scenario();
-    (0..scenario.users)
-        .map(|user| {
-            let mut counters = WorkloadCounters::default();
-            scenario.run_user(user, &mut counters);
-            counters
-        })
-        .collect()
-}
-
 /// Per-user traces of the fixed scenario, with each user's counters.
 fn per_user_traces() -> Vec<(u64, mcommerce_core::fleet::UserTrace)> {
     let scenario = scenario();
@@ -109,25 +96,6 @@ fn per_user_traces() -> Vec<(u64, mcommerce_core::fleet::UserTrace)> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Any arrival permutation of the shard stream folds to the same
-    /// counters as the in-order batch merge.
-    #[test]
-    fn counter_streams_merge_identically_in_any_arrival_order(
-        keys in proptest::collection::vec(any::<u64>(), 8usize),
-    ) {
-        let arrival = permutation_from(&keys);
-        let users = per_user_counters();
-        let mut batch = WorkloadCounters::default();
-        for counters in &users {
-            batch.merge(counters);
-        }
-        let mut merger = FleetMerger::new();
-        for &user in &arrival {
-            merger.push_counters(user as u64, users[user].clone());
-        }
-        prop_assert_eq!(batch, merger.finish());
-    }
 
     /// Any arrival permutation of per-user traces streams to the same
     /// fleet trace as the in-order batch concatenation — events, dumps
