@@ -10,11 +10,12 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use hostsite::db::{Database, DbError, Value};
+use hostsite::db::{Database, DbError, Row, Value};
 use hostsite::{HostComputer, HttpRequest, HttpResponse, ServerCtx, Status};
 use markup::html::PageWriter;
+use markup::text::Hex8;
 use rand::RngExt;
 use security::{Mac, PaymentGateway, PaymentRequest};
 use simnet::rng::rng_for_indexed;
@@ -49,11 +50,22 @@ const CATALOG: [(i64, &str, i64, i64); 4] = [
     (4, "travel charger", 1_450, 80),
 ];
 
+/// The `/shop/search` results page over `rows`, the ranked rows of
+/// [`Database::search`]: a match count and a buy link per row.
+pub fn search_page(rows: &[Arc<Row>]) -> String {
+    let mut page = PageWriter::new("Search");
+    page.h1("Search results").p((rows.len(), " match(es)"));
+    for r in rows {
+        product_link(&mut page, r);
+    }
+    page.finish()
+}
+
 /// One catalogue row as a buy link: `name — price cents (stock left)`.
 fn product_link(page: &mut PageWriter, row: &[Value]) {
     page.a(
-        format_args!("/shop/buy?sku={}", row[0]),
-        format_args!("{} — {} cents ({} left)", row[1], row[2], row[3]),
+        ("/shop/buy?sku=", &row[0]),
+        (&row[1], " — ", &row[2], " cents (", &row[3], " left)"),
     );
 }
 
@@ -139,13 +151,7 @@ impl Application for PaymentsApp {
                     Ok(rows) => rows,
                     Err(_) => return HttpResponse::error(Status::ServerError, "db error"),
                 };
-                let mut page = PageWriter::new("Search");
-                page.h1("Search results")
-                    .p(format_args!("{} match(es)", rows.len()));
-                for r in &rows {
-                    product_link(&mut page, r);
-                }
-                HttpResponse::ok(page.finish()).with_no_store()
+                HttpResponse::ok(search_page(&rows)).with_no_store()
             },
         );
 
@@ -208,8 +214,8 @@ impl Application for PaymentsApp {
                 };
                 let mut page = PageWriter::new("Receipt");
                 page.h1("Payment complete")
-                    .p(format_args!("You bought: {}", product[1]))
-                    .p(format_args!("Receipt auth code {}", receipt.auth_code));
+                    .p(("You bought: ", &product[1]))
+                    .p(("Receipt auth code ", receipt.auth_code));
                 HttpResponse::ok(page.finish())
             },
         );
@@ -244,9 +250,8 @@ impl Application for PaymentsApp {
         let mut rng = rng_for_indexed(seed, "payments.search_session", index);
         let (sku, name, _, _) = CATALOG[rng.random_range(0..CATALOG.len())];
         let nonce: u64 = (index << 20) | rng.random_range(0..1u64 << 20);
-        let mut words = name.split(' ');
-        let first = words.next().expect("product names have words");
-        let last = words.next_back().expect("product names have two words");
+        let (first, _) = name.split_once(' ').expect("product names have two words");
+        let (_, last) = name.rsplit_once(' ').expect("product names have two words");
         let noise: u32 = rng.random();
         // Browse, search, re-check the results, refine to a narrower
         // query and re-check twice more while deciding, then buy. The
@@ -256,10 +261,10 @@ impl Application for PaymentsApp {
         match step {
             0 => out.get("/shop").expects("Mobile Shop"),
             1 | 2 => out
-                .get(format_args!("/shop/search?q={last}+x{noise:08x}"))
+                .get(("/shop/search?q=", last, "+x", Hex8(noise)))
                 .expects(name),
             3..=5 => out
-                .get(format_args!("/shop/search?q={first}+{last}+x{noise:08x}"))
+                .get(("/shop/search?q=", first, '+', last, "+x", Hex8(noise)))
                 .expects(name),
             _ => buy(out, sku, nonce),
         };

@@ -56,8 +56,8 @@ impl Application for EntertainmentApp {
                 page.h1("Downloads");
                 for r in &rows {
                     page.a(
-                        format_args!("/media/download?id={}", r[0]),
-                        format_args!("{} [{}] {} KB", r[1], r[2], r[3]),
+                        ("/media/download?id=", &r[0]),
+                        (&r[1], " [", &r[2], "] ", &r[3], " KB"),
                     );
                 }
                 HttpResponse::ok(page.finish())
@@ -85,8 +85,8 @@ impl Application for EntertainmentApp {
                 // filler sized to the item), so the network actually carries it.
                 let blob = "QUJDRA==".repeat((kb as usize * 1024) / 8);
                 let mut page = PageWriter::new("Download");
-                page.h1(format_args!("Delivering {}", row[1]))
-                    .p(format_args!("content follows ({kb} KB)"))
+                page.h1(("Delivering ", &row[1]))
+                    .p(("content follows (", kb, " KB)"))
                     .pre(&blob);
                 HttpResponse::ok(page.finish())
             },
@@ -123,8 +123,8 @@ impl Application for EntertainmentApp {
         match step {
             0 => out.get("/media").expects("Downloads"),
             _ => out
-                .get(format_args!("/media/download?id={id}"))
-                .expects(format_args!("Delivering {title}")),
+                .get(("/media/download?id=", id))
+                .expects(("Delivering ", title)),
         };
         true
     }

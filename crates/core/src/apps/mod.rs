@@ -35,10 +35,9 @@ pub mod inventory;
 pub mod traffic;
 pub mod travel;
 
-use std::fmt::{Display, Write as _};
-
 use hostsite::db::Database;
 use hostsite::HostComputer;
+use markup::Text;
 use middleware::MobileRequest;
 
 pub use commerce::PaymentsApp;
@@ -139,7 +138,10 @@ impl std::fmt::Display for Category {
 /// [`Step::get`] and [`Step::post`] rewrite a step in place, keeping
 /// the buffers of whatever they overwrite: a writer that fills one
 /// `Step` step after step allocates only when a string outgrows every
-/// earlier one.
+/// earlier one. URLs, form values and expectations are any [`Text`],
+/// written straight into those buffers: a tuple such as
+/// `("/media/download?id=", id)` on the steps the fleet benchmark runs,
+/// `format_args!` on the others.
 #[derive(Debug, Clone)]
 pub struct Step {
     /// The request.
@@ -187,7 +189,7 @@ impl Step {
 
     /// Rewrites this step as a GET of `url` with no cookies, no
     /// credentials and no expectation.
-    pub fn get(&mut self, url: impl Display) -> &mut Self {
+    pub fn get(&mut self, url: impl Text) -> &mut Self {
         self.request(url);
         park(&mut self.req.form, &mut self.spare.form);
         self
@@ -195,18 +197,17 @@ impl Step {
 
     /// Rewrites this step as a POST of the form `fields` to `url`, with
     /// no cookies, no credentials and no expectation.
-    pub fn post(&mut self, url: impl Display, fields: &[(&str, &dyn Display)]) -> &mut Self {
+    pub fn post(&mut self, url: impl Text, fields: &[(&str, &dyn Text)]) -> &mut Self {
         self.request(url);
         let form = fill(&mut self.req.form, &mut self.spare.form);
         form.truncate(fields.len());
         for (i, (name, value)) in fields.iter().enumerate() {
-            match form.get_mut(i) {
-                Some((k, v)) => {
-                    rewrite(k, name);
-                    rewrite(v, value);
-                }
-                None => form.push((name.to_string(), value.to_string())),
+            if form.len() == i {
+                form.push(Default::default());
             }
+            let (k, v) = &mut form[i];
+            rewrite(k, name);
+            rewrite(v, value);
         }
         self
     }
@@ -220,14 +221,14 @@ impl Step {
     }
 
     /// Sets the substring the rendered page must contain.
-    pub fn expects(&mut self, text: impl Display) -> &mut Self {
+    pub fn expects(&mut self, text: impl Text) -> &mut Self {
         rewrite(fill(&mut self.expect, &mut self.spare.expect), text);
         self
     }
 
     /// The part [`Step::get`] and [`Step::post`] share: the URL, and
     /// no cookies, credentials or expectation.
-    fn request(&mut self, url: impl Display) {
+    fn request(&mut self, url: impl Text) {
         rewrite(&mut self.req.url, url);
         self.req.cookies.clear();
         park(&mut self.req.auth, &mut self.spare.auth);
@@ -236,9 +237,9 @@ impl Step {
 }
 
 /// Replaces `buf`'s contents with `text`, keeping its buffer.
-fn rewrite(buf: &mut String, text: impl Display) {
+fn rewrite(buf: &mut String, text: impl Text) {
     buf.clear();
-    write!(buf, "{text}").expect("writing to a String cannot fail");
+    text.write_to(buf);
 }
 
 /// Empties `slot`, parking what it held in `spare`.

@@ -730,11 +730,6 @@ impl FleetRunner {
         self
     }
 
-    /// The scenario this runner executes.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
     /// Executes the fleet and returns everything it produced.
     ///
     /// Every topology runs the one island engine in [`crate::shared`]:

@@ -10,8 +10,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use hostsite::http::Status;
-use obs::json::Value;
-use obs::object;
 use simnet::time::secs_to_ns as to_ns;
 use simnet::SimDuration;
 
@@ -134,29 +132,6 @@ impl TransactionReport {
     /// The rendered page text, when the transaction produced one.
     pub fn page_text(&self) -> Option<&str> {
         self.outcome.as_ref().map(|o| &*o.page_text)
-    }
-
-    /// The report as a JSON object.
-    /// `title` and `status` are `null` when there is no outcome.
-    pub fn to_json(&self) -> Value {
-        let outcome = self.outcome.as_ref();
-        object!(
-            "total": self.total,
-            "station_secs": self.breakdown.station_secs,
-            "wireless_secs": self.breakdown.wireless_secs,
-            "middleware_secs": self.breakdown.middleware_secs,
-            "wired_secs": self.breakdown.wired_secs,
-            "host_secs": self.breakdown.host_secs,
-            "air_bytes_up": self.air_bytes_up,
-            "air_bytes_down": self.air_bytes_down,
-            "retransmissions": self.retransmissions,
-            "energy_j": self.energy_j,
-            "attempts": self.attempts,
-            "success": self.success,
-            "failure": self.failure.as_deref(),
-            "title": outcome.map(|o| &*o.title),
-            "status": outcome.map(|o| u32::from(o.status.code())),
-        )
     }
 }
 
@@ -358,27 +333,11 @@ impl WorkloadSummary {
             self.succeeded as f64 / self.attempted as f64
         }
     }
-
-    /// The summary as a JSON object.
-    pub fn to_json(&self) -> Value {
-        let shares = self.component_shares.iter().map(|(k, &v)| (k.clone(), v.into()));
-        object!(
-            "label": self.label.as_str(),
-            "attempted": self.attempted,
-            "succeeded": self.succeeded,
-            "latency_mean": self.latency_mean,
-            "latency_p90": self.latency_p90,
-            "air_bytes_mean": self.air_bytes_mean,
-            "energy_mean_j": self.energy_mean_j,
-            "component_shares": Value::Object(shares.collect()),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::json;
 
     fn report(total: f64, host: f64, wireless: f64) -> TransactionReport {
         TransactionReport {
@@ -513,16 +472,5 @@ mod tests {
         // Attempted always partitions into successes and failures.
         let failures: u64 = counters.failures.values().sum();
         assert_eq!(counters.attempted, counters.succeeded + failures);
-    }
-
-    #[test]
-    fn reports_serialise_to_json() {
-        let r = report(1.0, 0.5, 0.5);
-        let json = json::parse(&r.to_json().to_string()).unwrap();
-        assert_eq!(json["success"], Value::Bool(true), "{json}");
-        assert_eq!(json["status"].as_u64(), Some(200), "{json}");
-        let s = WorkloadSummary::aggregate("x", &[r]);
-        let json = json::parse(&s.to_json().to_string()).unwrap();
-        assert_eq!(json["label"].as_str(), Some("x"));
     }
 }

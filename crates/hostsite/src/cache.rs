@@ -8,12 +8,13 @@
 //! in simulated nanoseconds and are bounded by a byte budget over key
 //! plus body bytes, with least-recently-used eviction.
 //!
-//! A lookup builds no key: it streams the canonical rendering of the
-//! borrowed request through a hasher, and checks candidates by matching
-//! the same rendering against each stored key. The rendered key string
-//! is built only when a response is stored, and is freed with its
-//! entry. A hit clones a response whose body is a refcounted [`Body`] —
-//! a pointer bump, not a page copy.
+//! Every lookup and store renders the request's canonical key into one
+//! buffer the cache keeps and reuses, hashes the rendering with one
+//! [`FixedHasher`] write, and checks candidates by comparing stored keys
+//! with it (`==`). So a lookup allocates nothing once the buffer has
+//! grown to the longest key, and the key string is owned only by the
+//! entries actually stored, freed with them. A hit clones a response
+//! whose body is a refcounted [`Body`] — a pointer bump, not a page copy.
 //!
 //! Only successful `GET` responses that set no cookies are stored;
 //! `POST`s (which mutate the database and session state) always reach
@@ -25,17 +26,19 @@
 //! [`Body`]: crate::http::Body
 //! [`WebServer`]: crate::server::WebServer
 
-use std::fmt;
 use std::hash::Hasher;
 
+use markup::text::find_any;
 use simnet::{FixedHasher, TtlLru};
 
-use crate::http::{HttpRequest, HttpResponse};
+use crate::http::{ContentFormat, HttpRequest, HttpResponse, Method};
 
 /// A TTL + LRU page cache over canonical-request keys.
 #[derive(Debug)]
 pub struct PageCache {
     entries: TtlLru<String, HttpResponse>,
+    /// The last request's canonical key, rendered in place.
+    key: String,
 }
 
 impl PageCache {
@@ -44,71 +47,48 @@ impl PageCache {
     pub fn new(ttl_ns: u64, byte_budget: usize) -> Self {
         PageCache {
             entries: TtlLru::new(ttl_ns, byte_budget),
+            key: String::new(),
         }
     }
 
-    /// Renders the canonical key for `req` into any writer. Query
-    /// parameters and cookies render in name order, one per name with
-    /// its last value, so the rendering is order-stable, and the path,
-    /// names and values are escaped, so no two requests render alike.
-    /// The same routine builds keys, hashes requests, and
-    /// equality-checks lookups, so the three can never drift apart.
-    fn render_key(req: &HttpRequest<'_>, out: &mut impl fmt::Write) -> fmt::Result {
-        write!(out, "{:?} ", req.method)?;
-        write_escaped(out, req.path())?;
-        for (name, value) in req.params() {
-            out.write_char('&')?;
-            write_escaped(out, name)?;
-            out.write_char('=')?;
-            write_escaped(out, value)?;
-        }
-        write!(out, "|{:?}", req.accept)?;
-        for (name, value) in req.cookies() {
-            out.write_char(';')?;
-            write_escaped(out, name)?;
-            out.write_char('=')?;
-            write_escaped(out, value)?;
-        }
-        Ok(())
-    }
-
-    /// The canonical cache key for a request, as an owned string.
+    /// The canonical cache key for a request, as an owned string: its
+    /// method, path and parameters, `|`, its accept format and its
+    /// cookies. Parameters and cookies render in name order, one per
+    /// name with its last value, so the key is order-stable, and the
+    /// path, names and values are escaped, so no two requests render
+    /// alike.
     pub fn key(req: &HttpRequest<'_>) -> String {
         let mut key = String::new();
-        Self::render_key(req, &mut key).expect("writing to a String cannot fail");
+        render_key(req, &mut key);
         key
     }
 
-    /// The hash of `req`'s canonical key, streamed without building it.
-    /// Store and lookup both hash this way. [`FixedHasher`] hashes
-    /// chunked writes like one write, so this also equals the hash of
-    /// [`PageCache::key`], which a test pins and no code relies on.
-    fn hash(req: &HttpRequest<'_>) -> u64 {
+    /// Renders `req`'s key into the kept buffer and returns its hash.
+    fn render(&mut self, req: &HttpRequest<'_>) -> u64 {
+        self.key.clear();
+        render_key(req, &mut self.key);
         let mut h = FixedHasher::default();
-        Self::render_key(req, &mut HashWriter(&mut h)).expect("hashing cannot fail");
+        h.write(self.key.as_bytes());
         h.finish()
     }
 
     /// Returns the cached response when a fresh entry exists for `req`
-    /// at `now_ns`; an expired entry is dropped. Allocation-free.
+    /// at `now_ns`; an expired entry is dropped. Allocation-free once
+    /// the key buffer has grown.
     pub fn lookup(&mut self, req: &HttpRequest<'_>, now_ns: u64) -> Option<HttpResponse> {
-        let renders_req = |key: &String| {
-            let mut m = PrefixMatcher { rest: key };
-            Self::render_key(req, &mut m).is_ok() && m.rest.is_empty()
-        };
-        self.entries
-            .get(Self::hash(req), renders_req, now_ns)
-            .cloned()
+        let hash = self.render(req);
+        let key = &self.key;
+        self.entries.get(hash, |k| k == key, now_ns).cloned()
     }
 
     /// Stores a response for `req`, evicting least-recently-used entries
     /// until the byte budget holds. Returns how many entries were
     /// evicted. Responses larger than the whole budget are not stored.
     pub fn store(&mut self, req: &HttpRequest<'_>, resp: &HttpResponse, now_ns: u64) -> usize {
-        let key = Self::key(req);
-        let bytes = key.len() + resp.body.len();
+        let hash = self.render(req);
+        let bytes = self.key.len() + resp.body.len();
         self.entries
-            .put(Self::hash(req), key, resp.clone(), bytes, now_ns)
+            .put(hash, self.key.clone(), resp.clone(), bytes, now_ns)
     }
 
     /// Number of live entries, each holding its key.
@@ -127,49 +107,47 @@ impl PageCache {
     }
 }
 
-/// Writes `s`, percent-escaping the key's separators (`%`, `&`, `|`,
-/// `;`, `=`). A string holding none of them is written in one piece,
-/// unchanged, so such keys keep their rendering and their weight.
-fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
-    let mut rest = s;
-    while let Some(i) = rest.find(['%', '&', '|', ';', '=']) {
-        out.write_str(&rest[..i])?;
-        write!(out, "%{:02X}", rest.as_bytes()[i])?;
-        rest = &rest[i + 1..];
+/// Appends `req`'s canonical key to `out` (see [`PageCache::key`]).
+fn render_key(req: &HttpRequest<'_>, out: &mut String) {
+    out.push_str(match req.method {
+        Method::Get => "Get ",
+        Method::Post => "Post ",
+    });
+    push_escaped(out, req.path());
+    for (name, value) in req.params() {
+        out.push('&');
+        push_escaped(out, name);
+        out.push('=');
+        push_escaped(out, value);
     }
-    out.write_str(rest)
+    out.push_str(match req.accept {
+        ContentFormat::Html => "|Html",
+        ContentFormat::Wml => "|Wml",
+        ContentFormat::Chtml => "|Chtml",
+    });
+    for (name, value) in req.cookies() {
+        out.push(';');
+        push_escaped(out, name);
+        out.push('=');
+        push_escaped(out, value);
+    }
 }
 
-/// A [`fmt::Write`] sink that feeds written text into a [`Hasher`], so
-/// a request's rendering is hashed without materialising it.
-struct HashWriter<'a, H: Hasher>(&'a mut H);
-
-impl<H: Hasher> fmt::Write for HashWriter<'_, H> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0.write(s.as_bytes());
-        Ok(())
+/// Appends `s`, writing each of the key's separators (`%`, `&`, `|`,
+/// `;`, `=`) as `%` and two uppercase hex digits. A string holding none
+/// of them is appended unchanged, so such keys keep their rendering and
+/// their weight.
+fn push_escaped(out: &mut String, mut s: &str) {
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
+    while let Some(i) = find_any(s.as_bytes(), [b'%', b'&', b'|', b';', b'=']) {
+        let b = s.as_bytes()[i];
+        out.push_str(&s[..i]);
+        out.push('%');
+        out.push(char::from(HEX[usize::from(b >> 4)]));
+        out.push(char::from(HEX[usize::from(b & 0xf)]));
+        s = &s[i + 1..];
     }
-}
-
-/// A [`fmt::Write`] sink that *matches* written text against a stored
-/// key instead of building one: each written chunk must be the next
-/// prefix of `rest`, and a full match leaves `rest` empty.
-struct PrefixMatcher<'a> {
-    rest: &'a str,
-}
-
-impl fmt::Write for PrefixMatcher<'_> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        match self.rest.strip_prefix(s) {
-            Some(rest) => {
-                self.rest = rest;
-                Ok(())
-            }
-            // Divergence: surface as a fmt error so the render function
-            // aborts early instead of walking the whole request.
-            None => Err(fmt::Error),
-        }
-    }
+    out.push_str(s);
 }
 
 #[cfg(test)]
@@ -278,24 +256,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn prefix_matcher_requires_exact_rendering() {
-        let mut m = PrefixMatcher { rest: "GET /shop" };
-        assert!(write!(m, "GET").is_ok());
-        assert!(write!(m, " /shop").is_ok());
-        assert!(m.rest.is_empty());
-
-        let mut m = PrefixMatcher { rest: "GET /shop" };
-        assert!(
-            write!(m, "GET /shopping").is_err(),
-            "overlong write diverges"
-        );
-
-        let mut m = PrefixMatcher { rest: "GET /shop" };
-        assert!(write!(m, "GET ").is_ok());
-        assert!(!m.rest.is_empty(), "unconsumed remainder is not a match");
-    }
-
     /// A request as it was before it became a view: an owned path and
     /// two `BTreeMap`s, built the way `HttpRequest::get`/`post` and the
     /// builders built them.
@@ -305,6 +265,7 @@ mod tests {
         params: BTreeMap<String, String>,
         cookies: BTreeMap<String, String>,
         auth: bool,
+        accept: ContentFormat,
     }
 
     impl OwnedModel {
@@ -336,6 +297,7 @@ mod tests {
                 params,
                 cookies: cookies.iter().cloned().collect(),
                 auth,
+                accept: ContentFormat::Wml,
             }
         }
 
@@ -353,21 +315,23 @@ mod tests {
             n
         }
 
+        /// The key as it was rendered through `fmt`: the method and the
+        /// accept format by their `Debug` names.
         fn key(&self) -> String {
             let mut out = format!("{:?} ", self.method);
-            write_escaped(&mut out, &self.path).unwrap();
+            push_escaped(&mut out, &self.path);
             for (name, value) in &self.params {
                 out.push('&');
-                write_escaped(&mut out, name).unwrap();
+                push_escaped(&mut out, name);
                 out.push('=');
-                write_escaped(&mut out, value).unwrap();
+                push_escaped(&mut out, value);
             }
-            write!(out, "|{:?}", ContentFormat::Wml).unwrap();
+            write!(out, "|{:?}", self.accept).unwrap();
             for (name, value) in &self.cookies {
                 out.push(';');
-                write_escaped(&mut out, name).unwrap();
+                push_escaped(&mut out, name);
                 out.push('=');
-                write_escaped(&mut out, value).unwrap();
+                push_escaped(&mut out, value);
             }
             out
         }
@@ -461,15 +425,79 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hashing_a_rendering_equals_hashing_the_key() {
-        let req = get("/shop&odd?x=1").with_cookie("sid", "a=b");
-        let mut whole = FixedHasher::default();
-        whole.write(PageCache::key(&req).as_bytes());
-        assert_eq!(
-            PageCache::hash(&req),
-            whole.finish(),
-            "chunked writes hash like one"
-        );
+    /// A request's parts: its URL, its form when it is a POST, its
+    /// cookies and its accept format, drawn as the model test draws them.
+    type Parts = (
+        String,
+        Option<Vec<(String, String)>>,
+        Vec<(String, String)>,
+        ContentFormat,
+    );
+
+    fn parts() -> impl Strategy<Value = Parts> {
+        let formats = [
+            ContentFormat::Html,
+            ContentFormat::Wml,
+            ContentFormat::Chtml,
+        ];
+        (
+            "[/ab%]{0,4}",
+            "(\\?[ab=&x?]{0,10})?",
+            (any::<bool>(), pairs(5)),
+            pairs(4),
+            0..formats.len(),
+        )
+            .prop_map(move |(path, query, (post, form), cookies, accept)| {
+                (
+                    format!("{path}{query}"),
+                    post.then_some(form),
+                    cookies,
+                    formats[accept],
+                )
+            })
+    }
+
+    fn request((url, form, cookies, accept): &Parts) -> HttpRequest<'_> {
+        HttpRequest::borrowed(url, form.as_deref(), cookies, None).with_accept(*accept)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// A lookup of `b` after a store of `a` hits exactly when the two
+        /// requests' keys are equal, and the entry is stored under the
+        /// `FixedHasher` hash of its key. `b` is drawn afresh or is `a`
+        /// with its form and cookies given in reverse, which keeps the
+        /// key unless a name repeats. Keys render as the `fmt` renderer
+        /// rendered them, method and accept format by `Debug` name.
+        #[test]
+        fn lookups_hit_exactly_when_keys_are_equal(
+            a in parts(),
+            b in parts(),
+            reverse in any::<bool>(),
+        ) {
+            let b = if reverse {
+                let (url, form, cookies, accept) = a.clone();
+                let form = form.map(|f| f.into_iter().rev().collect());
+                (url, form, cookies.into_iter().rev().collect(), accept)
+            } else {
+                b
+            };
+            let (ra, rb) = (request(&a), request(&b));
+            let mut model = OwnedModel::new(&b.0, b.1.as_deref(), &b.2, false);
+            model.accept = b.3;
+            prop_assert_eq!(PageCache::key(&rb), model.key());
+
+            let mut cache = PageCache::new(u64::MAX, 1 << 20);
+            cache.store(&ra, &resp("<html>a</html>"), 0);
+            let key = PageCache::key(&ra);
+            let mut h = FixedHasher::default();
+            h.write(key.as_bytes());
+            prop_assert!(cache.entries.get(h.finish(), |k| *k == key, 1).is_some());
+            prop_assert_eq!(
+                cache.lookup(&rb, 2).is_some(),
+                key == PageCache::key(&rb)
+            );
+        }
     }
 }

@@ -967,7 +967,8 @@ impl Database {
                 return Ok(rows.clone());
             }
         }
-        let (scores, visited) = fts.candidates(&query_terms(query));
+        let mut lowered = String::new();
+        let (scores, visited) = fts.candidates(&query_terms(query, &mut lowered));
         let rows = Self::rank(table, scores);
         self.search_cost_ns
             .set(self.search_cost_ns.get() + SEARCH_BASE_NS + SEARCH_POSTING_NS * visited);
@@ -1005,7 +1006,8 @@ impl Database {
                 scratch.insert_row(table_name, &table.columns, row)?;
             }
         }
-        let (scores, _) = scratch.candidates(&query_terms(query));
+        let mut lowered = String::new();
+        let (scores, _) = scratch.candidates(&query_terms(query, &mut lowered));
         Ok(Self::rank(table, scores))
     }
 

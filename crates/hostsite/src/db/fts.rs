@@ -20,32 +20,47 @@ use super::{DbError, OrdKey, Row};
 /// Fixed-point shift for tf·idf scores: 16.16.
 pub(crate) const SCORE_FP_SHIFT: u32 = 16;
 
-/// Splits `text` into lowercase ASCII-alphanumeric runs. Every
-/// non-alphanumeric byte is a separator, so `"Travel+Charger, v2"`
-/// tokenizes to `["travel", "charger", "v2"]`. Deterministic and
-/// allocation-minimal; no stemming, no stop words.
-pub(crate) fn tokenize(text: &str) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut current = String::new();
-    for ch in text.chars() {
-        if ch.is_ascii_alphanumeric() {
-            current.push(ch.to_ascii_lowercase());
-        } else if !current.is_empty() {
-            tokens.push(std::mem::take(&mut current));
-        }
-    }
-    if !current.is_empty() {
-        tokens.push(current);
-    }
-    tokens
+/// The ASCII-alphanumeric runs of `text`, as written. Every
+/// non-alphanumeric byte is a separator, so a run starts and ends on
+/// character boundaries.
+fn runs(text: &str) -> impl Iterator<Item = &str> {
+    let bytes = text.as_bytes();
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let start = at + bytes[at..].iter().position(u8::is_ascii_alphanumeric)?;
+        let len = bytes[start..]
+            .iter()
+            .position(|b| !b.is_ascii_alphanumeric())
+            .unwrap_or(bytes.len() - start);
+        at = start + len;
+        Some(&text[start..at])
+    })
 }
 
-/// Tokenizes a query and canonicalizes it: sorted, deduplicated terms.
-/// Two queries with the same term set score identically regardless of
-/// word order or repetition.
-pub(crate) fn query_terms(query: &str) -> Vec<String> {
-    let mut terms = tokenize(query);
-    terms.sort();
+/// Splits `text` into lowercase ASCII-alphanumeric runs, so
+/// `"Travel+Charger, v2"` tokenizes to `["travel", "charger", "v2"]`.
+/// Deterministic; no stemming, no stop words.
+pub(crate) fn tokenize(text: &str) -> Vec<String> {
+    runs(text).map(str::to_ascii_lowercase).collect()
+}
+
+/// Tokenizes a query as [`tokenize`] does and canonicalizes it: sorted,
+/// deduplicated terms. Two queries with the same term set score
+/// identically regardless of word order or repetition. The terms borrow
+/// `query` when it holds no uppercase ASCII letter, and otherwise a
+/// lowercase copy written into `lowered`, so only the term list
+/// allocates.
+pub(crate) fn query_terms<'q>(query: &'q str, lowered: &'q mut String) -> Vec<&'q str> {
+    let text = if query.bytes().any(|b| b.is_ascii_uppercase()) {
+        lowered.clear();
+        lowered.push_str(query);
+        lowered.make_ascii_lowercase();
+        lowered.as_str()
+    } else {
+        query
+    };
+    let mut terms: Vec<&str> = runs(text).collect();
+    terms.sort_unstable();
     terms.dedup();
     terms
 }
@@ -150,10 +165,10 @@ impl FtsIndex {
     /// Returns `(pk → fixed-point score, postings entries visited)`; the
     /// visit count is the deterministic work unit the engine prices
     /// search CPU in.
-    pub(crate) fn candidates(&self, terms: &[String]) -> (BTreeMap<OrdKey, u64>, u64) {
+    pub(crate) fn candidates(&self, terms: &[&str]) -> (BTreeMap<OrdKey, u64>, u64) {
         let mut scores: BTreeMap<OrdKey, u64> = BTreeMap::new();
         let mut visited = 0u64;
-        for term in terms {
+        for &term in terms {
             let Some(bucket) = self.postings.get(term) else {
                 continue;
             };
@@ -187,9 +202,67 @@ mod tests {
         assert_eq!(tokenize("a--b"), vec!["a", "b"]);
     }
 
+    /// The terms of `query`, for tests that do not keep them.
+    fn terms(query: &str) -> Vec<String> {
+        let mut lowered = String::new();
+        let terms = query_terms(query, &mut lowered);
+        terms.into_iter().map(str::to_owned).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The byte-run tokenizer splits like the character loop it
+        /// replaced: lowercase ASCII-alphanumeric runs, with every other
+        /// character, multi-byte ones included, a separator.
+        #[test]
+        fn tokens_are_the_character_loops_runs(text in "[aZ9 +,é€日-]{0,16}") {
+            let mut model = Vec::new();
+            let mut current = String::new();
+            for ch in text.chars() {
+                if ch.is_ascii_alphanumeric() {
+                    current.push(ch.to_ascii_lowercase());
+                } else if !current.is_empty() {
+                    model.push(std::mem::take(&mut current));
+                }
+            }
+            if !current.is_empty() {
+                model.push(current);
+            }
+            proptest::prop_assert_eq!(tokenize(&text), model);
+        }
+    }
+
     #[test]
     fn query_terms_are_sorted_and_deduplicated() {
-        assert_eq!(query_terms("charger travel charger"), vec!["charger", "travel"]);
+        assert_eq!(terms("charger travel charger"), vec!["charger", "travel"]);
+        assert_eq!(
+            terms("Travel+CHARGER x07f travel"),
+            vec!["charger", "travel", "x07f"]
+        );
+        assert_eq!(terms("+ ,"), Vec::<String>::new());
+    }
+
+    #[test]
+    fn lowercase_queries_are_borrowed_and_others_lowered_once() {
+        let query = "stylus+x0a1b2c3d";
+        let mut lowered = String::new();
+        let terms = query_terms(query, &mut lowered);
+        assert_eq!(terms, ["stylus", "x0a1b2c3d"]);
+        let borrowed = query.as_bytes().as_ptr_range();
+        assert!(terms.iter().all(|t| borrowed.contains(&t.as_ptr())));
+        let mut lowered = String::new();
+        assert_eq!(
+            query_terms("Spare STYLUS", &mut lowered),
+            ["spare", "stylus"]
+        );
+        assert_eq!(lowered, "spare stylus");
+    }
+
+    /// [`FtsIndex::candidates`] over the terms of `query`.
+    fn search(fts: &FtsIndex, query: &str) -> (BTreeMap<OrdKey, u64>, u64) {
+        let mut lowered = String::new();
+        fts.candidates(&query_terms(query, &mut lowered))
     }
 
     #[test]
@@ -199,8 +272,8 @@ mod tests {
         for (id, name) in [(1, "case case"), (2, "case"), (3, "stylus")] {
             fts.insert_row("t", &cols, &row(id, name)).unwrap();
         }
-        let (common, _) = fts.candidates(&query_terms("case"));
-        let (rare, _) = fts.candidates(&query_terms("stylus"));
+        let (common, _) = search(&fts, "case");
+        let (rare, _) = search(&fts, "stylus");
         // df("case") = 2, df("stylus") = 1 → the rare term's idf is larger.
         assert!(rare[&OrdKey::Int(3)] > common[&OrdKey::Int(2)]);
         // tf weighting: row 1 holds "case" twice.
@@ -247,7 +320,7 @@ mod tests {
         let cols = columns();
         let mut fts = FtsIndex::new("name");
         fts.insert_row("t", &cols, &row(1, "travel charger")).unwrap();
-        let (scores, visited) = fts.candidates(&query_terms("charger zq7u001"));
+        let (scores, visited) = search(&fts, "charger zq7u001");
         assert_eq!(scores.len(), 1);
         assert_eq!(visited, 1);
     }

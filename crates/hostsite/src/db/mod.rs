@@ -42,6 +42,8 @@
 
 use std::fmt;
 
+use markup::Text;
+
 mod engine;
 mod fts;
 mod index;
@@ -121,13 +123,26 @@ impl From<f64> for Value {
     }
 }
 
+/// A value writes itself as its `Display` form: an integer in decimal,
+/// text as it is, `true`/`false`, and a float through its `Display`.
+impl Text for Value {
+    fn write_to(&self, out: &mut String) {
+        match self {
+            Value::Int(i) => i.write_to(out),
+            Value::Text(t) => out.push_str(t),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Float(x) => format_args!("{x}").write_to(out),
+        }
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Text(t) => write!(f, "{t}"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Float(x) => write!(f, "{x}"),
+            Value::Int(i) => fmt::Display::fmt(i, f),
+            Value::Text(t) => fmt::Display::fmt(t, f),
+            Value::Bool(b) => fmt::Display::fmt(b, f),
+            Value::Float(x) => fmt::Display::fmt(x, f),
         }
     }
 }
@@ -275,3 +290,32 @@ impl fmt::Display for DbError {
 }
 
 impl std::error::Error for DbError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            any::<i64>().prop_map(Value::Int),
+            Just(Value::Int(i64::MIN)),
+            "[a-z &<é€]{0,8}".prop_map(Value::Text),
+            any::<bool>().prop_map(Value::Bool),
+            any::<u64>().prop_map(|bits| Value::Float(f64::from_bits(bits))),
+            Just(Value::Float(-0.0)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// A value's `Text` writes exactly what its `Display` writes.
+        #[test]
+        fn a_values_text_is_its_display(v in value()) {
+            let mut text = String::new();
+            v.write_to(&mut text);
+            prop_assert_eq!(text, v.to_string());
+        }
+    }
+}

@@ -237,8 +237,7 @@ impl<'a> HttpRequest<'a> {
 
     /// The parameters in name order, one per name with its last value.
     pub fn params(&self) -> impl Iterator<Item = (&str, &str)> {
-        let form = self.form.iter().map(|(k, v)| (k.as_str(), v.as_str()));
-        last_by_name(self.query_pairs().chain(form))
+        last_by_name(self.query_pairs().chain(str_pairs(&self.form)))
     }
 
     /// A cookie's value, if present (the last one of that name).
@@ -252,7 +251,7 @@ impl<'a> HttpRequest<'a> {
 
     /// The cookies in name order, one per name with its last value.
     pub fn cookies(&self) -> impl Iterator<Item = (&str, &str)> {
-        last_by_name(self.cookies.iter().map(|(k, v)| (k.as_str(), v.as_str())))
+        last_by_name(str_pairs(&self.cookies))
     }
 
     /// `Authorization` credentials, as `(user, password)`.
@@ -264,20 +263,32 @@ impl<'a> HttpRequest<'a> {
 
     /// Approximate bytes of this request on the wire: one entry per
     /// parameter and cookie name, as [`HttpRequest::params`] and
-    /// [`HttpRequest::cookies`] list them.
+    /// [`HttpRequest::cookies`] list them. One loop over the query, form
+    /// and cookie pairs counts a pair when no later pair of its kind
+    /// repeats its name, so each name counts once, with its last value.
     pub fn wire_size(&self) -> usize {
+        const PARAM: usize = 2;
+        const COOKIE: usize = 10;
+        let params = self.query_pairs().chain(str_pairs(&self.form));
+        let mut rest = params
+            .map(|(k, v)| (PARAM, k, v))
+            .chain(str_pairs(&self.cookies).map(|(k, v)| (COOKIE, k, v)));
         let mut n = 16 + self.path().len() + 64; // request line + fixed headers
-        for (k, v) in self.params() {
-            n += k.len() + v.len() + 2;
-        }
-        for (k, v) in self.cookies() {
-            n += k.len() + v.len() + 10;
+        while let Some((kind, name, value)) = rest.next() {
+            if !rest.clone().any(|(later, k, _)| later == kind && k == name) {
+                n += name.len() + value.len() + kind;
+            }
         }
         if self.auth.is_some() {
             n += 32;
         }
         n
     }
+}
+
+/// Owned name/value pairs, read as string slices.
+fn str_pairs(pairs: &[(String, String)]) -> impl Iterator<Item = (&str, &str)> + Clone {
+    pairs.iter().map(|(k, v)| (k.as_str(), v.as_str()))
 }
 
 /// Where `url`'s path ends: at its first `?`, else at its end.

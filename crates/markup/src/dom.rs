@@ -3,6 +3,8 @@
 use std::borrow::Cow;
 use std::fmt;
 
+use crate::text::{find_any, Text};
+
 /// A node in a markup document: an element or a text run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Node {
@@ -277,22 +279,37 @@ pub fn escape(text: &str) -> String {
     out
 }
 
-/// [`escape`] straight into an output buffer; clean text (the common
-/// case) is appended with a single memcpy, no intermediate allocation.
-pub(crate) fn push_escaped(out: &mut String, text: &str) {
-    if !text.bytes().any(|b| matches!(b, b'&' | b'<' | b'>' | b'"')) {
-        out.push_str(text);
+/// [`escape`] straight into an output buffer, for any [`Text`]: the
+/// text is appended raw and then the span it took is escaped in place.
+/// Escaping maps each character on its own, so this equals escaping
+/// each piece of a tuple, or the pieces a formatter emits. A span with
+/// nothing to escape, the usual case, costs one scan, a word at a time;
+/// otherwise the span is rewritten escaped once, from its first escaped
+/// character on.
+pub(crate) fn push_escaped(out: &mut String, text: impl Text) {
+    let start = out.len();
+    text.write_to(out);
+    let Some(first) = find_any(&out.as_bytes()[start..], [b'&', b'<', b'>', b'"']) else {
         return;
+    };
+    let (first, end) = (start + first, out.len());
+    // Append the escaped rewrite of `first..end`, then drop the raw copy.
+    // The cuts fall on ASCII bytes, so they are character boundaries.
+    let mut run = first;
+    for i in first..end {
+        let escaped = match out.as_bytes()[i] {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            _ => continue,
+        };
+        out.extend_from_within(run..i);
+        out.push_str(escaped);
+        run = i + 1;
     }
-    for c in text.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            other => out.push(other),
-        }
-    }
+    out.extend_from_within(run..end);
+    out.drain(first..end);
 }
 
 #[cfg(test)]

@@ -7,10 +7,9 @@
 //! builders for what needs a tree (gateway error cards, transcoder
 //! fixtures).
 
-use std::fmt::{self, Display};
-
 use crate::dom::{push_escaped, Element, Node};
 use crate::parse::{self, ParseMarkupError};
+use crate::text::Text;
 
 /// Parses an HTML document (well-formed subset; see [`crate::parse`]).
 ///
@@ -48,13 +47,14 @@ const PAGE_CAPACITY: usize = 512;
 
 /// Writes a page straight into its body bytes: exactly the markup
 /// `page(title, nodes).to_markup()` produces for the same nodes, with no
-/// tree in between. Texts and hrefs are anything [`Display`], so a call
-/// site can pass `format_args!` and the page allocates only its buffer.
+/// tree in between. Texts and hrefs are any [`Text`] — a string, an
+/// integer, a tuple of them — appended into the buffer and then escaped
+/// in place, so a page allocates only its buffer.
 ///
 /// ```
 /// use markup::html::{self, PageWriter};
 /// let mut w = PageWriter::new("Cart");
-/// w.h1("Your cart").p(format_args!("{} items", 2));
+/// w.h1("Your cart").p((2, " items"));
 /// let tree = html::page("Cart", vec![html::h1("Your cart").into(), html::p("2 items").into()]);
 /// assert_eq!(w.finish(), tree.to_markup());
 /// ```
@@ -68,10 +68,10 @@ pub struct PageWriter {
 
 impl PageWriter {
     /// Starts a page: `<html><head><title>…</title></head><body`.
-    pub fn new(title: impl Display) -> Self {
+    pub fn new(title: impl Text) -> Self {
         let mut out = String::with_capacity(PAGE_CAPACITY);
         out.push_str("<html><head><title>");
-        write_escaped(&mut out, title);
+        push_escaped(&mut out, title);
         out.push_str("</title></head><body");
         PageWriter {
             out,
@@ -88,12 +88,12 @@ impl PageWriter {
         &mut self.out
     }
 
-    fn text_element(&mut self, tag: &str, text: impl Display) -> &mut Self {
+    fn text_element(&mut self, tag: &str, text: impl Text) -> &mut Self {
         let out = self.child();
         out.push('<');
         out.push_str(tag);
         out.push('>');
-        write_escaped(out, text);
+        push_escaped(out, text);
         out.push_str("</");
         out.push_str(tag);
         out.push('>');
@@ -101,36 +101,33 @@ impl PageWriter {
     }
 
     /// A heading, as [`h1`].
-    pub fn h1(&mut self, text: impl Display) -> &mut Self {
+    pub fn h1(&mut self, text: impl Text) -> &mut Self {
         self.text_element("h1", text)
     }
 
     /// A paragraph, as [`p`].
-    pub fn p(&mut self, text: impl Display) -> &mut Self {
+    pub fn p(&mut self, text: impl Text) -> &mut Self {
         self.text_element("p", text)
     }
 
     /// Preformatted text: `<pre>…</pre>`.
-    pub fn pre(&mut self, text: impl Display) -> &mut Self {
+    pub fn pre(&mut self, text: impl Text) -> &mut Self {
         self.text_element("pre", text)
     }
 
     /// An anchor, as [`a`].
-    pub fn a(&mut self, href: impl Display, text: impl Display) -> &mut Self {
+    pub fn a(&mut self, href: impl Text, text: impl Text) -> &mut Self {
         let out = self.child();
         out.push_str("<a href=\"");
-        write_escaped(out, href);
+        push_escaped(out, href);
         out.push_str("\">");
-        write_escaped(out, text);
+        push_escaped(out, text);
         out.push_str("</a>");
         self
     }
 
     /// A two-column table, as [`table`].
-    pub fn table<K: Display, V: Display>(
-        &mut self,
-        rows: impl IntoIterator<Item = (K, V)>,
-    ) -> &mut Self {
+    pub fn table<K: Text, V: Text>(&mut self, rows: impl IntoIterator<Item = (K, V)>) -> &mut Self {
         let out = self.child();
         out.push_str("<table");
         let mut empty = true;
@@ -140,9 +137,9 @@ impl PageWriter {
                 empty = false;
             }
             out.push_str("<tr><td>");
-            write_escaped(out, k);
+            push_escaped(out, k);
             out.push_str("</td><td>");
-            write_escaped(out, v);
+            push_escaped(out, v);
             out.push_str("</td></tr>");
         }
         out.push_str(if empty { "/>" } else { "</table>" });
@@ -152,17 +149,17 @@ impl PageWriter {
     /// A single-field form, as [`form`].
     pub fn form(
         &mut self,
-        action: impl Display,
-        field_name: impl Display,
-        submit_label: impl Display,
+        action: impl Text,
+        field_name: impl Text,
+        submit_label: impl Text,
     ) -> &mut Self {
         let out = self.child();
         out.push_str("<form action=\"");
-        write_escaped(out, action);
+        push_escaped(out, action);
         out.push_str("\" method=\"post\"><input type=\"text\" name=\"");
-        write_escaped(out, field_name);
+        push_escaped(out, field_name);
         out.push_str("\"/><input type=\"submit\" value=\"");
-        write_escaped(out, submit_label);
+        push_escaped(out, submit_label);
         out.push_str("\"/></form>");
         self
     }
@@ -176,24 +173,6 @@ impl PageWriter {
         });
         self.out
     }
-}
-
-/// A [`fmt::Write`] sink that escapes into a buffer. Escaping maps each
-/// character on its own, so escaping the pieces a formatter emits equals
-/// escaping their concatenation.
-struct Escaping<'a>(&'a mut String);
-
-impl fmt::Write for Escaping<'_> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        push_escaped(self.0, s);
-        Ok(())
-    }
-}
-
-/// Formats `text` escaped into `out`, with no intermediate `String`.
-fn write_escaped(out: &mut String, text: impl Display) {
-    // Writing into a `String` cannot fail.
-    let _ = fmt::write(&mut Escaping(out), format_args!("{text}"));
 }
 
 /// A heading element.
@@ -367,6 +346,44 @@ mod tests {
                 }
             }
             prop_assert_eq!(w.finish(), page(&title, nodes).to_markup());
+        }
+
+        /// A tuple's pieces are escaped as one text: given pieces holding
+        /// `& < > "` anywhere, the writer writes what the `format_args!`
+        /// form writes and what the tree serialises.
+        #[test]
+        fn tuples_write_what_format_args_wrote(
+            pieces in collection::vec("[a-c&<>\"é ]{0,6}", 3),
+            n in any::<i64>(),
+        ) {
+            let (x, y, z) = (&pieces[0], &pieces[1], &pieces[2]);
+            let mut tuple = PageWriter::new((x, n));
+            tuple
+                .a((x, n, y), (y, '&', z))
+                .p((z, x.as_str()))
+                .table([((x, y), (n, z))])
+                .form((x, y), (y, '"'), (z, n, x));
+            let mut args = PageWriter::new(format_args!("{x}{n}"));
+            args.a(format_args!("{x}{n}{y}"), format_args!("{y}&{z}"))
+                .p(format_args!("{z}{x}"))
+                .table([(format_args!("{x}{y}"), format_args!("{n}{z}"))])
+                .form(
+                    format_args!("{x}{y}"),
+                    format_args!("{y}\""),
+                    format_args!("{z}{n}{x}"),
+                );
+            let tree = page(
+                &format!("{x}{n}"),
+                vec![
+                    a(&format!("{x}{n}{y}"), &format!("{y}&{z}")).into(),
+                    p(&format!("{z}{x}")).into(),
+                    table([(format!("{x}{y}").as_str(), format!("{n}{z}").as_str())]).into(),
+                    form(&format!("{x}{y}"), &format!("{y}\""), &format!("{z}{n}{x}")).into(),
+                ],
+            );
+            let tuple = tuple.finish();
+            prop_assert_eq!(&tuple, &args.finish());
+            prop_assert_eq!(tuple, tree.to_markup());
         }
     }
 }

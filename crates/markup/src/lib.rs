@@ -17,15 +17,20 @@
 //!   simplification for i-mode,
 //! * [`wbxml`] — a WBXML-style tokenised binary encoding of WML, the
 //!   over-the-air compression that makes gateway translation pay off on
-//!   narrow wireless links.
+//!   narrow wireless links,
+//! * [`text`] — [`Text`], what a page or a request is written from:
+//!   strings, integers and tuples of them, appended straight into a
+//!   buffer.
 
 pub mod chtml;
 pub mod dom;
 pub mod html;
 pub mod parse;
+pub mod text;
 pub mod transcode;
 pub mod wbxml;
 pub mod wml;
 
 pub use dom::{Element, Node};
 pub use parse::ParseMarkupError;
+pub use text::Text;

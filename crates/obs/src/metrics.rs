@@ -29,7 +29,6 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::hist::Histogram;
-use crate::json::Value;
 
 /// An ordered, mergeable snapshot of published metrics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -59,25 +58,6 @@ impl Metrics {
     /// True when nothing was published.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.histograms.is_empty()
-    }
-
-    /// The registry as a JSON object with sorted keys — deterministic
-    /// for identical contents.
-    pub fn to_json(&self) -> Value {
-        let counters = self.counters.iter().map(|(&k, &v)| (k.to_owned(), v.into()));
-        let histograms = self.histograms.iter().map(|(&k, h)| {
-            let summary = crate::object!(
-                "count": h.count(),
-                "p50": h.percentile(50.0),
-                "p90": h.percentile(90.0),
-                "p99": h.percentile(99.0),
-            );
-            (k.to_owned(), summary)
-        });
-        crate::object!(
-            "counters": Value::Object(counters.collect()),
-            "histograms": Value::Object(histograms.collect()),
-        )
     }
 }
 
@@ -237,7 +217,6 @@ pub fn take() -> Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
     use proptest::collection;
     use proptest::prelude::*;
 
@@ -299,20 +278,6 @@ mod tests {
         assert_eq!(ab.counter("k"), 3);
         assert_eq!(ab.counter("only_b"), 7);
         assert_eq!(ab.histograms["h"].count(), 2);
-    }
-
-    #[test]
-    fn json_is_deterministic_and_sorted() {
-        let mut m = Metrics::default();
-        m.counters.insert("z.last", 1);
-        m.counters.insert("a.first", 2);
-        m.histograms.entry("h").or_default().record(100);
-        let json = m.to_json().to_string();
-        assert!(json.find("a.first").unwrap() < json.find("z.last").unwrap());
-        assert_eq!(json, m.clone().to_json().to_string());
-        let doc = json::parse(&json).unwrap();
-        assert_eq!(doc["counters"]["a.first"].as_u64(), Some(2));
-        assert_eq!(doc["histograms"]["h"]["count"].as_u64(), Some(1));
     }
 
     proptest! {

@@ -14,10 +14,7 @@
 //! `HashMap` indexes by and the high bits it tags with are well mixed.
 //! It is *streaming*: bytes are buffered across calls until a word is
 //! full, so a key written in pieces hashes exactly like the same bytes
-//! written at once. The host page cache hashes a request by streaming
-//! its canonical rendering, on store and on lookup alike, so no code
-//! compares a streamed hash with a whole-key one; the page cache's test
-//! `hashing_a_rendering_equals_hashing_the_key` pins the property.
+//! written at once.
 //!
 //! It is not keyed against collision attacks: use it only for keys the
 //! simulator itself generates, never for crafted outside input.

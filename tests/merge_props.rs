@@ -63,8 +63,7 @@ fn streaming_engines_are_identical_at_1_2_4_8_threads() {
         "dumps diverged from run_user_traced"
     );
     assert_eq!(
-        trace.metrics.to_json(),
-        reference.metrics.to_json(),
+        trace.metrics, reference.metrics,
         "metrics diverged from run_user_traced"
     );
     for threads in [2, 4, 8] {
@@ -76,8 +75,7 @@ fn streaming_engines_are_identical_at_1_2_4_8_threads() {
             "trace diverged at {threads} threads"
         );
         assert_eq!(
-            trace.metrics.to_json(),
-            t.metrics.to_json(),
+            trace.metrics, t.metrics,
             "metrics diverged at {threads} threads"
         );
     }
@@ -124,6 +122,6 @@ proptest! {
         let streamed = merger.finish();
         prop_assert_eq!(batch.to_jsonl(), streamed.to_jsonl());
         prop_assert_eq!(batch.dumps.len(), streamed.dumps.len());
-        prop_assert_eq!(batch.metrics.to_json(), streamed.metrics.to_json());
+        prop_assert_eq!(batch.metrics, streamed.metrics);
     }
 }

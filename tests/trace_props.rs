@@ -50,8 +50,8 @@ fn fleet_trace_is_byte_identical_across_thread_counts() {
     assert_eq!(chrome, t8.to_chrome_json());
 
     // The merged metrics registry obeys the same contract.
-    assert_eq!(t1.metrics.to_json(), t2.metrics.to_json());
-    assert_eq!(t1.metrics.to_json(), t8.metrics.to_json());
+    assert_eq!(t1.metrics, t2.metrics);
+    assert_eq!(t1.metrics, t8.metrics);
 }
 
 #[test]
