@@ -56,7 +56,7 @@ use crate::report::{WorkloadCounters, WorkloadSummary};
 use crate::shared::{self, ContentionStats};
 use crate::system::{provision_host, CachePolicy, McSystem, MiddlewareKind, SystemSpec, UserSide};
 use crate::topology::Topology;
-use crate::workload::run_session;
+use crate::workload::run_session_with_policy;
 
 /// A declarative description of one fleet experiment: who the users
 /// are, what they run, and over which technology stack.
@@ -402,30 +402,18 @@ impl Scenario {
     fn run_user_on(&self, system: &mut McSystem, user: u64, counters: &mut WorkloadCounters) {
         let app = for_category(self.app);
         let session_seed = simnet::rng::sub_seed(self.seed, "fleet.session", user);
-        if self.retry.is_none() {
-            for session in 0..self.sessions_per_user {
-                if session > 0 && self.think_secs > 0.0 {
-                    system.idle(self.think_secs);
-                }
-                let steps = self.session_steps(app.as_ref(), session_seed, session);
-                for report in run_session(system, &steps) {
-                    counters.record(&report);
-                }
+        // Jitter stream keyed by (seed, user), never by thread or island
+        // — the determinism rule the module docs state. Deriving it draws
+        // from no other stream, and `RetryPolicy::none()` never draws
+        // from it.
+        let mut retry_rng = simnet::rng::rng_for_indexed(self.seed, "fleet.retry", user);
+        for session in 0..self.sessions_per_user {
+            if session > 0 && self.think_secs > 0.0 {
+                system.idle(self.think_secs);
             }
-        } else {
-            // Jitter stream keyed by (seed, user), never by thread or
-            // island — the determinism rule the module docs state.
-            let mut retry_rng = simnet::rng::rng_for_indexed(self.seed, "fleet.retry", user);
-            for session in 0..self.sessions_per_user {
-                if session > 0 && self.think_secs > 0.0 {
-                    system.idle(self.think_secs);
-                }
-                let steps = self.session_steps(app.as_ref(), session_seed, session);
-                for report in
-                    crate::workload::run_session_with_policy(system, &steps, &self.retry, &mut retry_rng)
-                {
-                    counters.record(&report);
-                }
+            let steps = self.session_steps(app.as_ref(), session_seed, session);
+            for report in run_session_with_policy(system, &steps, &self.retry, &mut retry_rng) {
+                counters.record(&report);
             }
         }
     }

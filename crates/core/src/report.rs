@@ -11,7 +11,6 @@ use std::sync::Arc;
 
 use hostsite::http::Status;
 use simnet::time::secs_to_ns as to_ns;
-use simnet::SimDuration;
 
 /// Latency attributed to each of the system's components — the
 /// per-component breakdown that makes Figures 1 and 2 measurable.
@@ -38,24 +37,6 @@ impl PhaseBreakdown {
             + self.middleware_secs
             + self.wired_secs
             + self.host_secs
-    }
-
-    /// The share (0..1) a component contributes; keys: `station`,
-    /// `wireless`, `middleware`, `wired`, `host`.
-    pub fn share(&self, component: &str) -> f64 {
-        let total = self.total_secs();
-        if total == 0.0 {
-            return 0.0;
-        }
-        let value = match component {
-            "station" => self.station_secs,
-            "wireless" => self.wireless_secs,
-            "middleware" => self.middleware_secs,
-            "wired" => self.wired_secs,
-            "host" => self.host_secs,
-            _ => 0.0,
-        };
-        value / total
     }
 }
 
@@ -107,26 +88,48 @@ pub struct TransactionReport {
 }
 
 impl TransactionReport {
-    /// A failed transaction with the given reason and whatever costs were
-    /// already paid.
+    /// A failed transaction with the given reason and no costs paid.
     pub fn failed(reason: impl Into<String>) -> Self {
+        TransactionReport::new(PhaseBreakdown::default(), Some(reason.into()), None)
+    }
+
+    /// One attempt whose latency is `breakdown`'s sum, with nothing over
+    /// the air and no battery drawn; it succeeded iff there is no
+    /// `failure`.
+    pub(crate) fn new(
+        breakdown: PhaseBreakdown,
+        failure: Option<String>,
+        outcome: Option<TransactionOutcome>,
+    ) -> Self {
         TransactionReport {
-            total: 0.0,
-            breakdown: PhaseBreakdown::default(),
+            total: breakdown.total_secs(),
+            breakdown,
             air_bytes_up: 0,
             air_bytes_down: 0,
             retransmissions: 0,
             energy_j: 0.0,
-            success: false,
-            failure: Some(reason.into()),
-            outcome: None,
+            success: failure.is_none(),
+            failure,
+            outcome,
             attempts: 1,
         }
     }
 
-    /// Total latency as a [`SimDuration`].
-    pub fn latency(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.total)
+    /// Adds `other`'s paid costs into this report, field by field:
+    /// latency, each component's share, energy, air bytes and
+    /// retransmissions. Its verdict, outcome and attempts stay its own.
+    pub(crate) fn absorb(&mut self, other: &TransactionReport) {
+        self.total += other.total;
+        let (b, o) = (&mut self.breakdown, &other.breakdown);
+        b.station_secs += o.station_secs;
+        b.wireless_secs += o.wireless_secs;
+        b.middleware_secs += o.middleware_secs;
+        b.wired_secs += o.wired_secs;
+        b.host_secs += o.host_secs;
+        self.energy_j += other.energy_j;
+        self.air_bytes_up += other.air_bytes_up;
+        self.air_bytes_down += other.air_bytes_down;
+        self.retransmissions += other.retransmissions;
     }
 
     /// The rendered page text, when the transaction produced one.
@@ -371,19 +374,7 @@ mod tests {
             wired_secs: 0.25,
             host_secs: 0.15,
         };
-        let sum: f64 = ["station", "wireless", "middleware", "wired", "host"]
-            .iter()
-            .map(|c| b.share(c))
-            .sum();
-        assert!((sum - 1.0).abs() < 1e-12);
         assert!((b.total_secs() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_breakdown_has_zero_shares() {
-        let b = PhaseBreakdown::default();
-        assert_eq!(b.share("host"), 0.0);
-        assert_eq!(b.share("unknown"), 0.0);
     }
 
     #[test]

@@ -88,7 +88,7 @@ use crate::fleet::{
     seeded, FleetTrace, RecorderKind, RunConfig, Scenario, ShardScratch, UserTrace,
 };
 use crate::merge::TraceMerger;
-use crate::report::{TransactionReport, WorkloadCounters};
+use crate::report::{PhaseBreakdown, TransactionReport, WorkloadCounters};
 use crate::system::{Site, UserSide};
 use crate::topology::{Island, Topology};
 use crate::workload::ExpectMemo;
@@ -743,10 +743,16 @@ fn charge_contention(
     stats.host_wait_ns += host_wait;
     if total_wait > 0 {
         stats.contended_transactions += 1;
-        report.total += total_wait as f64 / 1e9;
-        report.breakdown.wireless_secs += cell_wait as f64 / 1e9;
-        report.breakdown.middleware_secs += gw_wait as f64 / 1e9;
-        report.breakdown.host_secs += host_wait as f64 / 1e9;
+        let waits = PhaseBreakdown {
+            wireless_secs: cell_wait as f64 / 1e9,
+            middleware_secs: gw_wait as f64 / 1e9,
+            host_secs: host_wait as f64 / 1e9,
+            ..PhaseBreakdown::default()
+        };
+        report.absorb(&TransactionReport {
+            total: total_wait as f64 / 1e9,
+            ..TransactionReport::new(waits, None, None)
+        });
         // The user's clock moves past the waits (idle battery draw,
         // like any other waiting) — an uncontended transaction skips
         // this entirely, preserving bit-identity with a private world.

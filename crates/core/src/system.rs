@@ -1,3 +1,4 @@
+#![warn(clippy::too_many_lines)]
 //! The assembled systems: Figure 2's six-component MC system and
 //! Figure 1's four-component EC baseline.
 //!
@@ -12,6 +13,7 @@ use middleware::{AirFormat, ContentCache, Exchange, Middleware, MobileRequest};
 
 use faults::{classify, FailureClass, FaultKind, FaultPlan, FaultState, RetryPolicy};
 use hostsite::db::DurabilityPolicy;
+use hostsite::http::Status;
 use hostsite::HostComputer;
 use obs::{Layer, Recorder};
 use rand::rngs::StdRng;
@@ -20,6 +22,7 @@ use simnet::time::secs_to_ns;
 use simnet::SimDuration;
 use station::browser::ContentKind;
 use station::{Battery, DeviceProfile, EmbeddedStore, Microbrowser, RenderMemo, RenderedView};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -205,8 +208,7 @@ impl CachePolicy {
 }
 
 /// A typed, declarative description of every knob an [`McSystem`] is
-/// assembled from — the replacement for `McSystem::new`'s positional
-/// argument list.
+/// assembled from.
 ///
 /// A `SystemSpec` is plain data (`Clone + Send + Sync`); calling
 /// [`SystemSpec::build`] with a provisioned [`HostComputer`] produces
@@ -512,8 +514,7 @@ impl std::fmt::Debug for McSystem {
 }
 
 impl McSystem {
-    /// The one true constructor, reached through [`SystemSpec::build`]
-    /// (the positional `McSystem::new` was removed in 0.3.0): `user`
+    /// The one constructor, reached through [`SystemSpec::build`]: `user`
     /// around `host`, with a gateway cache iff its policy enables one.
     pub(crate) fn assemble(host: HostComputer, user: UserSide) -> Self {
         McSystem {
@@ -680,13 +681,15 @@ impl UserSide {
         self.middleware_degraded
     }
 
-    /// Fires every one-shot fault due at `now_ns`: battery drains hit
-    /// the battery, database crashes restart `host` — the site's — and
-    /// open a recovery window proportional to the replayed journal.
-    fn apply_due_oneshots(&mut self, host: &mut HostComputer, now_ns: u64) {
+    /// Fires every one-shot fault due when transaction `l` begins:
+    /// battery drains hit the battery, database crashes restart `host` —
+    /// the site's — and open a recovery window proportional to the
+    /// replayed journal.
+    fn apply_due_oneshots(&mut self, host: &mut HostComputer, l: &Ledger) {
         if self.faults.is_empty() {
             return;
         }
+        let now_ns = l.t0;
         let due: Vec<FaultKind> = self
             .faults
             .oneshots_due(&mut self.fault_state, now_ns)
@@ -698,7 +701,7 @@ impl UserSide {
                 FaultKind::BatteryDrain { joules } => {
                     let _ = self.station.battery.drain(joules);
                     self.recorder
-                        .instant(now_ns, Layer::Station, "fault: battery drain", self.txn_seq);
+                        .instant(now_ns, Layer::Station, "fault: battery drain", l.txn);
                 }
                 FaultKind::DbCrash => {
                     let policy = host.web.db().durability();
@@ -708,7 +711,7 @@ impl UserSide {
                         .host_recovering_until_ns
                         .max(now_ns.saturating_add(recovery));
                     self.recorder
-                        .instant(now_ns, Layer::Host, "fault: db crash, replaying journal", self.txn_seq);
+                        .instant(now_ns, Layer::Host, "fault: db crash, replaying journal", l.txn);
                 }
                 _ => {}
             }
@@ -752,175 +755,293 @@ impl CommerceSystem for McSystem {
     }
 }
 
+/// Why a stage stopped its transaction early, and the layer it failed in.
+type Stop = (Cow<'static, str>, Layer);
+
+/// One transaction's books, open from admission to settlement. Each
+/// stage of `UserSide::execute` books its costs here and nowhere else:
+/// a cost becomes its layer's share of the [`PhaseBreakdown`] (seconds),
+/// a span on the station's timeline and a move of the cursor
+/// (nanoseconds). The ledger also closes the transaction — failure
+/// records, root span, station clock — and builds its report.
+///
+/// The breakdown's `f64` sums reach every digest, so a share is added
+/// exactly as a stage prices it: one add per booking, in stage order.
+#[derive(Default)]
+struct Ledger {
+    /// Where the transaction began on the station clock, nanoseconds.
+    t0: u64,
+    /// The transaction's id.
+    txn: u64,
+    /// Where the next span begins, nanoseconds.
+    cursor: u64,
+    breakdown: PhaseBreakdown,
+    /// Radio energy drawn so far, joules. The station CPU's energy is
+    /// reckoned from its share when the battery pays.
+    energy: f64,
+    /// Bytes the air uplink put on the medium.
+    air_up: u64,
+    /// Bytes the air downlink put on the medium.
+    air_down: u64,
+    /// ARQ retransmissions of the uplink and the downlink.
+    retransmissions: u32,
+}
+
+impl Ledger {
+    /// Adds `secs` to `layer`'s share of the breakdown.
+    fn share(&mut self, layer: Layer, secs: f64) {
+        let b = &mut self.breakdown;
+        *match layer {
+            Layer::Station => &mut b.station_secs,
+            Layer::Wireless => &mut b.wireless_secs,
+            Layer::Middleware => &mut b.middleware_secs,
+            Layer::Wired => &mut b.wired_secs,
+            Layer::Host => &mut b.host_secs,
+            Layer::Application => unreachable!("the application has no share"),
+        } += secs;
+    }
+
+    /// Records a span named `name` over the next `ns` and moves the
+    /// cursor past it.
+    fn span(&mut self, side: &mut UserSide, layer: Layer, name: &'static str, ns: u64) {
+        side.recorder.span(self.cursor, ns, layer, name, self.txn);
+        self.cursor += ns;
+    }
+
+    /// Books `cost` to `layer`: its share and a span named `name`.
+    fn charge(&mut self, side: &mut UserSide, layer: Layer, name: &'static str, cost: SimDuration) {
+        self.share(layer, cost.as_secs_f64());
+        self.span(side, layer, name, cost.as_nanos());
+    }
+
+    /// Books a cost priced in `f64` seconds; its span is those seconds
+    /// rounded to nanoseconds.
+    fn charge_secs(&mut self, side: &mut UserSide, layer: Layer, name: &'static str, secs: f64) {
+        self.share(layer, secs);
+        self.span(side, layer, name, secs_to_ns(secs));
+    }
+
+    /// Books `cost` to `layer` without a span: the time a stage burned
+    /// before it gave up.
+    fn book(&mut self, layer: Layer, cost: SimDuration) {
+        self.share(layer, cost.as_secs_f64());
+        self.cursor += cost.as_nanos();
+    }
+
+    /// The energy drawn so far: the radio's plus the station CPU's,
+    /// joules.
+    fn drawn(&self, side: &UserSide) -> f64 {
+        let os_factor = side.station.browser.device().os.cpu_overhead_factor();
+        self.energy + self.breakdown.station_secs * STATION_ACTIVE_W * os_factor
+    }
+
+    /// Ends the transaction in the stage that stopped it: the battery
+    /// pays for what was drawn so far, the failure is recorded, and the
+    /// report carries the costs paid so far — of the energy, only the
+    /// radio's.
+    fn stop(&self, side: &mut UserSide, (reason, layer): Stop) -> TransactionReport {
+        let _ = side.station.battery.drain(self.drawn(side));
+        self.fail(side, &reason, layer);
+        self.report(self.energy, Some(reason.into_owned()), None)
+    }
+
+    /// Closes the books on a failure in `layer`: it is counted, recorded
+    /// as an instant and dumped from the flight recorder, and the
+    /// station clock moves to the cursor.
+    fn fail(&self, side: &mut UserSide, reason: &str, layer: Layer) {
+        obs::metrics::incr("station.txn_failures");
+        side.recorder
+            .instant_dyn(self.cursor, layer, reason, self.txn);
+        side.recorder.dump_failure(self.txn, reason, layer);
+        side.clock_ns = self.cursor;
+    }
+
+    /// Closes the books on a success: the root span, named for `url`,
+    /// covers the whole transaction, and the station clock moves to the
+    /// cursor.
+    fn succeed(&self, side: &mut UserSide, url: &str) {
+        let dur = self.cursor - self.t0;
+        side.recorder
+            .span_dyn(self.t0, dur, Layer::Application, url, self.txn);
+        side.clock_ns = self.cursor;
+    }
+
+    /// The report of the costs on the books.
+    fn report(
+        &self,
+        energy_j: f64,
+        failure: Option<String>,
+        outcome: Option<TransactionOutcome>,
+    ) -> TransactionReport {
+        TransactionReport {
+            air_bytes_up: self.air_up,
+            air_bytes_down: self.air_down,
+            retransmissions: self.retransmissions,
+            energy_j,
+            ..TransactionReport::new(self.breakdown, failure, outcome)
+        }
+    }
+}
+
 impl UserSide {
-    /// Executes one request/response transaction against `site`.
+    /// Executes one request/response transaction against `site`: the
+    /// stages of Figure 2's request path in order, each booking its costs
+    /// in the transaction's ledger. A stage that fails stops the rest.
     pub(crate) fn execute(
         &mut self,
         site: &mut Site<'_>,
         req: &MobileRequest,
     ) -> TransactionReport {
-        let t0 = self.clock_ns;
+        let mut l = Ledger {
+            t0: self.clock_ns,
+            txn: self.txn_seq,
+            cursor: self.clock_ns,
+            ..Ledger::default()
+        };
+        self.txn_seq += 1;
+        match self.run_stages(site, req, &mut l) {
+            Ok(report) => report,
+            Err(stop) => l.stop(self, stop),
+        }
+    }
+
+    /// The stages in request-path order; the first that fails returns
+    /// why, and the rest do not run.
+    fn run_stages(
+        &mut self,
+        site: &mut Site<'_>,
+        req: &MobileRequest,
+        l: &mut Ledger,
+    ) -> Result<TransactionReport, Stop> {
+        let air = self.admit(site.host, l)?;
+        let req = self.with_cookies(req);
+        self.connect(&air, l);
+        let (mut ex, gateway_hit) = self.gateway(site, &req, l)?;
+        self.build_request(&mut ex, l);
+        self.uplink(&air, &ex, l)?;
+        self.wired_and_host(&ex, gateway_hit, l);
+        self.downlink(&air, &ex, l)?;
+        let render = self.render(&ex, l);
+        Ok(self.settle(ex.status, render, &req.url, l))
+    }
+
+    /// Admission: due one-shot faults strike, then the station needs
+    /// coverage, battery, a lit access point and a serving host. Returns
+    /// this transaction's air link, its BER raised by any loss burst.
+    fn admit(&mut self, host: &mut HostComputer, l: &mut Ledger) -> Result<AirLink, Stop> {
         // A gateway-cache hit never reaches the host, so the stale WAL
         // share from the previous transaction must not leak into it.
         self.last_commit_ns = 0;
-        // One-shot faults due by now (battery drains, host crashes)
-        // strike before the transaction leaves the station.
-        self.apply_due_oneshots(site.host, t0);
-        let txn = self.txn_seq;
-        self.txn_seq += 1;
-        let mut cursor = t0;
-
+        self.apply_due_oneshots(host, l);
         let Some(mut air) = self.air else {
             let reason = format!("no coverage on {}", self.wireless.name());
-            obs::metrics::incr("station.txn_failures");
-            self.recorder.instant_dyn(cursor, Layer::Wireless, &reason, txn);
-            self.recorder.dump_failure(txn, &reason, Layer::Wireless);
-            return TransactionReport::failed(reason);
+            return Err((reason.into(), Layer::Wireless));
         };
         if self.station.battery.is_exhausted() {
-            obs::metrics::incr("station.txn_failures");
-            self.recorder
-                .instant(cursor, Layer::Station, "battery exhausted", txn);
-            self.recorder
-                .dump_failure(txn, "battery exhausted", Layer::Station);
-            return TransactionReport::failed("battery exhausted");
+            return Err(("battery exhausted".into(), Layer::Station));
         }
-
-        // Injected wireless outage: the AP is dark. The station probes,
-        // loses its session (forced handoff), and gives up — a retry
-        // policy can come back once the window passes.
-        if self.faults.outage_active(t0) {
-            let reason = "wireless outage (handoff in progress)";
+        // Injected wireless outage: the AP is dark. The station probes at
+        // idle power, loses its session (forced handoff), and gives up —
+        // a retry policy can come back once the window passes.
+        if self.faults.outage_active(l.t0) {
             self.session_up = false;
             self.wtls_established = false;
-            let probe_secs = OUTAGE_PROBE.as_secs_f64();
-            let probe_energy = self.station.browser.device().idle_power_w() * probe_secs;
-            let _ = self.station.battery.drain(probe_energy);
-            cursor += OUTAGE_PROBE.as_nanos();
-            self.fail_txn(txn, cursor, reason, Layer::Wireless);
-            let mut report = TransactionReport::failed(reason);
-            report.total = probe_secs;
-            report.breakdown.wireless_secs = probe_secs;
-            report.energy_j = probe_energy;
-            return report;
+            l.energy += self.station.browser.device().idle_power_w() * OUTAGE_PROBE.as_secs_f64();
+            l.book(Layer::Wireless, OUTAGE_PROBE);
+            return Err((
+                "wireless outage (handoff in progress)".into(),
+                Layer::Wireless,
+            ));
         }
-
         // Host still replaying its journal after an injected crash: the
-        // connection is accepted but service refused.
-        if t0 < self.host_recovering_until_ns {
-            let reason = "host database recovering after crash";
-            let probe_secs = HOST_PROBE.as_secs_f64();
-            cursor += HOST_PROBE.as_nanos();
-            self.fail_txn(txn, cursor, reason, Layer::Host);
-            let mut report = TransactionReport::failed(reason);
-            report.total = probe_secs;
-            report.breakdown.wired_secs = probe_secs;
-            return report;
+        // connection is accepted (wired time) but service refused (the
+        // host's failure).
+        if l.t0 < self.host_recovering_until_ns {
+            l.book(Layer::Wired, HOST_PROBE);
+            return Err(("host database recovering after crash".into(), Layer::Host));
         }
-
-        // A loss burst raises the air link's BER for this transaction
-        // (the `air` binding is a copy — the baseline link is untouched).
-        if let Some(burst) = self.faults.burst_ber(t0) {
+        // A loss burst raises the BER for this transaction only: `air`
+        // is a copy, the baseline link is untouched.
+        if let Some(burst) = self.faults.burst_ber(l.t0) {
             air.ber = air.ber.max(burst);
         }
-
         obs::metrics::incr("station.transactions");
+        Ok(air)
+    }
 
-        let mut breakdown = PhaseBreakdown::default();
-        let mut energy = 0.0f64;
+    /// The station attaches its cookie jar to the outgoing request. An
+    /// empty jar (the common fleet steady state) borrows the caller's
+    /// request instead of cloning it.
+    fn with_cookies<'r>(&self, req: &'r MobileRequest) -> Cow<'r, MobileRequest> {
+        let jar = self.station.browser.cookies();
+        if jar.is_empty() {
+            return Cow::Borrowed(req);
+        }
+        let mut owned = req.clone();
+        for (k, v) in jar {
+            owned.cookies.push((k.clone(), v.clone()));
+        }
+        Cow::Owned(owned)
+    }
 
-        // Station attaches its cookie jar to the outgoing request. An
-        // empty jar (the common fleet steady state) borrows the caller's
-        // request instead of cloning it.
-        let req_with_cookies;
-        let req: &MobileRequest = if self.station.browser.cookies().is_empty() {
-            req
-        } else {
-            let mut owned = req.clone();
-            for (k, v) in self.station.browser.cookies() {
-                owned.cookies.push((k.clone(), v.clone()));
-            }
-            req_with_cookies = owned;
-            &req_with_cookies
-        };
-
-        // One-time wireless session establishment (circuit dial-up or
-        // packet context activation).
+    /// Connection: one-time wireless session setup (circuit dial-up or
+    /// packet context activation), then on first secure contact the WTLS
+    /// handshake — two hello flights over the air, booked as one share
+    /// and one span, plus key-agreement CPU on the handset.
+    fn connect(&mut self, air: &AirLink, l: &mut Ledger) {
         if !self.session_up {
-            breakdown.wireless_secs += air.session_setup.as_secs_f64();
-            self.recorder.span(
-                cursor,
-                air.session_setup.as_nanos(),
-                Layer::Wireless,
-                "session_setup",
-                txn,
-            );
-            cursor += air.session_setup.as_nanos();
+            l.charge(self, Layer::Wireless, "session_setup", air.session_setup);
             self.session_up = true;
         }
-
-        // WTLS handshake on first secure contact: two hello flights over
-        // the air plus key-agreement CPU on the handset.
         if self.secure && !self.wtls_established {
             let hello_up = air.transfer(security::wtls::HANDSHAKE_BYTES / 2, &mut self.rng);
             let hello_down = air.transfer(security::wtls::HANDSHAKE_BYTES / 2, &mut self.rng);
-            breakdown.wireless_secs += (hello_up.elapsed + hello_down.elapsed).as_secs_f64();
-            energy += air.tx_energy(&hello_up) + air.rx_energy(&hello_down);
-            let hs_ns = (hello_up.elapsed + hello_down.elapsed).as_nanos();
-            self.recorder
-                .span(cursor, hs_ns, Layer::Wireless, "wtls_handshake", txn);
-            cursor += hs_ns;
+            l.energy += air.tx_energy(&hello_up) + air.rx_energy(&hello_down);
+            let flights = hello_up.elapsed + hello_down.elapsed;
+            l.charge(self, Layer::Wireless, "wtls_handshake", flights);
             // Modular exponentiation on a handheld: scale by clock speed.
             let kx_cost = 20.0 / self.station.browser.device().cpu_mhz as f64;
-            breakdown.station_secs += kx_cost;
-            let kx_ns = secs_to_ns(kx_cost);
-            self.recorder
-                .span(cursor, kx_ns, Layer::Station, "wtls_key_exchange", txn);
-            cursor += kx_ns;
+            l.charge_secs(self, Layer::Station, "wtls_key_exchange", kx_cost);
             self.wtls_established = true;
         }
+    }
 
+    /// Gateway: the middleware exchanges the request with the host —
+    /// unless the gateway content cache holds a fresh adapted deck for
+    /// this exact (url, device, middleware, cookies) key, in which case
+    /// neither the wired network nor the host is touched. Returns the
+    /// exchange and whether the cache served it.
+    fn gateway(
+        &mut self,
+        site: &mut Site<'_>,
+        req: &MobileRequest,
+        l: &mut Ledger,
+    ) -> Result<(Exchange, bool), Stop> {
+        let t0 = l.t0;
         // Injected gateway outage: the primary middleware is
         // unreachable. A system serving through its fallback middleware
         // bypasses the failed gateway and is unaffected.
         if !self.middleware_degraded && self.faults.gateway_down(t0) {
-            let reason = "middleware gateway unavailable (outage)";
-            self.drain(breakdown, energy);
-            self.fail_txn(txn, cursor, reason, Layer::Middleware);
-            return TransactionReport {
-                total: breakdown.total_secs(),
-                breakdown,
-                air_bytes_up: 0,
-                air_bytes_down: 0,
-                retransmissions: 0,
-                energy_j: energy,
-                success: false,
-                failure: Some(reason.into()),
-                outcome: None,
-                attempts: 1,
-            };
+            return Err((
+                "middleware gateway unavailable (outage)".into(),
+                Layer::Middleware,
+            ));
         }
-
-        // The middleware performs the exchange against the host — unless
-        // the gateway content cache holds a fresh adapted deck for this
-        // exact (url, device, middleware, cookies) key, in which case
-        // neither the wired network nor the host is touched. An active
-        // transcoder fault bypasses lookup *and* store: a wedged encoder
-        // must not serve — or capture — decks.
         if self.cache.enabled {
             site.host.web.set_sim_now_ns(t0);
         }
-        let cache_candidate = site.gateway_cache.is_some()
-            && ContentCache::cacheable_request(req)
-            && !self.faults.transcode_degraded(t0);
-        let cached = if cache_candidate {
-            let cache = site.gateway_cache.as_deref_mut().expect("checked above");
-            cache.lookup(req, self.station.browser.device().name, self.middleware.name(), t0)
-        } else {
-            None
+        // An active transcoder fault bypasses lookup *and* store: a
+        // wedged encoder must not serve — or capture — decks.
+        let device = self.station.browser.device().name;
+        let mut cache = site.gateway_cache.as_deref_mut().filter(|_| {
+            ContentCache::cacheable_request(req) && !self.faults.transcode_degraded(t0)
+        });
+        let cached = match cache.as_deref_mut() {
+            Some(cache) => cache.lookup(req, device, self.middleware.name(), t0),
+            None => None,
         };
         let gateway_hit = cached.is_some();
-        let mut ex: Exchange = match cached {
+        let ex = match cached {
             Some(hit) => {
                 obs::metrics::incr("middleware.cache.hits");
                 obs::metrics::add("middleware.cache.bytes_saved", hit.content.len() as u64);
@@ -929,23 +1050,16 @@ impl UserSide {
             None => {
                 let ex = self.middleware.exchange(site.host, req);
                 self.last_commit_ns = site.host.take_commit_ns();
-                if cache_candidate {
+                if let Some(cache) = cache {
                     obs::metrics::incr("middleware.cache.misses");
                     if ContentCache::cacheable_exchange(&ex) {
-                        let device = self.station.browser.device().name;
-                        let kind = self.middleware.name();
-                        let cache = site
-                            .gateway_cache
-                            .as_deref_mut()
-                            .expect("candidate implies cache");
-                        let evicted = cache.store(req, device, kind, &ex, t0);
+                        let evicted = cache.store(req, device, self.middleware.name(), &ex, t0);
                         obs::metrics::add("middleware.cache.evictions", evicted as u64);
                     }
                 }
                 ex
             }
         };
-
         // Injected transcoder degradation: the gateway's binary WML
         // encoder is wedged and emits corrupt decks. Only binary-WML
         // paths are affected — the textual fallback sails through.
@@ -953,268 +1067,169 @@ impl UserSide {
             && !self.middleware_degraded
             && self.faults.transcode_degraded(t0)
         {
-            let reason = "transcode degraded (corrupt binary deck)";
-            breakdown.middleware_secs += ex.middleware_cpu.as_secs_f64();
-            cursor += ex.middleware_cpu.as_nanos();
-            self.drain(breakdown, energy);
-            self.fail_txn(txn, cursor, reason, Layer::Middleware);
-            return TransactionReport {
-                total: breakdown.total_secs(),
-                breakdown,
-                air_bytes_up: 0,
-                air_bytes_down: 0,
-                retransmissions: 0,
-                energy_j: energy,
-                success: false,
-                failure: Some(reason.into()),
-                outcome: None,
-                attempts: 1,
-            };
+            l.book(Layer::Middleware, ex.middleware_cpu);
+            return Err((
+                "transcode degraded (corrupt binary deck)".into(),
+                Layer::Middleware,
+            ));
         }
+        Ok((ex, gateway_hit))
+    }
 
-        // Security: every over-the-air payload is sealed into a WTLS
-        // record (header + sequence + MAC) and costs handset CPU.
+    /// Request build: under security every over-the-air payload is
+    /// sealed into a WTLS record (header + sequence + MAC) at a handset
+    /// CPU cost; then the station builds and serialises the request.
+    fn build_request(&mut self, ex: &mut Exchange, l: &mut Ledger) {
         if self.secure {
             ex.uplink_bytes = security::WtlsSession::sealed_size(ex.uplink_bytes);
             ex.downlink_bytes = security::WtlsSession::sealed_size(ex.downlink_bytes);
             let sealed_kb = ((ex.uplink_bytes + ex.downlink_bytes) as u32).div_ceil(1024);
             let scale = 100.0 / self.station.browser.device().cpu_mhz as f64;
             let seal_cost = (WTLS_CPU_PER_KB * sealed_kb).as_secs_f64() * scale;
-            breakdown.station_secs += seal_cost;
-            let seal_ns = secs_to_ns(seal_cost);
-            self.recorder
-                .span(cursor, seal_ns, Layer::Station, "wtls_seal", txn);
-            cursor += seal_ns;
+            l.charge_secs(self, Layer::Station, "wtls_seal", seal_cost);
         }
+        let build_cost = self.station.browser.device().parse_cost(ex.uplink_bytes);
+        l.charge(self, Layer::Station, "build_request", build_cost);
+    }
 
-        // Station CPU: building and serialising the request.
-        let device = self.station.browser.device();
-        let build_cost = device.parse_cost(ex.uplink_bytes);
-        breakdown.station_secs += build_cost.as_secs_f64();
-        self.recorder.span(
-            cursor,
-            build_cost.as_nanos(),
-            Layer::Station,
-            "build_request",
-            txn,
-        );
-        cursor += build_cost.as_nanos();
-
-        // Extra protocol round trips (e.g. WSP session setup): one small
-        // frame each way per round trip.
-        let mut rt_elapsed = simnet::SimDuration::ZERO;
+    /// Uplink: the protocol's extra round trips (e.g. WSP session setup),
+    /// one small frame each way and one share each, under one span; then
+    /// the request over the air.
+    fn uplink(&mut self, air: &AirLink, ex: &Exchange, l: &mut Ledger) -> Result<(), Stop> {
+        let mut rts = SimDuration::ZERO;
         for _ in 0..ex.extra_round_trips {
             let up = air.transfer(32, &mut self.rng);
             let down = air.transfer(32, &mut self.rng);
-            breakdown.wireless_secs += (up.elapsed + down.elapsed).as_secs_f64();
-            energy += air.tx_energy(&up) + air.rx_energy(&down);
-            rt_elapsed += up.elapsed + down.elapsed;
+            l.share(Layer::Wireless, (up.elapsed + down.elapsed).as_secs_f64());
+            l.energy += air.tx_energy(&up) + air.rx_energy(&down);
+            rts += up.elapsed + down.elapsed;
         }
         if ex.extra_round_trips > 0 {
-            self.recorder.span(
-                cursor,
-                rt_elapsed.as_nanos(),
-                Layer::Wireless,
-                "wsp_round_trips",
-                txn,
-            );
+            l.span(self, Layer::Wireless, "wsp_round_trips", rts.as_nanos());
         }
-        cursor += rt_elapsed.as_nanos();
-
-        // Air uplink.
         let up = air.transfer(ex.uplink_bytes, &mut self.rng);
-        energy += air.tx_energy(&up);
-        breakdown.wireless_secs += up.elapsed.as_secs_f64();
-        self.recorder
-            .span(cursor, up.elapsed.as_nanos(), Layer::Wireless, "uplink", txn);
-        cursor += up.elapsed.as_nanos();
+        l.energy += air.tx_energy(&up);
+        l.charge(self, Layer::Wireless, "uplink", up.elapsed);
+        l.air_up = up.bytes_on_medium;
+        l.retransmissions += up.retransmissions;
         if up.failed {
-            self.drain(breakdown, energy);
-            self.fail_txn(txn, cursor, "uplink failed (ARQ exhausted)", Layer::Wireless);
-            return TransactionReport {
-                total: breakdown.total_secs(),
-                breakdown,
-                air_bytes_up: up.bytes_on_medium,
-                air_bytes_down: 0,
-                retransmissions: up.retransmissions,
-                energy_j: energy,
-                success: false,
-                failure: Some("uplink failed (ARQ exhausted)".into()),
-                outcome: None,
-                attempts: 1,
-            };
+            return Err(("uplink failed (ARQ exhausted)".into(), Layer::Wireless));
         }
+        Ok(())
+    }
 
-        // Wired hop both ways, middleware CPU, host CPU. The traversal
-        // order of the spans follows Figure 2 (middleware → wired → host
-        // → wired), while the breakdown sums stay computed exactly as
-        // before. A gateway cache hit never leaves the middleware: both
-        // wired legs and the host visit collapse to zero.
-        let (wired_up, wired_down) = if gateway_hit {
-            (SimDuration::ZERO, SimDuration::ZERO)
-        } else {
-            (
-                self.wired.transfer(ex.wired_bytes.0),
-                self.wired.transfer(ex.wired_bytes.1),
-            )
-        };
-        breakdown.wired_secs += (wired_up + wired_down).as_secs_f64();
-        breakdown.middleware_secs += ex.middleware_cpu.as_secs_f64();
-        breakdown.host_secs += ex.host_cpu.as_secs_f64();
-        self.recorder.span(
-            cursor,
-            ex.middleware_cpu.as_nanos(),
-            Layer::Middleware,
-            if gateway_hit { "gateway_cache" } else { "gateway" },
-            txn,
-        );
-        cursor += ex.middleware_cpu.as_nanos();
-        if !gateway_hit {
-            self.recorder
-                .span(cursor, wired_up.as_nanos(), Layer::Wired, "wired_up", txn);
-            cursor += wired_up.as_nanos();
-            self.recorder
-                .span(cursor, ex.host_cpu.as_nanos(), Layer::Host, "host", txn);
-            cursor += ex.host_cpu.as_nanos();
-            self.recorder
-                .span(cursor, wired_down.as_nanos(), Layer::Wired, "wired_down", txn);
-            cursor += wired_down.as_nanos();
+    /// Wired network and host: the middleware's CPU, then the spans in
+    /// Figure 2's traversal order — wired up, host, wired down. Both
+    /// wired legs are one share: their nanoseconds are summed before the
+    /// conversion to seconds, which rounds once. A gateway cache hit
+    /// never leaves the middleware.
+    fn wired_and_host(&mut self, ex: &Exchange, gateway_hit: bool, l: &mut Ledger) {
+        if gateway_hit {
+            l.charge(self, Layer::Middleware, "gateway_cache", ex.middleware_cpu);
+            return;
         }
+        let wired_up = self.wired.transfer(ex.wired_bytes.0);
+        let wired_down = self.wired.transfer(ex.wired_bytes.1);
+        l.share(Layer::Wired, (wired_up + wired_down).as_secs_f64());
+        l.charge(self, Layer::Middleware, "gateway", ex.middleware_cpu);
+        l.span(self, Layer::Wired, "wired_up", wired_up.as_nanos());
+        l.charge(self, Layer::Host, "host", ex.host_cpu);
+        l.span(self, Layer::Wired, "wired_down", wired_down.as_nanos());
+    }
 
-        // Air downlink.
+    /// Downlink: the response over the air.
+    fn downlink(&mut self, air: &AirLink, ex: &Exchange, l: &mut Ledger) -> Result<(), Stop> {
         let down = air.transfer(ex.downlink_bytes, &mut self.rng);
-        energy += air.rx_energy(&down);
-        breakdown.wireless_secs += down.elapsed.as_secs_f64();
-        self.recorder.span(
-            cursor,
-            down.elapsed.as_nanos(),
-            Layer::Wireless,
-            "downlink",
-            txn,
-        );
-        cursor += down.elapsed.as_nanos();
+        l.energy += air.rx_energy(&down);
+        l.charge(self, Layer::Wireless, "downlink", down.elapsed);
+        l.air_down = down.bytes_on_medium;
+        l.retransmissions += down.retransmissions;
         if down.failed {
-            self.drain(breakdown, energy);
-            self.fail_txn(txn, cursor, "downlink failed (ARQ exhausted)", Layer::Wireless);
-            return TransactionReport {
-                total: breakdown.total_secs(),
-                breakdown,
-                air_bytes_up: up.bytes_on_medium,
-                air_bytes_down: down.bytes_on_medium,
-                retransmissions: up.retransmissions + down.retransmissions,
-                energy_j: energy,
-                success: false,
-                failure: Some("downlink failed (ARQ exhausted)".into()),
-                outcome: None,
-                attempts: 1,
-            };
+            return Err(("downlink failed (ARQ exhausted)".into(), Layer::Wireless));
         }
+        Ok(())
+    }
 
-        // Station: parse + render the content, store cookies.
+    /// Render: the station parses and renders the content, then stores
+    /// the cookies the host set. Returns what the user sees, or why the
+    /// render failed.
+    fn render(&mut self, ex: &Exchange, l: &mut Ledger) -> Result<TransactionOutcome, String> {
         let kind = Self::content_kind(ex.format);
-        let render = match &self.render_memo {
-            Some(memo) => self.station.browser.render_memoized(
-                &ex.content,
-                kind,
-                ex.deck.as_deref(),
-                &mut memo.borrow_mut(),
-            ),
+        let deck = ex.deck.as_deref();
+        let view = match &self.render_memo {
+            Some(memo) => {
+                let mut memo = memo.borrow_mut();
+                self.station
+                    .browser
+                    .render_memoized(&ex.content, kind, deck, &mut memo)
+            }
             None => self
                 .station
                 .browser
-                .render_prepared(&ex.content, kind, ex.deck.as_deref())
+                .render_prepared(&ex.content, kind, deck)
                 .map(|page| Rc::new(RenderedView::of(page))),
         };
-        let (outcome, render_failure) = match render {
+        let outcome = match view {
             Ok(view) => {
-                breakdown.station_secs += view.page.cost.as_secs_f64();
-                self.recorder.span(
-                    cursor,
-                    view.page.cost.as_nanos(),
-                    Layer::Station,
-                    "render",
-                    txn,
-                );
-                cursor += view.page.cost.as_nanos();
-                let outcome = TransactionOutcome {
+                l.charge(self, Layer::Station, "render", view.page.cost);
+                Ok(TransactionOutcome {
                     page_text: Arc::clone(&view.text),
                     title: Arc::clone(&view.title),
                     status: ex.status,
-                };
-                (Some(outcome), None)
+                })
             }
-            Err(e) => (None, Some(format!("render failed: {e}"))),
+            Err(e) => Err(format!("render failed: {e}")),
         };
         self.station
             .browser
             .accept_cookies(ex.set_cookies.iter().map(|(k, v)| (k.as_str(), v.as_str())));
+        outcome
+    }
 
-        // Battery accounting: radio energy plus CPU-active energy.
-        let os_factor = self.station.browser.device().os.cpu_overhead_factor();
-        energy += breakdown.station_secs * STATION_ACTIVE_W * os_factor;
-        let alive = self.station.battery.drain(energy);
-
-        let render_failed = render_failure.is_some();
-        let success = ex.status.is_success() && render_failure.is_none() && alive;
+    /// Settle: the battery pays for the radio and the station's CPU; a
+    /// failure is attributed to the layer that produced it, a success
+    /// gets its root span; then the layers' metrics are published.
+    fn settle(
+        &mut self,
+        status: Status,
+        render: Result<TransactionOutcome, String>,
+        url: &str,
+        l: &mut Ledger,
+    ) -> TransactionReport {
+        l.energy = l.drawn(self);
+        let alive = self.station.battery.drain(l.energy);
+        let (outcome, render_failure) = match render {
+            Ok(outcome) => (Some(outcome), None),
+            Err(reason) => (None, Some(reason)),
+        };
         let failure = if !alive {
-            Some("battery exhausted mid-transaction".into())
-        } else if let Some(f) = render_failure {
-            Some(f)
-        } else if !ex.status.is_success() {
-            Some(format!("host returned {}", ex.status))
+            Some((
+                "battery exhausted mid-transaction".to_owned(),
+                Layer::Station,
+            ))
+        } else if let Some(reason) = render_failure {
+            Some((reason, Layer::Station))
+        } else if !status.is_success() {
+            Some((format!("host returned {status}"), Layer::Host))
         } else {
             None
         };
-
-        if let Some(reason) = &failure {
-            // Attribute the failure to the layer that produced it.
-            let layer = if !alive || render_failed {
-                Layer::Station
-            } else {
-                Layer::Host
-            };
-            self.fail_txn(txn, cursor, reason, layer);
-        } else if self.recorder.is_enabled() {
-            // Root span on the station covering the whole transaction.
-            self.recorder
-                .span_dyn(t0, cursor - t0, Layer::Application, &req.url, txn);
+        match &failure {
+            Some((reason, layer)) => l.fail(self, reason, *layer),
+            None => l.succeed(self, url),
         }
-        self.clock_ns = cursor;
-
-        // Per-layer metrics: service time, air costs, and outcome.
         if obs::metrics::enabled() {
-            obs::metrics::add("station.service_ns", secs_to_ns(breakdown.station_secs));
-            obs::metrics::add("wireless.service_ns", secs_to_ns(breakdown.wireless_secs));
-            obs::metrics::add(
-                "middleware.service_ns",
-                secs_to_ns(breakdown.middleware_secs),
-            );
-            obs::metrics::add("wired.service_ns", secs_to_ns(breakdown.wired_secs));
-            obs::metrics::add("host.service_ns", secs_to_ns(breakdown.host_secs));
-            obs::metrics::add(
-                "wireless.retransmissions",
-                (up.retransmissions + down.retransmissions) as u64,
-            );
-            obs::metrics::add(
-                "wireless.air_bytes",
-                up.bytes_on_medium + down.bytes_on_medium,
-            );
-            // A failure was already counted by `fail_txn` above.
-            obs::metrics::observe("txn.latency_ns", secs_to_ns(breakdown.total_secs()));
+            let b = &l.breakdown;
+            obs::metrics::add("station.service_ns", secs_to_ns(b.station_secs));
+            obs::metrics::add("wireless.service_ns", secs_to_ns(b.wireless_secs));
+            obs::metrics::add("middleware.service_ns", secs_to_ns(b.middleware_secs));
+            obs::metrics::add("wired.service_ns", secs_to_ns(b.wired_secs));
+            obs::metrics::add("host.service_ns", secs_to_ns(b.host_secs));
+            obs::metrics::add("wireless.retransmissions", u64::from(l.retransmissions));
+            obs::metrics::add("wireless.air_bytes", l.air_up + l.air_down);
+            obs::metrics::observe("txn.latency_ns", secs_to_ns(b.total_secs()));
         }
-
-        TransactionReport {
-            total: breakdown.total_secs(),
-            breakdown,
-            air_bytes_up: up.bytes_on_medium,
-            air_bytes_down: down.bytes_on_medium,
-            retransmissions: up.retransmissions + down.retransmissions,
-            energy_j: energy,
-            success,
-            failure,
-            outcome,
-            attempts: 1,
-        }
+        l.report(l.energy, failure.map(|(reason, _)| reason), outcome)
     }
 
     /// [`McSystem::execute_with_retry`] against `site`: every attempt
@@ -1236,12 +1251,8 @@ impl UserSide {
         // WAL time accumulates across attempts like every other phase
         // share (each execute() resets the per-transaction slot).
         let mut commit_ns = self.last_commit_ns;
-        let mut prior = PhaseBreakdown::default();
-        let mut prior_total = 0.0f64;
-        let mut prior_energy = 0.0f64;
-        let mut prior_up = 0u64;
-        let mut prior_down = 0u64;
-        let mut prior_retx = 0u32;
+        // The failed attempts' paid costs, folded into the settled report.
+        let mut prior = TransactionReport::new(PhaseBreakdown::default(), None, None);
         while !report.success && attempts < policy.max_attempts {
             let reason = report.failure.clone().unwrap_or_default();
             match classify(&reason) {
@@ -1276,16 +1287,7 @@ impl UserSide {
                     }
                 }
             }
-            prior_total += report.total;
-            prior.station_secs += report.breakdown.station_secs;
-            prior.wireless_secs += report.breakdown.wireless_secs;
-            prior.middleware_secs += report.breakdown.middleware_secs;
-            prior.wired_secs += report.breakdown.wired_secs;
-            prior.host_secs += report.breakdown.host_secs;
-            prior_energy += report.energy_j;
-            prior_up += report.air_bytes_up;
-            prior_down += report.air_bytes_down;
-            prior_retx += report.retransmissions;
+            prior.absorb(&report);
             attempts += 1;
             obs::metrics::incr("policy.retries");
             report = self.execute(site, req);
@@ -1300,32 +1302,8 @@ impl UserSide {
             self.session_up = false;
         }
         report.attempts = attempts;
-        report.total += prior_total;
-        report.breakdown.station_secs += prior.station_secs;
-        report.breakdown.wireless_secs += prior.wireless_secs;
-        report.breakdown.middleware_secs += prior.middleware_secs;
-        report.breakdown.wired_secs += prior.wired_secs;
-        report.breakdown.host_secs += prior.host_secs;
-        report.energy_j += prior_energy;
-        report.air_bytes_up += prior_up;
-        report.air_bytes_down += prior_down;
-        report.retransmissions += prior_retx;
+        report.absorb(&prior);
         report
-    }
-
-    fn drain(&mut self, breakdown: PhaseBreakdown, radio_energy: f64) {
-        let os_factor = self.station.browser.device().os.cpu_overhead_factor();
-        let energy = radio_energy + breakdown.station_secs * STATION_ACTIVE_W * os_factor;
-        let _ = self.station.battery.drain(energy);
-    }
-
-    /// Records a transaction failure: instant event, flight-recorder
-    /// dump attributed to `layer`, failure counter, and clock advance.
-    fn fail_txn(&mut self, txn: u64, cursor: u64, reason: &str, layer: Layer) {
-        obs::metrics::incr("station.txn_failures");
-        self.recorder.instant_dyn(cursor, layer, reason, txn);
-        self.recorder.dump_failure(txn, reason, layer);
-        self.clock_ns = cursor;
     }
 }
 
@@ -1386,26 +1364,15 @@ impl CommerceSystem for EcSystem {
                     .into(),
                 status: resp.status,
             });
-        let render_ok = outcome.is_some();
-        let success = resp.status.is_success() && render_ok;
-        TransactionReport {
-            total: breakdown.total_secs(),
-            breakdown,
-            air_bytes_up: 0,
-            air_bytes_down: 0,
-            retransmissions: 0,
-            energy_j: 0.0, // mains-powered
-            success,
-            failure: if success {
-                None
-            } else if !render_ok {
-                Some("client failed to parse page".into())
-            } else {
-                Some(format!("host returned {}", resp.status))
-            },
-            outcome,
-            attempts: 1,
-        }
+        // Mains-powered and wired: no air bytes, no battery.
+        let failure = if outcome.is_none() {
+            Some("client failed to parse page".into())
+        } else if !resp.status.is_success() {
+            Some(format!("host returned {}", resp.status))
+        } else {
+            None
+        };
+        TransactionReport::new(breakdown, failure, outcome)
     }
 
     fn host_mut(&mut self) -> &mut HostComputer {
@@ -1452,11 +1419,15 @@ mod tests {
         let report = sys.execute(&MobileRequest::get("/"));
         assert!(report.success, "{:?}", report.failure);
         // Every component contributed.
-        for c in ["station", "wireless", "middleware", "wired", "host"] {
-            assert!(
-                report.breakdown.share(c) > 0.0,
-                "component {c} has zero share"
-            );
+        let b = report.breakdown;
+        for (c, secs) in [
+            ("station", b.station_secs),
+            ("wireless", b.wireless_secs),
+            ("middleware", b.middleware_secs),
+            ("wired", b.wired_secs),
+            ("host", b.host_secs),
+        ] {
+            assert!(secs > 0.0, "component {c} has zero share");
         }
         assert!(report.air_bytes_down > 0);
         assert!(report.energy_j > 0.0);

@@ -106,7 +106,9 @@ impl Snapshot {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Database {
-    tables: HashMap<Arc<str>, Table>,
+    /// Tables by name. Names come from application code, never from
+    /// outside input, so the fixed hasher serves; every listing sorts.
+    tables: HashMap<Arc<str>, Table, FixedState>,
     wal: Wal,
     memory_limit: Option<usize>,
     footprint: usize,
@@ -142,7 +144,7 @@ pub struct Database {
 impl Default for Database {
     fn default() -> Self {
         Database {
-            tables: HashMap::new(),
+            tables: HashMap::default(),
             wal: Wal::default(),
             memory_limit: None,
             footprint: 0,
