@@ -434,10 +434,11 @@ pub fn table5() -> Vec<Table5Row> {
                 let first = system.execute(&MobileRequest::get("/shop"));
                 let mut steady = Vec::new();
                 for _ in 0..10 {
-                    steady.push(system.execute(&MobileRequest::get("/shop")).total);
+                    let report = system.execute(&MobileRequest::get("/shop"));
+                    steady.push(report.total().as_secs_f64());
                 }
                 (
-                    first.total,
+                    first.total().as_secs_f64(),
                     steady.iter().sum::<f64>() / steady.len() as f64,
                 )
             } else {

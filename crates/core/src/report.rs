@@ -11,32 +11,29 @@ use std::sync::Arc;
 
 use hostsite::http::Status;
 use simnet::time::secs_to_ns as to_ns;
+use simnet::SimDuration;
 
 /// Latency attributed to each of the system's components — the
 /// per-component breakdown that makes Figures 1 and 2 measurable.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {
     /// CPU time on the mobile station (or desktop client): request
     /// construction, parsing, rendering.
-    pub station_secs: f64,
+    pub station: SimDuration,
     /// Time on the wireless hop (both directions, incl. session setup).
-    pub wireless_secs: f64,
+    pub wireless: SimDuration,
     /// CPU time in the middleware layer (translation, encoding).
-    pub middleware_secs: f64,
+    pub middleware: SimDuration,
     /// Time on the wired network (both directions).
-    pub wired_secs: f64,
+    pub wired: SimDuration,
     /// CPU time on the host computer.
-    pub host_secs: f64,
+    pub host: SimDuration,
 }
 
 impl PhaseBreakdown {
     /// Sum of all components.
-    pub fn total_secs(&self) -> f64 {
-        self.station_secs
-            + self.wireless_secs
-            + self.middleware_secs
-            + self.wired_secs
-            + self.host_secs
+    pub fn total(&self) -> SimDuration {
+        self.station + self.wireless + self.middleware + self.wired + self.host
     }
 }
 
@@ -63,9 +60,8 @@ pub struct TransactionOutcome {
 /// rendering).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransactionReport {
-    /// Wall-clock latency of the whole transaction.
-    pub total: f64,
-    /// Per-component latency breakdown (seconds).
+    /// Per-component latency breakdown; its sum is the latency,
+    /// [`TransactionReport::total`].
     pub breakdown: PhaseBreakdown,
     /// Bytes over the air, station → network.
     pub air_bytes_up: u64,
@@ -93,16 +89,14 @@ impl TransactionReport {
         TransactionReport::new(PhaseBreakdown::default(), Some(reason.into()), None)
     }
 
-    /// One attempt whose latency is `breakdown`'s sum, with nothing over
-    /// the air and no battery drawn; it succeeded iff there is no
-    /// `failure`.
+    /// One attempt costing `breakdown`, with nothing over the air and no
+    /// battery drawn; it succeeded iff there is no `failure`.
     pub(crate) fn new(
         breakdown: PhaseBreakdown,
         failure: Option<String>,
         outcome: Option<TransactionOutcome>,
     ) -> Self {
         TransactionReport {
-            total: breakdown.total_secs(),
             breakdown,
             air_bytes_up: 0,
             air_bytes_down: 0,
@@ -115,17 +109,22 @@ impl TransactionReport {
         }
     }
 
-    /// Adds `other`'s paid costs into this report, field by field:
-    /// latency, each component's share, energy, air bytes and
-    /// retransmissions. Its verdict, outcome and attempts stay its own.
+    /// Wall-clock latency of the whole transaction: the sum of its
+    /// breakdown.
+    pub fn total(&self) -> SimDuration {
+        self.breakdown.total()
+    }
+
+    /// Adds `other`'s paid costs into this report, field by field: each
+    /// component's share, energy, air bytes and retransmissions. Its
+    /// verdict, outcome and attempts stay its own.
     pub(crate) fn absorb(&mut self, other: &TransactionReport) {
-        self.total += other.total;
         let (b, o) = (&mut self.breakdown, &other.breakdown);
-        b.station_secs += o.station_secs;
-        b.wireless_secs += o.wireless_secs;
-        b.middleware_secs += o.middleware_secs;
-        b.wired_secs += o.wired_secs;
-        b.host_secs += o.host_secs;
+        b.station += o.station;
+        b.wireless += o.wireless;
+        b.middleware += o.middleware;
+        b.wired += o.wired;
+        b.host += o.host;
         self.energy_j += other.energy_j;
         self.air_bytes_up += other.air_bytes_up;
         self.air_bytes_down += other.air_bytes_down;
@@ -146,10 +145,11 @@ const COMPONENTS: [&str; 5] = ["host", "middleware", "station", "wired", "wirele
 /// Every field is a counter or an integral histogram, so
 /// [`WorkloadCounters::merge`] is exactly associative and commutative —
 /// two fleets that partition the same sessions differently produce
-/// bit-identical merged counters. Latencies and energies are quantised
-/// to nanoseconds / nanojoules on entry; the latency distribution is an
-/// [`obs::Histogram`] (log-linear, 3% resolution — the bucketing shared
-/// with the metrics registry) so percentiles survive merging.
+/// bit-identical merged counters. Latencies arrive in nanoseconds and
+/// energies are quantised to nanojoules on entry; the latency
+/// distribution is an [`obs::Histogram`] (log-linear, 3% resolution —
+/// the bucketing shared with the metrics registry) so percentiles
+/// survive merging.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkloadCounters {
     /// Transactions attempted.
@@ -184,6 +184,7 @@ pub struct WorkloadCounters {
 
 impl WorkloadCounters {
     /// Folds one transaction into the counters.
+    #[deny(clippy::float_arithmetic)]
     pub fn record(&mut self, report: &TransactionReport) {
         self.attempted += 1;
         self.retries += report.attempts.saturating_sub(1) as u64;
@@ -193,8 +194,8 @@ impl WorkloadCounters {
             return;
         }
         self.succeeded += 1;
-        let ns = to_ns(report.total);
-        self.latency_ns += ns as u128;
+        let ns = report.total().as_nanos();
+        self.latency_ns += u128::from(ns);
         self.air_bytes += (report.air_bytes_up + report.air_bytes_down) as u128;
         self.energy_nj += to_ns(report.energy_j) as u128;
         self.retransmissions += report.retransmissions as u64;
@@ -206,15 +207,9 @@ impl WorkloadCounters {
         debug_assert!(self.component_ns.keys().copied().eq(COMPONENTS));
         // In key order, as `values_mut` visits them.
         let b = &report.breakdown;
-        let sums = [
-            b.host_secs,
-            b.middleware_secs,
-            b.station_secs,
-            b.wired_secs,
-            b.wireless_secs,
-        ];
-        for (sum, secs) in self.component_ns.values_mut().zip(sums) {
-            *sum += to_ns(secs) as u128;
+        let shares = [b.host, b.middleware, b.station, b.wired, b.wireless];
+        for (sum, share) in self.component_ns.values_mut().zip(shares) {
+            *sum += u128::from(share.as_nanos());
         }
         self.latency_hist.record(ns);
     }
@@ -342,12 +337,12 @@ impl WorkloadSummary {
 mod tests {
     use super::*;
 
-    fn report(total: f64, host: f64, wireless: f64) -> TransactionReport {
+    /// A success whose latency is `host_ms + wireless_ms`.
+    fn report(host_ms: u64, wireless_ms: u64) -> TransactionReport {
         TransactionReport {
-            total,
             breakdown: PhaseBreakdown {
-                host_secs: host,
-                wireless_secs: wireless,
+                host: SimDuration::from_millis(host_ms),
+                wireless: SimDuration::from_millis(wireless_ms),
                 ..Default::default()
             },
             air_bytes_up: 100,
@@ -368,20 +363,20 @@ mod tests {
     #[test]
     fn breakdown_shares_sum_to_one() {
         let b = PhaseBreakdown {
-            station_secs: 0.1,
-            wireless_secs: 0.2,
-            middleware_secs: 0.3,
-            wired_secs: 0.25,
-            host_secs: 0.15,
+            station: SimDuration::from_millis(100),
+            wireless: SimDuration::from_millis(200),
+            middleware: SimDuration::from_millis(300),
+            wired: SimDuration::from_millis(250),
+            host: SimDuration::from_millis(150),
         };
-        assert!((b.total_secs() - 1.0).abs() < 1e-12);
+        assert_eq!(b.total(), SimDuration::from_secs(1));
     }
 
     #[test]
     fn aggregate_counts_and_averages() {
         let reports = vec![
-            report(1.0, 0.6, 0.4),
-            report(3.0, 1.8, 1.2),
+            report(600, 400),
+            report(1_800, 1_200),
             TransactionReport::failed("battery died"),
         ];
         let summary = WorkloadSummary::aggregate("test", &reports);
@@ -405,9 +400,8 @@ mod tests {
 
     #[test]
     fn merge_is_grouping_invariant() {
-        let reports: Vec<TransactionReport> = (0..30)
-            .map(|i| report(0.1 + i as f64 * 0.07, 0.02, 0.01 + i as f64 * 0.001))
-            .collect();
+        let reports: Vec<TransactionReport> =
+            (0..30).map(|i| report(20 + 70 * i, 10 + i)).collect();
         let whole = WorkloadSummary::aggregate("w", &reports);
         let halves = WorkloadSummary::aggregate("w", &reports[..15])
             .merge(&WorkloadSummary::aggregate("w", &reports[15..]));
@@ -420,8 +414,7 @@ mod tests {
 
     #[test]
     fn percentiles_survive_merging_within_resolution() {
-        let reports: Vec<TransactionReport> =
-            (1..=100).map(|i| report(i as f64 * 0.01, 0.0, 0.01)).collect();
+        let reports: Vec<TransactionReport> = (1..=100).map(|i| report(0, 10 * i)).collect();
         let summary = WorkloadSummary::aggregate("p", &reports);
         // True p90 is 0.90s; histogram reports the bucket lower bound.
         assert!(summary.latency_p90 <= 0.90 + 1e-9, "{}", summary.latency_p90);
@@ -433,8 +426,8 @@ mod tests {
         // The extraction into obs::hist must not have changed resolution:
         // one recorded latency lands in exactly the bucket obs computes.
         let mut counters = WorkloadCounters::default();
-        counters.record(&report(1.5, 0.5, 0.5));
-        let ns = to_ns(1.5);
+        counters.record(&report(1_000, 500));
+        let ns = 1_500_000_000;
         assert_eq!(
             counters.latency_hist.raw_buckets().keys().copied().collect::<Vec<_>>(),
             vec![crate::hist::bucket(ns)]
@@ -447,7 +440,7 @@ mod tests {
         // A retried success (attempts = 2, e.g. one degraded-fallback
         // swap) folds into ONE attempted transaction, one success and
         // exactly one retry — never a double count.
-        let mut swapped = report(1.0, 0.5, 0.5);
+        let mut swapped = report(500, 500);
         swapped.attempts = 2;
         // A transaction that exhausted three attempts and still failed:
         // one attempted, one failure, two retries.
@@ -456,7 +449,7 @@ mod tests {
         let mut counters = WorkloadCounters::default();
         counters.record(&swapped);
         counters.record(&exhausted);
-        counters.record(&report(1.0, 0.5, 0.5)); // plain first-try success
+        counters.record(&report(500, 500)); // plain first-try success
         assert_eq!(counters.attempted, 3);
         assert_eq!(counters.succeeded, 2);
         assert_eq!(counters.retries, (2 - 1) + (3 - 1));

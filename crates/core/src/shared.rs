@@ -80,7 +80,7 @@ use obs::timeseries::{SeriesId, SeriesKind, Telemetry};
 use obs::{Recorder, RingScratch};
 use simnet::contend::{DetQueue, FcfsServer};
 use simnet::rng::{rng_for_indexed, sub_seed};
-use simnet::time::secs_to_ns;
+use simnet::SimDuration;
 use wireless::CellAirtime;
 
 use crate::apps::{for_category, Application, Step};
@@ -88,7 +88,7 @@ use crate::fleet::{
     seeded, FleetTrace, RecorderKind, RunConfig, Scenario, ShardScratch, UserTrace,
 };
 use crate::merge::TraceMerger;
-use crate::report::{PhaseBreakdown, TransactionReport, WorkloadCounters};
+use crate::report::{TransactionReport, WorkloadCounters};
 use crate::system::{Site, UserSide};
 use crate::topology::{Island, Topology};
 use crate::workload::ExpectMemo;
@@ -670,9 +670,10 @@ struct HostLanes {
 }
 
 /// Admits the transaction's per-phase service times to the shared FCFS
-/// resources in path order and folds the resulting waits into the
-/// report, the per-phase breakdown, and the user's clock. Zero-service
-/// stages are skipped, so an uncontended transaction is untouched.
+/// resources in path order and adds the resulting waits to the report's
+/// per-phase breakdown and the user's clock. Zero-service stages are
+/// skipped, so an uncontended transaction is untouched.
+#[deny(clippy::float_arithmetic)]
 fn charge_contention(
     state: &mut UserState,
     report: &mut TransactionReport,
@@ -684,12 +685,13 @@ fn charge_contention(
 ) {
     stats.transactions += 1;
     let end_ns = state.side.sim_clock_ns();
-    let air_ns = secs_to_ns(report.breakdown.wireless_secs);
+    let b = &report.breakdown;
+    let air_ns = b.wireless.as_nanos();
     let up_ns = air_ns / 2;
     let down_ns = air_ns - up_ns;
-    let gw_ns = secs_to_ns(report.breakdown.middleware_secs);
-    let wired_ns = secs_to_ns(report.breakdown.wired_secs);
-    let host_ns = secs_to_ns(report.breakdown.host_secs);
+    let gw_ns = b.middleware.as_nanos();
+    let wired_ns = b.wired.as_nanos();
+    let host_ns = b.host.as_nanos();
     // The WAL share of the host phase serializes on the group-commit
     // log, not the CPU — a transaction that paid for an fsync holds the
     // log while others queue behind it. Zero under the default policy.
@@ -700,7 +702,7 @@ fn charge_contention(
     // forward so a delayed uplink delays the gateway arrival, and so on.
     // Telemetry records each granted busy interval as it is computed —
     // reads only, in the same deterministic event order as the charges.
-    let start_ns = end_ns.saturating_sub(secs_to_ns(report.total));
+    let start_ns = end_ns.saturating_sub(report.total().as_nanos());
     let mut cursor = start_ns;
     let up = cell_air[state.cell].request(cursor, up_ns);
     if let Some(tele) = telemetry.as_deref_mut() {
@@ -743,19 +745,13 @@ fn charge_contention(
     stats.host_wait_ns += host_wait;
     if total_wait > 0 {
         stats.contended_transactions += 1;
-        let waits = PhaseBreakdown {
-            wireless_secs: cell_wait as f64 / 1e9,
-            middleware_secs: gw_wait as f64 / 1e9,
-            host_secs: host_wait as f64 / 1e9,
-            ..PhaseBreakdown::default()
-        };
-        report.absorb(&TransactionReport {
-            total: total_wait as f64 / 1e9,
-            ..TransactionReport::new(waits, None, None)
-        });
+        let b = &mut report.breakdown;
+        b.wireless += SimDuration::from_nanos(cell_wait);
+        b.middleware += SimDuration::from_nanos(gw_wait);
+        b.host += SimDuration::from_nanos(host_wait);
         // The user's clock moves past the waits (idle battery draw,
         // like any other waiting) — an uncontended transaction skips
         // this entirely, preserving bit-identity with a private world.
-        state.side.idle(total_wait as f64 / 1e9);
+        state.side.idle_for(SimDuration::from_nanos(total_wait));
     }
 }

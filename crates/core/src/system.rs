@@ -635,6 +635,13 @@ impl UserSide {
         self.station.battery.drain(watts * secs)
     }
 
+    /// [`UserSide::idle`] for a wait already priced in nanoseconds.
+    pub(crate) fn idle_for(&mut self, wait: SimDuration) -> bool {
+        self.clock_ns = self.clock_ns.saturating_add(wait.as_nanos());
+        let watts = self.station.browser.device().idle_power_w();
+        self.station.battery.drain(watts * wait.as_secs_f64())
+    }
+
     /// The wireless configuration in use.
     pub fn wireless(&self) -> WirelessConfig {
         self.wireless
@@ -760,13 +767,10 @@ type Stop = (Cow<'static, str>, Layer);
 
 /// One transaction's books, open from admission to settlement. Each
 /// stage of `UserSide::execute` books its costs here and nowhere else:
-/// a cost becomes its layer's share of the [`PhaseBreakdown`] (seconds),
-/// a span on the station's timeline and a move of the cursor
-/// (nanoseconds). The ledger also closes the transaction — failure
+/// a cost becomes its layer's share of the [`PhaseBreakdown`], a span on
+/// the station's timeline and a move of the cursor, all the same
+/// nanoseconds. The ledger also closes the transaction — failure
 /// records, root span, station clock — and builds its report.
-///
-/// The breakdown's `f64` sums reach every digest, so a share is added
-/// exactly as a stage prices it: one add per booking, in stage order.
 #[derive(Default)]
 struct Ledger {
     /// Where the transaction began on the station clock, nanoseconds.
@@ -788,43 +792,28 @@ struct Ledger {
 }
 
 impl Ledger {
-    /// Adds `secs` to `layer`'s share of the breakdown.
-    fn share(&mut self, layer: Layer, secs: f64) {
+    /// Books `cost` to `layer` under a span named `name`.
+    #[deny(clippy::float_arithmetic)]
+    fn charge(&mut self, side: &mut UserSide, layer: Layer, name: &'static str, cost: SimDuration) {
+        side.recorder
+            .span(self.cursor, cost.as_nanos(), layer, name, self.txn);
+        self.book(layer, cost);
+    }
+
+    /// Books `cost` to `layer` without a span (the time a stage burned
+    /// before it gave up): adds it to the layer's share of the breakdown
+    /// and moves the cursor past it.
+    #[deny(clippy::float_arithmetic)]
+    fn book(&mut self, layer: Layer, cost: SimDuration) {
         let b = &mut self.breakdown;
         *match layer {
-            Layer::Station => &mut b.station_secs,
-            Layer::Wireless => &mut b.wireless_secs,
-            Layer::Middleware => &mut b.middleware_secs,
-            Layer::Wired => &mut b.wired_secs,
-            Layer::Host => &mut b.host_secs,
+            Layer::Station => &mut b.station,
+            Layer::Wireless => &mut b.wireless,
+            Layer::Middleware => &mut b.middleware,
+            Layer::Wired => &mut b.wired,
+            Layer::Host => &mut b.host,
             Layer::Application => unreachable!("the application has no share"),
-        } += secs;
-    }
-
-    /// Records a span named `name` over the next `ns` and moves the
-    /// cursor past it.
-    fn span(&mut self, side: &mut UserSide, layer: Layer, name: &'static str, ns: u64) {
-        side.recorder.span(self.cursor, ns, layer, name, self.txn);
-        self.cursor += ns;
-    }
-
-    /// Books `cost` to `layer`: its share and a span named `name`.
-    fn charge(&mut self, side: &mut UserSide, layer: Layer, name: &'static str, cost: SimDuration) {
-        self.share(layer, cost.as_secs_f64());
-        self.span(side, layer, name, cost.as_nanos());
-    }
-
-    /// Books a cost priced in `f64` seconds; its span is those seconds
-    /// rounded to nanoseconds.
-    fn charge_secs(&mut self, side: &mut UserSide, layer: Layer, name: &'static str, secs: f64) {
-        self.share(layer, secs);
-        self.span(side, layer, name, secs_to_ns(secs));
-    }
-
-    /// Books `cost` to `layer` without a span: the time a stage burned
-    /// before it gave up.
-    fn book(&mut self, layer: Layer, cost: SimDuration) {
-        self.share(layer, cost.as_secs_f64());
+        } += cost;
         self.cursor += cost.as_nanos();
     }
 
@@ -832,7 +821,7 @@ impl Ledger {
     /// joules.
     fn drawn(&self, side: &UserSide) -> f64 {
         let os_factor = side.station.browser.device().os.cpu_overhead_factor();
-        self.energy + self.breakdown.station_secs * STATION_ACTIVE_W * os_factor
+        self.energy + self.breakdown.station.as_secs_f64() * STATION_ACTIVE_W * os_factor
     }
 
     /// Ends the transaction in the stage that stopped it: the battery
@@ -1000,8 +989,9 @@ impl UserSide {
             let flights = hello_up.elapsed + hello_down.elapsed;
             l.charge(self, Layer::Wireless, "wtls_handshake", flights);
             // Modular exponentiation on a handheld: scale by clock speed.
-            let kx_cost = 20.0 / self.station.browser.device().cpu_mhz as f64;
-            l.charge_secs(self, Layer::Station, "wtls_key_exchange", kx_cost);
+            let mhz = self.station.browser.device().cpu_mhz as f64;
+            let kx_cost = SimDuration::from_secs_f64(20.0 / mhz);
+            l.charge(self, Layer::Station, "wtls_key_exchange", kx_cost);
             self.wtls_established = true;
         }
     }
@@ -1085,27 +1075,27 @@ impl UserSide {
             ex.downlink_bytes = security::WtlsSession::sealed_size(ex.downlink_bytes);
             let sealed_kb = ((ex.uplink_bytes + ex.downlink_bytes) as u32).div_ceil(1024);
             let scale = 100.0 / self.station.browser.device().cpu_mhz as f64;
-            let seal_cost = (WTLS_CPU_PER_KB * sealed_kb).as_secs_f64() * scale;
-            l.charge_secs(self, Layer::Station, "wtls_seal", seal_cost);
+            let seal_cost =
+                SimDuration::from_secs_f64((WTLS_CPU_PER_KB * sealed_kb).as_secs_f64() * scale);
+            l.charge(self, Layer::Station, "wtls_seal", seal_cost);
         }
         let build_cost = self.station.browser.device().parse_cost(ex.uplink_bytes);
         l.charge(self, Layer::Station, "build_request", build_cost);
     }
 
     /// Uplink: the protocol's extra round trips (e.g. WSP session setup),
-    /// one small frame each way and one share each, under one span; then
-    /// the request over the air.
+    /// one small frame each way, under one span; then the request over
+    /// the air.
     fn uplink(&mut self, air: &AirLink, ex: &Exchange, l: &mut Ledger) -> Result<(), Stop> {
         let mut rts = SimDuration::ZERO;
         for _ in 0..ex.extra_round_trips {
             let up = air.transfer(32, &mut self.rng);
             let down = air.transfer(32, &mut self.rng);
-            l.share(Layer::Wireless, (up.elapsed + down.elapsed).as_secs_f64());
             l.energy += air.tx_energy(&up) + air.rx_energy(&down);
             rts += up.elapsed + down.elapsed;
         }
         if ex.extra_round_trips > 0 {
-            l.span(self, Layer::Wireless, "wsp_round_trips", rts.as_nanos());
+            l.charge(self, Layer::Wireless, "wsp_round_trips", rts);
         }
         let up = air.transfer(ex.uplink_bytes, &mut self.rng);
         l.energy += air.tx_energy(&up);
@@ -1118,23 +1108,20 @@ impl UserSide {
         Ok(())
     }
 
-    /// Wired network and host: the middleware's CPU, then the spans in
-    /// Figure 2's traversal order — wired up, host, wired down. Both
-    /// wired legs are one share: their nanoseconds are summed before the
-    /// conversion to seconds, which rounds once. A gateway cache hit
+    /// Wired network and host: the middleware's CPU, then Figure 2's
+    /// traversal order — wired up, host, wired down. A gateway cache hit
     /// never leaves the middleware.
     fn wired_and_host(&mut self, ex: &Exchange, gateway_hit: bool, l: &mut Ledger) {
         if gateway_hit {
             l.charge(self, Layer::Middleware, "gateway_cache", ex.middleware_cpu);
             return;
         }
-        let wired_up = self.wired.transfer(ex.wired_bytes.0);
-        let wired_down = self.wired.transfer(ex.wired_bytes.1);
-        l.share(Layer::Wired, (wired_up + wired_down).as_secs_f64());
         l.charge(self, Layer::Middleware, "gateway", ex.middleware_cpu);
-        l.span(self, Layer::Wired, "wired_up", wired_up.as_nanos());
+        let wired_up = self.wired.transfer(ex.wired_bytes.0);
+        l.charge(self, Layer::Wired, "wired_up", wired_up);
         l.charge(self, Layer::Host, "host", ex.host_cpu);
-        l.span(self, Layer::Wired, "wired_down", wired_down.as_nanos());
+        let wired_down = self.wired.transfer(ex.wired_bytes.1);
+        l.charge(self, Layer::Wired, "wired_down", wired_down);
     }
 
     /// Downlink: the response over the air.
@@ -1220,14 +1207,14 @@ impl UserSide {
         }
         if obs::metrics::enabled() {
             let b = &l.breakdown;
-            obs::metrics::add("station.service_ns", secs_to_ns(b.station_secs));
-            obs::metrics::add("wireless.service_ns", secs_to_ns(b.wireless_secs));
-            obs::metrics::add("middleware.service_ns", secs_to_ns(b.middleware_secs));
-            obs::metrics::add("wired.service_ns", secs_to_ns(b.wired_secs));
-            obs::metrics::add("host.service_ns", secs_to_ns(b.host_secs));
+            obs::metrics::add("station.service_ns", b.station.as_nanos());
+            obs::metrics::add("wireless.service_ns", b.wireless.as_nanos());
+            obs::metrics::add("middleware.service_ns", b.middleware.as_nanos());
+            obs::metrics::add("wired.service_ns", b.wired.as_nanos());
+            obs::metrics::add("host.service_ns", b.host.as_nanos());
             obs::metrics::add("wireless.retransmissions", u64::from(l.retransmissions));
             obs::metrics::add("wireless.air_bytes", l.air_up + l.air_down);
-            obs::metrics::observe("txn.latency_ns", secs_to_ns(b.total_secs()));
+            obs::metrics::observe("txn.latency_ns", b.total().as_nanos());
         }
         l.report(l.energy, failure.map(|(reason, _)| reason), outcome)
     }
@@ -1282,7 +1269,7 @@ impl UserSide {
                         "retry_backoff",
                         self.txn_seq,
                     );
-                    if !self.idle(backoff.as_secs_f64()) {
+                    if !self.idle_for(backoff) {
                         break; // battery died while waiting
                     }
                 }
@@ -1341,17 +1328,15 @@ impl CommerceSystem for EcSystem {
     }
 
     fn execute(&mut self, req: &MobileRequest) -> TransactionReport {
-        let mut breakdown = PhaseBreakdown::default();
-
         let http_req = req.to_http(hostsite::ContentFormat::Html);
-
-        let req_bytes = http_req.wire_size();
-        breakdown.wired_secs += self.wired.transfer(req_bytes).as_secs_f64();
-        let (resp, host_cpu) = self.host.process(http_req);
-        breakdown.host_secs += host_cpu.as_secs_f64();
-        let resp_bytes = resp.wire_size();
-        breakdown.wired_secs += self.wired.transfer(resp_bytes).as_secs_f64();
-        breakdown.station_secs += Self::client_cost(resp.body.len()).as_secs_f64();
+        let wired_up = self.wired.transfer(http_req.wire_size());
+        let (resp, host) = self.host.process(http_req);
+        let breakdown = PhaseBreakdown {
+            station: Self::client_cost(resp.body.len()),
+            wired: wired_up + self.wired.transfer(resp.wire_size()),
+            host,
+            ..PhaseBreakdown::default()
+        };
 
         let outcome = markup::parse::parse(&resp.body)
             .ok()
@@ -1420,18 +1405,17 @@ mod tests {
         assert!(report.success, "{:?}", report.failure);
         // Every component contributed.
         let b = report.breakdown;
-        for (c, secs) in [
-            ("station", b.station_secs),
-            ("wireless", b.wireless_secs),
-            ("middleware", b.middleware_secs),
-            ("wired", b.wired_secs),
-            ("host", b.host_secs),
+        for (c, share) in [
+            ("station", b.station),
+            ("wireless", b.wireless),
+            ("middleware", b.middleware),
+            ("wired", b.wired),
+            ("host", b.host),
         ] {
-            assert!(secs > 0.0, "component {c} has zero share");
+            assert!(!share.is_zero(), "component {c} has zero share");
         }
         assert!(report.air_bytes_down > 0);
         assert!(report.energy_j > 0.0);
-        assert!((report.total - report.breakdown.total_secs()).abs() < 1e-12);
     }
 
     #[test]
@@ -1439,9 +1423,9 @@ mod tests {
         let mut sys = EcSystem::new(storefront_host(), WiredPath::wan());
         let report = sys.execute(&MobileRequest::get("/"));
         assert!(report.success);
-        assert_eq!(report.breakdown.wireless_secs, 0.0);
-        assert_eq!(report.breakdown.middleware_secs, 0.0);
-        assert!(report.breakdown.host_secs > 0.0);
+        assert!(report.breakdown.wireless.is_zero());
+        assert!(report.breakdown.middleware.is_zero());
+        assert!(!report.breakdown.host.is_zero());
         assert_eq!(report.energy_j, 0.0);
     }
 
@@ -1457,7 +1441,7 @@ mod tests {
         let ec_report = ec.execute(&MobileRequest::get("/"));
         let mc_report = mc.execute(&MobileRequest::get("/"));
         assert!(ec_report.success && mc_report.success);
-        assert!(mc_report.total > ec_report.total);
+        assert!(mc_report.total() > ec_report.total());
     }
 
     #[test]
@@ -1547,7 +1531,7 @@ mod tests {
         let second = sys.execute(&MobileRequest::get("/"));
         assert!(first.success && second.success);
         // GSM circuit setup is 4.5 s — dominates the first transaction.
-        assert!(first.breakdown.wireless_secs > second.breakdown.wireless_secs + 4.0);
+        assert!(first.breakdown.wireless > second.breakdown.wireless + SimDuration::from_secs(4));
     }
 
     #[test]
@@ -1617,7 +1601,7 @@ mod fault_tests {
         assert!(!r.success);
         assert!(r.failure.as_deref().unwrap().contains("wireless outage"));
         // The probe took finite time and energy even though it failed.
-        assert!(r.total > 0.0);
+        assert!(!r.total().is_zero());
         assert!(r.energy_j > 0.0);
         sys.idle(2.0);
         assert!(sys.execute(&MobileRequest::get("/")).success);
@@ -1684,7 +1668,7 @@ mod fault_tests {
         assert!(r.success, "{:?}", r.failure);
         assert!(r.attempts >= 2, "should have retried, attempts={}", r.attempts);
         // The failed probes' costs are folded into the settled report.
-        assert!(r.breakdown.wireless_secs > OUTAGE_PROBE.as_secs_f64());
+        assert!(r.breakdown.wireless > OUTAGE_PROBE);
     }
 
     #[test]
@@ -1758,7 +1742,7 @@ mod fault_tests {
             let mut out = Vec::new();
             for _ in 0..10 {
                 let r = sys.execute(&MobileRequest::get("/"));
-                out.push((r.total.to_bits(), r.energy_j.to_bits(), r.retransmissions));
+                out.push((r.total(), r.energy_j.to_bits(), r.retransmissions));
             }
             out
         };
@@ -1797,9 +1781,9 @@ mod cache_tests {
         assert_eq!(metrics.counter("middleware.cache.hits"), 1);
         assert!(metrics.counter("middleware.cache.bytes_saved") > 0);
         // The hit never left the middleware.
-        assert_eq!(warm.breakdown.wired_secs, 0.0);
-        assert_eq!(warm.breakdown.host_secs, 0.0);
-        assert!(warm.total < cold.total);
+        assert!(warm.breakdown.wired.is_zero());
+        assert!(warm.breakdown.host.is_zero());
+        assert!(warm.total() < cold.total());
         // Same payload either way.
         assert_eq!(
             warm.outcome.as_ref().unwrap().page_text,
@@ -1817,7 +1801,7 @@ mod cache_tests {
             (0..6)
                 .map(|_| {
                     let r = sys.execute(&MobileRequest::get("/"));
-                    (r.total.to_bits(), r.energy_j.to_bits(), r.air_bytes_down)
+                    (r.total(), r.energy_j.to_bits(), r.air_bytes_down)
                 })
                 .collect::<Vec<_>>()
         };
@@ -1899,7 +1883,7 @@ mod secure_tests {
         assert!(s1.energy_j > p1.energy_j);
         // The handshake shows up only on the first secure transaction.
         let s2 = secure.execute(&MobileRequest::get("/"));
-        assert!(s1.breakdown.station_secs > s2.breakdown.station_secs + 0.05);
+        assert!(s1.breakdown.station > s2.breakdown.station + SimDuration::from_millis(50));
         // Per-record overhead is a constant number of bytes.
         let p2 = plain.execute(&MobileRequest::get("/"));
         assert_eq!(

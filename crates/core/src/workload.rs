@@ -214,7 +214,7 @@ pub fn run_until_battery_dies(
             }
             elapsed_secs += think_secs;
             let report = system.execute(&step.req);
-            elapsed_secs += report.total;
+            elapsed_secs += report.total().as_secs_f64();
             if !report.success
                 && report
                     .failure

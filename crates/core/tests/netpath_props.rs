@@ -126,7 +126,6 @@ proptest! {
         if !report.success {
             prop_assert!(report.failure.is_some(), "failures must carry a reason");
         }
-        prop_assert!(report.total >= 0.0);
         prop_assert!(report.energy_j >= 0.0);
     }
 }

@@ -117,21 +117,18 @@ pub struct Database {
     tx_journal: Vec<JournalEntry>,
     /// Memoized `select_eq` result sets, unbounded; interior mutability
     /// because the read path takes `&self`. Off by default so uncached
-    /// behaviour is untouched.
+    /// behaviour is untouched. An entry lives until a write invalidates
+    /// it: the engine has no clock, so every entry is stored and looked
+    /// up at time zero under a TTL no run outlives.
     query_cache: RefCell<TtlLru<QueryShape, ResultSet>>,
     /// Memoized full-text search result sets keyed by `(table, query)`,
-    /// capped at [`SEARCH_MEMO_CAP`] and gated by the same enable/TTL
-    /// knobs as the query cache.
+    /// capped at [`SEARCH_MEMO_CAP`] and gated by the same switch as the
+    /// query cache.
     search_memo: RefCell<TtlLru<(String, String), ResultSet>>,
     /// Simulated CPU accrued by [`Database::search`] since the last
     /// drain; interior mutability because the read path takes `&self`.
     search_cost_ns: Cell<u64>,
     query_cache_enabled: bool,
-    /// Optional freshness window for cached query results; `None` (the
-    /// default) keeps entries until a write invalidates them.
-    query_cache_ttl_ns: Option<u64>,
-    /// The engine's view of sim time, used only for TTL freshness.
-    now_ns: u64,
     /// Monotone commit-version counter stamped onto row versions.
     commit_version: u64,
     /// Open snapshots: pinned commit version → open count.
@@ -155,8 +152,6 @@ impl Default for Database {
             search_memo: RefCell::new(TtlLru::new(u64::MAX, SEARCH_MEMO_CAP)),
             search_cost_ns: Cell::new(0),
             query_cache_enabled: false,
-            query_cache_ttl_ns: None,
-            now_ns: 0,
             commit_version: 0,
             pinned: BTreeMap::new(),
             index_entries_rebuilt: 0,
@@ -246,28 +241,6 @@ impl Database {
     /// True when the query cache is on.
     pub fn query_cache_enabled(&self) -> bool {
         self.query_cache_enabled
-    }
-
-    /// Sets (or clears) the query-cache TTL. A cached result stored at
-    /// `t` is fresh strictly before `t + ttl` and expired at exactly
-    /// `t + ttl` — the same boundary rule as the page and content
-    /// caches. `None` (the default) disables expiry: it is held as a TTL
-    /// of `u64::MAX` ns, which no simulated run outlives.
-    pub fn set_query_cache_ttl(&mut self, ttl_ns: Option<u64>) {
-        self.query_cache_ttl_ns = ttl_ns;
-        let ttl_ns = ttl_ns.unwrap_or(u64::MAX);
-        self.query_cache.get_mut().set_ttl(ttl_ns);
-        self.search_memo.get_mut().set_ttl(ttl_ns);
-    }
-
-    /// The query-cache TTL in force.
-    pub fn query_cache_ttl_ns(&self) -> Option<u64> {
-        self.query_cache_ttl_ns
-    }
-
-    /// Advances the engine's view of simulated time (TTL freshness).
-    pub fn set_now_ns(&mut self, now_ns: u64) {
-        self.now_ns = now_ns;
     }
 
     /// Drops every cached query result and memoized search (all tables).
@@ -837,7 +810,7 @@ impl Database {
             let same_shape = |s: &QueryShape| {
                 s.table == table_name && s.column == column && s.key.matches_value(value)
             };
-            if let Some(rows) = cache.get(hash, same_shape, self.now_ns) {
+            if let Some(rows) = cache.get(hash, same_shape, 0) {
                 obs::metrics::incr("host.db_cache.hits");
                 return Ok(rows.clone());
             }
@@ -865,7 +838,7 @@ impl Database {
             };
             self.query_cache
                 .borrow_mut()
-                .put(hash, shape, rows.clone(), 1, self.now_ns);
+                .put(hash, shape, rows.clone(), 1, 0);
         }
         Ok(rows)
     }
@@ -962,7 +935,7 @@ impl Database {
         if let Some(hash) = memo_hash {
             let mut memo = self.search_memo.borrow_mut();
             let same_query = |(t, q): &(String, String)| t == table_name && q == query;
-            if let Some(rows) = memo.get(hash, same_query, self.now_ns) {
+            if let Some(rows) = memo.get(hash, same_query, 0) {
                 obs::metrics::incr("host.db_cache.search_hits");
                 self.search_cost_ns
                     .set(self.search_cost_ns.get() + SEARCH_MEMO_HIT_NS);
@@ -979,7 +952,7 @@ impl Database {
             let key = (table_name.to_owned(), query.to_owned());
             self.search_memo
                 .borrow_mut()
-                .put(hash, key, rows.clone(), 1, self.now_ns);
+                .put(hash, key, rows.clone(), 1, 0);
         }
         Ok(rows)
     }
@@ -1819,25 +1792,6 @@ mod tests {
         db.end_snapshot(snap);
     }
 
-    // --- query-cache TTL (boundary audit) ---
-
-    #[test]
-    fn query_cache_entries_expire_at_exactly_the_ttl_boundary() {
-        let mut db = products();
-        db.set_query_cache(true);
-        db.set_query_cache_ttl(Some(1_000));
-        db.set_now_ns(0);
-        let _guard = obs::metrics::enable();
-        db.select_eq("products", "name", &"widget".into()).unwrap(); // miss
-        db.set_now_ns(999);
-        db.select_eq("products", "name", &"widget".into()).unwrap(); // hit
-        db.set_now_ns(1_000); // exactly inserted_at + ttl: expired
-        db.select_eq("products", "name", &"widget".into()).unwrap(); // miss
-        let metrics = obs::metrics::take();
-        assert_eq!(metrics.counter("host.db_cache.hits"), 1);
-        assert_eq!(metrics.counter("host.db_cache.misses"), 2);
-    }
-
     // --- full-text search (tentpole) + search memo (boundary audit) ---
 
     fn searchable_products() -> Database {
@@ -1924,23 +1878,6 @@ mod tests {
         db.drain_search_cost_ns();
         db.search("products", "widget").unwrap();
         assert_eq!(db.drain_search_cost_ns(), SEARCH_MEMO_HIT_NS);
-    }
-
-    #[test]
-    fn search_memo_expires_at_exactly_the_ttl_boundary() {
-        let mut db = searchable_products();
-        db.set_query_cache(true);
-        db.set_query_cache_ttl(Some(1_000));
-        db.set_now_ns(0);
-        let _guard = obs::metrics::enable();
-        db.search("products", "widget").unwrap(); // miss
-        db.set_now_ns(999);
-        db.search("products", "widget").unwrap(); // hit
-        db.set_now_ns(1_000); // exactly stored_at + ttl: expired
-        db.search("products", "widget").unwrap(); // miss
-        let metrics = obs::metrics::take();
-        assert_eq!(metrics.counter("host.db_cache.search_hits"), 1);
-        assert_eq!(metrics.counter("host.db_cache.search_misses"), 2);
     }
 
     #[test]

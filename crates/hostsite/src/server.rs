@@ -140,11 +140,10 @@ impl WebServer {
         self.page_cache.as_ref().map_or(0, PageCache::len)
     }
 
-    /// Advances the server's view of simulated time; cache freshness is
-    /// judged against this clock.
+    /// Advances the server's view of simulated time; page-cache
+    /// freshness is judged against this clock.
     pub fn set_sim_now_ns(&mut self, now_ns: u64) {
         self.now_ns = now_ns;
-        self.db.set_now_ns(now_ns);
     }
 
     /// The database server (mutable — application setup uses this).
@@ -173,11 +172,9 @@ impl WebServer {
         let journal = self.db.journal().to_vec();
         let replayed = journal.len();
         let cache_enabled = self.db.query_cache_enabled();
-        let cache_ttl = self.db.query_cache_ttl_ns();
         let fts_regs = self.db.fts_registrations();
         let policy = self.db.durability();
         self.db = Database::recover_with_policy(&journal, policy)?;
-        self.db.set_now_ns(self.now_ns);
         // Secondary indexes are derived projections: rebuilt from the
         // recovered base rows, at a per-entry price. Full-text
         // registrations are engine configuration (never journaled), so
@@ -198,10 +195,9 @@ impl WebServer {
             );
         }
         // The crash flushes the query cache with the rest of the in-memory
-        // state; the recovered instance starts cold but keeps the knobs.
+        // state; the recovered instance starts cold but keeps the switch.
         if cache_enabled {
             self.db.set_query_cache(true);
-            self.db.set_query_cache_ttl(cache_ttl);
             obs::metrics::incr("host.db_cache.flushes");
         }
         Ok(replayed)

@@ -117,11 +117,6 @@ impl<K, V> TtlLru<K, V> {
         }
     }
 
-    /// Replaces the TTL; held entries are judged by it from now on.
-    pub fn set_ttl(&mut self, ttl_ns: u64) {
-        self.ttl_ns = ttl_ns;
-    }
-
     /// The slot holding the key that `hash` and `eq` describe.
     fn find(&self, hash: u64, mut eq: impl FnMut(&K) -> bool) -> Option<usize> {
         let mut i = *self.heads.get(&hash)?;

@@ -30,7 +30,7 @@ fn main() {
     println!(
         "\nGET /shop -> success={} in {:.1} ms",
         report.success,
-        report.total * 1e3
+        report.total().as_secs_f64() * 1e3
     );
     if let Some(outcome) = &report.outcome {
         println!("rendered on the handheld ({} \"{}\"):", outcome.status, outcome.title);
@@ -47,7 +47,7 @@ fn main() {
     println!(
         "\nPOST /shop/buy -> success={} in {:.1} ms",
         report.success,
-        report.total * 1e3
+        report.total().as_secs_f64() * 1e3
     );
     if let Some(outcome) = &report.outcome {
         for line in outcome.page_text.lines() {
@@ -58,17 +58,15 @@ fn main() {
     // Where did the time go? The six components, itemised.
     let b = report.breakdown;
     println!("\nper-component latency breakdown:");
-    println!("  station (parse/render) : {:7.2} ms", b.station_secs * 1e3);
-    println!(
-        "  wireless network       : {:7.2} ms",
-        b.wireless_secs * 1e3
-    );
-    println!(
-        "  middleware (WAP)       : {:7.2} ms",
-        b.middleware_secs * 1e3
-    );
-    println!("  wired network          : {:7.2} ms", b.wired_secs * 1e3);
-    println!("  host computer          : {:7.2} ms", b.host_secs * 1e3);
+    for (component, share) in [
+        ("station (parse/render)", b.station),
+        ("wireless network", b.wireless),
+        ("middleware (WAP)", b.middleware),
+        ("wired network", b.wired),
+        ("host computer", b.host),
+    ] {
+        println!("  {component:<22} : {:7.2} ms", share.as_secs_f64() * 1e3);
+    }
     println!(
         "\nover the air: {} B up, {} B down; battery used: {:.3} mJ; battery left: {:.1}%",
         report.air_bytes_up,

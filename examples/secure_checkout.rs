@@ -58,7 +58,7 @@ fn checkout(secure: bool) -> (f64, u64, f64) {
         buy.failure
     );
     (
-        browse.total + buy.total,
+        (browse.total() + buy.total()).as_secs_f64(),
         browse.air_bytes_up + browse.air_bytes_down + buy.air_bytes_up + buy.air_bytes_down,
         browse.energy_j + buy.energy_j,
     )

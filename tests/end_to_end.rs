@@ -223,7 +223,7 @@ fn workload_runs_are_deterministic_per_seed() {
         for index in 0..6 {
             let steps = app.session(3, index);
             let reports = run_session(&mut system, &steps);
-            timings.extend(reports.iter().map(|r| (r.total * 1e9) as u64));
+            timings.extend(reports.iter().map(|r| r.total().as_nanos()));
         }
         timings
     };

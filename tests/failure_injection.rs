@@ -7,6 +7,7 @@ use mcommerce::core::{CommerceSystem, McSystem, SystemSpec, WiredPath, WirelessC
 use mcommerce::hostsite::db::{Database, Value};
 use mcommerce::hostsite::HostComputer;
 use mcommerce::middleware::MobileRequest;
+use mcommerce::simnet::SimDuration;
 use mcommerce::station::DeviceProfile;
 use mcommerce::wireless::WlanStandard;
 
@@ -188,20 +189,20 @@ fn deep_fringe_coverage_degrades_latency_but_arq_keeps_success_up() {
         },
         27,
     );
-    let mut near_air = 0.0;
-    let mut far_air = 0.0;
+    let mut near_air = SimDuration::ZERO;
+    let mut far_air = SimDuration::ZERO;
     let mut far_retx = 0u32;
     for i in 0..10 {
         let r1 = near.execute(&MobileRequest::get("/shop"));
         let r2 = far.execute(&MobileRequest::get("/shop"));
         assert!(r1.success && r2.success, "iteration {i}");
-        near_air += r1.breakdown.wireless_secs;
-        far_air += r2.breakdown.wireless_secs;
+        near_air += r1.breakdown.wireless;
+        far_air += r2.breakdown.wireless;
         far_retx += r2.retransmissions;
     }
     // 1 Mbps + heavy BER at the fringe vs 11 Mbps clean near the AP.
     assert!(
-        far_air > near_air * 3.0,
+        far_air > near_air * 3,
         "fringe air {far_air} vs near {near_air}"
     );
     assert!(far_retx > 0, "fringe ARQ must be working");

@@ -7,8 +7,16 @@
 //!    run exactly.
 //! 3. Every failed transaction leaves a flight-recorder dump naming the
 //!    layer that failed it.
+//! 4. Every nanosecond of a transaction's latency is attributed to
+//!    exactly one layer: a layer's spans plus its FCFS waits are its
+//!    latency sum in the counters, to the nanosecond, and the root spans
+//!    plus all the waits are the latency sum.
 
-use mcommerce_core::{Category, FleetReport, FleetRunner, FleetTrace, Scenario};
+use std::collections::BTreeMap;
+
+use mcommerce_core::{Category, FleetReport, FleetRunner, FleetTrace, Scenario, Topology};
+use obs::recorder::DEFAULT_RING_CAPACITY;
+use obs::{EventKind, Layer};
 use wireless::WlanStandard;
 
 // These shims keep the assertions readable while exercising the
@@ -87,5 +95,74 @@ fn failed_transactions_dump_the_flight_recorder() {
     for dump in &trace.dumps {
         assert_eq!(dump.layer, obs::Layer::Wireless, "{}", dump.reason);
         assert!(dump.reason.contains("no coverage"), "{}", dump.reason);
+    }
+}
+
+#[test]
+fn every_nanosecond_of_latency_belongs_to_one_layer() {
+    let shared = Topology::shared().cells(4).gateways(2).hosts(2);
+    for secure in [false, true] {
+        let scenario = scenario().secure(secure);
+        for (world, topology) in [("isolated", Topology::isolated()), ("shared", shared)] {
+            for threads in [1usize, 2, 4, 8] {
+                let at = format!("secure {secure}, {world}, {threads} thread(s)");
+                let run = FleetRunner::new(scenario.clone())
+                    .topology(topology)
+                    .threads(threads)
+                    .traced(true)
+                    .run();
+                let counters = &run.report.summary.workload.counters;
+                assert_eq!(
+                    counters.succeeded, counters.attempted,
+                    "{at}: a transaction failed"
+                );
+                let trace = run.trace.expect("traced run carries a trace");
+                // A ring that never filled overwrote nothing.
+                let mut per_user = BTreeMap::<u64, usize>::new();
+                for e in &trace.events {
+                    *per_user.entry(e.user).or_default() += 1;
+                }
+                assert!(
+                    per_user.values().all(|&n| n < DEFAULT_RING_CAPACITY),
+                    "{at}: a ring recorder filled up"
+                );
+                let mut spans = BTreeMap::<Layer, u128>::new();
+                for e in &trace.events {
+                    if e.kind == EventKind::Span && e.name != "retry_backoff" {
+                        *spans.entry(e.layer).or_default() += u128::from(e.dur_ns);
+                    }
+                }
+                let span = |layer| spans.get(&layer).copied().unwrap_or_default();
+                // Cell → wireless, gateway → middleware, host CPU + WAL →
+                // host; an isolated world queues nowhere.
+                let (cell, gateway, host) = run.contention.as_ref().map_or((0, 0, 0), |c| {
+                    (c.cell_wait_ns, c.gateway_wait_ns, c.host_wait_ns)
+                });
+                if run.contention.is_some() {
+                    assert!(
+                        cell + gateway + host > 0,
+                        "{at}: the shared world never queued"
+                    );
+                }
+                for (layer, key, wait) in [
+                    (Layer::Station, "station", 0),
+                    (Layer::Wireless, "wireless", cell),
+                    (Layer::Middleware, "middleware", gateway),
+                    (Layer::Wired, "wired", 0),
+                    (Layer::Host, "host", host),
+                ] {
+                    assert_eq!(
+                        span(layer) + u128::from(wait),
+                        counters.component_ns[key],
+                        "{at}: {key}'s spans and waits"
+                    );
+                }
+                assert_eq!(
+                    span(Layer::Application),
+                    counters.latency_ns - u128::from(cell + gateway + host),
+                    "{at}: root spans"
+                );
+            }
+        }
     }
 }
