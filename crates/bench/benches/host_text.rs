@@ -9,8 +9,9 @@
 //!   so the lookup misses, as every search lookup in the fleet does;
 //! * the Commerce search-results page written over a two-term search's
 //!   rows (a match count and a buy link per row, each escaped);
-//! * a search step written into a reused `Step`: the two-term query URL
-//!   with its hex noise token, and the expectation.
+//! * a search step's draws taken and the step written into a reused
+//!   `Step`: the two-term query URL with its hex noise token, and the
+//!   expectation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -50,7 +51,8 @@ fn bench_host_text(c: &mut Criterion) {
     group.bench_function("search_step_write", |b| {
         b.iter(|| {
             index += 1;
-            black_box(app.write_search_step(7, index, 3, &mut step))
+            let draws = app.search_draws(7, index);
+            black_box(app.write_search_step(&draws, 3, &mut step))
         })
     });
     group.finish();

@@ -20,7 +20,7 @@ use rand::RngExt;
 use security::{Mac, PaymentGateway, PaymentRequest};
 use simnet::rng::rng_for_indexed;
 
-use super::{Application, Category, Step};
+use super::{Application, Category, Draws, Step};
 
 /// The payments application.
 pub struct PaymentsApp {
@@ -221,17 +221,20 @@ impl Application for PaymentsApp {
         );
     }
 
-    fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
-        if step >= 2 {
-            // Past the session's 2 steps: return before drawing anything.
-            return false;
-        }
+    /// `[catalogue row, order nonce, _]`.
+    fn draws(&self, seed: u64, index: u64) -> Draws {
         let mut rng = rng_for_indexed(seed, "payments.session", index);
-        let sku = CATALOG[rng.random_range(0..CATALOG.len())].0;
+        let row = rng.random_range(0..CATALOG.len()) as u64;
         let nonce: u64 = (index << 20) | rng.random_range(0..1u64 << 20);
+        Draws([row, nonce, 0])
+    }
+
+    fn write_step(&self, draws: &Draws, step: usize, out: &mut Step) -> bool {
+        let [row, nonce, _] = draws.0;
         match step {
             0 => out.get("/shop").expects("Mobile Shop"),
-            _ => buy(out, sku, nonce),
+            1 => buy(out, CATALOG[row as usize].0, nonce),
+            _ => return false,
         };
         true
     }
@@ -242,17 +245,25 @@ impl Application for PaymentsApp {
     /// unique noise token in its queries, so the fleet's query strings
     /// form the high-cardinality key space the cache tiers must survive;
     /// the token matches no product (df = 0) and never changes results.
-    fn write_search_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
+    ///
+    /// Its draws are `[catalogue row, order nonce, noise token]`.
+    fn search_draws(&self, seed: u64, index: u64) -> Draws {
+        let mut rng = rng_for_indexed(seed, "payments.search_session", index);
+        let row = rng.random_range(0..CATALOG.len()) as u64;
+        let nonce: u64 = (index << 20) | rng.random_range(0..1u64 << 20);
+        let noise: u32 = rng.random();
+        Draws([row, nonce, u64::from(noise)])
+    }
+
+    fn write_search_step(&self, draws: &Draws, step: usize, out: &mut Step) -> bool {
         if step >= 7 {
-            // Past the session's 7 steps: return before drawing anything.
             return false;
         }
-        let mut rng = rng_for_indexed(seed, "payments.search_session", index);
-        let (sku, name, _, _) = CATALOG[rng.random_range(0..CATALOG.len())];
-        let nonce: u64 = (index << 20) | rng.random_range(0..1u64 << 20);
+        let [row, nonce, noise] = draws.0;
+        let (sku, name, _, _) = CATALOG[row as usize];
         let (first, _) = name.split_once(' ').expect("product names have two words");
         let (_, last) = name.rsplit_once(' ').expect("product names have two words");
-        let noise: u32 = rng.random();
+        let noise = noise as u32;
         // Browse, search, re-check the results, refine to a narrower
         // query and re-check twice more while deciding, then buy. The
         // re-checks are what a covering-TTL search memo serves; the

@@ -11,7 +11,7 @@ use markup::html::PageWriter;
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
 
-use super::{Application, Category, Step};
+use super::{Application, Category, Draws, Step};
 
 /// The mobile-classroom application.
 #[derive(Debug, Default)]
@@ -108,14 +108,19 @@ impl Application for EducationApp {
         );
     }
 
-    fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
+    /// `[course row, student, _]`.
+    fn draws(&self, seed: u64, index: u64) -> Draws {
+        let mut rng = rng_for_indexed(seed, "education.session", index);
+        let row = rng.random_range(0..COURSES.len()) as u64;
+        Draws([row, index % 20, 0])
+    }
+
+    fn write_step(&self, draws: &Draws, step: usize, out: &mut Step) -> bool {
         if step >= 2 {
-            // Past the session's 2 steps: return before drawing anything.
             return false;
         }
-        let mut rng = rng_for_indexed(seed, "education.session", index);
-        let (course, _, answer) = COURSES[rng.random_range(0..COURSES.len())];
-        let student = index % 20;
+        let [row, student, _] = draws.0;
+        let (course, _, answer) = COURSES[row as usize];
         match step {
             0 => out
                 .get(format_args!("/learn/lesson?course={course}"))

@@ -12,7 +12,7 @@ use markup::html::PageWriter;
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
 
-use super::{Application, Category, Step};
+use super::{Application, Category, Draws, Step};
 
 /// The downloads application.
 #[derive(Debug, Default)]
@@ -113,18 +113,21 @@ impl Application for EntertainmentApp {
         );
     }
 
-    fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
-        if step >= 2 {
-            // Past the session's 2 steps: return before drawing anything.
-            return false;
-        }
+    /// `[item row, _, _]`.
+    fn draws(&self, seed: u64, index: u64) -> Draws {
         let mut rng = rng_for_indexed(seed, "entertainment.session", index);
-        let (id, title, _, _) = ITEMS[rng.random_range(0..ITEMS.len())];
+        Draws([rng.random_range(0..ITEMS.len()) as u64, 0, 0])
+    }
+
+    fn write_step(&self, draws: &Draws, step: usize, out: &mut Step) -> bool {
         match step {
             0 => out.get("/media").expects("Downloads"),
-            _ => out
-                .get(("/media/download?id=", id))
-                .expects(("Delivering ", title)),
+            1 => {
+                let (id, title, _, _) = ITEMS[draws.0[0] as usize];
+                out.get(("/media/download?id=", id))
+                    .expects(("Delivering ", title))
+            }
+            _ => return false,
         };
         true
     }

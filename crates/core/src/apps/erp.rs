@@ -11,7 +11,7 @@ use markup::html::PageWriter;
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
 
-use super::{Application, Category, Step};
+use super::{Application, Category, Draws, Step};
 
 /// The resource-management application.
 #[derive(Debug, Default)]
@@ -153,14 +153,20 @@ impl Application for ErpApp {
         );
     }
 
-    fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
-        if step >= 3 {
-            // Past the session's 3 steps: return before drawing anything.
-            return false;
-        }
+    /// `[task, worker, _]`.
+    fn draws(&self, seed: u64, index: u64) -> Draws {
         let mut rng = rng_for_indexed(seed, "erp.session", index);
         let task = rng.random_range(0..TASKS.len() as i64);
         let worker = rng.random_range(1..6u32);
+        Draws([task as u64, u64::from(worker), 0])
+    }
+
+    fn write_step(&self, draws: &Draws, step: usize, out: &mut Step) -> bool {
+        if step >= 3 {
+            return false;
+        }
+        let [task, worker, _] = draws.0;
+        let task = task as i64;
         match step {
             0 => out.get("/erp/tasks").expects("Open tasks"),
             // A random task may already be closed by an earlier session —

@@ -11,7 +11,7 @@ use markup::html::PageWriter;
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
 
-use super::{Application, Category, Step};
+use super::{Application, Category, Draws, Step};
 
 /// The patient-records application.
 #[derive(Debug, Default)]
@@ -113,14 +113,21 @@ impl Application for HealthCareApp {
         );
     }
 
-    fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
+    /// `[patient row, pulse, _]`.
+    fn draws(&self, seed: u64, index: u64) -> Draws {
+        let mut rng = rng_for_indexed(seed, "healthcare.session", index);
+        let row = rng.random_range(0..PATIENTS.len()) as u64;
+        let pulse = rng.random_range(55..110i64);
+        Draws([row, pulse as u64, 0])
+    }
+
+    fn write_step(&self, draws: &Draws, step: usize, out: &mut Step) -> bool {
         if step >= 2 {
-            // Past the session's 2 steps: return before drawing anything.
             return false;
         }
-        let mut rng = rng_for_indexed(seed, "healthcare.session", index);
-        let patient = PATIENTS[rng.random_range(0..PATIENTS.len())].0;
-        let pulse = rng.random_range(55..110i64);
+        let [row, pulse, _] = draws.0;
+        let patient = PATIENTS[row as usize].0;
+        let pulse = pulse as i64;
         match step {
             0 => out
                 .post(

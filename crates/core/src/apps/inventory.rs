@@ -15,7 +15,7 @@ use markup::html::PageWriter;
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
 
-use super::{Application, Category, Step};
+use super::{Application, Category, Draws, Step};
 
 /// The inventory tracking and dispatching application.
 #[derive(Debug, Default)]
@@ -152,15 +152,21 @@ impl Application for InventoryApp {
         );
     }
 
-    fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
-        if step >= 4 {
-            // Past the session's 4 steps: return before drawing anything.
-            return false;
-        }
+    /// `[parcel id, depot row, driver]`.
+    fn draws(&self, seed: u64, index: u64) -> Draws {
         let mut rng = rng_for_indexed(seed, "inventory.session", index);
         let id = rng.random_range(0..200i64);
-        let depot = DEPOTS[rng.random_range(0..DEPOTS.len())];
+        let depot = rng.random_range(0..DEPOTS.len()) as u64;
         let driver = rng.random_range(1..9u32);
+        Draws([id as u64, depot, u64::from(driver)])
+    }
+
+    fn write_step(&self, draws: &Draws, step: usize, out: &mut Step) -> bool {
+        if step >= 4 {
+            return false;
+        }
+        let [id, depot, driver] = draws.0;
+        let (id, depot) = (id as i64, DEPOTS[depot as usize]);
         match step {
             0 => out
                 .post(

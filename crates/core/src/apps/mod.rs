@@ -17,14 +17,15 @@
 //! *sessions* — sequences of requests with expected outcomes — that the
 //! workload runner drives through any [`crate::CommerceSystem`].
 //!
-//! The unit an application generates is the step, not the session:
-//! [`Application::write_step`] writes one step of one session into a
-//! caller's [`Step`], re-deriving the session's random draws and then
-//! formatting just that step. A user's behaviour is a pure function of
-//! `(seed, session, step)`, so the fleet engine keeps only a cursor per
-//! user and writes each step into one scratch `Step` whose strings it
-//! reuses. [`Application::session`] collects the same writer for callers
-//! that want the whole session at once.
+//! The unit an application generates is the step, not the session: a
+//! session's random draws are taken once ([`Application::draws`]), and
+//! [`Application::write_step`] writes one step from them into a
+//! caller's [`Step`]. A user's behaviour is a pure function of
+//! `(seed, session, step)`, so the fleet engine keeps only a cursor and
+//! the current session's draws per user, and writes each step into one
+//! scratch `Step` whose strings it reuses. [`Application::session`]
+//! collects the same writer for callers that want the whole session at
+//! once.
 
 pub mod commerce;
 pub mod education;
@@ -254,6 +255,14 @@ fn fill<'a, T: Default>(slot: &'a mut Option<T>, spare: &mut T) -> &'a mut T {
     slot.get_or_insert_with(|| std::mem::take(spare))
 }
 
+/// A session's random draws: every value its steps take from the
+/// session's random stream, taken once when the session starts
+/// ([`Application::draws`]) and read by each step it writes. Each
+/// application packs its own values (indices into its tables, ids,
+/// nonces) into the three words.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Draws(pub [u64; 3]);
+
 /// Collects the steps `write` writes for step indices 0, 1, … — each
 /// into a fresh [`Step`] — until it returns `false`.
 pub(crate) fn collect_steps(mut write: impl FnMut(usize, &mut Step) -> bool) -> Vec<Step> {
@@ -290,34 +299,45 @@ pub trait Application {
         self.mount(host);
     }
 
-    /// Writes step `step` of the `index`-th user session under `seed`
-    /// into `out`, reusing its buffers, and returns `true`; returns
-    /// `false`, leaving `out` as it was, when the session has no such
-    /// step. Each call re-derives the session's random draws in the
-    /// same order, so a step depends only on `(seed, index, step)`. The
-    /// fleet engine finds a spent session by asking for one step past
-    /// its end, so that call returns before deriving or drawing
-    /// anything.
-    fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool;
+    /// The random draws of the `index`-th user session under `seed`,
+    /// taken in the order the session's generator always takes them.
+    fn draws(&self, seed: u64, index: u64) -> Draws;
 
-    /// The search-heavy variant of [`Application::write_step`] (browse →
-    /// search → refine → purchase), used when a scenario sets
+    /// Writes step `step` of the session whose draws are `draws` into
+    /// `out`, reusing its buffers, and returns `true`; returns `false`,
+    /// leaving `out` as it was, when the session has no such step. A
+    /// step depends only on the draws, so writing every step from one
+    /// session's draws equals [`Application::session`]. The fleet engine
+    /// finds a spent session by asking for one step past its end.
+    fn write_step(&self, draws: &Draws, step: usize, out: &mut Step) -> bool;
+
+    /// The draws of the search-heavy variant of the `index`-th session
+    /// (browse → search → refine → purchase), used when a scenario sets
     /// `search_heavy`. Applications without a search workload fall back
     /// to their regular sessions.
-    fn write_search_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
-        self.write_step(seed, index, step, out)
+    fn search_draws(&self, seed: u64, index: u64) -> Draws {
+        self.draws(seed, index)
+    }
+
+    /// The search-heavy variant of [`Application::write_step`], for
+    /// draws from [`Application::search_draws`].
+    fn write_search_step(&self, draws: &Draws, step: usize, out: &mut Step) -> bool {
+        self.write_step(draws, step, out)
     }
 
     /// The `index`-th user session under `seed`: every step
-    /// [`Application::write_step`] writes, in order.
+    /// [`Application::write_step`] writes from its draws, in order.
     fn session(&self, seed: u64, index: u64) -> Vec<Step> {
-        collect_steps(|step, out| self.write_step(seed, index, step, out))
+        let draws = self.draws(seed, index);
+        collect_steps(|step, out| self.write_step(&draws, step, out))
     }
 
     /// The `index`-th search-heavy session under `seed`: every step
-    /// [`Application::write_search_step`] writes, in order.
+    /// [`Application::write_search_step`] writes from its draws, in
+    /// order.
     fn search_session(&self, seed: u64, index: u64) -> Vec<Step> {
-        collect_steps(|step, out| self.write_search_step(seed, index, step, out))
+        let draws = self.search_draws(seed, index);
+        collect_steps(|step, out| self.write_search_step(&draws, step, out))
     }
 }
 

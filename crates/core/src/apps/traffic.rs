@@ -12,7 +12,7 @@ use markup::html::PageWriter;
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
 
-use super::{Application, Category, Step};
+use super::{Application, Category, Draws, Step};
 
 /// The traffic application.
 #[derive(Debug, Default)]
@@ -137,16 +137,22 @@ impl Application for TrafficApp {
         );
     }
 
-    fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
-        if step >= 2 {
-            // Past the session's 2 steps: return before drawing anything.
-            return false;
-        }
+    /// `[road, congestion level, origin node]`.
+    fn draws(&self, seed: u64, index: u64) -> Draws {
         let mut rng = rng_for_indexed(seed, "traffic.session", index);
         let road = rng.random_range(0..ROADS.len() as i64);
         let level = rng.random_range(0..10i64);
         // Pick a pair known to be connected: everything reaches "stadium".
-        let from = NODES[rng.random_range(0..4usize)];
+        let from = rng.random_range(0..4usize) as u64;
+        Draws([road as u64, level as u64, from])
+    }
+
+    fn write_step(&self, draws: &Draws, step: usize, out: &mut Step) -> bool {
+        if step >= 2 {
+            return false;
+        }
+        let [road, level, from] = draws.0;
+        let (road, level, from) = (road as i64, level as i64, NODES[from as usize]);
         match step {
             0 => out
                 .post("/traffic/report", &[("road", &road), ("level", &level)])

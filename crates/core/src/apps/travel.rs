@@ -11,7 +11,7 @@ use markup::html::{self, PageWriter};
 use rand::RngExt;
 use simnet::rng::rng_for_indexed;
 
-use super::{Application, Category, Step};
+use super::{Application, Category, Draws, Step};
 
 /// The travel and ticketing application.
 #[derive(Debug, Default)]
@@ -205,13 +205,18 @@ impl Application for TravelApp {
         );
     }
 
-    fn write_step(&self, seed: u64, index: u64, step: usize, out: &mut Step) -> bool {
+    /// `[flight row, rider, _]`.
+    fn draws(&self, seed: u64, index: u64) -> Draws {
+        let mut rng = rng_for_indexed(seed, "travel.session", index);
+        Draws([rng.random_range(0..FLIGHTS.len()) as u64, index, 0])
+    }
+
+    fn write_step(&self, draws: &Draws, step: usize, out: &mut Step) -> bool {
         if step >= 2 {
-            // Past the session's 2 steps: return before drawing anything.
             return false;
         }
-        let mut rng = rng_for_indexed(seed, "travel.session", index);
-        let (_, orig, _, _, _) = FLIGHTS[rng.random_range(0..FLIGHTS.len())];
+        let [row, index, _] = draws.0;
+        let (_, orig, _, _, _) = FLIGHTS[row as usize];
         let flight = FLIGHTS
             .iter()
             .find(|f| f.1 == orig)

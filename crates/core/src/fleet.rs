@@ -50,7 +50,7 @@ use obs::Recorder;
 use station::{DeviceProfile, RenderMemo};
 use wireless::WlanStandard;
 
-use crate::apps::{collect_steps, for_category, Application, Category, Step};
+use crate::apps::{collect_steps, for_category, Application, Category, Draws, Step};
 use crate::netpath::{WiredPath, WirelessConfig};
 use crate::report::{WorkloadCounters, WorkloadSummary};
 use crate::shared::{self, ContentionStats};
@@ -226,24 +226,34 @@ impl Scenario {
         self
     }
 
-    /// Writes step `step` of this scenario's `session`-th session into
-    /// `out` — the search-heavy variant when [`Scenario::search_heavy`]
-    /// is set, the app's regular sessions otherwise — and returns
-    /// `false` past the session's last step. Every runner (the
-    /// reference path through [`Scenario::session_steps`] and the fleet
-    /// engine) routes through here, so the switch cannot drift.
+    /// The draws of this scenario's `session`-th session — the
+    /// search-heavy variant's when [`Scenario::search_heavy`] is set, the
+    /// app's regular sessions' otherwise. Every runner (the reference
+    /// path through [`Scenario::session_steps`] and the fleet engine)
+    /// routes through here and [`Scenario::write_step`], so the switch
+    /// cannot drift.
+    pub(crate) fn draws(&self, app: &dyn Application, session_seed: u64, session: u64) -> Draws {
+        if self.search_heavy {
+            app.search_draws(session_seed, session)
+        } else {
+            app.draws(session_seed, session)
+        }
+    }
+
+    /// Writes step `step` of the session whose draws are `draws` (from
+    /// [`Scenario::draws`]) into `out`, and returns `false` past the
+    /// session's last step.
     pub(crate) fn write_step(
         &self,
         app: &dyn Application,
-        session_seed: u64,
-        session: u64,
+        draws: &Draws,
         step: usize,
         out: &mut Step,
     ) -> bool {
         if self.search_heavy {
-            app.write_search_step(session_seed, session, step, out)
+            app.write_search_step(draws, step, out)
         } else {
-            app.write_step(session_seed, session, step, out)
+            app.write_step(draws, step, out)
         }
     }
 
@@ -255,7 +265,8 @@ impl Scenario {
         session_seed: u64,
         session: u64,
     ) -> Vec<Step> {
-        collect_steps(|step, out| self.write_step(app, session_seed, session, step, out))
+        let draws = self.draws(app, session_seed, session);
+        collect_steps(|step, out| self.write_step(app, &draws, step, out))
     }
 
     /// Sets the root seed.
@@ -430,12 +441,15 @@ impl Scenario {
         let mut system = self.system_for_user(user);
         system.set_recorder(Recorder::ring_for_user(user));
         self.run_user_on(&mut system, user, counters);
-        let (events, dumps) = system.take_recorder().into_parts();
+        let recorder = system.take_recorder();
+        let dropped = recorder.dropped();
+        let (events, dumps) = recorder.into_parts();
         drop(guard);
         UserTrace {
             events,
             dumps,
             metrics: obs::metrics::take(),
+            dropped,
         }
     }
 }
@@ -503,6 +517,9 @@ pub struct UserTrace {
     pub dumps: Vec<obs::FlightDump>,
     /// Counters and histograms published while this user ran.
     pub metrics: obs::Metrics,
+    /// Events the user's ring recorder overwrote: 0 when `events` is the
+    /// user's whole trace.
+    pub dropped: u64,
 }
 
 /// The merged telemetry of a traced fleet run.
@@ -519,6 +536,9 @@ pub struct FleetTrace {
     pub dumps: Vec<obs::FlightDump>,
     /// Fleet-wide merged metrics.
     pub metrics: obs::Metrics,
+    /// Events the users' ring recorders overwrote, summed in user-index
+    /// order: 0 when `events` holds every user's whole trace.
+    pub dropped: u64,
 }
 
 impl FleetTrace {
@@ -901,6 +921,28 @@ mod tests {
         assert_eq!(plain, traced, "recorder must only observe");
         assert!(!trace.events.is_empty());
         assert!(trace.metrics.counter("station.transactions") > 0);
+    }
+
+    #[test]
+    fn traces_count_the_events_a_full_ring_overwrote() {
+        use obs::recorder::DEFAULT_RING_CAPACITY;
+        // Enough sessions that one user's ring fills and wraps.
+        let long = small().users(3).sessions_per_user(400);
+        let mut counters = WorkloadCounters::default();
+        let trace = long.run_user_traced(1, &mut counters);
+        assert_eq!(trace.events.len(), DEFAULT_RING_CAPACITY);
+        assert!(
+            trace.dropped > 0,
+            "a wrapped ring reports what it overwrote"
+        );
+        // A fleet sums its users' counts, the same at any thread count.
+        let (_, one) = run_traced_on(&long, 1);
+        let (_, four) = run_traced_on(&long, 4);
+        assert_eq!(one.dropped, 3 * trace.dropped);
+        assert_eq!(four.dropped, one.dropped);
+        // A short run overwrites nothing.
+        let (_, short) = run_traced_on(&small(), 2);
+        assert_eq!(short.dropped, 0);
     }
 
     #[test]

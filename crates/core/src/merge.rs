@@ -90,6 +90,7 @@ impl TraceMerger {
         self.trace.events.extend(user.events);
         self.trace.dumps.extend(user.dumps);
         self.trace.metrics.merge(&user.metrics);
+        self.trace.dropped += user.dropped;
     }
 
     /// Traces already streamed into the output (excludes the buffer).
@@ -126,6 +127,7 @@ mod tests {
             events: Vec::new(),
             dumps: Vec::new(),
             metrics,
+            dropped: 0,
         }
     }
 

@@ -61,25 +61,25 @@ impl WirelessConfig {
                 distance_m,
             } => {
                 let rate = standard.rate_at(distance_m)?;
-                Some(AirLink {
-                    rate_bps: rate,
-                    access_delay: standard.access_delay(),
-                    ber: standard.ber_at(distance_m),
-                    frame_overhead: standard.frame_overhead_bytes(),
-                    session_setup: SimDuration::ZERO,
-                    energy: EnergyModel::wlan(standard),
-                })
+                Some(AirLink::new(
+                    rate,
+                    standard.access_delay(),
+                    standard.ber_at(distance_m),
+                    standard.frame_overhead_bytes(),
+                    SimDuration::ZERO,
+                    EnergyModel::wlan(standard),
+                ))
             }
             WirelessConfig::Cellular { standard } => {
                 let rate = standard.data_rate_bps()?;
-                Some(AirLink {
-                    rate_bps: rate,
-                    access_delay: standard.ran_latency(),
-                    ber: standard.ber(),
-                    frame_overhead: 24,
-                    session_setup: standard.session_setup(),
-                    energy: EnergyModel::cellular(standard),
-                })
+                Some(AirLink::new(
+                    rate,
+                    standard.ran_latency(),
+                    standard.ber(),
+                    24,
+                    standard.session_setup(),
+                    EnergyModel::cellular(standard),
+                ))
             }
         }
     }
@@ -100,23 +100,91 @@ pub struct HopTransfer {
 }
 
 /// The wireless hop: rate, access delay, BER-driven ARQ, session setup.
+///
+/// The rate, the BER and the framing overhead fix the link's fragment
+/// size and the price of a full fragment (its delivery probability and
+/// airtime), so the link prices them once, when it is built, and again
+/// only when [`AirLink::raise_ber`] changes the BER.
 #[derive(Debug, Clone, Copy)]
 pub struct AirLink {
-    /// PHY rate in bits per second.
-    pub rate_bps: u64,
     /// MAC access / RAN latency charged per frame exchange.
     pub access_delay: SimDuration,
-    /// Residual bit-error rate.
-    pub ber: f64,
-    /// Framing overhead per frame, bytes.
-    pub frame_overhead: usize,
     /// One-time session setup (circuit dialling / packet activation).
     pub session_setup: SimDuration,
     /// Energy prices for this radio.
     pub energy: EnergyModel,
+    rate_bps: u64,
+    ber: f64,
+    frame_overhead: usize,
+    /// [`AirLink::fragment_payload`], priced from the fields above.
+    fragment: usize,
+    /// A full fragment's delivery probability and one attempt's airtime.
+    full: (f64, SimDuration),
 }
 
 impl AirLink {
+    /// A link at `rate_bps` with residual bit-error rate `ber` and
+    /// `frame_overhead` bytes of framing per frame, its fragment size
+    /// and full-fragment price worked out once.
+    fn new(
+        rate_bps: u64,
+        access_delay: SimDuration,
+        ber: f64,
+        frame_overhead: usize,
+        session_setup: SimDuration,
+        energy: EnergyModel,
+    ) -> Self {
+        let mut link = AirLink {
+            access_delay,
+            session_setup,
+            energy,
+            rate_bps,
+            ber,
+            frame_overhead,
+            fragment: AIR_MTU,
+            full: (1.0, SimDuration::ZERO),
+        };
+        link.price();
+        link
+    }
+
+    /// Works out the fragment size and a full fragment's price from the
+    /// rate, the BER and the framing overhead.
+    fn price(&mut self) {
+        self.fragment = if self.ber <= 0.0 {
+            AIR_MTU
+        } else {
+            // Solve (1-ber)^(8·(payload+overhead)) = 0.9 for payload.
+            let total_bytes = (0.9f64.ln() / (1.0 - self.ber).ln()) / 8.0;
+            ((total_bytes as usize).saturating_sub(self.frame_overhead)).clamp(64, AIR_MTU)
+        };
+        self.full = self.frame_price(self.fragment);
+    }
+
+    /// PHY rate in bits per second.
+    pub fn rate_bps(&self) -> u64 {
+        self.rate_bps
+    }
+
+    /// Residual bit-error rate.
+    pub fn ber(&self) -> f64 {
+        self.ber
+    }
+
+    /// Framing overhead per frame, bytes.
+    pub fn frame_overhead(&self) -> usize {
+        self.frame_overhead
+    }
+
+    /// Raises the residual bit-error rate to `ber` if that is higher (a
+    /// loss burst), and re-prices the link only then.
+    pub fn raise_ber(&mut self, ber: f64) {
+        if ber > self.ber {
+            self.ber = ber;
+            self.price();
+        }
+    }
+
     /// Per-frame delivery probability for a frame of `bytes` payload.
     fn frame_success_probability(&self, bytes: usize) -> f64 {
         (1.0 - self.ber).powi(((bytes + self.frame_overhead) * 8) as i32)
@@ -136,12 +204,7 @@ impl AirLink {
     /// probability ≥ 0.9 (802.11-style fragmentation-threshold adaptation,
     /// floored at 64 bytes).
     pub fn fragment_payload(&self) -> usize {
-        if self.ber <= 0.0 {
-            return AIR_MTU;
-        }
-        // Solve (1-ber)^(8·(payload+overhead)) = 0.9 for payload.
-        let total_bytes = (0.9f64.ln() / (1.0 - self.ber).ln()) / 8.0;
-        ((total_bytes as usize).saturating_sub(self.frame_overhead)).clamp(64, AIR_MTU)
+        self.fragment
     }
 
     /// Transfers `bytes` across the air: frames are pipelined (the MAC
@@ -157,19 +220,19 @@ impl AirLink {
                 failed: false,
             };
         }
-        let fragment = self.fragment_payload();
-        // Every frame but the last carries a full fragment: price that
-        // once, and only a shorter last frame on its own.
-        let full = (bytes >= fragment).then(|| self.frame_price(fragment));
+        let fragment = self.fragment;
         let mut elapsed = self.access_delay;
         let mut on_medium = 0u64;
         let mut retransmissions = 0u32;
         let mut remaining = bytes;
         while remaining > 0 {
             let frame = remaining.min(fragment);
-            let (p, airtime) = match full {
-                Some(price) if frame == fragment => price,
-                _ => self.frame_price(frame),
+            // Every frame but the last carries a full fragment, priced
+            // with the link; only a shorter last frame is priced here.
+            let (p, airtime) = if frame == fragment {
+                self.full
+            } else {
+                self.frame_price(frame)
             };
             let mut attempts = 0u32;
             loop {
@@ -252,8 +315,17 @@ mod tests {
     use proptest::prelude::*;
     use simnet::rng::rng_for;
 
+    /// The fragment size worked out from the link's BER on every call.
+    fn per_frame_fragment(link: &AirLink) -> usize {
+        if link.ber <= 0.0 {
+            return AIR_MTU;
+        }
+        let total_bytes = (0.9f64.ln() / (1.0 - link.ber).ln()) / 8.0;
+        ((total_bytes as usize).saturating_sub(link.frame_overhead)).clamp(64, AIR_MTU)
+    }
+
     /// [`AirLink::transfer`] pricing every frame on its own: the oracle
-    /// for pricing a full fragment once per transfer.
+    /// for pricing the fragment size and a full fragment once per link.
     fn per_frame_transfer(link: &AirLink, bytes: usize, rng: &mut StdRng) -> HopTransfer {
         if bytes == 0 {
             return HopTransfer {
@@ -263,7 +335,7 @@ mod tests {
                 failed: false,
             };
         }
-        let fragment = link.fragment_payload();
+        let fragment = per_frame_fragment(link);
         let mut elapsed = link.access_delay;
         let mut on_medium = 0u64;
         let mut retransmissions = 0u32;
@@ -305,21 +377,32 @@ mod tests {
 
     proptest! {
         #[test]
-        fn pricing_a_full_fragment_once_equals_pricing_every_frame(
+        fn pricing_once_per_link_equals_pricing_every_frame(
             bytes in 0usize..60_000,
             ber in prop_oneof![Just(0.0), (-8.0f64..-3.0).prop_map(|e| 10f64.powf(e))],
             rate_bps in 9_600u64..54_000_000,
             frame_overhead in 0usize..64,
+            burst in prop_oneof![Just(None), (-8.0f64..-3.0).prop_map(|e| Some(10f64.powf(e)))],
             seed in any::<u64>(),
         ) {
-            let mut link = WirelessConfig::Cellular {
+            let gprs = WirelessConfig::Cellular {
                 standard: CellularStandard::Gprs,
             }
             .air_link()
             .unwrap();
-            link.ber = ber;
-            link.rate_bps = rate_bps;
-            link.frame_overhead = frame_overhead;
+            let mut link = AirLink::new(
+                rate_bps,
+                gprs.access_delay,
+                ber,
+                frame_overhead,
+                gprs.session_setup,
+                gprs.energy,
+            );
+            // A loss burst re-prices the link only if it raises the BER.
+            if let Some(burst) = burst {
+                link.raise_ber(burst);
+                prop_assert_eq!(link.ber(), ber.max(burst));
+            }
             let mut rng = rng_for(seed, "t");
             let mut oracle_rng = rng_for(seed, "t");
             prop_assert_eq!(

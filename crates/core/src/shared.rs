@@ -47,10 +47,11 @@
 //! user index)` decides who transacts next; local indices follow global
 //! index order, so ties resolve as under global keys, and an event
 //! finds its user by direct indexing. A user holds no steps, only a
-//! cursor — its session, the next step and whether think time is due —
-//! and the worker writes each step into one scratch [`Step`] just
-//! before it runs ([`Application::write_step`]), so a steady-state step
-//! allocates nothing.
+//! cursor — its session, that session's random draws (taken once, when
+//! the user enters it), the next step and whether think time is due —
+//! and the worker writes each step from the draws into one scratch
+//! [`Step`] just before it runs ([`Application::write_step`]), so a
+//! steady-state step allocates nothing and draws nothing.
 //!
 //! An island's gateways, cells and users come in closed form from the
 //! topology's modulo wiring ([`Topology::island`]), so building every
@@ -83,7 +84,7 @@ use simnet::rng::{rng_for_indexed, sub_seed};
 use simnet::SimDuration;
 use wireless::CellAirtime;
 
-use crate::apps::{for_category, Application, Step};
+use crate::apps::{for_category, Application, Draws, Step};
 use crate::fleet::{
     seeded, FleetTrace, RecorderKind, RunConfig, Scenario, ShardScratch, UserTrace,
 };
@@ -227,7 +228,7 @@ impl IslandTelemetry {
 
 /// One user in the island event loop: the user half of its system and
 /// a cursor into its workload. It holds no steps — a step is a pure
-/// function of `(session_seed, session, next_step)`, written into the
+/// function of the session's draws and `next_step`, written into the
 /// worker's scratch [`Step`] when it is about to run.
 struct UserState {
     cell: usize,
@@ -237,6 +238,8 @@ struct UserState {
     session_seed: u64,
     /// The session the user is in.
     session: u64,
+    /// The random draws of `session`, taken when the user entered it.
+    draws: Draws,
     /// The step of `session` the user runs next.
     next_step: usize,
     /// Think time is due before `session`'s first step.
@@ -479,6 +482,9 @@ impl<'a> Worker<'a> {
         // Per-user state: the user half of the user's system (station,
         // battery, RNG streams) plus the session cursor. Memo hits replay
         // byte-identically, so the worker's scratch serves every island.
+        // Every cursor starts on session 0, which the scenario runs only
+        // when it runs sessions at all.
+        let runs_sessions = scenario.sessions_per_user > 0;
         for (local, &(user, cell)) in members.users.iter().enumerate() {
             let mut side = scenario.user_side(user);
             self.scratch.attach(&mut side);
@@ -491,12 +497,18 @@ impl<'a> Worker<'a> {
                     RecorderKind::Disabled => Recorder::Disabled,
                 });
             }
+            let session_seed = sub_seed(scenario.seed, "fleet.session", user);
             self.states.push(UserState {
                 cell,
                 gateway: members.cell_gateway[cell],
                 side,
-                session_seed: sub_seed(scenario.seed, "fleet.session", user),
+                session_seed,
                 session: 0,
+                draws: if runs_sessions {
+                    scenario.draws(app, session_seed, 0)
+                } else {
+                    Draws::default()
+                },
                 next_step: 0,
                 think: false,
                 retry_rng: (!scenario.retry.is_none())
@@ -524,9 +536,7 @@ impl<'a> Worker<'a> {
         // The loop drains the queue, which is then ready for the next
         // island.
         let queue = &mut self.queue;
-        // Every cursor starts on session 0, which the scenario runs only
-        // when it runs sessions at all.
-        if scenario.sessions_per_user > 0 {
+        if runs_sessions {
             for (local, state) in self.states.iter().enumerate() {
                 queue.push(state.side.sim_clock_ns(), local as u64);
             }
@@ -538,13 +548,7 @@ impl<'a> Worker<'a> {
             if state.think {
                 state.think = false;
                 state.side.idle(scenario.think_secs);
-            } else if scenario.write_step(
-                app,
-                state.session_seed,
-                state.session,
-                state.next_step,
-                step,
-            ) {
+            } else if scenario.write_step(app, &state.draws, state.next_step, step) {
                 state.next_step += 1;
                 let t0_ns = state.side.sim_clock_ns();
                 let cache_before = telemetry
@@ -580,6 +584,7 @@ impl<'a> Worker<'a> {
                 if state.session == scenario.sessions_per_user {
                     queue.pop();
                 } else {
+                    state.draws = scenario.draws(app, state.session_seed, state.session);
                     state.think = scenario.think_secs > 0.0;
                 }
                 continue;
@@ -609,6 +614,7 @@ impl<'a> Worker<'a> {
                 .enumerate()
                 .map(|(local, (state, &(user, _)))| {
                     let recorder = state.side.take_recorder();
+                    let dropped = recorder.dropped();
                     let (events, dumps) = if local == 0 {
                         recorder.into_parts_recycling(ring)
                     } else {
@@ -620,6 +626,7 @@ impl<'a> Worker<'a> {
                             events,
                             dumps,
                             metrics: obs::Metrics::default(),
+                            dropped,
                         },
                     )
                 })

@@ -952,7 +952,7 @@ impl UserSide {
         // A loss burst raises the BER for this transaction only: `air`
         // is a copy, the baseline link is untouched.
         if let Some(burst) = self.faults.burst_ber(l.t0) {
-            air.ber = air.ber.max(burst);
+            air.raise_ber(burst);
         }
         obs::metrics::incr("station.transactions");
         Ok(air)

@@ -52,14 +52,14 @@ proptest! {
         let t = link.transfer(bytes, &mut rng);
         // Elapsed covers at least the airtime of everything put on the
         // medium (access delays come on top).
-        let floor = SimDuration::transmission(t.bytes_on_medium as usize, link.rate_bps);
+        let floor = SimDuration::transmission(t.bytes_on_medium as usize, link.rate_bps());
         prop_assert!(t.elapsed >= floor, "elapsed {} < airtime floor {}", t.elapsed, floor);
         if !t.failed {
             // Every payload byte crossed, plus per-fragment overhead.
             let fragment = link.fragment_payload();
             let fragments = bytes.div_ceil(fragment) as u64;
             prop_assert!(
-                t.bytes_on_medium >= bytes as u64 + fragments * link.frame_overhead as u64 - link.frame_overhead as u64,
+                t.bytes_on_medium >= bytes as u64 + fragments * link.frame_overhead() as u64 - link.frame_overhead() as u64,
                 "on-medium {} too small for {} bytes in {} fragments",
                 t.bytes_on_medium, bytes, fragments
             );

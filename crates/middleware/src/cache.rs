@@ -11,7 +11,11 @@
 //! Like the host page cache it is a [`simnet::TtlLru`]: TTL in
 //! simulated nanoseconds, LRU eviction under a byte budget over url plus
 //! payload bytes. A lookup hashes the borrowed request fields and
-//! compares them against stored keys, so it builds nothing; the owned
+//! compares them against stored keys, so it builds nothing. The device
+//! class and middleware kind are the same on nearly every probe — every
+//! station behind a gateway runs one device profile and middleware — so
+//! the cache keeps their share of the hash from the last probe and
+//! hashes only the url and cookies while they stay the same. The owned
 //! key (four cloned strings) is built only when an exchange is stored,
 //! and is freed with its entry. A hit clones the stored [`Exchange`],
 //! whose payload is a refcounted `Bytes`, so re-serving a deck never
@@ -47,15 +51,32 @@ struct ContentKey {
     cookies: Vec<(String, String)>,
 }
 
-/// Hashes the key fields borrowed, the same way on every call, so a
-/// lookup never builds a [`ContentKey`].
-fn hash_fields(req: &MobileRequest, device_class: &str, middleware_kind: &str) -> u64 {
-    let mut h = FixedHasher::default();
-    req.url.hash(&mut h);
-    device_class.hash(&mut h);
-    middleware_kind.hash(&mut h);
-    req.cookies.hash(&mut h);
-    h.finish()
+/// A device class and middleware kind, hashed: the hasher's state after
+/// both, and where the two strings it was taken for live.
+#[derive(Debug, Clone, Copy)]
+struct ClassHash {
+    /// Address and length of the device class and of the middleware
+    /// kind. Two live strings at one address with one length are one
+    /// string, so matching both means the state still holds.
+    strings: [(usize, usize); 2],
+    state: FixedHasher,
+}
+
+impl ClassHash {
+    fn new(device_class: &str, middleware_kind: &str) -> Self {
+        let mut state = FixedHasher::default();
+        device_class.hash(&mut state);
+        middleware_kind.hash(&mut state);
+        ClassHash {
+            strings: [place(device_class), place(middleware_kind)],
+            state,
+        }
+    }
+}
+
+/// A string's address and length.
+fn place(s: &str) -> (usize, usize) {
+    (s.as_ptr() as usize, s.len())
 }
 
 /// Simulated CPU cost of a cache lookup at the gateway — far below any
@@ -67,6 +88,8 @@ pub const LOOKUP_COST: SimDuration = SimDuration::from_micros(40);
 #[derive(Debug)]
 pub struct ContentCache {
     entries: TtlLru<ContentKey, Exchange>,
+    /// The class of the last probe.
+    class: Option<ClassHash>,
 }
 
 impl ContentCache {
@@ -75,7 +98,31 @@ impl ContentCache {
     pub fn new(ttl_ns: u64, byte_budget: usize) -> Self {
         ContentCache {
             entries: TtlLru::new(ttl_ns, byte_budget),
+            class: None,
         }
+    }
+
+    /// Hashes the key fields borrowed, the same way on every call, so a
+    /// lookup never builds a [`ContentKey`]: the device class and
+    /// middleware kind (hashed again only when they are not the last
+    /// probe's), then the url and the cookies.
+    fn hash_fields(
+        &mut self,
+        req: &MobileRequest,
+        device_class: &str,
+        middleware_kind: &str,
+    ) -> u64 {
+        let strings = [place(device_class), place(middleware_kind)];
+        let class = match self.class {
+            Some(class) if class.strings == strings => class,
+            _ => *self
+                .class
+                .insert(ClassHash::new(device_class, middleware_kind)),
+        };
+        let mut h = class.state;
+        req.url.hash(&mut h);
+        req.cookies.hash(&mut h);
+        h.finish()
     }
 
     /// True when `req` is even a candidate for caching: form-free GETs
@@ -114,7 +161,7 @@ impl ContentCache {
                 && k.middleware_kind == middleware_kind
                 && k.cookies == req.cookies
         };
-        let hash = hash_fields(req, device_class, middleware_kind);
+        let hash = self.hash_fields(req, device_class, middleware_kind);
         self.entries.get(hash, same_key, now_ns).map(|ex| Exchange {
             wired_bytes: (0, 0),
             host_cpu: SimDuration::ZERO,
@@ -143,7 +190,7 @@ impl ContentCache {
             cookies: req.cookies.clone(),
         };
         let bytes = req.url.len() + ex.content.len();
-        let hash = hash_fields(req, device_class, middleware_kind);
+        let hash = self.hash_fields(req, device_class, middleware_kind);
         self.entries.put(hash, key, ex.clone(), bytes, now_ns)
     }
 

@@ -12,16 +12,18 @@
 //!   `start − arrival`. A zero-length job never touches the server, so
 //!   an uncontended world (one user, or no overlap) adds *exactly* zero
 //!   time — the invariant the one-user-equivalence property relies on.
-//! * [`DetQueue`] — a min-heap of `(time_ns, id)` keys. Ties on time
-//!   break on the id (for the fleet engine: the user's island-local
+//! * [`DetQueue`] — an event queue over `(time_ns, id)` keys. Ties on
+//!   time break on the id (for the fleet engine: the user's island-local
 //!   index, which follows global index order), so the pop order is a
-//!   pure function of the pushed set — never of heap internals,
-//!   insertion order, or thread scheduling.
+//!   pure function of the pushed set — never of queue internals,
+//!   insertion order, or thread scheduling. It is simnet's timer wheel
+//!   (the one the [`Simulator`](crate::Simulator) runs on) with the
+//!   earliest key held outside it: filing a key costs `O(1)` at any
+//!   queue size, and a one-user island never touches the wheel.
 //!
 //! Everything is integer nanoseconds; no wall clock, no randomness.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::wheel::TimerWheel;
 
 /// A deterministic FCFS single-server resource.
 ///
@@ -93,60 +95,102 @@ impl FcfsServer {
 /// push the same set of keys pop them identically regardless of push
 /// order. The fleet engine keys events by the owning user's
 /// island-local index, which is unique per outstanding event.
-#[derive(Debug, Default)]
+///
+/// The earliest key is held outside simnet's timer wheel and the rest
+/// are filed in it, so a push, a pop and a re-key cost `O(1)` at any
+/// size and allocate nothing once the wheel has held as many keys as it
+/// will. A queue that drains rewinds to t = 0, ready for the next run.
+#[derive(Default)]
 pub struct DetQueue {
-    heap: BinaryHeap<Reverse<(u64, u64)>>,
+    earliest: Option<(u64, u64)>,
+    wheel: TimerWheel<(u64, u64)>,
+}
+
+impl std::fmt::Debug for DetQueue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DetQueue")
+            .field("earliest", &self.earliest)
+            .field("len", &self.len())
+            .finish()
+    }
 }
 
 impl DetQueue {
-    /// An empty queue.
+    /// An empty queue; allocates nothing.
     pub fn new() -> Self {
         DetQueue::default()
     }
 
     /// Schedules `id` to run at `time_ns`.
+    #[inline]
     pub fn push(&mut self, time_ns: u64, id: u64) {
-        self.heap.push(Reverse((time_ns, id)));
+        let key = (time_ns, id);
+        match self.earliest {
+            None => self.earliest = Some(key),
+            Some(earliest) if key < earliest => {
+                self.wheel.push(earliest);
+                self.earliest = Some(key);
+            }
+            Some(_) => self.wheel.push(key),
+        }
     }
 
     /// Removes and returns the earliest `(time_ns, id)`; ties on time
     /// resolve to the smallest id.
+    #[inline]
     pub fn pop(&mut self) -> Option<(u64, u64)> {
-        self.heap.pop().map(|Reverse(key)| key)
+        let earliest = self.earliest.take()?;
+        self.earliest = self.wheel.pop();
+        if self.earliest.is_none() {
+            self.wheel.rewind();
+        }
+        Some(earliest)
     }
 
     /// The earliest `(time_ns, id)`, left in the queue.
+    #[inline]
     pub fn peek(&self) -> Option<(u64, u64)> {
-        self.heap.peek().map(|&Reverse(key)| key)
+        self.earliest
     }
 
     /// Moves the earliest event to `time_ns`, keeping its id: the queue
     /// then pops exactly what popping that event and pushing
-    /// `(time_ns, id)` would leave it to pop, for the cost of one sift
-    /// instead of two.
+    /// `(time_ns, id)` would leave it to pop. A key that stays the
+    /// earliest never reaches the wheel.
     ///
     /// # Panics
     ///
     /// If the queue is empty.
+    #[inline]
     pub fn rekey_earliest(&mut self, time_ns: u64) {
-        let mut earliest = self.heap.peek_mut().expect("re-key of an empty queue");
-        earliest.0 .0 = time_ns;
+        let earliest = self.earliest.as_mut().expect("re-key of an empty queue");
+        earliest.0 = time_ns;
+        if self.wheel.len() > 0 {
+            *earliest = self.wheel.swap_earliest(*earliest);
+        }
     }
 
     /// Events still scheduled.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.wheel.len() + usize::from(self.earliest.is_some())
     }
 
     /// True when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.earliest.is_none()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use rand::rngs::StdRng;
+    use rand::RngExt;
+
     use super::*;
+    use crate::rng::rng_for;
 
     #[test]
     fn fcfs_serializes_overlapping_jobs() {
@@ -225,6 +269,71 @@ mod tests {
             let rest: Vec<_> = std::iter::from_fn(|| queue.pop()).collect();
             let expected: Vec<_> = std::iter::from_fn(|| pop_key(&mut reference)).collect();
             proptest::prop_assert_eq!(rest, expected);
+        }
+    }
+
+    /// A gap between two of a user's events, drawn across the wheel's
+    /// ranges: sub-tick, level 0 (≤ 33.5 ms), level 1 (≤ 8.59 s),
+    /// overflow, and a few fixed values (none, a 40 ms transaction, a
+    /// 2 s think time) that make users collide on time.
+    fn gap(rng: &mut StdRng) -> u64 {
+        match rng.random_range(0..5u8) {
+            0 => rng.random_range(0..1u64 << 17),
+            1 => rng.random_range(1u64 << 17..1 << 25),
+            2 => rng.random_range(1u64 << 25..1 << 33),
+            3 => rng.random_range(1u64 << 33..60_000_000_000),
+            _ => [0, 40_000_000, 2_000_000_000][rng.random_range(0..3usize)],
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+        // Island-sized schedules: `live` users start at t = 0 or after a
+        // gap, then the earliest is re-keyed — mostly later by a gap,
+        // sometimes to an earlier time or its own — or popped and pushed
+        // back later, and finally every event is popped. The same queue
+        // then runs a second island from t = 0. At every step the queue's
+        // `len` and earliest key equal a `BinaryHeap`'s, and so do its
+        // pops.
+        #[test]
+        fn island_schedules_pop_what_a_heap_pops(seed in proptest::prelude::any::<u64>()) {
+            for live in [1u64, 25, 5_000] {
+                let mut rng = rng_for(seed, "det_queue");
+                let mut queue = DetQueue::new();
+                let mut oracle = BinaryHeap::new();
+                for _island in 0..2 {
+                    for id in 0..live {
+                        let time = if rng.random_bool(0.5) { 0 } else { gap(&mut rng) };
+                        queue.push(time, id);
+                        oracle.push(Reverse((time, id)));
+                    }
+                    for _ in 0..3 * live + 200 {
+                        proptest::prop_assert_eq!(queue.len(), oracle.len());
+                        let earliest = oracle.peek().map(|&Reverse(key)| key);
+                        proptest::prop_assert_eq!(queue.peek(), earliest);
+                        let (at, id) = earliest.expect("live > 0");
+                        let to = match rng.random_range(0..10u8) {
+                            0 => rng.random_range(0..=at),
+                            1 => at,
+                            _ => at.saturating_add(gap(&mut rng)),
+                        };
+                        oracle.pop();
+                        oracle.push(Reverse((to, id)));
+                        if rng.random_bool(0.1) {
+                            proptest::prop_assert_eq!(queue.pop(), Some((at, id)));
+                            queue.push(to, id);
+                        } else {
+                            queue.rekey_earliest(to);
+                        }
+                    }
+                    while let Some(Reverse(key)) = oracle.pop() {
+                        proptest::prop_assert_eq!(queue.pop(), Some(key));
+                        proptest::prop_assert_eq!(queue.len(), oracle.len());
+                    }
+                    proptest::prop_assert!(queue.is_empty());
+                    proptest::prop_assert_eq!(queue.pop(), None);
+                }
+            }
         }
     }
 

@@ -34,7 +34,7 @@ use crate::wheel::{Entry, TimerWheel};
 /// ```
 pub struct Simulator {
     now: SimTime,
-    wheel: TimerWheel,
+    wheel: TimerWheel<Entry>,
     arena: EventArena,
     next_seq: u64,
     events_processed: u64,
@@ -170,7 +170,7 @@ impl Simulator {
         loop {
             // `pop_due` leaves an entry past the horizon queued, so hitting
             // a `run_until` boundary never disturbs the queue.
-            let Some(entry) = self.wheel.pop_due(self.horizon) else {
+            let Some(entry) = self.wheel.pop_due(self.horizon.as_nanos()) else {
                 return false;
             };
             // A stale generation means the event was cancelled; skip it.

@@ -7,7 +7,7 @@
 //! in `f64` seconds crosses into nanoseconds through one rounding rule,
 //! [`secs_to_ns`].
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// Seconds → whole nanoseconds, rounding half away from zero: exactly
@@ -293,8 +293,10 @@ impl fmt::Debug for SimTime {
 }
 
 impl fmt::Display for SimTime {
+    /// Seconds to the microsecond, `1.500000s`; honours width, fill and
+    /// alignment, and ignores precision.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.6}s", self.as_secs_f64())
+        padded(f, |w| write!(w, "{:.6}s", self.as_secs_f64()))
     }
 }
 
@@ -305,25 +307,116 @@ impl fmt::Debug for SimDuration {
 }
 
 impl fmt::Display for SimDuration {
+    /// The largest unit that keeps the value at least 1 — `2.500s`,
+    /// `40.000ms`, `1.250us`, `800ns` — or `inf`; honours width, fill
+    /// and alignment, and ignores precision.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ns = self.0;
-        if ns == u64::MAX {
-            write!(f, "inf")
-        } else if ns >= 1_000_000_000 {
-            write!(f, "{:.3}s", self.as_secs_f64())
-        } else if ns >= 1_000_000 {
-            write!(f, "{:.3}ms", ns as f64 / 1e6)
-        } else if ns >= 1_000 {
-            write!(f, "{:.3}us", ns as f64 / 1e3)
-        } else {
-            write!(f, "{ns}ns")
-        }
+        padded(f, |w| {
+            if ns == u64::MAX {
+                w.write_str("inf")
+            } else if ns >= 1_000_000_000 {
+                write!(w, "{:.3}s", self.as_secs_f64())
+            } else if ns >= 1_000_000 {
+                write!(w, "{:.3}ms", ns as f64 / 1e6)
+            } else if ns >= 1_000 {
+                write!(w, "{:.3}us", ns as f64 / 1e3)
+            } else {
+                write!(w, "{ns}ns")
+            }
+        })
+    }
+}
+
+/// Writes what `render` writes, padded to the formatter's width with its
+/// fill and alignment (left by default). Without a width it writes
+/// straight through; with one it renders into a stack buffer first. The
+/// formatter's precision is ignored: `Formatter::pad` would truncate to
+/// it, so the padding is written here.
+fn padded(
+    f: &mut fmt::Formatter<'_>,
+    render: impl Fn(&mut dyn fmt::Write) -> fmt::Result,
+) -> fmt::Result {
+    let Some(width) = f.width() else {
+        return render(f);
+    };
+    let mut buf = StackText::default();
+    render(&mut buf)?;
+    let text = buf.as_str();
+    let gap = width.saturating_sub(text.chars().count());
+    let (before, after) = match f.align() {
+        Some(fmt::Alignment::Right) => (gap, 0),
+        Some(fmt::Alignment::Center) => (gap / 2, gap - gap / 2),
+        _ => (0, gap),
+    };
+    let fill = f.fill();
+    for _ in 0..before {
+        f.write_char(fill)?;
+    }
+    f.write_str(text)?;
+    for _ in 0..after {
+        f.write_char(fill)?;
+    }
+    Ok(())
+}
+
+/// A rendered time on the stack: the longest, [`SimTime::MAX`], is 19
+/// bytes.
+#[derive(Default)]
+struct StackText {
+    bytes: [u8; 32],
+    len: usize,
+}
+
+impl StackText {
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len]).expect("only whole strs are written")
+    }
+}
+
+impl fmt::Write for StackText {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.len + s.len();
+        self.bytes
+            .get_mut(self.len..end)
+            .ok_or(fmt::Error)?
+            .copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn display_honours_width_fill_and_alignment_but_not_precision() {
+        let d = SimDuration::from_millis(40);
+        let t = SimTime::from_millis(1_500);
+        assert_eq!(format!("{:>12}|{:<10}|", d, t), "    40.000ms|1.500000s |");
+        assert_eq!(
+            format!("{d:*^10}|{d:10}|{d:.1}"),
+            "*40.000ms*|40.000ms  |40.000ms"
+        );
+        assert_eq!(
+            format!("{:>12.2}", d),
+            "    40.000ms",
+            "precision is ignored"
+        );
+        assert_eq!(
+            format!("{:3}", d),
+            "40.000ms",
+            "a narrow width never truncates"
+        );
+        // Without a width the output is unchanged, `Debug` included.
+        assert_eq!(
+            format!("{d}|{d:?}|{t}|{t:?}"),
+            "40.000ms|40.000ms|1.500000s|t+1.500s"
+        );
+        assert_eq!(format!("{:>6}", SimDuration::MAX), "   inf");
+        assert_eq!(format!("{:>22}", SimTime::MAX), "   18446744073.709553s");
+    }
 
     #[test]
     fn conversions_round_trip() {

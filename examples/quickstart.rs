@@ -65,7 +65,7 @@ fn main() {
         ("wired network", b.wired),
         ("host computer", b.host),
     ] {
-        println!("  {component:<22} : {:7.2} ms", share.as_secs_f64() * 1e3);
+        println!("  {component:<22} : {share:>10}");
     }
     println!(
         "\nover the air: {} B up, {} B down; battery used: {:.3} mJ; battery left: {:.1}%",

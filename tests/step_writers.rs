@@ -13,7 +13,7 @@
 //! generator — for all eight applications. The fleet benchmark's
 //! digests see only Commerce and Entertainment.
 
-use mcommerce::core::apps::{for_category, Application, Step};
+use mcommerce::core::apps::{for_category, Application, Draws, Step};
 use mcommerce::core::Category;
 use proptest::prelude::*;
 
@@ -55,19 +55,22 @@ fn dirty_post() -> Step {
     step
 }
 
-/// Writes step `k` of the chosen session kind into `out`.
-fn write(
-    app: &dyn Application,
-    search: bool,
-    seed: u64,
-    index: u64,
-    k: usize,
-    out: &mut Step,
-) -> bool {
+/// The draws of the chosen session kind.
+fn draws(app: &dyn Application, search: bool, seed: u64, index: u64) -> Draws {
     if search {
-        app.write_search_step(seed, index, k, out)
+        app.search_draws(seed, index)
     } else {
-        app.write_step(seed, index, k, out)
+        app.draws(seed, index)
+    }
+}
+
+/// Writes step `k` of the chosen session kind, from its draws, into
+/// `out`.
+fn write(app: &dyn Application, search: bool, draws: &Draws, k: usize, out: &mut Step) -> bool {
+    if search {
+        app.write_search_step(draws, k, out)
+    } else {
+        app.write_step(draws, k, out)
     }
 }
 
@@ -89,14 +92,17 @@ proptest! {
             app.session(seed, index)
         };
         prop_assert!(!session.is_empty());
+        // The session's draws, taken once and kept, as the fleet engine
+        // keeps them.
+        let draws = draws(app, search, seed, index);
         // One buffer written step after step, as the fleet engine does.
         let mut running = dirty_post();
         for (k, collected) in session.iter().enumerate() {
             let mut fresh = Step::default();
-            prop_assert!(write(app, search, seed, index, k, &mut fresh));
+            prop_assert!(write(app, search, &draws, k, &mut fresh));
             let mut dirty = dirty_post();
-            prop_assert!(write(app, search, seed, index, k, &mut dirty));
-            prop_assert!(write(app, search, seed, index, k, &mut running));
+            prop_assert!(write(app, search, &draws, k, &mut dirty));
+            prop_assert!(write(app, search, &draws, k, &mut running));
             prop_assert_eq!(parts(&fresh), parts(collected));
             prop_assert_eq!(parts(&dirty), parts(collected));
             prop_assert_eq!(parts(&running), parts(collected));
@@ -104,10 +110,10 @@ proptest! {
         // Past the last step a write returns false and writes nothing.
         let end = session.len();
         let before = parts(&running);
-        prop_assert!(!write(app, search, seed, index, end, &mut running));
+        prop_assert!(!write(app, search, &draws, end, &mut running));
         prop_assert_eq!(parts(&running), before);
         let mut dirty = dirty_post();
-        prop_assert!(!write(app, search, seed, index, end, &mut dirty));
+        prop_assert!(!write(app, search, &draws, end, &mut dirty));
         prop_assert_eq!(parts(&dirty), parts(&dirty_post()));
     }
 }
