@@ -3,8 +3,8 @@
 //! identity gate.
 //!
 //! DESIGN.md §2.18 gives the host database a write-ahead log with group
-//! commit, MVCC snapshot reads and rebuildable secondary indexes. This
-//! experiment prices the durability knob and proves it free when off:
+//! commit and rebuildable secondary indexes. This experiment prices the
+//! durability knob and proves it free when off:
 //!
 //! 1. **Durability sweep.** The commerce buy workload (every session
 //!    ends in a journaled two-phase purchase) runs under every

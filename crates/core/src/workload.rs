@@ -258,14 +258,7 @@ pub fn run_walking_workload(
                 distance_m: distance,
             });
             let mut report = system.execute(&step.req);
-            if report.success {
-                if let Some(expect) = &step.expect {
-                    if !contains_normalised(report.page_text().unwrap_or_default(), expect) {
-                        report.success = false;
-                        report.failure = Some(format!("expected {expect:?} missing"));
-                    }
-                }
-            }
+            check_expectation(&mut report, &step);
             reports.push(report);
         }
     }

@@ -1,5 +1,5 @@
-//! The [`Database`] façade: transactions, recovery, the memory cap and
-//! the query cache, tied over the WAL / MVCC / index layers.
+//! The [`Database`] façade: transactions, recovery and the query cache,
+//! tied over the WAL and index layers.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
@@ -10,7 +10,6 @@ use simnet::{FixedHasher, FixedState, TtlLru};
 
 use super::fts::{query_terms, FtsIndex};
 use super::index::Table;
-use super::mvcc::VersionChain;
 use super::wal::Wal;
 use super::{float_key_bits, AsKey, DbError, DurabilityPolicy, JournalEntry, OrdKey, Row, Value};
 
@@ -67,24 +66,6 @@ fn query_hash(table: &str, column: &str, value: &Value) -> u64 {
     h.finish()
 }
 
-/// A pinned read snapshot (see [`Database::begin_snapshot`]).
-///
-/// The snapshot observes the database exactly as of the commit version
-/// it was opened at; concurrent writers proceed without blocking it and
-/// without becoming visible to it. Close it with
-/// [`Database::end_snapshot`] so dead row versions can be pruned.
-#[derive(Debug)]
-pub struct Snapshot {
-    version: u64,
-}
-
-impl Snapshot {
-    /// The commit version the snapshot is pinned at.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-}
-
 /// The embedded database engine.
 ///
 /// A clone is an independent value: writes to either copy never show in
@@ -110,7 +91,6 @@ pub struct Database {
     /// outside input, so the fixed hasher serves; every listing sorts.
     tables: HashMap<Arc<str>, Table, FixedState>,
     wal: Wal,
-    memory_limit: Option<usize>,
     footprint: usize,
     tx_depth: u32,
     undo: Vec<Undo>,
@@ -129,10 +109,6 @@ pub struct Database {
     /// drain; interior mutability because the read path takes `&self`.
     search_cost_ns: Cell<u64>,
     query_cache_enabled: bool,
-    /// Monotone commit-version counter stamped onto row versions.
-    commit_version: u64,
-    /// Open snapshots: pinned commit version → open count.
-    pinned: BTreeMap<u64, u32>,
     /// `(row, index)` entries rebuilt by the last recovery (derived
     /// projections are rebuilt from base rows, never replayed).
     index_entries_rebuilt: u64,
@@ -143,7 +119,6 @@ impl Default for Database {
         Database {
             tables: HashMap::default(),
             wal: Wal::default(),
-            memory_limit: None,
             footprint: 0,
             tx_depth: 0,
             undo: Vec::new(),
@@ -152,29 +127,18 @@ impl Default for Database {
             search_memo: RefCell::new(TtlLru::new(u64::MAX, SEARCH_MEMO_CAP)),
             search_cost_ns: Cell::new(0),
             query_cache_enabled: false,
-            commit_version: 0,
-            pinned: BTreeMap::new(),
             index_entries_rebuilt: 0,
         }
     }
 }
 
 impl Database {
-    /// Creates an unconstrained (server-side) database.
+    /// Creates an empty database.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an embedded database capped at `limit` bytes of row data —
-    /// the small-footprint configuration for handheld devices (§7).
-    pub fn with_memory_limit(limit: usize) -> Self {
-        Database {
-            memory_limit: Some(limit),
-            ..Self::default()
-        }
-    }
-
-    /// Approximate bytes of row data currently stored (live versions).
+    /// Approximate bytes of row data currently stored.
     pub fn footprint(&self) -> usize {
         self.footprint
     }
@@ -322,51 +286,29 @@ impl Database {
                 indexes,
             } => self.add_table(name, columns, indexes)?,
             JournalEntry::Insert { table, row } => {
-                {
-                    let t = self.table(table)?;
-                    Self::validate_row(t, table, row)?;
-                    if t.live(&row[0]).is_some() {
-                        return Err(DbError::DuplicateKey(row[0].to_string()));
-                    }
+                let t = self.table_mut(table)?;
+                Self::validate_row(t, table, row)?;
+                if t.live(&row[0]).is_some() {
+                    return Err(DbError::DuplicateKey(row[0].to_string()));
                 }
+                t.rows.insert(row[0].ord_key(), Arc::clone(row));
                 self.footprint += Self::row_footprint(row);
-                let version = self.next_version();
-                let t = self.tables.get_mut(table).expect("checked above");
-                t.rows
-                    .entry(row[0].ord_key())
-                    .or_default()
-                    .install(Arc::clone(row), version, None);
             }
             JournalEntry::Update { table, row } => {
-                let old = {
-                    let t = self.table(table)?;
-                    Self::validate_row(t, table, row)?;
-                    t.live(&row[0]).cloned().ok_or(DbError::NotFound)?
-                };
+                let t = self.table_mut(table)?;
+                Self::validate_row(t, table, row)?;
+                let old = t.live(&row[0]).cloned().ok_or(DbError::NotFound)?;
+                t.rows.insert(row[0].ord_key(), Arc::clone(row));
                 self.footprint = self.footprint.saturating_sub(Self::row_footprint(&old));
                 self.footprint += Self::row_footprint(row);
-                let version = self.next_version();
-                let t = self.tables.get_mut(table).expect("checked above");
-                t.rows
-                    .get_mut(&row[0].ord_key())
-                    .expect("live row exists")
-                    .install(Arc::clone(row), version, None);
             }
             JournalEntry::Delete { table, key } => {
-                let old = {
-                    let t = self.table(table)?;
-                    t.live(key).cloned().ok_or(DbError::NotFound)?
-                };
+                let old = self
+                    .table_mut(table)?
+                    .rows
+                    .remove(key as &dyn AsKey)
+                    .ok_or(DbError::NotFound)?;
                 self.footprint = self.footprint.saturating_sub(Self::row_footprint(&old));
-                let version = self.next_version();
-                let t = self.tables.get_mut(table).expect("checked above");
-                let ord = key.ord_key();
-                if let Some(chain) = t.rows.get_mut(&ord) {
-                    chain.remove_live(version, None);
-                    if chain.is_empty() {
-                        t.rows.remove(&ord);
-                    }
-                }
             }
         }
         Ok(())
@@ -437,18 +379,13 @@ impl Database {
         names
     }
 
-    /// Number of (live) rows in `table`.
+    /// Number of rows in `table`.
     ///
     /// # Errors
     ///
     /// [`DbError::NoSuchTable`] when the table does not exist.
     pub fn len(&self, table: &str) -> Result<usize, DbError> {
-        Ok(self
-            .table(table)?
-            .rows
-            .values()
-            .filter(|c| c.live().is_some())
-            .count())
+        Ok(self.table(table)?.rows.len())
     }
 
     /// True when `table` has no rows.
@@ -463,6 +400,12 @@ impl Database {
     fn table(&self, name: &str) -> Result<&Table, DbError> {
         self.tables
             .get(name)
+            .ok_or_else(|| DbError::NoSuchTable(name.to_owned()))
+    }
+
+    fn table_mut(&mut self, name: &str) -> Result<&mut Table, DbError> {
+        self.tables
+            .get_mut(name)
             .ok_or_else(|| DbError::NoSuchTable(name.to_owned()))
     }
 
@@ -484,16 +427,6 @@ impl Database {
         Ok(())
     }
 
-    fn charge(&mut self, bytes: usize) -> Result<(), DbError> {
-        if let Some(limit) = self.memory_limit {
-            if self.footprint + bytes > limit {
-                return Err(DbError::OutOfMemory { limit });
-            }
-        }
-        self.footprint += bytes;
-        Ok(())
-    }
-
     fn row_footprint(row: &Row) -> usize {
         row.iter().map(Value::footprint).sum()
     }
@@ -506,148 +439,24 @@ impl Database {
         }
     }
 
-    /// The next commit version, stamped onto the row versions a write
-    /// installs.
-    fn next_version(&mut self) -> u64 {
-        self.commit_version += 1;
-        self.commit_version
-    }
-
-    /// The smallest pinned commit version, or `None` with no open
-    /// snapshots (dead row versions are then unreachable).
-    fn oldest_pin(&self) -> Option<u64> {
-        self.pinned.keys().next().copied()
-    }
-
-    /// Opens a read snapshot pinned at the current commit version. Reads
-    /// through it (see [`Database::snapshot_get`]) observe a frozen,
-    /// consistent view; writers proceed without blocking it. Close with
-    /// [`Database::end_snapshot`].
-    pub fn begin_snapshot(&mut self) -> Snapshot {
-        let version = self.commit_version;
-        *self.pinned.entry(version).or_insert(0) += 1;
-        Snapshot { version }
-    }
-
-    /// Closes a snapshot, allowing row versions only it could see to be
-    /// pruned by later writes.
-    pub fn end_snapshot(&mut self, snapshot: Snapshot) {
-        if let Some(count) = self.pinned.get_mut(&snapshot.version) {
-            *count -= 1;
-            if *count == 0 {
-                self.pinned.remove(&snapshot.version);
-            }
-        }
-    }
-
-    /// Number of snapshots currently open.
-    pub fn open_snapshots(&self) -> usize {
-        self.pinned.values().map(|&c| c as usize).sum()
-    }
-
-    /// [`Database::get`] as of `snapshot`: the row image the pinned
-    /// version observes, regardless of later writes.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::NoSuchTable`] when the table does not exist.
-    pub fn snapshot_get(
-        &self,
-        snapshot: &Snapshot,
-        table_name: &str,
-        key: &Value,
-    ) -> Result<Option<Arc<Row>>, DbError> {
-        Ok(self
-            .table(table_name)?
-            .rows
-            .get(key as &dyn AsKey)
-            .and_then(|chain| chain.visible_at(snapshot.version))
-            .cloned())
-    }
-
-    /// [`Database::select`] as of `snapshot`.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::NoSuchTable`] when the table does not exist.
-    pub fn snapshot_select(
-        &self,
-        snapshot: &Snapshot,
-        table_name: &str,
-        predicate: impl Fn(&Row) -> bool,
-    ) -> Result<Vec<Arc<Row>>, DbError> {
-        Ok(self
-            .table(table_name)?
-            .rows
-            .values()
-            .filter_map(|chain| chain.visible_at(snapshot.version))
-            .filter(|r| predicate(r.as_ref()))
-            .cloned()
-            .collect())
-    }
-
-    /// [`Database::select_eq`] as of `snapshot`. Always scans the version
-    /// chains: secondary indexes are projections of the *live* state and
-    /// cannot serve historical reads.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::NoSuchColumn`] for unknown columns.
-    pub fn snapshot_select_eq(
-        &self,
-        snapshot: &Snapshot,
-        table_name: &str,
-        column: &str,
-        value: &Value,
-    ) -> Result<Vec<Arc<Row>>, DbError> {
-        let table = self.table(table_name)?;
-        let ci = table
-            .column_index(column)
-            .ok_or_else(|| DbError::NoSuchColumn {
-                table: table_name.to_owned(),
-                column: column.to_owned(),
-            })?;
-        Ok(table
-            .rows
-            .values()
-            .filter_map(|chain| chain.visible_at(snapshot.version))
-            .filter(|r| r[ci] == *value)
-            .cloned()
-            .collect())
-    }
-
     /// Inserts a row (column 0 is the primary key).
     ///
     /// # Errors
     ///
-    /// [`DbError::DuplicateKey`] if the key exists, plus schema/memory
-    /// errors.
+    /// [`DbError::DuplicateKey`] if the key exists, plus schema errors.
     pub fn insert(&mut self, table_name: &str, row: Row) -> Result<(), DbError> {
-        {
-            let table = self.table(table_name)?;
-            Self::validate_row(table, table_name, &row)?;
-            if table.live(&row[0]).is_some() {
-                return Err(DbError::DuplicateKey(row[0].to_string()));
-            }
+        let table = self.table_mut(table_name)?;
+        Self::validate_row(table, table_name, &row)?;
+        if table.live(&row[0]).is_some() {
+            return Err(DbError::DuplicateKey(row[0].to_string()));
         }
-        let bytes = Self::row_footprint(&row);
-        self.charge(bytes)?;
-        let version = self.next_version();
-        let pin = self.oldest_pin();
         let key = row[0].ord_key();
-        let table = self.tables.get_mut(table_name).expect("checked above");
-        if let Err(e) = table.index_insert(&row) {
-            self.footprint = self.footprint.saturating_sub(bytes);
-            return Err(e);
-        }
-        // One image, shared by the version chain and the journal.
+        table.index_insert(&row)?;
+        // One image, shared by the table and the journal.
         let row = Arc::new(row);
-        table
-            .rows
-            .entry(key.clone())
-            .or_default()
-            .install(Arc::clone(&row), version, pin);
+        table.rows.insert(key.clone(), Arc::clone(&row));
         let name = Arc::clone(&table.name);
+        self.footprint += Self::row_footprint(&row);
         self.invalidate_table(table_name);
         if self.tx_depth > 0 {
             self.undo.push(Undo::RemoveRow {
@@ -674,37 +483,18 @@ impl Database {
     ///
     /// # Errors
     ///
-    /// [`DbError::NotFound`] when no such row exists, plus schema/memory
-    /// errors.
+    /// [`DbError::NotFound`] when no such row exists, plus schema errors.
     pub fn update(&mut self, table_name: &str, row: Row) -> Result<(), DbError> {
-        let old = {
-            let table = self.table(table_name)?;
-            Self::validate_row(table, table_name, &row)?;
-            table.live(&row[0]).cloned().ok_or(DbError::NotFound)?
-        };
-        let old_bytes = Self::row_footprint(&old);
-        let new_bytes = Self::row_footprint(&row);
-        self.footprint = self.footprint.saturating_sub(old_bytes);
-        if let Err(e) = self.charge(new_bytes) {
-            self.footprint += old_bytes; // restore accounting
-            return Err(e);
-        }
-        let version = self.next_version();
-        let pin = self.oldest_pin();
-        let key = row[0].ord_key();
-        let table = self.tables.get_mut(table_name).expect("checked above");
-        if let Err(e) = table.index_update(&old, &row) {
-            self.footprint = self.footprint.saturating_sub(new_bytes) + old_bytes;
-            return Err(e);
-        }
-        // One image, shared by the version chain and the journal.
+        let table = self.table_mut(table_name)?;
+        Self::validate_row(table, table_name, &row)?;
+        let old = table.live(&row[0]).cloned().ok_or(DbError::NotFound)?;
+        table.index_update(&old, &row)?;
+        // One image, shared by the table and the journal.
         let row = Arc::new(row);
-        table
-            .rows
-            .get_mut(&key)
-            .expect("live row exists")
-            .install(Arc::clone(&row), version, pin);
+        table.rows.insert(row[0].ord_key(), Arc::clone(&row));
         let name = Arc::clone(&table.name);
+        self.footprint = self.footprint.saturating_sub(Self::row_footprint(&old));
+        self.footprint += Self::row_footprint(&row);
         self.invalidate_table(table_name);
         if self.tx_depth > 0 {
             self.undo.push(Undo::RestoreRow {
@@ -722,26 +512,12 @@ impl Database {
     ///
     /// [`DbError::NotFound`] when no such row exists.
     pub fn delete(&mut self, table_name: &str, key: &Value) -> Result<(), DbError> {
-        let old = {
-            let table = self.table(table_name)?;
-            table.live(key).cloned().ok_or(DbError::NotFound)?
-        };
-        self.footprint = self.footprint.saturating_sub(Self::row_footprint(&old));
-        let version = self.next_version();
-        let pin = self.oldest_pin();
-        let table = self.tables.get_mut(table_name).expect("checked above");
-        if let Err(e) = table.index_remove(&old) {
-            self.footprint += Self::row_footprint(&old);
-            return Err(e);
-        }
-        let ord = key.ord_key();
-        if let Some(chain) = table.rows.get_mut(&ord) {
-            chain.remove_live(version, pin);
-            if chain.is_empty() {
-                table.rows.remove(&ord);
-            }
-        }
+        let table = self.table_mut(table_name)?;
+        let old = table.live(key).cloned().ok_or(DbError::NotFound)?;
+        table.index_remove(&old)?;
+        table.rows.remove(key as &dyn AsKey);
         let name = Arc::clone(&table.name);
+        self.footprint = self.footprint.saturating_sub(Self::row_footprint(&old));
         self.invalidate_table(table_name);
         if self.tx_depth > 0 {
             self.undo.push(Undo::RestoreRow {
@@ -771,7 +547,6 @@ impl Database {
             .table(table_name)?
             .rows
             .values()
-            .filter_map(VersionChain::live)
             .filter(|r| predicate(r.as_ref()))
             .cloned()
             .collect())
@@ -781,8 +556,7 @@ impl Database {
     /// secondary index when one exists, otherwise falls back to a scan
     /// (the trivial query planner). When the query cache is enabled the
     /// result set is memoized per table and served until the next write
-    /// to that table invalidates it (or, with a TTL set, until it
-    /// expires).
+    /// to that table invalidates it.
     ///
     /// # Errors
     ///
@@ -824,7 +598,6 @@ impl Database {
             table
                 .rows
                 .values()
-                .filter_map(VersionChain::live)
                 .filter(|r| r[ci] == *value)
                 .cloned()
                 .collect()
@@ -867,10 +640,7 @@ impl Database {
     /// [`DbError::NoSuchTable`] / [`DbError::NoSuchColumn`] for unknown
     /// names.
     pub fn create_fts(&mut self, table_name: &str, column: &str) -> Result<u64, DbError> {
-        let table = self
-            .tables
-            .get_mut(table_name)
-            .ok_or_else(|| DbError::NoSuchTable(table_name.to_owned()))?;
+        let table = self.table_mut(table_name)?;
         if table.column_index(column).is_none() {
             return Err(DbError::NoSuchColumn {
                 table: table_name.to_owned(),
@@ -878,10 +648,8 @@ impl Database {
             });
         }
         let mut fts = FtsIndex::new(column);
-        for chain in table.rows.values() {
-            if let Some(row) = chain.live() {
-                fts.insert_row(table_name, &table.columns, row)?;
-            }
+        for row in table.rows.values() {
+            fts.insert_row(table_name, &table.columns, row)?;
         }
         let entries = fts.entry_count();
         table.fts = Some(Arc::new(fts));
@@ -914,8 +682,8 @@ impl Database {
     /// least one query term, ranked by fixed-point tf × idf descending
     /// with ties broken by primary key ascending. When the query cache is
     /// enabled the result set is memoized per `(table, query)` — capped,
-    /// TTL-checked and invalidated by writes exactly like `select_eq`
-    /// entries — and simulated CPU accrues for the host to drain (see
+    /// and invalidated by writes exactly like `select_eq` entries — and
+    /// simulated CPU accrues for the host to drain (see
     /// [`Database::drain_search_cost_ns`]).
     ///
     /// # Errors
@@ -976,10 +744,8 @@ impl Database {
     ) -> Result<Vec<Arc<Row>>, DbError> {
         let table = self.table(table_name)?;
         let mut scratch = FtsIndex::new(column);
-        for chain in table.rows.values() {
-            if let Some(row) = chain.live() {
-                scratch.insert_row(table_name, &table.columns, row)?;
-            }
+        for row in table.rows.values() {
+            scratch.insert_row(table_name, &table.columns, row)?;
         }
         let mut lowered = String::new();
         let (scores, _) = scratch.candidates(&query_terms(query, &mut lowered));
@@ -1051,14 +817,8 @@ impl Database {
                 for op in undo.into_iter().rev() {
                     match op {
                         Undo::RemoveRow { table, key } => {
-                            let version = self.next_version();
-                            let pin = self.oldest_pin();
                             if let Some(t) = self.tables.get_mut(&table) {
-                                let removed = t
-                                    .rows
-                                    .get_mut(&key)
-                                    .and_then(|c| c.remove_live(version, pin));
-                                if let Some(row) = removed {
+                                if let Some(row) = t.rows.remove(&key) {
                                     // Undo of an insert into a table that
                                     // passed create-time validation:
                                     // schema drift is impossible here.
@@ -1066,20 +826,11 @@ impl Database {
                                     self.footprint =
                                         self.footprint.saturating_sub(Self::row_footprint(&row));
                                 }
-                                if t.rows.get(&key).is_some_and(VersionChain::is_empty) {
-                                    t.rows.remove(&key);
-                                }
                             }
                         }
                         Undo::RestoreRow { table, row } => {
-                            let version = self.next_version();
-                            let pin = self.oldest_pin();
                             if let Some(t) = self.tables.get_mut(&table) {
-                                let key = row[0].ord_key();
-                                let current = t
-                                    .rows
-                                    .get_mut(&key)
-                                    .and_then(|c| c.remove_live(version, pin));
+                                let current = t.rows.insert(row[0].ord_key(), Arc::clone(&row));
                                 if let Some(current) = current {
                                     let _ = t.index_remove(&current);
                                     self.footprint = self
@@ -1088,7 +839,6 @@ impl Database {
                                 }
                                 self.footprint += Self::row_footprint(&row);
                                 let _ = t.index_insert(&row);
-                                t.rows.entry(key).or_default().install(row, version, pin);
                             }
                         }
                         Undo::DropTable { name } => {
@@ -1351,32 +1101,6 @@ mod tests {
                 .len(),
             1
         );
-    }
-
-    #[test]
-    fn memory_cap_rejects_growth_but_stays_consistent() {
-        let mut db = Database::with_memory_limit(200);
-        db.create_table("kv", &["k", "v"], &[]).unwrap();
-        db.insert("kv", vec![1.into(), "small".into()]).unwrap();
-        let big = "x".repeat(500);
-        assert!(matches!(
-            db.insert("kv", vec![2.into(), big.clone().into()]),
-            Err(DbError::OutOfMemory { limit: 200 })
-        ));
-        assert_eq!(db.len("kv").unwrap(), 1);
-        // Updates that would blow the cap are rejected and leave the row.
-        assert!(matches!(
-            db.update("kv", vec![1.into(), big.into()]),
-            Err(DbError::OutOfMemory { .. })
-        ));
-        assert_eq!(
-            db.get("kv", &1.into()).unwrap().unwrap()[1],
-            Value::Text("small".into())
-        );
-        // Deleting reclaims space.
-        let before = db.footprint();
-        db.delete("kv", &1.into()).unwrap();
-        assert!(db.footprint() < before);
     }
 
     #[test]
@@ -1698,98 +1422,6 @@ mod tests {
                 .len(),
             2
         );
-    }
-
-    // --- MVCC snapshots ---
-
-    #[test]
-    fn snapshot_reads_are_stable_across_writes() {
-        let mut db = products();
-        let snap = db.begin_snapshot();
-        db.update(
-            "products",
-            vec![1.into(), "renamed".into(), Value::Float(9.99), 0.into()],
-        )
-        .unwrap();
-        db.delete("products", &2.into()).unwrap();
-        db.insert(
-            "products",
-            vec![3.into(), "new".into(), Value::Float(1.0), 1.into()],
-        )
-        .unwrap();
-        // The snapshot still sees the world as of its pin.
-        assert_eq!(
-            db.snapshot_get(&snap, "products", &1.into()).unwrap().unwrap()[1],
-            Value::Text("widget".into())
-        );
-        assert!(db
-            .snapshot_get(&snap, "products", &2.into())
-            .unwrap()
-            .is_some());
-        assert!(db
-            .snapshot_get(&snap, "products", &3.into())
-            .unwrap()
-            .is_none());
-        assert_eq!(
-            db.snapshot_select(&snap, "products", |_| true).unwrap().len(),
-            2
-        );
-        assert_eq!(
-            db.snapshot_select_eq(&snap, "products", "name", &"widget".into())
-                .unwrap()
-                .len(),
-            1
-        );
-        // Live reads see the new world.
-        assert_eq!(
-            db.get("products", &1.into()).unwrap().unwrap()[1],
-            Value::Text("renamed".into())
-        );
-        // Closing the snapshot lets writes prune the old versions.
-        db.end_snapshot(snap);
-        assert_eq!(db.open_snapshots(), 0);
-    }
-
-    #[test]
-    fn snapshot_versions_prune_once_released() {
-        let mut db = Database::new();
-        db.create_table("t", &["k", "v"], &[]).unwrap();
-        db.insert("t", vec![1.into(), "v1".into()]).unwrap();
-        let base = db.footprint();
-        let snap = db.begin_snapshot();
-        db.update("t", vec![1.into(), "v2-longer".into()]).unwrap();
-        // Both versions are held while the snapshot is open.
-        assert!(db.footprint() > base, "live footprint tracks the new row");
-        assert_eq!(
-            db.snapshot_get(&snap, "t", &1.into()).unwrap().unwrap()[1],
-            Value::Text("v1".into())
-        );
-        db.end_snapshot(snap);
-        // The next write prunes the now-unreachable v1 version.
-        db.update("t", vec![1.into(), "v3".into()]).unwrap();
-        let recovered = Database::recover(db.journal()).unwrap();
-        assert_eq!(
-            recovered.get("t", &1.into()).unwrap().unwrap()[1],
-            Value::Text("v3".into())
-        );
-    }
-
-    #[test]
-    fn snapshots_survive_rolled_back_transactions() {
-        let mut db = products();
-        let snap = db.begin_snapshot();
-        let result: Result<(), DbError> = db.transaction(|tx| {
-            tx.delete("products", &1.into())?;
-            Err(DbError::NotFound)
-        });
-        assert!(result.is_err());
-        // Rollback restored the row; the snapshot still sees its image.
-        assert!(db
-            .snapshot_get(&snap, "products", &1.into())
-            .unwrap()
-            .is_some());
-        assert!(db.get("products", &1.into()).unwrap().is_some());
-        db.end_snapshot(snap);
     }
 
     // --- full-text search (tentpole) + search memo (boundary audit) ---

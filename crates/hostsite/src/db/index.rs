@@ -13,13 +13,12 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use super::fts::FtsIndex;
-use super::mvcc::VersionChain;
 use super::{AsKey, DbError, OrdKey, Row};
 
 /// A secondary index: value key → primary keys, in insertion order.
 pub(crate) type Bucketed = BTreeMap<OrdKey, Vec<OrdKey>>;
 
-/// One table: schema, versioned rows, and the derived secondary indexes.
+/// One table: schema, rows, and the derived secondary indexes.
 ///
 /// Cloning a table copies only its row map. The name, the schema, the
 /// secondary indexes and the full-text postings are shared behind `Arc`
@@ -32,7 +31,9 @@ pub(crate) struct Table {
     pub(crate) name: Arc<str>,
     /// Column names, shared with the table's `CreateTable` entry.
     pub(crate) columns: Arc<[String]>,
-    pub(crate) rows: BTreeMap<OrdKey, VersionChain>,
+    /// Primary key → the row's one image, shared with readers and the
+    /// journal.
+    pub(crate) rows: BTreeMap<OrdKey, Arc<Row>>,
     /// column name → its secondary index.
     pub(crate) indexes: Arc<HashMap<String, Bucketed>>,
     /// Optional full-text index — a derived projection like `indexes`,
@@ -61,12 +62,11 @@ impl Table {
         self.columns.iter().position(|c| c == name)
     }
 
-    /// The live image of `key` (an [`OrdKey`] or a [`Value`]), if
-    /// present.
+    /// The image of `key` (an [`OrdKey`] or a [`Value`]), if present.
     ///
     /// [`Value`]: super::Value
     pub(crate) fn live(&self, key: &dyn AsKey) -> Option<&Arc<Row>> {
-        self.rows.get(key).and_then(VersionChain::live)
+        self.rows.get(key)
     }
 
     /// Adds `row` to every secondary index.
@@ -151,7 +151,7 @@ impl Table {
         Ok(())
     }
 
-    /// Rebuilds every secondary index from the live base rows — the
+    /// Rebuilds every secondary index from the base rows — the
     /// recovery path's derived-projection rebuild. Buckets come out in
     /// primary-key order (the canonical from-scratch order). Returns the
     /// number of `(row, index)` entries written.
@@ -160,20 +160,16 @@ impl Table {
         for (col, index) in Arc::make_mut(&mut self.indexes).iter_mut() {
             let ci = position(&self.name, &self.columns, col)?;
             index.clear();
-            for (pk, chain) in &self.rows {
-                if let Some(row) = chain.live() {
-                    index.entry(row[ci].ord_key()).or_default().push(pk.clone());
-                    entries += 1;
-                }
+            for (pk, row) in &self.rows {
+                index.entry(row[ci].ord_key()).or_default().push(pk.clone());
+                entries += 1;
             }
         }
         if let Some(fts) = &mut self.fts {
             let fts = Arc::make_mut(fts);
             fts.clear();
-            for chain in self.rows.values() {
-                if let Some(row) = chain.live() {
-                    fts.insert_row(&self.name, &self.columns, row)?;
-                }
+            for row in self.rows.values() {
+                fts.insert_row(&self.name, &self.columns, row)?;
             }
             entries += fts.entry_count();
         }
@@ -243,10 +239,7 @@ mod tests {
         for (id, name) in [(2i64, "b"), (1, "a"), (3, "a")] {
             let row: Row = vec![id.into(), name.into()];
             t.index_insert(&row).unwrap();
-            t.rows
-                .entry(row[0].ord_key())
-                .or_default()
-                .install(Arc::new(row), 1, None);
+            t.rows.insert(row[0].ord_key(), Arc::new(row));
         }
         let incremental = Arc::clone(&t.indexes);
         let entries = t.rebuild_indexes().unwrap();

@@ -5,12 +5,12 @@
 //! have very small footprints, and must be able to run without the
 //! services of a database administrator."
 //!
-//! This engine serves both roles: unconstrained as the host computer's
-//! database server, or capped via [`Database::with_memory_limit`] as the
-//! small-footprint embedded variant. It provides typed tables, a primary
-//! key, optional secondary indexes, ACID transactions with undo-log
-//! rollback, and a write-ahead log from which a fresh instance can be
-//! recovered after a crash.
+//! This engine is the host computer's database server; the station's
+//! `EmbeddedStore` is the small-footprint store. It provides typed
+//! tables, a primary key, optional secondary indexes, ACID transactions
+//! with undo-log rollback, and a write-ahead log from which a fresh
+//! instance can be recovered after a crash. The host serves one request
+//! at a time, so a read never overlaps a write and each row is one image.
 //!
 //! The engine is split along its storage layers (DESIGN.md §2.18):
 //!
@@ -19,14 +19,11 @@
 //!   batches commits, so durability is a measurable cost instead of a free
 //!   side effect — and the un-fsynced tail of the log is exactly what a
 //!   crash loses.
-//! - `mvcc.rs`: multi-version row storage. Every committed write
-//!   installs a new row version; snapshot reads pin a commit version and
-//!   observe a frozen, consistent view while later writers proceed.
 //! - `index.rs`: secondary indexes as derived projections of the base
 //!   rows — dropped wholesale on a crash and rebuilt from the recovered
 //!   rows, never replayed.
 //! - `engine.rs`: the [`Database`] façade tying the layers together
-//!   with transactions, the memory cap and the query cache.
+//!   with transactions and the query cache.
 //!
 //! Rows are stored and returned as [`Arc<Row>`](std::sync::Arc), so reads
 //! hand out shared handles instead of deep copies, and the journal holds
@@ -47,10 +44,9 @@ use markup::Text;
 mod engine;
 mod fts;
 mod index;
-mod mvcc;
 mod wal;
 
-pub use engine::{Database, Snapshot};
+pub use engine::Database;
 pub use wal::{DurabilityPolicy, JournalEntry};
 
 /// A typed cell value.
@@ -261,11 +257,6 @@ pub enum DbError {
     DuplicateKey(String),
     /// No row with the given primary key.
     NotFound,
-    /// The memory cap would be exceeded.
-    OutOfMemory {
-        /// The configured cap in bytes.
-        limit: usize,
-    },
     /// A table with that name already exists.
     TableExists(String),
     /// NaN floats cannot be stored (they have no total order).
@@ -282,7 +273,6 @@ impl fmt::Display for DbError {
             DbError::SchemaMismatch(m) => write!(f, "schema mismatch: {m}"),
             DbError::DuplicateKey(k) => write!(f, "duplicate primary key: {k}"),
             DbError::NotFound => write!(f, "row not found"),
-            DbError::OutOfMemory { limit } => write!(f, "memory limit of {limit} bytes exceeded"),
             DbError::TableExists(t) => write!(f, "table already exists: {t}"),
             DbError::NanRejected => write!(f, "NaN values cannot be stored"),
         }

@@ -17,9 +17,9 @@ use super::Value;
 /// One durable operation, as recorded in the write-ahead log.
 ///
 /// Names, schemas and row images are shared handles: an entry holds the
-/// table's own name and column list, and the very row image the version
-/// chain installed, so journaling a write copies nothing and cloning a
-/// log is a refcount bump per entry.
+/// table's own name and column list, and the very row image the table
+/// holds, so journaling a write copies nothing and cloning a log is a
+/// refcount bump per entry.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalEntry {
     /// Table creation.

@@ -8,9 +8,7 @@
 //!
 //! * [`db`] — the database server: an embedded storage engine with typed
 //!   tables, primary and secondary indexes, ACID transactions (undo-log
-//!   rollback), a write-ahead journal with crash recovery, and an
-//!   optional memory cap (the "embedded databases have very small
-//!   footprints" constraint the paper highlights for handhelds).
+//!   rollback) and a write-ahead journal with crash recovery.
 //! * [`http`] — HTTP-like request/response types with content negotiation
 //!   (the Accept side of serving HTML to desktops, WML/cHTML to phones).
 //! * [`server`] — the web server: routing, CGI-style [`server::AppProgram`]s,

@@ -270,8 +270,8 @@ mod tests {
 
     #[test]
     fn entries_expire_at_exactly_the_ttl_boundary() {
-        // Same boundary rule as the host page cache and the DB query
-        // cache: fresh strictly before `stored + ttl`, expired at it.
+        // Same boundary rule as the host page cache: fresh strictly
+        // before `stored + ttl`, expired at it.
         let mut cache = ContentCache::new(1_000, 10_000);
         cache.store(&get("/shop"), "iPAQ", "WAP", &exchange("deck"), 0);
         assert!(

@@ -166,6 +166,8 @@ proptest! {
         }
         let before = snapshot(&db);
         let journal_before = db.journal().len();
+        let footprint_before = db.footprint();
+        let len_before = db.len("t").unwrap();
 
         // A transaction that does arbitrary work and then fails.
         let _ = db.transaction(|tx| -> Result<(), DbError> {
@@ -177,10 +179,30 @@ proptest! {
 
         prop_assert_eq!(snapshot(&db), before.clone());
         prop_assert_eq!(db.journal().len(), journal_before);
-        // Index stays consistent with the table after rollback.
-        for (k, v) in &before {
-            let rows = db.select_eq("t", "v", &v.as_str().into()).unwrap();
-            prop_assert!(rows.iter().any(|r| &r[0].to_string() == k));
+        prop_assert_eq!(db.footprint(), footprint_before);
+        prop_assert_eq!(db.len("t").unwrap(), len_before);
+        // Index stays consistent with the table after rollback: every
+        // value, old or written inside the failed transaction, finds
+        // exactly the keys that held it before.
+        let tx_values = tx_ops.iter().filter_map(|op| match op {
+            DbOp::Insert(_, v) | DbOp::Update(_, v) => Some(v.as_str()),
+            DbOp::Delete(_) => None,
+        });
+        for v in before.iter().map(|(_, v)| v.as_str()).chain(tx_values) {
+            let mut found: Vec<String> = db
+                .select_eq("t", "v", &v.into())
+                .unwrap()
+                .iter()
+                .map(|r| r[0].to_string())
+                .collect();
+            found.sort();
+            let mut held: Vec<String> = before
+                .iter()
+                .filter(|(_, held)| held == v)
+                .map(|(k, _)| k.clone())
+                .collect();
+            held.sort();
+            prop_assert_eq!(found, held);
         }
     }
 
@@ -194,6 +216,7 @@ proptest! {
         let recovered = Database::recover(db.journal()).unwrap();
         prop_assert_eq!(snapshot(&recovered), snapshot(&db));
         prop_assert_eq!(recovered.footprint(), db.footprint());
+        prop_assert_eq!(recovered.len("t").unwrap(), db.len("t").unwrap());
     }
 
     #[test]
