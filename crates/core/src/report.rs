@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use hostsite::http::Status;
+use obs::Layer;
 use simnet::time::secs_to_ns as to_ns;
 use simnet::SimDuration;
 
@@ -34,6 +35,30 @@ impl PhaseBreakdown {
     /// Sum of all components.
     pub fn total(&self) -> SimDuration {
         self.station + self.wireless + self.middleware + self.wired + self.host
+    }
+
+    /// The share of `layer`, which must be one of the five components
+    /// (the application has no share).
+    pub(crate) fn share_mut(&mut self, layer: Layer) -> &mut SimDuration {
+        match layer {
+            Layer::Station => &mut self.station,
+            Layer::Wireless => &mut self.wireless,
+            Layer::Middleware => &mut self.middleware,
+            Layer::Wired => &mut self.wired,
+            Layer::Host => &mut self.host,
+            Layer::Application => unreachable!("the application has no share"),
+        }
+    }
+}
+
+impl std::ops::AddAssign for PhaseBreakdown {
+    /// Adds `other`'s shares into these, component by component.
+    fn add_assign(&mut self, other: PhaseBreakdown) {
+        self.station += other.station;
+        self.wireless += other.wireless;
+        self.middleware += other.middleware;
+        self.wired += other.wired;
+        self.host += other.host;
     }
 }
 
@@ -81,6 +106,11 @@ pub struct TransactionReport {
     /// retries). When a retry policy re-drives a transaction, the final
     /// report absorbs the failed attempts' costs and counts them here.
     pub attempts: u32,
+    /// WAL fsync time the host charged for this transaction's requests
+    /// (every attempt's): the part of the host share the shared-world
+    /// engine serves on the host's log rather than its CPU. Zero under
+    /// the default, free durability policy.
+    pub wal: SimDuration,
 }
 
 impl TransactionReport {
@@ -106,6 +136,7 @@ impl TransactionReport {
             failure,
             outcome,
             attempts: 1,
+            wal: SimDuration::ZERO,
         }
     }
 
@@ -116,15 +147,11 @@ impl TransactionReport {
     }
 
     /// Adds `other`'s paid costs into this report, field by field: each
-    /// component's share, energy, air bytes and retransmissions. Its
-    /// verdict, outcome and attempts stay its own.
+    /// component's share, WAL time, energy, air bytes and
+    /// retransmissions. Its verdict, outcome and attempts stay its own.
     pub(crate) fn absorb(&mut self, other: &TransactionReport) {
-        let (b, o) = (&mut self.breakdown, &other.breakdown);
-        b.station += o.station;
-        b.wireless += o.wireless;
-        b.middleware += o.middleware;
-        b.wired += o.wired;
-        b.host += o.host;
+        self.breakdown += other.breakdown;
+        self.wal += other.wal;
         self.energy_j += other.energy_j;
         self.air_bytes_up += other.air_bytes_up;
         self.air_bytes_down += other.air_bytes_down;
@@ -357,6 +384,7 @@ mod tests {
                 status: Status::Ok,
             }),
             attempts: 1,
+            wal: SimDuration::ZERO,
         }
     }
 

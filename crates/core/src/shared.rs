@@ -26,8 +26,8 @@
 //! [`ShardScratch`] of memos, the last recycled flight-recorder ring's
 //! event count (each island's first ring is sized by it), one metrics
 //! scope, and running totals of counters, contention stats and
-//! telemetry. It also owns the per-island buffers — membership, cell
-//! and gateway servers, gateway caches, user states, the event queue —
+//! telemetry. It also owns the per-island buffers — membership, the
+//! shared servers, gateway caches, user states, the event queue —
 //! which it clears and refills for each island, so a one-user island
 //! costs no more than the user's private world. Islands' traces go to
 //! the coordinator in batches of at least `TRACE_BATCH_USERS` users
@@ -58,14 +58,16 @@
 //! island costs time linear in the population, not in users × islands.
 //!
 //! The analytic transaction then executes atomically at its start time,
-//! and contention is charged *post hoc*: the transaction's per-phase
-//! service times are admitted, in path order (uplink → gateway → wired →
-//! host → downlink), to FCFS single-server models of the cell, the
-//! gateway and the host. The waits those admissions return are folded
-//! into the transaction's latency and the user's clock. A zero-service
-//! stage never touches its server, so with one user — or no overlap —
-//! every wait is exactly zero and an island reproduces the user's
-//! private world, [`Scenario::run_user`], bit for bit (pinned by
+//! and contention is charged *post hoc*: one walk over the
+//! transaction's hops in path order — uplink, gateway CPU, wired, host
+//! CPU, WAL, downlink — admits each hop's service time, priced from the
+//! transaction's report, to the island's FCFS server for it: the user's
+//! cell, its gateway, the host's CPU and the host's log (the wired hop
+//! has no server). The waits those admissions return are folded into
+//! the transaction's latency and the user's clock. A zero-service hop
+//! never touches its server, so with one user — or no overlap — every
+//! wait is exactly zero and an island reproduces the user's private
+//! world, [`Scenario::run_user`], bit for bit (pinned by
 //! `tests/fleet_props.rs` and `tests/merge_props.rs`).
 
 use std::cmp::Reverse;
@@ -78,18 +80,17 @@ use hostsite::HostComputer;
 use middleware::ContentCache;
 use obs::recorder::DEFAULT_RING_CAPACITY;
 use obs::timeseries::{SeriesId, SeriesKind, Telemetry};
-use obs::{Recorder, RingScratch};
+use obs::{Layer, Recorder, RingScratch};
 use simnet::contend::{DetQueue, FcfsServer};
 use simnet::rng::{rng_for_indexed, sub_seed};
 use simnet::SimDuration;
-use wireless::CellAirtime;
 
 use crate::apps::{for_category, Application, Draws, Step};
 use crate::fleet::{
     seeded, FleetTrace, RecorderKind, RunConfig, Scenario, ShardScratch, UserTrace,
 };
 use crate::merge::TraceMerger;
-use crate::report::{TransactionReport, WorkloadCounters};
+use crate::report::{PhaseBreakdown, TransactionReport, WorkloadCounters};
 use crate::system::{Site, UserSide};
 use crate::topology::{Island, Topology};
 use crate::workload::ExpectMemo;
@@ -152,77 +153,94 @@ impl ContentionStats {
     }
 }
 
-/// The island's registered series handles plus the host queue-depth
-/// tracker. Purely observational: it reads grant/wait results the
-/// contention engine already computed and never feeds anything back,
-/// so enabling telemetry cannot perturb the simulation.
+/// One of an island's shared FCFS servers — a cell's airtime, a
+/// gateway's CPU, the host's CPU or the host's WAL — with, when
+/// telemetry is on, the series its busy time is recorded on and, for
+/// the host CPU, its queue-depth gauge. The telemetry only reads what
+/// the admissions computed and never feeds anything back, so enabling
+/// it cannot perturb the simulation.
+#[derive(Default)]
+struct Server {
+    fcfs: FcfsServer,
+    busy: Option<SeriesId>,
+    depth: Option<QueueDepth>,
+}
+
+/// A server's queue depth (jobs in service or waiting), sampled at each
+/// arrival.
+struct QueueDepth {
+    series: SeriesId,
+    /// Completion times of the jobs still in flight.
+    inflight: BinaryHeap<Reverse<u64>>,
+}
+
+impl Server {
+    /// Records a job admitted at `arrival_ns` that waited `wait_ns` and
+    /// then held the server for `service_ns`: its busy interval, and a
+    /// depth sample counting it plus every job still ahead of or beside
+    /// it. A zero-service job records nothing.
+    fn observe(&mut self, t: &mut Telemetry, arrival_ns: u64, wait_ns: u64, service_ns: u64) {
+        if service_ns == 0 {
+            return;
+        }
+        let start_ns = arrival_ns + wait_ns;
+        if let Some(id) = self.busy {
+            t.record_busy(id, start_ns, service_ns);
+        }
+        if let Some(depth) = &mut self.depth {
+            while let Some(&Reverse(done)) = depth.inflight.peek() {
+                if done > arrival_ns {
+                    break;
+                }
+                depth.inflight.pop();
+            }
+            depth.inflight.push(Reverse(start_ns + service_ns));
+            t.sample(depth.series, arrival_ns, depth.inflight.len() as u64);
+        }
+    }
+}
+
+/// An island's telemetry: the series set, which its servers record
+/// into, and the gateways' shared-cache hit rates.
 struct IslandTelemetry {
     t: Telemetry,
-    /// Per local cell index: airtime busy fraction.
-    cell_util: Vec<SeriesId>,
-    /// Per local gateway index: transcode CPU busy fraction.
-    gw_util: Vec<SeriesId>,
     /// Per local gateway index: shared content-cache hit rate.
     gw_cache: Vec<SeriesId>,
-    /// Host CPU busy fraction.
-    host_util: SeriesId,
-    /// WAL (group-commit log) busy fraction; registered only when the
-    /// scenario prices durability, so default-policy artefacts carry
-    /// exactly the pre-WAL track set.
-    host_wal_util: Option<SeriesId>,
-    /// Host queue depth (jobs in service or waiting), sampled at each
-    /// arrival.
-    host_queue: SeriesId,
-    /// Completion times of host jobs still in flight, for the
-    /// queue-depth gauge.
-    host_inflight: BinaryHeap<Reverse<u64>>,
 }
 
 impl IslandTelemetry {
-    fn new(island: u64, cells: &[u64], gateways: &[u64], priced_wal: bool) -> Self {
+    /// Registers the island's series and hands each server its own:
+    /// every cell's airtime, every gateway's CPU and cache hit rate, the
+    /// host's CPU, its WAL — only when the scenario prices durability,
+    /// so default-policy artefacts carry exactly the pre-WAL track set —
+    /// and the host's queue depth. `servers` is laid out as
+    /// `Worker::run_island` lays it out.
+    fn new(island: u64, members: &Island, priced_wal: bool, servers: &mut [Server]) -> Self {
         let mut t = Telemetry::default();
-        let cell_util = cells
-            .iter()
-            .map(|&c| t.register(&format!("cell{c:04}.airtime_util"), SeriesKind::Utilization))
-            .collect();
-        let gw_util = gateways
-            .iter()
-            .map(|&g| t.register(&format!("gateway{g:04}.cpu_util"), SeriesKind::Utilization))
-            .collect();
-        let gw_cache = gateways
+        let util = SeriesKind::Utilization;
+        let (cells, rest) = servers.split_at_mut(members.cells.len());
+        let (gateways, host) = rest.split_at_mut(members.gateways.len());
+        for (server, &c) in cells.iter_mut().zip(&members.cells) {
+            server.busy = Some(t.register(&format!("cell{c:04}.airtime_util"), util));
+        }
+        for (server, &g) in gateways.iter_mut().zip(&members.gateways) {
+            server.busy = Some(t.register(&format!("gateway{g:04}.cpu_util"), util));
+        }
+        let gw_cache = members
+            .gateways
             .iter()
             .map(|&g| t.register(&format!("gateway{g:04}.cache_hit_rate"), SeriesKind::Rate))
             .collect();
-        let host_util = t.register(&format!("host{island:04}.cpu_util"), SeriesKind::Utilization);
-        let host_wal_util = priced_wal
-            .then(|| t.register(&format!("host{island:04}.wal_util"), SeriesKind::Utilization));
-        let host_queue = t.register(&format!("host{island:04}.queue_depth"), SeriesKind::Gauge);
-        IslandTelemetry {
-            t,
-            cell_util,
-            gw_util,
-            gw_cache,
-            host_util,
-            host_wal_util,
-            host_queue,
-            host_inflight: BinaryHeap::new(),
-        }
-    }
-
-    /// Samples the host queue depth at `arrival_ns` given the job just
-    /// admitted completes at `completion_ns`. Jobs whose completion
-    /// time has passed leave the queue first, so the sample counts the
-    /// admitted job plus everything still ahead of or beside it.
-    fn sample_host_queue(&mut self, arrival_ns: u64, completion_ns: u64) {
-        while let Some(&Reverse(done)) = self.host_inflight.peek() {
-            if done > arrival_ns {
-                break;
-            }
-            self.host_inflight.pop();
-        }
-        self.host_inflight.push(Reverse(completion_ns));
-        let depth = self.host_inflight.len() as u64;
-        self.t.sample(self.host_queue, arrival_ns, depth);
+        let [cpu, wal] = host else {
+            unreachable!("an island has one host CPU and one WAL");
+        };
+        cpu.busy = Some(t.register(&format!("host{island:04}.cpu_util"), util));
+        wal.busy = priced_wal.then(|| t.register(&format!("host{island:04}.wal_util"), util));
+        cpu.depth = Some(QueueDepth {
+            series: t.register(&format!("host{island:04}.queue_depth"), SeriesKind::Gauge),
+            inflight: BinaryHeap::new(),
+        });
+        IslandTelemetry { t, gw_cache }
     }
 }
 
@@ -385,8 +403,9 @@ struct Worker<'a> {
     totals: WorkerTotals,
     // Per-island buffers.
     members: Island,
-    cell_air: Vec<CellAirtime>,
-    gateway_cpu: Vec<FcfsServer>,
+    /// The island's shared servers: its cells, then its gateways, then
+    /// the host's CPU and its WAL.
+    servers: Vec<Server>,
     gateway_caches: Vec<Option<ContentCache>>,
     states: Vec<UserState>,
     queue: DetQueue,
@@ -414,8 +433,7 @@ impl<'a> Worker<'a> {
                 telemetry: config.telemetry.then(Telemetry::default),
             },
             members: Island::default(),
-            cell_air: Vec::new(),
-            gateway_cpu: Vec::new(),
+            servers: Vec::new(),
             gateway_caches: Vec::new(),
             states: Vec::new(),
             queue: DetQueue::new(),
@@ -457,25 +475,18 @@ impl<'a> Worker<'a> {
         // The island's shared infrastructure, indexed locally. Local
         // order follows global index order, so resource identity is
         // canonical.
-        self.cell_air.clear();
-        self.cell_air
-            .resize_with(members.cells.len(), CellAirtime::new);
-        self.gateway_cpu.clear();
-        self.gateway_cpu
-            .resize_with(members.gateways.len(), FcfsServer::new);
+        let server_count = members.cells.len() + members.gateways.len() + 2;
+        self.servers.clear();
+        self.servers.resize_with(server_count, Server::default);
         self.gateway_caches.clear();
         self.gateway_caches
             .resize_with(members.gateways.len(), || scenario.cache.gateway_cache());
-        let mut host = HostLanes {
-            cpu: FcfsServer::new(),
-            wal: FcfsServer::new(),
-        };
         let mut telemetry = self.config.telemetry.then(|| {
             IslandTelemetry::new(
                 island,
-                &members.cells,
-                &members.gateways,
+                members,
                 !scenario.durability.is_zero_cost(),
+                &mut self.servers,
             )
         });
 
@@ -571,11 +582,10 @@ impl<'a> Worker<'a> {
                 charge_contention(
                     state,
                     &mut report,
-                    &mut self.cell_air,
-                    &mut self.gateway_cpu,
-                    &mut host,
+                    &mut self.servers,
+                    members.cells.len(),
                     stats,
-                    telemetry.as_mut(),
+                    telemetry.as_mut().map(|tele| &mut tele.t),
                 );
                 self.totals.counters.record(&report);
             } else {
@@ -596,8 +606,8 @@ impl<'a> Worker<'a> {
             stats.gateway_cache_hits += cache.hits();
             stats.gateway_cache_misses += cache.misses();
         }
-        for cell in &self.cell_air {
-            stats.cell_busy_ns += cell.busy_ns();
+        for cell in &self.servers[..members.cells.len()] {
+            stats.cell_busy_ns += cell.fcfs.busy_ns();
         }
         for state in &self.states {
             stats.horizon_ns = stats.horizon_ns.max(state.side.sim_clock_ns());
@@ -667,98 +677,74 @@ fn execute_shared(
     }
 }
 
-/// The shared host's two serial lanes. The WAL is its own resource:
-/// concurrent writers contend on the log tail, not on the host CPU —
-/// and zero-service admissions are free, so the default durability
-/// policy never touches the WAL lane.
-struct HostLanes {
-    cpu: FcfsServer,
-    wal: FcfsServer,
-}
-
-/// Admits the transaction's per-phase service times to the shared FCFS
-/// resources in path order and adds the resulting waits to the report's
-/// per-phase breakdown and the user's clock. Zero-service stages are
-/// skipped, so an uncontended transaction is untouched.
+/// Admits the transaction's hops, in path order, to the island's FCFS
+/// servers and adds the resulting waits to the report's per-phase
+/// breakdown and the user's clock. `servers` is laid out as
+/// `Worker::run_island` lays it out, its first `cells` the cells'.
+/// Zero-service hops are skipped, so an uncontended transaction is
+/// untouched.
 #[deny(clippy::float_arithmetic)]
 fn charge_contention(
     state: &mut UserState,
     report: &mut TransactionReport,
-    cell_air: &mut [CellAirtime],
-    gateway_cpu: &mut [FcfsServer],
-    host: &mut HostLanes,
+    servers: &mut [Server],
+    cells: usize,
     stats: &mut ContentionStats,
-    mut telemetry: Option<&mut IslandTelemetry>,
+    mut telemetry: Option<&mut Telemetry>,
 ) {
     stats.transactions += 1;
-    let end_ns = state.side.sim_clock_ns();
     let b = &report.breakdown;
-    let air_ns = b.wireless.as_nanos();
+    let (air_ns, host_ns) = (b.wireless.as_nanos(), b.host.as_nanos());
     let up_ns = air_ns / 2;
-    let down_ns = air_ns - up_ns;
-    let gw_ns = b.middleware.as_nanos();
-    let wired_ns = b.wired.as_nanos();
-    let host_ns = b.host.as_nanos();
     // The WAL share of the host phase serializes on the group-commit
     // log, not the CPU — a transaction that paid for an fsync holds the
     // log while others queue behind it. Zero under the default policy.
-    let wal_ns = state.side.last_commit_ns().min(host_ns);
-    let cpu_ns = host_ns - wal_ns;
+    let wal_ns = report.wal.min(b.host).as_nanos();
+    let (cell, gateway) = (state.cell, cells + state.gateway);
+    let (host, wal) = (servers.len() - 2, servers.len() - 1);
+    // Each hop: the layer its wait is charged to, its server (the wired
+    // network has none) and its service time.
+    let hops = [
+        (Layer::Wireless, Some(cell), up_ns),
+        (Layer::Middleware, Some(gateway), b.middleware.as_nanos()),
+        (Layer::Wired, None, b.wired.as_nanos()),
+        (Layer::Host, Some(host), host_ns - wal_ns),
+        (Layer::Host, Some(wal), wal_ns),
+        (Layer::Wireless, Some(cell), air_ns - up_ns),
+    ];
 
     // Walk the path from the transaction's start, carrying waits
     // forward so a delayed uplink delays the gateway arrival, and so on.
     // Telemetry records each granted busy interval as it is computed —
     // reads only, in the same deterministic event order as the charges.
-    let start_ns = end_ns.saturating_sub(report.total().as_nanos());
-    let mut cursor = start_ns;
-    let up = cell_air[state.cell].request(cursor, up_ns);
-    if let Some(tele) = telemetry.as_deref_mut() {
-        tele.t.record_busy(tele.cell_util[state.cell], up.start_ns, up_ns);
-    }
-    cursor = up.start_ns + up_ns;
-    let gw_wait = gateway_cpu[state.gateway].admit(cursor, gw_ns);
-    if let Some(tele) = telemetry.as_deref_mut() {
-        tele.t
-            .record_busy(tele.gw_util[state.gateway], cursor + gw_wait, gw_ns);
-    }
-    cursor += gw_wait + gw_ns + wired_ns;
-    let cpu_wait = host.cpu.admit(cursor, cpu_ns);
-    if let Some(tele) = telemetry.as_deref_mut() {
-        tele.t.record_busy(tele.host_util, cursor + cpu_wait, cpu_ns);
-        if cpu_ns > 0 {
-            tele.sample_host_queue(cursor, cursor + cpu_wait + cpu_ns);
+    let mut cursor = state
+        .side
+        .sim_clock_ns()
+        .saturating_sub(report.total().as_nanos());
+    let mut waits = PhaseBreakdown::default();
+    for (layer, server, service_ns) in hops {
+        if let Some(server) = server {
+            let server = &mut servers[server];
+            let wait_ns = server.fcfs.admit(cursor, service_ns);
+            if let Some(t) = telemetry.as_deref_mut() {
+                server.observe(t, cursor, wait_ns, service_ns);
+            }
+            *waits.share_mut(layer) += SimDuration::from_nanos(wait_ns);
+            cursor += wait_ns;
         }
-    }
-    cursor += cpu_wait + cpu_ns;
-    let wal_wait = host.wal.admit(cursor, wal_ns);
-    if let Some(tele) = telemetry.as_deref_mut() {
-        if let (Some(id), true) = (tele.host_wal_util, wal_ns > 0) {
-            tele.t.record_busy(id, cursor + wal_wait, wal_ns);
-        }
-    }
-    cursor += wal_wait + wal_ns;
-    // Both host lanes fold into the report's host share.
-    let host_wait = cpu_wait + wal_wait;
-    let down = cell_air[state.cell].request(cursor, down_ns);
-    if let Some(tele) = telemetry {
-        tele.t
-            .record_busy(tele.cell_util[state.cell], down.start_ns, down_ns);
+        cursor += service_ns;
     }
 
-    let cell_wait = up.wait_ns + down.wait_ns;
-    let total_wait = cell_wait + gw_wait + host_wait;
-    stats.cell_wait_ns += cell_wait;
-    stats.gateway_wait_ns += gw_wait;
-    stats.host_wait_ns += host_wait;
-    if total_wait > 0 {
+    stats.cell_wait_ns += waits.wireless.as_nanos();
+    stats.gateway_wait_ns += waits.middleware.as_nanos();
+    stats.host_wait_ns += waits.host.as_nanos();
+    let total_wait = waits.total();
+    if total_wait > SimDuration::ZERO {
         stats.contended_transactions += 1;
-        let b = &mut report.breakdown;
-        b.wireless += SimDuration::from_nanos(cell_wait);
-        b.middleware += SimDuration::from_nanos(gw_wait);
-        b.host += SimDuration::from_nanos(host_wait);
+        report.breakdown += waits;
         // The user's clock moves past the waits (idle battery draw,
         // like any other waiting) — an uncontended transaction skips
         // this entirely, preserving bit-identity with a private world.
-        state.side.idle_for(SimDuration::from_nanos(total_wait));
+        state.side.idle_for(total_wait);
     }
 }

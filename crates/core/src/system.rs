@@ -21,7 +21,7 @@ use simnet::rng::rng_for;
 use simnet::time::secs_to_ns;
 use simnet::SimDuration;
 use station::browser::ContentKind;
-use station::{Battery, DeviceProfile, EmbeddedStore, Microbrowser, RenderMemo, RenderedView};
+use station::{Battery, DeviceProfile, Microbrowser, RenderMemo, RenderedView};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -363,7 +363,6 @@ impl SystemSpec {
             fallback_kind: None,
             degraded_primary: None,
             host_recovering_until_ns: 0,
-            last_commit_ns: 0,
             cache: if self.cache.enabled {
                 self.cache
             } else {
@@ -396,18 +395,15 @@ pub struct StationState {
     pub browser: Microbrowser,
     /// The battery.
     pub battery: Battery,
-    /// The on-device embedded store (§7's embedded database).
-    pub store: EmbeddedStore,
 }
 
 impl StationState {
-    /// Builds station state for a device with a store budget of 64 KB.
+    /// Builds station state for a device.
     pub fn new(device: DeviceProfile) -> Self {
         let battery = Battery::new(device.battery_j);
         StationState {
             browser: Microbrowser::new(device),
             battery,
-            store: EmbeddedStore::new(64 * 1024),
         }
     }
 }
@@ -456,10 +452,6 @@ pub struct UserSide {
     degraded_primary: Option<Box<dyn Middleware>>,
     /// Until this instant the host refuses service (journal replay).
     host_recovering_until_ns: u64,
-    /// WAL fsync nanoseconds inside the last transaction's host share —
-    /// the slice the shared-world engine serializes on the log, not the
-    /// CPU. Zero under the default free-durability policy.
-    last_commit_ns: u64,
     /// The caching hierarchy's configuration (disabled by default). The
     /// caches themselves live with the site.
     cache: CachePolicy,
@@ -588,11 +580,6 @@ impl UserSide {
         self.render_memo = Some(render);
     }
 
-    /// The cache policy in force (disabled by default).
-    pub fn cache_policy(&self) -> CachePolicy {
-        self.cache
-    }
-
     /// Installs an observability sink. The default is
     /// [`Recorder::Disabled`], which records nothing and costs nothing.
     pub fn set_recorder(&mut self, recorder: Recorder) {
@@ -669,11 +656,6 @@ impl UserSide {
         self.faults = plan;
     }
 
-    /// The installed fault schedule (empty by default).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Selects the middleware kind [`execute_with_retry`] swaps in when
     /// the primary path degrades (gateway outage, wedged transcoder).
     ///
@@ -723,13 +705,6 @@ impl UserSide {
                 _ => {}
             }
         }
-    }
-
-    /// WAL fsync nanoseconds charged inside the last transaction's host
-    /// share. The shared-world engine pulls this out of the host-CPU
-    /// lane and serializes it on the log instead.
-    pub fn last_commit_ns(&self) -> u64 {
-        self.last_commit_ns
     }
 
     fn content_kind(format: AirFormat) -> ContentKind {
@@ -789,6 +764,8 @@ struct Ledger {
     air_down: u64,
     /// ARQ retransmissions of the uplink and the downlink.
     retransmissions: u32,
+    /// WAL fsync time the host charged for the request.
+    wal: SimDuration,
 }
 
 impl Ledger {
@@ -805,15 +782,7 @@ impl Ledger {
     /// and moves the cursor past it.
     #[deny(clippy::float_arithmetic)]
     fn book(&mut self, layer: Layer, cost: SimDuration) {
-        let b = &mut self.breakdown;
-        *match layer {
-            Layer::Station => &mut b.station,
-            Layer::Wireless => &mut b.wireless,
-            Layer::Middleware => &mut b.middleware,
-            Layer::Wired => &mut b.wired,
-            Layer::Host => &mut b.host,
-            Layer::Application => unreachable!("the application has no share"),
-        } += cost;
+        *self.breakdown.share_mut(layer) += cost;
         self.cursor += cost.as_nanos();
     }
 
@@ -867,6 +836,7 @@ impl Ledger {
             air_bytes_down: self.air_down,
             retransmissions: self.retransmissions,
             energy_j,
+            wal: self.wal,
             ..TransactionReport::new(self.breakdown, failure, outcome)
         }
     }
@@ -918,9 +888,6 @@ impl UserSide {
     /// coverage, battery, a lit access point and a serving host. Returns
     /// this transaction's air link, its BER raised by any loss burst.
     fn admit(&mut self, host: &mut HostComputer, l: &mut Ledger) -> Result<AirLink, Stop> {
-        // A gateway-cache hit never reaches the host, so the stale WAL
-        // share from the previous transaction must not leak into it.
-        self.last_commit_ns = 0;
         self.apply_due_oneshots(host, l);
         let Some(mut air) = self.air else {
             let reason = format!("no coverage on {}", self.wireless.name());
@@ -1039,7 +1006,7 @@ impl UserSide {
             }
             None => {
                 let ex = self.middleware.exchange(site.host, req);
-                self.last_commit_ns = site.host.take_commit_ns();
+                l.wal = SimDuration::from_nanos(site.host.take_commit_ns());
                 if let Some(cache) = cache {
                     obs::metrics::incr("middleware.cache.misses");
                     if ContentCache::cacheable_exchange(&ex) {
@@ -1235,9 +1202,6 @@ impl UserSide {
         // The retry budget runs from the end of the first attempt.
         let deadline_end = self.clock_ns.saturating_add(policy.deadline.as_nanos());
         let mut attempts: u32 = 1;
-        // WAL time accumulates across attempts like every other phase
-        // share (each execute() resets the per-transaction slot).
-        let mut commit_ns = self.last_commit_ns;
         // The failed attempts' paid costs, folded into the settled report.
         let mut prior = TransactionReport::new(PhaseBreakdown::default(), None, None);
         while !report.success && attempts < policy.max_attempts {
@@ -1278,9 +1242,7 @@ impl UserSide {
             attempts += 1;
             obs::metrics::incr("policy.retries");
             report = self.execute(site, req);
-            commit_ns = commit_ns.saturating_add(self.last_commit_ns);
         }
-        self.last_commit_ns = commit_ns;
         // Settle: the primary middleware comes back for the next
         // transaction (fresh session, since the gateway path changed).
         if let Some(primary) = self.degraded_primary.take() {

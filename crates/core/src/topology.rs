@@ -155,11 +155,6 @@ impl Topology {
         self.hosts
     }
 
-    /// The placement policy.
-    pub fn placement_policy(&self) -> Placement {
-        self.placement
-    }
-
     /// The cell user `user` (of `users` total) is placed in.
     pub fn cell_of_user(&self, user: u64, users: u64) -> u64 {
         match self.placement {

@@ -64,16 +64,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// The value's type name, for error messages and schema checks.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Int(_) => "int",
-            Value::Text(_) => "text",
-            Value::Bool(_) => "bool",
-            Value::Float(_) => "float",
-        }
-    }
-
     /// Approximate in-memory footprint in bytes.
     pub fn footprint(&self) -> usize {
         match self {

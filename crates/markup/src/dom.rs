@@ -133,11 +133,6 @@ impl Element {
         &self.children
     }
 
-    /// Mutable access to the child list.
-    pub fn children_mut(&mut self) -> &mut Vec<Node> {
-        &mut self.children
-    }
-
     /// Appends a child node.
     pub fn push_child(&mut self, child: impl Into<Node>) {
         self.children.push(child.into());

@@ -16,13 +16,13 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use hostsite::{ContentFormat, HostComputer, HttpResponse};
+use hostsite::{ContentFormat, HostComputer};
 use markup::transcode::html_to_chtml;
 use markup::{chtml, html};
 use simnet::stats::Counter;
 use simnet::SimDuration;
 
-use crate::memo::{SharedTranscodeMemo, TranscodeMode, TranscodedDeck};
+use crate::memo::{self, SharedTranscodeMemo, TranscodeMode, TranscodedDeck};
 use crate::{AirFormat, Exchange, Middleware, MobileRequest};
 
 /// Packet-header framing per i-mode response on the air.
@@ -53,12 +53,12 @@ impl IModeService {
     }
 
     /// The pure HTML → cHTML filter: everything derived from the body
-    /// alone. Returns the air payload, whether the page needed filtering
-    /// (already-compact pages pass through unchanged), and the parsed
-    /// payload when it is the body's own tree, so the station browser
-    /// can skip its parse.
-    fn filter(resp: &HttpResponse) -> (Bytes, bool, Option<Arc<markup::Element>>) {
-        match html::parse_html(resp.body.as_str()) {
+    /// alone. Returns the air payload, flagged when the page needed
+    /// filtering (already-compact pages pass through unchanged), and the
+    /// parsed payload when it is the body's own tree, so the station
+    /// browser can skip its parse.
+    fn filter(html: &str) -> TranscodedDeck {
+        let (content, flagged, deck) = match html::parse_html(html) {
             Ok(doc) => {
                 if chtml::validate(&doc).is_ok() {
                     // A parsed tree re-serialises to markup that parses
@@ -76,6 +76,11 @@ impl IModeService {
                 false,
                 None,
             ),
+        };
+        TranscodedDeck {
+            content,
+            flagged,
+            deck,
         }
     }
 }
@@ -105,30 +110,17 @@ impl Middleware for IModeService {
             // Pass-through shares the response's refcounted buffer.
             (resp.body.as_bytes_buf(), SimDuration::from_micros(20), None)
         } else {
-            let (content, filtered, deck) = match &self.memo {
-                Some(memo) => {
-                    let body_buf = resp.body.as_bytes_buf();
-                    let mut memo = memo.borrow_mut();
-                    match memo.get(TranscodeMode::Chtml, &body_buf) {
-                        Some(deck) => (deck.content, deck.flagged, deck.deck),
-                        None => {
-                            let (content, filtered, deck) = Self::filter(&resp);
-                            memo.insert(
-                                TranscodeMode::Chtml,
-                                body_buf,
-                                TranscodedDeck {
-                                    content: content.clone(),
-                                    flagged: filtered,
-                                    deck: deck.clone(),
-                                },
-                            );
-                            (content, filtered, deck)
-                        }
-                    }
-                }
-                None => Self::filter(&resp),
-            };
-            if filtered {
+            let TranscodedDeck {
+                content,
+                flagged,
+                deck,
+            } = memo::transcode(
+                self.memo.as_ref(),
+                TranscodeMode::Chtml,
+                &resp.body,
+                Self::filter,
+            );
+            if flagged {
                 self.filtered_pages.incr();
             }
             (content, Self::filter_cost(resp.body.len()), deck)

@@ -31,6 +31,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
+use hostsite::Body;
 pub use simnet::memo::DEFAULT_MEMO_CAPACITY;
 
 /// The translation a gateway applied — part of the memo key, since the
@@ -70,9 +71,27 @@ pub type TranscodeMemo = simnet::BodyMemo<TranscodeMode, TranscodedDeck>;
 /// shared by refcount within the shard's thread, never across threads.
 pub type SharedTranscodeMemo = Rc<RefCell<TranscodeMemo>>;
 
-/// A fresh shard-local memo handle.
-pub fn shared_memo() -> SharedTranscodeMemo {
-    Rc::new(RefCell::new(TranscodeMemo::new()))
+/// Translates `body` under `mode` with `translate`, through the shard
+/// memo when one is attached: a hit replays the deck the first
+/// translation of the same bytes built, and a miss translates and keeps
+/// the deck for the next probe.
+pub fn transcode(
+    memo: Option<&SharedTranscodeMemo>,
+    mode: TranscodeMode,
+    body: &Body,
+    translate: impl FnOnce(&str) -> TranscodedDeck,
+) -> TranscodedDeck {
+    let Some(memo) = memo else {
+        return translate(body.as_str());
+    };
+    let body_buf = body.as_bytes_buf();
+    let mut memo = memo.borrow_mut();
+    if let Some(deck) = memo.get(mode, &body_buf) {
+        return deck;
+    }
+    let deck = translate(body.as_str());
+    memo.insert(mode, body_buf, deck.clone());
+    deck
 }
 
 #[cfg(test)]

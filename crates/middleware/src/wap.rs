@@ -23,7 +23,7 @@ use markup::{html, wbxml};
 use simnet::stats::Counter;
 use simnet::SimDuration;
 
-use crate::memo::{SharedTranscodeMemo, TranscodeMode, TranscodedDeck};
+use crate::memo::{self, SharedTranscodeMemo, TranscodeMode, TranscodedDeck};
 use crate::{AirFormat, Exchange, Middleware, MobileRequest};
 
 /// WSP compact request framing overhead in bytes (transaction id, PDU
@@ -84,23 +84,27 @@ impl WapGateway {
 
     /// The pure HTML → WML → (WBXML | text) translation: everything the
     /// gateway derives from the response body alone. Returns the air
-    /// payload, whether the source failed to parse (error card), and — on
-    /// the binary path, where WBXML decoding is the exact inverse of
-    /// encoding — the deck tree itself, so the station browser can skip
-    /// the decode.
-    fn translate(&self, html: &str) -> (Bytes, bool, Option<Arc<markup::Element>>) {
-        let (deck, failed) = match html::parse_html(html) {
+    /// payload, flagged when the source failed to parse (error card),
+    /// and — on the binary path, where WBXML decoding is the exact
+    /// inverse of encoding — the deck tree itself, so the station browser
+    /// can skip the decode.
+    fn translate(&self, html: &str) -> TranscodedDeck {
+        let (deck, flagged) = match html::parse_html(html) {
             Ok(doc) => (html_to_wml(&doc, &self.wml_options), false),
             Err(_) => {
                 let fallback = html::page("Error", vec![html::p("content unavailable").into()]);
                 (html_to_wml(&fallback, &self.wml_options), true)
             }
         };
-        if self.binary_encoding {
-            let content = Bytes::from(wbxml::encode(&deck));
-            (content, failed, Some(Arc::new(deck)))
+        let (content, deck) = if self.binary_encoding {
+            (Bytes::from(wbxml::encode(&deck)), Some(Arc::new(deck)))
         } else {
-            (Bytes::from(deck.to_markup()), failed, None)
+            (Bytes::from(deck.to_markup()), None)
+        };
+        TranscodedDeck {
+            content,
+            flagged,
+            deck,
         }
     }
 }
@@ -153,30 +157,14 @@ impl Middleware for WapGateway {
         } else {
             TranscodeMode::WmlText
         };
-        let (content, failed, deck) = match &self.memo {
-            Some(memo) => {
-                let body_buf = resp.body.as_bytes_buf();
-                let mut memo = memo.borrow_mut();
-                match memo.get(mode, &body_buf) {
-                    Some(deck) => (deck.content, deck.flagged, deck.deck),
-                    None => {
-                        let (content, failed, deck) = self.translate(resp.body.as_str());
-                        memo.insert(
-                            mode,
-                            body_buf,
-                            TranscodedDeck {
-                                content: content.clone(),
-                                flagged: failed,
-                                deck: deck.clone(),
-                            },
-                        );
-                        (content, failed, deck)
-                    }
-                }
-            }
-            None => self.translate(resp.body.as_str()),
-        };
-        if failed {
+        let TranscodedDeck {
+            content,
+            flagged,
+            deck,
+        } = memo::transcode(self.memo.as_ref(), mode, &resp.body, |html| {
+            self.translate(html)
+        });
+        if flagged {
             self.translation_failures.incr();
         }
         let format = if self.binary_encoding {

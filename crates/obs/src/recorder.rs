@@ -188,14 +188,6 @@ impl Recorder {
         });
     }
 
-    /// Appends an externally assembled dump (used by packet-level
-    /// harnesses that derive the stalled layer themselves).
-    pub fn push_dump(&mut self, dump: FlightDump) {
-        if let Recorder::Ring(ring) = self {
-            ring.dumps.push(dump);
-        }
-    }
-
     /// Number of events currently buffered (zero when disabled).
     pub fn len(&self) -> usize {
         match self {

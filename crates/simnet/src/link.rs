@@ -122,11 +122,6 @@ impl LinkParams {
         }
     }
 
-    /// Typical wired LAN/WAN segment: 100 Mbps, 2 ms, effectively lossless.
-    pub fn wired_lan() -> Self {
-        Self::reliable(100_000_000, SimDuration::from_millis(2))
-    }
-
     /// Typical wired Internet path: 10 Mbps bottleneck, 20 ms propagation.
     pub fn wired_wan() -> Self {
         Self::reliable(10_000_000, SimDuration::from_millis(20))

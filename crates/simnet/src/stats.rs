@@ -7,8 +7,6 @@
 use std::cell::{Cell, RefCell};
 use std::fmt;
 
-use crate::time::{SimDuration, SimTime};
-
 /// A monotonically increasing event counter.
 ///
 /// ```
@@ -131,11 +129,6 @@ impl Sampler {
         self.samples.borrow_mut().push(value);
     }
 
-    /// Records a duration in seconds.
-    pub fn record_duration(&self, d: SimDuration) {
-        self.record(d.as_secs_f64());
-    }
-
     /// Number of samples recorded.
     pub fn len(&self) -> usize {
         self.samples.borrow().len()
@@ -183,102 +176,6 @@ impl Sampler {
             p90: q(0.90),
             p99: q(0.99),
         }
-    }
-}
-
-/// Measures goodput: bytes accumulated over a window of simulated time.
-#[derive(Debug, Default)]
-pub struct Throughput {
-    bytes: Cell<u64>,
-    started: Cell<Option<SimTime>>,
-    last: Cell<Option<SimTime>>,
-}
-
-impl Throughput {
-    /// Creates an idle meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Accounts `bytes` arriving at time `now`.
-    pub fn record(&self, now: SimTime, bytes: u64) {
-        if self.started.get().is_none() {
-            self.started.set(Some(now));
-        }
-        self.last.set(Some(now));
-        self.bytes.set(self.bytes.get() + bytes);
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes.get()
-    }
-
-    /// Mean goodput in bits per second between the first and last sample,
-    /// or between the first sample and `until` if given. Returns 0 before
-    /// two distinct time points exist.
-    pub fn bits_per_sec(&self, until: Option<SimTime>) -> f64 {
-        let (Some(start), Some(last)) = (self.started.get(), self.last.get()) else {
-            return 0.0;
-        };
-        let end = until.unwrap_or(last);
-        let window = end.since(start).as_secs_f64();
-        if window <= 0.0 {
-            return 0.0;
-        }
-        (self.bytes.get() as f64 * 8.0) / window
-    }
-}
-
-/// A time-weighted average of a piecewise-constant signal (queue depth,
-/// window size, battery level…).
-#[derive(Debug)]
-pub struct TimeWeighted {
-    value: Cell<f64>,
-    since: Cell<SimTime>,
-    weighted_sum: Cell<f64>,
-    origin: Cell<SimTime>,
-}
-
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        Self::new(0.0)
-    }
-}
-
-impl TimeWeighted {
-    /// Starts tracking at time zero with the given initial value.
-    pub fn new(initial: f64) -> Self {
-        TimeWeighted {
-            value: Cell::new(initial),
-            since: Cell::new(SimTime::ZERO),
-            weighted_sum: Cell::new(0.0),
-            origin: Cell::new(SimTime::ZERO),
-        }
-    }
-
-    /// Records that the signal changed to `value` at time `now`.
-    pub fn set(&self, now: SimTime, value: f64) {
-        let dt = now.since(self.since.get()).as_secs_f64();
-        self.weighted_sum
-            .set(self.weighted_sum.get() + self.value.get() * dt);
-        self.value.set(value);
-        self.since.set(now);
-    }
-
-    /// The current value of the signal.
-    pub fn current(&self) -> f64 {
-        self.value.get()
-    }
-
-    /// The time-weighted mean of the signal from the origin to `now`.
-    pub fn mean(&self, now: SimTime) -> f64 {
-        let window = now.since(self.origin.get()).as_secs_f64();
-        if window <= 0.0 {
-            return self.value.get();
-        }
-        let tail = now.since(self.since.get()).as_secs_f64();
-        (self.weighted_sum.get() + self.value.get() * tail) / window
     }
 }
 
@@ -361,33 +258,6 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_sample_panics() {
         Sampler::new().record(f64::NAN);
-    }
-
-    #[test]
-    fn throughput_window() {
-        let t = Throughput::new();
-        t.record(SimTime::from_secs(1), 1000);
-        t.record(SimTime::from_secs(2), 1000);
-        // 2000 bytes over 1 s window = 16 kbps
-        assert!((t.bits_per_sec(None) - 16_000.0).abs() < 1e-6);
-        // over an explicit 4 s window (1..=5): 2000 B / 4 s = 4 kbps
-        assert!((t.bits_per_sec(Some(SimTime::from_secs(5))) - 4_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn throughput_no_samples_is_zero() {
-        let t = Throughput::new();
-        assert_eq!(t.bits_per_sec(None), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let g = TimeWeighted::new(0.0);
-        g.set(SimTime::from_secs(1), 10.0); // value 0 for 1 s
-        g.set(SimTime::from_secs(3), 0.0); // value 10 for 2 s
-                                           // mean over [0, 4] = (0*1 + 10*2 + 0*1)/4 = 5
-        assert!((g.mean(SimTime::from_secs(4)) - 5.0).abs() < 1e-9);
-        assert_eq!(g.current(), 0.0);
     }
 
     #[test]

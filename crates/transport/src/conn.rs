@@ -17,7 +17,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 
 use netstack::{IpPacket, Node, Payload, Protocol};
-use simnet::stats::{Counter, Sampler, Throughput};
+use simnet::stats::{Counter, Sampler};
 use simnet::trace::Trace;
 use simnet::{EventKey, SimDuration, Simulator};
 
@@ -76,8 +76,6 @@ pub struct ConnectionStats {
     pub aborts: Counter,
     /// Smoothed round-trip samples (seconds).
     pub rtt: Sampler,
-    /// Goodput meter over delivered bytes.
-    pub goodput: Throughput,
 }
 
 /// The unacknowledged send stream as a queue of refcounted chunks.
@@ -842,7 +840,6 @@ impl Connection {
 
         for data in to_deliver {
             self.stats.bytes_delivered.add(data.len() as u64);
-            self.stats.goodput.record(sim.now(), data.len() as u64);
             let cb = self.on_data.borrow().clone();
             if let Some(cb) = cb {
                 cb(sim, data);

@@ -22,7 +22,6 @@
 //! blackouts that the TCP variants in `transport` must survive.
 
 pub mod adhoc;
-pub mod cell;
 pub mod cellular;
 pub mod energy;
 pub mod handoff;
@@ -31,7 +30,6 @@ pub mod radio;
 pub mod wlan;
 
 pub use adhoc::AdHocNetwork;
-pub use cell::{AirtimeGrant, CellAirtime};
 pub use cellular::{CellularStandard, Generation, Switching};
 pub use handoff::HandoffController;
 pub use radio::RadioLink;

@@ -200,6 +200,60 @@ fn many_user_islands_under_faults_keep_their_recorded_digest() {
 }
 
 #[test]
+fn the_contention_walk_keeps_its_recorded_stats_and_series() {
+    // The faulted islands above with telemetry on: every shared server
+    // of an island — its cells, its gateway's CPU, the host's CPU and a
+    // priced WAL — queues transactions, and its busy series, the host's
+    // queue depth and the gateways' cache hit rates are exported. The
+    // digests pin the contention stats, the JSONL series and the Chrome
+    // counter events byte for byte.
+    const DIGESTS: [u64; 3] = [
+        0xf765_b6d7_9763_4160,
+        0x9468_87da_cb6f_a9ae,
+        0x3519_4fea_b8df_ac63,
+    ];
+    let scenario = Scenario::new("faulted islands")
+        .app(Category::Commerce)
+        .search_heavy(true)
+        .users(32)
+        .sessions_per_user(3)
+        .think_time(4.0)
+        .seed(19)
+        .faults(FaultPlan::storm(5, SimDuration::from_secs(15), 1.5))
+        .retry(RetryPolicy::standard())
+        .fallback_middleware(MiddlewareKind::WapTextual)
+        .cache(CachePolicy::standard())
+        .durability(DurabilityPolicy::new(4, 250_000));
+    let topology = Topology::shared().cells(8).gateways(4).hosts(4);
+    for threads in [1usize, 4] {
+        let run = FleetRunner::new(scenario.clone())
+            .topology(topology)
+            .threads(threads)
+            .telemetry(true)
+            .run();
+        let stats = run.contention.expect("shared runs report contention");
+        let series = run.timeseries.expect("telemetry was enabled");
+        assert!(stats.cell_wait_ns > 0, "no cell wait: {stats:?}");
+        assert!(stats.gateway_wait_ns > 0, "no gateway wait: {stats:?}");
+        assert!(stats.host_wait_ns > 0, "no host wait: {stats:?}");
+        let wal_busy_ns = (0..4)
+            .filter_map(|host| series.totals(&format!("host{host:04}.wal_util")))
+            .map(|(busy_ns, _)| busy_ns)
+            .sum::<u64>();
+        assert!(wal_busy_ns > 0, "the WAL never served");
+        let digests = [
+            fnv1a(format!("{stats:?}").as_bytes()),
+            fnv1a(series.to_jsonl().as_bytes()),
+            fnv1a(series.chrome_counter_events().concat().as_bytes()),
+        ];
+        assert_eq!(
+            digests, DIGESTS,
+            "{threads} thread(s): digests {digests:#018x?}"
+        );
+    }
+}
+
+#[test]
 fn contention_waits_grow_with_population_on_fixed_infrastructure() {
     // The paper's heavy-traffic concern, as a property: more stations
     // behind one cell + gateway + host ⇒ more queueing, higher p99.
