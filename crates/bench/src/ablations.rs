@@ -34,13 +34,13 @@ fn wifi(distance_m: f64) -> WirelessConfig {
 #[derive(Debug, Clone)]
 pub struct AblationRow {
     /// Configuration label.
-    pub label: String,
+    pub(crate) label: String,
     /// Mean latency, seconds.
-    pub latency_secs: f64,
+    pub(crate) latency_secs: f64,
     /// Mean over-the-air bytes per step.
-    pub air_bytes: f64,
+    pub(crate) air_bytes: f64,
     /// Mean energy per step, joules.
-    pub energy_j: f64,
+    pub(crate) energy_j: f64,
 }
 
 impl fmt::Display for AblationRow {
@@ -134,13 +134,13 @@ pub fn security_ablation(sessions: u64) -> Vec<AblationRow> {
 #[derive(Debug, Clone)]
 pub struct StorageRow {
     /// Store kind.
-    pub label: String,
+    pub(crate) label: String,
     /// Records in the store when measured.
-    pub records: usize,
+    pub(crate) records: usize,
     /// Records touched to look up the *oldest* key.
-    pub touches_oldest: usize,
+    pub(crate) touches_oldest: usize,
     /// Records touched to conclude a key is *missing*.
-    pub touches_missing: usize,
+    pub(crate) touches_missing: usize,
 }
 
 impl fmt::Display for StorageRow {
@@ -187,11 +187,11 @@ pub fn storage_ablation() -> Vec<StorageRow> {
 #[derive(Debug, Clone)]
 pub struct PaginationRow {
     /// Deck-size cap the gateway adapted to (`None` = no adaptation).
-    pub deck_cap_bytes: Option<usize>,
+    pub(crate) deck_cap_bytes: Option<usize>,
     /// Whether the Palm i705 (8 KB content budget) could load the deck.
-    pub palm_loads: bool,
+    pub(crate) palm_loads: bool,
     /// Total bytes over the air for the page.
-    pub air_bytes: u64,
+    pub(crate) air_bytes: u64,
 }
 
 impl fmt::Display for PaginationRow {
@@ -257,15 +257,15 @@ pub fn pagination_ablation() -> Vec<PaginationRow> {
 #[derive(Debug, Clone)]
 pub struct BatteryRow {
     /// Device name.
-    pub device: String,
+    pub(crate) device: String,
     /// Operating system.
-    pub os: String,
+    pub(crate) os: String,
     /// Battery capacity in joules.
-    pub capacity_j: f64,
+    pub(crate) capacity_j: f64,
     /// Hours of mixed use (browsing with think time) until the battery died.
-    pub hours: f64,
+    pub(crate) hours: f64,
     /// Sessions completed before death.
-    pub sessions: u64,
+    pub(crate) sessions: u64,
 }
 
 impl fmt::Display for BatteryRow {

@@ -8,7 +8,7 @@
 //!
 //! * **Gated** metrics are the deterministic outputs of the fixed-seed
 //!   simulations — sim-time latencies, counts, rates, digests,
-//!   identities. They must match the baseline within [`TOLERANCE`]
+//!   identities. They must match the baseline within `TOLERANCE`
 //!   (1%, covering decimal formatting) on any machine, so a drift is a
 //!   real behaviour change and fails the diff.
 //! * **Informational** metrics are wall-clock measurements (wall
@@ -31,11 +31,11 @@ use obs::json::{self, Value};
 
 /// Relative tolerance for gated numeric metrics: 1%, which covers the
 /// artefacts' decimal formatting.
-pub const TOLERANCE: f64 = 0.01;
+pub(crate) const TOLERANCE: f64 = 0.01;
 
 /// Flattens a document into `path → leaf` (`"knee[2].p99_ms" → 2617.2457`;
 /// objects add `.key`, arrays `[i]`). Empty containers add nothing.
-pub fn flatten(doc: &Value) -> BTreeMap<String, Value> {
+pub(crate) fn flatten(doc: &Value) -> BTreeMap<String, Value> {
     fn walk(path: String, value: &Value, out: &mut BTreeMap<String, Value>) {
         match value {
             Value::Object(members) => {
@@ -61,7 +61,7 @@ pub fn flatten(doc: &Value) -> BTreeMap<String, Value> {
 /// Metric names that are wall-clock (or machine-shape) measurements:
 /// reported in the delta table, never gated. Matched against the final
 /// path segment.
-pub const INFORMATIONAL: &[&str] = &[
+pub(crate) const INFORMATIONAL: &[&str] = &[
     "wall_secs",
     "events_per_sec",
     "tps",
@@ -79,7 +79,7 @@ pub const INFORMATIONAL: &[&str] = &[
 
 /// The verdict on one metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Status {
+pub(crate) enum Status {
     /// Gated and within tolerance.
     Ok,
     /// Informational metric: reported, never gated.
@@ -111,18 +111,18 @@ pub struct Delta {
     /// Current value, if the current run has the metric.
     pub current: Option<Value>,
     /// Relative delta in percent, for numeric pairs.
-    pub delta_pct: Option<f64>,
+    pub(crate) delta_pct: Option<f64>,
     /// The verdict.
-    pub status: Status,
+    pub(crate) status: Status,
 }
 
 /// The full comparison of one artefact pair.
 #[derive(Debug, Clone)]
 pub struct Diff {
     /// Artefact label (file stem) the rows belong to.
-    pub label: String,
+    pub(crate) label: String,
     /// Every metric in baseline ∪ current, in path order.
-    pub rows: Vec<Delta>,
+    pub(crate) rows: Vec<Delta>,
 }
 
 impl Diff {
@@ -187,7 +187,7 @@ fn leaves_match(a: &Value, b: &Value) -> bool {
 }
 
 /// Compares a baseline artefact against a current one.
-pub fn diff(
+pub(crate) fn diff(
     label: &str,
     baseline: &BTreeMap<String, Value>,
     current: &BTreeMap<String, Value>,

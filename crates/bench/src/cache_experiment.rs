@@ -49,21 +49,21 @@ const BROWSE_GETS: u64 = 12;
 /// One cell of the TTL × think-time sweep, with the matching cold
 /// (cache-free) percentiles alongside.
 #[derive(Debug, Clone)]
-pub struct CacheSweepRow {
+pub(crate) struct CacheSweepRow {
     /// Cache TTL at both layers, seconds of sim time.
-    pub ttl_s: f64,
+    pub(crate) ttl_s: f64,
     /// Think time between revisits, seconds of sim time.
-    pub think_s: f64,
+    pub(crate) think_s: f64,
     /// Warm p50 over steady-state revisits, milliseconds.
-    pub p50_ms: f64,
+    pub(crate) p50_ms: f64,
     /// Warm p99 over steady-state revisits, milliseconds.
-    pub p99_ms: f64,
+    pub(crate) p99_ms: f64,
     /// Cold p50 over the same revisits with caches disabled.
-    pub cold_p50_ms: f64,
+    pub(crate) cold_p50_ms: f64,
     /// Cold p99 with caches disabled.
-    pub cold_p99_ms: f64,
+    pub(crate) cold_p99_ms: f64,
     /// Gateway content-cache hits across the cell.
-    pub gateway_hits: u64,
+    pub(crate) gateway_hits: u64,
 }
 
 impl fmt::Display for CacheSweepRow {
@@ -86,21 +86,21 @@ impl fmt::Display for CacheSweepRow {
 #[derive(Debug, Clone)]
 pub struct CacheNumbers {
     /// Browsing users per sweep cell.
-    pub users: u64,
+    pub(crate) users: u64,
     /// GETs each user issues (first excluded as the cold fill).
-    pub gets_per_user: u64,
+    pub(crate) gets_per_user: u64,
     /// The TTL × locality sweep.
-    pub sweep: Vec<CacheSweepRow>,
+    pub(crate) sweep: Vec<CacheSweepRow>,
     /// Whether the zero-TTL fleet came out byte-identical to the
     /// cache-free fleet at a different thread count.
-    pub zero_ttl_identical: bool,
+    pub(crate) zero_ttl_identical: bool,
     /// Page-cache hits with the gateway cache disabled.
-    pub page_hits: u64,
+    pub(crate) page_hits: u64,
     /// Query-cache hits on the read-only healthcare poll.
-    pub db_hits: u64,
+    pub(crate) db_hits: u64,
     /// Wall-clock nanoseconds per `Database::get` over chunky rows
     /// (machine-dependent; the `Arc<Row>` read path).
-    pub db_get_ns: f64,
+    pub(crate) db_get_ns: f64,
 }
 
 impl fmt::Display for CacheNumbers {
@@ -228,7 +228,7 @@ fn db_poll_hits() -> u64 {
 
 /// Wall-clock nanoseconds per [`Database::get`] over ~2 KB rows — the
 /// hot read path that returns `Arc<Row>` instead of deep-cloning.
-pub fn db_read_ns_per_op() -> f64 {
+pub(crate) fn db_read_ns_per_op() -> f64 {
     const ROWS: i64 = 1_000;
     const PASSES: usize = 50;
     let mut db = Database::new();

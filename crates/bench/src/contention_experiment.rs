@@ -43,19 +43,19 @@ const THINK_SECS: f64 = 2.0;
 
 /// One point of the population sweep, caches off.
 #[derive(Debug, Clone)]
-pub struct KneeRow {
+pub(crate) struct KneeRow {
     /// Stations sharing the one cell/gateway/host.
-    pub users: u64,
+    pub(crate) users: u64,
     /// Median transaction latency, milliseconds.
-    pub p50_ms: f64,
+    pub(crate) p50_ms: f64,
     /// Tail transaction latency, milliseconds.
-    pub p99_ms: f64,
+    pub(crate) p99_ms: f64,
     /// Share of transactions that waited on a shared resource.
-    pub contended_share: f64,
+    pub(crate) contended_share: f64,
     /// Mean wait per transaction across all shared resources, ms.
-    pub mean_wait_ms: f64,
+    pub(crate) mean_wait_ms: f64,
     /// Cell airtime utilisation over the run's horizon (0..1).
-    pub cell_utilisation: f64,
+    pub(crate) cell_utilisation: f64,
 }
 
 impl fmt::Display for KneeRow {
@@ -75,15 +75,15 @@ impl fmt::Display for KneeRow {
 
 /// One point of the shared-gateway-cache sweep.
 #[derive(Debug, Clone)]
-pub struct CacheGrowthRow {
+pub(crate) struct CacheGrowthRow {
     /// Stations behind the one shared gateway cache.
-    pub users: u64,
+    pub(crate) users: u64,
     /// Hit rate of the shared gateway cache (0..1).
-    pub hit_rate: f64,
+    pub(crate) hit_rate: f64,
     /// Raw hits.
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// Raw misses.
-    pub misses: u64,
+    pub(crate) misses: u64,
 }
 
 impl fmt::Display for CacheGrowthRow {
@@ -102,17 +102,15 @@ impl fmt::Display for CacheGrowthRow {
 /// The complete F8 result set.
 #[derive(Debug, Clone)]
 pub struct ContentionNumbers {
-    /// Population sweep shared by both curves.
-    pub populations: Vec<u64>,
     /// The knee curve, caches off.
-    pub knee: Vec<KneeRow>,
+    pub(crate) knee: Vec<KneeRow>,
     /// The shared-cache hit-rate curve, long-TTL gateway cache.
-    pub cache_growth: Vec<CacheGrowthRow>,
+    pub(crate) cache_growth: Vec<CacheGrowthRow>,
     /// Whether the 1-user shared world came out byte-identical to the
     /// per-user reference world (counters *and* JSONL trace).
-    pub one_user_identical: bool,
+    pub(crate) one_user_identical: bool,
     /// Whether every sweep point was byte-identical at 1/2/4 threads.
-    pub thread_identity: bool,
+    pub(crate) thread_identity: bool,
 }
 
 impl fmt::Display for ContentionNumbers {
@@ -318,7 +316,6 @@ pub fn run(quick: bool) -> ContentionNumbers {
             == obs::export::to_jsonl(&reference_trace.events);
 
     ContentionNumbers {
-        populations,
         knee,
         cache_growth,
         one_user_identical,

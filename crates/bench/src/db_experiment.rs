@@ -56,17 +56,17 @@ const FSYNC_NS: [u64; 3] = [0, 250_000, 1_000_000];
 
 /// One cell of the commit-batch × fsync-cost sweep.
 #[derive(Debug, Clone)]
-pub struct DurabilityRow {
+pub(crate) struct DurabilityRow {
     /// Commits per WAL sync window.
-    pub commit_batch: u32,
+    pub(crate) commit_batch: u32,
     /// Modelled cost of one fsync-equivalent, microseconds.
-    pub fsync_us: f64,
+    pub(crate) fsync_us: f64,
     /// p50 transaction latency across the fleet, milliseconds.
-    pub p50_ms: f64,
+    pub(crate) p50_ms: f64,
     /// p99 transaction latency across the fleet, milliseconds.
-    pub p99_ms: f64,
+    pub(crate) p99_ms: f64,
     /// Total WAL sync time charged to host CPU, milliseconds.
-    pub commit_ms: f64,
+    pub(crate) commit_ms: f64,
 }
 
 impl fmt::Display for DurabilityRow {
@@ -81,15 +81,15 @@ impl fmt::Display for DurabilityRow {
 
 /// One row of the recovery-outage pricing table.
 #[derive(Debug, Clone)]
-pub struct RecoveryRow {
+pub(crate) struct RecoveryRow {
     /// Durable journal entries replayed.
-    pub replayed: u64,
+    pub(crate) replayed: u64,
     /// Commits per WAL sync window during replay.
-    pub commit_batch: u32,
+    pub(crate) commit_batch: u32,
     /// Modelled fsync-equivalent cost, microseconds.
-    pub fsync_us: f64,
+    pub(crate) fsync_us: f64,
     /// Total crash outage (remount + replay + re-syncs), milliseconds.
-    pub outage_ms: f64,
+    pub(crate) outage_ms: f64,
 }
 
 impl fmt::Display for RecoveryRow {
@@ -106,22 +106,22 @@ impl fmt::Display for RecoveryRow {
 #[derive(Debug, Clone)]
 pub struct DbNumbers {
     /// Buying users per sweep cell.
-    pub users: u64,
+    pub(crate) users: u64,
     /// Sessions (journaled purchases) per user.
-    pub sessions_per_user: u64,
+    pub(crate) sessions_per_user: u64,
     /// The commit-batch × fsync-cost sweep.
-    pub sweep: Vec<DurabilityRow>,
+    pub(crate) sweep: Vec<DurabilityRow>,
     /// The recovery-outage pricing table.
-    pub recovery: Vec<RecoveryRow>,
+    pub(crate) recovery: Vec<RecoveryRow>,
     /// WAL fsyncs observed for 100 commits at each batch size.
-    pub fsyncs_per_100_commits: Vec<(u32, u64)>,
+    pub(crate) fsyncs_per_100_commits: Vec<(u32, u64)>,
     /// Whether the explicit zero-cost-policy fleet came out
     /// byte-identical to the policy-free fleet at 1/2/4/8 threads.
-    pub zero_cost_identical: bool,
+    pub(crate) zero_cost_identical: bool,
     /// Secondary-index entries rebuilt by the recovery micro-leg.
-    pub index_entries_rebuilt: u64,
+    pub(crate) index_entries_rebuilt: u64,
     /// Wall-clock nanoseconds for that recovery (machine-dependent).
-    pub rebuild_wall_ns: f64,
+    pub(crate) rebuild_wall_ns: f64,
 }
 
 impl fmt::Display for DbNumbers {

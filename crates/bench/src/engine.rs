@@ -29,47 +29,47 @@ use crate::gate::{Gate, Numbers};
 #[derive(Debug, Clone)]
 pub struct ThroughputSample {
     /// Engine name (`"wheel"` or `"heap"`).
-    pub engine: &'static str,
+    pub(crate) engine: &'static str,
     /// Events executed.
-    pub events: u64,
+    pub(crate) events: u64,
     /// Wall-clock seconds for schedule + run.
-    pub wall_secs: f64,
+    pub(crate) wall_secs: f64,
     /// Events per wall-clock second.
-    pub events_per_sec: f64,
+    pub(crate) events_per_sec: f64,
     /// Workload checksum (must match across engines).
-    pub checksum: u64,
+    pub(crate) checksum: u64,
 }
 
 /// Wall-clock timing of a full end-to-end fleet run.
 #[derive(Debug, Clone)]
-pub struct FleetTiming {
+pub(crate) struct FleetTiming {
     /// Simulated users.
-    pub users: u64,
+    pub(crate) users: u64,
     /// OS threads the fleet was sharded across.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Transactions executed.
-    pub transactions: u64,
+    pub(crate) transactions: u64,
     /// Wall-clock seconds.
-    pub wall_secs: f64,
+    pub(crate) wall_secs: f64,
     /// Transactions per wall-clock second.
-    pub tps: f64,
+    pub(crate) tps: f64,
 }
 
 /// The complete F4 result set.
 #[derive(Debug, Clone)]
 pub struct EngineNumbers {
     /// Concurrent timers in the storm.
-    pub timers: u64,
+    pub(crate) timers: u64,
     /// Re-schedules per timer.
-    pub hops: u64,
+    pub(crate) hops: u64,
     /// Production timer-wheel engine.
-    pub wheel: ThroughputSample,
+    pub(crate) wheel: ThroughputSample,
     /// Reference `BinaryHeap` engine.
-    pub heap: ThroughputSample,
+    pub(crate) heap: ThroughputSample,
     /// `wheel.events_per_sec / heap.events_per_sec`.
-    pub speedup: f64,
+    pub(crate) speedup: f64,
     /// End-to-end fleet wall time on the production engine.
-    pub fleet: FleetTiming,
+    pub(crate) fleet: FleetTiming,
 }
 
 impl fmt::Display for EngineNumbers {

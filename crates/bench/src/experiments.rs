@@ -31,13 +31,11 @@ fn wifi(distance_m: f64) -> WirelessConfig {
 #[derive(Debug, Clone)]
 pub struct SystemProfile {
     /// System label.
-    pub label: String,
-    /// Transactions run.
-    pub transactions: usize,
+    pub(crate) label: String,
     /// Mean total latency, seconds.
-    pub total_secs: f64,
+    pub(crate) total_secs: f64,
     /// Mean per-component shares (component → fraction of latency).
-    pub shares: Vec<(String, f64)>,
+    pub(crate) shares: Vec<(String, f64)>,
 }
 
 impl fmt::Display for SystemProfile {
@@ -56,7 +54,6 @@ impl fmt::Display for SystemProfile {
 pub fn fig1_fig2(transactions: u64) -> (SystemProfile, SystemProfile) {
     let profile = |label: String, summary: &WorkloadSummary| SystemProfile {
         label,
-        transactions: summary.attempted,
         total_secs: summary.latency_mean,
         shares: summary
             .component_shares
@@ -95,17 +92,15 @@ pub fn fig1_fig2(transactions: u64) -> (SystemProfile, SystemProfile) {
 #[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Category name (Table 1 column 1).
-    pub category: String,
-    /// Major applications (Table 1 column 2).
-    pub major_applications: String,
+    pub(crate) category: String,
     /// Clients (Table 1 column 3).
-    pub clients: String,
+    pub(crate) clients: String,
     /// Success rate over the workload.
-    pub success_rate: f64,
+    pub(crate) success_rate: f64,
     /// Mean step latency, seconds.
-    pub latency_secs: f64,
+    pub(crate) latency_secs: f64,
     /// Mean bytes over the air per step.
-    pub air_bytes: f64,
+    pub(crate) air_bytes: f64,
 }
 
 impl fmt::Display for Table1Row {
@@ -141,7 +136,6 @@ pub fn table1(sessions: u64) -> Vec<Table1Row> {
             let summary = run_workload(&mut system, app.as_ref(), sessions, 33);
             Table1Row {
                 category: app.category().name().to_owned(),
-                major_applications: app.category().major_applications().to_owned(),
                 clients: app.category().clients().to_owned(),
                 success_rate: summary.success_rate(),
                 latency_secs: summary.latency_mean,
@@ -159,21 +153,17 @@ pub fn table1(sessions: u64) -> Vec<Table1Row> {
 #[derive(Debug, Clone)]
 pub struct Table2Row {
     /// Device name.
-    pub device: String,
+    pub(crate) device: String,
     /// Operating system.
-    pub os: String,
-    /// Processor description.
-    pub processor: String,
-    /// RAM/ROM as printed in the paper.
-    pub ram_rom: String,
+    pub(crate) os: String,
     /// Mean transaction latency, seconds (device CPU included).
-    pub latency_secs: f64,
+    pub(crate) latency_secs: f64,
     /// Mean station-CPU share of latency.
-    pub station_share: f64,
+    pub(crate) station_share: f64,
     /// Mean energy per transaction, joules.
-    pub energy_j: f64,
+    pub(crate) energy_j: f64,
     /// Content budget in bytes (drives which decks load at all).
-    pub content_budget: usize,
+    pub(crate) content_budget: usize,
 }
 
 impl fmt::Display for Table2Row {
@@ -206,8 +196,6 @@ pub fn table2(sessions: u64) -> Vec<Table2Row> {
             Table2Row {
                 device: device.name.to_owned(),
                 os: device.os.to_string(),
-                processor: device.processor.to_owned(),
-                ram_rom: format!("{} MB/{} MB", device.ram_mb, device.rom_mb),
                 latency_secs: summary.latency_mean,
                 station_share: summary
                     .component_shares
@@ -229,17 +217,17 @@ pub fn table2(sessions: u64) -> Vec<Table2Row> {
 #[derive(Debug, Clone)]
 pub struct Table3Row {
     /// Middleware name.
-    pub middleware: String,
+    pub(crate) middleware: String,
     /// Network name.
-    pub network: String,
+    pub(crate) network: String,
     /// Mean latency, seconds.
-    pub latency_secs: f64,
+    pub(crate) latency_secs: f64,
     /// Mean over-the-air bytes per step.
-    pub air_bytes: f64,
+    pub(crate) air_bytes: f64,
     /// Mean middleware-CPU share.
-    pub middleware_share: f64,
+    pub(crate) middleware_share: f64,
     /// Mean energy, joules.
-    pub energy_j: f64,
+    pub(crate) energy_j: f64,
 }
 
 impl fmt::Display for Table3Row {
@@ -379,17 +367,17 @@ pub fn table4(bytes_per_transfer: usize) -> Vec<Table4Row> {
 #[derive(Debug, Clone)]
 pub struct Table5Row {
     /// Standard name.
-    pub standard: String,
+    pub(crate) standard: String,
     /// Generation label.
-    pub generation: String,
+    pub(crate) generation: String,
     /// Switching technique.
-    pub switching: String,
+    pub(crate) switching: String,
     /// Whether mobile commerce is feasible at all (1G analog is not).
-    pub feasible: bool,
+    pub(crate) feasible: bool,
     /// First-transaction latency (includes session setup), seconds.
-    pub first_txn_secs: f64,
+    pub(crate) first_txn_secs: f64,
     /// Steady-state transaction latency, seconds.
-    pub steady_txn_secs: f64,
+    pub(crate) steady_txn_secs: f64,
 }
 
 impl fmt::Display for Table5Row {
@@ -464,15 +452,15 @@ pub fn table5() -> Vec<Table5Row> {
 #[derive(Debug, Clone)]
 pub struct FleetScaleRow {
     /// Simulated users in the fleet.
-    pub users: u64,
+    pub(crate) users: u64,
     /// OS threads the fleet was sharded across (after clamping).
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Transactions executed across the fleet.
-    pub transactions: u64,
+    pub(crate) transactions: u64,
     /// Wall-clock seconds the run took.
-    pub wall_secs: f64,
+    pub(crate) wall_secs: f64,
     /// Transactions simulated per wall-clock second.
-    pub tps: f64,
+    pub(crate) tps: f64,
 }
 
 impl fmt::Display for FleetScaleRow {

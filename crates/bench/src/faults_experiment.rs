@@ -61,20 +61,20 @@ const STORM_SEED: u64 = 4242;
 
 /// One row of the fault-intensity sweep: the same fleet bare vs hardened.
 #[derive(Debug, Clone)]
-pub struct FaultSweepRow {
+pub(crate) struct FaultSweepRow {
     /// Storm intensity multiplier (0 = no faults injected).
-    pub intensity: f64,
+    pub(crate) intensity: f64,
     /// Success rate of the fleet without any recovery policy.
-    pub bare_availability: f64,
+    pub(crate) bare_availability: f64,
     /// p99 transaction latency without recovery, seconds.
-    pub bare_p99_s: f64,
+    pub(crate) bare_p99_s: f64,
     /// Success rate with retry + fallback middleware.
-    pub retry_availability: f64,
+    pub(crate) retry_availability: f64,
     /// p99 transaction latency with recovery, seconds (retries fold the
     /// failed attempts' latency into the settled transaction).
-    pub retry_p99_s: f64,
+    pub(crate) retry_p99_s: f64,
     /// Retry attempts the hardened fleet spent.
-    pub retries: u64,
+    pub(crate) retries: u64,
 }
 
 impl fmt::Display for FaultSweepRow {
@@ -94,41 +94,41 @@ impl fmt::Display for FaultSweepRow {
 
 /// Outcome of the packet-granularity dead-peer demonstration.
 #[derive(Debug, Clone)]
-pub struct DeadPeerOutcome {
+pub(crate) struct DeadPeerOutcome {
     /// Whether the sender reached [`State::Aborted`] (the fixed bug
     /// would leave it retransmitting forever).
-    pub aborted: bool,
+    pub(crate) aborted: bool,
     /// Sim time at which the abort fired, seconds.
-    pub abort_secs: f64,
+    pub(crate) abort_secs: f64,
     /// RTOs the sender took before giving up.
-    pub sender_rtos: u64,
+    pub(crate) sender_rtos: u64,
     /// The error surfaced to the application layer.
-    pub reason: String,
+    pub(crate) reason: String,
 }
 
 /// The complete F6 result set.
 #[derive(Debug, Clone)]
 pub struct FaultsNumbers {
     /// Users in the sweep fleet.
-    pub users: u64,
+    pub(crate) users: u64,
     /// Sessions per user.
-    pub sessions_per_user: u64,
+    pub(crate) sessions_per_user: u64,
     /// The intensity sweep, bare vs hardened.
-    pub sweep: Vec<FaultSweepRow>,
+    pub(crate) sweep: Vec<FaultSweepRow>,
     /// EC baseline availability over the same workload volume.
-    pub ec_availability: f64,
+    pub(crate) ec_availability: f64,
     /// EC baseline p99 latency, seconds.
-    pub ec_p99_s: f64,
+    pub(crate) ec_p99_s: f64,
     /// Whether an empty plan + no-retry policy fleet came out
     /// byte-identical to a plan-free fleet at a different thread count.
-    pub zero_fault_identical: bool,
+    pub(crate) zero_fault_identical: bool,
     /// Trace events naming injected faults or retry backoffs in the
     /// traced storm fleet.
-    pub fault_trace_events: u64,
+    pub(crate) fault_trace_events: u64,
     /// Flight-recorder dumps (failed transactions) in the traced fleet.
-    pub fault_dumps: u64,
+    pub(crate) fault_dumps: u64,
     /// The dead-peer transport abort demonstration.
-    pub dead_peer: DeadPeerOutcome,
+    pub(crate) dead_peer: DeadPeerOutcome,
 }
 
 impl fmt::Display for FaultsNumbers {
@@ -212,7 +212,7 @@ impl Numbers for FaultsNumbers {
 
 /// The fixed-seed fleet the sweep perturbs: commerce sessions spread
 /// across the storm horizon by think time.
-pub fn sweep_scenario(quick: bool) -> Scenario {
+pub(crate) fn sweep_scenario(quick: bool) -> Scenario {
     Scenario::new("F6")
         .app(Category::Commerce)
         .users(if quick { 24 } else { 96 })
@@ -261,7 +261,7 @@ fn ec_reference(scenario: &Scenario) -> (f64, f64) {
 /// Packet-granularity dead-peer demonstration: the fault driver blacks
 /// out the wireless leg for good mid-transfer; the TCP sender must
 /// abort and surface the error instead of retransmitting forever.
-pub fn dead_peer_demo() -> DeadPeerOutcome {
+pub(crate) fn dead_peer_demo() -> DeadPeerOutcome {
     let mut sim = Simulator::new();
     let trace = Trace::bounded(16);
 

@@ -16,11 +16,11 @@ use obs::json::Value;
 #[derive(Debug)]
 pub struct Gate {
     /// What the gate checks.
-    pub name: String,
+    pub(crate) name: String,
     /// The measured value.
-    pub measured: String,
+    pub(crate) measured: String,
     /// The comparison and bound it must meet, e.g. `<= 3`.
-    pub bound: String,
+    pub(crate) bound: String,
     /// Whether the measured value met the bound.
     pub passed: bool,
 }
@@ -36,7 +36,7 @@ impl Gate {
     }
 
     /// `measured` must be true.
-    pub fn holds(name: impl Into<String>, measured: bool) -> Gate {
+    pub(crate) fn holds(name: impl Into<String>, measured: bool) -> Gate {
         Gate::new(name, measured, measured, "==", true)
     }
 
@@ -46,17 +46,17 @@ impl Gate {
     }
 
     /// `measured <= bound`.
-    pub fn at_most<T: Measure>(name: impl Into<String>, measured: T, bound: T) -> Gate {
+    pub(crate) fn at_most<T: Measure>(name: impl Into<String>, measured: T, bound: T) -> Gate {
         Gate::new(name, measured <= bound, measured, "<=", bound)
     }
 
     /// `measured >= bound`.
-    pub fn at_least<T: Measure>(name: impl Into<String>, measured: T, bound: T) -> Gate {
+    pub(crate) fn at_least<T: Measure>(name: impl Into<String>, measured: T, bound: T) -> Gate {
         Gate::new(name, measured >= bound, measured, ">=", bound)
     }
 
     /// `measured < bound`.
-    pub fn below<T: Measure>(name: impl Into<String>, measured: T, bound: T) -> Gate {
+    pub(crate) fn below<T: Measure>(name: impl Into<String>, measured: T, bound: T) -> Gate {
         Gate::new(name, measured < bound, measured, "<", bound)
     }
 

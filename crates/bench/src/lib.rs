@@ -19,7 +19,7 @@
 //! | F9 | fleet scale: populations × threads, wall/tps/RSS | [`scale_experiment::run`] |
 //! | F10 | fleet telemetry: cost when off, identity when on | [`telemetry_experiment::run`] |
 //! | F11 | durable storage: group commit × fsync cost, recovery pricing | [`db_experiment::run`] |
-//! | X1 | §5.2, TCP variants on wireless | [`tcpx::tcp_variants`] |
+//! | X1 | §5.2, TCP variants on wireless | `tcpx::tcp_variants` |
 //! | X2 | §1.1, five system requirements | [`experiments::independence`] |
 //!
 //! `cargo run -p bench --bin report` prints every table; the Criterion

@@ -54,7 +54,7 @@ fn hop_instrumented(sim: &mut Simulator, timer: u64, hop: u64) {
 /// With `enable == false` the metrics registry stays in its default
 /// disabled state, so each hop pays exactly the flag-check; with
 /// `enable == true` every hop takes the full record path.
-pub fn instrumented_throughput(timers: u64, hops: u64, enable: bool) -> ThroughputSample {
+pub(crate) fn instrumented_throughput(timers: u64, hops: u64, enable: bool) -> ThroughputSample {
     ACC.with(|acc| acc.set(0));
     let guard = enable.then(obs::metrics::enable);
     let start = Instant::now();
@@ -87,40 +87,40 @@ pub fn instrumented_throughput(timers: u64, hops: u64, enable: bool) -> Throughp
 #[derive(Debug, Clone)]
 pub struct ObsNumbers {
     /// Concurrent timers in the storm.
-    pub timers: u64,
+    pub(crate) timers: u64,
     /// Re-schedules per timer.
-    pub hops: u64,
+    pub(crate) hops: u64,
     /// Uninstrumented F4 wheel baseline.
-    pub baseline: ThroughputSample,
+    pub(crate) baseline: ThroughputSample,
     /// Instrumented hop, metrics registry disabled.
-    pub disabled: ThroughputSample,
+    pub(crate) disabled: ThroughputSample,
     /// Instrumented hop, metrics registry enabled.
-    pub enabled: ThroughputSample,
+    pub(crate) enabled: ThroughputSample,
     /// Throughput lost to the *disabled* instrumentation, percent of
     /// baseline (negative = measured faster; noise). The median of the
     /// per-repetition ratios — the honest central estimate.
-    pub overhead_disabled_pct: f64,
+    pub(crate) overhead_disabled_pct: f64,
     /// The *minimum* per-repetition disabled-overhead ratio. Scheduler
     /// noise only inflates a ratio, so the floor is the least-noise
     /// pairing — a true regression lifts every pairing, floor included,
     /// which is what makes this the CI gate statistic.
-    pub overhead_disabled_floor_pct: f64,
+    pub(crate) overhead_disabled_floor_pct: f64,
     /// Throughput lost with the registry enabled, percent of baseline.
-    pub overhead_enabled_pct: f64,
+    pub(crate) overhead_enabled_pct: f64,
     /// Fixed-seed fleet, recorder off.
-    pub fleet_untraced: FleetTiming,
+    pub(crate) fleet_untraced: FleetTiming,
     /// The same fleet fully traced (per-user recorders + metrics).
-    pub fleet_traced: FleetTiming,
+    pub(crate) fleet_traced: FleetTiming,
     /// Fleet throughput lost to full tracing, percent (median of the
     /// per-repetition ratios).
-    pub fleet_overhead_pct: f64,
+    pub(crate) fleet_overhead_pct: f64,
     /// Minimum per-repetition traced-fleet overhead ratio; the CI gate
     /// (see [`ObsNumbers::overhead_disabled_floor_pct`]).
-    pub fleet_overhead_floor_pct: f64,
+    pub(crate) fleet_overhead_floor_pct: f64,
     /// Trace events the traced fleet produced.
-    pub trace_events: u64,
+    pub(crate) trace_events: u64,
     /// Flight-recorder dumps (failed transactions) in the traced fleet.
-    pub trace_dumps: u64,
+    pub(crate) trace_dumps: u64,
 }
 
 fn overhead_pct(baseline: f64, variant: f64) -> f64 {
@@ -233,7 +233,7 @@ pub fn trace_scenario(quick: bool) -> Scenario {
 /// outliers in *both* directions, where best-of-N systematically
 /// favours whichever variant got a lucky scheduling window — the
 /// mechanism behind the negative "overheads" single-shot F5 reported.
-pub const REPETITIONS: usize = 5;
+pub(crate) const REPETITIONS: usize = 5;
 
 /// The median-wall-time sample of one variant's repetitions.
 fn median_of(mut runs: Vec<ThroughputSample>) -> ThroughputSample {

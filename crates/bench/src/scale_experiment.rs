@@ -42,20 +42,20 @@ use crate::gate::{Gate, Numbers};
 #[derive(Debug, Clone)]
 pub struct ScaleCell {
     /// Simulated users.
-    pub users: u64,
+    pub(crate) users: u64,
     /// Worker threads requested.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Wall-clock seconds for the whole fleet run.
-    pub wall_secs: f64,
+    pub(crate) wall_secs: f64,
     /// Transactions executed.
-    pub transactions: u64,
+    pub(crate) transactions: u64,
     /// Transactions per wall-clock second.
-    pub tps: f64,
+    pub(crate) tps: f64,
     /// Peak resident set size of the cell's process, bytes (0 when the
     /// platform exposes no `VmHWM`).
-    pub peak_rss_bytes: u64,
+    pub(crate) peak_rss_bytes: u64,
     /// FNV-1a 64 digest of the merged workload counters, hex.
-    pub digest: String,
+    pub(crate) digest: String,
 }
 
 impl ScaleCell {
@@ -69,7 +69,7 @@ impl ScaleCell {
 
     /// Reads a cell back from [`ScaleCell::to_json`]'s object; `None`
     /// when a field is missing or mistyped.
-    pub fn from_json(cell: &Value) -> Option<ScaleCell> {
+    pub(crate) fn from_json(cell: &Value) -> Option<ScaleCell> {
         Some(ScaleCell {
             users: cell["users"].as_u64()?,
             threads: usize::try_from(cell["threads"].as_u64()?).ok()?,
@@ -86,11 +86,11 @@ impl ScaleCell {
 #[derive(Debug, Clone)]
 pub struct ScaleNumbers {
     /// Populations swept, ascending.
-    pub populations: Vec<u64>,
+    pub(crate) populations: Vec<u64>,
     /// Thread counts swept, ascending.
-    pub threads: Vec<usize>,
+    pub(crate) threads: Vec<usize>,
     /// Measured cells, population-major then thread order.
-    pub cells: Vec<ScaleCell>,
+    pub(crate) cells: Vec<ScaleCell>,
 }
 
 /// Peak-RSS budget of a 100k-user cell: the engine streams, so memory
@@ -105,7 +105,7 @@ impl ScaleNumbers {
 
     /// Whether every population's cells share one digest, whatever
     /// their thread count.
-    pub fn identical_across_threads(&self) -> bool {
+    pub(crate) fn identical_across_threads(&self) -> bool {
         self.populations.iter().all(|&pop| self.digests(pop).len() == 1)
     }
 }
@@ -169,7 +169,7 @@ impl fmt::Display for ScaleNumbers {
 /// The F9 scenario for one population: the Commerce workload, one
 /// session per user, caches off — the leanest end-to-end transaction,
 /// so the measurement isolates the engine, not a cache policy.
-pub fn scenario(users: u64) -> Scenario {
+pub(crate) fn scenario(users: u64) -> Scenario {
     Scenario::new("F9")
         .app(Category::Commerce)
         .users(users)

@@ -54,17 +54,17 @@ const WRITE_RATES: [u32; 3] = [0, 10, 50];
 
 /// One fleet leg of the cold/warm comparison.
 #[derive(Debug, Clone)]
-pub struct LatencyLeg {
+pub(crate) struct LatencyLeg {
     /// Leg label: `cold` (caches off) or `warm` (standard policy).
-    pub leg: &'static str,
+    pub(crate) leg: &'static str,
     /// p50 transaction latency across the fleet, milliseconds.
-    pub p50_ms: f64,
+    pub(crate) p50_ms: f64,
     /// p99 transaction latency across the fleet, milliseconds.
-    pub p99_ms: f64,
+    pub(crate) p99_ms: f64,
     /// Total simulated search CPU charged to hosts, milliseconds.
-    pub search_ms: f64,
+    pub(crate) search_ms: f64,
     /// DB search-memo hits across the fleet.
-    pub memo_hits: u64,
+    pub(crate) memo_hits: u64,
 }
 
 impl fmt::Display for LatencyLeg {
@@ -79,46 +79,46 @@ impl fmt::Display for LatencyLeg {
 
 /// One row of the index-size axis.
 #[derive(Debug, Clone)]
-pub struct IndexSizeRow {
+pub(crate) struct IndexSizeRow {
     /// Catalog rows indexed.
-    pub rows: i64,
+    pub(crate) rows: i64,
     /// Simulated cost of one cold two-term search, nanoseconds.
-    pub cold_search_ns: u64,
+    pub(crate) cold_search_ns: u64,
 }
 
 /// One row of the write-rate axis.
 #[derive(Debug, Clone)]
-pub struct WriteRateRow {
+pub(crate) struct WriteRateRow {
     /// Catalog writes interleaved per 100 queries.
-    pub writes_per_100_queries: u32,
+    pub(crate) writes_per_100_queries: u32,
     /// Search-memo hits over those 100 queries.
-    pub memo_hits: u64,
+    pub(crate) memo_hits: u64,
     /// Search-memo misses (cold executions) over those 100 queries.
-    pub memo_misses: u64,
+    pub(crate) memo_misses: u64,
 }
 
 /// The complete F12 result set.
 #[derive(Debug, Clone)]
 pub struct SearchNumbers {
     /// Searching users per fleet leg.
-    pub users: u64,
+    pub(crate) users: u64,
     /// Search-heavy sessions per user.
-    pub sessions_per_user: u64,
+    pub(crate) sessions_per_user: u64,
     /// The cold/warm fleet comparison.
-    pub latency: Vec<LatencyLeg>,
+    pub(crate) latency: Vec<LatencyLeg>,
     /// The catalog-size axis.
-    pub index_size: Vec<IndexSizeRow>,
+    pub(crate) index_size: Vec<IndexSizeRow>,
     /// The write-rate axis.
-    pub write_rate: Vec<WriteRateRow>,
+    pub(crate) write_rate: Vec<WriteRateRow>,
     /// Whether indexed search matched the brute-force scan row for row
     /// across the whole query battery.
-    pub search_equals_scan: bool,
+    pub(crate) search_equals_scan: bool,
     /// Whether the search-heavy fleet merged byte-identically on
     /// 1/2/4/8 shards.
-    pub thread_identical: bool,
+    pub(crate) thread_identical: bool,
     /// Whether 10k distinct search queries left the page cache holding
     /// no keys (the high-cardinality-key regression gate).
-    pub interner_flat: bool,
+    pub(crate) interner_flat: bool,
 }
 
 impl fmt::Display for SearchNumbers {

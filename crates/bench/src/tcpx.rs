@@ -18,7 +18,6 @@ use netstack::{Ip, Subnet};
 use simnet::link::{LinkParams, LossModel};
 use simnet::rng::rng_for;
 use simnet::trace::Trace;
-use obs::{EventKind, FlightDump, Layer, TraceEvent};
 use simnet::{SimDuration, SimTime, Simulator};
 use transport::{Connection, SnoopAgent, SocketAddr, SplitProxy, Tcp};
 use wireless::HandoffController;
@@ -50,7 +49,7 @@ impl Variant {
     ];
 
     /// Display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Variant::Reno => "TCP Reno (baseline)",
             Variant::Split => "Split TCP [16]",
@@ -100,28 +99,25 @@ impl Default for TcpxConfig {
 #[derive(Debug, Clone)]
 pub struct TcpxRow {
     /// Scheme under test.
-    pub variant: Variant,
+    pub(crate) variant: Variant,
     /// Wireless BER used.
-    pub ber: f64,
+    pub(crate) ber: f64,
     /// Whether handoffs were active.
-    pub handoffs: bool,
+    pub(crate) handoffs: bool,
     /// Handoff period in seconds (0 when disabled).
-    pub handoff_period_secs: f64,
+    pub(crate) handoff_period_secs: f64,
     /// Whether the full payload arrived within the time budget.
-    pub completed: bool,
+    pub(crate) completed: bool,
     /// Transfer time, seconds.
-    pub elapsed_secs: f64,
+    pub(crate) elapsed_secs: f64,
     /// Application goodput, bits per second.
-    pub goodput_bps: f64,
+    pub(crate) goodput_bps: f64,
     /// Retransmissions by the *fixed sender* (end-to-end recovery cost).
-    pub sender_retransmits: u64,
+    pub(crate) sender_retransmits: u64,
     /// RTOs taken by the fixed sender.
-    pub sender_rtos: u64,
+    pub(crate) sender_rtos: u64,
     /// Local retransmissions by the base station (snoop only).
-    pub local_retransmits: u64,
-    /// Flight-recorder dump when the run stalled: the trace tail plus
-    /// the layer the stall is attributed to. `None` on completion.
-    pub dump: Option<FlightDump>,
+    pub(crate) local_retransmits: u64,
 }
 
 impl fmt::Display for TcpxRow {
@@ -145,8 +141,6 @@ impl fmt::Display for TcpxRow {
 /// Runs one configuration of the X1 experiment.
 pub fn run_one(variant: Variant, config: &TcpxConfig) -> TcpxRow {
     let mut sim = Simulator::new();
-    // Generous bound: on a stall the tail of this buffer becomes the
-    // flight-recorder dump, so keep enough history to see the cause.
     let trace = Trace::bounded(64);
 
     let mut net = Network::new();
@@ -252,49 +246,6 @@ pub fn run_one(variant: Variant, config: &TcpxConfig) -> TcpxRow {
     } else {
         config.time_limit.as_secs_f64()
     };
-    let dump = (!completed).then(|| {
-        // Attribute the stall: wireless-leg drops or active handoff
-        // blackouts point at the wireless layer; otherwise the transfer
-        // died on the wired TCP path.
-        let wireless_drops = down.dropped_loss.get()
-            + down.dropped_queue.get()
-            + up.dropped_loss.get()
-            + up.dropped_queue.get();
-        let layer = if wireless_drops > 0 || controller.is_some() {
-            Layer::Wireless
-        } else {
-            Layer::Wired
-        };
-        FlightDump {
-            user: 0,
-            txn: 0,
-            reason: format!(
-                "{}: transfer stalled at {got}/{} bytes after {:.1} s ({} wireless drops)",
-                variant.name(),
-                config.bytes,
-                elapsed,
-                wireless_drops
-            ),
-            layer,
-            events: trace
-                .snapshot()
-                .into_iter()
-                .map(|e| TraceEvent {
-                    at_ns: e.at.as_nanos(),
-                    dur_ns: 0,
-                    layer: match e.category {
-                        "handoff" | "snoop" | "mobileip" => Layer::Wireless,
-                        "split" | "wap" => Layer::Middleware,
-                        _ => Layer::Wired,
-                    },
-                    name: format!("{}: {}", e.category, e.message).into(),
-                    kind: EventKind::Instant,
-                    user: 0,
-                    txn: 0,
-                })
-                .collect(),
-        }
-    });
     TcpxRow {
         variant,
         ber: config.ber,
@@ -309,12 +260,11 @@ pub fn run_one(variant: Variant, config: &TcpxConfig) -> TcpxRow {
         sender_retransmits: sender.stats.retransmits.get(),
         sender_rtos: sender.stats.rtos.get(),
         local_retransmits: snoop.map(|s| s.local_retransmits.get()).unwrap_or(0),
-        dump,
     }
 }
 
 /// Runs all four variants under `config`.
-pub fn tcp_variants(config: &TcpxConfig) -> Vec<TcpxRow> {
+pub(crate) fn tcp_variants(config: &TcpxConfig) -> Vec<TcpxRow> {
     Variant::ALL.iter().map(|&v| run_one(v, config)).collect()
 }
 
@@ -439,28 +389,6 @@ mod tests {
             fast.goodput_bps,
             reno.goodput_bps
         );
-    }
-
-    #[test]
-    fn stalled_runs_carry_a_flight_dump_naming_the_layer() {
-        // A time budget far too small for the payload guarantees a stall.
-        let strangled = TcpxConfig {
-            bytes: 400_000,
-            ber: 1e-5,
-            handoff_period: Some(SimDuration::from_millis(1_500)),
-            time_limit: SimDuration::from_secs(3),
-            ..Default::default()
-        };
-        let row = run_one(Variant::Reno, &strangled);
-        assert!(!row.completed);
-        let dump = row.dump.expect("stalled run must carry a dump");
-        assert_eq!(dump.layer, obs::Layer::Wireless, "{}", dump.reason);
-        assert!(dump.reason.contains("stalled"), "{}", dump.reason);
-        assert!(!dump.events.is_empty(), "dump must carry the trace tail");
-
-        // Completed runs carry none.
-        let ok = run_one(Variant::Snoop, &cfg(0.0, false));
-        assert!(ok.completed && ok.dump.is_none());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!    saturation-onset sim-times (the numbers behind `report --f8
 //!    --dash`), deterministic and therefore gated by `benchdiff`.
 //!
-//! Wall-clock timings use the median of [`REPETITIONS`] runs, like F5.
+//! Wall-clock timings use the median of `REPETITIONS` runs, like F5.
 
 use std::fmt;
 use std::hint::black_box;
@@ -45,7 +45,7 @@ const SESSIONS_PER_USER: u64 = 6;
 const THINK_SECS: f64 = 2.0;
 
 /// Wall-clock repetitions per timed cell; the median is reported.
-pub const REPETITIONS: usize = 5;
+pub(crate) const REPETITIONS: usize = 5;
 
 /// Utilisation threshold (thousandths) that counts as saturated in the
 /// onset columns: 90%.
@@ -54,50 +54,50 @@ pub const SATURATION_MILLI: u64 = 900;
 /// The micro-benchmark cell: kernel with vs without the disabled-path
 /// telemetry branch.
 #[derive(Debug, Clone)]
-pub struct MicroNumbers {
+pub(crate) struct MicroNumbers {
     /// Kernel iterations per repetition.
-    pub iterations: u64,
+    pub(crate) iterations: u64,
     /// Median wall seconds, kernel alone.
-    pub baseline_wall_secs: f64,
+    pub(crate) baseline_wall_secs: f64,
     /// Median wall seconds, kernel + disabled-telemetry branch.
-    pub disabled_wall_secs: f64,
+    pub(crate) disabled_wall_secs: f64,
     /// Relative cost of the branch, percent (median of the
     /// per-repetition ratios — the honest central estimate).
-    pub overhead_disabled_pct: f64,
+    pub(crate) overhead_disabled_pct: f64,
     /// Minimum per-repetition ratio — the least-noise pairing, and the
     /// CI gate statistic (noise only inflates ratios; a real
     /// regression lifts every pairing).
-    pub overhead_disabled_floor_pct: f64,
+    pub(crate) overhead_disabled_floor_pct: f64,
 }
 
 /// The fleet-level cell: one shared-world run, telemetry off vs on.
 #[derive(Debug, Clone)]
-pub struct FleetCell {
+pub(crate) struct FleetCell {
     /// Stations in the shared world.
-    pub users: u64,
+    pub(crate) users: u64,
     /// Median wall seconds with telemetry off.
-    pub off_wall_secs: f64,
+    pub(crate) off_wall_secs: f64,
     /// Median wall seconds with telemetry on.
-    pub on_wall_secs: f64,
+    pub(crate) on_wall_secs: f64,
     /// Relative cost of full capture, percent.
-    pub overhead_enabled_pct: f64,
+    pub(crate) overhead_enabled_pct: f64,
     /// Registered series in the merged telemetry.
-    pub series: usize,
+    pub(crate) series: usize,
     /// Total (series, bin) points exported.
-    pub points: usize,
+    pub(crate) points: usize,
 }
 
 /// One resource's saturation row (the `--dash` numbers).
 #[derive(Debug, Clone)]
-pub struct PeakRow {
+pub(crate) struct PeakRow {
     /// Series name, e.g. `gateway0000.cpu_util`.
-    pub series: String,
+    pub(crate) series: String,
     /// Series kind name (`util` / `gauge` / `rate`).
-    pub kind: String,
+    pub(crate) kind: String,
     /// Peak bin value, thousandths.
-    pub peak_milli: u64,
+    pub(crate) peak_milli: u64,
     /// Sim-time of the first bin at ≥[`SATURATION_MILLI`], if any.
-    pub onset_ns: Option<u64>,
+    pub(crate) onset_ns: Option<u64>,
 }
 
 /// Renders a peak for humans: percent for utilisations and rates,
@@ -138,17 +138,17 @@ impl fmt::Display for PeakRow {
 #[derive(Debug, Clone)]
 pub struct TelemetryNumbers {
     /// The micro disabled-cost cell.
-    pub micro: MicroNumbers,
+    pub(crate) micro: MicroNumbers,
     /// The fleet on-vs-off cell.
-    pub fleet: FleetCell,
+    pub(crate) fleet: FleetCell,
     /// Series exports byte-identical at 1/2/4/8 threads.
-    pub thread_identity: bool,
+    pub(crate) thread_identity: bool,
     /// Telemetry on/off leaves summary + trace byte-identical.
-    pub run_identity: bool,
+    pub(crate) run_identity: bool,
     /// Repeated exports of one run are byte-identical.
-    pub export_stable: bool,
+    pub(crate) export_stable: bool,
     /// Per-resource peaks and saturation onsets.
-    pub peaks: Vec<PeakRow>,
+    pub(crate) peaks: Vec<PeakRow>,
 }
 
 impl fmt::Display for TelemetryNumbers {

@@ -15,7 +15,7 @@ use super::{Application, Category, Draws, Step};
 
 /// The mobile-classroom application.
 #[derive(Debug, Default)]
-pub struct EducationApp;
+pub(crate) struct EducationApp;
 
 /// Course id, title, and the correct answer to its quiz.
 const COURSES: [(i64, &str, &str); 3] = [

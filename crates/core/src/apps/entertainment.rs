@@ -16,7 +16,7 @@ use super::{Application, Category, Draws, Step};
 
 /// The downloads application.
 #[derive(Debug, Default)]
-pub struct EntertainmentApp;
+pub(crate) struct EntertainmentApp;
 
 /// Seeded items: `(id, title, kind, kilobytes)`.
 const ITEMS: [(i64, &str, &str, i64); 5] = [

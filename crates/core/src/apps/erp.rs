@@ -15,7 +15,7 @@ use super::{Application, Category, Draws, Step};
 
 /// The resource-management application.
 #[derive(Debug, Default)]
-pub struct ErpApp;
+pub(crate) struct ErpApp;
 
 /// Parts stocked at install: `(part, quantity)`.
 const STOCK: [(&str, i64); 3] = [("compressor", 40), ("valve kit", 120), ("filter", 300)];

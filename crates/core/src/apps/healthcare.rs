@@ -15,7 +15,7 @@ use super::{Application, Category, Draws, Step};
 
 /// The patient-records application.
 #[derive(Debug, Default)]
-pub struct HealthCareApp;
+pub(crate) struct HealthCareApp;
 
 /// Clinician credentials provisioned at install.
 pub const CLINICIAN: (&str, &str) = ("dr-grey", "rounds2003");

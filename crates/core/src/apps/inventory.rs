@@ -22,7 +22,7 @@ use super::{Application, Category, Draws, Step};
 pub struct InventoryApp;
 
 /// Depots packages move through.
-pub const DEPOTS: [&str; 5] = [
+pub(crate) const DEPOTS: [&str; 5] = [
     "airport hub",
     "north depot",
     "south depot",

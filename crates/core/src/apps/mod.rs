@@ -28,13 +28,13 @@
 //! once.
 
 pub mod commerce;
-pub mod education;
-pub mod entertainment;
-pub mod erp;
+pub(crate) mod education;
+pub(crate) mod entertainment;
+pub(crate) mod erp;
 pub mod healthcare;
-pub mod inventory;
-pub mod traffic;
-pub mod travel;
+pub(crate) mod inventory;
+pub(crate) mod traffic;
+pub(crate) mod travel;
 
 use hostsite::db::Database;
 use hostsite::HostComputer;
@@ -42,12 +42,12 @@ use markup::Text;
 use middleware::MobileRequest;
 
 pub use commerce::PaymentsApp;
-pub use education::EducationApp;
-pub use entertainment::EntertainmentApp;
-pub use erp::ErpApp;
-pub use healthcare::HealthCareApp;
+pub(crate) use education::EducationApp;
+pub(crate) use entertainment::EntertainmentApp;
+pub(crate) use erp::ErpApp;
+pub(crate) use healthcare::HealthCareApp;
 pub use inventory::InventoryApp;
-pub use traffic::TrafficApp;
+pub(crate) use traffic::TrafficApp;
 pub use travel::TravelApp;
 
 /// The application categories of Table 1, in row order.
@@ -98,20 +98,6 @@ impl Category {
         }
     }
 
-    /// The major applications (Table 1 column 2).
-    pub fn major_applications(self) -> &'static str {
-        match self {
-            Category::Commerce => "Mobile transactions and payments",
-            Category::Education => "Mobile classrooms and labs",
-            Category::Erp => "Resource management",
-            Category::Entertainment => "Music/video/game downloads",
-            Category::HealthCare => "Patient record accessing",
-            Category::Inventory => "Product tracking and dispatching",
-            Category::Traffic => "A global positioning, directions, and traffic advisories",
-            Category::Travel => "Travel management",
-        }
-    }
-
     /// The client industries (Table 1 column 3).
     pub fn clients(self) -> &'static str {
         match self {
@@ -136,7 +122,7 @@ impl std::fmt::Display for Category {
 /// One step of a user session: the request to issue and, optionally, a
 /// substring that must appear on the rendered page if the step worked.
 ///
-/// [`Step::get`] and [`Step::post`] rewrite a step in place, keeping
+/// `Step::get` and [`Step::post`] rewrite a step in place, keeping
 /// the buffers of whatever they overwrite: a writer that fills one
 /// `Step` step after step allocates only when a string outgrows every
 /// earlier one. URLs, form values and expectations are any [`Text`],
@@ -170,17 +156,8 @@ impl Default for Step {
 }
 
 impl Step {
-    /// A step with an expectation.
-    pub fn expecting(req: MobileRequest, expect: impl Into<String>) -> Self {
-        Step {
-            req,
-            expect: Some(expect.into()),
-            spare: Spare::default(),
-        }
-    }
-
     /// A step whose success is judged only by transport/status.
-    pub fn fire(req: MobileRequest) -> Self {
+    pub(crate) fn fire(req: MobileRequest) -> Self {
         Step {
             req,
             expect: None,
@@ -190,7 +167,7 @@ impl Step {
 
     /// Rewrites this step as a GET of `url` with no cookies, no
     /// credentials and no expectation.
-    pub fn get(&mut self, url: impl Text) -> &mut Self {
+    pub(crate) fn get(&mut self, url: impl Text) -> &mut Self {
         self.request(url);
         park(&mut self.req.form, &mut self.spare.form);
         self
@@ -378,10 +355,6 @@ mod tests {
 
     #[test]
     fn table1_columns_match_the_paper() {
-        assert_eq!(
-            Category::Commerce.major_applications(),
-            "Mobile transactions and payments"
-        );
         assert_eq!(
             Category::HealthCare.clients(),
             "Hospitals and nursing homes"

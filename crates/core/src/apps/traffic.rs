@@ -16,10 +16,10 @@ use super::{Application, Category, Draws, Step};
 
 /// The traffic application.
 #[derive(Debug, Default)]
-pub struct TrafficApp;
+pub(crate) struct TrafficApp;
 
 /// Intersections of the simulated city grid.
-pub const NODES: [&str; 6] = ["airport", "harbor", "station", "mall", "campus", "stadium"];
+pub(crate) const NODES: [&str; 6] = ["airport", "harbor", "station", "mall", "campus", "stadium"];
 
 /// Directed road segments `(from, to, minutes)`.
 const ROADS: [(&str, &str, i64); 10] = [

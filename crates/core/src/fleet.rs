@@ -8,7 +8,7 @@
 //! × application workload × user count × security — and a
 //! [`FleetRunner`] executes it on a [`Topology`] across OS threads.
 //!
-//! There is one engine ([`crate::shared`]): users are grouped into
+//! There is one engine (`crate::shared`): users are grouped into
 //! islands around a host, and islands are sharded across threads. The
 //! default [`Topology::isolated`] gives every user an island of its own,
 //! a private world; a shared topology puts many users behind one cell,
@@ -82,15 +82,15 @@ use crate::workload::run_session_with_policy;
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Scenario name, used in labels and reports.
-    pub name: String,
+    pub(crate) name: String,
     /// The handset every user carries.
-    pub device: DeviceProfile,
+    pub(crate) device: DeviceProfile,
     /// The middleware component (component iii).
-    pub middleware: MiddlewareKind,
+    pub(crate) middleware: MiddlewareKind,
     /// The wireless network (component iv).
-    pub wireless: WirelessConfig,
+    pub(crate) wireless: WirelessConfig,
     /// The wired path to the host (component v).
-    pub wired: WiredPath,
+    pub(crate) wired: WiredPath,
     /// The application workload (component i, Table 1).
     pub app: Category,
     /// Number of independent simulated users.
@@ -98,7 +98,7 @@ pub struct Scenario {
     /// Sessions each user runs.
     pub sessions_per_user: u64,
     /// Whether WTLS-style transport security is on (§8).
-    pub secure: bool,
+    pub(crate) secure: bool,
     /// User think time between sessions, seconds of sim time: the
     /// station idles (draining idle battery) and the user's clock moves
     /// through any scheduled fault windows. Zero (the default) keeps
@@ -122,10 +122,10 @@ pub struct Scenario {
     /// path, so a cache-free fleet is bit-identical to one carrying
     /// `CachePolicy::disabled()`. Caches never cross an island, which
     /// preserves thread-count invariance.
-    pub cache: CachePolicy,
+    pub(crate) cache: CachePolicy,
     /// Durability policy for every user's host database. The default
     /// (batch 1, free fsync) executes the exact pre-WAL-pricing path.
-    pub durability: DurabilityPolicy,
+    pub(crate) durability: DurabilityPolicy,
     /// Drive each user through the search-heavy sessions
     /// ([`Application::write_search_step`]) instead of the regular
     /// ones: the browse → search → refine → purchase
@@ -335,7 +335,7 @@ impl Scenario {
 
     /// The typed [`SystemSpec`] for one user of this scenario — the
     /// scenario's stack with the user's derived air-link seed.
-    pub fn spec_for_user(&self, user: u64) -> SystemSpec {
+    pub(crate) fn spec_for_user(&self, user: u64) -> SystemSpec {
         SystemSpec::new()
             .middleware(self.middleware)
             .device(self.device.clone())
@@ -350,7 +350,7 @@ impl Scenario {
     /// Builds the fully provisioned system for one user: a freshly
     /// seeded database in a host with the application mounted,
     /// middleware, device, networks — seeded purely from the scenario
-    /// seed and the user index, all through [`Scenario::spec_for_user`].
+    /// seed and the user index, all through `Scenario::spec_for_user`.
     /// The fleet engine never calls this; it is the per-user reference
     /// the engine is tested against.
     pub fn system_for_user(&self, user: u64) -> McSystem {
@@ -478,31 +478,20 @@ pub(crate) fn seeded(app: &dyn Application) -> Database {
 /// island layout, or population (pinned by `tests/fleet_props.rs`
 /// against the scratch-free [`Scenario::run_user`]).
 #[derive(Debug, Default)]
-pub struct ShardScratch {
+pub(crate) struct ShardScratch {
     transcode: SharedTranscodeMemo,
     render: Rc<RefCell<RenderMemo>>,
 }
 
 impl ShardScratch {
     /// A fresh, empty scratch for one worker thread.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Attaches this scratch's memos to a freshly built user.
     pub(crate) fn attach(&self, user: &mut UserSide) {
         user.attach_shard_memos(self.transcode.clone(), self.render.clone());
-    }
-
-    /// Translation lookups answered from the memo, across every system
-    /// this scratch served.
-    pub fn transcode_hits(&self) -> u64 {
-        self.transcode.borrow().hits()
-    }
-
-    /// Render lookups answered from the memo.
-    pub fn render_hits(&self) -> u64 {
-        self.render.borrow().hits()
     }
 }
 
@@ -519,7 +508,7 @@ pub struct UserTrace {
     pub metrics: obs::Metrics,
     /// Events the user's ring recorder overwrote: 0 when `events` is the
     /// user's whole trace.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
 }
 
 /// The merged telemetry of a traced fleet run.
@@ -561,7 +550,7 @@ impl FleetTrace {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetSummary {
     /// The scenario label this fleet executed.
-    pub scenario: String,
+    pub(crate) scenario: String,
     /// Number of simulated users.
     pub users: u64,
     /// The merged workload statistics across every user.
@@ -731,7 +720,7 @@ impl FleetRunner {
     }
 
     /// Enables or disables shared-resource time-series (bins of
-    /// [`obs::timeseries::DEFAULT_BIN_NS`]).
+    /// `obs::timeseries::DEFAULT_BIN_NS`).
     #[must_use]
     pub fn telemetry(mut self, enabled: bool) -> Self {
         self.config.telemetry = enabled;
@@ -740,7 +729,7 @@ impl FleetRunner {
 
     /// Executes the fleet and returns everything it produced.
     ///
-    /// Every topology runs the one island engine in [`crate::shared`]:
+    /// Every topology runs the one island engine in `crate::shared`:
     /// [`Topology::isolated`] is simply one island per user. The summary
     /// — and the trace and time-series, when captured — is
     /// byte-identical at any thread count.

@@ -10,7 +10,7 @@
 //!
 //! * [`netpath`] — wireless and wired hop models with link-layer ARQ,
 //!   session setup, and byte/energy accounting,
-//! * [`system`] — [`McSystem`] / [`EcSystem`] and the transaction engine
+//! * `system` — [`McSystem`] / [`EcSystem`] and the transaction engine
 //!   producing per-component latency breakdowns,
 //! * [`report`] — transaction reports and workload aggregation,
 //! * [`apps`] — the eight application categories of Table 1, each a real
@@ -22,40 +22,35 @@
 //! * [`fleet`] — the deterministic sharded scenario runner scaling the
 //!   model to whole user populations ([`Scenario`] + [`Topology`] →
 //!   [`FleetRunner`]),
-//! * [`topology`] — the infrastructure shape a fleet runs on: cells ×
+//! * `topology` — the infrastructure shape a fleet runs on: cells ×
 //!   gateways × hosts and user placement,
-//! * [`shared`] — the shared-world contention engine behind
+//! * `shared` — the shared-world contention engine behind
 //!   [`Topology::shared`] topologies: FCFS airtime, gateway and host
 //!   queues over island-sharded deterministic execution.
 //!
 //! Telemetry (per-layer counters, latency histograms, sim-time spans and
 //! flight-recorder dumps) is published through the dependency-free
-//! [`obs`] crate; [`hist`] re-exports its log-linear histogram, the
+//! [`obs`] crate; its log-linear histogram (`obs::hist`) is the
 //! bucketing every latency percentile in [`report`] uses.
-
-pub use obs::hist;
 
 pub mod apps;
 pub mod fleet;
-pub mod merge;
+pub(crate) mod merge;
 pub mod netpath;
 pub mod report;
 pub mod requirements;
-pub mod shared;
-pub mod system;
-pub mod topology;
+pub(crate) mod shared;
+pub(crate) mod system;
+pub(crate) mod topology;
 pub mod workload;
 
 pub use apps::Category;
-pub use faults::{
-    classify, FailureClass, FaultEvent, FaultKind, FaultPlan, FaultState, FaultWindow, RetryPolicy,
-};
+pub use faults::{FaultKind, FaultPlan, RetryPolicy};
 pub use fleet::{
-    FleetReport, FleetRun, FleetRunner, FleetSummary, FleetTrace, RecorderKind, Scenario,
-    ShardScratch, UserTrace,
+    FleetReport, FleetRun, FleetRunner, FleetSummary, FleetTrace, RecorderKind, Scenario, UserTrace,
 };
 pub use merge::TraceMerger;
-pub use netpath::{AirLink, WiredPath, WirelessConfig};
+pub use netpath::{WiredPath, WirelessConfig};
 pub use report::{
     PhaseBreakdown, TransactionOutcome, TransactionReport, WorkloadCounters, WorkloadSummary,
 };
@@ -63,6 +58,6 @@ pub use hostsite::db::DurabilityPolicy;
 pub use shared::ContentionStats;
 pub use system::{
     db_recovery_outage_ns, CachePolicy, CommerceSystem, EcSystem, McSystem, MiddlewareKind,
-    StationState, SystemSpec, UserSide,
+    SystemSpec, UserSide,
 };
 pub use topology::{Placement, Topology};

@@ -48,7 +48,7 @@ impl TraceMerger {
     /// arrival's event count seeds one up-front reservation of the
     /// fleet buffer. Purely an allocation hint — the merged output is
     /// identical whether or not (or how accurately) it is given.
-    pub fn for_users(users: u64) -> Self {
+    pub(crate) fn for_users(users: u64) -> Self {
         Self {
             expected_users: users,
             ..Self::default()
@@ -93,16 +93,6 @@ impl TraceMerger {
         self.trace.dropped += user.dropped;
     }
 
-    /// Traces already streamed into the output (excludes the buffer).
-    pub fn flushed(&self) -> u64 {
-        self.next
-    }
-
-    /// Traces waiting in the reorder buffer for a canonical predecessor.
-    pub fn buffered(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Completes the merge. Any traces still buffered (user indices
     /// with gaps below them — legal when a population's indices are
     /// sparse) drain in ascending user order, preserving the canonical
@@ -137,8 +127,8 @@ mod tests {
         for user in [2u64, 0, 3, 1] {
             merger.push(user, trace_with_marker(user));
         }
-        assert_eq!(merger.flushed(), 4);
-        assert_eq!(merger.buffered(), 0);
+        assert_eq!(merger.next, 4);
+        assert_eq!(merger.pending.len(), 0);
         let trace = merger.finish();
         assert_eq!(trace.metrics.counter("unit.users"), 1 + 2 + 3 + 4);
     }
@@ -148,8 +138,8 @@ mod tests {
         let mut merger = TraceMerger::new();
         merger.push(0, trace_with_marker(0));
         merger.push(7, trace_with_marker(7)); // gap: users 1..=6 absent
-        assert_eq!(merger.flushed(), 1);
-        assert_eq!(merger.buffered(), 1);
+        assert_eq!(merger.next, 1);
+        assert_eq!(merger.pending.len(), 1);
         let trace = merger.finish();
         assert_eq!(trace.metrics.counter("unit.users"), 1 + 8);
     }

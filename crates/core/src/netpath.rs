@@ -16,10 +16,10 @@ use wireless::energy::EnergyModel;
 use wireless::{CellularStandard, WlanStandard};
 
 /// Maximum over-the-air frame payload in bytes.
-pub const AIR_MTU: usize = 1_500;
+pub(crate) const AIR_MTU: usize = 1_500;
 
 /// Link-layer retransmission limit per frame (802.11-style ARQ).
-pub const ARQ_RETRY_LIMIT: u32 = 7;
+pub(crate) const ARQ_RETRY_LIMIT: u32 = 7;
 
 /// Which wireless network carries the air hop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,15 +104,15 @@ pub struct HopTransfer {
 /// The rate, the BER and the framing overhead fix the link's fragment
 /// size and the price of a full fragment (its delivery probability and
 /// airtime), so the link prices them once, when it is built, and again
-/// only when [`AirLink::raise_ber`] changes the BER.
+/// only when `AirLink::raise_ber` changes the BER.
 #[derive(Debug, Clone, Copy)]
 pub struct AirLink {
     /// MAC access / RAN latency charged per frame exchange.
-    pub access_delay: SimDuration,
+    pub(crate) access_delay: SimDuration,
     /// One-time session setup (circuit dialling / packet activation).
-    pub session_setup: SimDuration,
+    pub(crate) session_setup: SimDuration,
     /// Energy prices for this radio.
-    pub energy: EnergyModel,
+    pub(crate) energy: EnergyModel,
     rate_bps: u64,
     ber: f64,
     frame_overhead: usize,
@@ -166,11 +166,6 @@ impl AirLink {
         self.rate_bps
     }
 
-    /// Residual bit-error rate.
-    pub fn ber(&self) -> f64 {
-        self.ber
-    }
-
     /// Framing overhead per frame, bytes.
     pub fn frame_overhead(&self) -> usize {
         self.frame_overhead
@@ -178,7 +173,7 @@ impl AirLink {
 
     /// Raises the residual bit-error rate to `ber` if that is higher (a
     /// loss burst), and re-prices the link only then.
-    pub fn raise_ber(&mut self, ber: f64) {
+    pub(crate) fn raise_ber(&mut self, ber: f64) {
         if ber > self.ber {
             self.ber = ber;
             self.price();
@@ -210,7 +205,7 @@ impl AirLink {
     /// Transfers `bytes` across the air: frames are pipelined (the MAC
     /// access delay is charged once per transfer), every ARQ
     /// retransmission costs its airtime again plus one access delay, and
-    /// a frame exhausting [`ARQ_RETRY_LIMIT`] fails the transfer.
+    /// a frame exhausting `ARQ_RETRY_LIMIT` fails the transfer.
     pub fn transfer(&self, bytes: usize, rng: &mut StdRng) -> HopTransfer {
         if bytes == 0 {
             return HopTransfer {
@@ -267,12 +262,12 @@ impl AirLink {
     }
 
     /// Energy to move `transfer` in the transmit direction.
-    pub fn tx_energy(&self, transfer: &HopTransfer) -> f64 {
+    pub(crate) fn tx_energy(&self, transfer: &HopTransfer) -> f64 {
         self.energy.tx_cost(transfer.bytes_on_medium)
     }
 
     /// Energy to move `transfer` in the receive direction.
-    pub fn rx_energy(&self, transfer: &HopTransfer) -> f64 {
+    pub(crate) fn rx_energy(&self, transfer: &HopTransfer) -> f64 {
         self.energy.rx_cost(transfer.bytes_on_medium)
     }
 }
@@ -281,7 +276,7 @@ impl AirLink {
 #[derive(Debug, Clone, Copy)]
 pub struct WiredPath {
     /// Bottleneck bandwidth in bits per second.
-    pub rate_bps: u64,
+    pub(crate) rate_bps: u64,
     /// One-way latency.
     pub latency: SimDuration,
 }
@@ -401,7 +396,7 @@ mod tests {
             // A loss burst re-prices the link only if it raises the BER.
             if let Some(burst) = burst {
                 link.raise_ber(burst);
-                prop_assert_eq!(link.ber(), ber.max(burst));
+                prop_assert_eq!(link.ber, ber.max(burst));
             }
             let mut rng = rng_for(seed, "t");
             let mut oracle_rng = rng_for(seed, "t");

@@ -33,7 +33,7 @@ pub struct PhaseBreakdown {
 
 impl PhaseBreakdown {
     /// Sum of all components.
-    pub fn total(&self) -> SimDuration {
+    pub(crate) fn total(&self) -> SimDuration {
         self.station + self.wireless + self.middleware + self.wired + self.host
     }
 
@@ -110,15 +110,10 @@ pub struct TransactionReport {
     /// (every attempt's): the part of the host share the shared-world
     /// engine serves on the host's log rather than its CPU. Zero under
     /// the default, free durability policy.
-    pub wal: SimDuration,
+    pub(crate) wal: SimDuration,
 }
 
 impl TransactionReport {
-    /// A failed transaction with the given reason and no costs paid.
-    pub fn failed(reason: impl Into<String>) -> Self {
-        TransactionReport::new(PhaseBreakdown::default(), Some(reason.into()), None)
-    }
-
     /// One attempt costing `breakdown`, with nothing over the air and no
     /// battery drawn; it succeeded iff there is no `failure`.
     pub(crate) fn new(
@@ -159,7 +154,7 @@ impl TransactionReport {
     }
 
     /// The rendered page text, when the transaction produced one.
-    pub fn page_text(&self) -> Option<&str> {
+    pub(crate) fn page_text(&self) -> Option<&str> {
         self.outcome.as_ref().map(|o| &*o.page_text)
     }
 }
@@ -170,7 +165,7 @@ const COMPONENTS: [&str; 5] = ["host", "middleware", "station", "wired", "wirele
 /// Purely integral accumulator for transaction statistics.
 ///
 /// Every field is a counter or an integral histogram, so
-/// [`WorkloadCounters::merge`] is exactly associative and commutative —
+/// `WorkloadCounters::merge` is exactly associative and commutative —
 /// two fleets that partition the same sessions differently produce
 /// bit-identical merged counters. Latencies arrive in nanoseconds and
 /// energies are quantised to nanojoules on entry; the latency
@@ -190,7 +185,7 @@ pub struct WorkloadCounters {
     /// Sum of energy over successes, nanojoules.
     pub energy_nj: u128,
     /// Link-layer retransmissions over successes.
-    pub retransmissions: u64,
+    pub(crate) retransmissions: u64,
     /// Transaction-level retries: exactly `Σ(attempts − 1)` over every
     /// recorded transaction, successes and failures alike (a failed
     /// transaction's spent retries still cost battery and airtime). A
@@ -242,7 +237,7 @@ impl WorkloadCounters {
     }
 
     /// Adds `other` into `self`. Associative and commutative.
-    pub fn merge(&mut self, other: &WorkloadCounters) {
+    pub(crate) fn merge(&mut self, other: &WorkloadCounters) {
         self.attempted += other.attempted;
         self.succeeded += other.succeeded;
         self.latency_ns += other.latency_ns;
@@ -268,7 +263,7 @@ impl WorkloadCounters {
 
     /// Derives the human-facing summary. A pure function of the counter
     /// state, so summaries of identically merged counters are identical.
-    pub fn summary(&self, label: impl Into<String>) -> WorkloadSummary {
+    pub(crate) fn summary(&self, label: impl Into<String>) -> WorkloadSummary {
         let n = self.succeeded as f64;
         let total_component_ns: u128 = self.component_ns.values().sum();
         let mut component_shares = BTreeMap::new();
@@ -405,7 +400,7 @@ mod tests {
         let reports = vec![
             report(600, 400),
             report(1_800, 1_200),
-            TransactionReport::failed("battery died"),
+            TransactionReport::new(PhaseBreakdown::default(), Some("battery died".into()), None),
         ];
         let summary = WorkloadSummary::aggregate("test", &reports);
         assert_eq!(summary.attempted, 3);
@@ -420,7 +415,7 @@ mod tests {
 
     #[test]
     fn all_failed_workload_is_zeroes_not_nan() {
-        let summary = WorkloadSummary::aggregate("dead", &[TransactionReport::failed("no signal")]);
+        let summary = WorkloadSummary::aggregate("dead", &[TransactionReport::new(PhaseBreakdown::default(), Some("no signal".into()), None)]);
         assert_eq!(summary.succeeded, 0);
         assert_eq!(summary.latency_mean, 0.0);
         assert_eq!(summary.success_rate(), 0.0);
@@ -458,7 +453,7 @@ mod tests {
         let ns = 1_500_000_000;
         assert_eq!(
             counters.latency_hist.raw_buckets().keys().copied().collect::<Vec<_>>(),
-            vec![crate::hist::bucket(ns)]
+            vec![obs::hist::bucket(ns)]
         );
         assert_eq!(counters.latency_hist.count(), 1);
     }
@@ -472,7 +467,7 @@ mod tests {
         swapped.attempts = 2;
         // A transaction that exhausted three attempts and still failed:
         // one attempted, one failure, two retries.
-        let mut exhausted = TransactionReport::failed("wireless outage (handoff in progress)");
+        let mut exhausted = TransactionReport::new(PhaseBreakdown::default(), Some("wireless outage (handoff in progress)".into()), None);
         exhausted.attempts = 3;
         let mut counters = WorkloadCounters::default();
         counters.record(&swapped);

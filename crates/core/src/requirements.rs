@@ -55,7 +55,7 @@ fn wifi(distance_m: f64) -> WirelessConfig {
 
 /// Requirement 1 — transactions complete ubiquitously (several positions
 /// and networks) and in a timely manner (p90 under a budget).
-pub fn check_ubiquity(latency_budget_secs: f64) -> RequirementReport {
+pub(crate) fn check_ubiquity(latency_budget_secs: f64) -> RequirementReport {
     let app = PaymentsApp::new();
     let apps: Vec<Box<dyn Application>> = vec![Box::new(PaymentsApp::new())];
     let mut evidence = Vec::new();
@@ -98,7 +98,7 @@ pub fn check_ubiquity(latency_budget_secs: f64) -> RequirementReport {
 
 /// Requirement 2 — personalization: the same URL yields different content
 /// per user once the host has seen them (sessions/cookies).
-pub fn check_personalization() -> RequirementReport {
+pub(crate) fn check_personalization() -> RequirementReport {
     let mut host = HostComputer::new(Database::new(), 7);
     host.web.route_get(
         "/home",
@@ -136,7 +136,7 @@ pub fn check_personalization() -> RequirementReport {
 
 /// Requirement 3 — application breadth: all eight Table 1 categories run
 /// to completion on one system.
-pub fn check_application_breadth() -> RequirementReport {
+pub(crate) fn check_application_breadth() -> RequirementReport {
     let apps = all_apps();
     let mut system = SystemSpec::new()
         .middleware(MiddlewareKind::Wap)
@@ -167,7 +167,7 @@ pub fn check_application_breadth() -> RequirementReport {
 
 /// Requirement 4 — interoperability: every middleware × device × network
 /// combination completes the same workload.
-pub fn check_interoperability() -> RequirementReport {
+pub(crate) fn check_interoperability() -> RequirementReport {
     let app = PaymentsApp::new();
     let mut evidence = Vec::new();
     let mut satisfied = true;
@@ -212,7 +212,7 @@ pub fn check_interoperability() -> RequirementReport {
 
 /// Requirement 5 — program/data independence: swapping middleware and
 /// wireless network mid-run leaves existing programs and data working.
-pub fn check_independence() -> RequirementReport {
+pub(crate) fn check_independence() -> RequirementReport {
     let app = PaymentsApp::new();
     let apps: Vec<Box<dyn Application>> = vec![Box::new(PaymentsApp::new())];
     let mut system = SystemSpec::new()

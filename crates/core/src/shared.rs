@@ -139,7 +139,7 @@ impl ContentionStats {
     }
 
     /// Folds another island's or worker's stats into this one.
-    pub fn merge(&mut self, other: &ContentionStats) {
+    pub(crate) fn merge(&mut self, other: &ContentionStats) {
         self.transactions += other.transactions;
         self.contended_transactions += other.contended_transactions;
         self.cell_wait_ns += other.cell_wait_ns;
@@ -268,10 +268,10 @@ struct UserState {
 /// What a fleet run merges into: counters, contention stats, and — when
 /// captured — the trace and the time-series.
 pub(crate) struct FleetTotals {
-    pub counters: WorkloadCounters,
-    pub stats: ContentionStats,
-    pub trace: Option<FleetTrace>,
-    pub telemetry: Option<Telemetry>,
+    pub(crate) counters: WorkloadCounters,
+    pub(crate) stats: ContentionStats,
+    pub(crate) trace: Option<FleetTrace>,
+    pub(crate) telemetry: Option<Telemetry>,
 }
 
 /// User traces a worker collects before sending them to the merger. A

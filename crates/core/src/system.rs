@@ -109,7 +109,7 @@ impl MiddlewareKind {
     }
 
     /// Instantiates the middleware component this kind describes.
-    pub fn build(self) -> Box<dyn Middleware> {
+    pub(crate) fn build(self) -> Box<dyn Middleware> {
         match self {
             MiddlewareKind::Wap => Box::new(middleware::WapGateway::default()),
             MiddlewareKind::WapTextual => {
@@ -231,23 +231,23 @@ impl CachePolicy {
 #[derive(Debug, Clone)]
 pub struct SystemSpec {
     /// The middleware component (component iii).
-    pub middleware: MiddlewareKind,
+    pub(crate) middleware: MiddlewareKind,
     /// The handset (component ii).
-    pub device: DeviceProfile,
+    pub(crate) device: DeviceProfile,
     /// The wireless network (component iv).
-    pub wireless: WirelessConfig,
+    pub(crate) wireless: WirelessConfig,
     /// The wired path to the host (component v).
-    pub wired: WiredPath,
+    pub(crate) wired: WiredPath,
     /// Seed for the system's air-link randomness.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Whether WTLS-style transport security is on (§8).
-    pub secure: bool,
+    pub(crate) secure: bool,
     /// The caching-hierarchy policy (DESIGN.md §2.14).
-    pub cache: CachePolicy,
+    pub(crate) cache: CachePolicy,
     /// The host database's durability policy (DESIGN.md §2.18). The
     /// default (batch 1, free fsync) is byte-identical to an unpriced
     /// journal.
-    pub durability: DurabilityPolicy,
+    pub(crate) durability: DurabilityPolicy,
 }
 
 impl Default for SystemSpec {
@@ -327,7 +327,7 @@ impl SystemSpec {
 
     /// Sets the host database's durability policy.
     #[must_use]
-    pub fn durability(mut self, policy: DurabilityPolicy) -> Self {
+    pub(crate) fn durability(mut self, policy: DurabilityPolicy) -> Self {
         self.durability = policy;
         self
     }
@@ -392,14 +392,14 @@ pub(crate) fn provision_host(
 #[derive(Debug)]
 pub struct StationState {
     /// The microbrowser (owns the device profile and cookie jar).
-    pub browser: Microbrowser,
+    pub(crate) browser: Microbrowser,
     /// The battery.
     pub battery: Battery,
 }
 
 impl StationState {
     /// Builds station state for a device.
-    pub fn new(device: DeviceProfile) -> Self {
+    pub(crate) fn new(device: DeviceProfile) -> Self {
         let battery = Battery::new(device.battery_j);
         StationState {
             browser: Microbrowser::new(device),
@@ -539,7 +539,7 @@ impl McSystem {
     /// after exponential, jittered backoff on the station's sim clock
     /// (draining idle battery), or — for degraded-path faults — retried
     /// immediately through the fallback middleware installed with
-    /// [`set_fallback_middleware`](UserSide::set_fallback_middleware).
+    /// `set_fallback_middleware`.
     ///
     /// The final report absorbs every failed attempt's paid costs
     /// (latency, breakdown, energy, air bytes, retransmissions) and
@@ -594,18 +594,8 @@ impl UserSide {
 
     /// The station's simulated clock: total simulated time this system
     /// has spent executing transactions and idling, nanoseconds.
-    pub fn sim_clock_ns(&self) -> u64 {
+    pub(crate) fn sim_clock_ns(&self) -> u64 {
         self.clock_ns
-    }
-
-    /// Enables WTLS-style transport security (§8): a one-time handshake
-    /// plus per-exchange record overhead (bytes on the air, CPU on the
-    /// handset). Disabled by default so experiments can measure its cost.
-    pub fn set_secure(&mut self, secure: bool) {
-        self.secure = secure;
-        if !secure {
-            self.wtls_established = false;
-        }
     }
 
     /// Whether WTLS-style security is enabled.
@@ -627,11 +617,6 @@ impl UserSide {
         self.clock_ns = self.clock_ns.saturating_add(wait.as_nanos());
         let watts = self.station.browser.device().idle_power_w();
         self.station.battery.drain(watts * wait.as_secs_f64())
-    }
-
-    /// The wireless configuration in use.
-    pub fn wireless(&self) -> WirelessConfig {
-        self.wireless
     }
 
     /// Swaps the wireless network under the running system (used by the
@@ -660,14 +645,8 @@ impl UserSide {
     /// the primary path degrades (gateway outage, wedged transcoder).
     ///
     /// [`execute_with_retry`]: McSystem::execute_with_retry
-    pub fn set_fallback_middleware(&mut self, kind: Option<MiddlewareKind>) {
+    pub(crate) fn set_fallback_middleware(&mut self, kind: Option<MiddlewareKind>) {
         self.fallback_kind = kind;
-    }
-
-    /// Whether the system is currently serving through its fallback
-    /// middleware.
-    pub fn is_middleware_degraded(&self) -> bool {
-        self.middleware_degraded
     }
 
     /// Fires every one-shot fault due when transaction `l` begins:
@@ -1261,7 +1240,7 @@ impl UserSide {
 /// wireless hop.
 pub struct EcSystem {
     /// The host computer.
-    pub host: HostComputer,
+    pub(crate) host: HostComputer,
     wired: WiredPath,
 }
 
@@ -1648,7 +1627,7 @@ mod fault_tests {
         assert!(r.success, "{:?}", r.failure);
         assert_eq!(r.attempts, 2);
         // The primary middleware is restored after the transaction.
-        assert!(!sys.is_middleware_degraded());
+        assert!(!sys.middleware_degraded);
         assert_eq!(sys.middleware.name(), WapGateway::default().name());
     }
 
@@ -1852,16 +1831,5 @@ mod secure_tests {
             s2.air_bytes_down as i64 - p2.air_bytes_down as i64,
             security::wtls::RECORD_OVERHEAD as i64
         );
-    }
-
-    #[test]
-    fn disabling_security_removes_the_overhead() {
-        let mut sys = system(true);
-        let secure = sys.execute(&MobileRequest::get("/"));
-        sys.set_secure(false);
-        let plain = sys.execute(&MobileRequest::get("/"));
-        assert!(secure.air_bytes_down > plain.air_bytes_down);
-        assert!(sys.execute(&MobileRequest::get("/")).success);
-        assert!(!sys.is_secure());
     }
 }

@@ -34,16 +34,16 @@ pub enum Placement {
 /// order (so local indices are canonical), computed in closed form from
 /// the modulo wiring and the placement by [`Topology::island`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Island {
+pub(crate) struct Island {
     /// Global indices of the island's gateways.
-    pub gateways: Vec<u64>,
+    pub(crate) gateways: Vec<u64>,
     /// Global indices of the cells those gateways serve.
-    pub cells: Vec<u64>,
+    pub(crate) cells: Vec<u64>,
     /// Per cell (by local index), the local index of its gateway.
-    pub cell_gateway: Vec<usize>,
+    pub(crate) cell_gateway: Vec<usize>,
     /// `(global user index, local cell index)` of every user placed in
     /// the island's cells.
-    pub users: Vec<(u64, usize)>,
+    pub(crate) users: Vec<(u64, usize)>,
 }
 
 /// The infrastructure shape a fleet runs on.
@@ -138,25 +138,15 @@ impl Topology {
         self.cells.min(self.gateways).min(self.hosts) != u64::MAX
     }
 
-    /// Number of cells.
-    pub fn cell_count(&self) -> u64 {
-        self.cells
-    }
-
-    /// Number of gateways.
-    pub fn gateway_count(&self) -> u64 {
-        self.gateways
-    }
-
     /// Number of hosts, which is also the number of islands
     /// (`u64::MAX`, one per user, on [`Topology::isolated`]). The engine
     /// runs islands `0..min(hosts, users)`; every later one is empty.
-    pub fn host_count(&self) -> u64 {
+    pub(crate) fn host_count(&self) -> u64 {
         self.hosts
     }
 
     /// The cell user `user` (of `users` total) is placed in.
-    pub fn cell_of_user(&self, user: u64, users: u64) -> u64 {
+    pub(crate) fn cell_of_user(&self, user: u64, users: u64) -> u64 {
         match self.placement {
             Placement::RoundRobin => user % self.cells,
             Placement::Blocked => {
@@ -167,12 +157,12 @@ impl Topology {
     }
 
     /// The gateway cell `cell` uplinks through.
-    pub fn gateway_of_cell(&self, cell: u64) -> u64 {
+    pub(crate) fn gateway_of_cell(&self, cell: u64) -> u64 {
         cell % self.gateways
     }
 
     /// The host gateway `gateway` forwards to.
-    pub fn host_of_gateway(&self, gateway: u64) -> u64 {
+    pub(crate) fn host_of_gateway(&self, gateway: u64) -> u64 {
         gateway % self.hosts
     }
 
@@ -180,21 +170,6 @@ impl Topology {
     /// user `user` belongs to.
     pub fn island_of_user(&self, user: u64, users: u64) -> u64 {
         self.host_of_gateway(self.gateway_of_cell(self.cell_of_user(user, users)))
-    }
-
-    /// The members of island `island` when `users` users are placed.
-    ///
-    /// Gateway *g* serves host `g mod hosts`, so the island's gateways
-    /// are `island, island + hosts, …`; cell *c* uplinks through
-    /// `c mod gateways`, so its cells are those gateways' offsets in
-    /// every run of `gateways` cells; its users follow from inverting
-    /// the placement. The cost is linear in the island's own members
-    /// (plus one step per run of cells or users), never a scan of the
-    /// whole world — an island above the gateway count is simply empty.
-    pub fn island(&self, island: u64, users: u64) -> Island {
-        let mut members = Island::default();
-        self.fill_island(island, users, &mut members);
-        members
     }
 
     /// [`Topology::island`] into `members`, reusing its buffers: the
@@ -252,6 +227,13 @@ impl Topology {
 mod tests {
     use super::*;
 
+    /// An island filled from scratch.
+    fn fresh_island(t: &Topology, island: u64, users: u64) -> Island {
+        let mut members = Island::default();
+        t.fill_island(island, users, &mut members);
+        members
+    }
+
     #[test]
     fn the_default_is_the_isolated_world() {
         assert_eq!(Topology::default(), Topology::isolated());
@@ -271,7 +253,7 @@ mod tests {
                 for user in [0, users / 2, users - 1] {
                     assert_eq!(t.island_of_user(user, users), user);
                     assert_eq!(
-                        t.island(user, users),
+                        fresh_island(&t, user, users),
                         Island {
                             gateways: vec![user],
                             cells: vec![user],
@@ -280,7 +262,7 @@ mod tests {
                         }
                     );
                 }
-                assert!(t.island(users, users).users.is_empty());
+                assert!(fresh_island(&t, users, users).users.is_empty());
             }
         }
     }
@@ -288,18 +270,18 @@ mod tests {
     #[test]
     fn refilling_an_island_matches_a_fresh_one() {
         let t = Topology::shared().cells(6).gateways(3).hosts(2);
-        let mut reused = t.island(0, 40);
+        let mut reused = fresh_island(&t, 0, 40);
         for island in [1, 0, 1] {
             t.fill_island(island, 13, &mut reused);
-            assert_eq!(reused, t.island(island, 13));
+            assert_eq!(reused, fresh_island(&t, island, 13));
         }
     }
 
     #[test]
     fn counts_clamp_to_at_least_one() {
         let t = Topology::shared().cells(0).gateways(0).hosts(0);
-        assert_eq!(t.cell_count(), 1);
-        assert_eq!(t.gateway_count(), 1);
+        assert_eq!(t.cells, 1);
+        assert_eq!(t.gateways, 1);
         assert_eq!(t.host_count(), 1);
     }
 
@@ -328,10 +310,10 @@ mod tests {
     /// The membership the island engine used to derive by filtering
     /// every gateway, cell and user through the wiring functions.
     fn island_by_scan(t: &Topology, island: u64, users: u64) -> Island {
-        let gateways: Vec<u64> = (0..t.gateway_count())
+        let gateways: Vec<u64> = (0..t.gateways)
             .filter(|&g| t.host_of_gateway(g) == island)
             .collect();
-        let cells: Vec<u64> = (0..t.cell_count())
+        let cells: Vec<u64> = (0..t.cells)
             .filter(|&c| gateways.contains(&t.gateway_of_cell(c)))
             .collect();
         let cell_gateway = cells
@@ -372,7 +354,7 @@ mod tests {
                 .placement(if blocked == 1 { Placement::Blocked } else { Placement::RoundRobin });
             let mut seen = vec![0u32; users as usize];
             for island in 0..hosts {
-                let members = t.island(island, users);
+                let members = fresh_island(&t, island, users);
                 proptest::prop_assert_eq!(&members, &island_by_scan(&t, island, users));
                 for &(u, _) in &members.users {
                     seen[u as usize] += 1;

@@ -172,7 +172,7 @@ pub fn run_session(system: &mut dyn CommerceSystem, steps: &[Step]) -> Vec<Trans
 /// injected faults are retried with backoff and degraded-path faults
 /// fall back to the alternate middleware. Expectations are checked on
 /// the settled (post-retry) report.
-pub fn run_session_with_policy(
+pub(crate) fn run_session_with_policy(
     system: &mut McSystem,
     steps: &[Step],
     policy: &RetryPolicy,
@@ -226,49 +226,6 @@ pub fn run_until_battery_dies(
         }
     }
     (max_sessions, elapsed_secs / 3600.0)
-}
-
-/// Runs `sessions` sessions of `app` on an [`McSystem`] while the user
-/// *walks*: before every step the walker advances and the station's
-/// distance to its WLAN access point (assumed at the walk's origin) is
-/// updated. Transactions attempted out of coverage fail and are counted —
-/// the "ubiquitously" requirement measured against physics.
-///
-/// Returns the aggregated summary plus the farthest distance reached.
-pub fn run_walking_workload(
-    system: &mut McSystem,
-    app: &dyn Application,
-    walker: &mut wireless::mobility::Waypoint,
-    standard: wireless::WlanStandard,
-    step_secs: f64,
-    sessions: u64,
-    seed: u64,
-) -> (WorkloadSummary, f64) {
-    use crate::netpath::WirelessConfig;
-    let origin = wireless::mobility::Point::new(0.0, 0.0);
-    let mut reports = Vec::new();
-    let mut max_distance = 0.0f64;
-    for index in 0..sessions {
-        for step in app.session(seed, index) {
-            let position = walker.advance(step_secs);
-            let distance = position.distance_to(origin);
-            max_distance = max_distance.max(distance);
-            system.set_wireless(WirelessConfig::Wlan {
-                standard,
-                distance_m: distance,
-            });
-            let mut report = system.execute(&step.req);
-            check_expectation(&mut report, &step);
-            reports.push(report);
-        }
-    }
-    (
-        WorkloadSummary::aggregate(
-            format!("walking {} on {}", app.category(), standard),
-            &reports,
-        ),
-        max_distance,
-    )
 }
 
 /// Runs `sessions` sessions of `app` through `system` and aggregates.
@@ -354,10 +311,9 @@ mod tests {
         let app = PaymentsApp::new();
         app.install(&mut host);
         let mut system = mc_system(host);
-        let steps = vec![crate::apps::Step::expecting(
-            middleware::MobileRequest::get("/shop"),
-            "text that is definitely not on the page",
-        )];
+        let mut step = crate::apps::Step::fire(middleware::MobileRequest::get("/shop"));
+        step.expect = Some("text that is definitely not on the page".into());
+        let steps = vec![step];
         let reports = run_session(&mut system, &steps);
         assert!(!reports[0].success);
         assert!(reports[0].failure.as_deref().unwrap().contains("expected"));
@@ -378,9 +334,10 @@ mod tests {
                 title: "".into(),
                 status: hostsite::http::Status::Ok,
             }),
-            ..TransactionReport::failed("")
+            ..TransactionReport::new(crate::report::PhaseBreakdown::default(), Some(String::new()), None)
         };
-        let step = crate::apps::Step::expecting(middleware::MobileRequest::get("/"), "absent");
+        let mut step = crate::apps::Step::fire(middleware::MobileRequest::get("/"));
+        step.expect = Some("absent".into());
         check_expectation(&mut report, &step);
         let head: String = normalise(&page).chars().take(60).collect();
         assert!(!report.success);
@@ -481,61 +438,6 @@ mod tests {
         let mut system = EcSystem::new(host, WiredPath::wan());
         let summary = run_workload(&mut system, &app, 5, 9);
         assert_eq!(summary.succeeded, summary.attempted);
-    }
-
-    #[test]
-    fn walking_user_succeeds_inside_coverage_and_fails_beyond() {
-        use simnet::rng::rng_for;
-        use wireless::mobility::{Point, Waypoint};
-
-        let app = PaymentsApp::new();
-        let mut host = HostComputer::new(Database::new(), 6);
-        app.install(&mut host);
-        let mut system = mc_system(host);
-
-        // A walk confined to a 60 m box around the AP: always in coverage.
-        let mut near_walk =
-            Waypoint::new(Point::new(0.0, 0.0), 60.0, 60.0, 1.4, rng_for(21, "near"));
-        let (near, near_max) = run_walking_workload(
-            &mut system,
-            &app,
-            &mut near_walk,
-            WlanStandard::Dot11b,
-            30.0,
-            8,
-            22,
-        );
-        assert!(near_max < 100.0);
-        assert_eq!(
-            near.succeeded, near.attempted,
-            "inside coverage everything works"
-        );
-
-        // A walk ranging out to 400 m: some attempts land out of coverage.
-        let app2 = PaymentsApp::new();
-        let mut host = HostComputer::new(Database::new(), 7);
-        app2.install(&mut host);
-        let mut system = mc_system(host);
-        let mut far_walk =
-            Waypoint::new(Point::new(0.0, 0.0), 150.0, 150.0, 10.0, rng_for(23, "far"));
-        let (far, far_max) = run_walking_workload(
-            &mut system,
-            &app2,
-            &mut far_walk,
-            WlanStandard::Dot11b,
-            30.0,
-            8,
-            24,
-        );
-        assert!(
-            far_max > 100.0,
-            "walk must leave coverage, reached {far_max}"
-        );
-        assert!(
-            far.succeeded < far.attempted,
-            "out-of-coverage attempts must fail"
-        );
-        assert!(far.succeeded > 0, "but in-coverage attempts still succeed");
     }
 
     #[test]

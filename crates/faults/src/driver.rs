@@ -65,36 +65,6 @@ pub fn arm<M: Wire + 'static>(sim: &mut Simulator, plan: &FaultPlan, link: &Rc<L
     }
 }
 
-/// Schedules every [`FaultKind::WirelessOutage`] window of `plan` as a
-/// *forced handoff* on `controller`: at the window's start the serving
-/// AP/cell dies and the station is between cells for the window's
-/// duration, after which re-association completes and the controller's
-/// completion listeners fire — so recovery schemes keyed on the handoff
-/// signal (fast retransmission after handoff \[2\]) react to
-/// fault-driven handoffs exactly as to scheduled ones.
-///
-/// Complements [`arm`]: `arm` models channel faults on a raw link,
-/// `arm_handoffs` models infrastructure faults on the association. Other
-/// fault kinds have no handoff meaning and are ignored.
-pub fn arm_handoffs<M: Wire + 'static>(
-    sim: &mut Simulator,
-    plan: &FaultPlan,
-    controller: &Rc<wireless::handoff::HandoffController<M>>,
-) {
-    let origin = sim.now();
-    for window in plan.windows() {
-        if window.kind != FaultKind::WirelessOutage {
-            continue;
-        }
-        let start = origin.saturating_add(simnet::SimDuration::from_nanos(window.start_ns));
-        let blackout = simnet::SimDuration::from_nanos(window.end_ns() - window.start_ns);
-        let controller = Rc::clone(controller);
-        sim.schedule_at(start, move |sim| {
-            controller.force_handoff(sim, blackout);
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,54 +138,5 @@ mod tests {
         }
         sim.run();
         assert_eq!(before.delivered.get(), clean_before + 50);
-    }
-
-    #[test]
-    fn outage_window_forces_a_handoff_and_fires_the_completion_signal() {
-        use wireless::handoff::HandoffController;
-        let mut sim = Simulator::new();
-        let link: Rc<Link<Vec<u8>>> =
-            Link::new(LinkParams::reliable(1_000_000_000, SimDuration::ZERO));
-        let got: Rc<RefCell<Vec<u64>>> = Rc::default();
-        {
-            let got = Rc::clone(&got);
-            link.set_receiver(move |sim, _msg| got.borrow_mut().push(sim.now().as_millis()));
-        }
-        // Purely fault-driven controller: never start()ed, so the only
-        // handoffs are the ones the plan forces.
-        let ctl = HandoffController::new(
-            Rc::clone(&link),
-            SimDuration::from_secs(3600),
-            SimDuration::from_millis(1),
-        );
-        let completions: Rc<RefCell<Vec<u64>>> = Rc::default();
-        {
-            let completions = Rc::clone(&completions);
-            ctl.on_complete(move |sim| completions.borrow_mut().push(sim.now().as_millis()));
-        }
-        let plan = FaultPlan::none().window(
-            SimDuration::from_millis(100),
-            SimDuration::from_millis(200),
-            FaultKind::WirelessOutage,
-        );
-        arm_handoffs(&mut sim, &plan, &ctl);
-        for i in 0..20u64 {
-            let link = Rc::clone(&link);
-            sim.schedule_at(SimTime::from_millis(i * 50), move |sim| {
-                link.send(sim, vec![0u8; 10]);
-            });
-        }
-        sim.run();
-        let got = got.borrow();
-        // The station is between cells for [100, 300] ms — the frame at
-        // exactly 300 ms was enqueued before the re-association event,
-        // so it still dies on the severed link.
-        assert!(got.iter().all(|&t| !(100..=300).contains(&t)), "{got:?}");
-        assert_eq!(got.len(), 15, "{got:?}");
-        // Re-association completed exactly once, at the window's end —
-        // the signal fast-retransmit-after-handoff schemes key on.
-        assert_eq!(*completions.borrow(), vec![300]);
-        assert_eq!(ctl.completed.get(), 1);
-        assert!(!ctl.in_blackout());
     }
 }

@@ -28,8 +28,8 @@
 //!   blackout outages) at their scheduled times.
 
 pub mod driver;
-pub mod plan;
-pub mod policy;
+pub(crate) mod plan;
+pub(crate) mod policy;
 
-pub use plan::{FaultEvent, FaultKind, FaultPlan, FaultState, FaultWindow};
+pub use plan::{FaultKind, FaultPlan, FaultState};
 pub use policy::{classify, FailureClass, RetryPolicy};

@@ -44,7 +44,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Stable display name, used in span/metric labels.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             FaultKind::WirelessOutage => "wireless_outage",
             FaultKind::LossBurst { .. } => "loss_burst",
@@ -57,7 +57,7 @@ impl FaultKind {
 
     /// True for instantaneous faults scheduled with [`FaultPlan::oneshot`]
     /// rather than [`FaultPlan::window`].
-    pub fn is_oneshot(&self) -> bool {
+    pub(crate) fn is_oneshot(&self) -> bool {
         matches!(self, FaultKind::DbCrash | FaultKind::BatteryDrain { .. })
     }
 
@@ -73,23 +73,23 @@ impl FaultKind {
 
 /// An interval fault: `kind` is active on `[start_ns, start_ns + duration_ns)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultWindow {
+pub(crate) struct FaultWindow {
     /// Window start on the per-user sim clock, nanoseconds.
-    pub start_ns: u64,
+    pub(crate) start_ns: u64,
     /// Window length, nanoseconds.
-    pub duration_ns: u64,
+    pub(crate) duration_ns: u64,
     /// The active fault.
-    pub kind: FaultKind,
+    pub(crate) kind: FaultKind,
 }
 
 impl FaultWindow {
     /// One past the last covered nanosecond.
-    pub fn end_ns(&self) -> u64 {
+    pub(crate) fn end_ns(&self) -> u64 {
         self.start_ns.saturating_add(self.duration_ns)
     }
 
     /// True when `now_ns` falls inside the window.
-    pub fn covers(&self, now_ns: u64) -> bool {
+    pub(crate) fn covers(&self, now_ns: u64) -> bool {
         self.start_ns <= now_ns && now_ns < self.end_ns()
     }
 }
@@ -98,7 +98,7 @@ impl FaultWindow {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Firing time on the per-user sim clock, nanoseconds.
-    pub at_ns: u64,
+    pub(crate) at_ns: u64,
     /// The fault that fires.
     pub kind: FaultKind,
 }
@@ -178,13 +178,8 @@ impl FaultPlan {
     }
 
     /// The interval faults, sorted by start time.
-    pub fn windows(&self) -> &[FaultWindow] {
+    pub(crate) fn windows(&self) -> &[FaultWindow] {
         &self.windows
-    }
-
-    /// The one-shot faults, sorted by firing time.
-    pub fn oneshots(&self) -> &[FaultEvent] {
-        &self.oneshots
     }
 
     /// A fresh one-shot cursor for a user starting at clock zero.

@@ -57,12 +57,12 @@ pub struct RetryPolicy {
     /// first failed attempt.
     pub deadline: SimDuration,
     /// Backoff before the first retry.
-    pub base_backoff: SimDuration,
+    pub(crate) base_backoff: SimDuration,
     /// Backoff growth per retry (exponential base).
-    pub multiplier: f64,
+    pub(crate) multiplier: f64,
     /// Jitter fraction in `[0, 1]`: each backoff is scaled by a factor
     /// uniform in `[1 - jitter/2, 1 + jitter/2]`.
-    pub jitter: f64,
+    pub(crate) jitter: f64,
 }
 
 impl RetryPolicy {

@@ -51,18 +51,6 @@ impl PageCache {
         }
     }
 
-    /// The canonical cache key for a request, as an owned string: its
-    /// method, path and parameters, `|`, its accept format and its
-    /// cookies. Parameters and cookies render in name order, one per
-    /// name with its last value, so the key is order-stable, and the
-    /// path, names and values are escaped, so no two requests render
-    /// alike.
-    pub fn key(req: &HttpRequest<'_>) -> String {
-        let mut key = String::new();
-        render_key(req, &mut key);
-        key
-    }
-
     /// Renders `req`'s key into the kept buffer and returns its hash.
     fn render(&mut self, req: &HttpRequest<'_>) -> u64 {
         self.key.clear();
@@ -158,6 +146,13 @@ mod tests {
     use std::collections::BTreeMap;
     use std::fmt::Write as _;
 
+    /// The key `render_key` writes for `req`, as an owned string.
+    fn rendered_key(req: &HttpRequest<'_>) -> String {
+        let mut key = String::new();
+        render_key(req, &mut key);
+        key
+    }
+
     fn resp(body: &str) -> HttpResponse {
         HttpResponse::ok(body.to_owned())
     }
@@ -201,12 +196,12 @@ mod tests {
 
     #[test]
     fn keys_are_canonical_over_request_fields() {
-        let a = PageCache::key(&get("/shop?x=1&y=2"));
-        let b = PageCache::key(&get("/shop?y=2&x=1"));
+        let a = rendered_key(&get("/shop?x=1&y=2"));
+        let b = rendered_key(&get("/shop?y=2&x=1"));
         assert_eq!(a, b, "query order does not change the key");
-        let c = PageCache::key(&get("/shop?x=1&y=3"));
+        let c = rendered_key(&get("/shop?x=1&y=3"));
         assert_ne!(a, c);
-        let d = PageCache::key(&get("/shop?x=1&y=2").with_cookie("sid", "s1"));
+        let d = rendered_key(&get("/shop?x=1&y=2").with_cookie("sid", "s1"));
         assert_ne!(a, d, "cookies partition the key space");
     }
 
@@ -214,8 +209,8 @@ mod tests {
     fn separators_inside_fields_cannot_alias_keys() {
         // `/shop&a=1` is a path with no query; `/shop?a=1` has one
         // parameter. Unescaped, both rendered `Get /shop&a=1|Html`.
-        let path = PageCache::key(&get("/shop&a=1"));
-        let query = PageCache::key(&get("/shop?a=1"));
+        let path = rendered_key(&get("/shop&a=1"));
+        let query = rendered_key(&get("/shop?a=1"));
         assert_ne!(path, query);
         assert_eq!(
             query, "Get /shop&a=1|Html",
@@ -223,8 +218,8 @@ mod tests {
         );
         assert_eq!(path, "Get /shop%26a%3D1|Html");
         // Cookie names and values escape too.
-        let split = PageCache::key(&get("/s").with_cookie("a", "1;b=2"));
-        let two = PageCache::key(&get("/s").with_cookie("a", "1").with_cookie("b", "2"));
+        let split = rendered_key(&get("/s").with_cookie("a", "1;b=2"));
+        let two = rendered_key(&get("/s").with_cookie("a", "1").with_cookie("b", "2"));
         assert_ne!(split, two);
     }
 
@@ -373,7 +368,7 @@ mod tests {
             );
         }
         prop_assert_eq!(req.wire_size(), model.wire_size());
-        prop_assert_eq!(PageCache::key(req), model.key());
+        prop_assert_eq!(rendered_key(req), model.key());
         Ok(())
     }
 
@@ -486,17 +481,17 @@ mod tests {
             let (ra, rb) = (request(&a), request(&b));
             let mut model = OwnedModel::new(&b.0, b.1.as_deref(), &b.2, false);
             model.accept = b.3;
-            prop_assert_eq!(PageCache::key(&rb), model.key());
+            prop_assert_eq!(rendered_key(&rb), model.key());
 
             let mut cache = PageCache::new(u64::MAX, 1 << 20);
             cache.store(&ra, &resp("<html>a</html>"), 0);
-            let key = PageCache::key(&ra);
+            let key = rendered_key(&ra);
             let mut h = FixedHasher::default();
             h.write(key.as_bytes());
             prop_assert!(cache.entries.get(h.finish(), |k| *k == key, 1).is_some());
             prop_assert_eq!(
                 cache.lookup(&rb, 2).is_some(),
-                key == PageCache::key(&rb)
+                key == rendered_key(&rb)
             );
         }
     }

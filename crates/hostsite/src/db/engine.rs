@@ -182,7 +182,7 @@ impl Database {
     /// Returns and resets the simulated fsync cost accrued since the
     /// last drain. The host computer charges this to the request that
     /// triggered the flushes, so durability shows up as host CPU time.
-    pub fn drain_commit_cost_ns(&mut self) -> u64 {
+    pub(crate) fn drain_commit_cost_ns(&mut self) -> u64 {
         self.wal.drain_cost_ns()
     }
 
@@ -203,12 +203,12 @@ impl Database {
     }
 
     /// True when the query cache is on.
-    pub fn query_cache_enabled(&self) -> bool {
+    pub(crate) fn query_cache_enabled(&self) -> bool {
         self.query_cache_enabled
     }
 
     /// Drops every cached query result and memoized search (all tables).
-    pub fn flush_query_cache(&mut self) {
+    pub(crate) fn flush_query_cache(&mut self) {
         self.query_cache.get_mut().clear();
         self.search_memo.get_mut().clear();
     }
@@ -255,7 +255,7 @@ impl Database {
 
     /// [`Database::recover`], preserving a non-default durability policy
     /// across the crash.
-    pub fn recover_with_policy(
+    pub(crate) fn recover_with_policy(
         journal: &[JournalEntry],
         policy: DurabilityPolicy,
     ) -> Result<Database, DbError> {
@@ -386,15 +386,6 @@ impl Database {
     /// [`DbError::NoSuchTable`] when the table does not exist.
     pub fn len(&self, table: &str) -> Result<usize, DbError> {
         Ok(self.table(table)?.rows.len())
-    }
-
-    /// True when `table` has no rows.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::NoSuchTable`] when the table does not exist.
-    pub fn is_empty(&self, table: &str) -> Result<bool, DbError> {
-        Ok(self.len(table)? == 0)
     }
 
     fn table(&self, name: &str) -> Result<&Table, DbError> {
@@ -616,15 +607,6 @@ impl Database {
         Ok(rows)
     }
 
-    /// True when `column` has a secondary index on `table`.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::NoSuchTable`] when the table does not exist.
-    pub fn has_index(&self, table: &str, column: &str) -> Result<bool, DbError> {
-        Ok(self.table(table)?.indexes.contains_key(column))
-    }
-
     /// Registers a full-text index over `column` and builds it from the
     /// live rows, replacing any existing registration. Returns the
     /// `(term, primary key)` postings entry count built.
@@ -766,7 +748,7 @@ impl Database {
 
     /// Returns and resets the simulated search CPU accrued since the
     /// last drain — the search twin of
-    /// [`Database::drain_commit_cost_ns`]; the host charges it to the
+    /// `Database::drain_commit_cost_ns`; the host charges it to the
     /// request that ran the searches.
     pub fn drain_search_cost_ns(&mut self) -> u64 {
         self.search_cost_ns.replace(0)
@@ -943,7 +925,7 @@ mod tests {
             vec![3.into(), "widget".into(), Value::Float(5.99), 7.into()],
         )
         .unwrap();
-        assert!(db.has_index("products", "name").unwrap());
+        assert!(db.table("products").unwrap().indexes.contains_key("name"));
         let by_index = db.select_eq("products", "name", &"widget".into()).unwrap();
         let by_scan = db
             .select("products", |r| r[1] == Value::Text("widget".into()))
@@ -996,7 +978,7 @@ mod tests {
     #[test]
     fn unindexed_equality_falls_back_to_scan() {
         let db = products();
-        assert!(!db.has_index("products", "stock").unwrap());
+        assert!(!db.table("products").unwrap().indexes.contains_key("stock"));
         let rows = db.select_eq("products", "stock", &3.into()).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][1], Value::Text("gadget".into()));

@@ -67,7 +67,7 @@ pub enum JournalEntry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityPolicy {
     /// Commits per fsync (clamped to at least 1).
-    pub commit_batch: u32,
+    pub(crate) commit_batch: u32,
     /// Simulated nanoseconds charged per fsync.
     pub fsync_ns: u64,
 }

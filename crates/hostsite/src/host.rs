@@ -15,11 +15,11 @@ use crate::server::WebServer;
 
 /// CPU cost model for request processing.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CpuModel {
+pub(crate) struct CpuModel {
     /// Fixed cost per request (parsing, dispatch, logging).
-    pub per_request: SimDuration,
+    pub(crate) per_request: SimDuration,
     /// Cost per kilobyte of response body generated.
-    pub per_body_kb: SimDuration,
+    pub(crate) per_body_kb: SimDuration,
 }
 
 impl Default for CpuModel {
@@ -35,7 +35,7 @@ impl Default for CpuModel {
 
 impl CpuModel {
     /// Processing time for a request that produced `body_bytes` of output.
-    pub fn cost(&self, body_bytes: usize) -> SimDuration {
+    pub(crate) fn cost(&self, body_bytes: usize) -> SimDuration {
         self.per_request + self.per_body_kb * (body_bytes as u32).div_ceil(1024)
     }
 }
@@ -47,7 +47,7 @@ pub struct HostComputer {
     /// The web server (which owns the database server).
     pub web: WebServer,
     /// The CPU model used to price each request.
-    pub cpu: CpuModel,
+    pub(crate) cpu: CpuModel,
     /// WAL fsync time charged to requests since the last
     /// [`HostComputer::take_commit_ns`] — zero under the default
     /// (free-durability) policy.

@@ -26,7 +26,7 @@ use bytes::Bytes;
 
 /// Request method (the subset commerce flows need).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Method {
+pub(crate) enum Method {
     /// Fetch a resource.
     Get,
     /// Submit data.
@@ -55,14 +55,6 @@ pub enum ContentFormat {
 }
 
 impl ContentFormat {
-    /// The MIME type string for this format.
-    pub fn mime(self) -> &'static str {
-        match self {
-            ContentFormat::Html => "text/html",
-            ContentFormat::Wml => "text/vnd.wap.wml",
-            ContentFormat::Chtml => "text/html; profile=chtml",
-        }
-    }
 }
 
 /// Response status (the subset the server emits).
@@ -119,11 +111,11 @@ impl fmt::Display for Status {
 /// Parameters are the URL's query pairs followed by the form fields, and
 /// cookies are name/value pairs. Both read as a `BTreeMap` collected from
 /// them in that order would: one value per name, the last one given, in
-/// name order ([`HttpRequest::params`], [`HttpRequest::cookies`]).
+/// name order (`HttpRequest::params`, `HttpRequest::cookies`).
 #[derive(Debug, Clone)]
 pub struct HttpRequest<'a> {
     /// Request method.
-    pub method: Method,
+    pub(crate) method: Method,
     /// Format the client wants (the Accept header, collapsed).
     pub accept: ContentFormat,
     /// Path with an optional `?query`, e.g. `/catalog?page=2`.
@@ -208,7 +200,7 @@ impl<'a> HttpRequest<'a> {
     }
 
     /// Path component, e.g. `/catalog`.
-    pub fn path(&self) -> &str {
+    pub(crate) fn path(&self) -> &str {
         &self.url[..self.path_len]
     }
 
@@ -236,7 +228,7 @@ impl<'a> HttpRequest<'a> {
     }
 
     /// The parameters in name order, one per name with its last value.
-    pub fn params(&self) -> impl Iterator<Item = (&str, &str)> {
+    pub(crate) fn params(&self) -> impl Iterator<Item = (&str, &str)> {
         last_by_name(self.query_pairs().chain(str_pairs(&self.form)))
     }
 
@@ -250,7 +242,7 @@ impl<'a> HttpRequest<'a> {
     }
 
     /// The cookies in name order, one per name with its last value.
-    pub fn cookies(&self) -> impl Iterator<Item = (&str, &str)> {
+    pub(crate) fn cookies(&self) -> impl Iterator<Item = (&str, &str)> {
         last_by_name(str_pairs(&self.cookies))
     }
 
@@ -262,8 +254,8 @@ impl<'a> HttpRequest<'a> {
     }
 
     /// Approximate bytes of this request on the wire: one entry per
-    /// parameter and cookie name, as [`HttpRequest::params`] and
-    /// [`HttpRequest::cookies`] list them. One loop over the query, form
+    /// parameter and cookie name, as `HttpRequest::params` and
+    /// `HttpRequest::cookies` list them. One loop over the query, form
     /// and cookie pairs counts a pair when no later pair of its kind
     /// repeats its name, so each name counts once, with its last value.
     pub fn wire_size(&self) -> usize {
@@ -333,7 +325,7 @@ fn last_by_name<'s>(
 /// A response body: UTF-8 markup behind a refcounted [`Bytes`] buffer.
 ///
 /// Cloning a `Body` bumps a refcount instead of copying the markup, so a
-/// page-cache hit or an error-page substitution shares one allocation
+/// page-cache hit shares one allocation
 /// across every response that serves it. The buffer is guaranteed valid
 /// UTF-8 by construction (`From<String>` / `From<&str>` are the only
 /// constructors), and the type derefs to `str` so call sites read it
@@ -352,11 +344,6 @@ impl Body {
     /// The underlying refcounted buffer (a cheap clone, no copy).
     pub fn as_bytes_buf(&self) -> Bytes {
         self.0.clone()
-    }
-
-    /// Unwraps into the underlying refcounted buffer.
-    pub fn into_bytes(self) -> Bytes {
-        self.0
     }
 }
 
@@ -435,7 +422,7 @@ pub struct HttpResponse {
     /// Cookies to set on the client.
     pub set_cookies: BTreeMap<String, String>,
     /// Redirect target for 302 responses.
-    pub location: Option<String>,
+    pub(crate) location: Option<String>,
     /// Cache-admission bypass (the `Cache-Control: no-store` analogue):
     /// neither the host page cache nor the gateway content cache stores
     /// this response. Producers set it on one-shot pages — search
@@ -462,15 +449,6 @@ impl HttpResponse {
         HttpResponse {
             status,
             ..Self::ok(body)
-        }
-    }
-
-    /// A 302 redirect.
-    pub fn redirect(location: impl Into<String>) -> Self {
-        HttpResponse {
-            status: Status::Found,
-            location: Some(location.into()),
-            ..Self::ok("")
         }
     }
 
@@ -555,9 +533,6 @@ mod tests {
     #[test]
     fn response_constructors() {
         assert_eq!(HttpResponse::ok("hi").status, Status::Ok);
-        let r = HttpResponse::redirect("/next");
-        assert_eq!(r.status, Status::Found);
-        assert_eq!(r.location.as_deref(), Some("/next"));
         assert!(!HttpResponse::error(Status::NotFound, "gone")
             .status
             .is_success());
@@ -567,7 +542,6 @@ mod tests {
     fn status_codes_and_mime_types() {
         assert_eq!(Status::Ok.code(), 200);
         assert_eq!(Status::Unauthorized.code(), 401);
-        assert_eq!(ContentFormat::Wml.mime(), "text/vnd.wap.wml");
         assert_eq!(Method::Post.to_string(), "POST");
     }
 

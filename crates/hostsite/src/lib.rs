@@ -11,22 +11,21 @@
 //!   rollback) and a write-ahead journal with crash recovery.
 //! * [`http`] — HTTP-like request/response types with content negotiation
 //!   (the Accept side of serving HTML to desktops, WML/cHTML to phones).
-//! * [`server`] — the web server: routing, CGI-style [`server::AppProgram`]s,
-//!   DBM-style authentication realms, configurable error pages and
-//!   cookie-based sessions (the Apache feature set §7 name-checks).
-//! * [`host`] — the assembled host computer with a CPU cost model so the
+//! * `server` — the web server: routing, CGI-style `server::AppProgram`s,
+//!   DBM-style authentication realms and cookie-based sessions (from the
+//!   Apache feature set §7 name-checks).
+//! * `host` — the assembled host computer with a CPU cost model so the
 //!   end-to-end system can charge realistic processing latency.
 //! * [`cache`] — the deterministic sim-time page cache (TTL + LRU byte
 //!   budget) the web server fronts its application programs with.
 
 pub mod cache;
 pub mod db;
-pub mod host;
+pub(crate) mod host;
 pub mod http;
-pub mod server;
+pub(crate) mod server;
 
 pub use cache::PageCache;
-pub use db::{Database, DbError, Value};
 pub use host::HostComputer;
-pub use http::{Body, ContentFormat, HttpRequest, HttpResponse, Method, Status};
-pub use server::{AppProgram, ServerCtx, WebServer};
+pub use http::{Body, ContentFormat, HttpRequest, HttpResponse, Status};
+pub use server::{ServerCtx, WebServer};

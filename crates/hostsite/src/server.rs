@@ -5,8 +5,8 @@
 //! databases, and content negotiation" — and puts "application programs
 //! and support software" beside it, talking CGI. This server implements
 //! those pieces: a route table dispatching to [`AppProgram`]s (the CGI
-//! role), path-prefix auth realms backed by a user table, per-status
-//! error pages and cookie sessions.
+//! role), path-prefix auth realms backed by a user table and cookie
+//! sessions.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -75,7 +75,6 @@ pub struct WebServer {
     db: Database,
     routes: Vec<Route>,
     static_pages: HashMap<String, Body>,
-    error_pages: HashMap<u16, Body>,
     /// `(path prefix, realm name)` → user/password pairs.
     auth_realms: Vec<(String, HashMap<String, String>)>,
     sessions: RefCell<HashMap<String, BTreeMap<String, String>>>,
@@ -103,7 +102,6 @@ impl WebServer {
             db,
             routes: Vec::new(),
             static_pages: HashMap::new(),
-            error_pages: HashMap::new(),
             auth_realms: Vec::new(),
             sessions: RefCell::new(HashMap::new()),
             rng: RefCell::new(simnet::rng::rng_for(seed, "webserver.sessions")),
@@ -127,11 +125,6 @@ impl WebServer {
     /// Drops the page cache and every entry in it.
     pub fn disable_page_cache(&mut self) {
         self.page_cache = None;
-    }
-
-    /// True when a page cache is configured.
-    pub fn page_cache_enabled(&self) -> bool {
-        self.page_cache.is_some()
     }
 
     /// Number of entries currently held by the page cache (zero when
@@ -226,12 +219,6 @@ impl WebServer {
         self.static_pages.insert(path.to_owned(), body.into());
     }
 
-    /// Overrides the body served with status `code` — §7's "highly
-    /// configurable error messages".
-    pub fn error_page(&mut self, code: u16, body: impl Into<Body>) {
-        self.error_pages.insert(code, body.into());
-    }
-
     /// Protects every path starting with `prefix` behind basic auth
     /// against the given user table — §7's "DBM-based authentication
     /// databases".
@@ -240,13 +227,8 @@ impl WebServer {
             .push((prefix.to_owned(), users.into_iter().collect()));
     }
 
-    /// Number of live sessions.
-    pub fn session_count(&self) -> usize {
-        self.sessions.borrow().len()
-    }
-
-    /// Handles one request end to end: auth, routing, app dispatch,
-    /// session cookie management, error pages.
+    /// Handles one request end to end: auth, routing, app dispatch and
+    /// session cookie management.
     pub fn handle(&mut self, req: HttpRequest<'_>) -> HttpResponse {
         self.handle_cached(req).0
     }
@@ -270,13 +252,7 @@ impl WebServer {
                 return (resp, true);
             }
         }
-        let mut resp = self.dispatch(&req);
-        // Error-page substitution.
-        if !resp.status.is_success() {
-            if let Some(body) = self.error_pages.get(&resp.status.code()) {
-                resp.body = body.clone();
-            }
-        }
+        let resp = self.dispatch(&req);
         if cache_candidate {
             obs::metrics::incr("host.page_cache.misses");
             // Responses that mint cookies are per-client, and `no_store`
@@ -439,13 +415,10 @@ mod tests {
     }
 
     #[test]
-    fn unknown_route_is_404_with_custom_error_page() {
+    fn unknown_route_is_404() {
         let mut s = server();
         let resp = s.handle(HttpRequest::get("/nope"));
         assert_eq!(resp.status, Status::NotFound);
-        s.error_page(404, "<html><body>custom not found</body></html>");
-        let resp = s.handle(HttpRequest::get("/nope"));
-        assert_eq!(resp.body, "<html><body>custom not found</body></html>");
     }
 
     #[test]
@@ -500,7 +473,7 @@ mod tests {
         let sessions = s.sessions.borrow();
         let session = sessions.get(&sid).unwrap();
         assert_eq!(session.get("bought").map(String::as_str), Some("2"));
-        assert_eq!(s.session_count(), 1);
+        assert_eq!(s.sessions.borrow().len(), 1);
     }
 
     #[test]
@@ -511,7 +484,7 @@ mod tests {
             assert_eq!(resp.status, Status::Ok);
             assert!(resp.set_cookies.is_empty());
         }
-        assert_eq!(s.session_count(), 0);
+        assert_eq!(s.sessions.borrow().len(), 0);
     }
 
     #[test]
@@ -531,7 +504,7 @@ mod tests {
             resp.set_cookies.get("sid"),
             Some(&format!("s{:016x}", draws[N]))
         );
-        assert_eq!(s.session_count(), 1);
+        assert_eq!(s.sessions.borrow().len(), 1);
     }
 
     #[test]
@@ -644,7 +617,7 @@ mod tests {
     fn zero_ttl_configuration_disables_the_cache() {
         let mut s = server();
         s.configure_page_cache(0, 64 * 1024);
-        assert!(!s.page_cache_enabled());
+        assert!(s.page_cache.is_none());
         let (_, hit) = s.handle_cached(HttpRequest::get("/stock?sku=1"));
         assert!(!hit);
         let (_, hit) = s.handle_cached(HttpRequest::get("/stock?sku=1"));

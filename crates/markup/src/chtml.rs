@@ -11,13 +11,13 @@ use crate::dom::Element;
 
 /// Tags allowed in our cHTML subset (per the Compact HTML W3C note, minus
 /// rarely used presentation tags).
-pub const CHTML_TAGS: [&str; 24] = [
+pub(crate) const CHTML_TAGS: [&str; 24] = [
     "html", "head", "title", "body", "p", "a", "br", "img", "h1", "h2", "h3", "h4", "h5", "h6",
     "ul", "ol", "li", "form", "input", "select", "option", "div", "center", "hr",
 ];
 
 /// Attributes cHTML keeps; everything else is stripped on simplification.
-pub const CHTML_ATTRS: [&str; 8] = [
+pub(crate) const CHTML_ATTRS: [&str; 8] = [
     "href", "src", "alt", "name", "value", "type", "action", "method",
 ];
 
@@ -25,7 +25,7 @@ pub const CHTML_ATTRS: [&str; 8] = [
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidateChtmlError {
     /// What is wrong with the document.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for ValidateChtmlError {

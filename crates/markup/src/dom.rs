@@ -21,18 +21,10 @@ impl Node {
     }
 
     /// The element inside this node, if it is one.
-    pub fn as_element(&self) -> Option<&Element> {
+    pub(crate) fn as_element(&self) -> Option<&Element> {
         match self {
             Node::Element(e) => Some(e),
             Node::Text(_) => None,
-        }
-    }
-
-    /// Concatenated text content of this subtree.
-    pub fn text_content(&self) -> String {
-        match self {
-            Node::Text(t) => t.clone(),
-            Node::Element(e) => e.text_content(),
         }
     }
 }
@@ -42,6 +34,15 @@ impl From<Element> for Node {
         Node::Element(e)
     }
 }
+
+/// Deepest element nesting the decoders accept, the root being level 1:
+/// [`crate::parse::parse`] and [`crate::wbxml::decode`] return `Err` on
+/// anything deeper rather than overflowing the stack. Every walk over a
+/// tree (drop, clone, comparison, serialisation, [`crate::wbxml::encode`],
+/// transcoding) recurses once per level too, so none of them recurses
+/// deeper than this on a decoded tree. The engines' documents nest a
+/// handful of levels.
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// An element: tag name, ordered attributes, ordered children.
 ///
@@ -90,12 +91,12 @@ impl Element {
     /// The tag as an owned handle — a pointer copy for literal-built
     /// elements, a clone for parsed ones. For re-tagging without going
     /// through a borrowed `&str`.
-    pub fn tag_owned(&self) -> Cow<'static, str> {
+    pub(crate) fn tag_owned(&self) -> Cow<'static, str> {
         self.tag.clone()
     }
 
     /// The attribute list in document order.
-    pub fn attrs(&self) -> &[(Cow<'static, str>, String)] {
+    pub(crate) fn attrs(&self) -> &[(Cow<'static, str>, String)] {
         &self.attrs
     }
 
@@ -108,7 +109,11 @@ impl Element {
     }
 
     /// Sets (or replaces) an attribute.
-    pub fn set_attr(&mut self, name: impl Into<Cow<'static, str>>, value: impl Into<String>) {
+    pub(crate) fn set_attr(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        value: impl Into<String>,
+    ) {
         let name = name.into();
         let value = value.into();
         if let Some(slot) = self.attrs.iter_mut().find(|(k, _)| *k == name) {
@@ -118,7 +123,7 @@ impl Element {
         }
     }
 
-    /// Builder-style [`Element::set_attr`].
+    /// Builder-style `Element::set_attr`.
     pub fn with_attr(
         mut self,
         name: impl Into<Cow<'static, str>>,
@@ -166,7 +171,7 @@ impl Element {
     }
 
     /// Depth-first iterator over all descendant elements (self included).
-    pub fn descendants(&self) -> Descendants<'_> {
+    pub(crate) fn descendants(&self) -> Descendants<'_> {
         Descendants { stack: vec![self] }
     }
 
@@ -176,7 +181,7 @@ impl Element {
     }
 
     /// All descendants (or self) with tag `tag`.
-    pub fn find_all<'a>(&'a self, tag: &'a str) -> impl Iterator<Item = &'a Element> + 'a {
+    pub(crate) fn find_all<'a>(&'a self, tag: &'a str) -> impl Iterator<Item = &'a Element> + 'a {
         self.descendants().filter(move |e| e.tag == tag)
     }
 
@@ -249,7 +254,7 @@ impl fmt::Display for Element {
 
 /// Iterator returned by [`Element::descendants`].
 #[derive(Debug)]
-pub struct Descendants<'a> {
+pub(crate) struct Descendants<'a> {
     stack: Vec<&'a Element>,
 }
 
@@ -267,15 +272,9 @@ impl<'a> Iterator for Descendants<'a> {
     }
 }
 
-/// Escapes `&`, `<`, `>` and `"` for serialisation.
-pub fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    push_escaped(&mut out, text);
-    out
-}
-
-/// [`escape`] straight into an output buffer, for any [`Text`]: the
-/// text is appended raw and then the span it took is escaped in place.
+/// Escapes `&`, `<`, `>` and `"` for serialisation straight into an
+/// output buffer, for any [`Text`]: the text is appended raw and then
+/// the span it took is escaped in place.
 /// Escaping maps each character on its own, so this equals escaping
 /// each piece of a tuple, or the pieces a formatter emits. A span with
 /// nothing to escape, the usual case, costs one scan, a word at a time;

@@ -232,8 +232,19 @@ pub fn form(action: &str, field_name: &str, submit_label: &str) -> Element {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dom::MAX_DEPTH;
     use proptest::collection;
     use proptest::prelude::*;
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for levels in [5_000, 100_000] {
+            assert!(parse_html(&"<div>".repeat(levels)).is_err());
+        }
+        let ok = format!("{}{}", "<div>".repeat(MAX_DEPTH), "</div>".repeat(MAX_DEPTH));
+        assert!(parse_html(&ok).is_ok());
+        assert!(parse_html(&format!("<div>{ok}</div>")).is_err());
+    }
 
     #[test]
     fn page_has_canonical_shape() {

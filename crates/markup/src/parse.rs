@@ -7,18 +7,18 @@
 
 use std::fmt;
 
-use crate::dom::{Element, Node};
+use crate::dom::{Element, Node, MAX_DEPTH};
 
 /// HTML elements that never have content or a closing tag.
-pub const VOID_ELEMENTS: [&str; 6] = ["br", "img", "input", "hr", "meta", "link"];
+pub(crate) const VOID_ELEMENTS: [&str; 6] = ["br", "img", "input", "hr", "meta", "link"];
 
 /// Error produced when markup fails to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseMarkupError {
     /// Byte offset of the failure.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// What went wrong.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for ParseMarkupError {
@@ -38,7 +38,8 @@ impl std::error::Error for ParseMarkupError {}
 /// # Errors
 ///
 /// Returns [`ParseMarkupError`] on malformed input: unbalanced tags,
-/// unterminated strings/comments, or trailing non-whitespace content.
+/// unterminated strings/comments, trailing non-whitespace content, or
+/// elements nested more than 128 levels deep.
 ///
 /// ```
 /// let root = markup::parse::parse("<p>Hi <b>there</b></p>")?;
@@ -52,7 +53,7 @@ pub fn parse(input: &str) -> Result<Element, ParseMarkupError> {
         pos: 0,
     };
     p.skip_ws_and_meta()?;
-    let root = p.parse_element()?;
+    let root = p.parse_element(1)?;
     p.skip_ws_and_meta()?;
     if p.pos < p.input.len() {
         return Err(p.err("trailing content after root element"));
@@ -117,7 +118,11 @@ impl<'a> Parser<'a> {
         Ok(String::from_utf8_lossy(&self.input[start..self.pos]).to_ascii_lowercase())
     }
 
-    fn parse_element(&mut self) -> Result<Element, ParseMarkupError> {
+    /// Parses the element at `depth` (the root is 1) and its subtree.
+    fn parse_element(&mut self, depth: usize) -> Result<Element, ParseMarkupError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err(format!("elements nest deeper than {MAX_DEPTH} levels")));
+        }
         if self.peek() != Some(b'<') {
             return Err(self.err("expected '<'"));
         }
@@ -205,7 +210,7 @@ impl<'a> Parser<'a> {
             }
             match self.peek() {
                 Some(b'<') => {
-                    let child = self.parse_element()?;
+                    let child = self.parse_element(depth + 1)?;
                     element.push_child(child);
                 }
                 Some(_) => {
@@ -244,7 +249,7 @@ fn find(haystack: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
 }
 
 /// Decodes the five standard entities (and `&#NN;` numeric forms).
-pub fn unescape(text: &str) -> String {
+pub(crate) fn unescape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     let mut rest = text;
     while let Some(idx) = rest.find('&') {
@@ -322,6 +327,16 @@ fn normalise_ws(text: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for levels in [5_000, 100_000] {
+            assert!(parse(&"<a>".repeat(levels)).is_err());
+        }
+        let ok = format!("{}{}", "<a>".repeat(MAX_DEPTH), "</a>".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        assert!(parse(&format!("<a>{ok}</a>")).is_err());
+    }
 
     #[test]
     fn parses_nested_structure() {

@@ -22,7 +22,7 @@
 
 use std::fmt;
 
-use crate::dom::{Element, Node};
+use crate::dom::{Element, Node, MAX_DEPTH};
 
 const VERSION: u8 = 0x03;
 const PUBLIC_ID: u8 = 0x01;
@@ -95,9 +95,9 @@ fn attr_for_token(token: u8) -> Option<&'static str> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeWbxmlError {
     /// Byte offset of the failure.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// What went wrong.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for DecodeWbxmlError {
@@ -188,14 +188,14 @@ fn push_str(s: &str, out: &mut Vec<u8>) {
 ///
 /// # Errors
 ///
-/// Returns [`DecodeWbxmlError`] on truncated input, bad headers or
-/// unknown tokens.
+/// Returns [`DecodeWbxmlError`] on truncated input, bad headers,
+/// unknown tokens or elements nested more than 128 levels deep.
 pub fn decode(data: &[u8]) -> Result<Element, DecodeWbxmlError> {
     let mut d = Decoder { data, pos: 0 };
     d.expect(VERSION, "version")?;
     d.expect(PUBLIC_ID, "public id")?;
     d.expect(CHARSET_UTF8, "charset")?;
-    let root = d.decode_element()?;
+    let root = d.decode_element(1)?;
     if d.pos != d.data.len() {
         return Err(d.err("trailing bytes after document"));
     }
@@ -247,7 +247,11 @@ impl<'a> Decoder<'a> {
         Ok(s)
     }
 
-    fn decode_element(&mut self) -> Result<Element, DecodeWbxmlError> {
+    /// Decodes the element at `depth` (the root is 1) and its subtree.
+    fn decode_element(&mut self, depth: usize) -> Result<Element, DecodeWbxmlError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err(format!("elements nest deeper than {MAX_DEPTH} levels")));
+        }
         let b = self.byte()?;
         let flags = b & (FLAG_ATTRS | FLAG_CONTENT);
         let token = b & TOKEN_MASK;
@@ -291,7 +295,7 @@ impl<'a> Decoder<'a> {
                         element.push_child(Node::text(text));
                     }
                     _ => {
-                        let child = self.decode_element()?;
+                        let child = self.decode_element(depth + 1)?;
                         element.push_child(child);
                     }
                 }
@@ -321,6 +325,30 @@ mod tests {
                     ),
             )
             .with_child(wml::card("cart", "Cart").with_child(Element::new("p").with_text("Empty")))
+    }
+
+    /// A WBXML document of `levels` nested `<a>` elements, each opened
+    /// with content; `close` appends the END bytes that close them all.
+    fn nested(levels: usize, close: bool) -> Vec<u8> {
+        let mut doc = vec![VERSION, PUBLIC_ID, CHARSET_UTF8];
+        for _ in 0..levels {
+            doc.extend_from_slice(&[LITERAL | FLAG_CONTENT, b'a', 0]);
+        }
+        if close {
+            doc.extend(std::iter::repeat_n(END, levels));
+        }
+        doc
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for levels in [5_000, 100_000] {
+            assert!(decode(&nested(levels, false)).is_err());
+            assert!(decode(&nested(levels, true)).is_err());
+        }
+        let ok = decode(&nested(MAX_DEPTH, true)).expect("the bound itself decodes");
+        assert_eq!(decode(&encode(&ok)).unwrap(), ok);
+        assert!(decode(&nested(MAX_DEPTH + 1, true)).is_err());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::fmt;
 use crate::dom::{Element, Node};
 
 /// Tags allowed in our WML subset.
-pub const WML_TAGS: [&str; 14] = [
+pub(crate) const WML_TAGS: [&str; 14] = [
     "wml", "card", "p", "br", "a", "b", "i", "big", "small", "input", "do", "go", "select",
     "option",
 ];
@@ -79,7 +79,7 @@ pub fn card(id: &str, title: &str) -> Element {
 
 /// The serialised (textual) size of a deck in bytes — what a deck-size
 /// limit on a constrained device is measured against.
-pub fn deck_bytes(doc: &Element) -> usize {
+pub(crate) fn deck_bytes(doc: &Element) -> usize {
     doc.to_markup().len()
 }
 

@@ -81,7 +81,7 @@ fn place(s: &str) -> (usize, usize) {
 
 /// Simulated CPU cost of a cache lookup at the gateway — far below any
 /// translation cost, but not free.
-pub const LOOKUP_COST: SimDuration = SimDuration::from_micros(40);
+pub(crate) const LOOKUP_COST: SimDuration = SimDuration::from_micros(40);
 
 /// A TTL + LRU cache of adapted exchanges at the middleware gateway,
 /// keyed by (url, device class, middleware kind, cookies).
@@ -146,7 +146,7 @@ impl ContentCache {
     /// `req` as adapted by `middleware_kind` for `device_class` at
     /// `now_ns`: same payload and air-side byte counts, but zero wired
     /// bytes, zero host CPU, no extra round trips, and only
-    /// [`LOOKUP_COST`] of middleware CPU. Allocation-free but for the
+    /// `LOOKUP_COST` of middleware CPU. Allocation-free but for the
     /// clone a hit hands out.
     pub fn lookup(
         &mut self,
@@ -291,7 +291,8 @@ mod tests {
         cache.store(&get("/shop"), "iPAQ", "WAP", &exchange("wap deck"), 0);
         assert!(cache.lookup(&get("/shop"), "iPAQ", "i-mode", 1).is_none());
         assert!(cache.lookup(&get("/shop"), "P503i", "WAP", 1).is_none());
-        let cookied = get("/shop").with_cookie("sid", "s");
+        let mut cookied = get("/shop");
+        cookied.cookies.push(("sid".into(), "s".into()));
         assert!(cache.lookup(&cookied, "iPAQ", "WAP", 1).is_none());
         assert!(cache.lookup(&get("/shop"), "iPAQ", "WAP", 1).is_some());
         assert_eq!(cache.len(), 1, "lookups hold no keys");

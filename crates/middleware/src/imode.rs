@@ -26,7 +26,7 @@ use crate::memo::{self, SharedTranscodeMemo, TranscodeMode, TranscodedDeck};
 use crate::{AirFormat, Exchange, Middleware, MobileRequest};
 
 /// Packet-header framing per i-mode response on the air.
-pub const IMODE_RESPONSE_OVERHEAD: usize = 16;
+pub(crate) const IMODE_RESPONSE_OVERHEAD: usize = 16;
 
 /// The i-mode service middleware.
 #[derive(Debug, Default)]
@@ -34,7 +34,7 @@ pub struct IModeService {
     /// Shard-local memo of pure filter results (fleet engine only).
     memo: Option<SharedTranscodeMemo>,
     /// Exchanges performed.
-    pub requests: Counter,
+    pub(crate) requests: Counter,
     /// Pages that arrived as HTML and were filtered to cHTML.
     pub filtered_pages: Counter,
 }

@@ -23,17 +23,17 @@
 //! measurable trade-off between them — translation CPU against
 //! over-the-air bytes — is Table 3's experiment.
 
-pub mod cache;
-pub mod imode;
+pub(crate) mod cache;
+pub(crate) mod imode;
 pub mod memo;
-pub mod wap;
+pub(crate) mod wap;
 
 use bytes::Bytes;
 use simnet::SimDuration;
 
 pub use cache::ContentCache;
 pub use imode::IModeService;
-pub use memo::{SharedTranscodeMemo, TranscodeMemo};
+pub use memo::SharedTranscodeMemo;
 pub use wap::WapGateway;
 
 use hostsite::{ContentFormat, HostComputer, HttpRequest, Status};
@@ -70,12 +70,6 @@ impl MobileRequest {
             cookies: Vec::new(),
             auth: None,
         }
-    }
-
-    /// Attaches a cookie (builder style).
-    pub fn with_cookie(mut self, name: &str, value: &str) -> Self {
-        self.cookies.push((name.to_owned(), value.to_owned()));
-        self
     }
 
     /// Attaches credentials (builder style).
@@ -159,7 +153,7 @@ pub trait Middleware {
     /// translating the request in and adapting the content out.
     fn exchange(&mut self, host: &mut HostComputer, req: &MobileRequest) -> Exchange;
 
-    /// Attaches a shard-local [`memo::TranscodeMemo`] so repeated bodies
+    /// Attaches a shard-local `memo::TranscodeMemo` so repeated bodies
     /// skip re-translation. Translation is a pure function of the body,
     /// so attaching (or not attaching) a memo never changes an exchange.
     /// The default implementation ignores the memo — only middlewares
@@ -175,11 +169,9 @@ mod tests {
     fn mobile_request_builders() {
         let get = MobileRequest::get("/shop?item=1");
         assert!(get.form.is_none());
-        let post = MobileRequest::post("/buy", vec![("sku".into(), "2".into())])
-            .with_cookie("sid", "x")
-            .with_auth("u", "p");
+        let mut post = MobileRequest::post("/buy", vec![("sku".into(), "2".into())]).with_auth("u", "p");
+        post.cookies.push(("sid".into(), "x".into()));
         assert!(post.form.is_some());
-        assert_eq!(post.cookies.len(), 1);
         let http = post.to_http(ContentFormat::Wml);
         assert_eq!(http.param("sku"), Some("2"));
         assert_eq!(http.cookie("sid"), Some("x"));

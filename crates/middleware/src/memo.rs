@@ -25,14 +25,13 @@
 //! The memo is a [`simnet::BodyMemo`]: a repeated body that arrives as
 //! the same refcounted slice (a gateway- or page-cache hit) is found by
 //! address and length, without hashing its bytes, and distinct bodies
-//! stop being inserted at [`DEFAULT_MEMO_CAPACITY`].
+//! stop being inserted at `DEFAULT_MEMO_CAPACITY`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use hostsite::Body;
-pub use simnet::memo::DEFAULT_MEMO_CAPACITY;
 
 /// The translation a gateway applied — part of the memo key, since the
 /// same HTML translates differently per target encoding.
@@ -50,22 +49,22 @@ pub enum TranscodeMode {
 #[derive(Debug, Clone)]
 pub struct TranscodedDeck {
     /// The over-the-air payload the translation produced.
-    pub content: Bytes,
+    pub(crate) content: Bytes,
     /// Whether the translation took the gateway's flagged path (WAP: the
     /// source HTML failed to parse and an error card was served; i-mode:
     /// the page needed filtering). Replayed into the owning gateway's
     /// counter on every hit, so counters stay identical with and without
     /// the memo.
-    pub flagged: bool,
+    pub(crate) flagged: bool,
     /// The parsed form of `content`, when the translation had it in
     /// hand (see `Exchange::deck`). Hits replay the tree too, so the
     /// station-side decode skip survives memoisation.
-    pub deck: Option<std::sync::Arc<markup::Element>>,
+    pub(crate) deck: Option<std::sync::Arc<markup::Element>>,
 }
 
 /// A bounded memo of pure translation results for one fleet shard,
 /// keyed by `(mode, body bytes)`.
-pub type TranscodeMemo = simnet::BodyMemo<TranscodeMode, TranscodedDeck>;
+pub(crate) type TranscodeMemo = simnet::BodyMemo<TranscodeMode, TranscodedDeck>;
 
 /// The handle a fleet shard passes to every gateway it builds: one memo,
 /// shared by refcount within the shard's thread, never across threads.
@@ -75,7 +74,7 @@ pub type SharedTranscodeMemo = Rc<RefCell<TranscodeMemo>>;
 /// memo when one is attached: a hit replays the deck the first
 /// translation of the same bytes built, and a miss translates and keeps
 /// the deck for the next probe.
-pub fn transcode(
+pub(crate) fn transcode(
     memo: Option<&SharedTranscodeMemo>,
     mode: TranscodeMode,
     body: &Body,

@@ -28,10 +28,10 @@ use crate::{AirFormat, Exchange, Middleware, MobileRequest};
 
 /// WSP compact request framing overhead in bytes (transaction id, PDU
 /// type, capability flags).
-pub const WSP_REQUEST_OVERHEAD: usize = 12;
+pub(crate) const WSP_REQUEST_OVERHEAD: usize = 12;
 
 /// WSP response framing overhead in bytes.
-pub const WSP_RESPONSE_OVERHEAD: usize = 8;
+pub(crate) const WSP_RESPONSE_OVERHEAD: usize = 8;
 
 /// The WAP gateway middleware.
 #[derive(Debug)]
@@ -42,9 +42,9 @@ pub struct WapGateway {
     /// Shard-local memo of pure translation results (fleet engine only).
     memo: Option<SharedTranscodeMemo>,
     /// Exchanges performed.
-    pub requests: Counter,
+    pub(crate) requests: Counter,
     /// HTML documents that failed to parse (served as an error card).
-    pub translation_failures: Counter,
+    pub(crate) translation_failures: Counter,
 }
 
 impl Default for WapGateway {

@@ -122,18 +122,13 @@ impl Subnet {
     }
 
     /// The prefix length.
-    pub fn prefix_len(self) -> u8 {
+    pub(crate) fn prefix_len(self) -> u8 {
         self.prefix_len
     }
 
     /// True if `ip` lies inside the subnet.
     pub fn contains(self, ip: Ip) -> bool {
         (ip.0 & Self::mask(self.prefix_len)) == self.base.0
-    }
-
-    /// The `n`-th host address in the subnet.
-    pub fn host(self, n: u32) -> Ip {
-        Ip(self.base.0 | n)
     }
 }
 
@@ -192,7 +187,6 @@ mod tests {
     fn subnet_masks_host_bits() {
         let net = Subnet::new(Ip::new(10, 0, 1, 77), 24);
         assert_eq!(net.base(), Ip::new(10, 0, 1, 0));
-        assert_eq!(net.host(9), Ip::new(10, 0, 1, 9));
     }
 
     #[test]

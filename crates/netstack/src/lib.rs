@@ -22,5 +22,5 @@ pub mod node;
 pub mod packet;
 
 pub use addr::{Ip, Subnet};
-pub use node::{Network, Node};
+pub use node::Node;
 pub use packet::{IpPacket, Payload, Protocol};

@@ -29,11 +29,11 @@ use crate::packet::{IpPacket, Payload, Protocol};
 
 /// Wire size of a Mobile IP control message (UDP port 434 registration
 /// messages are ~24–40 bytes; we charge a flat figure).
-pub const MIP_CONTROL_BYTES: usize = 32;
+pub(crate) const MIP_CONTROL_BYTES: usize = 32;
 
 /// Mobile IP control messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MipMsg {
+pub(crate) enum MipMsg {
     /// Mobile node → (FA) → HA: bind `mobile` to care-of address `coa`.
     /// `lifetime_s == 0` requests deregistration.
     RegRequest {
@@ -54,12 +54,6 @@ pub enum MipMsg {
         id: u64,
         /// Whether the binding was installed/removed.
         accepted: bool,
-    },
-    /// FA → everyone in radio range: "I am a foreign agent; my care-of
-    /// address is `coa`" — the agent advertisement of RFC 3344.
-    Advertisement {
-        /// The advertised care-of address.
-        coa: Ip,
     },
 }
 
@@ -295,46 +289,7 @@ impl ForeignAgent {
                     IpPacket::new(self.addr, mobile, Protocol::MipControl, pkt.payload.clone());
                 self.node.send_direct(sim, mobile, out);
             }
-            // Advertisements are outbound-only; one arriving here (e.g.
-            // from a neighbouring agent) is ignored.
-            MipMsg::Advertisement { .. } => {}
         }
-    }
-
-    /// Starts periodic agent advertisements: every `period`, one
-    /// [`MipMsg::Advertisement`] goes out of each interface to each
-    /// directly connected neighbour. Stations that wander into this
-    /// agent's cell learn the care-of address without configuration.
-    pub fn start_advertising(self: &Rc<Self>, sim: &mut Simulator, period: simnet::SimDuration) {
-        let fa = Rc::clone(self);
-        sim.schedule_in(period, move |sim| {
-            for neighbor in fa.node.neighbors() {
-                let ad = MipMsg::Advertisement { coa: fa.addr };
-                let pkt = IpPacket::new(
-                    fa.addr,
-                    neighbor,
-                    Protocol::MipControl,
-                    Payload::new(ad, MIP_CONTROL_BYTES),
-                );
-                fa.node.send_direct(sim, neighbor, pkt);
-            }
-            fa.start_advertising(sim, period);
-        });
-    }
-
-    /// True if `mobile` is on the visitor list.
-    pub fn has_visitor(&self, mobile: Ip) -> bool {
-        self.visitors.borrow().contains_key(&mobile)
-    }
-
-    /// Removes `mobile` from the visitor list (on departure).
-    pub fn remove_visitor(&self, mobile: Ip) {
-        self.visitors.borrow_mut().remove(&mobile);
-    }
-
-    /// The care-of address this agent advertises.
-    pub fn care_of_addr(&self) -> Ip {
-        self.addr
     }
 }
 
@@ -353,11 +308,8 @@ pub enum MipState {
 pub struct MobileIpClient {
     node: Rc<Node>,
     home_addr: Ip,
-    ha_addr: Ip,
     state: Cell<MipState>,
     next_id: Cell<u64>,
-    auto_register: Cell<bool>,
-    current_coa: Cell<Option<Ip>>,
     on_registered: RefCell<Vec<RegisteredCallback>>,
     trace: Trace,
 }
@@ -375,16 +327,16 @@ impl std::fmt::Debug for MobileIpClient {
 }
 
 impl MobileIpClient {
-    /// Installs the client on the mobile's node.
-    pub fn install(node: Rc<Node>, home_addr: Ip, ha_addr: Ip, trace: Trace) -> Rc<Self> {
+    /// Installs the client on the mobile's node. `_ha_addr` names the
+    /// home agent; the client never addresses it, because registrations
+    /// go through the foreign agent, which relays them to its own
+    /// configured home agent.
+    pub fn install(node: Rc<Node>, home_addr: Ip, _ha_addr: Ip, trace: Trace) -> Rc<Self> {
         let client = Rc::new(MobileIpClient {
             node: Rc::clone(&node),
             home_addr,
-            ha_addr,
             state: Cell::new(MipState::Home),
             next_id: Cell::new(1),
-            auto_register: Cell::new(false),
-            current_coa: Cell::new(None),
             on_registered: RefCell::new(Vec::new()),
             trace,
         });
@@ -406,35 +358,11 @@ impl MobileIpClient {
                             l(sim);
                         }
                     }
-                    Some(&MipMsg::Advertisement { coa }) => {
-                        // A foreign agent is in range. If we are not bound
-                        // (or were bound elsewhere), register through it.
-                        let needs_registration = match client.state.get() {
-                            MipState::Home => coa != client.ha_addr,
-                            MipState::Registering => false,
-                            MipState::Registered => client.current_coa.get() != Some(coa),
-                        };
-                        if needs_registration && client.auto_register.get() {
-                            client.trace.log(
-                                sim.now(),
-                                "mip",
-                                format!("{} heard advertisement from {coa}", client.home_addr),
-                            );
-                            client.current_coa.set(Some(coa));
-                            client.register_via(sim, coa);
-                        }
-                    }
                     _ => {}
                 }
             });
         }
         client
-    }
-
-    /// Enables automatic registration on hearing a foreign agent's
-    /// advertisement (on by default for configured clients that call it).
-    pub fn set_auto_register(&self, enabled: bool) {
-        self.auto_register.set(enabled);
     }
 
     /// Current state.
@@ -477,30 +405,6 @@ impl MobileIpClient {
         );
         self.node.send(sim, pkt);
     }
-
-    /// Deregisters directly with the home agent (used on returning home).
-    pub fn deregister(&self, sim: &mut Simulator) {
-        let id = self.next_id.replace(self.next_id.get() + 1);
-        self.state.set(MipState::Home);
-        let req = MipMsg::RegRequest {
-            mobile: self.home_addr,
-            coa: self.home_addr,
-            lifetime_s: 0,
-            id,
-        };
-        let pkt = IpPacket::new(
-            self.home_addr,
-            self.ha_addr,
-            Protocol::MipControl,
-            Payload::new(req, MIP_CONTROL_BYTES),
-        );
-        self.node.send(sim, pkt);
-    }
-
-    /// The mobile's permanent home address.
-    pub fn home_addr(&self) -> Ip {
-        self.home_addr
-    }
 }
 
 #[cfg(test)]
@@ -526,7 +430,6 @@ mod tests {
     struct World {
         sim: Simulator,
         corr: Rc<Node>,
-        ha_node: Rc<Node>,
         fa_node: Rc<Node>,
         mobile: Rc<Node>,
         ha: Rc<HomeAgent>,
@@ -578,7 +481,6 @@ mod tests {
         World {
             sim,
             corr,
-            ha_node,
             fa_node,
             mobile,
             ha,
@@ -615,7 +517,7 @@ mod tests {
         w.sim.run();
         assert_eq!(w.client.state(), MipState::Registered);
         assert_eq!(w.ha.binding(MOBILE), Some(FA_ADDR));
-        assert!(w.fa.has_visitor(MOBILE));
+        assert!(w.fa.visitors.borrow().contains_key(&MOBILE));
         assert!(w.trace.contains("mip", "HA bound"));
     }
 
@@ -672,75 +574,6 @@ mod tests {
         assert_eq!(got.borrow().len(), 1);
         assert_eq!(got.borrow()[0].src, MOBILE); // home address preserved
         let _ = &w.fa_node;
-    }
-
-    #[test]
-    fn deregistration_restores_home_delivery() {
-        let mut w = build(false);
-        w.client.register_via(&mut w.sim, FA_ADDR);
-        w.sim.run();
-        assert_eq!(w.ha.binding(MOBILE), Some(FA_ADDR));
-
-        // Mobile returns home: tear down foreign attachment, reattach at
-        // home, deregister.
-        w.mobile.disconnect(FA_ADDR);
-        w.fa_node.disconnect(MOBILE);
-        w.fa.remove_visitor(MOBILE);
-        w.mobile.remove_route(Subnet::DEFAULT);
-        let wireless = LinkParams::reliable(11_000_000, SimDuration::from_millis(3));
-        Network::connect(&w.ha_node, HA_ADDR, &w.mobile, MOBILE, wireless);
-        w.mobile.add_route(Subnet::DEFAULT, HA_ADDR);
-        w.client.deregister(&mut w.sim);
-        w.sim.run();
-
-        assert_eq!(w.ha.binding(MOBILE), None);
-        assert_eq!(w.client.state(), MipState::Home);
-        let got = udp_sink(&w.mobile);
-        w.corr.send(
-            &mut w.sim,
-            IpPacket::new(CORR, MOBILE, Protocol::Udp, Payload::new((), 100)),
-        );
-        w.sim.run();
-        assert_eq!(got.borrow().len(), 1);
-        assert_eq!(w.ha.tunneled.get(), 0);
-    }
-
-    #[test]
-    fn advertisements_drive_automatic_registration() {
-        let mut w = build(false);
-        w.client.set_auto_register(true);
-        // The FA advertises every 100 ms; the mobile hears it and
-        // registers with no explicit register_via call.
-        w.fa.start_advertising(&mut w.sim, simnet::SimDuration::from_millis(100));
-        w.sim.run_until(simnet::SimTime::from_millis(600));
-        assert_eq!(w.client.state(), MipState::Registered);
-        assert_eq!(w.ha.binding(MOBILE), Some(FA_ADDR));
-        assert!(w.trace.contains("mip", "heard advertisement"));
-
-        // Datagrams now flow to the roaming mobile with zero manual setup.
-        let got = udp_sink(&w.mobile);
-        w.corr.send(
-            &mut w.sim,
-            IpPacket::new(CORR, MOBILE, Protocol::Udp, Payload::new((), 100)),
-        );
-        w.sim.run_until(simnet::SimTime::from_millis(1_200));
-        assert_eq!(got.borrow().len(), 1);
-    }
-
-    #[test]
-    fn advertisements_do_not_rebind_an_already_registered_mobile() {
-        let mut w = build(false);
-        w.client.set_auto_register(true);
-        w.fa.start_advertising(&mut w.sim, simnet::SimDuration::from_millis(100));
-        w.sim.run_until(simnet::SimTime::from_millis(400));
-        assert_eq!(w.client.state(), MipState::Registered);
-        let registrations = w.trace.count("mip", "requesting registration");
-        // Later advertisements from the same CoA cause no re-registration.
-        w.sim.run_until(simnet::SimTime::from_millis(1_500));
-        assert_eq!(
-            w.trace.count("mip", "requesting registration"),
-            registrations
-        );
     }
 
     #[test]

@@ -44,13 +44,13 @@ pub struct Node {
     name: String,
     inner: RefCell<NodeInner>,
     /// Packets delivered to an upper-layer handler here.
-    pub delivered: Counter,
+    pub(crate) delivered: Counter,
     /// Packets forwarded onward.
     pub forwarded: Counter,
     /// Packets dropped because the TTL expired.
-    pub dropped_ttl: Counter,
+    pub(crate) dropped_ttl: Counter,
     /// Packets dropped for lack of a route or local handler.
-    pub dropped_unroutable: Counter,
+    pub(crate) dropped_unroutable: Counter,
 }
 
 impl std::fmt::Debug for Node {
@@ -95,17 +95,8 @@ impl Node {
     }
 
     /// True if `ip` is one of this node's addresses.
-    pub fn has_addr(&self, ip: Ip) -> bool {
+    pub(crate) fn has_addr(&self, ip: Ip) -> bool {
         self.inner.borrow().addrs.contains(&ip)
-    }
-
-    /// The node's first address.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node has no addresses.
-    pub fn primary_addr(&self) -> Ip {
-        self.inner.borrow().addrs[0]
     }
 
     /// Adds a route: packets for `dest` go to neighbour `via`.
@@ -119,7 +110,7 @@ impl Node {
     }
 
     /// Registers the link used to reach neighbour `neighbor`.
-    pub fn add_iface(&self, neighbor: Ip, link: Rc<Link<IpPacket>>) {
+    pub(crate) fn add_iface(&self, neighbor: Ip, link: Rc<Link<IpPacket>>) {
         self.inner.borrow_mut().ifaces.insert(neighbor, link);
     }
 
@@ -134,15 +125,8 @@ impl Node {
     }
 
     /// The link toward `neighbor`, if connected.
-    pub fn iface(&self, neighbor: Ip) -> Option<Rc<Link<IpPacket>>> {
+    pub(crate) fn iface(&self, neighbor: Ip) -> Option<Rc<Link<IpPacket>>> {
         self.inner.borrow().ifaces.get(&neighbor).cloned()
-    }
-
-    /// Addresses of all directly connected neighbours.
-    pub fn neighbors(&self) -> Vec<Ip> {
-        let mut list: Vec<Ip> = self.inner.borrow().ifaces.keys().copied().collect();
-        list.sort();
-        list
     }
 
     /// Installs the handler for locally delivered packets of `proto`.
@@ -159,11 +143,6 @@ impl Node {
         tap: impl Fn(&mut Simulator, &Rc<Node>, IpPacket) -> TapResult + 'static,
     ) {
         self.inner.borrow_mut().tap = Some(Rc::new(tap));
-    }
-
-    /// Removes the tap.
-    pub fn clear_tap(&self) {
-        self.inner.borrow_mut().tap = None;
     }
 
     /// Longest-prefix-match route lookup; returns the next-hop neighbour.
@@ -236,7 +215,7 @@ impl Node {
     /// bypassing the routing table (used by a foreign agent delivering a
     /// decapsulated packet to a visiting mobile whose address belongs to a
     /// different subnet).
-    pub fn send_direct(self: &Rc<Self>, sim: &mut Simulator, neighbor: Ip, pkt: IpPacket) {
+    pub(crate) fn send_direct(self: &Rc<Self>, sim: &mut Simulator, neighbor: Ip, pkt: IpPacket) {
         match self.iface(neighbor) {
             Some(link) => {
                 self.forwarded.incr();
@@ -280,11 +259,6 @@ impl Network {
         node.add_addr(addr);
         self.nodes.push(Rc::clone(&node));
         node
-    }
-
-    /// All registered nodes.
-    pub fn nodes(&self) -> &[Rc<Node>] {
-        &self.nodes
     }
 
     /// Connects two nodes with a symmetric pair of links built from
@@ -395,7 +369,7 @@ mod tests {
         let mut sim = Simulator::new();
         let (a, r, b) = chain();
         let got = sink(&b);
-        let mut pkt = IpPacket::new(ip(1), ip(3), Protocol::Udp, Payload::empty());
+        let mut pkt = IpPacket::new(ip(1), ip(3), Protocol::Udp, Payload::new((), 0));
         pkt.ttl = 1;
         a.send(&mut sim, pkt);
         sim.run();
@@ -410,7 +384,7 @@ mod tests {
         a.add_addr(ip(1));
         a.send(
             &mut sim,
-            IpPacket::new(ip(1), ip(99), Protocol::Udp, Payload::empty()),
+            IpPacket::new(ip(1), ip(99), Protocol::Udp, Payload::new((), 0)),
         );
         assert_eq!(a.dropped_unroutable.get(), 1);
     }
@@ -423,7 +397,7 @@ mod tests {
         let got = sink(&a);
         a.send(
             &mut sim,
-            IpPacket::new(ip(1), ip(1), Protocol::Udp, Payload::empty()),
+            IpPacket::new(ip(1), ip(1), Protocol::Udp, Payload::new((), 0)),
         );
         sim.run();
         assert_eq!(got.borrow().len(), 1);
@@ -436,7 +410,7 @@ mod tests {
         // No UDP handler registered on b.
         a.send(
             &mut sim,
-            IpPacket::new(ip(1), ip(3), Protocol::Udp, Payload::empty()),
+            IpPacket::new(ip(1), ip(3), Protocol::Udp, Payload::new((), 0)),
         );
         sim.run();
         assert_eq!(b.dropped_unroutable.get(), 1);
@@ -483,17 +457,10 @@ mod tests {
         });
         a.send(
             &mut sim,
-            IpPacket::new(ip(1), ip(3), Protocol::Udp, Payload::empty()),
+            IpPacket::new(ip(1), ip(3), Protocol::Udp, Payload::new((), 0)),
         );
         sim.run();
         assert_eq!(got.borrow()[0].src, ip(42));
-        r.clear_tap();
-        a.send(
-            &mut sim,
-            IpPacket::new(ip(1), ip(3), Protocol::Udp, Payload::empty()),
-        );
-        sim.run();
-        assert_eq!(got.borrow()[1].src, ip(1));
     }
 
     #[test]
@@ -504,7 +471,7 @@ mod tests {
         r.disconnect(ip(3));
         a.send(
             &mut sim,
-            IpPacket::new(ip(1), ip(3), Protocol::Udp, Payload::empty()),
+            IpPacket::new(ip(1), ip(3), Protocol::Udp, Payload::new((), 0)),
         );
         sim.run();
         assert_eq!(got.borrow().len(), 0);
@@ -521,7 +488,7 @@ mod tests {
             ip(1),
             Ip::new(99, 99, 99, 99),
             Protocol::Udp,
-            Payload::empty(),
+            Payload::new((), 0),
         );
         r.send_direct(&mut sim, ip(3), stray);
         sim.run();

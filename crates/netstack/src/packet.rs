@@ -9,13 +9,12 @@ use std::any::Any;
 use std::fmt;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use simnet::link::Wire;
 
 use crate::addr::Ip;
 
 /// Size of the simulated IP header in bytes.
-pub const IP_HEADER_BYTES: usize = 20;
+pub(crate) const IP_HEADER_BYTES: usize = 20;
 
 /// Default initial TTL.
 pub const DEFAULT_TTL: u8 = 64;
@@ -70,35 +69,8 @@ impl Payload {
         }
     }
 
-    /// An empty payload (pure signalling packets).
-    pub fn empty() -> Self {
-        Payload {
-            data: Rc::new(()),
-            size: 0,
-        }
-    }
-
-    /// Wraps a refcounted byte chunk, charging its length on the wire.
-    ///
-    /// The chunk is shared, not copied: forwarding, tunnelling, and
-    /// snooping a packet all clone two reference counts (the payload `Rc`
-    /// and the `Bytes` inside) rather than the body.
-    pub fn bytes(data: Bytes) -> Self {
-        let size = data.len();
-        Payload {
-            data: Rc::new(data),
-            size,
-        }
-    }
-
-    /// Views the payload as a raw byte chunk, when it was built with
-    /// [`Payload::bytes`].
-    pub fn as_bytes(&self) -> Option<&Bytes> {
-        self.downcast_ref::<Bytes>()
-    }
-
     /// Declared wire size in bytes.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.size
     }
 
@@ -138,7 +110,7 @@ impl IpPacket {
     /// Encapsulates `self` in an outer packet from `tunnel_src` to
     /// `tunnel_dst` (IP-in-IP, as a Mobile IP home agent does toward the
     /// care-of address).
-    pub fn encapsulate(self, tunnel_src: Ip, tunnel_dst: Ip) -> IpPacket {
+    pub(crate) fn encapsulate(self, tunnel_src: Ip, tunnel_dst: Ip) -> IpPacket {
         let size = self.wire_size();
         IpPacket::new(
             tunnel_src,
@@ -151,7 +123,7 @@ impl IpPacket {
     /// Recovers the inner packet of an IP-in-IP tunnel packet.
     ///
     /// Returns `None` when the packet is not a tunnel packet.
-    pub fn decapsulate(&self) -> Option<IpPacket> {
+    pub(crate) fn decapsulate(&self) -> Option<IpPacket> {
         if self.proto != Protocol::IpInIp {
             return None;
         }
@@ -182,20 +154,8 @@ mod tests {
             Payload::new(vec![0u8; 100], 100),
         );
         assert_eq!(p.wire_size(), 120);
-        let empty = IpPacket::new(ip(1), ip(2), Protocol::MipControl, Payload::empty());
+        let empty = IpPacket::new(ip(1), ip(2), Protocol::MipControl, Payload::new((), 0));
         assert_eq!(empty.wire_size(), 20);
-    }
-
-    #[test]
-    fn bytes_payload_shares_the_chunk() {
-        let body = Bytes::from(vec![9u8; 64]);
-        let p = Payload::bytes(body.clone());
-        assert_eq!(p.size(), 64);
-        assert_eq!(p.as_bytes().unwrap(), &body);
-        // Cloning the payload shares both the Rc and the chunk.
-        let q = p.clone();
-        assert_eq!(q.as_bytes().unwrap().as_ref(), body.as_ref());
-        assert!(Payload::empty().as_bytes().is_none());
     }
 
     #[test]
@@ -222,7 +182,7 @@ mod tests {
 
     #[test]
     fn decapsulating_a_plain_packet_is_none() {
-        let p = IpPacket::new(ip(1), ip(2), Protocol::Udp, Payload::empty());
+        let p = IpPacket::new(ip(1), ip(2), Protocol::Udp, Payload::new((), 0));
         assert!(p.decapsulate().is_none());
     }
 

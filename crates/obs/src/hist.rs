@@ -22,10 +22,10 @@ use std::fmt;
 
 /// Number of linear sub-buckets per power-of-two octave. 32 sub-buckets
 /// bound the quantisation error of any recorded value by 1/32 ≈ 3%.
-pub const SUB_BUCKETS: u64 = 32;
+pub(crate) const SUB_BUCKETS: u64 = 32;
 
 /// log2([`SUB_BUCKETS`]).
-pub const SUB_BITS: u32 = 5;
+pub(crate) const SUB_BITS: u32 = 5;
 
 /// Maps a value to its bucket index. Monotonic: `a <= b` implies
 /// `bucket(a) <= bucket(b)`.
@@ -91,11 +91,6 @@ impl Histogram {
     /// Total number of recorded values.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
     }
 
     /// Adds `other` into `self`. Associative and commutative: any
@@ -262,7 +257,7 @@ mod tests {
     #[test]
     fn empty_histogram_is_all_zeroes() {
         let h = Histogram::default();
-        assert!(h.is_empty());
+        assert_eq!(h.count(), 0);
         assert_eq!(h.percentile(99.0), 0);
         assert_eq!(h.iter().count(), 0);
     }

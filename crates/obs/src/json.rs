@@ -5,7 +5,7 @@
 //! built as a [`Value`] and written by its [`Display`](fmt::Display);
 //! the gates, `benchdiff` and the tests read documents back with
 //! [`parse`]. The streaming trace and telemetry exporters format their
-//! own records but escape every string through [`quoted`].
+//! own records but escape every string through `quoted`.
 //!
 //! The writer prints integers verbatim, a [`Value::Fixed`] float at the
 //! decimal places its field declares, and a [`Value::Float`] in its
@@ -209,12 +209,12 @@ impl FromIterator<Value> for Value {
 
 /// `s` as a JSON string literal, quotes included: `"`, `\` and control
 /// characters are escaped, everything else (non-ASCII too) is verbatim.
-pub fn quoted(s: &str) -> Quoted<'_> {
+pub(crate) fn quoted(s: &str) -> Quoted<'_> {
     Quoted(s)
 }
 
 /// The [`Display`](fmt::Display) adaptor [`quoted`] returns.
-pub struct Quoted<'a>(&'a str);
+pub(crate) struct Quoted<'a>(&'a str);
 
 impl fmt::Display for Quoted<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -16,7 +16,7 @@
 //!   firings, transcode bytes, handoffs, …). Disabled by default: the
 //!   hot-path cost of an unpublished metric is one thread-local flag
 //!   check.
-//! * [`span`] — the span taxonomy: the six paper layers and the
+//! * `span` — the span taxonomy: the six paper layers and the
 //!   sim-time trace event they annotate.
 //! * [`recorder`] — the [`Recorder`] sink. `Recorder::Disabled` skips
 //!   all recording at a single `match`; `Recorder::Ring` keeps a
@@ -44,11 +44,11 @@ pub mod hist;
 pub mod json;
 pub mod metrics;
 pub mod recorder;
-pub mod span;
+pub(crate) mod span;
 pub mod timeseries;
 
 pub use hist::Histogram;
 pub use metrics::Metrics;
 pub use recorder::{FlightDump, Recorder, RingScratch};
 pub use span::{EventKind, Layer, TraceEvent};
-pub use timeseries::{SeriesId, SeriesKind, Telemetry};
+pub use timeseries::Telemetry;

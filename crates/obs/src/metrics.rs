@@ -36,7 +36,7 @@ pub struct Metrics {
     /// Named monotonic counters, e.g. `"transport.rto_fired"`.
     pub counters: BTreeMap<&'static str, u64>,
     /// Named value distributions, e.g. `"host.cpu_ns"`.
-    pub histograms: BTreeMap<&'static str, Histogram>,
+    pub(crate) histograms: BTreeMap<&'static str, Histogram>,
 }
 
 impl Metrics {

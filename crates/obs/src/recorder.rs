@@ -23,15 +23,15 @@ pub const DEFAULT_RING_CAPACITY: usize = 4096;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightDump {
     /// The simulated user whose transaction failed.
-    pub user: u64,
+    pub(crate) user: u64,
     /// Transaction sequence number within the user's world.
-    pub txn: u64,
+    pub(crate) txn: u64,
     /// The failure description, verbatim from the failing layer.
     pub reason: String,
     /// The layer the transaction stalled or failed in.
     pub layer: Layer,
     /// The failing transaction's events still in the ring, oldest first.
-    pub events: Vec<TraceEvent>,
+    pub(crate) events: Vec<TraceEvent>,
 }
 
 impl fmt::Display for FlightDump {
@@ -86,7 +86,7 @@ impl Recorder {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn ring_with_capacity(capacity: usize, user: u64) -> Self {
+    pub(crate) fn ring_with_capacity(capacity: usize, user: u64) -> Self {
         assert!(capacity > 0, "ring capacity must be positive");
         Recorder::Ring(RingRecorder {
             events: VecDeque::with_capacity(capacity.min(1024)),
@@ -95,14 +95,6 @@ impl Recorder {
             dumps: Vec::new(),
             user,
         })
-    }
-
-    /// True when events are actually recorded. Callers building event
-    /// names with `format!` should guard on this to keep the disabled
-    /// path allocation-free.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        matches!(self, Recorder::Ring(_))
     }
 
     /// Records a complete span `[at_ns, at_ns + dur_ns)` in `layer`.
@@ -188,19 +180,6 @@ impl Recorder {
         });
     }
 
-    /// Number of events currently buffered (zero when disabled).
-    pub fn len(&self) -> usize {
-        match self {
-            Recorder::Disabled => 0,
-            Recorder::Ring(ring) => ring.events.len(),
-        }
-    }
-
-    /// True when no events are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Events evicted by the capacity bound so far.
     pub fn dropped(&self) -> u64 {
         match self {
@@ -283,8 +262,6 @@ mod tests {
         r.span(0, 10, Layer::Wireless, "uplink", 0);
         r.instant(5, Layer::Host, "served", 0);
         r.dump_failure(0, "boom", Layer::Wireless);
-        assert!(!r.is_enabled());
-        assert!(r.is_empty());
         let (events, dumps) = r.into_parts();
         assert!(events.is_empty() && dumps.is_empty());
     }
@@ -295,9 +272,9 @@ mod tests {
         for i in 0..5u64 {
             r.instant_dyn(i, Layer::Station, &format!("e{i}"), i);
         }
-        assert_eq!(r.len(), 3);
         assert_eq!(r.dropped(), 2);
         let (events, _) = r.into_parts();
+        assert_eq!(events.len(), 3);
         assert_eq!(events[0].name, "e2");
         assert_eq!(events[2].name, "e4");
         assert!(events.iter().all(|e| e.user == 7));

@@ -31,18 +31,8 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// All six layers in traversal order.
-    pub const ALL: [Layer; 6] = [
-        Layer::Application,
-        Layer::Station,
-        Layer::Middleware,
-        Layer::Wireless,
-        Layer::Wired,
-        Layer::Host,
-    ];
-
     /// Stable lower-case name, used as the trace category.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Layer::Application => "application",
             Layer::Station => "station",
@@ -54,7 +44,7 @@ impl Layer {
     }
 
     /// The Chrome-trace thread id for this layer's swim-lane.
-    pub fn tid(self) -> u32 {
+    pub(crate) fn tid(self) -> u32 {
         self as u32
     }
 }
@@ -83,7 +73,7 @@ pub enum EventKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Simulated time the event started, nanoseconds.
-    pub at_ns: u64,
+    pub(crate) at_ns: u64,
     /// Span duration in nanoseconds (zero for instants).
     pub dur_ns: u64,
     /// The component the event is attributed to.
@@ -96,9 +86,9 @@ pub struct TraceEvent {
     /// Span or instant.
     pub kind: EventKind,
     /// The simulated user the event belongs to.
-    pub user: u64,
+    pub(crate) user: u64,
     /// Transaction sequence number within the user's world.
-    pub txn: u64,
+    pub(crate) txn: u64,
 }
 
 #[cfg(test)]
@@ -107,9 +97,15 @@ mod tests {
 
     #[test]
     fn layers_have_stable_names_and_tids() {
-        assert_eq!(Layer::ALL.len(), 6);
         let mut seen = std::collections::BTreeSet::new();
-        for layer in Layer::ALL {
+        for layer in [
+            Layer::Application,
+            Layer::Station,
+            Layer::Middleware,
+            Layer::Wireless,
+            Layer::Wired,
+            Layer::Host,
+        ] {
             assert!(!layer.name().is_empty());
             assert!(seen.insert(layer.tid()), "duplicate tid for {layer}");
         }

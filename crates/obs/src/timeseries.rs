@@ -42,7 +42,7 @@ use std::collections::BTreeMap;
 use crate::json::quoted;
 
 /// Default series bin width: 100 ms of simulated time.
-pub const DEFAULT_BIN_NS: u64 = 100_000_000;
+pub(crate) const DEFAULT_BIN_NS: u64 = 100_000_000;
 
 /// How a series turns raw samples into a per-bin value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,17 +101,17 @@ pub struct SeriesId(usize);
 /// in integer thousandths of the series' natural unit (a utilization of
 /// 0.134 exports as `milli == 134`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeriesPoint {
+pub(crate) struct SeriesPoint {
     /// Bin start, simulated nanoseconds.
-    pub t_ns: u64,
+    pub(crate) t_ns: u64,
     /// Kind-dependent numerator (busy ns, gauge sample sum, rate hits).
-    pub sum: u64,
+    pub(crate) sum: u64,
     /// Kind-dependent denominator (unused, sample count, rate lookups).
-    pub weight: u64,
+    pub(crate) weight: u64,
     /// Peak gauge sample in the bin (zero for other kinds).
-    pub max: u64,
+    pub(crate) max: u64,
     /// The bin value × 1000, computed in integer arithmetic.
-    pub milli: u64,
+    pub(crate) milli: u64,
 }
 
 /// A deterministic set of named, fixed-bin resource series.
@@ -135,7 +135,7 @@ impl Telemetry {
     /// # Panics
     ///
     /// Panics if `bin_ns` is zero.
-    pub fn new(bin_ns: u64) -> Self {
+    pub(crate) fn new(bin_ns: u64) -> Self {
         assert!(bin_ns > 0, "telemetry bin width must be positive");
         Telemetry {
             bin_ns,
@@ -148,11 +148,6 @@ impl Telemetry {
     /// The fixed bin width in simulated nanoseconds.
     pub fn bin_ns(&self) -> u64 {
         self.bin_ns
-    }
-
-    /// Number of registered series.
-    pub fn len(&self) -> usize {
-        self.series.len()
     }
 
     /// True when no series are registered.
@@ -272,7 +267,7 @@ impl Telemetry {
     }
 
     /// The bins of series `name` in time order, with derived values.
-    pub fn points(&self, name: &str) -> Option<Vec<SeriesPoint>> {
+    pub(crate) fn points(&self, name: &str) -> Option<Vec<SeriesPoint>> {
         let &slot = self.index.get(name)?;
         let series = &self.series[slot];
         Some(

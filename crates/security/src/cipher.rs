@@ -1,4 +1,4 @@
-//! Confidentiality: stream and block ciphers (simulation-grade).
+//! Confidentiality: a stream cipher (simulation-grade).
 
 /// A keystream cipher seeded from a 64-bit key and nonce (xorshift-based;
 /// simulation-grade). Encrypt and decrypt are the same operation.
@@ -59,103 +59,6 @@ impl StreamCipher {
     }
 }
 
-/// Block size of [`BlockCipher`] in bytes.
-pub const BLOCK_BYTES: usize = 8;
-
-/// An 8-byte, 8-round Feistel block cipher (simulation-grade) with
-/// PKCS#7-style padding for arbitrary-length messages.
-#[derive(Debug, Clone, Copy)]
-pub struct BlockCipher {
-    round_keys: [u32; 8],
-}
-
-impl BlockCipher {
-    /// Derives round keys from a 64-bit key.
-    pub fn new(key: u64) -> Self {
-        let mut round_keys = [0u32; 8];
-        let mut s = key ^ 0x6a09_e667_f3bc_c908;
-        for rk in &mut round_keys {
-            s = s
-                .wrapping_mul(0x5851_f42d_4c95_7f2d)
-                .wrapping_add(0x1405_7b7e_f767_814f);
-            *rk = (s >> 32) as u32;
-        }
-        BlockCipher { round_keys }
-    }
-
-    fn round(half: u32, key: u32) -> u32 {
-        let x = half.wrapping_add(key);
-        x.rotate_left(5) ^ x.rotate_right(7) ^ x.wrapping_mul(0x9e37_79b9)
-    }
-
-    fn encrypt_block(&self, block: u64) -> u64 {
-        let (mut l, mut r) = ((block >> 32) as u32, block as u32);
-        for &k in &self.round_keys {
-            let next_r = l ^ Self::round(r, k);
-            l = r;
-            r = next_r;
-        }
-        ((l as u64) << 32) | r as u64
-    }
-
-    fn decrypt_block(&self, block: u64) -> u64 {
-        let (mut l, mut r) = ((block >> 32) as u32, block as u32);
-        for &k in self.round_keys.iter().rev() {
-            let prev_l = r ^ Self::round(l, k);
-            r = l;
-            l = prev_l;
-        }
-        ((l as u64) << 32) | r as u64
-    }
-
-    /// Encrypts `plain` (padded) in CBC mode under `iv`.
-    pub fn encrypt(&self, plain: &[u8], iv: u64) -> Vec<u8> {
-        // Pad to a whole number of blocks, PKCS#7 style.
-        let pad = BLOCK_BYTES - plain.len() % BLOCK_BYTES;
-        let mut data = plain.to_vec();
-        data.extend(std::iter::repeat_n(pad as u8, pad));
-
-        let mut out = Vec::with_capacity(data.len());
-        let mut chain = iv;
-        for chunk in data.chunks(BLOCK_BYTES) {
-            let mut block = [0u8; BLOCK_BYTES];
-            block.copy_from_slice(chunk);
-            let ct = self.encrypt_block(u64::from_le_bytes(block) ^ chain);
-            chain = ct;
-            out.extend_from_slice(&ct.to_le_bytes());
-        }
-        out
-    }
-
-    /// Decrypts CBC ciphertext produced by [`BlockCipher::encrypt`].
-    ///
-    /// Returns `None` on invalid length or padding (tampering evidence).
-    pub fn decrypt(&self, cipher: &[u8], iv: u64) -> Option<Vec<u8>> {
-        if cipher.is_empty() || !cipher.len().is_multiple_of(BLOCK_BYTES) {
-            return None;
-        }
-        let mut out = Vec::with_capacity(cipher.len());
-        let mut chain = iv;
-        for chunk in cipher.chunks(BLOCK_BYTES) {
-            let mut block = [0u8; BLOCK_BYTES];
-            block.copy_from_slice(chunk);
-            let ct = u64::from_le_bytes(block);
-            let pt = self.decrypt_block(ct) ^ chain;
-            chain = ct;
-            out.extend_from_slice(&pt.to_le_bytes());
-        }
-        let pad = *out.last()? as usize;
-        if pad == 0 || pad > BLOCK_BYTES || pad > out.len() {
-            return None;
-        }
-        if !out[out.len() - pad..].iter().all(|&b| b == pad as u8) {
-            return None;
-        }
-        out.truncate(out.len() - pad);
-        Some(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,51 +85,5 @@ mod tests {
         let a = StreamCipher::new(9, 1).apply(&zeros);
         let b = StreamCipher::new(9, 2).apply(&zeros);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn block_round_trips_all_lengths() {
-        let bc = BlockCipher::new(0xdead_beef);
-        for len in 0..40 {
-            let msg: Vec<u8> = (0..len as u8).collect();
-            let ct = bc.encrypt(&msg, 7);
-            assert_eq!(ct.len() % BLOCK_BYTES, 0);
-            assert_eq!(bc.decrypt(&ct, 7).unwrap(), msg, "len {len}");
-        }
-    }
-
-    #[test]
-    fn block_wrong_key_fails_padding_or_garbles() {
-        let bc = BlockCipher::new(1);
-        let other = BlockCipher::new(2);
-        let msg = b"attack at dawn!!";
-        let ct = bc.encrypt(msg, 3);
-        match other.decrypt(&ct, 3) {
-            None => {}                                 // padding check caught it
-            Some(pt) => assert_ne!(&pt[..], &msg[..]), // or it garbles
-        }
-    }
-
-    #[test]
-    fn cbc_identical_blocks_encrypt_differently() {
-        let bc = BlockCipher::new(5);
-        let msg = [0x41u8; 32]; // four identical blocks
-        let ct = bc.encrypt(&msg, 9);
-        let blocks: Vec<&[u8]> = ct.chunks(BLOCK_BYTES).collect();
-        assert_ne!(blocks[0], blocks[1]);
-        assert_ne!(blocks[1], blocks[2]);
-    }
-
-    #[test]
-    fn tampered_ciphertext_is_detected_or_garbled() {
-        let bc = BlockCipher::new(77);
-        let msg = b"balance=100";
-        let mut ct = bc.encrypt(msg, 1);
-        ct[3] ^= 0xff;
-        match bc.decrypt(&ct, 1) {
-            None => {}
-            Some(pt) => assert_ne!(&pt[..], &msg[..]),
-        }
-        assert!(bc.decrypt(&ct[..5], 1).is_none()); // bad length
     }
 }

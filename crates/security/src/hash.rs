@@ -12,7 +12,7 @@
 //! and resumed any number of times.
 
 /// Digest size in bytes.
-pub const DIGEST_BYTES: usize = 16;
+pub(crate) const DIGEST_BYTES: usize = 16;
 
 const SEED_A: u64 = 0x9e37_79b9_7f4a_7c15;
 const SEED_B: u64 = 0xc2b2_ae3d_27d4_eb4f;

@@ -3,9 +3,9 @@
 //! the protocol shape and message count are faithful).
 
 /// The group modulus: 2^61 - 1 (a Mersenne prime).
-pub const MODULUS: u64 = (1 << 61) - 1;
+pub(crate) const MODULUS: u64 = (1 << 61) - 1;
 /// The generator.
-pub const GENERATOR: u64 = 5;
+pub(crate) const GENERATOR: u64 = 5;
 
 /// Modular exponentiation by squaring.
 fn modpow(mut base: u64, mut exp: u64, modulus: u64) -> u64 {

@@ -7,13 +7,13 @@
 //! confidentiality, and authentication." This crate implements those four
 //! properties as testable mechanisms:
 //!
-//! * [`hash`] / [`mac`] — integrity: a message-authentication code that
+//! * [`hash`] / `mac` — integrity: a message-authentication code that
 //!   rejects any tampering,
 //! * [`cipher`] — confidentiality: stream and block ciphers,
 //! * [`keyexchange`] — Diffie–Hellman key agreement,
 //! * [`wtls`] — a WTLS-style session: handshake, key derivation, sealed
 //!   records with sequence numbers (replay protection),
-//! * [`payment`] — the payment protocol: authorization, capture,
+//! * `payment` — the payment protocol: authorization, capture,
 //!   MAC-signed receipts, nonce-windowed replay rejection and an audit
 //!   trail.
 //!
@@ -27,10 +27,10 @@
 pub mod cipher;
 pub mod hash;
 pub mod keyexchange;
-pub mod mac;
-pub mod payment;
+pub(crate) mod mac;
+pub(crate) mod payment;
 pub mod wtls;
 
 pub use mac::Mac;
-pub use payment::{PaymentError, PaymentGateway, PaymentRequest, Receipt};
+pub use payment::{PaymentGateway, PaymentRequest};
 pub use wtls::WtlsSession;

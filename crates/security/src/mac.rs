@@ -44,7 +44,7 @@ impl Mac {
 
     /// Derives a MAC key from a shared secret and a label (key
     /// separation: different labels yield independent keys).
-    pub fn derive(secret: u64, label: &str) -> Self {
+    pub(crate) fn derive(secret: u64, label: &str) -> Self {
         let mut material = Digest::new();
         material
             .update(&secret.to_le_bytes())
@@ -100,7 +100,7 @@ impl Mac {
 
     /// Verifies `tag` over the message `write` streams (see
     /// [`Mac::compute_streamed`]).
-    pub fn verify_streamed(
+    pub(crate) fn verify_streamed(
         &self,
         write: impl FnOnce(&mut Digest),
         tag: &[u8; DIGEST_BYTES],

@@ -92,24 +92,19 @@ impl PaymentRequest {
             tag,
         }
     }
-
-    /// Approximate wire size in bytes.
-    pub fn wire_size(&self) -> usize {
-        8 + 8 + self.account.len() + 8 + DIGEST_BYTES
-    }
 }
 
 /// A signed receipt returned on capture.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Receipt {
     /// The order this receipt settles.
-    pub order_id: u64,
+    pub(crate) order_id: u64,
     /// Amount settled, in cents.
     pub amount_cents: u64,
     /// Gateway authorization code.
     pub auth_code: u64,
     /// MAC over the receipt body, signed with the gateway key.
-    pub tag: [u8; DIGEST_BYTES],
+    pub(crate) tag: [u8; DIGEST_BYTES],
 }
 
 impl Receipt {
@@ -258,7 +253,7 @@ impl PaymentGateway {
     ///
     /// # Errors
     ///
-    /// [`PaymentError`] describing the refusal; refused requests are
+    /// `PaymentError` describing the refusal; refused requests are
     /// audited but have no monetary effect.
     pub fn authorize(&mut self, req: &PaymentRequest) -> Result<(), PaymentError> {
         let signed = |m: &mut Digest| {
@@ -298,7 +293,7 @@ impl PaymentGateway {
     ///
     /// # Errors
     ///
-    /// [`PaymentError::NoSuchAuthorization`] when there is no open hold.
+    /// `PaymentError::NoSuchAuthorization` when there is no open hold.
     pub fn void(&mut self, order_id: u64) -> Result<(), PaymentError> {
         if self.holds.remove(&order_id).is_none() {
             return Err(self.refuse(order_id, PaymentError::NoSuchAuthorization));
@@ -311,7 +306,7 @@ impl PaymentGateway {
     ///
     /// # Errors
     ///
-    /// [`PaymentError::NoSuchAuthorization`] when there is no open hold.
+    /// `PaymentError::NoSuchAuthorization` when there is no open hold.
     pub fn capture(&mut self, order_id: u64) -> Result<Receipt, PaymentError> {
         let Some((account, amount_cents)) = self.holds.remove(&order_id) else {
             return Err(self.refuse(order_id, PaymentError::NoSuchAuthorization));

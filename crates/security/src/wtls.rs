@@ -21,7 +21,7 @@ pub const HANDSHAKE_BYTES: usize = 2 * (8 + 8 + 3);
 
 /// Which endpoint a session half belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
+pub(crate) enum Role {
     /// The mobile station.
     Client,
     /// The gateway / server.
@@ -61,7 +61,6 @@ impl std::error::Error for RecordError {}
 /// One endpoint of an established WTLS-style session.
 #[derive(Debug)]
 pub struct WtlsSession {
-    role: Role,
     send_mac: Mac,
     recv_mac: Mac,
     send_key: u64,
@@ -76,7 +75,7 @@ impl WtlsSession {
     ///
     /// Both sides must call this with matching parameters (as the two
     /// hello flights provide); the derived keys are direction-separated.
-    pub fn establish(role: Role, own_secret: u64, peer_public: u64) -> WtlsSession {
+    pub(crate) fn establish(role: Role, own_secret: u64, peer_public: u64) -> WtlsSession {
         let own = KeyPair::from_secret(own_secret);
         let master = own.shared(peer_public);
         let c2s_mac = Mac::derive(master, "mac.c2s");
@@ -85,7 +84,6 @@ impl WtlsSession {
         let s2c_key = master ^ 0x6b65_795f_7332_6300; // "key_s2c"
         match role {
             Role::Client => WtlsSession {
-                role,
                 send_mac: c2s_mac,
                 recv_mac: s2c_mac,
                 send_key: c2s_key,
@@ -94,7 +92,6 @@ impl WtlsSession {
                 recv_seq: 0,
             },
             Role::Server => WtlsSession {
-                role,
                 send_mac: s2c_mac,
                 recv_mac: c2s_mac,
                 send_key: s2c_key,
@@ -103,11 +100,6 @@ impl WtlsSession {
                 recv_seq: 0,
             },
         }
-    }
-
-    /// This endpoint's role.
-    pub fn role(&self) -> Role {
-        self.role
     }
 
     /// Seals `plaintext` into a record: `seq || ciphertext || mac`.

@@ -84,11 +84,6 @@ impl BaselineSimulator {
         self.events_processed
     }
 
-    /// Number of events currently pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Schedules `action` at absolute time `at`.
     ///
     /// # Panics
@@ -124,7 +119,7 @@ impl BaselineSimulator {
     }
 
     /// Runs a single event; returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
+    pub(crate) fn step(&mut self) -> bool {
         let Some(mut ev) = self.queue.pop() else {
             return false;
         };

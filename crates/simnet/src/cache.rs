@@ -96,7 +96,6 @@ pub struct TtlLru<K, V> {
     tick: u64,
     hits: u64,
     misses: u64,
-    evictions: u64,
 }
 
 impl<K, V> TtlLru<K, V> {
@@ -113,7 +112,6 @@ impl<K, V> TtlLru<K, V> {
             tick: 0,
             hits: 0,
             misses: 0,
-            evictions: 0,
         }
     }
 
@@ -185,7 +183,6 @@ impl<K, V> TtlLru<K, V> {
             self.remove(victim);
             evicted += 1;
         }
-        self.evictions += evicted as u64;
         evicted
     }
 
@@ -268,11 +265,6 @@ impl<K, V> TtlLru<K, V> {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Entries evicted to hold the budget since construction.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
 }
 
 #[cfg(test)]
@@ -341,7 +333,6 @@ mod tests {
             "b was least recently used"
         );
         assert_eq!(cache.get(1, |&k| k == 1, 7), Some(&"a2"));
-        assert_eq!(cache.evictions(), 1);
     }
 
     /// One step of a random workload.
@@ -420,7 +411,7 @@ mod tests {
             let mut cache: TtlLru<u8, u64> = TtlLru::new(ttl, budget);
             let mut model = Model::default();
             let (mut now, mut value) = (0u64, 0u64);
-            let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
+            let (mut hits, mut misses) = (0u64, 0u64);
             for op in ops {
                 match op {
                     Op::Get(k) => {
@@ -433,7 +424,6 @@ mod tests {
                         let mut victims = model.put(k, value, w, now, budget);
                         let before: Vec<u8> = cache.slots.iter().map(|s| s.key).collect();
                         prop_assert_eq!(cache.put(hash(k), k, value, w, now), victims.len());
-                        evictions += victims.len() as u64;
                         let mut went: Vec<u8> = before
                             .into_iter()
                             .filter(|&b| cache.slots.iter().all(|s| s.key != b))
@@ -461,10 +451,7 @@ mod tests {
                 want.sort_unstable();
                 prop_assert_eq!(held, want);
                 prop_assert!(cache.weight() <= budget);
-                prop_assert_eq!(
-                    (cache.hits(), cache.misses(), cache.evictions()),
-                    (hits, misses, evictions)
-                );
+                prop_assert_eq!((cache.hits(), cache.misses()), (hits, misses));
             }
         }
     }

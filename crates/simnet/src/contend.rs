@@ -36,16 +36,9 @@ use crate::wheel::TimerWheel;
 pub struct FcfsServer {
     free_at_ns: u64,
     busy_ns: u64,
-    jobs: u64,
-    waited_jobs: u64,
 }
 
 impl FcfsServer {
-    /// A server that has never served anything (idle since t = 0).
-    pub fn new() -> Self {
-        FcfsServer::default()
-    }
-
     /// Admits a job arriving at `arrival_ns` needing `service_ns` of
     /// server time; returns the wait (start − arrival, ≥ 0) the job
     /// suffered behind earlier admissions.
@@ -60,32 +53,12 @@ impl FcfsServer {
         let start = arrival_ns.max(self.free_at_ns);
         self.free_at_ns = start.saturating_add(service_ns);
         self.busy_ns = self.busy_ns.saturating_add(service_ns);
-        self.jobs += 1;
-        let wait = start - arrival_ns;
-        if wait > 0 {
-            self.waited_jobs += 1;
-        }
-        wait
-    }
-
-    /// The instant the server next falls idle.
-    pub fn free_at_ns(&self) -> u64 {
-        self.free_at_ns
+        start - arrival_ns
     }
 
     /// Total service time admitted so far, nanoseconds.
     pub fn busy_ns(&self) -> u64 {
         self.busy_ns
-    }
-
-    /// Jobs admitted (zero-service jobs are not counted).
-    pub fn jobs(&self) -> u64 {
-        self.jobs
-    }
-
-    /// Jobs that found the server busy and had to wait.
-    pub fn waited_jobs(&self) -> u64 {
-        self.waited_jobs
     }
 }
 
@@ -171,7 +144,7 @@ impl DetQueue {
     }
 
     /// Events still scheduled.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.wheel.len() + usize::from(self.earliest.is_some())
     }
 
@@ -194,23 +167,21 @@ mod tests {
 
     #[test]
     fn fcfs_serializes_overlapping_jobs() {
-        let mut s = FcfsServer::new();
+        let mut s = FcfsServer::default();
         assert_eq!(s.admit(0, 100), 0, "idle server starts immediately");
         assert_eq!(s.admit(10, 50), 90, "arrives mid-service, waits for the rest");
-        assert_eq!(s.free_at_ns(), 150);
+        assert_eq!(s.admit(149, 1), 1, "the server falls idle at 150");
         assert_eq!(s.admit(500, 10), 0, "late arrival finds the server idle");
-        assert_eq!(s.jobs(), 3);
-        assert_eq!(s.waited_jobs(), 1);
-        assert_eq!(s.busy_ns(), 160);
+        assert_eq!(s.busy_ns(), 161);
     }
 
     #[test]
     fn zero_service_jobs_are_invisible() {
-        let mut s = FcfsServer::new();
+        let mut s = FcfsServer::default();
         s.admit(0, 100);
         assert_eq!(s.admit(10, 0), 0, "zero-length job never waits");
-        assert_eq!(s.free_at_ns(), 100, "…and never occupies the server");
-        assert_eq!(s.jobs(), 1);
+        assert_eq!(s.admit(100, 1), 0, "…and never occupies the server");
+        assert_eq!(s.busy_ns(), 101);
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl Drop for RawEvent {
 
 /// Handle to a cancellable scheduled event.
 ///
-/// Returned by [`Simulator::schedule_at_keyed`] and
+/// Returned by `Simulator::schedule_at_keyed` and
 /// [`Simulator::schedule_in_keyed`]; pass it to [`Simulator::cancel`]. Keys
 /// are generation-tagged: once the event has fired (or been cancelled) the
 /// key goes stale and cancelling it again is a harmless no-op, even if the

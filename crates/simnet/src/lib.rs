@@ -33,15 +33,15 @@
 //! assert_eq!(sim.events_processed(), 1);
 //! ```
 
-pub mod baseline;
+pub(crate) mod baseline;
 pub mod cache;
 pub mod contend;
 mod event;
-pub mod hash;
+pub(crate) mod hash;
 pub mod link;
-pub mod memo;
+pub(crate) mod memo;
 pub mod rng;
-pub mod sim;
+pub(crate) mod sim;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -50,8 +50,8 @@ mod wheel;
 pub use baseline::BaselineSimulator;
 pub use cache::TtlLru;
 pub use event::EventKey;
-pub use obs::metrics;
-pub use link::{Link, LinkParams, LossModel, Wire};
+pub(crate) use obs::metrics;
+pub use link::{Link, LinkParams, LossModel};
 pub use hash::{FixedHasher, FixedState};
 pub use memo::BodyMemo;
 pub use sim::Simulator;

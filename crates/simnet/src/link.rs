@@ -74,7 +74,7 @@ pub enum LossModel {
 impl LossModel {
     /// True when sampling this model consumes randomness (everything but
     /// [`LossModel::None`]).
-    pub fn is_stochastic(&self) -> bool {
+    pub(crate) fn is_stochastic(&self) -> bool {
         !matches!(self, LossModel::None)
     }
 
@@ -207,11 +207,11 @@ pub struct Link<M> {
     params: RefCell<LinkParams>,
     state: RefCell<LinkState<M>>,
     /// Messages handed to [`Link::send`].
-    pub offered: Counter,
+    pub(crate) offered: Counter,
     /// Messages delivered to the receiver.
     pub delivered: Counter,
     /// Messages dropped by queue overflow.
-    pub dropped_queue: Counter,
+    pub(crate) dropped_queue: Counter,
     /// Messages dropped by the stochastic loss model.
     pub dropped_loss: Counter,
     /// Payload bytes delivered.

@@ -40,7 +40,7 @@ use bytes::Bytes;
 use crate::FixedState;
 
 /// Default bound on distinct bodies a [`BodyMemo`] holds.
-pub const DEFAULT_MEMO_CAPACITY: usize = 512;
+pub(crate) const DEFAULT_MEMO_CAPACITY: usize = 512;
 
 /// A bounded memo of pure results keyed by `(mode, body bytes)`.
 #[derive(Debug)]
@@ -61,7 +61,7 @@ impl<K: Copy + Eq + Hash, V: Clone> Default for BodyMemo<K, V> {
 }
 
 impl<K: Copy + Eq + Hash, V: Clone> BodyMemo<K, V> {
-    /// A memo bounded at [`DEFAULT_MEMO_CAPACITY`] distinct bodies.
+    /// A memo bounded at `DEFAULT_MEMO_CAPACITY` distinct bodies.
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_MEMO_CAPACITY)
     }

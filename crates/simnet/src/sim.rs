@@ -11,7 +11,7 @@
 //! (`event` module): scheduling and firing are `O(1)` amortised and the
 //! steady-state schedule→fire cycle performs no heap allocation for small
 //! closures. The observable semantics — exact `(time, seq)` ordering,
-//! horizon handling, stop/resume — are identical to the straightforward
+//! horizon handling — are identical to the straightforward
 //! `BinaryHeap` engine, which is retained as
 //! [`crate::baseline::BaselineSimulator`] for differential tests and
 //! benchmarks.
@@ -39,7 +39,6 @@ pub struct Simulator {
     next_seq: u64,
     events_processed: u64,
     horizon: SimTime,
-    stopped: bool,
 }
 
 impl Default for Simulator {
@@ -68,7 +67,6 @@ impl Simulator {
             next_seq: 0,
             events_processed: 0,
             horizon: SimTime::MAX,
-            stopped: false,
         }
     }
 
@@ -83,7 +81,7 @@ impl Simulator {
     }
 
     /// Number of events currently pending (cancelled events excluded).
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.arena.live()
     }
 
@@ -129,7 +127,7 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if `at` is before the current time.
-    pub fn schedule_at_keyed(
+    pub(crate) fn schedule_at_keyed(
         &mut self,
         at: SimTime,
         action: impl FnOnce(&mut Simulator) + 'static,
@@ -159,14 +157,11 @@ impl Simulator {
 
     /// Runs a single event, advancing the clock to its firing time.
     ///
-    /// Returns `false` when the queue is empty or the horizon/stop flag
-    /// prevents further progress. An entry past the horizon is never
+    /// Returns `false` when the queue is empty or the horizon prevents
+    /// further progress. An entry past the horizon is never
     /// removed, so hitting a `run_until` boundary leaves the queue
     /// untouched.
-    pub fn step(&mut self) -> bool {
-        if self.stopped {
-            return false;
-        }
+    pub(crate) fn step(&mut self) -> bool {
         loop {
             // `pop_due` leaves an entry past the horizon queued, so hitting
             // a `run_until` boundary never disturbs the queue.
@@ -184,7 +179,7 @@ impl Simulator {
         }
     }
 
-    /// Runs until the event queue drains (or [`Simulator::stop`] is called).
+    /// Runs until the event queue drains.
     pub fn run(&mut self) {
         while self.step() {}
     }
@@ -198,32 +193,9 @@ impl Simulator {
         self.horizon = until;
         while self.step() {}
         self.horizon = previous;
-        if !self.stopped && self.now < until {
+        if self.now < until {
             self.now = until;
         }
-    }
-
-    /// Runs for `window` of virtual time from now.
-    pub fn run_for(&mut self, window: SimDuration) {
-        let until = self.now.saturating_add(window);
-        self.run_until(until);
-    }
-
-    /// Stops the run loop after the current event completes.
-    ///
-    /// Pending events remain queued; a subsequent [`Simulator::run`] resumes.
-    pub fn stop(&mut self) {
-        self.stopped = true;
-    }
-
-    /// Clears a previous [`Simulator::stop`] so the run loop can resume.
-    pub fn resume(&mut self) {
-        self.stopped = false;
-    }
-
-    /// True if [`Simulator::stop`] has been called and not cleared.
-    pub fn is_stopped(&self) -> bool {
-        self.stopped
     }
 }
 
@@ -299,39 +271,6 @@ mod tests {
         assert_eq!(sim.pending(), 1);
         sim.run();
         assert_eq!(*hits.borrow(), 2);
-    }
-
-    #[test]
-    fn stop_halts_and_resume_continues() {
-        let mut sim = Simulator::new();
-        let hits: Rc<RefCell<u32>> = Rc::default();
-        {
-            let h = Rc::clone(&hits);
-            sim.schedule_in(SimDuration::from_millis(1), move |sim| {
-                *h.borrow_mut() += 1;
-                sim.stop();
-            });
-        }
-        {
-            let h = Rc::clone(&hits);
-            sim.schedule_in(SimDuration::from_millis(2), move |_| *h.borrow_mut() += 1);
-        }
-        sim.run();
-        assert_eq!(*hits.borrow(), 1);
-        assert!(sim.is_stopped());
-        sim.resume();
-        sim.run();
-        assert_eq!(*hits.borrow(), 2);
-    }
-
-    #[test]
-    fn run_for_advances_relative_window() {
-        let mut sim = Simulator::new();
-        sim.schedule_in(SimDuration::from_millis(3), |_| {});
-        sim.run_for(SimDuration::from_millis(10));
-        assert_eq!(sim.now(), SimTime::from_millis(10));
-        sim.run_for(SimDuration::from_millis(10));
-        assert_eq!(sim.now(), SimTime::from_millis(20));
     }
 
     #[test]

@@ -38,11 +38,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.get()
     }
-
-    /// Resets to zero, returning the previous value.
-    pub fn take(&self) -> u64 {
-        self.0.replace(0)
-    }
 }
 
 /// Summary statistics over a set of `f64` samples.
@@ -54,13 +49,13 @@ pub struct Summary {
     /// Number of samples.
     pub count: usize,
     /// Smallest sample (0 if empty).
-    pub min: f64,
+    pub(crate) min: f64,
     /// Largest sample (0 if empty).
-    pub max: f64,
+    pub(crate) max: f64,
     /// Arithmetic mean (0 if empty).
     pub mean: f64,
     /// Population standard deviation (0 if empty).
-    pub stddev: f64,
+    pub(crate) stddev: f64,
     /// Median (0 if empty).
     pub p50: f64,
     /// 90th percentile (0 if empty).
@@ -129,21 +124,6 @@ impl Sampler {
         self.samples.borrow_mut().push(value);
     }
 
-    /// Number of samples recorded.
-    pub fn len(&self) -> usize {
-        self.samples.borrow().len()
-    }
-
-    /// True when no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A copy of the raw samples, in recording order.
-    pub fn to_vec(&self) -> Vec<f64> {
-        self.samples.borrow().clone()
-    }
-
     /// Computes summary statistics over all recorded samples.
     pub fn summary(&self) -> Summary {
         let samples = self.samples.borrow();
@@ -190,8 +170,6 @@ mod tests {
         c.incr();
         c.add(9);
         assert_eq!(c.get(), 10);
-        assert_eq!(c.take(), 10);
-        assert_eq!(c.get(), 0);
     }
 
     #[test]
@@ -248,7 +226,6 @@ mod tests {
     #[test]
     fn empty_sampler_is_zeroes() {
         let s = Sampler::new();
-        assert!(s.is_empty());
         let sum = s.summary();
         assert_eq!(sum.count, 0);
         assert_eq!(sum.mean, 0.0);

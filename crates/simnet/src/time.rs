@@ -70,7 +70,7 @@ impl SimTime {
     /// The origin of simulated time.
     pub const ZERO: SimTime = SimTime(0);
     /// The largest representable instant; used as an "infinitely far" sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    pub(crate) const MAX: SimTime = SimTime(u64::MAX);
 
     /// Builds an instant `nanos` nanoseconds after the origin.
     pub const fn from_nanos(nanos: u64) -> Self {
@@ -107,11 +107,6 @@ impl SimTime {
         self.0 / 1_000_000
     }
 
-    /// Whole seconds since the origin (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000_000_000
-    }
-
     /// Seconds since the origin as a float, for reporting.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -125,7 +120,7 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Saturating add that never wraps past [`SimTime::MAX`].
+    /// Saturating add that never wraps past `SimTime::MAX`.
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
@@ -134,8 +129,6 @@ impl SimTime {
 impl SimDuration {
     /// The empty interval.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The largest representable interval; used as an "off" timeout sentinel.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Builds a duration of `nanos` nanoseconds.
     pub const fn from_nanos(nanos: u64) -> Self {
@@ -175,19 +168,9 @@ impl SimDuration {
         self.0
     }
 
-    /// Length in microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Length in milliseconds (truncating).
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
-    }
-
-    /// Length in whole seconds (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000_000_000
     }
 
     /// Length in seconds as a float, for reporting.
@@ -201,13 +184,8 @@ impl SimDuration {
     }
 
     /// Saturating difference, clamping at zero.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
+    pub(crate) fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Saturating sum, clamping at [`SimDuration::MAX`].
-    pub fn saturating_add(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_add(other.0))
     }
 
     /// The time it takes to serialise `bytes` bytes at `bits_per_sec`.
@@ -414,7 +392,10 @@ mod tests {
             format!("{d}|{d:?}|{t}|{t:?}"),
             "40.000ms|40.000ms|1.500000s|t+1.500s"
         );
-        assert_eq!(format!("{:>6}", SimDuration::MAX), "   inf");
+        assert_eq!(
+            format!("{:>6}", SimDuration::from_nanos(u64::MAX)),
+            "   inf"
+        );
         assert_eq!(format!("{:>22}", SimTime::MAX), "   18446744073.709553s");
     }
 
@@ -440,10 +421,10 @@ mod tests {
     fn transmission_time_matches_bandwidth() {
         // 1250 bytes at 10 Mbps = 10_000 bits / 10_000_000 bps = 1 ms
         let d = SimDuration::transmission(1250, 10_000_000);
-        assert_eq!(d.as_micros(), 1_000);
+        assert_eq!(d.as_nanos(), 1_000_000);
         // 11 Mbps 802.11b frame of 1500 bytes
         let d = SimDuration::transmission(1500, 11_000_000);
-        assert_eq!(d.as_micros(), 1_090);
+        assert_eq!(d.as_nanos() / 1_000, 1_090);
     }
 
     #[test]
@@ -454,7 +435,7 @@ mod tests {
 
     #[test]
     fn from_secs_f64_rounds() {
-        assert_eq!(SimDuration::from_secs_f64(0.0015).as_micros(), 1_500);
+        assert_eq!(SimDuration::from_secs_f64(0.0015).as_nanos(), 1_500_000);
         assert_eq!(SimDuration::from_secs_f64(0.0).as_nanos(), 0);
     }
 
@@ -527,7 +508,7 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_micros(1500)), "1.500ms");
         assert_eq!(format!("{}", SimDuration::from_nanos(1500)), "1.500us");
         assert_eq!(format!("{}", SimDuration::from_nanos(15)), "15ns");
-        assert_eq!(format!("{}", SimDuration::MAX), "inf");
+        assert_eq!(format!("{}", SimDuration::from_nanos(u64::MAX)), "inf");
     }
 
     #[test]

@@ -16,11 +16,11 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// When the event happened.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Component-chosen category, e.g. `"tcp"`, `"mobileip"`, `"wap"`.
     pub category: &'static str,
     /// Human-readable description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for TraceEvent {
@@ -47,7 +47,6 @@ pub struct Trace {
 struct TraceInner {
     events: VecDeque<TraceEvent>,
     capacity: usize,
-    dropped: u64,
 }
 
 impl Trace {
@@ -62,7 +61,6 @@ impl Trace {
             inner: Rc::new(RefCell::new(TraceInner {
                 events: VecDeque::with_capacity(capacity.min(1024)),
                 capacity,
-                dropped: 0,
             })),
         }
     }
@@ -77,7 +75,6 @@ impl Trace {
         let mut inner = self.inner.borrow_mut();
         if inner.events.len() == inner.capacity {
             inner.events.pop_front();
-            inner.dropped += 1;
         }
         inner.events.push_back(TraceEvent {
             at,
@@ -96,11 +93,6 @@ impl Trace {
         self.len() == 0
     }
 
-    /// Number of events evicted due to the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.inner.borrow().dropped
-    }
-
     /// A snapshot of the buffered events in order.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
         self.inner.borrow().events.iter().cloned().collect()
@@ -113,21 +105,6 @@ impl Trace {
             .events
             .iter()
             .any(|e| e.category == category && e.message.contains(needle))
-    }
-
-    /// Count of buffered events in `category` containing `needle`.
-    pub fn count(&self, category: &str, needle: &str) -> usize {
-        self.inner
-            .borrow()
-            .events
-            .iter()
-            .filter(|e| e.category == category && e.message.contains(needle))
-            .count()
-    }
-
-    /// Clears all buffered events (the dropped counter is kept).
-    pub fn clear(&self) {
-        self.inner.borrow_mut().events.clear();
     }
 }
 
@@ -143,7 +120,6 @@ mod tests {
         t.log(SimTime::from_millis(3), "wap", "GET /");
         assert_eq!(t.len(), 3);
         assert!(t.contains("tcp", "SYN"));
-        assert_eq!(t.count("tcp", "SYN"), 2); // "SYN-ACK" contains "SYN"
         assert!(!t.contains("wap", "SYN"));
     }
 
@@ -154,7 +130,6 @@ mod tests {
             t.log(SimTime::from_millis(i), "x", format!("e{i}"));
         }
         assert_eq!(t.len(), 2);
-        assert_eq!(t.dropped(), 3);
         let snap = t.snapshot();
         assert_eq!(snap[0].message, "e3");
         assert_eq!(snap[1].message, "e4");

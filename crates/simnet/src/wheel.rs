@@ -111,10 +111,10 @@ fn tick_of<E: Timed>(e: &E) -> u64 {
 /// the derived lexicographic order never reaches the address fields.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub(crate) struct Entry {
-    pub at: SimTime,
-    pub seq: u64,
-    pub slot: u32,
-    pub gen: u32,
+    pub(crate) at: SimTime,
+    pub(crate) seq: u64,
+    pub(crate) slot: u32,
+    pub(crate) gen: u32,
 }
 
 /// A filed entry and the next node of its bucket (or of the free list).

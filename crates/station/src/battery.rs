@@ -29,11 +29,6 @@ impl Battery {
         }
     }
 
-    /// Total capacity in joules.
-    pub fn capacity_j(&self) -> f64 {
-        self.capacity_j
-    }
-
     /// Joules remaining.
     pub fn remaining_j(&self) -> f64 {
         (self.capacity_j - self.used_j).max(0.0)

@@ -69,24 +69,17 @@ impl std::error::Error for BrowserError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct RenderedPage {
     /// Page or card title.
-    pub title: String,
+    pub(crate) title: String,
     /// Laid-out text lines, each at most the device's line width.
     pub lines: Vec<String>,
     /// `(label, href)` of every link, in document order.
-    pub links: Vec<(String, String)>,
+    pub(crate) links: Vec<(String, String)>,
     /// Names of input fields present.
-    pub inputs: Vec<String>,
+    pub(crate) inputs: Vec<String>,
     /// Number of cards in the deck (1 for cHTML/HTML pages).
-    pub card_count: usize,
+    pub(crate) card_count: usize,
     /// CPU time the parse+render took on this device.
     pub cost: SimDuration,
-}
-
-impl RenderedPage {
-    /// Number of screenfuls the content occupies on the device.
-    pub fn screens(&self, device: &DeviceProfile) -> usize {
-        self.lines.len().div_ceil(device.lines_per_screen())
-    }
 }
 
 /// A rendered page plus its joined screen text and title — what the
@@ -511,27 +504,6 @@ mod tests {
             Some("def")
         );
         assert_eq!(browser.cookies().len(), 2);
-    }
-
-    #[test]
-    fn screens_metric_reflects_device_height() {
-        let deck = {
-            let paragraphs: Vec<markup::Node> = (0..30)
-                .map(|i| html::p(&format!("Line {i} of content here")).into())
-                .collect();
-            let page = html::page("Long", paragraphs);
-            html_to_wml(
-                &page,
-                &WmlOptions {
-                    max_card_bytes: 1 << 20,
-                    ..Default::default()
-                },
-            )
-            .to_markup()
-        };
-        let palm = Microbrowser::new(DeviceProfile::palm_i705());
-        let rendered = palm.render(deck.as_bytes(), ContentKind::Wml).unwrap();
-        assert!(rendered.screens(palm.device()) >= 2);
     }
 
     proptest::proptest! {

@@ -25,17 +25,17 @@ pub struct DeviceProfile {
     /// Operating system.
     pub os: MobileOs,
     /// Processor description from Table 2.
-    pub processor: &'static str,
+    pub(crate) processor: &'static str,
     /// Clock speed in MHz.
     pub cpu_mhz: u32,
     /// Installed RAM in megabytes.
-    pub ram_mb: u32,
+    pub(crate) ram_mb: u32,
     /// Installed ROM in megabytes.
-    pub rom_mb: u32,
+    pub(crate) rom_mb: u32,
     /// Screen resolution `(width, height)` in pixels.
-    pub screen: (u32, u32),
+    pub(crate) screen: (u32, u32),
     /// Colour display?
-    pub color: bool,
+    pub(crate) color: bool,
     /// Battery capacity in joules.
     pub battery_j: f64,
 }
@@ -142,7 +142,7 @@ impl DeviceProfile {
     /// Model: a 100 MHz device lays out ~2000 elements/s and paints
     /// ~500 KB/s of glyphs; colour screens paint ~30% slower (more bits
     /// per pixel pushed); OS overhead applies.
-    pub fn render_cost(&self, elements: usize, text_bytes: usize) -> SimDuration {
+    pub(crate) fn render_cost(&self, elements: usize, text_bytes: usize) -> SimDuration {
         let speed = self.cpu_mhz as f64 / 100.0;
         let layout = elements as f64 / (2_000.0 * speed);
         let paint = text_bytes as f64 / (500_000.0 * speed) * if self.color { 1.3 } else { 1.0 };
@@ -163,13 +163,8 @@ impl DeviceProfile {
     }
 
     /// Characters per screen line, assuming a 6-pixel cell font.
-    pub fn chars_per_line(&self) -> usize {
+    pub(crate) fn chars_per_line(&self) -> usize {
         (self.screen.0 as usize / 6).max(8)
-    }
-
-    /// Visible text lines, assuming a 12-pixel line height.
-    pub fn lines_per_screen(&self) -> usize {
-        (self.screen.1 as usize / 12).max(4)
     }
 }
 
@@ -220,7 +215,6 @@ mod tests {
     fn screen_geometry_drives_line_layout() {
         let palm = DeviceProfile::palm_i705();
         assert_eq!(palm.chars_per_line(), 26);
-        assert_eq!(palm.lines_per_screen(), 13);
         let nokia = DeviceProfile::nokia_9290();
         assert!(nokia.chars_per_line() > palm.chars_per_line()); // wide screen
     }

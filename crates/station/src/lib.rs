@@ -10,22 +10,21 @@
 //! every radio byte drains the battery, and the on-device store enforces
 //! the small-footprint discipline §7 describes for embedded databases.
 //!
-//! * [`os`] — Palm OS, Pocket PC, Symbian OS models,
-//! * [`device`] — Table 2 device profiles (plus custom builds),
-//! * [`battery`] — joule-accounting battery,
+//! * `os` — Palm OS, Pocket PC, Symbian OS models,
+//! * `device` — Table 2 device profiles (plus custom builds),
+//! * `battery` — joule-accounting battery,
 //! * [`browser`] — the microbrowser: parses WML/cHTML/HTML, enforces
 //!   device limits, renders into screen-sized lines and links,
-//! * [`storage`] — the embedded key-value store with an LRU byte budget,
+//! * `storage` — the embedded key-value store with an LRU byte budget,
 //!   and the flat-file alternative it outperforms.
 
-pub mod battery;
+pub(crate) mod battery;
 pub mod browser;
-pub mod device;
-pub mod os;
-pub mod storage;
+pub(crate) mod device;
+pub(crate) mod os;
+pub(crate) mod storage;
 
 pub use battery::Battery;
-pub use browser::{BrowserError, Microbrowser, RenderMemo, RenderedPage, RenderedView};
+pub use browser::{Microbrowser, RenderMemo, RenderedView};
 pub use device::DeviceProfile;
-pub use os::MobileOs;
 pub use storage::{EmbeddedStore, FlatFileStore};

@@ -29,22 +29,14 @@ impl std::fmt::Display for MobileOs {
 }
 
 impl MobileOs {
-    /// All three OS brands.
-    pub const ALL: [MobileOs; 3] = [MobileOs::PalmOs, MobileOs::PocketPc, MobileOs::SymbianOs];
-
     /// Multiplier on baseline idle power draw. Palm's vanilla design gives
     /// it roughly half its rivals' draw (≈ twice the battery life, §4.1).
-    pub fn idle_power_factor(self) -> f64 {
+    pub(crate) fn idle_power_factor(self) -> f64 {
         match self {
             MobileOs::PalmOs => 0.5,
             MobileOs::PocketPc => 1.2,
             MobileOs::SymbianOs => 1.0,
         }
-    }
-
-    /// Whether the kernel preemptively multitasks (EPOC32 does; §4.1).
-    pub fn preemptive_multitasking(self) -> bool {
-        matches!(self, MobileOs::SymbianOs | MobileOs::PocketPc)
     }
 
     /// Per-request OS overhead factor on CPU work (heavier system
@@ -70,12 +62,6 @@ mod tests {
             let ratio = rival.idle_power_factor() / palm;
             assert!((2.0..=2.5).contains(&ratio), "{rival}: {ratio}");
         }
-    }
-
-    #[test]
-    fn symbian_multitasks_preemptively() {
-        assert!(MobileOs::SymbianOs.preemptive_multitasking());
-        assert!(!MobileOs::PalmOs.preemptive_multitasking());
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub struct EmbeddedStore {
     used_bytes: usize,
     clock: u64,
     /// Entries evicted to stay inside the budget.
-    pub evictions: u64,
+    pub(crate) evictions: u64,
 }
 
 impl EmbeddedStore {
@@ -47,21 +47,6 @@ impl EmbeddedStore {
             clock: 0,
             evictions: 0,
         }
-    }
-
-    /// Number of records stored.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Bytes currently used.
-    pub fn used_bytes(&self) -> usize {
-        self.used_bytes
     }
 
     /// Inserts or replaces `key`, evicting least-recently-used entries if
@@ -107,16 +92,6 @@ impl EmbeddedStore {
             None => (None, AccessCost { records_touched: 1 }),
         }
     }
-
-    /// Removes `key` if present.
-    pub fn remove(&mut self, key: &str) -> bool {
-        if let Some((v, _)) = self.data.remove(key) {
-            self.used_bytes -= key.len() + v.len();
-            true
-        } else {
-            false
-        }
-    }
 }
 
 /// The flat-file alternative: append-only records, linear-scan lookups.
@@ -129,16 +104,6 @@ impl FlatFileStore {
     /// Creates an empty file.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of records in the file (including superseded duplicates).
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when the file is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 
     /// Appends a record. Old records for the same key are not rewritten —
@@ -182,20 +147,16 @@ mod tests {
         let (v, cost) = s.get("cart");
         assert_eq!(v.as_deref(), Some("sku=1,qty=2"));
         assert_eq!(cost.records_touched, 1);
-        assert!(s.remove("cart"));
-        assert!(!s.remove("cart"));
-        assert!(s.is_empty());
-        assert_eq!(s.used_bytes(), 0);
     }
 
     #[test]
     fn replacement_does_not_leak_bytes() {
         let mut s = EmbeddedStore::new(100);
         s.put("k", "aaaaaaaaaa");
-        let used = s.used_bytes();
+        let used = s.used_bytes;
         s.put("k", "bbbbbbbbbb");
-        assert_eq!(s.used_bytes(), used);
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.used_bytes, used);
+        assert_eq!(s.data.len(), 1);
     }
 
     #[test]
@@ -215,7 +176,7 @@ mod tests {
     fn oversized_record_is_refused() {
         let mut s = EmbeddedStore::new(10);
         assert!(!s.put("key", "a value far larger than ten bytes"));
-        assert!(s.is_empty());
+        assert!(s.data.is_empty());
     }
 
     #[test]
@@ -226,7 +187,7 @@ mod tests {
         f.put("cart", "v2");
         let (v, _) = f.get("cart");
         assert_eq!(v.as_deref(), Some("v2"));
-        assert_eq!(f.len(), 3); // superseded record still in the file
+        assert_eq!(f.records.len(), 3); // superseded record still in the file
     }
 
     #[test]

@@ -24,9 +24,9 @@ use simnet::{EventKey, SimDuration, Simulator};
 use crate::seg::{SocketAddr, TcpSegment, MSS};
 
 /// Lower bound on the retransmission timeout.
-pub const MIN_RTO: f64 = 0.2;
+pub(crate) const MIN_RTO: f64 = 0.2;
 /// Upper bound on the retransmission timeout.
-pub const MAX_RTO: f64 = 60.0;
+pub(crate) const MAX_RTO: f64 = 60.0;
 /// Consecutive RTOs on the same unacknowledged data after which the
 /// connection gives up and aborts (RFC 1122 §4.2.3.5 "R2"-style). With
 /// exponential backoff this tolerates roughly two minutes of total
@@ -34,11 +34,11 @@ pub const MAX_RTO: f64 = 60.0;
 /// handoff blackouts are orders of magnitude shorter.
 pub const MAX_CONSECUTIVE_RTOS: u32 = 7;
 /// Default advertised receive window (bytes).
-pub const DEFAULT_RWND: u32 = 1 << 20;
+pub(crate) const DEFAULT_RWND: u32 = 1 << 20;
 /// Initial congestion window (segments).
-pub const INITIAL_CWND_SEGS: f64 = 2.0;
+pub(crate) const INITIAL_CWND_SEGS: f64 = 2.0;
 /// Initial slow-start threshold (bytes).
-pub const INITIAL_SSTHRESH: f64 = 256.0 * 1024.0;
+pub(crate) const INITIAL_SSTHRESH: f64 = 256.0 * 1024.0;
 
 /// Connection lifecycle state (condensed TCP state machine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,9 +63,9 @@ pub enum State {
 #[derive(Debug, Default)]
 pub struct ConnectionStats {
     /// Payload bytes handed to [`Connection::send`].
-    pub bytes_queued: Counter,
+    pub(crate) bytes_queued: Counter,
     /// Payload bytes delivered in order to the application.
-    pub bytes_delivered: Counter,
+    pub(crate) bytes_delivered: Counter,
     /// Segments retransmitted for any reason.
     pub retransmits: Counter,
     /// Fast retransmits (triple duplicate ACK or handoff signal).
@@ -73,9 +73,9 @@ pub struct ConnectionStats {
     /// Retransmission timeouts taken.
     pub rtos: Counter,
     /// Aborts after the consecutive-RTO limit (0 or 1 per connection).
-    pub aborts: Counter,
+    pub(crate) aborts: Counter,
     /// Smoothed round-trip samples (seconds).
-    pub rtt: Sampler,
+    pub(crate) rtt: Sampler,
 }
 
 /// The unacknowledged send stream as a queue of refcounted chunks.
@@ -284,35 +284,14 @@ impl Connection {
         })
     }
 
-    /// Local socket address.
-    pub fn local(&self) -> SocketAddr {
-        self.local
-    }
-
     /// Remote socket address.
-    pub fn remote(&self) -> SocketAddr {
+    pub(crate) fn remote(&self) -> SocketAddr {
         self.remote
     }
 
     /// Current lifecycle state.
     pub fn state(&self) -> State {
         self.state.get()
-    }
-
-    /// Current congestion window in bytes.
-    pub fn cwnd(&self) -> f64 {
-        self.snd.borrow().cwnd
-    }
-
-    /// Current retransmission timeout in seconds.
-    pub fn rto_secs(&self) -> f64 {
-        self.snd.borrow().rto
-    }
-
-    /// Bytes queued but not yet acknowledged.
-    pub fn unacked(&self) -> u64 {
-        let snd = self.snd.borrow();
-        snd.buf.end().saturating_sub(snd.una)
     }
 
     /// Installs the ordered-data callback.
@@ -328,7 +307,7 @@ impl Connection {
 
     /// Registers a callback fired when the connection reaches
     /// [`State::Done`].
-    pub fn on_closed(&self, f: impl Fn(&mut Simulator) + 'static) {
+    pub(crate) fn on_closed(&self, f: impl Fn(&mut Simulator) + 'static) {
         self.on_closed.borrow_mut().push(Rc::new(f));
     }
 
@@ -365,7 +344,7 @@ impl Connection {
     ///
     /// # Panics
     ///
-    /// Panics if called after [`Connection::close`].
+    /// Panics if called after `Connection::close`.
     pub fn send(self: &Rc<Self>, sim: &mut Simulator, data: &[u8]) {
         self.send_bytes(sim, Bytes::copy_from_slice(data));
     }
@@ -379,7 +358,7 @@ impl Connection {
     ///
     /// # Panics
     ///
-    /// Panics if called after [`Connection::close`].
+    /// Panics if called after `Connection::close`.
     pub fn send_bytes(self: &Rc<Self>, sim: &mut Simulator, data: Bytes) {
         let queued = data.len() as u64;
         {
@@ -394,7 +373,7 @@ impl Connection {
     }
 
     /// Queues a FIN after any buffered data and begins teardown.
-    pub fn close(self: &Rc<Self>, sim: &mut Simulator) {
+    pub(crate) fn close(self: &Rc<Self>, sim: &mut Simulator) {
         self.snd.borrow_mut().fin_queued = true;
         if self.state.get() == State::Established {
             self.try_send(sim);
@@ -576,7 +555,7 @@ impl Connection {
     /// Tears the connection down unilaterally, cancelling its timer and
     /// firing the [`Connection::on_error`] callbacks with `reason`.
     /// Idempotent; a no-op once the connection is `Done` or `Aborted`.
-    pub fn abort(self: &Rc<Self>, sim: &mut Simulator, reason: &str) {
+    pub(crate) fn abort(self: &Rc<Self>, sim: &mut Simulator, reason: &str) {
         if matches!(self.state.get(), State::Done | State::Aborted) {
             return;
         }
@@ -597,7 +576,7 @@ impl Connection {
     // ------------------------------------------------------------------
 
     /// Processes an inbound segment addressed to this connection.
-    pub fn handle_segment(self: &Rc<Self>, sim: &mut Simulator, seg: TcpSegment) {
+    pub(crate) fn handle_segment(self: &Rc<Self>, sim: &mut Simulator, seg: TcpSegment) {
         match self.state.get() {
             State::Closed => {
                 // Passive open: first segment must be the peer's SYN.

@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-//! # transport — TCP (Reno) and its mobile variants, plus UDP
+//! # transport — TCP (Reno) and its mobile variants
 //!
 //! §5.2 of the paper: "TCP was designed for reliable data transport on
 //! wired networks … when it is applied directly to mobile networks, TCP
@@ -7,10 +7,10 @@
 //! frequent handoffs and disconnections." The paper then cites three
 //! remedies, all implemented here:
 //!
-//! * [`split`] — **Split/Indirect TCP** (Yavatkar & Bhagawat \[16\]): the
+//! * [`SplitProxy`] — **Split/Indirect TCP** (Yavatkar & Bhagawat \[16\]): the
 //!   path is split at the base station into a wired and a wireless
 //!   sub-connection, confining wireless loss recovery to the short hop.
-//! * [`snoop`] — **Snoop packet caching** (Balakrishnan et al. \[1\]): the
+//! * [`SnoopAgent`] — **Snoop packet caching** (Balakrishnan et al. \[1\]): the
 //!   base station caches data segments and retransmits locally on
 //!   duplicate ACKs, hiding wireless losses from the fixed sender.
 //! * [`Connection::handoff_complete`] — **fast retransmission after
@@ -18,22 +18,19 @@
 //!   completion and triggers an immediate fast retransmit instead of
 //!   waiting out a coarse retransmission timeout.
 //!
-//! The baseline is a byte-accurate Reno TCP ([`conn`]): three-way
+//! The baseline is a byte-accurate Reno TCP ([`Connection`]): three-way
 //! handshake, slow start, congestion avoidance, fast retransmit/recovery,
 //! Jacobson/Karn RTO estimation, out-of-order reassembly and FIN
-//! teardown, running over `netstack` datagrams. [`udp`] provides the
-//! datagram service used by lightweight middleware exchanges.
+//! teardown, running over `netstack` datagrams.
 
-pub mod conn;
-pub mod seg;
-pub mod snoop;
-pub mod split;
-pub mod tcp;
-pub mod udp;
+pub(crate) mod conn;
+pub(crate) mod seg;
+pub(crate) mod snoop;
+pub(crate) mod split;
+pub(crate) mod tcp;
 
 pub use conn::{Connection, ConnectionStats, State, MAX_CONSECUTIVE_RTOS};
-pub use seg::{SocketAddr, TcpSegment, MSS, TCP_HEADER_BYTES};
+pub use seg::SocketAddr;
 pub use snoop::SnoopAgent;
 pub use split::SplitProxy;
 pub use tcp::Tcp;
-pub use udp::Udp;

@@ -5,18 +5,18 @@ use bytes::Bytes;
 use netstack::Ip;
 
 /// Simulated TCP header size in bytes.
-pub const TCP_HEADER_BYTES: usize = 20;
+pub(crate) const TCP_HEADER_BYTES: usize = 20;
 
 /// Maximum segment size (payload bytes per segment).
-pub const MSS: usize = 1460;
+pub(crate) const MSS: usize = 1460;
 
 /// An `(address, port)` pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SocketAddr {
     /// Network address.
-    pub ip: Ip,
+    pub(crate) ip: Ip,
     /// Port number.
-    pub port: u16,
+    pub(crate) port: u16,
 }
 
 impl SocketAddr {
@@ -38,30 +38,30 @@ impl std::fmt::Display for SocketAddr {
 /// sequence number of 0 (deterministic ISNs keep runs reproducible); SYN
 /// and FIN each consume one sequence number, as in real TCP.
 #[derive(Debug, Clone)]
-pub struct TcpSegment {
+pub(crate) struct TcpSegment {
     /// Sender's socket address.
-    pub src: SocketAddr,
+    pub(crate) src: SocketAddr,
     /// Receiver's socket address.
-    pub dst: SocketAddr,
+    pub(crate) dst: SocketAddr,
     /// Sequence number of the first payload byte (or of the SYN/FIN).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Cumulative acknowledgement: next byte expected from the peer.
-    pub ack: u64,
+    pub(crate) ack: u64,
     /// SYN flag.
-    pub syn: bool,
+    pub(crate) syn: bool,
     /// ACK flag (the `ack` field is only meaningful when set).
-    pub ack_flag: bool,
+    pub(crate) ack_flag: bool,
     /// FIN flag.
-    pub fin: bool,
+    pub(crate) fin: bool,
     /// Advertised receive window in bytes.
-    pub wnd: u32,
+    pub(crate) wnd: u32,
     /// Payload bytes.
-    pub data: Bytes,
+    pub(crate) data: Bytes,
 }
 
 impl TcpSegment {
     /// A segment with no flags and no data (builder starting point).
-    pub fn new(src: SocketAddr, dst: SocketAddr) -> Self {
+    pub(crate) fn new(src: SocketAddr, dst: SocketAddr) -> Self {
         TcpSegment {
             src,
             dst,
@@ -76,24 +76,18 @@ impl TcpSegment {
     }
 
     /// Bytes this segment occupies inside the IP payload.
-    pub fn wire_size(&self) -> usize {
+    pub(crate) fn wire_size(&self) -> usize {
         TCP_HEADER_BYTES + self.data.len()
     }
 
-    /// The number of sequence numbers this segment consumes
-    /// (payload length, plus one each for SYN and FIN).
-    pub fn seq_len(&self) -> u64 {
-        self.data.len() as u64 + u64::from(self.syn) + u64::from(self.fin)
-    }
-
     /// True for a segment that carries no data and only acknowledges.
-    pub fn is_pure_ack(&self) -> bool {
+    pub(crate) fn is_pure_ack(&self) -> bool {
         self.ack_flag && !self.syn && !self.fin && self.data.is_empty()
     }
 
     /// Short human-readable form for traces: `"SYN seq=0"`, `"ACK=4381"`,
     /// `"seq=1 len=1460 ACK=1"`, …
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         let mut parts = Vec::new();
         if self.syn {
             parts.push("SYN".to_owned());
@@ -128,17 +122,6 @@ mod tests {
         assert_eq!(s.wire_size(), TCP_HEADER_BYTES);
         s.data = Bytes::from(vec![0u8; 100]);
         assert_eq!(s.wire_size(), TCP_HEADER_BYTES + 100);
-    }
-
-    #[test]
-    fn seq_len_counts_syn_and_fin() {
-        let mut s = TcpSegment::new(sa(1), sa(2));
-        assert_eq!(s.seq_len(), 0);
-        s.syn = true;
-        assert_eq!(s.seq_len(), 1);
-        s.fin = true;
-        s.data = Bytes::from_static(b"abc");
-        assert_eq!(s.seq_len(), 5);
     }
 
     #[test]

@@ -42,13 +42,13 @@ pub struct SnoopAgent {
     /// sit unacknowledged before the base station resends it unprompted.
     local_timeout: SimDuration,
     /// Data segments cached.
-    pub cached: Counter,
+    pub(crate) cached: Counter,
     /// Local retransmissions performed.
     pub local_retransmits: Counter,
     /// Of which, triggered by the local timer (vs duplicate ACKs).
-    pub timer_retransmits: Counter,
+    pub(crate) timer_retransmits: Counter,
     /// Duplicate ACKs suppressed before they reached the fixed sender.
-    pub suppressed_dupacks: Counter,
+    pub(crate) suppressed_dupacks: Counter,
     trace: Trace,
 }
 
@@ -237,11 +237,6 @@ impl SnoopAgent {
 
         TapResult::Continue(pkt)
     }
-
-    /// Number of segments currently cached across all flows.
-    pub fn cache_len(&self) -> usize {
-        self.flows.borrow().values().map(|f| f.cache.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -343,7 +338,8 @@ mod tests {
         conn.send(&mut sim, &vec![0u8; 50 * MSS]);
         sim.run();
         assert!(agent.cached.get() >= 50);
-        assert_eq!(agent.cache_len(), 0, "acked segments must leave the cache");
+        let cached: usize = agent.flows.borrow().values().map(|f| f.cache.len()).sum();
+        assert_eq!(cached, 0, "acked segments must leave the cache");
         assert_eq!(agent.local_retransmits.get(), 0);
     }
 

@@ -120,11 +120,6 @@ impl AdHocNetwork {
         self.members[index].position = position;
     }
 
-    /// Member `index`'s current position.
-    pub fn position(&self, index: usize) -> Point {
-        self.members[index].position
-    }
-
     /// Re-forms the topology: creates links for pairs in coverage, tears
     /// down links for pairs that drifted apart, retunes surviving links to
     /// the current distance, and recomputes shortest-hop routes.
@@ -257,7 +252,7 @@ mod tests {
         use super::*;
         use std::cell::RefCell;
 
-        pub fn udp_sink(node: &Rc<Node>) -> Rc<RefCell<Vec<IpPacket>>> {
+        pub(crate) fn udp_sink(node: &Rc<Node>) -> Rc<RefCell<Vec<IpPacket>>> {
             let got: Rc<RefCell<Vec<IpPacket>>> = Rc::default();
             let sink = Rc::clone(&got);
             node.set_upper(Protocol::Udp, move |_sim, pkt| sink.borrow_mut().push(pkt));
@@ -378,7 +373,7 @@ mod tests {
     mod transport_smoke {
         use super::*;
 
-        pub fn run_tcp_over() {
+        pub(crate) fn run_tcp_over() {
             let mut sim = Simulator::new();
             let (_net, a, _b, c) = line();
             let trace = simnet::trace::Trace::bounded(64);

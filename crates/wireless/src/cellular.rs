@@ -16,7 +16,7 @@
 //! summary (§8) notes cellular systems cover kilometres but at "much lower
 //! bandwidth (less than 1 Mbps)" than WLANs for the pre-3G generations.
 
-use simnet::{LinkParams, LossModel, SimDuration};
+use simnet::SimDuration;
 
 /// Cellular generation — Table 5 column 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -133,11 +133,6 @@ impl CellularStandard {
         }
     }
 
-    /// True when the voice channel is analog (1G only) — Table 5 column 2.
-    pub fn analog_voice(self) -> bool {
-        self.generation() == Generation::G1
-    }
-
     /// Switching technique — Table 5 column 3.
     pub fn switching(self) -> Switching {
         match self {
@@ -168,12 +163,6 @@ impl CellularStandard {
         }
     }
 
-    /// Whether the standard offers quality-of-service classes (3G — §6.2:
-    /// "3G systems with quality-of-service (QoS) capability").
-    pub fn has_qos(self) -> bool {
-        self.generation() == Generation::G3
-    }
-
     /// Call/session-setup latency charged before the first byte can flow.
     ///
     /// Circuit-switched standards pay a multi-second call setup per data
@@ -202,15 +191,6 @@ impl CellularStandard {
         }
     }
 
-    /// Typical cell radius in metres — cellular coverage dwarfs WLAN (§8).
-    pub fn cell_radius_m(self) -> f64 {
-        match self.generation() {
-            Generation::G1 => 10_000.0,
-            Generation::G2 | Generation::G2_5 => 5_000.0,
-            Generation::G3 => 2_000.0,
-        }
-    }
-
     /// Residual bit-error rate of the coded channel.
     pub fn ber(self) -> f64 {
         match self.generation() {
@@ -219,18 +199,6 @@ impl CellularStandard {
             Generation::G2_5 => 1e-5,
             Generation::G3 => 1e-6,
         }
-    }
-
-    /// Builds [`LinkParams`] for a data session on this standard, or `None`
-    /// when the standard cannot carry data (analog 1G).
-    pub fn link_params(self) -> Option<LinkParams> {
-        let rate = self.data_rate_bps()?;
-        Some(LinkParams {
-            bandwidth_bps: rate,
-            propagation: self.ran_latency(),
-            queue_capacity: 64,
-            loss: LossModel::BitError { ber: self.ber() },
-        })
     }
 }
 
@@ -265,9 +233,7 @@ mod tests {
 
     #[test]
     fn analog_1g_has_no_data_service() {
-        assert!(CellularStandard::Amps.analog_voice());
         assert_eq!(CellularStandard::Amps.data_rate_bps(), None);
-        assert!(CellularStandard::Amps.link_params().is_none());
         assert_eq!(CellularStandard::Tacs.data_rate_bps(), None);
     }
 
@@ -298,13 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn qos_is_a_3g_property() {
-        for s in CellularStandard::ALL {
-            assert_eq!(s.has_qos(), s.generation() == Generation::G3, "{s}");
-        }
-    }
-
-    #[test]
     fn circuit_setup_dwarfs_packet_setup() {
         let circuit = CellularStandard::Gsm.session_setup();
         let packet25 = CellularStandard::Gprs.session_setup();
@@ -317,15 +276,7 @@ mod tests {
     fn cellular_range_dwarfs_wlan_but_latency_is_worse() {
         use crate::wlan::WlanStandard;
         let gsm = CellularStandard::Gsm;
-        assert!(gsm.cell_radius_m() > WlanStandard::Dot11b.range_m().1 * 10.0);
         assert!(gsm.ran_latency() > WlanStandard::Dot11b.access_delay() * 100);
-    }
-
-    #[test]
-    fn link_params_carry_standard_rate() {
-        let p = CellularStandard::Edge.link_params().unwrap();
-        assert_eq!(p.bandwidth_bps, 384_000);
-        assert!(matches!(p.loss, LossModel::BitError { .. }));
     }
 
     #[test]

@@ -14,11 +14,11 @@ use crate::wlan::WlanStandard;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy to transmit one byte.
-    pub tx_j_per_byte: f64,
+    pub(crate) tx_j_per_byte: f64,
     /// Energy to receive one byte.
-    pub rx_j_per_byte: f64,
+    pub(crate) rx_j_per_byte: f64,
     /// Idle listening power in watts.
-    pub idle_w: f64,
+    pub(crate) idle_w: f64,
 }
 
 impl EnergyModel {
@@ -92,11 +92,6 @@ impl EnergyModel {
     pub fn rx_cost(&self, bytes: u64) -> f64 {
         self.rx_j_per_byte * bytes as f64
     }
-
-    /// Joules burned idling for `secs` seconds.
-    pub fn idle_cost(&self, secs: f64) -> f64 {
-        self.idle_w * secs
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +132,6 @@ mod tests {
         let m = EnergyModel::wlan(WlanStandard::Dot11b);
         assert!((m.tx_cost(1000) - 2.0e-3).abs() < 1e-12);
         assert!((m.rx_cost(1000) - 1.4e-3).abs() < 1e-12);
-        assert!((m.idle_cost(10.0) - 8.0).abs() < 1e-12);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub struct HandoffController<M> {
     blackout: SimDuration,
     in_blackout: std::cell::Cell<bool>,
     /// Number of completed handoffs.
-    pub completed: Counter,
+    pub(crate) completed: Counter,
     listeners: RefCell<Vec<Listener>>,
 }
 
@@ -47,21 +47,12 @@ impl<M> std::fmt::Debug for HandoffController<M> {
 
 impl<M: Wire + 'static> HandoffController<M> {
     /// Creates a controller that, once [started](Self::start), blacks out
-    /// `link` for `blackout` every `period` of simulated time.
-    ///
-    /// The link must have an RNG attached (blackouts use a stochastic
-    /// always-drop model).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < blackout < period`.
-    pub fn new(link: Rc<Link<M>>, period: SimDuration, blackout: SimDuration) -> Rc<Self> {
-        Self::over_links(vec![link], period, blackout)
-    }
-
-    /// Like [`HandoffController::new`] but blacking out several links in
+    /// `links` for `blackout` every `period` of simulated time, in
     /// lockstep — typically the two directions of a bidirectional radio
     /// hop, which a real handoff severs together.
+    ///
+    /// The links must have an RNG attached (blackouts use a stochastic
+    /// always-drop model).
     ///
     /// # Panics
     ///
@@ -94,35 +85,11 @@ impl<M: Wire + 'static> HandoffController<M> {
         self.listeners.borrow_mut().push(Rc::new(f));
     }
 
-    /// True while a blackout is in progress.
-    pub fn in_blackout(&self) -> bool {
-        self.in_blackout.get()
-    }
-
     /// Begins the periodic handoff schedule. The first blackout starts one
     /// full period from now.
     pub fn start(self: &Rc<Self>, sim: &mut Simulator) {
         let ctl = Rc::clone(self);
         sim.schedule_in(self.period, move |sim| ctl.begin_blackout(sim));
-    }
-
-    /// Forces an immediate, out-of-schedule handoff: the serving AP/cell
-    /// died and the station must re-associate elsewhere, severing the
-    /// radio for `blackout`. Completion listeners fire when it ends, just
-    /// as for a scheduled handoff — the fast-retransmit signal of \[2\]
-    /// keys on fault-driven handoffs too. A no-op if the links are
-    /// already blacked out (the radio cannot get more severed).
-    ///
-    /// Works on controllers that were never [started](Self::start): a
-    /// purely fault-driven controller performs no periodic handoffs.
-    pub fn force_handoff(self: &Rc<Self>, sim: &mut Simulator, blackout: SimDuration) {
-        if self.in_blackout.get() {
-            return;
-        }
-        self.sever(sim);
-        obs::metrics::incr("wireless.handoffs_forced");
-        let ctl = Rc::clone(self);
-        sim.schedule_in(blackout, move |sim| ctl.restore(sim));
     }
 
     /// Cuts every controlled link and saves its parameters. The caller
@@ -204,8 +171,8 @@ mod tests {
     fn frames_die_during_blackout_and_flow_after() {
         let mut sim = Simulator::new();
         let (link, got) = lossless_link();
-        let ctl = HandoffController::new(
-            Rc::clone(&link),
+        let ctl = HandoffController::over_links(
+            vec![Rc::clone(&link)],
             SimDuration::from_secs(1),
             SimDuration::from_millis(200),
         );
@@ -231,8 +198,8 @@ mod tests {
     fn completion_listeners_fire_at_blackout_end() {
         let mut sim = Simulator::new();
         let (link, _got) = lossless_link();
-        let ctl = HandoffController::new(
-            link,
+        let ctl = HandoffController::over_links(
+            vec![link],
             SimDuration::from_secs(1),
             SimDuration::from_millis(100),
         );
@@ -248,8 +215,8 @@ mod tests {
     fn restoration_preserves_params_changed_during_normal_operation() {
         let mut sim = Simulator::new();
         let (link, _got) = lossless_link();
-        let ctl = HandoffController::new(
-            Rc::clone(&link),
+        let ctl = HandoffController::over_links(
+            vec![Rc::clone(&link)],
             SimDuration::from_secs(1),
             SimDuration::from_millis(100),
         );
@@ -264,70 +231,10 @@ mod tests {
             });
         }
         sim.run_until(SimTime::from_millis(1_050));
-        assert!(ctl.in_blackout());
+        assert!(ctl.in_blackout.get());
         sim.run_until(SimTime::from_millis(1_200));
-        assert!(!ctl.in_blackout());
+        assert!(!ctl.in_blackout.get());
         assert_eq!(link.params().bandwidth_bps, 500_000);
-        assert_eq!(link.params().loss, LossModel::None);
-    }
-
-    #[test]
-    fn forced_handoff_severs_now_and_reassociates_after_the_blackout() {
-        let mut sim = Simulator::new();
-        let (link, got) = lossless_link();
-        let ctl = HandoffController::new(
-            Rc::clone(&link),
-            SimDuration::from_secs(3600),
-            SimDuration::from_millis(1),
-        );
-        // Never start()ed: no periodic handoffs, only the forced one.
-        {
-            let ctl = Rc::clone(&ctl);
-            sim.schedule_at(SimTime::from_millis(500), move |sim| {
-                ctl.force_handoff(sim, SimDuration::from_millis(300));
-            });
-        }
-        for i in 0..10u64 {
-            let link = Rc::clone(&link);
-            sim.schedule_at(SimTime::from_millis(i * 100 + 50), move |sim| {
-                link.send(sim, vec![0u8; 100]);
-            });
-        }
-        sim.run_until(SimTime::from_millis(1_100));
-        // Frames at 550, 650 and 750 ms die in the forced blackout.
-        assert_eq!(got.borrow().len(), 7);
-        assert_eq!(ctl.completed.get(), 1);
-        assert_eq!(link.params().loss, LossModel::None);
-    }
-
-    #[test]
-    fn periodic_schedule_survives_an_overlapping_forced_handoff() {
-        let mut sim = Simulator::new();
-        let (link, _got) = lossless_link();
-        let ctl = HandoffController::new(
-            Rc::clone(&link),
-            SimDuration::from_secs(1),
-            SimDuration::from_millis(100),
-        );
-        ctl.start(&mut sim);
-        // A forced blackout spanning the first periodic begin (at 1 s):
-        // the periodic cycle must skip, not capture the severed link's
-        // parameters as "normal" and black it out forever.
-        {
-            let ctl = Rc::clone(&ctl);
-            sim.schedule_at(SimTime::from_millis(900), move |sim| {
-                ctl.force_handoff(sim, SimDuration::from_millis(400));
-            });
-        }
-        sim.run_until(SimTime::from_millis(1_400));
-        assert!(!ctl.in_blackout());
-        assert_eq!(link.params().loss, LossModel::None);
-        // And the periodic schedule keeps going afterwards: the skipped
-        // cycle re-arms one period later, blacking out [2000, 2100) ms.
-        sim.run_until(SimTime::from_millis(2_050));
-        assert!(ctl.in_blackout());
-        sim.run_until(SimTime::from_millis(2_150));
-        assert!(!ctl.in_blackout());
         assert_eq!(link.params().loss, LossModel::None);
     }
 
@@ -335,8 +242,8 @@ mod tests {
     #[should_panic(expected = "shorter than the period")]
     fn blackout_longer_than_period_panics() {
         let (link, _got) = lossless_link();
-        HandoffController::new(
-            link,
+        HandoffController::over_links(
+            vec![link],
             SimDuration::from_millis(100),
             SimDuration::from_millis(100),
         );

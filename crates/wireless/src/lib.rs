@@ -22,15 +22,14 @@
 //! blackouts that the TCP variants in `transport` must survive.
 
 pub mod adhoc;
-pub mod cellular;
+pub(crate) mod cellular;
 pub mod energy;
-pub mod handoff;
+pub(crate) mod handoff;
 pub mod mobility;
-pub mod radio;
-pub mod wlan;
+pub(crate) mod radio;
+pub(crate) mod wlan;
 
-pub use adhoc::AdHocNetwork;
-pub use cellular::{CellularStandard, Generation, Switching};
+pub use cellular::CellularStandard;
 pub use handoff::HandoffController;
 pub use radio::RadioLink;
-pub use wlan::{Band, Modulation, WlanStandard};
+pub use wlan::WlanStandard;

@@ -15,7 +15,7 @@ pub struct Point {
     /// X coordinate in metres.
     pub x: f64,
     /// Y coordinate in metres.
-    pub y: f64,
+    pub(crate) y: f64,
 }
 
 impl Point {
@@ -82,11 +82,6 @@ impl Waypoint {
         self.position
     }
 
-    /// Walking speed in metres per second.
-    pub fn speed_mps(&self) -> f64 {
-        self.speed_mps
-    }
-
     /// Advances the walk by `dt_secs` seconds, possibly passing through
     /// several waypoints, and returns the new position.
     pub fn advance(&mut self, dt_secs: f64) -> Point {
@@ -125,11 +120,6 @@ pub struct ApField {
 }
 
 impl ApField {
-    /// Creates a field from AP positions.
-    pub fn new(aps: Vec<Point>) -> Self {
-        ApField { aps }
-    }
-
     /// A regular 1-D corridor of `n` APs spaced `spacing` metres apart —
     /// the classic topology for handoff experiments.
     pub fn corridor(n: usize, spacing: f64) -> Self {
@@ -138,25 +128,6 @@ impl ApField {
                 .map(|i| Point::new(i as f64 * spacing, 0.0))
                 .collect(),
         }
-    }
-
-    /// Number of APs in the field.
-    pub fn len(&self) -> usize {
-        self.aps.len()
-    }
-
-    /// True when the field has no APs.
-    pub fn is_empty(&self) -> bool {
-        self.aps.is_empty()
-    }
-
-    /// Position of AP `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn position(&self, index: usize) -> Point {
-        self.aps[index]
     }
 
     /// The index and distance of the AP nearest to `p`, or `None` when the
@@ -221,7 +192,7 @@ mod tests {
     #[test]
     fn corridor_nearest_ap_switches_at_midpoint() {
         let field = ApField::corridor(3, 100.0);
-        assert_eq!(field.len(), 3);
+        assert_eq!(field.aps.len(), 3);
         assert_eq!(field.nearest(Point::new(10.0, 0.0)).unwrap().0, 0);
         assert_eq!(field.nearest(Point::new(60.0, 0.0)).unwrap().0, 1);
         assert_eq!(field.nearest(Point::new(160.0, 0.0)).unwrap().0, 2);
@@ -230,7 +201,7 @@ mod tests {
     #[test]
     fn empty_field_has_no_nearest() {
         assert!(ApField::default().nearest(Point::default()).is_none());
-        assert!(ApField::default().is_empty());
+        assert!(ApField::default().aps.is_empty());
     }
 
     #[test]

@@ -17,9 +17,9 @@ use crate::wlan::WlanStandard;
 
 /// A frame on the air: payload plus MAC/PHY overhead.
 #[derive(Debug, Clone)]
-pub struct Framed<M> {
+pub(crate) struct Framed<M> {
     /// The carried message.
-    pub inner: M,
+    pub(crate) inner: M,
     overhead: usize,
 }
 
@@ -90,16 +90,6 @@ impl<M: Wire + 'static> RadioLink<M> {
         })
     }
 
-    /// The WLAN standard this channel implements.
-    pub fn standard(&self) -> WlanStandard {
-        self.standard
-    }
-
-    /// Current distance from the access point in metres.
-    pub fn distance_m(&self) -> f64 {
-        self.distance_m.get()
-    }
-
     /// Whether the station is inside the standard's coverage.
     pub fn in_range(&self) -> bool {
         self.standard.rate_at(self.distance_m.get()).is_some()
@@ -135,12 +125,6 @@ impl<M: Wire + 'static> RadioLink<M> {
             overhead: self.standard.frame_overhead_bytes(),
         };
         self.link.send(sim, framed);
-    }
-
-    /// The underlying link, exposing its counters.
-    #[allow(clippy::type_complexity)]
-    pub fn link(&self) -> &Rc<Link<Framed<M>>> {
-        &self.link
     }
 }
 
@@ -194,7 +178,7 @@ mod tests {
         assert_eq!(radio.current_rate_bps(), 54_000_000);
         radio.set_distance(149.0);
         assert_eq!(radio.current_rate_bps(), 6_000_000);
-        assert!((radio.distance_m() - 149.0).abs() < f64::EPSILON);
+        assert!((radio.distance_m.get() - 149.0).abs() < f64::EPSILON);
         radio.set_distance(10.0);
         assert_eq!(radio.current_rate_bps(), 54_000_000);
     }
@@ -206,7 +190,7 @@ mod tests {
         radio.send(&mut sim, vec![0u8; 500]);
         sim.run();
         assert_eq!(
-            radio.link().bytes_delivered.get(),
+            radio.link.bytes_delivered.get(),
             500 + WlanStandard::Dot11b.frame_overhead_bytes() as u64
         );
     }

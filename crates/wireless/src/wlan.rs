@@ -15,53 +15,6 @@
 
 use simnet::{LinkParams, LossModel, SimDuration};
 
-/// Modulation schemes named in Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Modulation {
-    /// Gaussian frequency-shift keying (Bluetooth).
-    Gfsk,
-    /// High-rate direct-sequence spread spectrum (802.11b).
-    HrDsss,
-    /// Orthogonal frequency-division multiplexing (802.11a/g, HyperLAN2).
-    Ofdm,
-}
-
-impl std::fmt::Display for Modulation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            Modulation::Gfsk => "GFSK",
-            Modulation::HrDsss => "HR-DSSS",
-            Modulation::Ofdm => "OFDM",
-        };
-        f.write_str(name)
-    }
-}
-
-/// Operating frequency bands named in Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Band {
-    /// 2.4 GHz ISM band.
-    Ghz2_4,
-    /// 5 GHz band.
-    Ghz5,
-}
-
-impl Band {
-    /// Centre frequency in GHz.
-    pub fn ghz(self) -> f64 {
-        match self {
-            Band::Ghz2_4 => 2.4,
-            Band::Ghz5 => 5.0,
-        }
-    }
-}
-
-impl std::fmt::Display for Band {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} GHz", self.ghz())
-    }
-}
-
 /// A wireless LAN standard from Table 4 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WlanStandard {
@@ -117,7 +70,7 @@ impl WlanStandard {
     ///
     /// `near` is the distance up to which the full rate holds; `far` is the
     /// edge of usable coverage.
-    pub fn range_m(self) -> (f64, f64) {
+    pub(crate) fn range_m(self) -> (f64, f64) {
         match self {
             WlanStandard::Bluetooth => (5.0, 10.0),
             WlanStandard::Dot11b => (50.0, 100.0),
@@ -127,30 +80,11 @@ impl WlanStandard {
         }
     }
 
-    /// Modulation scheme — Table 4 column 4 (first half).
-    pub fn modulation(self) -> Modulation {
-        match self {
-            WlanStandard::Bluetooth => Modulation::Gfsk,
-            WlanStandard::Dot11b => Modulation::HrDsss,
-            WlanStandard::Dot11a | WlanStandard::HyperLan2 | WlanStandard::Dot11g => {
-                Modulation::Ofdm
-            }
-        }
-    }
-
-    /// Operating band — Table 4 column 4 (second half).
-    pub fn band(self) -> Band {
-        match self {
-            WlanStandard::Bluetooth | WlanStandard::Dot11b | WlanStandard::Dot11g => Band::Ghz2_4,
-            WlanStandard::Dot11a | WlanStandard::HyperLan2 => Band::Ghz5,
-        }
-    }
-
     /// The standard's auto-rate fallback tiers, fastest first, in bps.
     ///
     /// Real radios step down through discrete modulation rates as signal
     /// quality degrades; these are the published tier sets.
-    pub fn rate_tiers(self) -> &'static [u64] {
+    pub(crate) fn rate_tiers(self) -> &'static [u64] {
         match self {
             WlanStandard::Bluetooth => &[1_000_000, 723_000, 433_000],
             WlanStandard::Dot11b => &[11_000_000, 5_500_000, 2_000_000, 1_000_000],
@@ -165,7 +99,7 @@ impl WlanStandard {
     /// or `None` when out of range.
     ///
     /// Full rate holds out to the near edge of the typical range; beyond
-    /// it the radio steps down through [`WlanStandard::rate_tiers`]
+    /// it the radio steps down through `WlanStandard::rate_tiers`
     /// linearly in distance until coverage ends at the far edge.
     ///
     /// ```
@@ -239,7 +173,7 @@ impl WlanStandard {
     /// The returned link carries the standard's achievable rate at that
     /// distance, its MAC access delay, and a [`LossModel::BitError`]
     /// channel at the distance-dependent BER.
-    pub fn link_params_at(self, distance_m: f64) -> Option<LinkParams> {
+    pub(crate) fn link_params_at(self, distance_m: f64) -> Option<LinkParams> {
         let rate = self.rate_at(distance_m)?;
         Some(LinkParams {
             bandwidth_bps: rate,
@@ -270,11 +204,6 @@ mod tests {
         assert_eq!(Dot11b.range_m(), (50.0, 100.0));
         assert_eq!(HyperLan2.range_m(), (50.0, 300.0));
         assert_eq!(Dot11g.range_m(), (50.0, 150.0));
-        // Modulation / band column.
-        assert_eq!(Bluetooth.modulation(), Modulation::Gfsk);
-        assert_eq!(Dot11b.modulation(), Modulation::HrDsss);
-        assert_eq!(Dot11a.band(), Band::Ghz5);
-        assert_eq!(Dot11g.band(), Band::Ghz2_4);
     }
 
     #[test]
@@ -354,7 +283,5 @@ mod tests {
     #[test]
     fn display_names() {
         assert_eq!(WlanStandard::Dot11b.to_string(), "802.11b (Wi-Fi)");
-        assert_eq!(Modulation::HrDsss.to_string(), "HR-DSSS");
-        assert_eq!(Band::Ghz2_4.to_string(), "2.4 GHz");
     }
 }

@@ -8,6 +8,8 @@
 #                     regression test in crates/bench/tests/;
 #   clippy, doc     — lints (with clippy::perf) and broken or redundant
 #                     doc links are errors;
+#   pub_unused      — every `pub fn` in a library under crates/ has a user
+#                     outside it (scripts/pub_unused.sh prints nothing);
 #   bench           — the Criterion benches compile;
 #   report --fN     — each experiment runs on its quick workload, writes
 #                     its BENCH_*.json artefact (F5 with --trace also the
@@ -38,6 +40,12 @@ cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::perf
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+unused=$(scripts/pub_unused.sh)
+if [ -n "$unused" ]; then
+  echo "$unused" >&2
+  echo "pub_unused: the pub fns above have no user outside their library" >&2
+  exit 1
+fi
 cargo bench --no-run
 cargo run --release -p bench --bin report -- --quick --f4
 cargo run --release -p bench --bin report -- --quick --f5 --trace

@@ -89,6 +89,81 @@ fn replay_public(db: &mut Database, entry: &JournalEntry) {
 /// projections of the same base rows.
 type Rows = Vec<Vec<Value>>;
 
+/// One way to damage a journal. Indices are taken modulo its length.
+#[derive(Debug, Clone)]
+enum Damage {
+    /// Swaps two entries.
+    Swap(usize, usize),
+    /// Drops every entry from `at` on.
+    Truncate(usize),
+    /// Drops one entry.
+    Remove(usize),
+    /// Repeats an entry right after itself.
+    Duplicate(usize),
+    /// Rewrites an entry (see [`mutated`]).
+    Mutate(usize, u8),
+}
+
+fn damage_strategy() -> impl Strategy<Value = Damage> {
+    prop_oneof![
+        (any::<usize>(), any::<usize>()).prop_map(|(a, b)| Damage::Swap(a, b)),
+        any::<usize>().prop_map(Damage::Truncate),
+        any::<usize>().prop_map(Damage::Remove),
+        any::<usize>().prop_map(Damage::Duplicate),
+        (any::<usize>(), any::<u8>()).prop_map(|(at, how)| Damage::Mutate(at, how)),
+    ]
+}
+
+/// `entry` rewritten one of several ways a corrupt journal could hold
+/// it: an unknown table, a row one value short or long, a primary key
+/// of another type or NaN, a schema with no columns or an index on a
+/// column it does not have.
+fn mutated(entry: &JournalEntry, how: u8) -> JournalEntry {
+    let reshaped = |row: &[Value]| -> Vec<Value> {
+        let mut row = row.to_vec();
+        match how % 4 {
+            0 => {
+                row.pop();
+            }
+            1 => row.push(Value::Bool(true)),
+            2 => {
+                if let Some(pk) = row.first_mut() {
+                    *pk = Value::Text("pk".into());
+                }
+            }
+            _ => {
+                if let Some(pk) = row.first_mut() {
+                    *pk = Value::Float(f64::NAN);
+                }
+            }
+        }
+        row
+    };
+    match entry {
+        _ if how % 5 == 4 => JournalEntry::Delete {
+            table: "ghost".into(),
+            key: Value::Int(1),
+        },
+        JournalEntry::CreateTable { name, columns, .. } => JournalEntry::CreateTable {
+            name: name.clone(),
+            columns: if how.is_multiple_of(2) { [].into() } else { columns.clone() },
+            indexes: ["ghost".to_owned()].into(),
+        },
+        JournalEntry::Insert { table, row } => JournalEntry::Insert {
+            table: table.clone(),
+            row: reshaped(row).into(),
+        },
+        JournalEntry::Update { table, row } => JournalEntry::Update {
+            table: table.clone(),
+            row: reshaped(row).into(),
+        },
+        JournalEntry::Delete { table, .. } => JournalEntry::Delete {
+            table: table.clone(),
+            key: reshaped(&[Value::Int(0)]).pop().unwrap_or(Value::Bool(false)),
+        },
+    }
+}
+
 fn observe(db: &Database) -> (Rows, Vec<Rows>, usize) {
     let rows = db
         .select("items", |_| true)
@@ -150,6 +225,42 @@ proptest! {
             }
             prop_assert_eq!(recovered.table_names(), reference.table_names());
             prop_assert_eq!(observe(&recovered), observe(&reference));
+        }
+    }
+
+    /// A shuffled, truncated or corrupted journal recovers to `Ok` or
+    /// `Err`, never a panic; what does recover holds the journal it was
+    /// given.
+    #[test]
+    fn damaged_journals_recover_or_err(
+        ops in proptest::collection::vec(op_strategy(), 1..40),
+        damage in proptest::collection::vec(damage_strategy(), 1..6),
+    ) {
+        let mut db = fresh_db();
+        for op in &ops {
+            apply(&mut db, op);
+        }
+        let mut journal = db.journal().to_vec();
+        for d in &damage {
+            let n = journal.len().max(1);
+            match *d {
+                Damage::Swap(a, b) if !journal.is_empty() => journal.swap(a % n, b % n),
+                Damage::Truncate(at) => journal.truncate(at % (n + 1)),
+                Damage::Remove(at) if !journal.is_empty() => {
+                    journal.remove(at % n);
+                }
+                Damage::Duplicate(at) if !journal.is_empty() => {
+                    let entry = journal[at % n].clone();
+                    journal.insert(at % n, entry);
+                }
+                Damage::Mutate(at, how) if !journal.is_empty() => {
+                    journal[at % n] = mutated(&journal[at % n], how);
+                }
+                _ => {}
+            }
+        }
+        if let Ok(recovered) = Database::recover(&journal) {
+            prop_assert_eq!(recovered.journal(), &journal[..]);
         }
     }
 

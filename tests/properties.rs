@@ -53,10 +53,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn markup_serialise_parse_round_trips(doc in html_body_strategy()) {
+    fn markup_serialise_parse_round_trips(
+        doc in html_body_strategy(),
+        junk in proptest::collection::vec(any::<u8>(), 0..256),
+        flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+    ) {
         let text = doc.to_markup();
         let reparsed = parse::parse(&text).unwrap();
         prop_assert_eq!(doc, reparsed);
+        // Arbitrary text and byte-mutated pages parse to `Ok` or `Err`,
+        // never a panic.
+        let mut bytes = text.into_bytes();
+        for &(at, byte) in &flips {
+            let at = at % bytes.len();
+            bytes[at] = byte;
+        }
+        for input in [String::from_utf8_lossy(&junk), String::from_utf8_lossy(&bytes)] {
+            let _ = parse::parse(&input);
+            let _ = html::parse_html(&input);
+        }
     }
 
     #[test]
@@ -93,11 +108,24 @@ proptest! {
     }
 
     #[test]
-    fn wbxml_round_trips_every_translated_deck(doc in html_body_strategy()) {
+    fn wbxml_round_trips_every_translated_deck(
+        doc in html_body_strategy(),
+        junk in proptest::collection::vec(any::<u8>(), 0..256),
+        flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+    ) {
         let deck = html_to_wml(&doc, &WmlOptions::default());
         let binary = wbxml::encode(&deck);
         let back = wbxml::decode(&binary).unwrap();
         prop_assert_eq!(deck, back);
+        // Arbitrary bytes and byte-mutated decks decode to `Ok` or
+        // `Err`, never a panic.
+        let mut mutated = binary.clone();
+        for &(at, byte) in &flips {
+            let at = at % mutated.len();
+            mutated[at] = byte;
+        }
+        let _ = wbxml::decode(&junk);
+        let _ = wbxml::decode(&mutated);
     }
 
     #[test]
@@ -278,8 +306,12 @@ proptest! {
     fn wtls_records_round_trip_and_reject_truncation(
         payload in proptest::collection::vec(any::<u8>(), 0..256),
         cut in 1usize..16,
+        junk in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
         let (mut client, mut s2) = mcommerce::security::wtls::handshake(123, 456);
+        // Arbitrary bytes are refused with `Err`, never a panic, and
+        // leave the session able to open the next genuine record.
+        prop_assert!(s2.open(&junk).is_err());
         let record = client.seal(&payload);
         // Truncated copies never verify...
         if record.len() > cut {
